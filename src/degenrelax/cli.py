@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--abs-tol", type=float, default=None,
                         help="absolute quadrature tolerance")
     common.add_argument("--divergence-cap", type=float, default=None,
-                        help="magnitude treated as numerically divergent")
+                        help="running-sum magnitude treated as divergent, an overflow "
+                             "guard (default 1e300)")
     common.add_argument("--out", default=None, help="write JSON here instead of stdout")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp field (reproducible output)")
@@ -321,7 +322,7 @@ def cmd_poincare(args) -> int:
 
 def cmd_relax(args) -> int:
     from .auxweight import build_aux_weight
-    from .relaxation import original_functional, relaxed_functional
+    from .relaxation import _relaxed_parts, original_functional
     from .spaces import check_membership, lp_aux_norm
     w, p, cfg, structure = _setup(args)
     u = parse_function_arg(args.u, w.domain)
@@ -332,12 +333,14 @@ def cmd_relax(args) -> int:
         ambient = 0.0
     else:
         aux = build_aux_weight(w, p, structure, cfg)
-        rel = relaxed_functional(u, w, aux, structure, p, cfg)
+        rel, amb, mem = _relaxed_parts(u, w, aux, structure, p, cfg)
         relaxed = {"kind": rel.kind, "value": rel.value, "reason": rel.reason}
-        mem = check_membership(u, w, structure, p, cfg)
+        if mem is None:
+            mem = check_membership(u, w, structure, p, cfg)
         member = {"in_space": mem.in_space,
                   "seminorm": mem.seminorm.value if mem.seminorm.is_finite else math.inf}
-        amb = lp_aux_norm(u, aux, cfg)
+        if amb is None:
+            amb = lp_aux_norm(u, aux, cfg)
         ambient = amb.value if amb.is_finite else math.inf
     _emit({
         "command": "relax",

@@ -7,8 +7,11 @@ the range is cut into geometrically graded panels; the per-level panel
 contributions c_k then behave like a geometric sequence, which gives both a
 cheap convergence accelerant (sum the geometric tail in closed form) and a
 robust divergence test (the c_k stop decaying exactly when the local
-integral diverges).  Surviving panels feed a worst-first bisection loop that
-drives the Gauss/Kronrod discrepancy under the error budget.
+integral diverges).  Each graded run evaluates all its levels in one batch.
+Surviving panels are then refined in rounds: each round bisects, in one
+batch, the worst panels whose summed Gauss/Kronrod discrepancy covers the
+excess over the error budget, until the budget is met or the panel limit
+is reached.
 
 classify_endpoint_integrability() answers the one-sided question "is
 w^(-1/(p-1)) integrable next to z" by exact exponent arithmetic whenever the
@@ -66,7 +69,9 @@ _WK = _GK_TABLE[:, 2]
 class QuadratureConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
-    divergence_cap: float = 1e12
+    # overflow guard on a graded run's running sum; divergence is read from
+    # the level trend, so large finite integrals stay finite
+    divergence_cap: float = 1e300
     max_refinement_depth: int = 60
     geometric_ratio: float = 0.5
     trend_window: int = 10  # consecutive non-decaying levels that flag divergence
@@ -114,57 +119,50 @@ class IntegralResult:
         return IntegralResult.divergent(self.value + other.value)
 
 
-def _eval_panels(f, lows, highs):
-    """Kronrod value and Gauss/Kronrod discrepancy for a batch of panels."""
+def _kronrod(f, lows, highs):
+    """Kronrod value, Gauss/Kronrod discrepancy, first non-finite node and
+    first NaN node (NaN where none) for a batch of panels."""
     lows = np.asarray(lows, dtype=float)
     highs = np.asarray(highs, dtype=float)
     mid = 0.5 * (lows + highs)
     half = 0.5 * (highs - lows)
     xs = mid[:, None] + half[:, None] * _NODES[None, :]
     vals = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
-    if np.any(np.isnan(vals)):
-        i, j = np.argwhere(np.isnan(vals))[0]
-        raise IntegrandEvaluationError(
-            f"integrand is NaN at x={xs[i, j]!r}", location=float(xs[i, j]))
-    # panels holding an inf node produce inf/nan sums here; they are masked
-    # out below and re-split by the caller, so silence the transient warning
+    # panels holding an inf node produce inf/nan sums here; the caller
+    # resolves them by grading into the node, so silence the transient warning
     with np.errstate(invalid="ignore"):
         k15 = (vals * _WK).sum(axis=1) * half
         g7 = (vals * _WG).sum(axis=1) * half
-    finite = np.all(np.isfinite(vals), axis=1)
-    # location of a non-finite node per bad panel, for bisection
-    inf_at = np.full(lows.shape, np.nan)
-    for i in np.nonzero(~finite)[0]:
-        j = int(np.argmax(~np.isfinite(vals[i])))
-        inf_at[i] = xs[i, j]
-    return k15, np.abs(k15 - g7), finite, inf_at
+        err = np.abs(k15 - g7)
+    bad = ~np.isfinite(vals)
+    if not bad.any():
+        return k15, err, np.full(lows.shape, np.nan), np.full(lows.shape, np.nan)
+    return k15, err, _first_node(xs, bad), _first_node(xs, np.isnan(vals))
 
 
-def _representable_depth(anchor: float, width: float, ratio: float, max_depth: int) -> int:
-    """Deepest grading level whose panel still has positive float width at the anchor."""
-    depth = max_depth
-    for k in range(1, max_depth + 1):
-        off = width * ratio ** k
-        if anchor + off == anchor or anchor - off == anchor or off == 0.0:
-            depth = k - 1
-            break
-    return max(depth, 3)
+def _first_node(xs, mask):
+    """Per panel, the first node where mask holds (NaN where it never does)."""
+    j = np.argmax(mask, axis=1)
+    return np.where(mask.any(axis=1), xs[np.arange(xs.shape[0]), j], np.nan)
 
 
-class _Pool:
-    """Mutable panel pool shared between grading and refinement."""
+def _check_nan(nan_at):
+    """Raise on the first panel that holds a NaN node."""
+    hit = ~np.isnan(nan_at)
+    if hit.any():
+        x = nan_at[np.argmax(hit)]
+        raise IntegrandEvaluationError(f"integrand is NaN at x={x!r}", location=float(x))
 
-    def __init__(self):
-        self.lows: list = []
-        self.highs: list = []
-        self.vals: list = []
-        self.errs: list = []
 
-    def push(self, lo, hi, v, e):
-        self.lows.append(float(lo))
-        self.highs.append(float(hi))
-        self.vals.append(float(v))
-        self.errs.append(float(e))
+def _eval_panels(f, lows, highs):
+    """Kronrod value, Gauss/Kronrod discrepancy, finiteness and first
+    non-finite node for a batch of panels; any NaN node raises."""
+    k15, err, bad_at, nan_at = _kronrod(f, lows, highs)
+    _check_nan(nan_at)
+    return k15, err, np.isnan(bad_at), bad_at
+
+
+_BLOCK = 8  # graded levels walked between two early-exit tests
 
 
 @dataclass
@@ -173,58 +171,58 @@ class _GradedRun:
     partial: float       # sum of level values walked so far
     tail: float          # closed-form geometric remainder (0 when divergent)
     tail_err: float
+    panels: tuple        # (lows, highs, values, errs) of the walked levels
 
 
 def _graded_run(f, anchor: float, outer: float, cfg: QuadratureConfig,
-                pool: Optional[_Pool], resolve_depth: int = 0) -> _GradedRun:
+                resolve_depth: int = 0) -> _GradedRun:
     """Integrate from `outer` toward `anchor` through geometrically shrinking panels.
 
     Level k covers the slice between distances width*r^(k+1) and width*r^k
-    from the anchor.  Divergence is declared when the running sum passes the
-    cap or the level contributions stop decaying over a full trend window.
-    For a convergent run the untraversed tail is summed in closed form from
-    the fitted decay ratio, and the walked panels are pushed to the pool for
-    further refinement.
+    from the anchor.  All levels are evaluated in one batch and walked in
+    blocks of eight; a NaN raises, and an inf node is graded into, only in
+    a block the walk reaches.  Divergence is declared when the running sum
+    passes the cap or the level contributions stop decaying over a full
+    trend window.  For a convergent run the untraversed tail is summed in
+    closed form from the fitted decay ratio, and the walked panels are
+    returned for further refinement.
     """
     width = abs(outer - anchor)
     sgn = 1.0 if outer > anchor else -1.0
-    depth = _representable_depth(anchor, width, cfg.geometric_ratio, cfg.max_refinement_depth)
-
-    dists = width * cfg.geometric_ratio ** np.arange(depth + 1)
+    dists = width * cfg.geometric_ratio ** np.arange(cfg.max_refinement_depth + 1)
+    offs = dists[1:]
+    lost = (anchor + offs == anchor) | (anchor - offs == anchor) | (offs == 0.0)
+    depth = max(int(np.argmax(lost)) if lost.any() else offs.size, 3)
+    dists = dists[:depth + 1]
     edge_a = anchor + sgn * dists[1:]
     edge_b = anchor + sgn * dists[:-1]
     lows = np.minimum(edge_a, edge_b)
     highs = np.maximum(edge_a, edge_b)
+    k15, errs, bad_at, nan_at = _kronrod(f, lows, highs)
+    vals, errs, finite = k15.tolist(), errs.tolist(), np.isnan(bad_at).tolist()
 
-    panel_rows: list = []   # (lo, hi, value, err)
     contribs: list = []
     divergent = False
     partial = 0.0
-    block = 8
-    done = 0
-    while done < depth and not divergent:
-        take = slice(done, min(done + block, depth))
-        k15, errs, finite, inf_at = _eval_panels(f, lows[take], highs[take])
-        stop = False
-        for idx in range(k15.size):
-            lo_i = float(lows[take][idx])
-            hi_i = float(highs[take][idx])
-            if finite[idx]:
-                v, e = float(k15[idx]), float(errs[idx])
-            else:
-                v, e, ok = _resolve_inf_panel(f, lo_i, hi_i, float(inf_at[idx]), cfg,
-                                              resolve_depth)
+    win = cfg.trend_window
+    for start in range(0, depth, _BLOCK):
+        stop = min(start + _BLOCK, depth)
+        _check_nan(nan_at[start:stop])
+        for i in range(start, stop):
+            v = vals[i]
+            if not finite[i]:
+                v, e, ok = _resolve_inf_panel(f, float(lows[i]), float(highs[i]),
+                                              float(bad_at[i]), cfg, resolve_depth)
                 if not ok:
                     partial += v
                     divergent = True
                     break
-            panel_rows.append((lo_i, hi_i, v, e))
+                vals[i], errs[i] = v, e
             contribs.append(abs(v))
             partial += v
             if abs(partial) > cfg.divergence_cap:
                 divergent = True
                 break
-            win = cfg.trend_window
             if len(contribs) > win and contribs[-1] > 10.0 * cfg.abs_tol:
                 recent = contribs[-(win + 1):]
                 # an exactly zero level is decay, not stagnation: it breaks
@@ -236,25 +234,21 @@ def _graded_run(f, anchor: float, outer: float, cfg: QuadratureConfig,
                     break
         if divergent:
             break
-        done = take.stop
         # early exit once the deepest levels are negligible and clearly decaying
         if len(contribs) >= 4:
             budget = max(cfg.abs_tol, cfg.rel_tol * abs(partial))
             if contribs[-1] < 1e-3 * budget and contribs[-1] < contribs[-2] < contribs[-3]:
                 break
 
+    n = len(contribs)
     tail = tail_err = 0.0
-    if not divergent and contribs:
-        tail, tail_err, failed_decay = _geometric_tail(panel_rows, cfg)
-        if failed_decay:
-            divergent = True
-    if not divergent and pool is not None:
-        for lo_i, hi_i, v, e in panel_rows:
-            pool.push(lo_i, hi_i, v, e)
-    return _GradedRun(divergent, partial, tail, tail_err)
+    if not divergent and n:
+        tail, tail_err, divergent = _geometric_tail(vals[:n], cfg)
+    panels = (lows[:n], highs[:n], np.array(vals[:n]), np.array(errs[:n]))
+    return _GradedRun(divergent, partial, tail, tail_err, panels)
 
 
-def _geometric_tail(panel_rows, cfg: QuadratureConfig):
+def _geometric_tail(values, cfg: QuadratureConfig):
     """Closed-form estimate of the untraversed geometric remainder.
 
     Fits the decay ratio over the last eight and last four positive level
@@ -263,7 +257,7 @@ def _geometric_tail(panel_rows, cfg: QuadratureConfig):
     geometric sequence.  A fitted ratio within 1e-3 of 1 at depth exhaustion
     means the levels failed to decay: the run is reported as divergent.
     """
-    mags = np.array([abs(v) for _, _, v, _ in panel_rows], dtype=float)
+    mags = np.abs(np.array(values, dtype=float))
     mags = mags[mags > 0.0]
     if mags.size < 3 or mags[-1] <= 10.0 * cfg.abs_tol:
         return 0.0, 0.0, False
@@ -276,7 +270,7 @@ def _geometric_tail(panel_rows, cfg: QuadratureConfig):
     if rho_a >= 1.0 - 1e-3:
         return 0.0, 0.0, True
     rho_b = fit(min(4, mags.size))
-    last_v = panel_rows[-1][2]
+    last_v = values[-1]
     sgn = math.copysign(1.0, last_v) if last_v != 0.0 else 1.0
     t_a = mags[-1] * rho_a / (1.0 - rho_a)
     t_b = mags[-1] * rho_b / (1.0 - rho_b) if rho_b < 1.0 else 2.0 * t_a
@@ -301,7 +295,7 @@ def _resolve_inf_panel(f, lo: float, hi: float, bad: float, cfg: QuadratureConfi
     for a, b in ((bad, lo), (bad, hi)):
         if a == b:
             continue
-        run = _graded_run(f, a, b, cfg, None, depth + 1)
+        run = _graded_run(f, a, b, cfg, depth + 1)
         if run.divergent:
             return run.partial, math.inf, False
         total_v += run.partial + run.tail
@@ -309,44 +303,50 @@ def _resolve_inf_panel(f, lo: float, hi: float, bad: float, cfg: QuadratureConfi
     return total_v, total_e, True
 
 
-def _refine_pool(f, pool: _Pool, cfg: QuadratureConfig):
-    """Worst-first panel bisection until the pooled error meets the budget."""
-    lows, highs, vals, errs = pool.lows, pool.highs, pool.vals, pool.errs
-    if not lows:
-        return 0.0, 0.0
-    while len(lows) < cfg.max_panels:
-        total = sum(vals)
-        err = sum(errs)
-        if err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+def _refine_pool(f, lows, highs, vals, errs, cfg: QuadratureConfig):
+    """Bisect panels in rounds until the pooled error meets the budget.
+
+    Each round splits, in one batch, the worst panels in descending error
+    until their summed error covers the excess over the budget, never
+    growing the pool past max_panels; the given arrays may be modified.  The
+    total and its error are summed in canonical panel order, which keeps
+    them bit-stable across refinement histories.
+    """
+    while lows.size < cfg.max_panels:
+        excess = errs.sum() - max(cfg.abs_tol, cfg.rel_tol * abs(vals.sum()))
+        if excess <= 0.0:
             break
-        i = int(np.argmax(errs))
-        if errs[i] <= 0.0:
+        order = np.argsort(-errs, kind="stable")
+        order = order[errs[order] > 0.0]
+        if order.size == 0:
             break
-        lo, hi = lows[i], highs[i]
+        take = int(np.searchsorted(np.cumsum(errs[order]), excess)) + 1
+        pick = order[:min(take, cfg.max_panels - lows.size)]
+        lo, hi = lows[pick], highs[pick]
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # panel width at float resolution; accept
-            errs[i] = 0.0
+        split = (lo < mid) & (mid < hi)
+        errs[pick[~split]] = 0.0  # panel width at float resolution; accept
+        pick, lo, mid, hi = pick[split], lo[split], mid[split], hi[split]
+        if not pick.size:
             continue
-        k15, perr, finite, inf_at = _eval_panels(f, [lo, mid], [mid, hi])
-        new_vals, new_errs = list(map(float, k15)), list(map(float, perr))
+        new_lo, new_hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        k15, perr, finite, bad_at = _eval_panels(f, new_lo, new_hi)
         for j in np.nonzero(~finite)[0]:
-            j = int(j)
-            v, e, ok = _resolve_inf_panel(f, (lo, mid)[j], (mid, hi)[j], float(inf_at[j]), cfg)
+            v, e, ok = _resolve_inf_panel(f, float(new_lo[j]), float(new_hi[j]),
+                                          float(bad_at[j]), cfg)
             if not ok:
                 raise IntegrandEvaluationError(
-                    f"integrand not locally integrable inside panel near x={inf_at[j]!r}",
-                    location=float(inf_at[j]))
-            new_vals[j], new_errs[j] = v, e
-        lows[i], highs[i], vals[i], errs[i] = lo, mid, new_vals[0], new_errs[0]
-        lows.append(mid)
-        highs.append(hi)
-        vals.append(new_vals[1])
-        errs.append(new_errs[1])
-    # canonical accumulation order keeps totals bit-stable across refinement histories
-    order = np.lexsort((np.array(highs), np.array(lows)))
-    total = float(np.sum(np.array(vals)[order]))
-    err = float(np.sum(np.array(errs)[order]))
-    return total, err
+                    f"integrand not locally integrable inside panel near x={bad_at[j]!r}",
+                    location=float(bad_at[j]))
+            k15[j], perr[j] = v, e
+        n = pick.size
+        highs[pick], vals[pick], errs[pick] = mid, k15[:n], perr[:n]
+        lows = np.concatenate([lows, mid])
+        highs = np.concatenate([highs, hi])
+        vals = np.concatenate([vals, k15[n:]])
+        errs = np.concatenate([errs, perr[n:]])
+    order = np.lexsort((highs, lows))
+    return float(np.sum(vals[order])), float(np.sum(errs[order]))
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -372,36 +372,35 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     graded_pts = [a] + sing + [b]
     cuts = sorted({float(c) for c in breakpoints if a + tol < c < b - tol})
 
-    pool = _Pool()
+    pool = []  # (lows, highs, values, errs) per graded run and middle section
     tails = 0.0
     tail_errs = 0.0
     walked = 0.0
     for lo, hi in zip(graded_pts[:-1], graded_pts[1:]):
         gap = hi - lo
         # graded runs cover the nearest third of the gap on each side
-        run_l = _graded_run(f, lo, lo + gap / 3.0, cfg, pool)
+        run_l = _graded_run(f, lo, lo + gap / 3.0, cfg)
         if run_l.divergent:
             return IntegralResult.divergent(walked + run_l.partial)
-        run_r = _graded_run(f, hi, hi - gap / 3.0, cfg, pool)
+        run_r = _graded_run(f, hi, hi - gap / 3.0, cfg)
         if run_r.divergent:
             return IntegralResult.divergent(walked + run_l.partial + run_r.partial)
         walked += run_l.partial + run_r.partial
         tails += run_l.tail + run_r.tail
         tail_errs += run_l.tail_err + run_r.tail_err
         # middle section, cut at declared breakpoints
-        edges = sorted({lo + gap / 3.0, hi - gap / 3.0,
-                        *[c for c in cuts if lo + gap / 3.0 < c < hi - gap / 3.0]})
+        edges = np.array(sorted({lo + gap / 3.0, hi - gap / 3.0,
+                                 *[c for c in cuts if lo + gap / 3.0 < c < hi - gap / 3.0]}))
         mk15, merr, mfin, minf = _eval_panels(f, edges[:-1], edges[1:])
-        for j in range(len(edges) - 1):
-            if mfin[j]:
-                pool.push(edges[j], edges[j + 1], mk15[j], merr[j])
-            else:
-                v, e, ok = _resolve_inf_panel(f, edges[j], edges[j + 1], float(minf[j]), cfg)
-                if not ok:
-                    return IntegralResult.divergent(walked + v)
-                pool.push(edges[j], edges[j + 1], v, 0.0)
-                # resolved by its own graded pass; do not re-bisect this span
-    value, err = _refine_pool(f, pool, cfg)
+        for j in np.nonzero(~mfin)[0]:
+            v, e, ok = _resolve_inf_panel(f, float(edges[j]), float(edges[j + 1]),
+                                          float(minf[j]), cfg)
+            if not ok:
+                return IntegralResult.divergent(walked + v)
+            # resolved by its own graded pass; do not re-bisect this span
+            mk15[j], merr[j] = v, 0.0
+        pool += [run_l.panels, run_r.panels, (edges[:-1], edges[1:], mk15, merr)]
+    value, err = _refine_pool(f, *(np.concatenate(c) for c in zip(*pool)), cfg)
     return IntegralResult.finite(value + tails, err + tail_errs)
 
 

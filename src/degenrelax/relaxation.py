@@ -26,8 +26,8 @@ import numpy as np
 
 from .auxweight import AuxWeight
 from .degeneracy import DegeneracyStructure
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
-from .spaces import TestFunction, check_membership, lp_aux_norm
+from .quadrature import DEFAULT_CONFIG, IntegralResult, QuadratureConfig, integrate
+from .spaces import MembershipReport, TestFunction, check_membership, lp_aux_norm
 from .weights import Exponent, Weight
 
 
@@ -88,19 +88,31 @@ def relaxed_functional(u: TestFunction, w: Weight, aux: AuxWeight,
     relaxation is identically 0.  Otherwise the value is the structure
     seminorm when both it and the ambient norm of u are finite, else +inf.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if structure.kind == "zero":
         return FunctionalValue.finite(0.0)
+    return _relaxed_parts(u, w, aux, structure, p, cfg)[0]
+
+
+def _relaxed_parts(u: TestFunction, w: Weight, aux: AuxWeight,
+                   structure: DegeneracyStructure, p: Exponent,
+                   cfg: Optional[QuadratureConfig] = None
+                   ) -> tuple[FunctionalValue, Optional[IntegralResult],
+                              Optional[MembershipReport]]:
+    """relaxed_functional on a nonempty structure, with the ambient integral
+    and the membership report it was decided on (None where the value was
+    settled without computing them)."""
+    cfg = cfg or DEFAULT_CONFIG
     if u.tag == "Grid":
         return FunctionalValue.infinite(
-            "sampled function carries no derivative; structure seminorm unavailable")
+            "sampled function carries no derivative; structure seminorm unavailable"), None, None
     amb = lp_aux_norm(u, aux, cfg)
     if not amb.is_finite:
-        return FunctionalValue.infinite("u lies outside the ambient weighted space")
+        return FunctionalValue.infinite("u lies outside the ambient weighted space"), amb, None
     member = check_membership(u, w, structure, p, cfg)
     if not member.in_space:
-        return FunctionalValue.infinite("derivative energy diverges on the structure")
-    return FunctionalValue.finite(member.seminorm.value)
+        return (FunctionalValue.infinite("derivative energy diverges on the structure"),
+                amb, member)
+    return FunctionalValue.finite(member.seminorm.value), amb, member
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +308,9 @@ def build_approx_sequence(u: TestFunction, w: Weight, aux: AuxWeight,
         bad = [h for h in hs if h < h_min]
         if bad:
             raise ValueError(f"mesh parameters {bad} violate the strict bound h >= {h_min}")
-    f_lim = relaxed_functional(u, w, aux, structure, p, cfg)
+    f_lim, amb, _ = _relaxed_parts(u, w, aux, structure, p, cfg)
     if not f_lim.is_finite:
         raise ValueError(f"u outside the relaxed domain: {f_lim.reason}")
-    amb = lp_aux_norm(u, aux, cfg)
     x_norm_u = amb.value ** (1.0 / p.p)  # same norm that measures x_err
 
     ivs = structure.intervals

@@ -11,7 +11,9 @@ from degenrelax import (
     Exponent,
     QuadratureConfig,
     ac_extension_check,
+    build_aux_weight,
     check_membership,
+    detect_structure,
     endpoint_vanishing_check,
     log_edge_function,
     lp_aux_norm,
@@ -93,6 +95,27 @@ def test_space_norm_absolute_homogeneity(unit_chain, p2, c):
     n1 = space_norm(u, w, aux, st_, p2, CFG)
     n2 = space_norm(cu, w, aux, st_, p2, CFG)
     assert n2 == pytest.approx(abs(c) * n1, rel=1e-8, abs=1e-12)
+
+
+@pytest.mark.parametrize("pv", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("weight", ["unit_weight", "figure1"])
+def test_large_scale_norms_stay_finite_and_homogeneous(request, weight, pv):
+    # c^p runs up to 1e36; no magnitude the integrals reach may read as divergence
+    w = request.getfixturevalue(weight)
+    p = Exponent(pv)
+    st_ = detect_structure(w, p, CFG)
+    aux = build_aux_weight(w, p, st_, CFG)
+    coeffs = [0.2, 1.0, -0.5]
+    u = poly_function(coeffs)
+    semi = seminorm_energy(u, w, st_, p, CFG)
+    amb = lp_aux_norm(u, aux, CFG)
+    for c in (1e6, 1e10, 1e12):
+        cu = poly_function([c * a for a in coeffs])
+        c_semi = seminorm_energy(cu, w, st_, p, CFG)
+        c_amb = lp_aux_norm(cu, aux, CFG)
+        assert c_semi.is_finite and c_amb.is_finite
+        assert c_semi.value == pytest.approx(c ** pv * semi.value, rel=1e-12)
+        assert c_amb.value == pytest.approx(c ** pv * amb.value, rel=1e-12)
 
 
 @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3),

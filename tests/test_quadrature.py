@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from degenrelax import (
     Exponent,
     IndeterminateIntegrabilityError,
+    IntegrandEvaluationError,
     QuadratureConfig,
     builtin_figure1,
     builtin_power,
@@ -18,6 +19,7 @@ from degenrelax import (
     local_exponent_estimate,
     weight_from_csv,
 )
+from degenrelax import quadrature
 
 CFG = QuadratureConfig()
 
@@ -110,6 +112,77 @@ def test_result_arithmetic():
     assert s.kind == "divergent"
     s2 = a + a
     assert s2.value == pytest.approx(2.0, abs=1e-13)
+
+
+def test_nan_in_a_walked_level_raises_with_its_location():
+    f = lambda x: np.where((x > 0.0) & (x < 1e-6), np.nan, 1.0)
+    with pytest.raises(IntegrandEvaluationError) as info:
+        integrate(f, 0.0, 1.0, CFG)
+    assert 0.0 < info.value.location < 1e-6
+
+
+def test_nan_beyond_the_early_exit_is_not_reached():
+    # the graded run of a constant stops after 48 of its 60 levels; the NaN
+    # levels below 1e-16 are evaluated in its batch but never walked
+    f = lambda x: np.where(x < 1e-16, np.nan, 1.0)
+    r = integrate(f, 0.0, 1.0, CFG)
+    assert r.value == pytest.approx(1.0, abs=1e-13)
+
+
+def test_undeclared_inf_node_met_in_refinement_is_resolved():
+    # c is the centre node of a child of the middle panel [1/3, 2/3], so f
+    # is first evaluated there by a refinement round, after the two graded
+    # runs and the middle section
+    c = 0.5 * (1.0 / 3.0 + 0.5)
+    hit = []
+
+    def f(x):
+        hit.append(bool(np.any(x == c)))
+        with np.errstate(divide="ignore"):
+            return np.abs(x - c) ** -0.5
+
+    r = integrate(f, 0.0, 1.0, CFG)
+    assert hit.index(True) >= 3
+    assert r.is_finite
+    # the actual error, 2.4e-8 relative, exceeds the 7e-11 estimate
+    assert r.value == pytest.approx(2.0 * (math.sqrt(c) + math.sqrt(1.0 - c)), rel=1e-7)
+
+
+def test_refinement_never_grows_past_max_panels():
+    points = []
+
+    def f(x):
+        points.append(x.size)
+        return np.abs(np.sin(40.0 * math.pi * x))
+
+    lows, highs = np.array([0.0]), np.array([1.0])
+    vals, errs, _, _ = quadrature._eval_panels(f, lows, highs)
+    points.clear()
+    quadrature._refine_pool(f, lows, highs, vals, errs, QuadratureConfig(max_panels=20))
+    # one panel cannot meet the budget over 40 kinks; each bisection adds a
+    # panel and evaluates two, so the pool ends exactly at the limit
+    assert 1 + sum(points) // 30 == 20
+
+
+def test_repeated_calls_are_bit_identical():
+    f = lambda x: np.abs(np.sin(40.0 * math.pi * x)) + np.maximum(x, 1e-300) ** -0.5
+    a = integrate(f, 0.0, 1.0, CFG, breakpoints=[0.3])
+    b = integrate(f, 0.0, 1.0, CFG, breakpoints=[0.3])
+    assert (a.kind, a.value, a.err_estimate) == (b.kind, b.value, b.err_estimate)
+
+
+def test_undeclared_kinks_take_few_integrand_calls():
+    # 40 undeclared kinks: refinement splits many panels per batched round
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        return np.abs(np.sin(40.0 * math.pi * x))
+
+    r = integrate(f, 0.0, 1.0, CFG)
+    assert abs(r.value - 2.0 / math.pi) <= 1e-10
+    assert calls <= 40
 
 
 def test_local_exponent_estimate_recovers_power():
