@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--rel-tol", type=float, default=None,
                         help="relative quadrature tolerance")
     common.add_argument("--abs-tol", type=float, default=None,
-                        help="absolute quadrature tolerance")
+                        help="quadrature tolerance floor relative to the summed "
+                             "magnitude of the panel values (default 1e-13)")
     common.add_argument("--divergence-cap", type=float, default=None,
                         help="running-sum magnitude treated as divergent, an overflow "
                              "guard (default 1e300)")

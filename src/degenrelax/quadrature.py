@@ -68,6 +68,8 @@ _WK = _GK_TABLE[:, 2]
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-10
+    # error floor relative to the summed |panel values|, so that scaling the
+    # integrand never changes the result; binds only where the integral cancels
     abs_tol: float = 1e-13
     # overflow guard on a graded run's running sum; divergence is read from
     # the level trend, so large finite integrals stay finite
@@ -204,6 +206,7 @@ def _graded_run(f, anchor: float, outer: float, cfg: QuadratureConfig,
     contribs: list = []
     divergent = False
     partial = 0.0
+    mass = 0.0  # sum of walked level magnitudes: the run's own scale
     win = cfg.trend_window
     for start in range(0, depth, _BLOCK):
         stop = min(start + _BLOCK, depth)
@@ -220,10 +223,11 @@ def _graded_run(f, anchor: float, outer: float, cfg: QuadratureConfig,
                 vals[i], errs[i] = v, e
             contribs.append(abs(v))
             partial += v
+            mass += abs(v)
             if abs(partial) > cfg.divergence_cap:
                 divergent = True
                 break
-            if len(contribs) > win and contribs[-1] > 10.0 * cfg.abs_tol:
+            if len(contribs) > win and contribs[-1] > 10.0 * cfg.abs_tol * mass:
                 recent = contribs[-(win + 1):]
                 # an exactly zero level is decay, not stagnation: it breaks
                 # the streak (integrands supported away from the anchor start
@@ -236,7 +240,7 @@ def _graded_run(f, anchor: float, outer: float, cfg: QuadratureConfig,
             break
         # early exit once the deepest levels are negligible and clearly decaying
         if len(contribs) >= 4:
-            budget = max(cfg.abs_tol, cfg.rel_tol * abs(partial))
+            budget = max(cfg.abs_tol * mass, cfg.rel_tol * abs(partial))
             if contribs[-1] < 1e-3 * budget and contribs[-1] < contribs[-2] < contribs[-3]:
                 break
 
@@ -259,7 +263,8 @@ def _geometric_tail(values, cfg: QuadratureConfig):
     """
     mags = np.abs(np.array(values, dtype=float))
     mags = mags[mags > 0.0]
-    if mags.size < 3 or mags[-1] <= 10.0 * cfg.abs_tol:
+    mass = float(mags.sum())
+    if mags.size < 3 or mags[-1] <= 10.0 * cfg.abs_tol * mass:
         return 0.0, 0.0, False
 
     def fit(n):
@@ -274,7 +279,7 @@ def _geometric_tail(values, cfg: QuadratureConfig):
     sgn = math.copysign(1.0, last_v) if last_v != 0.0 else 1.0
     t_a = mags[-1] * rho_a / (1.0 - rho_a)
     t_b = mags[-1] * rho_b / (1.0 - rho_b) if rho_b < 1.0 else 2.0 * t_a
-    return sgn * t_a, abs(t_a - t_b) + cfg.abs_tol, False
+    return sgn * t_a, abs(t_a - t_b) + cfg.abs_tol * mass, False
 
 
 def _resolve_inf_panel(f, lo: float, hi: float, bad: float, cfg: QuadratureConfig,
@@ -313,7 +318,8 @@ def _refine_pool(f, lows, highs, vals, errs, cfg: QuadratureConfig):
     them bit-stable across refinement histories.
     """
     while lows.size < cfg.max_panels:
-        excess = errs.sum() - max(cfg.abs_tol, cfg.rel_tol * abs(vals.sum()))
+        excess = errs.sum() - max(cfg.abs_tol * np.abs(vals).sum(),
+                                  cfg.rel_tol * abs(vals.sum()))
         if excess <= 0.0:
             break
         order = np.argsort(-errs, kind="stable")

@@ -118,6 +118,29 @@ def test_large_scale_norms_stay_finite_and_homogeneous(request, weight, pv):
         assert c_amb.value == pytest.approx(c ** pv * amb.value, rel=1e-12)
 
 
+@pytest.mark.parametrize("pv", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("weight", ["unit_weight", "figure1"])
+def test_small_scale_norms_stay_homogeneous(request, weight, pv):
+    # c^p runs down to 1e-36; no tolerance floor may be absolute
+    w = request.getfixturevalue(weight)
+    p = Exponent(pv)
+    st_ = detect_structure(w, p, CFG)
+    aux = build_aux_weight(w, p, st_, CFG)
+    coeffs = [0.2, 1.0, -0.5]
+    u = poly_function(coeffs)
+    semi = seminorm_energy(u, w, st_, p, CFG)
+    amb = lp_aux_norm(u, aux, CFG)
+    ratio = poincare_global_check(u, w, aux, st_, p, CFG).ratio
+    for c in (1e-5, 1e-7, 1e-9, 1e-12):
+        cu = poly_function([c * a for a in coeffs])
+        c_semi = seminorm_energy(cu, w, st_, p, CFG)
+        c_amb = lp_aux_norm(cu, aux, CFG)
+        assert c_semi.value == pytest.approx(c ** pv * semi.value, rel=1e-10)
+        assert c_amb.value == pytest.approx(c ** pv * amb.value, rel=1e-10)
+        c_ratio = poincare_global_check(cu, w, aux, st_, p, CFG).ratio
+        assert c_ratio == pytest.approx(ratio, rel=1e-10)
+
+
 @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3),
        st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3))
 @settings(max_examples=20, deadline=None)
