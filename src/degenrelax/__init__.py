@@ -3,8 +3,8 @@
 from .weights import (Exponent, Interval, Weight, ZeroInfo, ClosedFormWeight,
                       PiecewisePowerWeight, PowerPiece, GridSampledWeight,
                       WeightSpecError, builtin_figure1, builtin_power,
-                      builtin_cascade, eval_weight, neg_power_transform,
-                      weight_from_csv, weight_from_spec, parse_weight_arg)
+                      builtin_cascade, eval_weight, weight_from_csv,
+                      weight_from_spec, parse_weight_arg)
 from .quadrature import (QuadratureConfig, IntegralResult, integrate,
                          classify_endpoint_integrability, local_exponent_estimate,
                          EndpointClass, IntegrandEvaluationError,

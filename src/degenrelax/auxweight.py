@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .degeneracy import DegeneracyInterval, DegeneracyStructure
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _eval_panels, integrate
@@ -63,8 +62,7 @@ class BranchTable:
     plain: np.ndarray             # per segment: free of removable zeros
     removables: tuple
     cfg: QuadratureConfig
-    interp: PchipInterpolator     # log C against log d, for the deep-tail slope
-    slope_inner: float
+    slope_inner: float            # d log C / d log d at the innermost node
     c_at_dmax: float
     d_max: float
 
@@ -212,13 +210,32 @@ def _build_branch(sigma, endpoint: float, mid: float, removables: Sequence[float
     if np.any(c_all <= 0.0):
         raise ArithmeticError("cumulative transform integral lost positivity")
 
-    # log-log fit of the node data feeds the power-law extension below the mesh
-    interp = PchipInterpolator(np.log(d_mesh), np.log(c_all), extrapolate=True)
-    slope_inner = float(interp.derivative()(math.log(d_mesh[0])))
+    # the log-log slope at the innermost node extends C below the mesh as a power law
     return BranchTable(
         sigma=sigma, endpoint=endpoint, sgn=sgn, d_mesh=d_mesh, c_nodes=c_all,
-        plain=plain, removables=tuple(removables), cfg=cfg, interp=interp,
-        slope_inner=slope_inner, c_at_dmax=c_quarter, d_max=float(d_mesh[-1]))
+        plain=plain, removables=tuple(removables), cfg=cfg,
+        slope_inner=_end_slope(np.log(d_mesh), np.log(c_all)),
+        c_at_dmax=c_quarter, d_max=float(d_mesh[-1]))
+
+
+def _end_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Slope at x[0] of the monotone (PCHIP) interpolant through (x, y).
+
+    The one-sided three-point rule, zeroed when it points against the first
+    secant and capped at three secants when the data turns (Moler,
+    Numerical Computing with MATLAB, pchiptx); a lone segment gives its
+    secant.
+    """
+    h = np.diff(x[:3])
+    m = np.diff(y[:3]) / h
+    if m.size < 2:
+        return float(m[0])
+    d = ((2 * h[0] + h[1]) * m[0] - h[0] * m[1]) / (h[0] + h[1])
+    if np.sign(d) != np.sign(m[0]):
+        return 0.0
+    if np.sign(m[0]) != np.sign(m[1]) and abs(d) > 3.0 * abs(m[0]):
+        return float(3.0 * m[0])
+    return float(d)
 
 
 @dataclass

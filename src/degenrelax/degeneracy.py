@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .quadrature import (DEFAULT_CONFIG, EndpointClass, QuadratureConfig,
                          classify_endpoint_integrability, local_exponent_estimate)
-from .weights import (Exponent, GridSampledWeight, Interval, PiecewisePowerWeight,
-                      Weight, ZeroInfo)
+from .weights import Exponent, Interval, Weight, ZeroInfo
 
 
 @dataclass(frozen=True)
@@ -116,29 +115,8 @@ def _bisect_threshold(f, below: float, above: float, tol_per_unit: float = 1e-12
 
 
 def _scan_weight(w: Weight):
-    """Zero candidates of a weight without metadata: (isolated zeros, zero regions)."""
+    """Zero candidates of a weight without a zero set: (isolated zeros, zero regions)."""
     dom = w.domain
-    if isinstance(w, GridSampledWeight):
-        # the interpolant vanishes exactly at zero nodes and on spans between
-        # consecutive zero nodes, nowhere else
-        tol = w.zero_tol
-        below = w.values <= tol
-        zeros, regions = [], []
-        i = 0
-        while i < w.x.size:
-            if not below[i]:
-                i += 1
-                continue
-            j = i
-            while j + 1 < w.x.size and below[j + 1]:
-                j += 1
-            if j > i:
-                regions.append((float(w.x[i]), float(w.x[j])))
-            else:
-                zeros.append(float(w.x[i]))
-            i = j + 1
-        return zeros, regions
-
     n = 8193
     xs = np.linspace(dom.lo, dom.hi, n)
     vals = np.asarray(w(xs), dtype=float)
@@ -207,24 +185,6 @@ def _merge_regions(regions, width):
     return out
 
 
-def _side_exponent(w: Weight, p: Exponent, z: float, side: int,
-                   neighbors: Sequence[float]) -> float:
-    """Local power exponent of w at z toward `side`, exact when metadata allows."""
-    if isinstance(w, PiecewisePowerWeight):
-        e = w.local_exponent_at(z, side)
-        return math.inf if e is None else e
-    known = w.known_zeros()
-    if known is not None:
-        for info in known:
-            if abs(info.location - z) <= 1e-12 * w.domain.width:
-                e = info.right_exponent if side > 0 else info.left_exponent
-                return math.inf if e is None else e
-        return 0.0
-    gaps = [abs(nb - z) for nb in neighbors if abs(nb - z) > 0.0]
-    h0 = 0.5 * min(gaps) if gaps else 0.25 * w.domain.width
-    return local_exponent_estimate(w, z, side, h0)
-
-
 def detect_structure(w: Weight, p: Exponent,
                      cfg: Optional[QuadratureConfig] = None) -> DegeneracyStructure:
     """Compute the degeneracy structure of w for exponent p.
@@ -238,12 +198,7 @@ def detect_structure(w: Weight, p: Exponent,
     width = dom.width
     tol = 1e-12 * width
 
-    known = w.known_zeros()
-    if known is not None:
-        zero_pts = [info.location for info in known]
-        regions = list(w.zero_regions())
-    else:
-        zero_pts, regions = _scan_weight(w)
+    zero_pts, regions = w.zero_set() or _scan_weight(w)
     regions = _merge_regions(regions, width)
 
     # zeros sitting on a region or domain boundary are edges already, not splits
@@ -261,9 +216,13 @@ def detect_structure(w: Weight, p: Exponent,
                  + [r[0] for r in regions] + [r[1] for r in regions])
     removable, splitting = [], []
     for z in interior:
-        near = [nb for nb in neighbors if abs(nb - z) > tol]
-        e_l = _side_exponent(w, p, z, -1, near)
-        e_r = _side_exponent(w, p, z, +1, near)
+        # without a known exponent, probe out to half the gap to the nearest feature
+        h0 = 0.5 * min(abs(nb - z) for nb in neighbors if abs(nb - z) > tol)
+        e_l, e_r = w.side_exponent(z, -1), w.side_exponent(z, +1)
+        if e_l is None:
+            e_l = local_exponent_estimate(w, z, -1, h0)
+        if e_r is None:
+            e_r = local_exponent_estimate(w, z, +1, h0)
         ap_l = math.inf if e_l == math.inf else p.alpha_p(e_l)
         ap_r = math.inf if e_r == math.inf else p.alpha_p(e_r)
         info = ZeroInfo(z, e_l, e_r)

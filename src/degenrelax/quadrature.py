@@ -14,8 +14,11 @@ excess over the error budget, until the budget is met or the panel limit
 is reached.
 
 classify_endpoint_integrability() answers the one-sided question "is
-w^(-1/(p-1)) integrable next to z" by exact exponent arithmetic whenever the
-weight carries power metadata, and by the graded-tail trend otherwise.
+w^(-1/(p-1)) integrable next to z" through the Weight interface alone: by
+exact exponent arithmetic whenever w.side_exponent() knows the exponent,
+with the value from w.exact_transform_integral() when w has a closed form,
+and otherwise from an exponent estimated on samples kept outside
+w.resolution_near(), cross-checked by the graded-tail trend.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .weights import Exponent, GridSampledWeight, PiecewisePowerWeight, Weight
+from .weights import Exponent, Weight
 
 
 class IntegrandEvaluationError(RuntimeError):
@@ -436,18 +439,15 @@ def local_exponent_estimate(w: Weight, z: float, side: int, h0: float,
                             min_offset: float = 0.0) -> float:
     """Least-squares slope of log w against log distance on one side of z.
 
-    Samples at distances h0 * 2^-k for k in k_range.  Returns math.inf when
-    the weight is numerically zero at nearly all probes, i.e. vanishing
-    faster than any power (or identically) on that side.
+    Samples at distances h0 * 2^-k for k in k_range, none closer than twice
+    w.resolution_near(z) (inside one grid cell a linear interpolant always
+    looks like exponent 1).  Returns math.inf when the weight is numerically
+    zero at nearly all probes, i.e. vanishing faster than any power (or
+    identically) on that side.
     """
     ks = np.arange(k_range[0], k_range[1] + 1)
     d = h0 * 2.0 ** (-ks.astype(float))
-    floor = max(min_offset, 0.0)
-    if isinstance(w, GridSampledWeight):
-        # linear interpolation inside one grid cell always looks like exponent 1;
-        # keep probes at least two cells away from z
-        floor = max(floor, 2.0 * w.cell_width_near(z))
-    d = d[d >= floor]
+    d = d[d >= max(min_offset, 2.0 * w.resolution_near(z))]
     x = z + side * d
     x = x[(x > w.domain.lo) & (x < w.domain.hi)]
     if x.size < 3:
@@ -466,12 +466,13 @@ def classify_endpoint_integrability(w: Weight, p: Exponent, z: float, far: float
                                     interior_singular: Sequence[float] = ()) -> EndpointClass:
     """Decide whether sigma = w^(-1/(p-1)) is integrable on the span from z to far.
 
-    Power metadata (piecewise families, annotated closed forms) decides by
-    the exact rule: non-integrable iff the local exponent alpha satisfies
-    alpha/(p-1) >= 1.  Without metadata the exponent is estimated from
-    samples, with an indeterminate guard near the threshold for grid
-    weights; the decision is cross-checked by (and the value taken from) the
-    graded-tail behavior of the numeric integral.
+    A known exponent (w.side_exponent) decides by the exact rule:
+    non-integrable iff the local exponent alpha satisfies alpha/(p-1) >= 1.
+    Without one the exponent is estimated from samples, and on a sampled
+    weight (positive w.resolution_near) an estimate within 0.02 of the
+    threshold is indeterminate; the decision is cross-checked by (and the
+    value taken from) the graded-tail behavior of the numeric integral.
+    The value is exact wherever w.exact_transform_integral has one.
 
     interior_singular lists removable zeros strictly between z and far, so
     the value integral can grade into them.
@@ -481,42 +482,18 @@ def classify_endpoint_integrability(w: Weight, p: Exponent, z: float, far: float
         raise ValueError("need z != far")
     side = 1 if far > z else -1
     lo, hi = (z, far) if side > 0 else (far, z)
-    sigma = w.transform(p)
 
-    # exact path: piecewise power families know everything in closed form
-    if isinstance(w, PiecewisePowerWeight):
-        alpha = w.local_exponent_at(z, side)
-        ap = math.inf if alpha == math.inf else p.alpha_p(alpha)
-        if ap >= 1.0:
-            return EndpointClass(False, math.inf, "exact-exponent", alpha)
-        val = w.exact_transform_integral(p, lo, hi)
-        if not math.isfinite(val):
-            # a zero or zero region deeper in the span still diverges
-            return EndpointClass(False, math.inf, "exact-exponent", alpha)
-        return EndpointClass(True, val, "exact-exponent", alpha)
-
-    alpha: Optional[float] = None
-    known = w.known_zeros()
-    if known is not None:
-        hit = [zz for zz in known if abs(zz.location - z) <= 1e-12 * w.domain.width]
-        if hit:
-            alpha = hit[0].right_exponent if side > 0 else hit[0].left_exponent
-            if alpha is None:
-                raise ValueError(f"no domain on the requested side of x={z}")
-            rule = "exact-exponent"
-        else:
-            alpha = 0.0  # no recorded zero at z: w positive, sigma locally bounded
-            rule = "positive-weight"
-    else:
+    alpha = w.side_exponent(z, side)
+    rule = "exact-exponent"
+    if alpha is None:
         val_at = float(np.asarray(w(np.array([z])), dtype=float)[0])
         if val_at > 1e-10 * _peak_sample(w):
-            alpha = 0.0
-            rule = "positive-weight"
+            alpha, rule = 0.0, "positive-weight"
         else:
             alpha = local_exponent_estimate(w, z, side, abs(far - z))
             rule = "estimated-exponent"
             ap_est = math.inf if alpha == math.inf else p.alpha_p(alpha)
-            if isinstance(w, GridSampledWeight) and abs(ap_est - 1.0) < 0.02:
+            if w.resolution_near(z) > 0.0 and abs(ap_est - 1.0) < 0.02:
                 raise IndeterminateIntegrabilityError(
                     f"estimated transform exponent {ap_est:.4f} at x={z} sits within 0.02 "
                     f"of the integrability threshold 1; refine the grid near x={z}")
@@ -525,14 +502,17 @@ def classify_endpoint_integrability(w: Weight, p: Exponent, z: float, far: float
     if ap >= 1.0:
         return EndpointClass(False, math.inf, rule, alpha)
 
-    interior = [s for s in interior_singular if lo < s < hi]
-    res = integrate(sigma, lo, hi, cfg, singular=interior)
-    if not res.is_finite:
-        # metadata said integrable at z itself; the divergence sits deeper in
-        # the span (or, for estimated exponents, the trend overrules the fit)
-        return EndpointClass(False, math.inf,
-                             rule if rule != "estimated-exponent" else "numeric-trend", alpha)
-    return EndpointClass(True, res.value, rule, alpha)
+    # a zero or zero region deeper in the span can still make the value diverge
+    value = w.exact_transform_integral(p, lo, hi)
+    if value is None:
+        if alpha == 0.0 and rule == "exact-exponent":
+            rule = "positive-weight"  # no decay at z: sigma locally bounded
+        interior = [s for s in interior_singular if lo < s < hi]
+        res = integrate(w.transform(p), lo, hi, cfg, singular=interior)
+        value = res.value if res.is_finite else math.inf
+        if not res.is_finite and rule == "estimated-exponent":
+            rule = "numeric-trend"  # the trend overrules the fit
+    return EndpointClass(math.isfinite(value), value, rule, alpha)
 
 
 def _peak_sample(w: Weight, n: int = 513) -> float:

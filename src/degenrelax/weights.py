@@ -11,9 +11,23 @@ Three representations are supported:
 * ClosedFormWeight: arbitrary vectorized callable, optionally annotated with
   the locations and one-sided power exponents of its zeros.
 * PiecewisePowerWeight: a tiling of the domain by pure power pieces
-  m * |x - pivot|^alpha; uncovered subintervals mean w == 0 there.  All
-  transform integrals have closed forms, which the classifier exploits.
+  m * |x - pivot|^alpha; uncovered subintervals mean w == 0.  All
+  transform integrals have closed forms.
 * GridSampledWeight: samples on a grid, evaluated by linear interpolation.
+
+Besides evaluation, every Weight answers the four questions the degeneracy
+detection and the endpoint classifier ask, so neither needs to know which
+representation it holds:
+
+* side_exponent(z, side): the exact one-sided power exponent of w at z, or
+  None when it must be estimated from samples;
+* exact_transform_integral(p, lo, hi): the closed-form integral of the
+  transform, or None when it must be computed numerically;
+* resolution_near(z): the sampling scale of w near z (0.0 when w is known
+  everywhere); exponent probes stay outside it, and where it is positive an
+  estimated exponent within 0.02 of the threshold is indeterminate;
+* zero_set(): the exact zero locations and zero regions, or None when only
+  scanning the samples can find them.
 """
 
 from __future__ import annotations
@@ -114,6 +128,37 @@ class Weight:
         """Maximal positive-length subintervals where w == 0 identically."""
         return ()
 
+    def zero_set(self) -> Optional[tuple[tuple[float, ...], tuple[tuple[float, float], ...]]]:
+        """(zero locations, zero regions) when exactly known, else None (scan)."""
+        known = self.known_zeros()
+        if known is None:
+            return None
+        return tuple(info.location for info in known), self.zero_regions()
+
+    def side_exponent(self, z: float, side: int) -> Optional[float]:
+        """Exact power exponent of w at z on one side (+1 right, -1 left).
+
+        0.0 where w stays positive, math.inf where w vanishes identically on
+        that side; None when there is no metadata and the exponent must be
+        estimated from samples.
+        """
+        known = self.known_zeros()
+        if known is None:
+            return None
+        for info in known:
+            if abs(info.location - z) <= 1e-12 * self.domain.width:
+                return info.right_exponent if side > 0 else info.left_exponent
+        return 0.0  # no recorded zero at z: w positive there
+
+    def exact_transform_integral(self, p: Exponent, lo: float, hi: float) -> Optional[float]:
+        """Closed-form integral of w^(-1/(p-1)) over [lo, hi] (math.inf when divergent),
+        or None when it must be integrated numerically."""
+        return None
+
+    def resolution_near(self, z: float) -> float:
+        """Scale below which samples of w near z carry no shape information."""
+        return 0.0
+
     def transform(self, p: Exponent) -> Callable[[np.ndarray], np.ndarray]:
         """The function w^(-1/(p-1)), with +inf wherever w == 0."""
         expo = -1.0 / (p.p - 1.0)
@@ -141,11 +186,6 @@ def eval_weight(w: Weight, x) -> np.ndarray:
         bad = np.asarray(x, dtype=float)[vals < 0.0]
         raise WeightSpecError(f"weight evaluated negative at x={bad[:3]!r}")
     return vals
-
-
-def neg_power_transform(w: Weight, p: Exponent) -> Callable[[np.ndarray], np.ndarray]:
-    """w^(-1/(p-1)) as a vectorized callable; zeros of w map to +inf."""
-    return w.transform(p)
 
 
 # ---------------------------------------------------------------------------
@@ -320,32 +360,25 @@ class PiecewisePowerWeight(Weight):
 
         return sigma
 
-    def known_zeros(self) -> tuple[ZeroInfo, ...]:
-        regions = self.zero_regions()
-
-        def _side_exponent(z: float, side: int) -> Optional[float]:
-            # side -1: behavior on (z-eps, z); +1: on (z, z+eps)
-            if (side < 0 and z <= self.domain.lo) or (side > 0 and z >= self.domain.hi):
-                return None
-            for lo, hi in regions:
-                if (side < 0 and abs(hi - z) <= 1e-14 * self.domain.width) or \
-                   (side > 0 and abs(lo - z) <= 1e-14 * self.domain.width):
-                    return math.inf
-            for q in self.pieces:
-                if side < 0 and abs(q.hi - z) <= 1e-14 * self.domain.width:
-                    return q.exponent if q.pivot == q.hi else 0.0
-                if side > 0 and abs(q.lo - z) <= 1e-14 * self.domain.width:
-                    return q.exponent if q.pivot == q.lo else 0.0
-            return math.inf  # no piece on that side: uncovered, treated as zero region
-
-        candidates = set()
+    def side_exponent(self, z: float, side: int) -> Optional[float]:
+        """Exact power exponent of w at z on one side; None off the domain."""
+        dom = self.domain
+        if (side < 0 and z <= dom.lo) or (side > 0 and z >= dom.hi):
+            return None
+        tol = 1e-14 * dom.width
         for q in self.pieces:
-            if q.exponent > 0.0 and q.pivot in (q.lo, q.hi):
-                candidates.add(q.pivot)
-        zeros = []
-        for z in sorted(candidates):
-            zeros.append(ZeroInfo(z, _side_exponent(z, -1), _side_exponent(z, +1)))
-        return tuple(zeros)
+            end = q.lo if side > 0 else q.hi  # the piece end facing z
+            if abs(end - z) <= tol:
+                return q.exponent if q.pivot == end else 0.0
+        if any(q.lo < z < q.hi for q in self.pieces):
+            return 0.0  # inside a piece w is positive (an inner pivot has exponent 0)
+        return math.inf  # no piece on that side: uncovered, w == 0 there
+
+    def known_zeros(self) -> tuple[ZeroInfo, ...]:
+        zeros = sorted({q.pivot for q in self.pieces
+                        if q.exponent > 0.0 and q.pivot in (q.lo, q.hi)})
+        return tuple(ZeroInfo(z, self.side_exponent(z, -1), self.side_exponent(z, +1))
+                     for z in zeros)
 
     def zero_regions(self) -> tuple[tuple[float, float], ...]:
         tol = 1e-14 * self.domain.width
@@ -392,17 +425,6 @@ class PiecewisePowerWeight(Weight):
                 g = 1.0 - ap
                 total += (2.0 ** c_log2) * (d1 ** g - d0 ** g) / g
         return total
-
-    def local_exponent_at(self, z: float, side: int) -> Optional[float]:
-        """Exact power exponent of w at z on the given side (+1 right, -1 left)."""
-        for info in self.known_zeros():
-            if abs(info.location - z) <= 1e-14 * self.domain.width:
-                return info.right_exponent if side > 0 else info.left_exponent
-        tol = 1e-14 * self.domain.width
-        for lo, hi in self.zero_regions():
-            if (side > 0 and lo - tol <= z < hi) or (side < 0 and lo < z <= hi + tol):
-                return math.inf
-        return 0.0  # w positive on that side
 
     def spec_dict(self) -> dict:
         if self.params:
@@ -478,11 +500,22 @@ class GridSampledWeight(Weight):
         xq = np.asarray(xq, dtype=float)
         return np.interp(xq, self.x, self.values)
 
-    @property
-    def zero_tol(self) -> float:
-        return 1e-14 * float(np.max(self.values))
+    def zero_set(self):
+        # the interpolant vanishes exactly at zero nodes and on the spans
+        # between consecutive zero nodes, nowhere else
+        below = (self.values <= 1e-14 * float(np.max(self.values))).astype(np.int8)
+        step = np.diff(np.concatenate([[0], below, [0]]))
+        runs = zip(np.nonzero(step == 1)[0], np.nonzero(step == -1)[0] - 1)
+        zeros, regions = [], []
+        for i, j in runs:
+            if j > i:
+                regions.append((float(self.x[i]), float(self.x[j])))
+            else:
+                zeros.append(float(self.x[i]))
+        return tuple(zeros), tuple(regions)
 
-    def cell_width_near(self, z: float) -> float:
+    def resolution_near(self, z: float) -> float:
+        """Widest grid cell among the few around z."""
         j = int(np.clip(np.searchsorted(self.x, z), 1, self.x.size - 1))
         lo = max(j - 2, 0)
         hi = min(j + 2, self.x.size - 1)
@@ -499,19 +532,19 @@ class GridSampledWeight(Weight):
 
 
 def weight_from_csv(path: str) -> GridSampledWeight:
-    """Two-column CSV (x, w), optional header row."""
+    """Two-column CSV (x, w); only the first non-blank row may be a header."""
     xs, ws = [], []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                xs.append(float(row[0]))
-                ws.append(float(row[1]))
-            except (ValueError, IndexError):
-                if xs:
-                    raise WeightSpecError(f"malformed CSV row {row!r} in {path}")
+        rows = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
+    for k, row in enumerate(rows):
+        try:
+            x, v = float(row[0]), float(row[1])
+        except (ValueError, IndexError):
+            if k == 0:
                 continue  # header
+            raise WeightSpecError(f"malformed CSV row {row!r} in {path}")
+        xs.append(x)
+        ws.append(v)
     if len(xs) < 2:
         raise WeightSpecError(f"CSV {path} holds fewer than 2 numeric rows")
     return GridSampledWeight(xs, ws, source=path)

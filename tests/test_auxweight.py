@@ -182,3 +182,29 @@ def test_sigma_callable_exposed(figure1_chain, p2, figure1):
     w, st_, aux = figure1_chain
     xs = np.array([-1.5, 0.3, 1.7])
     np.testing.assert_allclose(aux.sigma(xs), figure1.transform(p2)(xs), rtol=0)
+
+
+@pytest.mark.parametrize("ys", [
+    [0.0, 1.0, 1.5, 1.7],     # concave rise: the three-point rule as is
+    [0.0, 0.1, 5.0, 6.0],     # steep second segment: the rule turns negative, slope 0
+    [0.0, 0.1, -2.0, -3.0],   # turning data: capped at three secants
+    [2.0, 1.0],               # a lone segment: its secant
+])
+def test_end_slope_matches_pchip(ys):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    from degenrelax.auxweight import _end_slope
+    x = np.array([0.0, 0.3, 1.0, 1.2][:len(ys)])
+    y = np.array(ys)
+    ref = float(interpolate.PchipInterpolator(x, y).derivative()(x[0]))
+    assert _end_slope(x, y) == ref
+
+
+def test_branch_slopes_match_pchip(figure1_chain):
+    # the deep-tail slope of every branch is PCHIP's end derivative, bit for bit
+    interpolate = pytest.importorskip("scipy.interpolate")
+    _, _, aux = figure1_chain
+    for part in aux.parts:
+        for br in (part.left, part.right):
+            x, y = np.log(br.d_mesh), np.log(br.c_nodes)
+            ref = float(interpolate.PchipInterpolator(x, y).derivative()(x[0]))
+            assert br.slope_inner == ref

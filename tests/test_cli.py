@@ -190,3 +190,10 @@ def test_weight_json_spec_file(tmp_path):
     out = run_cli("analyze", "--weight", str(path), "--no-timestamp")
     d = json.loads(out.stdout)
     assert d["structure"]["count"] == 2
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is needed only for spline test functions and loads on first use
+    code = "import sys, degenrelax, degenrelax.cli; assert 'scipy' not in sys.modules"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

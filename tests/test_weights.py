@@ -8,16 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenrelax import (
+    ClosedFormWeight,
     Exponent,
+    GridSampledWeight,
     Interval,
     PiecewisePowerWeight,
     PowerPiece,
     WeightSpecError,
+    ZeroInfo,
     builtin_cascade,
     builtin_figure1,
     builtin_power,
     eval_weight,
-    neg_power_transform,
     parse_weight_arg,
     weight_from_csv,
     weight_from_spec,
@@ -63,7 +65,7 @@ def test_figure1_values():
 
 def test_transform_maps_zeros_to_inf():
     w = builtin_figure1()
-    sigma = neg_power_transform(w, Exponent(2.0))
+    sigma = w.transform(Exponent(2.0))
     vals = sigma(np.array([-1.0, 0.0, 1.0]))
     assert vals[0] == math.inf and vals[2] == math.inf
     assert vals[1] == 1.0
@@ -88,9 +90,72 @@ def test_piecewise_power_uncovered_is_zero():
 def test_piecewise_local_exponent_metadata():
     pieces = [PowerPiece(0.0, 0.5, 2.0, 0.0, 3.0), PowerPiece(0.5, 1.0, 2.0, 1.0, 3.0)]
     w = PiecewisePowerWeight(Interval(0.0, 1.0), pieces)
-    assert w.local_exponent_at(0.0, +1) == 3.0
-    assert w.local_exponent_at(1.0, -1) == 3.0
-    assert w.local_exponent_at(0.25, +1) == 0.0  # strictly positive there
+    assert w.side_exponent(0.0, +1) == 3.0
+    assert w.side_exponent(1.0, -1) == 3.0
+    assert w.side_exponent(0.25, +1) == 0.0  # strictly positive there
+
+
+def test_interface_on_figure1_and_power():
+    p = Exponent(2.0)
+    w = builtin_figure1()
+    assert w.side_exponent(1.0, -1) == 2.0 and w.side_exponent(-1.0, +1) == 2.0
+    assert w.side_exponent(0.0, +1) == 0.0  # not a recorded zero
+    assert w.exact_transform_integral(p, 0.0, 0.5) is None
+    assert w.resolution_near(0.3) == 0.0
+    assert w.zero_set() == ((-1.0, 1.0), ())
+    w = builtin_power(1.5)
+    assert w.side_exponent(0.0, +1) == 1.5
+    assert w.side_exponent(0.0, -1) is None  # that side lies outside the domain
+    assert w.zero_set() == ((0.0,), ())
+    w = builtin_power(0.0)  # no zeros, no metadata
+    assert w.side_exponent(0.0, +1) is None and w.zero_set() is None
+
+
+def test_interface_on_piecewise_with_zero_regions():
+    p = Exponent(2.0)
+    w = PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.2, 0.5, 1.0, 0.2, 1.0)])
+    assert w.side_exponent(0.2, +1) == 1.0
+    assert w.side_exponent(0.2, -1) == math.inf
+    assert w.side_exponent(0.5, -1) == 0.0  # the pivot sits at the other end
+    assert w.side_exponent(0.5, +1) == math.inf
+    assert w.side_exponent(0.35, -1) == w.side_exponent(0.35, +1) == 0.0
+    assert w.side_exponent(0.8, +1) == math.inf
+    assert w.side_exponent(0.0, -1) is None and w.side_exponent(1.0, +1) is None
+    assert w.known_zeros() == (ZeroInfo(0.2, math.inf, 1.0),)
+    assert w.zero_set() == ((0.2,), ((0.0, 0.2), (0.5, 1.0)))
+    # sigma = 1/(x - 0.2) at p = 2
+    assert w.exact_transform_integral(p, 0.3, 0.4) == pytest.approx(math.log(2.0), rel=1e-14)
+    assert w.exact_transform_integral(p, 0.4, 0.6) == math.inf  # meets a zero region
+    assert w.resolution_near(0.3) == 0.0
+
+
+def test_interface_on_cascade():
+    p = Exponent(2.0)
+    w = builtin_cascade(2.0, p, 3)  # bumps on (0, 1/2), (1/2, 3/4), (3/4, 7/8)
+    assert w.side_exponent(0.5, -1) == w.side_exponent(0.5, +1) == 2.0
+    assert w.side_exponent(0.25, -1) == w.side_exponent(0.25, +1) == 0.0  # bump peak
+    assert w.side_exponent(0.875, +1) == math.inf  # the uncovered tail
+    assert w.zero_set() == ((0.0, 0.5, 0.75, 0.875), ((0.875, 1.0),))
+    # first bump rises like 16 x^2, so sigma = 1/(16 x^2)
+    assert w.exact_transform_integral(p, 0.1, 0.2) == pytest.approx(5.0 / 16.0, rel=1e-14)
+    assert w.resolution_near(0.5) == 0.0
+
+
+def test_interface_on_grid_and_bare_closed_form():
+    p = Exponent(2.0)
+    xs = [0.0, 0.1, 0.2, 0.5, 0.6, 0.7, 0.8, 1.0]
+    w = GridSampledWeight(xs, [0.0, 1.0, 2.0, 0.0, 3.0, 0.0, 0.0, 1.0])
+    assert w.side_exponent(0.0, +1) is None and w.side_exponent(0.5, -1) is None
+    assert w.exact_transform_integral(p, 0.1, 0.2) is None
+    assert w.zero_set() == ((0.0, 0.5), ((0.7, 0.8),))
+    # the widest cell among the few around z
+    assert w.resolution_near(0.05) == pytest.approx(0.3, rel=1e-12)
+    assert w.resolution_near(0.9) == pytest.approx(0.2, rel=1e-12)
+    w = ClosedFormWeight(fn=lambda x: x * x, domain=Interval(0.0, 1.0))
+    assert w.side_exponent(0.0, +1) is None
+    assert w.exact_transform_integral(p, 0.1, 0.2) is None
+    assert w.resolution_near(0.0) == 0.0
+    assert w.zero_set() is None
 
 
 def test_cascade_scales_do_not_round():
@@ -163,6 +228,25 @@ def test_weight_from_csv(tmp_path):
     # between nodes the grid interpolates; stays within the hat's range
     v = float(w(np.array([0.505]))[0])
     assert 0.24 < v <= 0.25
+
+
+def test_weight_from_csv_allows_one_header_only(tmp_path):
+    path = tmp_path / "w.csv"
+    path.write_text("x,w\nnot,numbers\n0,1\n1,2\n")
+    with pytest.raises(WeightSpecError, match="malformed CSV row"):
+        weight_from_csv(str(path))
+    path.write_text("\nx,w\n\n0,1\n1,2\n")  # blank rows do not count
+    assert weight_from_csv(str(path)).domain == Interval(0.0, 1.0)
+
+
+def test_weight_from_csv_without_numeric_rows(tmp_path):
+    path = tmp_path / "w.csv"
+    path.write_text("x,w\nnot,numbers\n")
+    with pytest.raises(WeightSpecError, match="malformed CSV row"):
+        weight_from_csv(str(path))
+    path.write_text("x,w\n")
+    with pytest.raises(WeightSpecError, match="fewer than 2 numeric rows"):
+        weight_from_csv(str(path))
 
 
 def test_unit_weight_is_one_everywhere(unit_weight):
