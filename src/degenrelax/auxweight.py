@@ -17,97 +17,358 @@ at the quarter points and below by the endpoint limits, and satisfy the
 derivative identity  d/dx aux = +- aux^2 * sigma  (+ on the left branch,
 - on the right: the left branch grows, the right one decays).
 
-Branch evaluation goes through per-half lookup tables: cumulative transform
-integrals on a geometrically graded mesh, interpolated monotonically in
-log-log coordinates (exact for pure power weights) and extended below the
-deepest mesh node by the fitted local power law.
+Construction stores, per outer branch, the running integral C(d) (d the
+distance from the interval endpoint) exactly at the nodes of a graded mesh:
+eleven nodes per halving of d down to float resolution at the endpoint, plus
+nodes closing in on each removable zero.  On its first evaluation an
+AuxWeight turns these anchors into one flat table over the whole line, a
+sorted list of zones:
+
+* Chebyshev zones hold the Chebyshev series of C in s = log d, anchored at
+  the zone's outer mesh node and fitted to sigma at its 15 Kronrod nodes.  A
+  zone spans one halving of d (ten mesh segments), where a power-law zero at
+  the endpoint makes C smooth in s; where that series does not decay, the
+  zone is a single mesh segment, or the outer part of one.
+* Panel zones are the mesh segments no series fits (kinks or jumps of w):
+  C is the outer node anchor plus one 15-node Kronrod panel between the
+  query point and that node.  Segments touching a removable zero integrate
+  that stretch adaptively instead.
+* Below the deepest Chebyshev zone, where a zone would be too few ulps wide
+  to sample, C follows a power law (linear in log-log coordinates) that
+  continues the deepest zone; below the deepest mesh node, the power law
+  with the monotone (PCHIP) end slope of the node data.
+* Endpoints, plateaus and the gaps between intervals are constant zones.
+
+An evaluation is one sorted search, one Chebyshev sum over the points in
+Chebyshev zones and at most one batched sigma call for the points in panel
+zones.  Away from panel zones no sigma is evaluated at all.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .degeneracy import DegeneracyInterval, DegeneracyStructure
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _eval_panels, integrate
+from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, _NODES, _eval_panels,
+                         integrate)
 from .weights import Exponent, Weight
 
 
 _SUBNODES_PER_LEVEL = 11  # log-spaced mesh points per dyadic distance level
+_GROUP = 10               # mesh segments per Chebyshev zone (a distance ratio of 2)
+_TAIL = 3                 # trailing series coefficients that must have decayed
+_TAIL_TOL = 1e-14         # their size allowed relative to the largest coefficient
+_EPS = float(np.finfo(float).eps)
+_MAX_NOISE = 1.0 / 16.0   # node rounding, in half-widths, that the slope correction may absorb
+
+
+def _series_matrices() -> tuple[np.ndarray, np.ndarray]:
+    """Two maps from the values of f at the 15 Kronrod nodes t_i of [-1, 1]:
+
+    to the 16 Chebyshev coefficients of t -> integral from t to 1 of the
+    interpolating polynomial of f, and to the slope of that polynomial at the
+    nodes (which corrects for nodes that rounding moved off their places).
+    """
+    n = _NODES.size
+    cheb = np.ones((n, n))         # T_k(t_i)
+    second = np.ones((n, n))       # U_k(t_i); T_k' = k U_(k-1)
+    cheb[:, 1], second[:, 1] = _NODES, 2.0 * _NODES
+    for k in range(2, n):
+        cheb[:, k] = 2.0 * _NODES * cheb[:, k - 1] - cheb[:, k - 2]
+        second[:, k] = 2.0 * _NODES * second[:, k - 1] - second[:, k - 2]
+    to_series = np.linalg.inv(cheb)
+    slope = np.zeros((n, n))
+    slope[:, 1:] = np.arange(1, n) * second[:, :-1]
+    # term by term: T_0 -> T_1, T_1 -> T_2/4, T_k -> T_(k+1)/(2k+2) - T_(k-1)/(2k-2)
+    integral = np.zeros((n + 1, n))
+    integral[1, 0] = 1.0
+    for k in range(1, n):
+        integral[k + 1, k] = 1.0 / (2 * k + 2)
+        if k > 1:
+            integral[k - 1, k] = -1.0 / (2 * k - 2)
+    integral[0] = -integral[1:].sum(axis=0)  # vanish at t = 1, where every T_k is 1
+    return -integral @ to_series, slope @ to_series
+
+
+_ANTIDERIVATIVE, _SLOPE = _series_matrices()  # (16, 15), (15, 15)
+_N_TERMS = _ANTIDERIVATIVE.shape[0]
+
+_CONST, _CHEB, _BELOW, _PANEL, _ADAPT = range(5)  # zone kinds
 
 
 @dataclass
 class BranchTable:
-    """Cumulative transform integral C(d) for one outer branch.
+    """Running transform integral C(d) for one outer branch.
 
     d is the distance from the interval endpoint; C(d) is the integral of
     sigma from the point at distance d to the interval midpoint, so C is
-    positive and decreasing in d.  The mesh stores C exactly at the graded
-    nodes; between nodes C(d) is the node anchor plus one quadrature panel
-    over the partial segment, which keeps in-range evaluation at quadrature
-    accuracy rather than interpolation accuracy.  Below the deepest node the
-    table extends by the local power law, i.e. linearly in log-log through a
-    monotone fit of the node data; above d_max (the quarter point, where the
-    branch domain ends) evaluation clamps to the quarter-integral anchor.
+    positive and decreasing in d.  The mesh stores C at the graded nodes,
+    and `zones_by_distance` turns those anchors into this branch's rows of
+    the owning AuxWeight's table (see the module docstring).  `values`
+    evaluates 1/C through that table and clamps to the quarter-integral
+    anchor at and above d_max (the quarter point, where the branch domain
+    ends).  The owner is held weakly: the AuxWeight holds this table.
     """
 
-    sigma: object                 # transform callable
     endpoint: float
     sgn: float                    # x = endpoint + sgn * d
     d_mesh: np.ndarray            # ascending distances, d_mesh[-1] == d_max
     c_nodes: np.ndarray           # C at the mesh nodes, descending
     plain: np.ndarray             # per segment: free of removable zeros
-    removables: tuple
-    cfg: QuadratureConfig
     slope_inner: float            # d log C / d log d at the innermost node
     c_at_dmax: float
     d_max: float
-
-    def cumulative(self, d: np.ndarray) -> np.ndarray:
-        d = np.asarray(np.atleast_1d(d), dtype=float).ravel()
-        out = np.empty(d.shape)
-        below = d < self.d_mesh[0]
-        above = d >= self.d_max
-        mid = ~below & ~above
-        out[above] = self.c_at_dmax
-        if np.any(below):
-            # extend by the fitted local power law at the innermost node
-            ld = np.log(np.clip(d[below], 1e-300, None))
-            lo = math.log(self.d_mesh[0])
-            out[below] = np.exp(math.log(self.c_nodes[0]) + self.slope_inner * (ld - lo))
-        if np.any(mid):
-            dm = d[mid]
-            k = np.searchsorted(self.d_mesh, dm, side="right") - 1
-            k = np.clip(k, 0, self.d_mesh.size - 2)
-            # anchor at the far node of the segment, add back the partial mass
-            x_pt = self.endpoint + self.sgn * dm
-            x_far = self.endpoint + self.sgn * self.d_mesh[k + 1]
-            plo = np.minimum(x_pt, x_far)
-            phi = np.maximum(x_pt, x_far)
-            part = np.zeros(dm.shape)
-            ok = self.plain[k] & (phi > plo)
-            if np.any(ok):
-                k15, _, finite, _ = _eval_panels(self.sigma, plo[ok], phi[ok])
-                part_ok = np.where(finite, k15, np.nan)
-                part[ok] = part_ok
-            for j in np.nonzero(~ok & (phi > plo))[0]:
-                hint = [r for r in self.removables if plo[j] < r < phi[j]]
-                res = integrate(self.sigma, float(plo[j]), float(phi[j]), self.cfg,
-                                singular=hint)
-                part[j] = res.value if res.is_finite else math.inf
-            bad = np.isnan(part)
-            for j in np.nonzero(bad)[0]:
-                res = integrate(self.sigma, float(plo[j]), float(phi[j]), self.cfg)
-                part[j] = res.value if res.is_finite else math.inf
-            out[mid] = self.c_nodes[k + 1] + part
-        return out
+    owner: Optional[weakref.ref] = field(default=None, repr=False, compare=False)
+    zones: tuple = field(default=(0, 0), repr=False, compare=False)  # its rows in the table
 
     def values(self, d: np.ndarray) -> np.ndarray:
         """Auxiliary weight on the branch: 1 / C(d)."""
-        return 1.0 / self.cumulative(d)
+        d = np.asarray(np.atleast_1d(d), dtype=float).ravel()
+        aux = self.owner() if self.owner is not None else None
+        if aux is None:
+            raise RuntimeError("branch table is not attached to a live AuxWeight")
+        table = aux._table()
+        z0, z1 = self.zones
+        z = np.clip(table.zone(self.endpoint + self.sgn * d), z0, z1 - 1)
+        out = table.values(z, d)
+        out[d >= self.d_max] = 1.0 / self.c_at_dmax
+        return out
+
+    def zones_by_distance(self, sigma) -> dict:
+        """This branch's table rows in ascending distance, keyed by column.
+
+        Chebyshev candidates are, in turn: runs of _GROUP mesh segments; the
+        single segments of rejected runs; and for a segment rejected again
+        (it holds a kink or jump of w), its outer part beyond 1/4, 1/2 or 3/4
+        of its width, since between a kink and the outer node the partial
+        panel never crosses the kink.  What no candidate covers stays a panel
+        zone (adaptive next to a removable zero).  Segments deeper than every
+        Chebyshev zone are too few ulps wide to sample, sigma there being
+        rounding noise: they follow the power law that continues C from the
+        inner end of the deepest zone.  `series` holds the Chebyshev zones'
+        coefficients only, in row order.
+        """
+        d, c = self.d_mesh, self.c_nodes
+        nseg = d.size - 1
+        # the series run in s = log d, where sigma's power-law behaviour
+        # toward the endpoint is smooth, between the mesh points as placed in
+        # x (the points the anchors integrate between)
+        ls = np.log(self.sgn * ((self.endpoint + self.sgn * d) - self.endpoint))
+        starts = np.arange(0, nseg, _GROUP)
+        runs = starts[np.logical_and.reduceat(self.plain, starts)] if nseg else starts
+        ok, run_series = self._fit(sigma, ls[runs], ls[np.minimum(runs + _GROUP, nseg)])
+        runs, run_series = runs[ok], run_series[ok]
+        rest = self.plain.copy()
+        for k in runs:
+            rest[k:k + _GROUP] = False
+        rest = np.flatnonzero(rest)
+        # each remaining segment whole, and beyond 1/4, 1/2 and 3/4 of its width
+        frac = np.array([0.0, 0.25, 0.5, 0.75])[:, None]
+        part_lo = ls[rest] + frac * (ls[rest + 1] - ls[rest])
+        ok, part_series = self._fit(sigma, part_lo.ravel(), np.tile(ls[rest + 1], frac.size))
+        ok = ok.reshape(part_lo.shape)
+        seg = np.union1d(rest[~ok[0]], np.flatnonzero(~self.plain))  # panel zones
+        took = np.flatnonzero(ok.any(axis=0))
+        best = np.argmax(ok[:, took], axis=0)  # the widest accepted part
+        first = np.concatenate([runs, rest[took]])
+        outer = np.concatenate([np.minimum(runs + _GROUP, nseg), rest[took] + 1])
+        s_lo = np.concatenate([ls[runs], part_lo[best, took]])
+        series = np.concatenate([run_series, part_series.reshape(*ok.shape, _N_TERMS)[best, took]])
+        series[:, 0] += c[outer]
+        whole = s_lo == ls[first]
+        # the power law below the deepest whole zone k: log C linear in s
+        # through C at its inner node, with the slope of its series there
+        tail = np.zeros((0, 4))
+        if whole.any():
+            k = np.flatnonzero(whole)[np.argmin(first[whole])]
+            deep = seg[seg < first[k]]
+            if deep.size and self.plain[deep].all():
+                terms = np.arange(_N_TERMS)
+                dc_ds = (np.sum(series[k] * (-1.0) ** (terms + 1) * terms ** 2)
+                         / (0.5 * (ls[outer[k]] - ls[first[k]])))
+                c_k = c[first[k]]
+                tail = np.array([[d[deep[0]], ls[first[k]], dc_ds / c_k, math.log(c_k)]])
+                seg = seg[seg > first[k]]
+        n_c, n_s, n_t = first.size, seg.size, tail.shape[0]
+        cols = {
+            "d_start": np.concatenate([[0.0], tail[:, 0],
+                                       np.where(whole, d[first], np.exp(s_lo)), d[seg],
+                                       [self.d_max]]),
+            "kind": np.concatenate([[_BELOW], np.full(n_t, _BELOW), np.full(n_c, _CHEB),
+                                    np.where(self.plain[seg], _PANEL, _ADAPT), [_CONST]]),
+            "d_ref": np.concatenate([[math.log(d[0])], tail[:, 1], 0.5 * (s_lo + ls[outer]),
+                                     d[seg + 1], [0.0]]),
+            "scale": np.concatenate([[self.slope_inner], tail[:, 2], 0.5 * (ls[outer] - s_lo),
+                                     np.zeros(n_s), [0.0]]),
+            "c_ref": np.concatenate([[math.log(c[0])], tail[:, 3], np.zeros(n_c), c[seg + 1],
+                                     [1.0 / self.c_at_dmax]]),
+            "row": np.concatenate([np.full(1 + n_t, -1), np.arange(n_c), np.full(n_s + 1, -1)]),
+        }
+        order = np.argsort(cols["d_start"], kind="stable")
+        cols = {key: val[order] for key, val in cols.items()}
+        cols["series"] = series[cols.pop("row")[cols["kind"] == _CHEB]]
+        return cols
+
+    def _fit(self, sigma, s_lo: np.ndarray, s_hi: np.ndarray):
+        """Chebyshev series, in s on [s_lo, s_hi], of the mass of sigma
+        between log-distances s and s_hi, from one sigma call over the
+        Kronrod nodes of every candidate; returns (accepted, series) per
+        candidate.
+
+        A candidate is accepted when its series is finite, its trailing
+        coefficients have decayed to _TAIL_TOL of its largest (or to the
+        rounding noise of its nodes, when that is larger), and rounding moved
+        its nodes by less than _MAX_NOISE of its half-width.
+        """
+        half = 0.5 * (s_hi - s_lo)[:, None]
+        centre = 0.5 * (s_hi + s_lo)[:, None]
+        xs = self.endpoint + self.sgn * np.exp(centre + half * _NODES)
+        dist = self.sgn * (xs - self.endpoint)  # the distances the nodes really have
+        with np.errstate(all="ignore"):
+            vals = np.asarray(sigma(xs.ravel()), dtype=float).reshape(xs.shape) * dist
+            # rounding moved the nodes by `shift`; move the samples back along the slope
+            shift = (np.log(dist) - centre) / half - _NODES
+            vals -= shift * (vals @ _SLOPE.T)
+            series = half * (vals @ _ANTIDERIVATIVE.T)
+            noise = _EPS * np.max(np.abs(xs) / dist, axis=1) / half[:, 0]
+            top = np.max(np.abs(series), axis=1)
+            tail = np.max(np.abs(series[:, -_TAIL:]), axis=1)
+            ok = (np.isfinite(top) & (noise < _MAX_NOISE)
+                  & (tail <= np.maximum(_TAIL_TOL, noise) * top))
+        return ok, series
+
+
+def _clenshaw(series: np.ndarray, cols: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Sum over k of series[k, cols] * T_k(t), gathering one term at a time."""
+    b1 = np.zeros(t.shape)
+    b2 = np.zeros(t.shape)
+    tt = 2.0 * t
+    for k in range(series.shape[0] - 1, 0, -1):
+        b1, b2 = series[k, cols] + tt * b1 - b2, b1
+    return series[0, cols] + t * b1 - b2
+
+
+class _AuxTable:
+    """The auxiliary weight as one sorted list of zones over the whole line.
+
+    Zone i covers [start[i], start[i+1]).  Columns by zone kind (d is the
+    query's distance from the zone's endpoint `ep`, measured inward by `sgn`):
+
+    =========  ==================  ===================  ==========================
+    kind       d_ref               scale                c_ref
+    =========  ==================  ===================  ==========================
+    _CONST     -                   -                    the aux value itself
+    _CHEB      centre of log d     half-width in log d  - (C is the series)
+    _BELOW     log d at a node     log-log slope        log C at that node
+    _PANEL     outer node          -                    C at the outer node
+    _ADAPT     outer node          -                    C at the outer node
+    =========  ==================  ===================  ==========================
+
+    Built one branch at a time, so only one branch's sigma samples are held.
+    """
+
+    def __init__(self, parts, sigma, removables: Sequence[float], cfg: QuadratureConfig):
+        self.sigma = sigma
+        self.removables = tuple(removables)
+        self.cfg = cfg
+        cols = {k: [] for k in ("start", "kind", "ep", "sgn", "d_ref", "scale", "c_ref")}
+        series = [np.zeros((0, _N_TERMS))]
+        count = [0]
+
+        def add(start, kind, ep=0.0, sgn=0.0, d_ref=0.0, scale=0.0, c_ref=0.0):
+            n = np.size(start)
+            for key, val in (("start", start), ("kind", kind), ("ep", ep), ("sgn", sgn),
+                             ("d_ref", d_ref), ("scale", scale), ("c_ref", c_ref)):
+                cols[key].append(np.broadcast_to(np.asarray(val, dtype=float), (n,)))
+            count[0] += n
+            return count[0]
+
+        def add_branch(br, x_lo, x_hi):
+            z = br.zones_by_distance(sigma)
+            # a zone holds the x whose distance d = sgn*(x - endpoint) lies in
+            # [d_start, d_end); in ascending x it starts at the first float
+            # with d >= d_start on the left branch, d < d_end on the right
+            if br.sgn > 0:
+                bound, rows = z["d_start"], slice(None)
+            else:
+                bound, rows = np.append(z["d_start"][1:], math.inf), slice(None, None, -1)
+            near = br.endpoint + br.sgn * bound
+            cands = np.stack([np.nextafter(near, -math.inf), near, np.nextafter(near, math.inf)])
+            dist = br.sgn * (cands - br.endpoint)
+            inside = dist >= bound if br.sgn > 0 else dist < bound
+            x = cands[np.argmax(inside, axis=0), np.arange(near.size)]
+            series.append(z["series"][rows])
+            z0 = count[0]
+            br.zones = (z0, add(np.clip(x, x_lo, x_hi)[rows], z["kind"][rows], br.endpoint,
+                                br.sgn, z["d_ref"][rows], z["scale"][rows], z["c_ref"][rows]))
+
+        add(-math.inf, _CONST)
+        prev_hi = -math.inf
+        for part in parts:
+            lo, hi = part.base.lo, part.base.hi
+            if lo > prev_hi:  # touching intervals share the left one's endpoint value
+                add(lo, _CONST, c_ref=part.lo_value)
+            add_branch(part.left, np.nextafter(lo, math.inf), part.q1)
+            add(part.q1, _CONST, c_ref=part.plateau)
+            add_branch(part.right, np.nextafter(part.q3, math.inf), hi)
+            add(hi, _CONST, c_ref=part.hi_value)
+            add(np.nextafter(hi, math.inf), _CONST)
+            prev_hi = hi
+        for key, vals in cols.items():
+            setattr(self, key, np.concatenate(vals))
+        self.kind = self.kind.astype(np.int8)
+        # Chebyshev zone i keeps its series in column row[i], one row per term
+        self.row = (np.cumsum(self.kind == _CHEB) - 1).astype(np.int32)
+        self.series = np.ascontiguousarray(np.concatenate(series).T)
+        if np.any(np.diff(self.start) < 0.0):
+            raise ArithmeticError("auxiliary weight zones overlap")
+
+    def zone(self, x: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self.start, x, side="right") - 1
+
+    def values(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Auxiliary weight at distance d inside zone z (d unused on constant zones)."""
+        kind = self.kind[z]
+        out = self.c_ref[z]
+        sel = np.nonzero(kind == _CHEB)[0]
+        if sel.size:
+            zs = z[sel]
+            t = (np.log(d[sel]) - self.d_ref[zs]) / self.scale[zs]
+            out[sel] = 1.0 / _clenshaw(self.series, self.row[zs], t)
+        sel = np.nonzero(kind == _BELOW)[0]
+        if sel.size:
+            zs = z[sel]
+            ld = np.log(np.clip(d[sel], 1e-300, None))
+            out[sel] = 1.0 / np.exp(self.c_ref[zs] + self.scale[zs] * (ld - self.d_ref[zs]))
+        sel = np.nonzero(kind >= _PANEL)[0]
+        if sel.size:
+            out[sel] = 1.0 / self._partial_panels(z[sel], d[sel])
+        return out
+
+    def _partial_panels(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """C on panel zones: the outer anchor plus sigma's mass back to the query."""
+        x_pt = self.ep[z] + self.sgn[z] * d
+        x_far = self.ep[z] + self.sgn[z] * self.d_ref[z]
+        plo = np.minimum(x_pt, x_far)
+        phi = np.maximum(x_pt, x_far)
+        part = np.zeros(d.shape)
+        fast = (phi > plo) & (self.kind[z] == _PANEL)
+        if np.any(fast):
+            k15, _, finite, _ = _eval_panels(self.sigma, plo[fast], phi[fast])
+            part[fast] = np.where(finite, k15, np.nan)
+        for j in np.nonzero((phi > plo) & (self.kind[z] == _ADAPT))[0]:
+            hint = [r for r in self.removables if plo[j] < r < phi[j]]
+            res = integrate(self.sigma, float(plo[j]), float(phi[j]), self.cfg, singular=hint)
+            part[j] = res.value if res.is_finite else math.inf
+        for j in np.nonzero(np.isnan(part))[0]:
+            res = integrate(self.sigma, float(plo[j]), float(phi[j]), self.cfg)
+            part[j] = res.value if res.is_finite else math.inf
+        return self.c_ref[z] + part
 
 
 def _graded_mesh(h_max: float, anchor: float, sgn: float) -> np.ndarray:
@@ -212,8 +473,7 @@ def _build_branch(sigma, endpoint: float, mid: float, removables: Sequence[float
 
     # the log-log slope at the innermost node extends C below the mesh as a power law
     return BranchTable(
-        sigma=sigma, endpoint=endpoint, sgn=sgn, d_mesh=d_mesh, c_nodes=c_all,
-        plain=plain, removables=tuple(removables), cfg=cfg,
+        endpoint=endpoint, sgn=sgn, d_mesh=d_mesh, c_nodes=c_all, plain=plain,
         slope_inner=_end_slope(np.log(d_mesh), np.log(c_all)),
         c_at_dmax=c_quarter, d_max=float(d_mesh[-1]))
 
@@ -274,31 +534,22 @@ class AuxWeight:
         self.parts: list[AuxInterval] = parts
         self.cfg = cfg
         self.sigma = weight.transform(p)
+        self._zones: Optional[_AuxTable] = None  # tabulated on first evaluation
+
+    def _table(self) -> _AuxTable:
+        if self._zones is None:
+            removables = [info.location for info in self.structure.removable_zeros]
+            self._zones = _AuxTable(self.parts, self.sigma, removables, self.cfg)
+        return self._zones
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(x).astype(float).ravel()
-        out = np.zeros(flat.shape)
-        free = np.ones(flat.shape, dtype=bool)
-        for part in self.parts:
-            lo, hi = part.base.lo, part.base.hi
-            m = free & (flat >= lo) & (flat <= hi)
-            if not m.any():
-                continue
-            xm = flat[m]
-            sub = np.full(xm.shape, part.plateau)
-            at_lo = xm == lo
-            at_hi = xm == hi
-            lbr = (xm < part.q1) & ~at_lo
-            rbr = (xm > part.q3) & ~at_hi
-            if lbr.any():
-                sub[lbr] = part.left.values(xm[lbr] - lo)
-            if rbr.any():
-                sub[rbr] = part.right.values(hi - xm[rbr])
-            sub[at_lo] = part.lo_value
-            sub[at_hi] = part.hi_value
-            out[m] = sub
-            free &= ~m
+        flat = np.atleast_1d(x).ravel()
+        table = self._table()
+        z = table.zone(flat)
+        with np.errstate(invalid="ignore"):  # inf/nan x land on constant zones
+            d = table.sgn[z] * (flat - table.ep[z])
+        out = table.values(z, d)
         return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
 
     def branch_of(self, x: float) -> tuple[int, str]:
@@ -344,7 +595,10 @@ def build_aux_weight(w: Weight, p: Exponent, structure: DegeneracyStructure,
             lo_value=lo_value, hi_value=hi_value,
             left_limit=1.0 / left.c_at_dmax, right_limit=1.0 / right.c_at_dmax,
         ))
-    return AuxWeight(w, p, structure, parts, cfg)
+    aux = AuxWeight(w, p, structure, parts, cfg)
+    for part in parts:
+        part.left.owner = part.right.owner = weakref.ref(aux)
+    return aux
 
 
 def derivative_identity_residual(aux: AuxWeight, x: float,
@@ -374,8 +628,8 @@ def derivative_identity_residual(aux: AuxWeight, x: float,
     wx = float(aux(x))
     sx = float(np.asarray(aux.sigma(np.array([x])), dtype=float)[0])
     ideal = sign * wx * wx * sx
-    guard = max(abs(ideal), aux.cfg.abs_tol)
-    return abs(fd - ideal) / guard
+    # relative to the identity's own size, so the residual is free of units
+    return abs(fd - ideal) / (abs(ideal) if ideal != 0.0 else aux.cfg.abs_tol)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenrelax import (
+    AuxWeight,
     Exponent,
+    GridSampledWeight,
     Interval,
     PiecewisePowerWeight,
     PowerPiece,
@@ -23,6 +25,7 @@ from degenrelax import (
     detect_structure,
     integrate,
 )
+from degenrelax import auxweight
 
 CFG = QuadratureConfig()
 
@@ -208,3 +211,201 @@ def test_branch_slopes_match_pchip(figure1_chain):
             x, y = np.log(br.d_mesh), np.log(br.c_nodes)
             ref = float(interpolate.PchipInterpolator(x, y).derivative()(x[0]))
             assert br.slope_inner == ref
+
+
+# --- the evaluation table -------------------------------------------------------
+
+EPS = float(np.finfo(float).eps)
+
+
+def _removable_then_split(pv):
+    """On (0, 1): a removable zero at 0.1 inside the left branch of (0, 0.5),
+    and a zero at 0.5, integrable from the left, splitting on the right."""
+    ar, asplit = 0.5 * (pv - 1.0), 2.0 * (pv - 1.0)
+    return PiecewisePowerWeight(Interval(0.0, 1.0), [
+        PowerPiece(0.0, 0.1, 1.0, 0.1, ar), PowerPiece(0.1, 0.3, 1.0, 0.1, ar),
+        PowerPiece(0.3, 0.5, 1.0, 0.5, ar), PowerPiece(0.5, 1.0, 1.0, 0.5, asplit)])
+
+
+CLOSED_FORM_WEIGHTS = {
+    "unit": lambda pv: PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, 1.0, 1.0, 0.0, 0.0)]),
+    "power-integrable": lambda pv: PiecewisePowerWeight(
+        Interval(0.0, 1.0), [PowerPiece(0.0, 1.0, 1.0, 0.0, 0.6 * (pv - 1.0))]),
+    "power-divergent": lambda pv: PiecewisePowerWeight(
+        Interval(0.0, 1.0), [PowerPiece(0.0, 1.0, 1.0, 0.0, 1.5 * (pv - 1.0))]),
+    "removable-and-split": _removable_then_split,
+}
+
+
+@pytest.mark.parametrize("family", sorted(CLOSED_FORM_WEIGHTS))
+@pytest.mark.parametrize("pv", [1.5, 2.0, 3.0])
+def test_aux_matches_closed_form_sigma_integrals(family, pv):
+    p = Exponent(pv)
+    w = CLOSED_FORM_WEIGHTS[family](pv)
+    st_ = detect_structure(w, p, CFG)
+    aux = build_aux_weight(w, p, st_, CFG)
+    # segments touching a removable zero integrate adaptively, ~1e-8 off here
+    floor = 1e-7 if st_.removable_zeros else 1e-13
+    for part in aux.parts:
+        lo, hi, width, mid = part.base.lo, part.base.hi, part.base.width, part.base.mid
+        offs = width * 10.0 ** -np.arange(1.0, 12.5, 0.5)
+        xs = np.concatenate([lo + offs, hi - offs, np.linspace(part.q1, part.q3, 7)[[0, -1]] +
+                             [-1e-9, 1e-9], [r + s for r in (z.location for z in st_.removable_zeros)
+                                             for s in (-1e-9, -1e-12, 1e-12, 1e-9)]])
+        xs = xs[(xs > lo) & (xs < hi) & ((xs < part.q1) | (xs > part.q3))]
+        got = aux(xs)
+        want = np.array([1.0 / (w.exact_transform_integral(p, x, mid) if x < mid
+                                else w.exact_transform_integral(p, mid, x)) for x in xs])
+        # sigma at x is known only up to the rounding of x relative to its distance d
+        d = np.minimum(xs - lo, hi - xs)
+        np.testing.assert_array_less(np.abs(got - want), (floor + EPS * np.abs(xs) / d) * want)
+        # quarter points and endpoints are exact table entries
+        assert aux(part.q1) == part.plateau and aux(part.q3) == part.plateau
+        assert aux(lo) == (part.lo_value if part is aux.parts[0] else aux(lo))
+    assert aux(0.0) == aux.parts[0].lo_value
+    assert aux(1.0) == aux.parts[-1].hi_value
+    if family == "removable-and-split":
+        left, right = aux.parts
+        assert left.base.hi == right.base.lo == 0.5
+        # the touching point takes the left interval's endpoint limit
+        assert left.hi_value > 0.0 == right.lo_value
+        assert aux(0.5) == left.hi_value
+        assert left.hi_value == pytest.approx(1.0 / w.exact_transform_integral(p, 0.25, 0.5),
+                                              rel=1e-7)
+
+
+def test_gap_boundaries_and_outside(two_tent_chain):
+    _, st_, aux = two_tent_chain
+    (a, b), (c, e) = [(iv.lo, iv.hi) for iv in st_.intervals]
+    xs = np.array([-1.0, np.nextafter(a, -1), a, b, np.nextafter(b, 2), 0.5,
+                   np.nextafter(c, -1), c, e, np.nextafter(e, 2), 2.0, np.inf, -np.inf, np.nan])
+    want = [0, 0, aux.parts[0].lo_value, aux.parts[0].hi_value, 0, 0,
+            0, aux.parts[1].lo_value, aux.parts[1].hi_value, 0, 0, 0, 0, 0]
+    np.testing.assert_array_equal(aux(xs), want)
+
+
+def test_empty_structure_gives_zero():
+    w = GridSampledWeight([0.0, 1.0], [0.0, 0.0])
+    p = Exponent(2.0)
+    st_ = detect_structure(w, p, CFG)
+    assert st_.kind == "zero"
+    aux = build_aux_weight(w, p, st_, CFG)
+    np.testing.assert_array_equal(aux(np.linspace(-1.0, 2.0, 7)), 0.0)
+    assert aux(0.5) == 0.0
+
+
+def _panel_reference(br, sigma, d):
+    """C(d) as each query used to be answered: the anchor at the next mesh
+    node outward plus one 15-node Kronrod panel back to the query."""
+    from degenrelax.quadrature import _eval_panels
+    k = np.clip(np.searchsorted(br.d_mesh, d, side="right") - 1, 0, br.d_mesh.size - 2)
+    x_pt = br.endpoint + br.sgn * d
+    x_far = br.endpoint + br.sgn * br.d_mesh[k + 1]
+    k15, _, _, _ = _eval_panels(sigma, np.minimum(x_pt, x_far), np.maximum(x_pt, x_far))
+    return br.c_nodes[k + 1] + k15
+
+
+@pytest.mark.parametrize("pv", [1.5, 2.0, 3.0])
+def test_kinked_grid_segments_keep_the_partial_panel(pv):
+    # a grid weight is linear between nodes, so sigma has kinks the series cannot follow
+    xs = np.linspace(-2.0, 2.0, 129)
+    ws = np.abs(xs * xs - 1.0) ** (1.5 * (pv - 1.0)) * (1.0 + 0.3 * np.sin(3.0 * xs + 0.4))
+    w = GridSampledWeight(xs, ws)
+    p = Exponent(pv)
+    st_ = detect_structure(w, p, CFG)
+    aux = build_aux_weight(w, p, st_, CFG)
+    table = aux._table()
+    assert np.any(table.kind == auxweight._PANEL)
+    rng = np.random.default_rng(5)
+    for part in aux.parts:
+        for br in (part.left, part.right):
+            d = np.sort(rng.uniform(1e-3, 1.0, 400)) * br.d_max
+            got = aux(br.endpoint + br.sgn * d)
+            ref = 1.0 / _panel_reference(br, aux.sigma, d)
+            np.testing.assert_allclose(got, ref, rtol=1e-12)
+
+
+class _CountingPower(PiecewisePowerWeight):
+    def transform(self, p):
+        inner = super().transform(p)
+
+        def sigma(x):
+            self.sigma_calls += 1
+            return inner(x)
+
+        return sigma
+
+
+@pytest.mark.parametrize("pv", [1.5, 2.0, 3.0])
+def test_tabulated_power_weight_needs_no_sigma(pv):
+    w = _CountingPower(Interval(0.0, 1.0), [PowerPiece(0.0, 1.0, 2.0, 0.0, 1.5 * (pv - 1.0))])
+    w.sigma_calls = 0
+    p = Exponent(pv)
+    st_ = detect_structure(w, p, CFG)
+    aux = build_aux_weight(w, p, st_, CFG)
+    assert aux._zones is None  # construction alone builds no table
+    aux(0.1)
+    w.sigma_calls = 0
+    xs = np.random.default_rng(0).uniform(0.0, 1.0, 10_000)
+    vals = aux(xs)
+    assert w.sigma_calls == 0
+    assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+
+
+def test_grid_evaluation_makes_one_sigma_call():
+    xs = np.linspace(0.0, 1.0, 65)
+    w = GridSampledWeight(xs, 1.0 + xs * (1.0 - xs))
+    calls = []
+    p = Exponent(2.0)
+    st_ = detect_structure(w, p, CFG)
+    aux = build_aux_weight(w, p, st_, CFG)
+    aux(0.1)
+    table = aux._table()
+    inner = table.sigma
+    table.sigma = lambda x: calls.append(np.size(x)) or inner(x)
+    aux(np.random.default_rng(1).uniform(0.0, 1.0, 10_000))
+    assert len(calls) == 1 and calls[0] % 15 == 0
+
+
+@pytest.mark.parametrize("chain", ["figure1_chain", "two_tent_chain"])
+def test_branch_values_agree_with_aux(request, chain):
+    _, _, aux = request.getfixturevalue(chain)
+    for part in aux.parts:
+        lo, hi = part.base.lo, part.base.hi
+        d = (part.q1 - lo) * np.geomspace(1e-14, 0.999, 60)
+        x = lo + d
+        np.testing.assert_allclose(part.left.values(x - lo), aux(x), rtol=1e-13)
+        x = hi - d
+        np.testing.assert_allclose(part.right.values(hi - x), aux(x), rtol=1e-13)
+        # at and past the quarter point the branch holds its one-sided limit
+        assert part.left.values(np.array([part.left.d_max, 1e3]))[1] == part.left_limit
+        assert part.right.values(np.array([part.right.d_max]))[0] == part.right_limit
+
+
+def test_series_matrices_match_numpy_polynomial():
+    from degenrelax.quadrature import _NODES
+    cheb = np.polynomial.chebyshev
+    to_series = np.linalg.inv(cheb.chebvander(_NODES, _NODES.size - 1))
+    antiderivative = -cheb.chebint(to_series, lbnd=1.0, axis=0)
+    slope = cheb.chebvander(_NODES, _NODES.size - 2) @ cheb.chebder(to_series, axis=0)
+    np.testing.assert_allclose(auxweight._ANTIDERIVATIVE, antiderivative, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(auxweight._SLOPE, slope, rtol=0, atol=1e-12)
+
+
+class _Doubled(AuxWeight):
+    def __call__(self, x):
+        return 2.0 * super().__call__(x)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-20])
+def test_identity_residual_is_free_of_units(scale):
+    # w = scale * x^(1/2) at p = 2: the residual of the true aux stays small
+    # and that of a doubled aux stays near 1/2, whatever the scale of w
+    p = Exponent(2.0)
+    w = PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, 1.0, scale, 0.0, 0.5)])
+    st_ = detect_structure(w, p, CFG)
+    aux = build_aux_weight(w, p, st_, CFG)
+    doubled = _Doubled(w, p, st_, aux.parts, CFG)
+    for x in (0.05, 0.2, 0.8, 0.95):
+        assert derivative_identity_residual(aux, x) <= 1e-4
+        assert derivative_identity_residual(doubled, x) >= 0.4

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenrelax import (
+    AuxWeight,
     Exponent,
     QuadratureConfig,
     ac_extension_check,
@@ -139,6 +140,31 @@ def test_small_scale_norms_stay_homogeneous(request, weight, pv):
         assert c_amb.value == pytest.approx(c ** pv * amb.value, rel=1e-10)
         c_ratio = poincare_global_check(cu, w, aux, st_, p, CFG).ratio
         assert c_ratio == pytest.approx(ratio, rel=1e-10)
+
+
+class _Inflated(AuxWeight):
+    """An aux weight 1e4 times too large: the Poincare inequality must fail."""
+
+    def __call__(self, x):
+        return 1e4 * super().__call__(x)
+
+
+@pytest.mark.parametrize("weight", ["unit_weight", "figure1"])
+@pytest.mark.parametrize("pv", [1.5, 2.0, 3.0])
+def test_poincare_verdict_is_free_of_units(request, weight, pv):
+    # lhs and rhs both scale as |c|^p, so neither ok nor the ratio may move with c
+    w = request.getfixturevalue(weight)
+    p = Exponent(pv)
+    st_ = detect_structure(w, p, CFG)
+    aux = build_aux_weight(w, p, st_, CFG)
+    inflated = _Inflated(w, p, st_, aux.parts, CFG)
+    coeffs = [0.2, 1.0, -0.5]
+    for a, ok in ((aux, True), (inflated, False)):
+        ratio = poincare_global_check(poly_function(coeffs), w, a, st_, p, CFG).ratio
+        for c in (1e-12, 1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9, 1e12):
+            rep = poincare_global_check(poly_function([c * v for v in coeffs]), w, a, st_, p, CFG)
+            assert rep.ok is ok
+            assert rep.ratio == pytest.approx(ratio, rel=1e-12)
 
 
 @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3),
