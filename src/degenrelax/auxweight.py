@@ -28,15 +28,18 @@ sorted list of zones:
   the zone's outer mesh node and fitted to sigma at its 15 Kronrod nodes.  A
   zone spans one halving of d (ten mesh segments), where a power-law zero at
   the endpoint makes C smooth in s; where that series does not decay, the
-  zone is a single mesh segment, or the outer part of one.
+  zone is a single mesh segment, or the part of one beyond 1/4, 1/2 or 3/4
+  of its width (the queries there never reach a kink of w further in).
 * Panel zones are the mesh segments no series fits (kinks or jumps of w):
   C is the outer node anchor plus one 15-node Kronrod panel between the
   query point and that node.  Segments touching a removable zero integrate
   that stretch adaptively instead.
-* Below the deepest Chebyshev zone, where a zone would be too few ulps wide
-  to sample, C follows a power law (linear in log-log coordinates) that
-  continues the deepest zone; below the deepest mesh node, the power law
-  with the monotone (PCHIP) end slope of the node data.
+* Below the deepest mesh node, C follows the power law (linear in log-log
+  coordinates) with the monotone (PCHIP) end slope of the node data.  Next
+  to an endpoint away from 0, the innermost segments are too few ulps wide
+  for their sigma samples to be more than rounding noise: the power law
+  then takes them over, from the deepest node above them and with the
+  log-log secant across the halving of d above that node.
 * Endpoints, plateaus and the gaps between intervals are constant zones.
 
 An evaluation is one sorted search, one Chebyshev sum over the points in
@@ -47,8 +50,7 @@ zones.  Away from panel zones no sigma is evaluated at all.
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -65,6 +67,7 @@ _TAIL = 3                 # trailing series coefficients that must have decayed
 _TAIL_TOL = 1e-14         # their size allowed relative to the largest coefficient
 _EPS = float(np.finfo(float).eps)
 _MAX_NOISE = 1.0 / 16.0   # node rounding, in half-widths, that the slope correction may absorb
+_PARTS = np.array([0.0, 0.25, 0.5, 0.75])  # a segment's inner fraction a series may leave out
 
 
 def _series_matrices() -> tuple[np.ndarray, np.ndarray]:
@@ -109,112 +112,105 @@ class BranchTable:
     sigma from the point at distance d to the interval midpoint, so C is
     positive and decreasing in d.  The mesh stores C at the graded nodes,
     and `zones_by_distance` turns those anchors into this branch's rows of
-    the owning AuxWeight's table (see the module docstring).  `values`
-    evaluates 1/C through that table and clamps to the quarter-integral
-    anchor at and above d_max (the quarter point, where the branch domain
-    ends).  The owner is held weakly: the AuxWeight holds this table.
+    a zone table (see the module docstring).  `values` evaluates 1/C through
+    a table of this branch alone and clamps to the quarter-integral anchor at
+    and above d_max (the quarter point, where the branch domain ends).
     """
 
+    sigma: object                 # transform callable
     endpoint: float
     sgn: float                    # x = endpoint + sgn * d
     d_mesh: np.ndarray            # ascending distances, d_mesh[-1] == d_max
     c_nodes: np.ndarray           # C at the mesh nodes, descending
     plain: np.ndarray             # per segment: free of removable zeros
+    removables: tuple
+    cfg: QuadratureConfig
     slope_inner: float            # d log C / d log d at the innermost node
     c_at_dmax: float
     d_max: float
-    owner: Optional[weakref.ref] = field(default=None, repr=False, compare=False)
-    zones: tuple = field(default=(0, 0), repr=False, compare=False)  # its rows in the table
 
     def values(self, d: np.ndarray) -> np.ndarray:
         """Auxiliary weight on the branch: 1 / C(d)."""
         d = np.asarray(np.atleast_1d(d), dtype=float).ravel()
-        aux = self.owner() if self.owner is not None else None
-        if aux is None:
-            raise RuntimeError("branch table is not attached to a live AuxWeight")
-        table = aux._table()
-        z0, z1 = self.zones
-        z = np.clip(table.zone(self.endpoint + self.sgn * d), z0, z1 - 1)
+        lo, hi = sorted((self.endpoint, self.endpoint + self.sgn * self.d_max))
+        table = _AuxTable(self.sigma, self.removables, self.cfg, [(self, lo, hi)])
+        z = np.clip(table.zone(self.endpoint + self.sgn * d), 0, table.kind.size - 1)
         out = table.values(z, d)
         out[d >= self.d_max] = 1.0 / self.c_at_dmax
         return out
 
-    def zones_by_distance(self, sigma) -> dict:
+    def zones_by_distance(self) -> dict:
         """This branch's table rows in ascending distance, keyed by column.
 
-        Chebyshev candidates are, in turn: runs of _GROUP mesh segments; the
-        single segments of rejected runs; and for a segment rejected again
-        (it holds a kink or jump of w), its outer part beyond 1/4, 1/2 or 3/4
-        of its width, since between a kink and the outer node the partial
-        panel never crosses the kink.  What no candidate covers stays a panel
-        zone (adaptive next to a removable zero).  Segments deeper than every
-        Chebyshev zone are too few ulps wide to sample, sigma there being
-        rounding noise: they follow the power law that continues C from the
-        inner end of the deepest zone.  `series` holds the Chebyshev zones'
+        The innermost segments, too few ulps wide for rounding to leave
+        their Kronrod nodes in place (to _MAX_NOISE of the half-width), join
+        the below-mesh power law, which then runs from the outermost of them.
+        Above them, Chebyshev candidates are runs of _GROUP mesh segments,
+        then the single segments of rejected runs and the outer parts of
+        those (_PARTS).  What no candidate covers is a panel zone (adaptive
+        next to a removable zero).  `series` holds the Chebyshev zones'
         coefficients only, in row order.
         """
         d, c = self.d_mesh, self.c_nodes
-        nseg = d.size - 1
         # the series run in s = log d, where sigma's power-law behaviour
         # toward the endpoint is smooth, between the mesh points as placed in
         # x (the points the anchors integrate between)
-        ls = np.log(self.sgn * ((self.endpoint + self.sgn * d) - self.endpoint))
+        xs = self.endpoint + self.sgn * d
+        ls = np.log(self.sgn * (xs - self.endpoint))
+        with np.errstate(divide="ignore"):  # sliver nodes can be closer than log resolves
+            noise = _EPS * np.abs(xs[:-1]) / d[:-1] / (0.5 * np.diff(ls))
+        sampled = (noise < _MAX_NOISE) | ~self.plain
+        base = max(0, min(int(np.argmax(sampled)) if sampled.any() else d.size, d.size - 2))
+        d, c, ls, plain = d[base:], c[base:], ls[base:], self.plain[base:]
+        nseg = d.size - 1
         starts = np.arange(0, nseg, _GROUP)
-        runs = starts[np.logical_and.reduceat(self.plain, starts)] if nseg else starts
-        ok, run_series = self._fit(sigma, ls[runs], ls[np.minimum(runs + _GROUP, nseg)])
+        runs = starts[np.logical_and.reduceat(plain, starts)] if nseg else starts
+        ok, run_series = self._fit(ls[runs], ls[np.minimum(runs + _GROUP, nseg)])
         runs, run_series = runs[ok], run_series[ok]
-        rest = self.plain.copy()
+        rest = plain.copy()
         for k in runs:
             rest[k:k + _GROUP] = False
         rest = np.flatnonzero(rest)
-        # each remaining segment whole, and beyond 1/4, 1/2 and 3/4 of its width
-        frac = np.array([0.0, 0.25, 0.5, 0.75])[:, None]
-        part_lo = ls[rest] + frac * (ls[rest + 1] - ls[rest])
-        ok, part_series = self._fit(sigma, part_lo.ravel(), np.tile(ls[rest + 1], frac.size))
+        # each remaining segment whole, and its outer part beyond each
+        # fraction of its width: a kink of w further in lies outside the
+        # partial panels of all queries there
+        part_lo = ls[rest] + _PARTS[:, None] * (ls[rest + 1] - ls[rest])
+        ok, part_series = self._fit(part_lo.ravel(), np.tile(ls[rest + 1], _PARTS.size))
         ok = ok.reshape(part_lo.shape)
-        seg = np.union1d(rest[~ok[0]], np.flatnonzero(~self.plain))  # panel zones
         took = np.flatnonzero(ok.any(axis=0))
-        best = np.argmax(ok[:, took], axis=0)  # the widest accepted part
+        widest = np.argmax(ok[:, took], axis=0)
         first = np.concatenate([runs, rest[took]])
         outer = np.concatenate([np.minimum(runs + _GROUP, nseg), rest[took] + 1])
-        s_lo = np.concatenate([ls[runs], part_lo[best, took]])
-        series = np.concatenate([run_series, part_series.reshape(*ok.shape, _N_TERMS)[best, took]])
+        s_lo = np.concatenate([ls[runs], part_lo[widest, took]])
+        series = np.concatenate([run_series,
+                                 part_series.reshape(*ok.shape, _N_TERMS)[widest, took]])
         series[:, 0] += c[outer]
-        whole = s_lo == ls[first]
-        # the power law below the deepest whole zone k: log C linear in s
-        # through C at its inner node, with the slope of its series there
-        tail = np.zeros((0, 4))
-        if whole.any():
-            k = np.flatnonzero(whole)[np.argmin(first[whole])]
-            deep = seg[seg < first[k]]
-            if deep.size and self.plain[deep].all():
-                terms = np.arange(_N_TERMS)
-                dc_ds = (np.sum(series[k] * (-1.0) ** (terms + 1) * terms ** 2)
-                         / (0.5 * (ls[outer[k]] - ls[first[k]])))
-                c_k = c[first[k]]
-                tail = np.array([[d[deep[0]], ls[first[k]], dc_ds / c_k, math.log(c_k)]])
-                seg = seg[seg > first[k]]
-        n_c, n_s, n_t = first.size, seg.size, tail.shape[0]
+        # panel zones: segments no series covers, or their part inside one
+        seg = np.union1d(rest[~ok[0]], np.flatnonzero(~plain))
+        n_c, n_s = first.size, seg.size
+        # the power law below: the stored end slope, or over noisy nodes the
+        # secant across the first halving of d above them
+        g = min(_GROUP, nseg)
+        slope = self.slope_inner if base == 0 else math.log(c[g] / c[0]) / math.log(d[g] / d[0])
         cols = {
-            "d_start": np.concatenate([[0.0], tail[:, 0],
-                                       np.where(whole, d[first], np.exp(s_lo)), d[seg],
-                                       [self.d_max]]),
-            "kind": np.concatenate([[_BELOW], np.full(n_t, _BELOW), np.full(n_c, _CHEB),
-                                    np.where(self.plain[seg], _PANEL, _ADAPT), [_CONST]]),
-            "d_ref": np.concatenate([[math.log(d[0])], tail[:, 1], 0.5 * (s_lo + ls[outer]),
+            "d_start": np.concatenate([[0.0], np.where(s_lo == ls[first], d[first], np.exp(s_lo)),
+                                       d[seg], [self.d_max]]),
+            "kind": np.concatenate([[_BELOW], np.full(n_c, _CHEB),
+                                    np.where(plain[seg], _PANEL, _ADAPT), [_CONST]]),
+            "d_ref": np.concatenate([[math.log(d[0])], 0.5 * (s_lo + ls[outer]),
                                      d[seg + 1], [0.0]]),
-            "scale": np.concatenate([[self.slope_inner], tail[:, 2], 0.5 * (ls[outer] - s_lo),
+            "scale": np.concatenate([[slope], 0.5 * (ls[outer] - s_lo),
                                      np.zeros(n_s), [0.0]]),
-            "c_ref": np.concatenate([[math.log(c[0])], tail[:, 3], np.zeros(n_c), c[seg + 1],
+            "c_ref": np.concatenate([[math.log(c[0])], np.zeros(n_c), c[seg + 1],
                                      [1.0 / self.c_at_dmax]]),
-            "row": np.concatenate([np.full(1 + n_t, -1), np.arange(n_c), np.full(n_s + 1, -1)]),
+            "row": np.concatenate([[-1], np.arange(n_c), np.full(n_s + 1, -1)]),
         }
         order = np.argsort(cols["d_start"], kind="stable")
         cols = {key: val[order] for key, val in cols.items()}
         cols["series"] = series[cols.pop("row")[cols["kind"] == _CHEB]]
         return cols
 
-    def _fit(self, sigma, s_lo: np.ndarray, s_hi: np.ndarray):
+    def _fit(self, s_lo: np.ndarray, s_hi: np.ndarray):
         """Chebyshev series, in s on [s_lo, s_hi], of the mass of sigma
         between log-distances s and s_hi, from one sigma call over the
         Kronrod nodes of every candidate; returns (accepted, series) per
@@ -230,7 +226,7 @@ class BranchTable:
         xs = self.endpoint + self.sgn * np.exp(centre + half * _NODES)
         dist = self.sgn * (xs - self.endpoint)  # the distances the nodes really have
         with np.errstate(all="ignore"):
-            vals = np.asarray(sigma(xs.ravel()), dtype=float).reshape(xs.shape) * dist
+            vals = np.asarray(self.sigma(xs.ravel()), dtype=float).reshape(xs.shape) * dist
             # rounding moved the nodes by `shift`; move the samples back along the slope
             shift = (np.log(dist) - centre) / half - _NODES
             vals -= shift * (vals @ _SLOPE.T)
@@ -254,7 +250,7 @@ def _clenshaw(series: np.ndarray, cols: np.ndarray, t: np.ndarray) -> np.ndarray
 
 
 class _AuxTable:
-    """The auxiliary weight as one sorted list of zones over the whole line.
+    """Sorted zones over the line: the whole auxiliary weight, or one branch.
 
     Zone i covers [start[i], start[i+1]).  Columns by zone kind (d is the
     query's distance from the zone's endpoint `ep`, measured inward by `sgn`):
@@ -272,24 +268,23 @@ class _AuxTable:
     Built one branch at a time, so only one branch's sigma samples are held.
     """
 
-    def __init__(self, parts, sigma, removables: Sequence[float], cfg: QuadratureConfig):
+    def __init__(self, sigma, removables: Sequence[float], cfg: QuadratureConfig, layout):
+        """`layout` lists, in ascending x, constant zones as (start, value)
+        and outer branches as (BranchTable, x_lo, x_hi)."""
         self.sigma = sigma
         self.removables = tuple(removables)
         self.cfg = cfg
         cols = {k: [] for k in ("start", "kind", "ep", "sgn", "d_ref", "scale", "c_ref")}
         series = [np.zeros((0, _N_TERMS))]
-        count = [0]
 
         def add(start, kind, ep=0.0, sgn=0.0, d_ref=0.0, scale=0.0, c_ref=0.0):
             n = np.size(start)
             for key, val in (("start", start), ("kind", kind), ("ep", ep), ("sgn", sgn),
                              ("d_ref", d_ref), ("scale", scale), ("c_ref", c_ref)):
                 cols[key].append(np.broadcast_to(np.asarray(val, dtype=float), (n,)))
-            count[0] += n
-            return count[0]
 
         def add_branch(br, x_lo, x_hi):
-            z = br.zones_by_distance(sigma)
+            z = br.zones_by_distance()
             # a zone holds the x whose distance d = sgn*(x - endpoint) lies in
             # [d_start, d_end); in ascending x it starts at the first float
             # with d >= d_start on the left branch, d < d_end on the right
@@ -303,22 +298,14 @@ class _AuxTable:
             inside = dist >= bound if br.sgn > 0 else dist < bound
             x = cands[np.argmax(inside, axis=0), np.arange(near.size)]
             series.append(z["series"][rows])
-            z0 = count[0]
-            br.zones = (z0, add(np.clip(x, x_lo, x_hi)[rows], z["kind"][rows], br.endpoint,
-                                br.sgn, z["d_ref"][rows], z["scale"][rows], z["c_ref"][rows]))
+            add(np.clip(x, x_lo, x_hi)[rows], z["kind"][rows], br.endpoint, br.sgn,
+                z["d_ref"][rows], z["scale"][rows], z["c_ref"][rows])
 
-        add(-math.inf, _CONST)
-        prev_hi = -math.inf
-        for part in parts:
-            lo, hi = part.base.lo, part.base.hi
-            if lo > prev_hi:  # touching intervals share the left one's endpoint value
-                add(lo, _CONST, c_ref=part.lo_value)
-            add_branch(part.left, np.nextafter(lo, math.inf), part.q1)
-            add(part.q1, _CONST, c_ref=part.plateau)
-            add_branch(part.right, np.nextafter(part.q3, math.inf), hi)
-            add(hi, _CONST, c_ref=part.hi_value)
-            add(np.nextafter(hi, math.inf), _CONST)
-            prev_hi = hi
+        for item in layout:
+            if isinstance(item[0], BranchTable):
+                add_branch(*item)
+            else:
+                add(item[0], _CONST, c_ref=item[1])
         for key, vals in cols.items():
             setattr(self, key, np.concatenate(vals))
         self.kind = self.kind.astype(np.int8)
@@ -473,7 +460,8 @@ def _build_branch(sigma, endpoint: float, mid: float, removables: Sequence[float
 
     # the log-log slope at the innermost node extends C below the mesh as a power law
     return BranchTable(
-        endpoint=endpoint, sgn=sgn, d_mesh=d_mesh, c_nodes=c_all, plain=plain,
+        sigma=sigma, endpoint=endpoint, sgn=sgn, d_mesh=d_mesh, c_nodes=c_all,
+        plain=plain, removables=tuple(removables), cfg=cfg,
         slope_inner=_end_slope(np.log(d_mesh), np.log(c_all)),
         c_at_dmax=c_quarter, d_max=float(d_mesh[-1]))
 
@@ -518,6 +506,23 @@ class AuxInterval:
         return self.base.lo + 0.75 * self.base.width
 
 
+def _whole_line(parts):
+    """The table layout of the auxiliary weight: 0 off the intervals, their
+    endpoint values, branches and plateaus in between."""
+    yield -math.inf, 0.0
+    prev_hi = -math.inf
+    for part in parts:
+        lo, hi = part.base.lo, part.base.hi
+        if lo > prev_hi:  # touching intervals share the left one's endpoint value
+            yield lo, part.lo_value
+        yield part.left, np.nextafter(lo, math.inf), part.q1
+        yield part.q1, part.plateau
+        yield part.right, np.nextafter(part.q3, math.inf), hi
+        yield hi, part.hi_value
+        yield np.nextafter(hi, math.inf), 0.0
+        prev_hi = hi
+
+
 class AuxWeight:
     """Evaluable auxiliary weight for a degeneracy structure.
 
@@ -539,7 +544,7 @@ class AuxWeight:
     def _table(self) -> _AuxTable:
         if self._zones is None:
             removables = [info.location for info in self.structure.removable_zeros]
-            self._zones = _AuxTable(self.parts, self.sigma, removables, self.cfg)
+            self._zones = _AuxTable(self.sigma, removables, self.cfg, _whole_line(self.parts))
         return self._zones
 
     def __call__(self, x) -> np.ndarray:
@@ -595,10 +600,7 @@ def build_aux_weight(w: Weight, p: Exponent, structure: DegeneracyStructure,
             lo_value=lo_value, hi_value=hi_value,
             left_limit=1.0 / left.c_at_dmax, right_limit=1.0 / right.c_at_dmax,
         ))
-    aux = AuxWeight(w, p, structure, parts, cfg)
-    for part in parts:
-        part.left.owner = part.right.owner = weakref.ref(aux)
-    return aux
+    return AuxWeight(w, p, structure, parts, cfg)
 
 
 def derivative_identity_residual(aux: AuxWeight, x: float,

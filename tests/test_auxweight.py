@@ -1,5 +1,6 @@
 """Auxiliary weight: closed forms, branch identity, bounds, edge cases."""
 
+import gc
 import math
 import time
 
@@ -246,9 +247,9 @@ def test_aux_matches_closed_form_sigma_integrals(family, pv):
     aux = build_aux_weight(w, p, st_, CFG)
     # segments touching a removable zero integrate adaptively, ~1e-8 off here
     floor = 1e-7 if st_.removable_zeros else 1e-13
-    for part in aux.parts:
+    for i, part in enumerate(aux.parts):
         lo, hi, width, mid = part.base.lo, part.base.hi, part.base.width, part.base.mid
-        offs = width * 10.0 ** -np.arange(1.0, 12.5, 0.5)
+        offs = width * 10.0 ** -np.arange(1.0, 14.0, 0.5)
         xs = np.concatenate([lo + offs, hi - offs, np.linspace(part.q1, part.q3, 7)[[0, -1]] +
                              [-1e-9, 1e-9], [r + s for r in (z.location for z in st_.removable_zeros)
                                              for s in (-1e-9, -1e-12, 1e-12, 1e-9)]])
@@ -261,7 +262,9 @@ def test_aux_matches_closed_form_sigma_integrals(family, pv):
         np.testing.assert_array_less(np.abs(got - want), (floor + EPS * np.abs(xs) / d) * want)
         # quarter points and endpoints are exact table entries
         assert aux(part.q1) == part.plateau and aux(part.q3) == part.plateau
-        assert aux(lo) == (part.lo_value if part is aux.parts[0] else aux(lo))
+        touching = i > 0 and aux.parts[i - 1].base.hi == lo
+        assert aux(lo) == (aux.parts[i - 1].hi_value if touching else part.lo_value)
+        assert aux(hi) == part.hi_value
     assert aux(0.0) == aux.parts[0].lo_value
     assert aux(1.0) == aux.parts[-1].hi_value
     if family == "removable-and-split":
@@ -380,6 +383,18 @@ def test_branch_values_agree_with_aux(request, chain):
         # at and past the quarter point the branch holds its one-sided limit
         assert part.left.values(np.array([part.left.d_max, 1e3]))[1] == part.left_limit
         assert part.right.values(np.array([part.right.d_max]))[0] == part.right_limit
+
+
+def test_branch_values_outlive_their_aux(figure1, p2):
+    st_ = detect_structure(figure1, p2, CFG)
+    part = build_aux_weight(figure1, p2, st_, CFG).parts[0]
+    gc.collect()
+    d = np.geomspace(1e-12, 1.0, 9) * part.left.d_max
+    first = part.left.values(d)
+    assert np.all(np.isfinite(first)) and np.all(first > 0.0)
+    # another AuxWeight over the same parts leaves the branch's values alone
+    _Doubled(figure1, p2, st_, [part], CFG)(part.q1)
+    np.testing.assert_array_equal(part.left.values(d), first)
 
 
 def test_series_matrices_match_numpy_polynomial():
