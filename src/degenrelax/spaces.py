@@ -79,12 +79,109 @@ def constant_function(value: float, label: str = "") -> TestFunction:
 
 def spline_function(knot_x: Sequence[float], knot_y: Sequence[float],
                     label: str = "") -> TestFunction:
-    """Natural cubic spline through the knots (scipy loads on first use)."""
-    from scipy.interpolate import CubicSpline
+    """Natural cubic spline through the knots, extended by its end pieces.
 
-    cs = CubicSpline(np.asarray(knot_x, dtype=float), np.asarray(knot_y, dtype=float),
-                     bc_type="natural")
-    return TestFunction(fn=cs, deriv=cs.derivative(), tag="C1", label=label or "spline")
+    Values and derivative reproduce scipy's
+    ``CubicSpline(knot_x, knot_y, bc_type="natural")`` and its
+    ``derivative()`` bit for bit: the slope system is assembled as scipy
+    assembles it, solved by ``_gtsv`` (LAPACK ``dgtsv``, which scipy calls),
+    turned into ``CubicHermiteSpline``'s coefficients and evaluated in
+    ``PPoly``'s order.  Raises ValueError, with scipy's messages, for fewer
+    than 2 knots, non-finite knots, or x that is not strictly increasing.
+    """
+    x = np.array(knot_x, dtype=float)  # copies: the evaluators keep x
+    y = np.array(knot_y, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("`x` must be 1-dimensional.")
+    if x.shape[0] < 2:
+        raise ValueError("`x` must contain at least 2 elements.")
+    if y.shape != x.shape:
+        raise ValueError("The length of `y` along `axis`=0 doesn't match the length of `x`")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("`x` must contain only finite values.")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("`y` must contain only finite values.")
+    dx = np.diff(x)
+    if np.any(dx <= 0):
+        raise ValueError("`x` must be strictly increasing sequence.")
+    dy = np.diff(y)
+    slope = dy / dx
+    # Rows 0 and n-1 carry the natural end conditions, 2 dx s0 + dx s1 = 3 dy.
+    # scipy adds the zero second-derivative term to row 0 as -0.0, which
+    # changes nothing, and to row n-1 as +0.0, which turns -0.0 into +0.0.
+    diag = 2 * np.concatenate((dx[:1], dx[:-1] + dx[1:], dx[-1:]))
+    upper = np.concatenate((dx[:1], dx[:-1]))
+    lower = np.concatenate((dx[1:], dx[-1:]))
+    rhs = 3 * np.concatenate((dy[:1], dx[1:] * slope[:-1] + dx[:-1] * slope[1:], dy[-1:]))
+    rhs[-1] += 0.0
+    s = np.array(_gtsv(lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()))
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c = (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])
+    return TestFunction(fn=_piecewise_polynomial(x, c),
+                        deriv=_piecewise_polynomial(x, (3 * c[0], 2 * c[1], c[2])),
+                        tag="C1", label=label or "spline")
+
+
+def _gtsv(dl: list, d: list, du: list, b: list) -> list:
+    """Solve a tridiagonal system in LAPACK ``dgtsv``'s operation order.
+
+    dl, d and du are the sub-, main and super-diagonal (all overwritten),
+    b the right-hand side, which is overwritten by the solution and returned.
+    Gaussian elimination with partial pivoting: a row swaps with the next
+    when the subdiagonal entry is larger, and the swap fills in the second
+    superdiagonal, kept in dl.
+    """
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
+def _piecewise_polynomial(x: np.ndarray, rows: tuple) -> Callable[[np.ndarray], np.ndarray]:
+    """Evaluator of the pieces on [x[k], x[k+1]], the end pieces extended.
+
+    rows[j][k] is piece k's coefficient of (t - x[k])^(len(rows) - 1 - j).
+    The sum runs as in scipy's ``PPoly``: from the constant term up, powers
+    built as s, s*s, (s*s)*s, starting from 0.0 (so a -0.0 constant reads
+    +0.0).
+    """
+    inner = x[1:-1]
+    const = rows[-1] + 0.0
+    higher = rows[-2::-1]
+
+    def evaluate(xs: np.ndarray) -> np.ndarray:
+        flat = xs.ravel()
+        k = inner.searchsorted(flat, "right")
+        s = flat - x.take(k)
+        out = const.take(k)
+        power = s
+        for j, row in enumerate(higher):
+            if j:
+                power = power * s
+            term = row.take(k)
+            term *= power
+            out += term
+        return out.reshape(xs.shape)
+
+    return evaluate
 
 
 def sqrt_edge_function(domain: Interval, label: str = "") -> TestFunction:

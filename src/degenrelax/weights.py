@@ -399,7 +399,8 @@ class PiecewisePowerWeight(Weight):
         positive-length overlap with an uncovered region makes the integral
         infinite outright.
         """
-        if not (self.domain.lo - 1e-12 <= lo < hi <= self.domain.hi + 1e-12):
+        slack = 1e-12 * self.domain.width
+        if not (self.domain.lo - slack <= lo < hi <= self.domain.hi + slack):
             raise ValueError(f"span ({lo}, {hi}) outside domain")
         tol = 1e-14 * self.domain.width
         for rlo, rhi in self.zero_regions():
@@ -414,7 +415,9 @@ class PiecewisePowerWeight(Weight):
             ap = q.exponent * inv  # transform behaves like d^-ap near the pivot
             c_log2 = -inv * q.log2_scale
             d0, d1 = sorted((abs(s - q.pivot), abs(e - q.pivot)))
-            if ap >= 1.0 and d0 <= tol:
+            near = s if abs(s - q.pivot) == d0 else e
+            # the span touches the pivot only within float resolution of it
+            if ap >= 1.0 and d0 <= 4.0 * math.ulp(max(abs(near), abs(q.pivot))):
                 return math.inf
             if abs(ap - 1.0) < 1e-15:
                 if d0 <= 0.0:

@@ -192,8 +192,24 @@ def test_weight_json_spec_file(tmp_path):
     assert d["structure"]["count"] == 2
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is needed only for spline test functions and loads on first use
+def test_import_leaves_scipy_unloaded(tmp_path):
     code = "import sys, degenrelax, degenrelax.cli; assert 'scipy' not in sys.modules"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+    # the package runs without scipy: a None entry in sys.modules makes
+    # every scipy import raise ImportError
+    code = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "from degenrelax import cli, spline_function",
+        "u = spline_function([0.0, 0.3, 1.0], [0.0, 1.0, -0.5])",
+        "assert abs(float(u(0.3)) - 1.0) < 1e-15 and u.d([0.1, 0.9]).shape == (2,)",
+        "assert cli.main(['poincare', '--weight', 'figure1', '--count', '3',",
+        "                 '--no-timestamp']) == 0",
+        "assert cli.main(['approx', '--weight', 'figure1', '--u', 'spline:-2=0,0=1,2=0',",
+        f"                 '--h-max', '64', '--csv', {str(tmp_path / 'members.csv')!r},",
+        "                 '--no-timestamp']) == 0",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "members.csv").read_text().startswith("h,x_err")

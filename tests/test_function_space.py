@@ -270,3 +270,94 @@ def test_grid_tagged_function_never_in_space(figure1_chain, p2):
                      tag="Grid", label="sampled")
     rep = check_membership(u, w, st_, p2, CFG)
     assert not rep.in_space
+
+
+# ---------------------------------------------------------------------------
+# natural cubic splines
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _spline_cases():
+    rng = np.random.default_rng(20)
+    for n in (2, 3, 9, 17):
+        yield np.linspace(-1.0, 2.0, n), rng.uniform(-1.0, 1.0, n)
+        yield np.cumsum(rng.uniform(0.01, 1.0, n)), rng.uniform(-1.0, 1.0, n)
+    # the first column's subdiagonal (0.99) beats its diagonal (0.02): dgtsv swaps rows
+    yield np.array([0.0, 0.01, 1.0]), np.array([1.0, -2.0, 0.5])
+    yield np.array([0.0, 0.01, 0.02, 1.0, 1.01, 3.0]), rng.uniform(-1.0, 1.0, 6)
+    for scale in (1e-12, 1e12):
+        yield np.linspace(0.0, 1.0, 9), scale * rng.uniform(-1.0, 1.0, 9)
+    # scipy's sum starts from 0.0, so u(0) is +0.0, not the knot's -0.0
+    yield np.array([0.0, 1.0, 2.5, 3.0]), np.array([-0.0, -1.0, -1.0, 1.0])
+
+
+@pytest.mark.parametrize("knots", list(_spline_cases()), ids=lambda k: f"n{len(k[0])}")
+def test_spline_matches_scipy_bit_for_bit(knots):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    x, y = knots
+    ref = interpolate.CubicSpline(x, y, bc_type="natural")
+    dref = ref.derivative()
+    u = spline_function(x, y)
+    width = x[-1] - x[0]
+    xs = np.concatenate([x, np.linspace(x[0] - 0.5 * width, x[-1] + 0.5 * width, 101)])
+    for pts in (xs, np.stack([xs, xs[::-1]]), np.float64(x[1]), np.float64(x[-1] + width)):
+        pts = np.asarray(pts)
+        assert _same_bits(u(pts), ref(pts))
+        assert _same_bits(u.d(pts), dref(pts))
+
+
+def test_spline_values_pinned():
+    # scipy's CubicSpline(..., bc_type="natural") bits, pinned for runs without scipy
+    u = spline_function([0.0, 0.01, 1.0], [1.0, -2.0, 0.5])
+    xs = np.array([-0.5, 0.0, 0.005, 0.01, 0.4, 1.0, 1.75])
+    assert [float(v).hex() for v in u(xs)] == [
+        "-0x1.b2c1b26c9b3eep+10", "0x1.0000000000000p+0", "-0x1.02e77c6e77c6bp-1",
+        "-0x1.0000000000000p+1", "-0x1.cee6303ceea6cp+5", "0x1.0000000000000p-1",
+        "0x1.91fbc4c2a5070p+5"]
+    assert [float(v).hex() for v in u.d(xs)] == [
+        "0x1.591979890cff7p+13", "-0x1.2d833b79890cbp+8", "-0x1.2c60cede62434p+8",
+        "-0x1.28f9890cede64p+8", "-0x1.97a1f801e16f8p+3", "0x1.308cede62433ep+7",
+        "-0x1.a63c2e1346c20p+6"]
+    u = spline_function([-2.0, -1.3, -0.2, 0.0, 0.9, 2.0], [0.0, 0.7, -0.4, 1.0, 0.25, -1.0])
+    xs = np.array([-2.5, -1.3, -0.05, 0.5, 2.0, 3.0])
+    # the last knot is reached through the last piece, one ulp off y = -1
+    assert [float(v).hex() for v in u(xs)] == [
+        "-0x1.a0f9de46675eap-1", "0x1.6666666666666p-1", "0x1.55a7b01756f10p-1",
+        "0x1.8cad485b8e3cap+0", "-0x1.0000000000002p+0", "-0x1.f741d49fb0134p+0"]
+    assert [float(v).hex() for v in u.d(xs)] == [
+        "0x1.466fe77995648p-2", "-0x1.9151a0f4d0c2dp+0", "0x1.c59e696cedefbp+2",
+        "-0x1.3c6698f98ad24p+1", "-0x1.3b204b2905080p-3", "-0x1.4b7eb58a677b8p+1"]
+
+
+def test_spline_keeps_its_own_knots():
+    x, y = np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0])
+    u = spline_function(x, y)
+    before = u(np.linspace(-0.5, 1.5, 9))
+    x *= 2.0
+    y[:] = 5.0
+    assert _same_bits(u(np.linspace(-0.5, 1.5, 9)), before)
+
+
+@pytest.mark.parametrize("x, y, message", [
+    ([0.0], [1.0], "at least 2 elements"),
+    ([0.0, 1.0], [1.0], "doesn't match the length of `x`"),
+    ([[0.0, 1.0]], [[1.0, 2.0]], "must be 1-dimensional"),
+    ([0.0, math.inf], [1.0, 2.0], "`x` must contain only finite values"),
+    ([0.0, 1.0], [1.0, math.nan], "`y` must contain only finite values"),
+    ([0.0, 0.5, 0.4, 1.0], [0.0, 1.0, 2.0, 0.0], "strictly increasing"),
+    ([0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 2.0, 0.0], "strictly increasing"),
+])
+def test_spline_rejects_bad_knots(x, y, message):
+    with pytest.raises(ValueError, match=message):
+        spline_function(x, y)
+
+
+def test_cli_rejects_unordered_spline_knots(capsys):
+    from degenrelax import cli
+    code = cli.main(["relax", "--weight", "figure1", "--u", "spline:0=0,0.5=1,0.4=2,1=0",
+                     "--no-timestamp"])
+    assert code == 2
+    assert "strictly increasing" in capsys.readouterr().err

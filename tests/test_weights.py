@@ -141,6 +141,23 @@ def test_interface_on_cascade():
     assert w.resolution_near(0.5) == 0.0
 
 
+@pytest.mark.parametrize("width", [1.0, 1e-6])
+def test_exact_transform_integral_near_a_nonintegrable_pivot(width):
+    # x^0.75 at p = 1.5: sigma = x^-1.5, whose integral from a to b is 2 (a^-1/2 - b^-1/2)
+    p = Exponent(1.5)
+    w = PiecewisePowerWeight(Interval(0.0, width), [PowerPiece(0.0, width, 1.0, 0.0, 0.75)])
+    hi = 0.5 * width
+    for a in (1e-14, 1e-16, 1.1e-14):
+        lo = a * width
+        want = 2.0 * (lo ** -0.5 - hi ** -0.5)
+        assert w.exact_transform_integral(p, lo, hi) == pytest.approx(want, rel=1e-13)
+    assert w.exact_transform_integral(p, 0.0, hi) == math.inf
+    # the domain slack scales with the width
+    assert w.exact_transform_integral(p, -5e-13 * width, hi) == math.inf
+    with pytest.raises(ValueError, match="outside domain"):
+        w.exact_transform_integral(p, -5e-12 * width, hi)
+
+
 def test_interface_on_grid_and_bare_closed_form():
     p = Exponent(2.0)
     xs = [0.0, 0.1, 0.2, 0.5, 0.6, 0.7, 0.8, 1.0]
