@@ -368,12 +368,12 @@ def _graded_mesh(h_max: float, anchor: float, sgn: float) -> np.ndarray:
             break
         levels.append(nxt)
         d = nxt
-    mesh = []
-    for top, bot in zip(levels[:-1], levels[1:]):
-        seg = np.exp(np.linspace(math.log(top), math.log(bot), _SUBNODES_PER_LEVEL))
-        mesh.append(seg)
-    out = np.unique(np.concatenate(mesh)) if mesh else np.array([h_max])
-    return out  # ascending distances
+    if len(levels) == 1:
+        return np.array([h_max])
+    # math.log, not np.log: the two differ in the last ulp on some levels
+    logs = np.array([math.log(d) for d in levels])
+    mesh = np.exp(np.linspace(logs[:-1], logs[1:], _SUBNODES_PER_LEVEL, axis=1))
+    return np.unique(mesh)  # ascending distances
 
 
 def _sliver_nodes(d_r: float, d_max: float) -> np.ndarray:

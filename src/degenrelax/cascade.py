@@ -19,7 +19,7 @@ from typing import Optional
 
 from .auxweight import build_aux_weight
 from .degeneracy import detect_structure
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_ranges
 from .weights import Exponent, builtin_cascade
 
 MAX_BUMPS = 40
@@ -62,12 +62,10 @@ def cascade_partial_sums(alpha: float, p: Exponent, bumps: int,
         raise AssertionError(
             f"cascade structure has {len(aux.parts)} intervals, expected {bumps}")
 
-    spans = []
-    terms = []
-    for part in aux.parts:
-        res = integrate(aux, part.base.lo, part.q1, cfg)
-        spans.append((part.base.lo, part.base.hi))
-        terms.append(res.value if res.is_finite else math.inf)
+    spans = [(part.base.lo, part.base.hi) for part in aux.parts]
+    masses = integrate_ranges(lambda x, _: aux(x),
+                              [(part.base.lo, part.q1, (), ()) for part in aux.parts], cfg)
+    terms = [res.value if res.is_finite else math.inf for res in masses]
 
     comparison_log2 = [alpha_p * (i + 1) - alpha_p * i for i in range(1, bumps + 1)]
     comparison = [2.0 ** lg for lg in comparison_log2]

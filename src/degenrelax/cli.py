@@ -17,10 +17,10 @@ Exit status: 0 on success, 1 when a requested verification fails, 2 on bad
 input.
 
 The environment variable DEGEN_RELAX_THREADS (a positive integer) caps the
-thread count of the underlying numeric libraries.  It is applied before
-those libraries load, so it must be set in the environment of the process,
-not mutated afterwards.  All algorithms here are single-threaded; the cap
-only affects vendored BLAS-style pools.
+thread count of the underlying numeric libraries.  It is applied when the
+package is imported, before those libraries load, so it must be set in the
+environment of the process, not mutated afterwards.  All algorithms here
+are single-threaded; the cap only affects vendored BLAS-style pools.
 """
 
 from __future__ import annotations
@@ -29,26 +29,10 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-
-
-def _apply_thread_env() -> None:
-    raw = os.environ.get("DEGEN_RELAX_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SystemExit(f"error: DEGEN_RELAX_THREADS={raw!r} is not an integer")
-    if n < 1:
-        raise SystemExit(f"error: DEGEN_RELAX_THREADS must be >= 1, got {n}")
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, str(n))
+from . import _apply_thread_cap
 
 
 def _jsonable(obj):
@@ -441,7 +425,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
+    problem = _apply_thread_cap()
+    if problem:
+        raise SystemExit(f"error: {problem}")
     args = build_parser().parse_args(argv)
     from .quadrature import IndeterminateIntegrabilityError, IntegrandEvaluationError
     from .relaxation import UnsupportedStructureError

@@ -7,11 +7,17 @@ the range is cut into geometrically graded panels; the per-level panel
 contributions c_k then behave like a geometric sequence, which gives both a
 cheap convergence accelerant (sum the geometric tail in closed form) and a
 robust divergence test (the c_k stop decaying exactly when the local
-integral diverges).  Each graded run evaluates all its levels in one batch.
-Surviving panels are then refined in rounds: each round bisects, in one
-batch, the worst panels whose summed Gauss/Kronrod discrepancy covers the
-excess over the error budget, until the budget is met or the panel limit
-is reached.
+integral diverges).  The first pass (every graded run and middle section)
+is evaluated in one batch.  Surviving panels are then refined in rounds:
+each round bisects, in one batch, the worst panels whose summed
+Gauss/Kronrod discrepancy covers the excess over the error budget, until the
+budget is met or the panel limit is reached.
+
+integrate_ranges() runs several ranges in lockstep: their first passes
+share one integrand call, and so does each refinement round, while every
+range walks, refines and sums its own panels exactly as integrate() alone
+would.  Integrands must therefore be elementwise: the value at a node may
+depend on that node (and, for integrate_ranges, its range index) only.
 
 classify_endpoint_integrability() answers the one-sided question "is
 w^(-1/(p-1)) integrable next to z" through the Weight interface alone: by
@@ -124,15 +130,20 @@ class IntegralResult:
         return IntegralResult.divergent(self.value + other.value)
 
 
-def _kronrod(f, lows, highs):
-    """Kronrod value, Gauss/Kronrod discrepancy, first non-finite node and
-    first NaN node (NaN where none) for a batch of panels."""
+def _panel_nodes(lows, highs):
+    """Kronrod nodes (one row per panel) and half-widths of a batch of panels."""
     lows = np.asarray(lows, dtype=float)
     highs = np.asarray(highs, dtype=float)
     mid = 0.5 * (lows + highs)
     half = 0.5 * (highs - lows)
-    xs = mid[:, None] + half[:, None] * _NODES[None, :]
-    vals = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
+    return mid[:, None] + half[:, None] * _NODES[None, :], half
+
+
+def _kronrod(xs, half, vals):
+    """Kronrod value, Gauss/Kronrod discrepancy, first non-finite node and
+    first NaN node (NaN where none) for a batch of panels, from the
+    integrand's values at their nodes."""
+    vals = np.asarray(vals, dtype=float).reshape(xs.shape)
     # panels holding an inf node produce inf/nan sums here; the caller
     # resolves them by grading into the node, so silence the transient warning
     with np.errstate(invalid="ignore"):
@@ -141,7 +152,7 @@ def _kronrod(f, lows, highs):
         err = np.abs(k15 - g7)
     bad = ~np.isfinite(vals)
     if not bad.any():
-        return k15, err, np.full(lows.shape, np.nan), np.full(lows.shape, np.nan)
+        return k15, err, np.full(half.shape, np.nan), np.full(half.shape, np.nan)
     return k15, err, _first_node(xs, bad), _first_node(xs, np.isnan(vals))
 
 
@@ -159,12 +170,37 @@ def _check_nan(nan_at):
         raise IntegrandEvaluationError(f"integrand is NaN at x={x!r}", location=float(x))
 
 
+def _checked(k15, err, bad_at, nan_at):
+    """Kronrod value, discrepancy, finiteness and first non-finite node of
+    evaluated panels; any NaN node raises."""
+    _check_nan(nan_at)
+    return k15, err, np.isnan(bad_at), bad_at
+
+
 def _eval_panels(f, lows, highs):
     """Kronrod value, Gauss/Kronrod discrepancy, finiteness and first
     non-finite node for a batch of panels; any NaN node raises."""
-    k15, err, bad_at, nan_at = _kronrod(f, lows, highs)
-    _check_nan(nan_at)
-    return k15, err, np.isnan(bad_at), bad_at
+    xs, half = _panel_nodes(lows, highs)
+    return _checked(*_kronrod(xs, half, f(xs.ravel())))
+
+
+# The adaptive algorithm is written as step generators: a step yields the
+# flat array of nodes it needs, receives the integrand's values there, and
+# the generator returns its result.  _drive() runs several of them in
+# lockstep, so that one integrand call serves every range at each step.
+
+
+def _kronrod_steps(sets):
+    """Kronrod sums (as _kronrod) of several (lows, highs) panel sets, from
+    one node request."""
+    nodes = [_panel_nodes(lows, highs) for lows, highs in sets]
+    flat = [xs.ravel() for xs, _ in nodes]
+    vals = yield flat[0] if len(flat) == 1 else np.concatenate(flat)
+    out, start = [], 0
+    for xs, half in nodes:
+        out.append(_kronrod(xs, half, vals[start:start + xs.size]))
+        start += xs.size
+    return out
 
 
 _BLOCK = 8  # graded levels walked between two early-exit tests
@@ -179,18 +215,11 @@ class _GradedRun:
     panels: tuple        # (lows, highs, values, errs) of the walked levels
 
 
-def _graded_run(f, anchor: float, outer: float, cfg: QuadratureConfig,
-                resolve_depth: int = 0) -> _GradedRun:
-    """Integrate from `outer` toward `anchor` through geometrically shrinking panels.
+def _graded_panels(anchor: float, outer: float, cfg: QuadratureConfig):
+    """(lows, highs) of the levels of a graded run from `outer` toward `anchor`.
 
     Level k covers the slice between distances width*r^(k+1) and width*r^k
-    from the anchor.  All levels are evaluated in one batch and walked in
-    blocks of eight; a NaN raises, and an inf node is graded into, only in
-    a block the walk reaches.  Divergence is declared when the running sum
-    passes the cap or the level contributions stop decaying over a full
-    trend window.  For a convergent run the untraversed tail is summed in
-    closed form from the fitted decay ratio, and the walked panels are
-    returned for further refinement.
+    from the anchor, down to where the offsets vanish against the anchor.
     """
     width = abs(outer - anchor)
     sgn = 1.0 if outer > anchor else -1.0
@@ -201,9 +230,21 @@ def _graded_run(f, anchor: float, outer: float, cfg: QuadratureConfig,
     dists = dists[:depth + 1]
     edge_a = anchor + sgn * dists[1:]
     edge_b = anchor + sgn * dists[:-1]
-    lows = np.minimum(edge_a, edge_b)
-    highs = np.maximum(edge_a, edge_b)
-    k15, errs, bad_at, nan_at = _kronrod(f, lows, highs)
+    return np.minimum(edge_a, edge_b), np.maximum(edge_a, edge_b)
+
+
+def _walk_graded(lows, highs, sums, cfg: QuadratureConfig, resolve_depth: int = 0):
+    """Walk the evaluated levels of a graded run, outermost first (steps).
+
+    Levels are walked in blocks of eight; a NaN raises, and an inf node is
+    graded into, only in a block the walk reaches.  Divergence is declared
+    when the running sum passes the cap or the level contributions stop
+    decaying over a full trend window.  For a convergent run the untraversed
+    tail is summed in closed form from the fitted decay ratio, and the
+    walked panels are returned for further refinement.
+    """
+    k15, errs, bad_at, nan_at = sums
+    depth = lows.size
     vals, errs, finite = k15.tolist(), errs.tolist(), np.isnan(bad_at).tolist()
 
     contribs: list = []
@@ -217,8 +258,8 @@ def _graded_run(f, anchor: float, outer: float, cfg: QuadratureConfig,
         for i in range(start, stop):
             v = vals[i]
             if not finite[i]:
-                v, e, ok = _resolve_inf_panel(f, float(lows[i]), float(highs[i]),
-                                              float(bad_at[i]), cfg, resolve_depth)
+                v, e, ok = yield from _resolve_inf_panel(
+                    float(lows[i]), float(highs[i]), float(bad_at[i]), cfg, resolve_depth)
                 if not ok:
                     partial += v
                     divergent = True
@@ -285,9 +326,10 @@ def _geometric_tail(values, cfg: QuadratureConfig):
     return sgn * t_a, abs(t_a - t_b) + cfg.abs_tol * mass, False
 
 
-def _resolve_inf_panel(f, lo: float, hi: float, bad: float, cfg: QuadratureConfig,
+def _resolve_inf_panel(lo: float, hi: float, bad: float, cfg: QuadratureConfig,
                        depth: int = 0):
-    """Resolve a panel with a non-finite node by grading into that point from both sides.
+    """Resolve a panel with a non-finite node by grading into that point from
+    both sides (steps).
 
     Returns (value, err, converged); converged=False signals local divergence.
     A panel already at float-width scale cannot be graded further: its nodes
@@ -303,7 +345,9 @@ def _resolve_inf_panel(f, lo: float, hi: float, bad: float, cfg: QuadratureConfi
     for a, b in ((bad, lo), (bad, hi)):
         if a == b:
             continue
-        run = _graded_run(f, a, b, cfg, depth + 1)
+        lows, highs = _graded_panels(a, b, cfg)
+        (sums,) = yield from _kronrod_steps([(lows, highs)])
+        run = yield from _walk_graded(lows, highs, sums, cfg, depth + 1)
         if run.divergent:
             return run.partial, math.inf, False
         total_v += run.partial + run.tail
@@ -311,11 +355,11 @@ def _resolve_inf_panel(f, lo: float, hi: float, bad: float, cfg: QuadratureConfi
     return total_v, total_e, True
 
 
-def _refine_pool(f, lows, highs, vals, errs, cfg: QuadratureConfig):
-    """Bisect panels in rounds until the pooled error meets the budget.
+def _refine_steps(lows, highs, vals, errs, cfg: QuadratureConfig):
+    """Bisect panels in rounds until the pooled error meets the budget (steps).
 
-    Each round splits, in one batch, the worst panels in descending error
-    until their summed error covers the excess over the budget, never
+    Each round splits, in one node request, the worst panels in descending
+    error until their summed error covers the excess over the budget, never
     growing the pool past max_panels; the given arrays may be modified.  The
     total and its error are summed in canonical panel order, which keeps
     them bit-stable across refinement histories.
@@ -339,10 +383,11 @@ def _refine_pool(f, lows, highs, vals, errs, cfg: QuadratureConfig):
         if not pick.size:
             continue
         new_lo, new_hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        k15, perr, finite, bad_at = _eval_panels(f, new_lo, new_hi)
+        (sums,) = yield from _kronrod_steps([(new_lo, new_hi)])
+        k15, perr, finite, bad_at = _checked(*sums)
         for j in np.nonzero(~finite)[0]:
-            v, e, ok = _resolve_inf_panel(f, float(new_lo[j]), float(new_hi[j]),
-                                          float(bad_at[j]), cfg)
+            v, e, ok = yield from _resolve_inf_panel(float(new_lo[j]), float(new_hi[j]),
+                                                     float(bad_at[j]), cfg)
             if not ok:
                 raise IntegrandEvaluationError(
                     f"integrand not locally integrable inside panel near x={bad_at[j]!r}",
@@ -358,19 +403,21 @@ def _refine_pool(f, lows, highs, vals, errs, cfg: QuadratureConfig):
     return float(np.sum(vals[order])), float(np.sum(errs[order]))
 
 
-def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-              cfg: Optional[QuadratureConfig] = None,
-              singular: Sequence[float] = (),
-              breakpoints: Sequence[float] = ()) -> IntegralResult:
-    """Integrate f over (a, b), tolerating power blowups at declared points.
+def _refine_pool(f, lows, highs, vals, errs, cfg: QuadratureConfig):
+    """_refine_steps driven to completion with the integrand f(x)."""
+    return _drive(lambda x, _: f(x), [_refine_steps(lows, highs, vals, errs, cfg)])[0]
 
-    The endpoints a and b are always graded into; interior `singular` points
-    are graded from both sides.  `breakpoints` just cut the range (kinks,
-    piece boundaries) without grading.  Divergent behavior at any graded
-    point classifies the whole integral as divergent, reporting the partial
-    sum accumulated so far.
+
+def _integrate_steps(a: float, b: float, cfg: QuadratureConfig,
+                     singular: Sequence[float] = (), breakpoints: Sequence[float] = ()):
+    """Steps of the adaptive integral of one range (see integrate).
+
+    The first request holds every node of the first pass: both graded runs
+    and the middle panels of each gap between graded points.  The pass is
+    then walked gap by gap, and a divergent run ends it there, as if each
+    gap had been evaluated in turn.  Refinement rounds follow, one request
+    each.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got ({a}, {b})")
     width = b - a
@@ -381,36 +428,128 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     graded_pts = [a] + sing + [b]
     cuts = sorted({float(c) for c in breakpoints if a + tol < c < b - tol})
 
+    sets = []  # per gap: left graded run, right graded run, middle section
+    for lo, hi in zip(graded_pts[:-1], graded_pts[1:]):
+        gap = hi - lo
+        # graded runs cover the nearest third of the gap on each side; the
+        # middle section is cut at declared breakpoints
+        edges = np.array(sorted({lo + gap / 3.0, hi - gap / 3.0,
+                                 *[c for c in cuts if lo + gap / 3.0 < c < hi - gap / 3.0]}))
+        sets += [_graded_panels(lo, lo + gap / 3.0, cfg),
+                 _graded_panels(hi, hi - gap / 3.0, cfg),
+                 (edges[:-1], edges[1:])]
+    sums = yield from _kronrod_steps(sets)
+
     pool = []  # (lows, highs, values, errs) per graded run and middle section
     tails = 0.0
     tail_errs = 0.0
     walked = 0.0
-    for lo, hi in zip(graded_pts[:-1], graded_pts[1:]):
-        gap = hi - lo
-        # graded runs cover the nearest third of the gap on each side
-        run_l = _graded_run(f, lo, lo + gap / 3.0, cfg)
+    for g in range(0, len(sets), 3):
+        run_l = yield from _walk_graded(*sets[g], sums[g], cfg)
         if run_l.divergent:
             return IntegralResult.divergent(walked + run_l.partial)
-        run_r = _graded_run(f, hi, hi - gap / 3.0, cfg)
+        run_r = yield from _walk_graded(*sets[g + 1], sums[g + 1], cfg)
         if run_r.divergent:
             return IntegralResult.divergent(walked + run_l.partial + run_r.partial)
         walked += run_l.partial + run_r.partial
         tails += run_l.tail + run_r.tail
         tail_errs += run_l.tail_err + run_r.tail_err
-        # middle section, cut at declared breakpoints
-        edges = np.array(sorted({lo + gap / 3.0, hi - gap / 3.0,
-                                 *[c for c in cuts if lo + gap / 3.0 < c < hi - gap / 3.0]}))
-        mk15, merr, mfin, minf = _eval_panels(f, edges[:-1], edges[1:])
+        m_lows, m_highs = sets[g + 2]
+        mk15, merr, mfin, minf = _checked(*sums[g + 2])
         for j in np.nonzero(~mfin)[0]:
-            v, e, ok = _resolve_inf_panel(f, float(edges[j]), float(edges[j + 1]),
-                                          float(minf[j]), cfg)
+            v, e, ok = yield from _resolve_inf_panel(float(m_lows[j]), float(m_highs[j]),
+                                                     float(minf[j]), cfg)
             if not ok:
                 return IntegralResult.divergent(walked + v)
             # resolved by its own graded pass; do not re-bisect this span
             mk15[j], merr[j] = v, 0.0
-        pool += [run_l.panels, run_r.panels, (edges[:-1], edges[1:], mk15, merr)]
-    value, err = _refine_pool(f, *(np.concatenate(c) for c in zip(*pool)), cfg)
+        pool += [run_l.panels, run_r.panels, (m_lows, m_highs, mk15, merr)]
+    value, err = yield from _refine_steps(*(np.concatenate(c) for c in zip(*pool)), cfg)
     return IntegralResult.finite(value + tails, err + tail_errs)
+
+
+def _drive(f, steps: list) -> list:
+    """Run step generators in lockstep; returns their results in order.
+
+    Each round joins the pending node requests into one call f(x, index),
+    index holding each node's position in `steps`, and hands every
+    generator its slice of the values.  When generators raise, the
+    exception of the first one in order propagates once every generator
+    before it has finished: the exception a loop running them one after
+    the other would raise.  The generators after it are dropped.
+    """
+    results = [None] * len(steps)
+    failed = None  # (position, exception) of the first generator that raised
+    requests = []  # (position, nodes)
+
+    def advance(i, vals):
+        nonlocal failed
+        try:
+            requests.append((i, steps[i].send(vals)))
+        except StopIteration as done:
+            results[i] = done.value
+        except Exception as exc:  # deferred: an earlier range may still raise
+            failed = (i, exc)
+
+    for i in range(len(steps)):
+        advance(i, None)
+        if failed is not None:
+            break
+    while requests:  # only generators before the failed one request nodes
+        batch, requests = requests, []
+        if len(batch) == 1:  # no copies: a lone range's index is a zero-stride view
+            x = batch[0][1]
+            index = np.broadcast_to(batch[0][0], x.shape)
+        else:
+            x = np.concatenate([xi for _, xi in batch])
+            index = np.repeat([i for i, _ in batch], [xi.size for _, xi in batch])
+        vals = np.asarray(f(x, index), dtype=float).reshape(x.shape)
+        start = 0
+        for i, xi in batch:
+            if failed is None or i < failed[0]:
+                advance(i, vals[start:start + xi.size])
+            start += xi.size
+        del vals  # not kept alive through the next integrand call
+    if failed is not None:
+        raise failed[1]
+    return results
+
+
+def integrate_ranges(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                     ranges: Sequence[tuple],
+                     cfg: Optional[QuadratureConfig] = None) -> list:
+    """Integrate f over several ranges in lockstep; one IntegralResult per range.
+
+    Each range is (a, b, singular, breakpoints) with integrate()'s meaning,
+    and gets exactly the result integrate() would give it alone.  The
+    ranges share every integrand call: one for all first passes, then one
+    per refinement round.  f(x, index) receives the nodes of all ranges and,
+    for each node, the position of its range in `ranges`; an integrand that
+    differs per range must read that index, never infer the range from x
+    (a deep graded node can round onto an endpoint shared by two ranges).
+    f must be elementwise.  If ranges raise, the error of the first of them
+    propagates.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    return _drive(f, [_integrate_steps(a, b, cfg, singular, breakpoints)
+                      for a, b, singular, breakpoints in ranges])
+
+
+def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+              cfg: Optional[QuadratureConfig] = None,
+              singular: Sequence[float] = (),
+              breakpoints: Sequence[float] = ()) -> IntegralResult:
+    """Integrate f over (a, b), tolerating power blowups at declared points.
+
+    The endpoints a and b are always graded into; interior `singular` points
+    are graded from both sides.  `breakpoints` just cut the range (kinks,
+    piece boundaries) without grading.  Divergent behavior at any graded
+    point classifies the whole integral as divergent, reporting the partial
+    sum accumulated so far.  f must be elementwise: it is called on flat
+    arrays that batch many panels, and each value may depend only on its own
+    node.
+    """
+    return integrate_ranges(lambda x, _: f(x), [(a, b, singular, breakpoints)], cfg)[0]
 
 
 # ---------------------------------------------------------------------------

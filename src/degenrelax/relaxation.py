@@ -26,8 +26,10 @@ import numpy as np
 
 from .auxweight import AuxWeight
 from .degeneracy import DegeneracyStructure
-from .quadrature import DEFAULT_CONFIG, IntegralResult, QuadratureConfig, integrate
-from .spaces import MembershipReport, TestFunction, check_membership, lp_aux_norm
+from .quadrature import (DEFAULT_CONFIG, IntegralResult, QuadratureConfig, integrate,
+                         integrate_ranges)
+from .spaces import (MembershipReport, TestFunction, check_membership, energy_density,
+                     lp_aux_norm)
 from .weights import Exponent, Weight
 
 
@@ -62,18 +64,14 @@ def original_functional(u: TestFunction, w: Weight, p: Exponent,
     cfg = cfg or DEFAULT_CONFIG
     if u.tag not in ("AC", "C1"):
         return FunctionalValue.infinite("not absolutely continuous")
-    pp = p.p
-
-    def f(x):
-        return np.abs(u.d(x)) ** pp * np.asarray(w(x), dtype=float)
-
     dom = w.domain
     cuts = [c for c in list(u.breakpoints) if dom.lo < c < dom.hi]
     known = w.known_zeros() or ()
     cuts += [z.location for z in known if dom.lo < z.location < dom.hi]
     for lo, hi in w.zero_regions():
         cuts += [c for c in (lo, hi) if dom.lo < c < dom.hi]
-    res = integrate(f, dom.lo, dom.hi, cfg, breakpoints=sorted(set(cuts)))
+    res = integrate(energy_density(u, w, p.p), dom.lo, dom.hi, cfg,
+                    breakpoints=sorted(set(cuts)))
     if not res.is_finite:
         return FunctionalValue.infinite("energy integral diverges")
     return FunctionalValue.finite(res.value)
@@ -428,17 +426,12 @@ def _assemble_member(u: TestFunction, w: Weight, aux: AuxWeight,
 
     # energy of the member over the whole domain, branch by branch
     removable = [z.location for z in structure.removable_zeros]
+    energies = integrate_ranges(energy_density(ubar, w, pp), [
+        (br.lo, br.hi, [z for z in removable if br.lo < z < br.hi],
+         [b_ for b_ in u.breakpoints if br.lo < b_ < br.hi])
+        for br in branches if br.kind != "constant"], cfg)
     f_val = 0.0
-
-    def energy(xv):
-        return np.abs(pw.deriv(xv)) ** pp * np.asarray(w(xv), dtype=float)
-
-    for br in branches:
-        if br.kind == "constant":
-            continue
-        hints = [z for z in removable if br.lo < z < br.hi]
-        cuts = [b_ for b_ in u.breakpoints if br.lo < b_ < br.hi]
-        res = integrate(energy, br.lo, br.hi, cfg, singular=hints, breakpoints=cuts)
+    for res in energies:
         f_val += res.value if res.is_finite else math.inf
     return ApproxMember(h=h, fn=ubar, x_err=float(x_err_val), f_value=float(f_val),
                         f_gap=float(abs(f_val - f_limit)), seam_mismatch=float(seam_gap))

@@ -20,7 +20,8 @@ import numpy as np
 
 from .auxweight import AuxWeight
 from .degeneracy import DegeneracyStructure
-from .quadrature import DEFAULT_CONFIG, IntegralResult, QuadratureConfig, integrate
+from .quadrature import (DEFAULT_CONFIG, IntegralResult, QuadratureConfig, integrate,
+                         integrate_ranges)
 from .weights import Exponent, Interval, Weight
 
 
@@ -222,6 +223,40 @@ def random_test_functions(domain: Interval, count: int, seed: int,
 # norms and membership
 
 
+def energy_density(u: TestFunction, w: Weight, pp: float):
+    """The energy density |u'|^p w as an integrand f(x, index=None).
+
+    Elementwise; the range index that integrate_ranges passes is unused.
+    """
+    def f(x, index=None):
+        return np.abs(u.d(x)) ** pp * np.asarray(w(x), dtype=float)
+
+    return f
+
+
+def aux_mass_density(u: TestFunction, aux: AuxWeight, shifts: Sequence[float]):
+    """The ambient density |u - c|^p aux^(p-1) as an integrand f(x, index).
+
+    c = shifts[index]: each range of integrate_ranges gets its own shift.
+    Elementwise; a zero shift gives |u|^p aux^(p-1) bit for bit.
+    """
+    c = np.asarray(shifts, dtype=float)
+    pp = aux.exponent.p
+
+    def f(x, index):
+        return np.abs(u(x) - c[index]) ** pp * np.asarray(aux(x), dtype=float) ** (pp - 1.0)
+
+    return f
+
+
+def _aux_ranges(u: TestFunction, aux: AuxWeight) -> list:
+    """One integrate_ranges range per aux part, cut at its quarter points and u's kinks."""
+    return [(part.base.lo, part.base.hi, (),
+             [part.q1, part.q3] + [bp for bp in u.breakpoints
+                                   if part.base.lo < bp < part.base.hi])
+            for part in aux.parts]
+
+
 def seminorm_energy(u: TestFunction, w: Weight, structure: DegeneracyStructure,
                     p: Exponent, cfg: Optional[QuadratureConfig] = None,
                     per_interval: bool = False):
@@ -229,21 +264,12 @@ def seminorm_energy(u: TestFunction, w: Weight, structure: DegeneracyStructure,
 
     With per_interval=True returns (total, tuple of per-interval results).
     """
-    cfg = cfg or DEFAULT_CONFIG
-    pp = p.p
     removable = [z.location for z in structure.removable_zeros]
-
-    def f(x, _u=u, _w=w):
-        return np.abs(_u.d(x)) ** pp * np.asarray(_w(x), dtype=float)
-
-    parts = []
-    for iv in structure.intervals:
-        hints = [r for r in removable if iv.lo < r < iv.hi]
-        cuts = [bp for bp in u.breakpoints if iv.lo < bp < iv.hi]
-        parts.append(integrate(f, iv.lo, iv.hi, cfg, singular=hints, breakpoints=cuts))
-    total = parts[0] if parts else IntegralResult.finite(0.0, 0.0)
-    for r in parts[1:]:
-        total = total + r
+    parts = integrate_ranges(energy_density(u, w, p.p), [
+        (iv.lo, iv.hi, [r for r in removable if iv.lo < r < iv.hi],
+         [bp for bp in u.breakpoints if iv.lo < bp < iv.hi])
+        for iv in structure.intervals], cfg)
+    total = sum(parts, IntegralResult.finite(0.0, 0.0))
     if per_interval:
         return total, tuple(parts)
     return total
@@ -256,19 +282,9 @@ def lp_aux_norm(u: TestFunction, aux: AuxWeight,
     The auxiliary weight vanishes off the interval closures, so this is the
     norm integral over the whole domain.  An empty structure gives 0.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    pp = aux.exponent.p
-
-    def f(x, _u=u, _a=aux):
-        return np.abs(_u(x)) ** pp * np.asarray(_a(x), dtype=float) ** (pp - 1.0)
-
-    total = IntegralResult.finite(0.0, 0.0)
-    for part in aux.parts:
-        iv = part.base
-        cuts = [part.q1, part.q3] + [bp for bp in u.breakpoints if iv.lo < bp < iv.hi]
-        res = integrate(f, iv.lo, iv.hi, cfg, breakpoints=cuts)
-        total = total + res
-    return total
+    parts = integrate_ranges(aux_mass_density(u, aux, np.zeros(len(aux.parts))),
+                             _aux_ranges(u, aux), cfg)
+    return sum(parts, IntegralResult.finite(0.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -329,7 +345,6 @@ def pointwise_poincare_check(u: TestFunction, w: Weight, aux: AuxWeight,
     energy over the outer stretch (lo to x on the left, x to hi on the
     right).
     """
-    cfg = cfg or DEFAULT_CONFIG
     part = aux.parts[interval_index]
     iv = part.base
     mid = iv.mid
@@ -346,25 +361,22 @@ def pointwise_poincare_check(u: TestFunction, w: Weight, aux: AuxWeight,
         raise ValueError(
             f"(eta, x)=({eta}, {x}) violates the ordering for interval ({iv.lo}, {iv.hi})")
 
-    def energy(xv):
-        return np.abs(u.d(xv)) ** pp * np.asarray(w(xv), dtype=float)
-
     aux_eta = float(aux(eta))
     u_eta = float(u(np.array([eta]))[0])
     u_x = float(u(np.array([x]))[0])
 
+    # the energy over the gap (when it is not empty) and over the outer stretch
+    spans = [gap_span, mass_span] if gap_span[0] < gap_span[1] else [mass_span]
+    *g, m = integrate_ranges(energy_density(u, w, pp), [
+        (lo, hi, (), [b for b in u.breakpoints if lo < b < hi]) for lo, hi in spans], cfg)
     gap_lhs = abs(u_x - u_eta) * aux_eta ** (1.0 / aux.exponent.conj)
-    if gap_span[0] < gap_span[1]:
-        g = integrate(energy, gap_span[0], gap_span[1], cfg,
-                      breakpoints=[b for b in u.breakpoints if gap_span[0] < b < gap_span[1]])
-        gap_rhs = g.value ** (1.0 / pp) if g.is_finite else math.inf
+    if g:
+        gap_rhs = g[0].value ** (1.0 / pp) if g[0].is_finite else math.inf
     else:
         gap_rhs = 0.0
     gap_ok = gap_lhs <= gap_rhs * (1.0 + 1e-9)
 
     mass_lhs = abs(u_eta) ** pp * aux_eta ** (pp - 1.0)
-    m = integrate(energy, mass_span[0], mass_span[1], cfg,
-                  breakpoints=[b for b in u.breakpoints if mass_span[0] < b < mass_span[1]])
     m_val = m.value if m.is_finite else math.inf
     mass_rhs = 2.0 ** (pp - 1.0) * (abs(u_x) ** pp * aux_eta ** (pp - 1.0) + m_val)
     mass_ok = mass_lhs <= mass_rhs * (1.0 + 1e-9)
@@ -391,21 +403,13 @@ class PoincareReport:
 def poincare_global_check(u: TestFunction, w: Weight, aux: AuxWeight,
                           structure: DegeneracyStructure, p: Exponent,
                           cfg: Optional[QuadratureConfig] = None) -> PoincareReport:
-    cfg = cfg or DEFAULT_CONFIG
-    pp = p.p
     _, energies = seminorm_energy(u, w, structure, p, cfg, per_interval=True)
+    u_mids = [float(u(np.array([part.base.mid]))[0]) for part in aux.parts]
+    nums = integrate_ranges(aux_mass_density(u, aux, u_mids), _aux_ranges(u, aux), cfg)
     rows = []
     lhs_total = rhs_total = 0.0
-    for part, energy in zip(aux.parts, energies):
-        iv = part.base
-        u_mid = float(u(np.array([iv.mid]))[0])
-
-        def num(xv, _um=u_mid):
-            return np.abs(u(xv) - _um) ** pp * np.asarray(aux(xv), dtype=float) ** (pp - 1.0)
-
-        cuts = [part.q1, part.q3] + [b for b in u.breakpoints if iv.lo < b < iv.hi]
-        n = integrate(num, iv.lo, iv.hi, cfg, breakpoints=cuts)
-        lhs_i = n.value / iv.width if n.is_finite else math.inf
+    for part, energy, n in zip(aux.parts, energies, nums):
+        lhs_i = n.value / part.base.width if n.is_finite else math.inf
         rhs_i = energy.value if energy.is_finite else math.inf
         rows.append((lhs_i, rhs_i))
         lhs_total += lhs_i
@@ -445,7 +449,6 @@ def endpoint_vanishing_check(u: TestFunction, aux: AuxWeight, interval_index: in
                              tol_factor: float = 1e-6) -> VanishingCheck:
     part = aux.parts[interval_index]
     iv = part.base
-    pp = aux.exponent.p
     anchor = iv.lo if side == "left" else iv.hi
     sgn = 1.0 if side == "left" else -1.0
     ks = np.arange(k_lo, k_hi + 1)
@@ -454,7 +457,7 @@ def endpoint_vanishing_check(u: TestFunction, aux: AuxWeight, interval_index: in
     keep = xs != anchor  # drop offsets that collapse at float resolution
     xs = xs[keep]
     offs = offs[keep]
-    vals = np.abs(u(xs)) ** pp * np.asarray(aux(xs), dtype=float) ** (pp - 1.0)
+    vals = aux_mass_density(u, aux, [0.0])(xs, 0)
     peak = float(np.max(vals)) if vals.size else 0.0
     tail = float(np.max(vals[-3:])) if vals.size >= 3 else peak
     ok = vals.size >= 3 and tail <= tol_factor * max(peak, 1e-300)
@@ -497,11 +500,9 @@ def ac_extension_check(u: TestFunction, w: Weight, aux: AuxWeight,
     def du_abs(xv):
         return np.abs(u.d(xv))
 
-    def energy(xv):
-        return np.abs(u.d(xv)) ** pp * np.asarray(w(xv), dtype=float)
-
     l1 = integrate(du_abs, lo, hi, cfg, singular=removable, breakpoints=cuts)
-    en = integrate(energy, lo, hi, cfg, singular=removable, breakpoints=cuts)
+    en = integrate(energy_density(u, w, pp), lo, hi, cfg, singular=removable,
+                   breakpoints=cuts)
     holder_lhs = l1.value if l1.is_finite else math.inf
     if en.is_finite:
         holder_rhs = en.value ** (1.0 / pp) * cls.value ** (1.0 / p.conj)

@@ -75,7 +75,8 @@ def test_criterion_1_figure1_reproduction(tmp_path):
                           "--samples", "129", "--no-timestamp"],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    rows = [(float(r["x"]), float(r["aux"])) for r in csv.DictReader(open(path))]
+    with open(path) as fh:
+        rows = [(float(r["x"]), float(r["aux"])) for r in csv.DictReader(fh)]
     seam_vals = [v for x, v in rows if abs(abs(x) - 1.0) <= 1e-12]
     assert seam_vals and all(v == 0.0 for v in seam_vals)
     for part in aux.parts:

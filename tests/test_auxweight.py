@@ -424,3 +424,39 @@ def test_identity_residual_is_free_of_units(scale):
     for x in (0.05, 0.2, 0.8, 0.95):
         assert derivative_identity_residual(aux, x) <= 1e-4
         assert derivative_identity_residual(doubled, x) >= 0.4
+
+
+def _graded_mesh_loop(h_max, anchor, sgn):
+    """The per-level loop _graded_mesh replaced: the bit-for-bit reference."""
+    levels = [h_max]
+    d = h_max
+    while True:
+        nxt = 0.5 * d
+        if anchor + sgn * nxt == anchor or nxt <= 0.0 or len(levels) > 80:
+            break
+        levels.append(nxt)
+        d = nxt
+    mesh = [np.exp(np.linspace(math.log(top), math.log(bot), 11))
+            for top, bot in zip(levels[:-1], levels[1:])]
+    return np.unique(np.concatenate(mesh)) if mesh else np.array([h_max])
+
+
+def test_graded_mesh_matches_the_level_loop():
+    rng = np.random.default_rng(11)
+    cases = [(0.5, 0.0, 1.0),      # anchor 0: the 80-level cap ends it
+             (1e-300, 0.0, -1.0),
+             (5e-324, 0.0, 1.0),   # no level below h_max
+             (0.5, 1.0, -1.0),     # halving stops where anchor + d rounds to anchor
+             (1e-15, 1e3, 1.0),
+             (3.0, 1e16, -1.0)]
+    for _ in range(400):
+        anchor = rng.choice([0.0, rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-20.0, 20.0)])
+        cases.append((10.0 ** rng.uniform(-300.0, 3.0), anchor, rng.choice([-1.0, 1.0])))
+    sizes = set()
+    for h_max, anchor, sgn in cases:
+        want = _graded_mesh_loop(h_max, anchor, sgn)
+        got = auxweight._graded_mesh(h_max, anchor, sgn)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (h_max, anchor, sgn)
+        sizes.add(want.size)
+    assert 1 in sizes and 801 in sizes  # one level only; the 80-level cap

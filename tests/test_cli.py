@@ -58,7 +58,8 @@ def test_aux_csv_round_trip(tmp_path):
     path = tmp_path / "aux.csv"
     run_cli("aux", "--weight", "figure1", "--csv", str(path),
             "--samples", "129", "--no-timestamp")
-    rows = list(csv.DictReader(open(path)))
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
     # each interval is sampled separately and contributes its own endpoints
     assert len(rows) == 3 * 129
     cfg = QuadratureConfig()
@@ -112,7 +113,8 @@ def test_approx_verdict_and_csv(tmp_path):
     assert d["verdict"]["ok"]
     assert d["h_min"] == 5
     assert d["junctions"] == ["touching", "touching"]
-    rows = list(csv.DictReader(open(path)))
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
     assert [int(r["h"]) for r in rows] == list(d["h_values"])
     assert all(float(r["seam_mismatch"]) == 0.0 for r in rows)
     xerrs = [float(r["x_err"]) for r in rows]
@@ -133,7 +135,8 @@ def test_cascade_csv(tmp_path):
     d = json.loads(out.stdout)
     assert d["increasing"]
     assert all(c == 4.0 for c in d["comparison"])
-    rows = list(csv.DictReader(open(path)))
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 10
     terms = [float(r["term"]) for r in rows]
     assert max(abs(t - (math.log(2.0) - 0.5)) for t in terms) < 1e-8
@@ -163,7 +166,7 @@ def test_out_flag_writes_file(tmp_path):
     path = tmp_path / "out.json"
     out = run_cli("analyze", "--weight", "power:alpha=2", "--out", str(path),
                   "--no-timestamp")
-    d = json.loads(open(path).read())
+    d = json.loads(path.read_text())
     assert d["structure"]["count"] == 1
     assert out.stdout.strip() == "" or json.loads(out.stdout)
 
@@ -179,6 +182,32 @@ def test_thread_env_cap_accepts_valid(tmp_path):
     out = subprocess.run(RUN + ["analyze", "--weight", "figure1"],
                          capture_output=True, text=True, env=env)
     assert out.returncode != 0
+
+
+def test_thread_cap_is_set_before_numpy_loads():
+    # `python -m degenrelax.cli` imports the package, and numpy with it,
+    # before main() runs: the cap must already be in the environment then
+    code = "\n".join([
+        "import importlib.abc, os, runpy, sys",
+        "seen = []",
+        "class Hook(importlib.abc.MetaPathFinder):",
+        "    def find_spec(self, name, path=None, target=None):",
+        "        if name == 'numpy' and not seen:",
+        "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))",
+        "sys.meta_path.insert(0, Hook())",
+        "sys.argv = ['degenrelax', 'analyze', '--weight', 'power:alpha=2', '--no-timestamp']",
+        "try:",
+        "    runpy.run_module('degenrelax.cli', run_name='__main__')",
+        "except SystemExit as exc:",
+        "    assert not exc.code, exc.code",
+        "print(seen)",
+    ])
+    import os
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["DEGEN_RELAX_THREADS"] = "3"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "['3']"
 
 
 def test_weight_json_spec_file(tmp_path):

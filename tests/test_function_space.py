@@ -10,12 +10,16 @@ from hypothesis import strategies as st
 from degenrelax import (
     AuxWeight,
     Exponent,
+    IntegralResult,
     QuadratureConfig,
+    TestFunction,
     ac_extension_check,
     build_aux_weight,
     check_membership,
+    builtin_figure1,
     detect_structure,
     endpoint_vanishing_check,
+    integrate,
     log_edge_function,
     lp_aux_norm,
     poincare_global_check,
@@ -27,6 +31,7 @@ from degenrelax import (
     spline_function,
     sqrt_edge_function,
 )
+from conftest import make_two_tent
 
 CFG = QuadratureConfig()
 
@@ -361,3 +366,109 @@ def test_cli_rejects_unordered_spline_knots(capsys):
                      "--no-timestamp"])
     assert code == 2
     assert "strictly increasing" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the density integrals run their intervals in lockstep; these loops over
+# integrate() are the range-by-range references they must equal bit for bit
+
+
+def _ref_seminorm(u, w, st_, p):
+    removable = [z.location for z in st_.removable_zeros]
+    parts = []
+    for iv in st_.intervals:
+        parts.append(integrate(lambda x: np.abs(u.d(x)) ** p.p * np.asarray(w(x), dtype=float),
+                               iv.lo, iv.hi, CFG,
+                               singular=[r for r in removable if iv.lo < r < iv.hi],
+                               breakpoints=[b for b in u.breakpoints if iv.lo < b < iv.hi]))
+    return parts
+
+
+def _ref_aux_mass(u, aux, shifts):
+    pp = aux.exponent.p
+    parts = []
+    for part, c in zip(aux.parts, shifts):
+        iv = part.base
+        parts.append(integrate(
+            lambda x: np.abs(u(x) - c) ** pp * np.asarray(aux(x), dtype=float) ** (pp - 1.0),
+            iv.lo, iv.hi, CFG,
+            breakpoints=[part.q1, part.q3] + [b for b in u.breakpoints if iv.lo < b < iv.hi]))
+    return parts
+
+
+def _bits(r):
+    return r.kind, r.value.hex(), r.err_estimate.hex()
+
+
+def _kink(b):
+    return TestFunction(fn=lambda x: np.abs(x - b), deriv=lambda x: np.sign(x - b),
+                        tag="AC", label="kink", breakpoints=(b,))
+
+
+@pytest.fixture(scope="module", params=[(name, pv) for name in ("figure1", "two_tent")
+                                        for pv in (1.5, 2.0, 3.0)])
+def any_chain(request):
+    name, pv = request.param
+    w = builtin_figure1() if name == "figure1" else make_two_tent()
+    p = Exponent(pv)
+    st_ = detect_structure(w, p, CFG)
+    return w, st_, build_aux_weight(w, p, st_, CFG), p
+
+
+def test_density_integrals_equal_the_interval_loop(any_chain):
+    w, st_, aux, p = any_chain
+    dom = w.domain
+    knots = np.linspace(dom.lo, dom.hi, 7)
+    us = [spline_function(knots, np.random.default_rng(3).uniform(-1.0, 1.0, 7)),
+          _kink(st_.intervals[0].lo + 0.3 * st_.intervals[0].width)]
+    for u in us:
+        total, parts = seminorm_energy(u, w, st_, p, CFG, per_interval=True)
+        ref = _ref_seminorm(u, w, st_, p)
+        assert [_bits(r) for r in parts] == [_bits(r) for r in ref]
+        assert _bits(total) == _bits(sum(ref, IntegralResult.finite(0.0, 0.0)))
+
+        ref = _ref_aux_mass(u, aux, [0.0] * len(aux.parts))
+        assert _bits(lp_aux_norm(u, aux, CFG)) == _bits(
+            sum(ref, IntegralResult.finite(0.0, 0.0)))
+
+        rep = poincare_global_check(u, w, aux, st_, p, CFG)
+        nums = _ref_aux_mass(u, aux, [float(u(np.array([pt.base.mid]))[0]) for pt in aux.parts])
+        energies = _ref_seminorm(u, w, st_, p)
+        rows = tuple((n.value / pt.base.width, e.value)
+                     for pt, n, e in zip(aux.parts, nums, energies))
+        assert [(a.hex(), b.hex()) for a, b in rep.per_interval] == \
+            [(a.hex(), b.hex()) for a, b in rows]
+
+
+def _recording(u, seen):
+    def deriv(x):
+        seen.append(np.array(x))
+        return u.d(x)
+    return TestFunction(fn=u.fn, deriv=deriv, tag="C1")
+
+
+def test_seminorm_first_pass_is_one_call(figure1_chain, p2):
+    w, st_, _ = figure1_chain
+    seen = []
+    # |u'|^2 w is a sextic here: Gauss-7 is exact, so nothing is refined and
+    # the first pass of all three intervals is the only call
+    seminorm_energy(_recording(poly_function([0.0, 1.0]), seen), w, st_, p2, CFG)
+    assert len(seen) == 1
+    assert all(np.any((seen[0] > iv.lo) & (seen[0] < iv.hi)) for iv in st_.intervals)
+
+    seen.clear()
+    u = _recording(spline_function([-2.0, -1.2, 0.0, 0.7, 2.0], [0.0, 0.5, -1.0, 0.3, 0.0]),
+                   seen)
+    seminorm_energy(u, w, st_, p2, CFG)
+    together = list(seen)
+    alone = []
+    for iv in st_.intervals:
+        seen.clear()
+        integrate(lambda x: np.abs(u.d(x)) ** 2.0 * np.asarray(w(x), dtype=float),
+                  iv.lo, iv.hi, CFG)
+        alone.append(list(seen))
+    assert len(st_.intervals) == 3
+    # the first call holds the first pass of all three intervals; the rounds
+    # after it serve every interval still refining
+    assert np.array_equal(together[0], np.concatenate([calls[0] for calls in alone]))
+    assert len(together) == max(len(calls) for calls in alone)
