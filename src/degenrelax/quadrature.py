@@ -7,11 +7,14 @@ the range is cut into geometrically graded panels; the per-level panel
 contributions c_k then behave like a geometric sequence, which gives both a
 cheap convergence accelerant (sum the geometric tail in closed form) and a
 robust divergence test (the c_k stop decaying exactly when the local
-integral diverges).  The first pass (every graded run and middle section)
-is evaluated in one batch.  Surviving panels are then refined in rounds:
-each round bisects, in one batch, the worst panels whose summed
+integral diverges).  The first pass (every graded run, and the middle third
+of each gap as two panels) is evaluated in one batch.  Once it is walked,
+every walked panel that holds a declared breakpoint is replaced by its
+pieces, all in one more batch.  Surviving panels are then refined in
+rounds: each round quadrisects, in one batch, the worst panels whose summed
 Gauss/Kronrod discrepancy covers the excess over the error budget, until the
-budget is met or the panel limit is reached.
+budget is met or the panel limit is reached.  A kink costs one round per
+quartering of its panel rather than per halving.
 
 integrate_ranges() runs several ranges in lockstep: their first passes
 share one integrand call, and so does each refinement round, while every
@@ -192,14 +195,21 @@ def _eval_panels(f, lows, highs):
 
 def _kronrod_steps(sets):
     """Kronrod sums (as _kronrod) of several (lows, highs) panel sets, from
-    one node request."""
-    nodes = [_panel_nodes(lows, highs) for lows, highs in sets]
-    flat = [xs.ravel() for xs, _ in nodes]
-    vals = yield flat[0] if len(flat) == 1 else np.concatenate(flat)
+    one node request: the sets are joined into one node build and one
+    Kronrod sum, whose per-panel results are then sliced back per set."""
+    if len(sets) == 1:
+        lows, highs = sets[0]
+    else:
+        lows = np.concatenate([lo for lo, _ in sets])
+        highs = np.concatenate([hi for _, hi in sets])
+    xs, half = _panel_nodes(lows, highs)
+    vals = yield xs.ravel()
+    sums = _kronrod(xs, half, vals)
     out, start = [], 0
-    for xs, half in nodes:
-        out.append(_kronrod(xs, half, vals[start:start + xs.size]))
-        start += xs.size
+    for lo, _ in sets:
+        stop = start + len(lo)
+        out.append(tuple(s[start:stop] for s in sums))
+        start = stop
     return out
 
 
@@ -355,16 +365,60 @@ def _resolve_inf_panel(lo: float, hi: float, bad: float, cfg: QuadratureConfig,
     return total_v, total_e, True
 
 
+def _evaluate_steps(lows, highs, cfg: QuadratureConfig):
+    """Kronrod values and discrepancies of new panels, in one node request
+    (steps).  A NaN node raises; a panel with an inf node is resolved by
+    grading into that node, and raises when it is not locally integrable."""
+    (sums,) = yield from _kronrod_steps([(lows, highs)])
+    k15, perr, finite, bad_at = _checked(*sums)
+    for j in np.nonzero(~finite)[0]:
+        v, e, ok = yield from _resolve_inf_panel(float(lows[j]), float(highs[j]),
+                                                 float(bad_at[j]), cfg)
+        if not ok:
+            raise IntegrandEvaluationError(
+                f"integrand not locally integrable inside panel near x={bad_at[j]!r}",
+                location=float(bad_at[j]))
+        k15[j], perr[j] = v, e
+    return k15, perr
+
+
+def _cut_steps(lows, highs, vals, errs, cuts, cfg: QuadratureConfig):
+    """Replace every panel that strictly holds a breakpoint by its pieces (steps).
+
+    All pieces are evaluated in one node request; a pool with no such
+    panel is returned as it is, without a request.
+    """
+    first = np.searchsorted(cuts, lows, side="right")
+    last = np.searchsorted(cuts, highs, side="left")
+    hit = np.nonzero(last > first)[0]
+    if not hit.size:
+        return lows, highs, vals, errs
+    edges = [np.concatenate(([lows[i]], cuts[first[i]:last[i]], [highs[i]])) for i in hit]
+    new_lo = np.concatenate([e[:-1] for e in edges])
+    new_hi = np.concatenate([e[1:] for e in edges])
+    k15, perr = yield from _evaluate_steps(new_lo, new_hi, cfg)
+    keep = np.ones(lows.size, dtype=bool)
+    keep[hit] = False
+    return (np.concatenate([lows[keep], new_lo]), np.concatenate([highs[keep], new_hi]),
+            np.concatenate([vals[keep], k15]), np.concatenate([errs[keep], perr]))
+
+
 def _refine_steps(lows, highs, vals, errs, cfg: QuadratureConfig):
-    """Bisect panels in rounds until the pooled error meets the budget (steps).
+    """Quadrisect panels in rounds until the pooled error meets the budget (steps).
 
     Each round splits, in one node request, the worst panels in descending
-    error until their summed error covers the excess over the budget, never
-    growing the pool past max_panels; the given arrays may be modified.  The
+    error until their summed error covers the excess over the budget, each
+    into four equal panels.  A round takes at most (max_panels - size) // 3
+    panels and refinement stops when none fits, so the pool never passes
+    max_panels; the given arrays may be modified.  A panel whose quarter
+    points do not separate at float resolution is accepted as it is.  The
     total and its error are summed in canonical panel order, which keeps
     them bit-stable across refinement histories.
     """
-    while lows.size < cfg.max_panels:
+    while True:
+        room = (cfg.max_panels - lows.size) // 3
+        if room <= 0:
+            break
         excess = errs.sum() - max(cfg.abs_tol * np.abs(vals).sum(),
                                   cfg.rel_tol * abs(vals.sum()))
         if excess <= 0.0:
@@ -374,29 +428,23 @@ def _refine_steps(lows, highs, vals, errs, cfg: QuadratureConfig):
         if order.size == 0:
             break
         take = int(np.searchsorted(np.cumsum(errs[order]), excess)) + 1
-        pick = order[:min(take, cfg.max_panels - lows.size)]
+        pick = order[:min(take, room)]
         lo, hi = lows[pick], highs[pick]
         mid = 0.5 * (lo + hi)
-        split = (lo < mid) & (mid < hi)
+        q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
+        split = (lo < q1) & (q1 < mid) & (mid < q3) & (q3 < hi)
         errs[pick[~split]] = 0.0  # panel width at float resolution; accept
-        pick, lo, mid, hi = pick[split], lo[split], mid[split], hi[split]
+        pick = pick[split]
         if not pick.size:
             continue
-        new_lo, new_hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        (sums,) = yield from _kronrod_steps([(new_lo, new_hi)])
-        k15, perr, finite, bad_at = _checked(*sums)
-        for j in np.nonzero(~finite)[0]:
-            v, e, ok = yield from _resolve_inf_panel(float(new_lo[j]), float(new_hi[j]),
-                                                     float(bad_at[j]), cfg)
-            if not ok:
-                raise IntegrandEvaluationError(
-                    f"integrand not locally integrable inside panel near x={bad_at[j]!r}",
-                    location=float(bad_at[j]))
-            k15[j], perr[j] = v, e
+        lo, q1, mid, q3, hi = lo[split], q1[split], mid[split], q3[split], hi[split]
+        new_lo = np.concatenate([lo, q1, mid, q3])
+        new_hi = np.concatenate([q1, mid, q3, hi])
+        k15, perr = yield from _evaluate_steps(new_lo, new_hi, cfg)
         n = pick.size
-        highs[pick], vals[pick], errs[pick] = mid, k15[:n], perr[:n]
-        lows = np.concatenate([lows, mid])
-        highs = np.concatenate([highs, hi])
+        highs[pick], vals[pick], errs[pick] = q1, k15[:n], perr[:n]
+        lows = np.concatenate([lows, new_lo[n:]])
+        highs = np.concatenate([highs, new_hi[n:]])
         vals = np.concatenate([vals, k15[n:]])
         errs = np.concatenate([errs, perr[n:]])
     order = np.lexsort((highs, lows))
@@ -415,8 +463,9 @@ def _integrate_steps(a: float, b: float, cfg: QuadratureConfig,
     The first request holds every node of the first pass: both graded runs
     and the middle panels of each gap between graded points.  The pass is
     then walked gap by gap, and a divergent run ends it there, as if each
-    gap had been evaluated in turn.  Refinement rounds follow, one request
-    each.
+    gap had been evaluated in turn.  A second request, made only when some
+    walked panel strictly holds a breakpoint, evaluates the pieces of every
+    such panel.  Refinement rounds follow, one request each.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got ({a}, {b})")
@@ -432,11 +481,13 @@ def _integrate_steps(a: float, b: float, cfg: QuadratureConfig,
     for lo, hi in zip(graded_pts[:-1], graded_pts[1:]):
         gap = hi - lo
         # graded runs cover the nearest third of the gap on each side; the
-        # middle section is cut at declared breakpoints
-        edges = np.array(sorted({lo + gap / 3.0, hi - gap / 3.0,
-                                 *[c for c in cuts if lo + gap / 3.0 < c < hi - gap / 3.0]}))
-        sets += [_graded_panels(lo, lo + gap / 3.0, cfg),
-                 _graded_panels(hi, hi - gap / 3.0, cfg),
+        # middle third is two panels, no wider than a run's outermost
+        # level, and is cut at declared breakpoints
+        m_lo, m_hi = lo + gap / 3.0, hi - gap / 3.0
+        edges = np.array(sorted({m_lo, 0.5 * (m_lo + m_hi), m_hi,
+                                 *[c for c in cuts if m_lo < c < m_hi]}))
+        sets += [_graded_panels(lo, m_lo, cfg),
+                 _graded_panels(hi, m_hi, cfg),
                  (edges[:-1], edges[1:])]
     sums = yield from _kronrod_steps(sets)
 
@@ -464,7 +515,10 @@ def _integrate_steps(a: float, b: float, cfg: QuadratureConfig,
             # resolved by its own graded pass; do not re-bisect this span
             mk15[j], merr[j] = v, 0.0
         pool += [run_l.panels, run_r.panels, (m_lows, m_highs, mk15, merr)]
-    value, err = yield from _refine_steps(*(np.concatenate(c) for c in zip(*pool)), cfg)
+    panels = [np.concatenate(c) for c in zip(*pool)]
+    if cuts:
+        panels = yield from _cut_steps(*panels, np.array(cuts), cfg)
+    value, err = yield from _refine_steps(*panels, cfg)
     return IntegralResult.finite(value + tails, err + tail_errs)
 
 
@@ -542,12 +596,15 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     """Integrate f over (a, b), tolerating power blowups at declared points.
 
     The endpoints a and b are always graded into; interior `singular` points
-    are graded from both sides.  `breakpoints` just cut the range (kinks,
-    piece boundaries) without grading.  Divergent behavior at any graded
-    point classifies the whole integral as divergent, reporting the partial
-    sum accumulated so far.  f must be elementwise: it is called on flat
-    arrays that batch many panels, and each value may depend only on its own
-    node.
+    are graded from both sides.  `breakpoints` cut the range (kinks, piece
+    boundaries) without grading: every panel of the first pass that holds
+    one is cut there before refinement, wherever it lies; one deeper than
+    the walked graded levels lies in the closed-form tail.  Refinement then
+    quadrisects the panels with the largest errors.  Divergent behavior at
+    any graded point classifies the whole integral as divergent, reporting
+    the partial sum accumulated so far.  f must be elementwise: it is called
+    on flat arrays that batch many panels, and each value may depend only on
+    its own node.
     """
     return integrate_ranges(lambda x, _: f(x), [(a, b, singular, breakpoints)], cfg)[0]
 

@@ -28,8 +28,8 @@ from .auxweight import AuxWeight
 from .degeneracy import DegeneracyStructure
 from .quadrature import (DEFAULT_CONFIG, IntegralResult, QuadratureConfig, integrate,
                          integrate_ranges)
-from .spaces import (MembershipReport, TestFunction, check_membership, energy_density,
-                     lp_aux_norm)
+from .spaces import (MembershipReport, TestFunction, check_membership, density_cuts,
+                     energy_density, lp_aux_norm)
 from .weights import Exponent, Weight
 
 
@@ -65,13 +65,10 @@ def original_functional(u: TestFunction, w: Weight, p: Exponent,
     if u.tag not in ("AC", "C1"):
         return FunctionalValue.infinite("not absolutely continuous")
     dom = w.domain
-    cuts = [c for c in list(u.breakpoints) if dom.lo < c < dom.hi]
-    known = w.known_zeros() or ()
-    cuts += [z.location for z in known if dom.lo < z.location < dom.hi]
-    for lo, hi in w.zero_regions():
-        cuts += [c for c in (lo, hi) if dom.lo < c < dom.hi]
+    zeros = [z.location for z in w.known_zeros() or ()]
+    zeros += [c for region in w.zero_regions() for c in region]
     res = integrate(energy_density(u, w, p.p), dom.lo, dom.hi, cfg,
-                    breakpoints=sorted(set(cuts)))
+                    breakpoints=density_cuts(u, w, dom.lo, dom.hi, zeros))
     if not res.is_finite:
         return FunctionalValue.infinite("energy integral diverges")
     return FunctionalValue.finite(res.value)
@@ -428,7 +425,7 @@ def _assemble_member(u: TestFunction, w: Weight, aux: AuxWeight,
     removable = [z.location for z in structure.removable_zeros]
     energies = integrate_ranges(energy_density(ubar, w, pp), [
         (br.lo, br.hi, [z for z in removable if br.lo < z < br.hi],
-         [b_ for b_ in u.breakpoints if br.lo < b_ < br.hi])
+         density_cuts(u, w, br.lo, br.hi))
         for br in branches if br.kind != "constant"], cfg)
     f_val = 0.0
     for res in energies:
@@ -455,10 +452,13 @@ def verify_relaxation(seq: ApproxSequence, x_frac: float = 0.5, f_frac: float = 
     limit in relative terms.  All three must hold."""
     rows = tuple((m.h, m.x_err, m.f_gap, m.seam_mismatch) for m in seq.members)
     first, last = seq.members[0], seq.members[-1]
-    x_ok = last.x_err <= x_frac * first.x_err + 1e-14
-    f_ok = last.f_gap <= f_frac * first.f_gap + 1e-14
-    f_scale = max(abs(seq.f_limit), 1e-12)
-    f_rel = last.f_gap / f_scale
+    # purely relative tests: scaling u scales both sides alike
+    x_ok = last.x_err <= x_frac * first.x_err
+    f_ok = last.f_gap <= f_frac * first.f_gap
+    if seq.f_limit == 0.0:
+        f_rel = 0.0 if last.f_gap == 0.0 else math.inf
+    else:
+        f_rel = last.f_gap / abs(seq.f_limit)
     f_rel_ok = f_rel <= f_rel_tol
     return RelaxationVerdict(bool(x_ok and f_ok and f_rel_ok),
                              bool(x_ok), bool(f_ok), bool(f_rel_ok), float(f_rel), rows)

@@ -20,8 +20,7 @@ import numpy as np
 
 from .auxweight import AuxWeight
 from .degeneracy import DegeneracyStructure
-from .quadrature import (DEFAULT_CONFIG, IntegralResult, QuadratureConfig, integrate,
-                         integrate_ranges)
+from .quadrature import DEFAULT_CONFIG, IntegralResult, QuadratureConfig, integrate_ranges
 from .weights import Exponent, Interval, Weight
 
 
@@ -249,11 +248,21 @@ def aux_mass_density(u: TestFunction, aux: AuxWeight, shifts: Sequence[float]):
     return f
 
 
+def density_cuts(u: TestFunction, w: Weight, lo: float, hi: float,
+                 extra: Sequence[float] = ()) -> list:
+    """The breakpoints of u and w, and any extra points, strictly inside (lo, hi).
+
+    Both densities kink where u or u' does and where w does (the auxiliary
+    weight follows w), so every density integral cuts its ranges here.
+    """
+    return sorted({float(c) for c in (*u.breakpoints, *w.breakpoints(), *extra)
+                   if lo < c < hi})
+
+
 def _aux_ranges(u: TestFunction, aux: AuxWeight) -> list:
-    """One integrate_ranges range per aux part, cut at its quarter points and u's kinks."""
+    """One integrate_ranges range per aux part, cut at its quarter points and the kinks."""
     return [(part.base.lo, part.base.hi, (),
-             [part.q1, part.q3] + [bp for bp in u.breakpoints
-                                   if part.base.lo < bp < part.base.hi])
+             density_cuts(u, aux.weight, part.base.lo, part.base.hi, (part.q1, part.q3)))
             for part in aux.parts]
 
 
@@ -267,7 +276,7 @@ def seminorm_energy(u: TestFunction, w: Weight, structure: DegeneracyStructure,
     removable = [z.location for z in structure.removable_zeros]
     parts = integrate_ranges(energy_density(u, w, p.p), [
         (iv.lo, iv.hi, [r for r in removable if iv.lo < r < iv.hi],
-         [bp for bp in u.breakpoints if iv.lo < bp < iv.hi])
+         density_cuts(u, w, iv.lo, iv.hi))
         for iv in structure.intervals], cfg)
     total = sum(parts, IntegralResult.finite(0.0, 0.0))
     if per_interval:
@@ -368,7 +377,7 @@ def pointwise_poincare_check(u: TestFunction, w: Weight, aux: AuxWeight,
     # the energy over the gap (when it is not empty) and over the outer stretch
     spans = [gap_span, mass_span] if gap_span[0] < gap_span[1] else [mass_span]
     *g, m = integrate_ranges(energy_density(u, w, pp), [
-        (lo, hi, (), [b for b in u.breakpoints if lo < b < hi]) for lo, hi in spans], cfg)
+        (lo, hi, (), density_cuts(u, w, lo, hi)) for lo, hi in spans], cfg)
     gap_lhs = abs(u_x - u_eta) * aux_eta ** (1.0 / aux.exponent.conj)
     if g:
         gap_rhs = g[0].value ** (1.0 / pp) if g[0].is_finite else math.inf
@@ -494,21 +503,24 @@ def ac_extension_check(u: TestFunction, w: Weight, aux: AuxWeight,
     if not cls.integrable:
         raise ValueError(f"transform not integrable on the {side} side; no AC extension there")
     lo, hi = (iv.lo, iv.mid) if side == "left" else (iv.mid, iv.hi)
-    removable = [z.location for z in structure.removable_zeros if lo < z.location < hi]
-    cuts = [b for b in u.breakpoints if lo < b < hi]
+    span = (lo, hi, [z.location for z in structure.removable_zeros if lo < z.location < hi],
+            density_cuts(u, w, lo, hi))
+    energy = energy_density(u, w, pp)
 
-    def du_abs(xv):
-        return np.abs(u.d(xv))
+    def f(x, index):
+        # range 0: |u'|, range 1: |u'|^p w, range 2: u'
+        du = u.d(x)
+        out = np.where(index == 0, np.abs(du), du)
+        m = index == 1
+        out[m] = energy(x[m])
+        return out
 
-    l1 = integrate(du_abs, lo, hi, cfg, singular=removable, breakpoints=cuts)
-    en = integrate(energy_density(u, w, pp), lo, hi, cfg, singular=removable,
-                   breakpoints=cuts)
+    l1, en, signed = integrate_ranges(f, [span] * 3, cfg)
     holder_lhs = l1.value if l1.is_finite else math.inf
     if en.is_finite:
         holder_rhs = en.value ** (1.0 / pp) * cls.value ** (1.0 / p.conj)
     else:
         holder_rhs = math.inf
-    signed = integrate(u.d, lo, hi, cfg, singular=removable, breakpoints=cuts)
     u_mid = float(u(np.array([iv.mid]))[0])
     if side == "left":
         ext = u_mid - (signed.value if signed.is_finite else math.nan)

@@ -159,6 +159,11 @@ class Weight:
         """Scale below which samples of w near z carry no shape information."""
         return 0.0
 
+    def breakpoints(self) -> tuple[float, ...]:
+        """Points strictly inside the domain where w is known to kink or jump,
+        so that density integrals cut their panels there."""
+        return ()
+
     def transform(self, p: Exponent) -> Callable[[np.ndarray], np.ndarray]:
         """The function w^(-1/(p-1)), with +inf wherever w == 0."""
         expo = -1.0 / (p.p - 1.0)
@@ -313,6 +318,8 @@ class PiecewisePowerWeight(Weight):
         self.truncation_count = truncation_count
         self._los = np.array([q.lo for q in self.pieces])
         self._his = np.array([q.hi for q in self.pieces])
+        self._ends = tuple(sorted({e for q in self.pieces for e in (q.lo, q.hi)
+                                   if domain.lo < e < domain.hi}))
 
     def _piece_index(self, x: np.ndarray) -> np.ndarray:
         # index of the piece containing each x ([lo, hi) half open, last piece closed), -1 if none
@@ -379,6 +386,10 @@ class PiecewisePowerWeight(Weight):
                         if q.exponent > 0.0 and q.pivot in (q.lo, q.hi)})
         return tuple(ZeroInfo(z, self.side_exponent(z, -1), self.side_exponent(z, +1))
                      for z in zeros)
+
+    def breakpoints(self) -> tuple[float, ...]:
+        """The piece ends strictly inside the domain."""
+        return self._ends
 
     def zero_regions(self) -> tuple[tuple[float, float], ...]:
         tol = 1e-14 * self.domain.width

@@ -11,6 +11,9 @@ from degenrelax import (
     AuxWeight,
     Exponent,
     IntegralResult,
+    Interval,
+    PiecewisePowerWeight,
+    PowerPiece,
     QuadratureConfig,
     TestFunction,
     ac_extension_check,
@@ -34,6 +37,23 @@ from degenrelax import (
 from conftest import make_two_tent
 
 CFG = QuadratureConfig()
+
+
+def test_seminorm_cuts_at_the_weight_piece_ends():
+    # w kinks where its two pieces meet, inside the one structure interval;
+    # for u = x the energy is the closed-form mass of w
+    lo, mid, hi = 0.3729551931024477, 0.5395756647868786, 0.7365273613522507
+    pieces = [PowerPiece(lo, mid, 1.0657915158228275, lo, 1.3847048324667448),
+              PowerPiece(mid, hi, 8.977471880141731, hi, 2.8387811334591566)]
+    w = PiecewisePowerWeight(Interval(lo, hi), pieces)
+    assert w.breakpoints() == (mid,)
+    p3 = Exponent(3.0)
+    st_ = detect_structure(w, p3, CFG)
+    exact = sum(q.scale * (q.hi - q.lo) ** (q.exponent + 1.0) / (q.exponent + 1.0)
+                for q in pieces)
+    r = seminorm_energy(poly_function([0.0, 1.0]), w, st_, p3, CFG)
+    assert r.value == pytest.approx(exact, rel=1e-13)
+    assert r.err_estimate >= abs(r.value - exact)
 
 
 def test_seminorm_unit_weight(unit_chain, p2):
@@ -260,6 +280,24 @@ def test_extension_at_integrable_edge(figure1_chain, p2):
     assert chk.extension_value == pytest.approx(u_at_edge, abs=1e-9)
 
 
+def test_extension_check_equals_three_separate_integrals(figure1_chain):
+    # one lockstep call over three copies of the half interval, one density each
+    w, st_, aux = figure1_chain
+    u = spline_function([-2.0, -1.2, 0.0, 0.7, 2.0], [0.0, 0.5, -1.0, 0.3, 0.0])
+    iv = aux.parts[0].base
+    pp, conj = aux.exponent.p, aux.exponent.conj
+    chk = ac_extension_check(u, w, aux, st_, 0, "left", CFG)
+    l1 = integrate(lambda x: np.abs(u.d(x)), iv.lo, iv.mid, CFG)
+    en = integrate(lambda x: np.abs(u.d(x)) ** pp * np.asarray(w(x), dtype=float),
+                   iv.lo, iv.mid, CFG)
+    signed = integrate(u.d, iv.lo, iv.mid, CFG)
+    assert chk.holder_lhs.hex() == l1.value.hex()
+    assert chk.holder_rhs.hex() == (en.value ** (1.0 / pp)
+                                    * iv.lo_class.value ** (1.0 / conj)).hex()
+    u_mid = float(u(np.array([iv.mid]))[0])
+    assert chk.extension_value.hex() == (u_mid - signed.value).hex()
+
+
 def test_extension_refused_at_divergent_edge(figure1_chain, p2):
     w, st_, aux = figure1_chain
     u = poly_function([0.0, 1.0])
@@ -380,7 +418,8 @@ def _ref_seminorm(u, w, st_, p):
         parts.append(integrate(lambda x: np.abs(u.d(x)) ** p.p * np.asarray(w(x), dtype=float),
                                iv.lo, iv.hi, CFG,
                                singular=[r for r in removable if iv.lo < r < iv.hi],
-                               breakpoints=[b for b in u.breakpoints if iv.lo < b < iv.hi]))
+                               breakpoints=[b for b in (*u.breakpoints, *w.breakpoints())
+                                            if iv.lo < b < iv.hi]))
     return parts
 
 
@@ -392,7 +431,8 @@ def _ref_aux_mass(u, aux, shifts):
         parts.append(integrate(
             lambda x: np.abs(u(x) - c) ** pp * np.asarray(aux(x), dtype=float) ** (pp - 1.0),
             iv.lo, iv.hi, CFG,
-            breakpoints=[part.q1, part.q3] + [b for b in u.breakpoints if iv.lo < b < iv.hi]))
+            breakpoints=[part.q1, part.q3] + [b for b in (*u.breakpoints, *aux.weight.breakpoints())
+                                              if iv.lo < b < iv.hi]))
     return parts
 
 

@@ -130,11 +130,19 @@ def test_nan_beyond_the_early_exit_is_not_reached():
     assert r.value == pytest.approx(1.0, abs=1e-13)
 
 
+def _refined_node():
+    """Centre node of the first quarter of the middle panel [1/3, 1/2] of
+    (0, 1): a refinement round evaluates it, the first pass (both graded
+    runs and the two middle panels, one call) does not."""
+    lo, hi = 1.0 / 3.0, 0.5
+    mid = 0.5 * (lo + hi)
+    q1 = 0.5 * (lo + mid)
+    return 0.5 * (lo + q1)
+
+
 def test_undeclared_inf_node_met_in_refinement_is_resolved():
-    # c is the centre node of a child of the middle panel [1/3, 2/3], so f
-    # is first evaluated there by a refinement round, after the first pass
-    # (both graded runs and the middle section, one call)
-    c = 0.5 * (1.0 / 3.0 + 0.5)
+    # f is first evaluated at c by a refinement round, after the first pass
+    c = _refined_node()
     hit = []
 
     def f(x):
@@ -145,7 +153,7 @@ def test_undeclared_inf_node_met_in_refinement_is_resolved():
     r = integrate(f, 0.0, 1.0, CFG)
     assert hit.index(True) >= 1
     assert r.is_finite
-    # the actual error, 2.4e-8 relative, exceeds the 7e-11 estimate
+    # the actual error, 5.9e-9 relative, exceeds the 4.4e-11 estimate
     assert r.value == pytest.approx(2.0 * (math.sqrt(c) + math.sqrt(1.0 - c)), rel=1e-7)
 
 
@@ -160,9 +168,11 @@ def test_refinement_never_grows_past_max_panels():
     vals, errs, _, _ = quadrature._eval_panels(f, lows, highs)
     points.clear()
     quadrature._refine_pool(f, lows, highs, vals, errs, QuadratureConfig(max_panels=20))
-    # one panel cannot meet the budget over 40 kinks; each bisection adds a
-    # panel and evaluates two, so the pool ends exactly at the limit
-    assert 1 + sum(points) // 30 == 20
+    # one panel cannot meet the budget over 40 kinks; each quadrisection adds
+    # three panels and evaluates four, and a round takes at most
+    # (20 - size) // 3 panels: 1 -> 4 -> 16 -> 19, where none fits
+    assert sum(points) == 6 * 4 * 15
+    assert 1 + 3 * (sum(points) // 60) == 19
 
 
 def test_repeated_calls_are_bit_identical():
@@ -202,6 +212,46 @@ def _per_range(funcs):
     return f
 
 
+def _counted(f):
+    """f and a one-element list that counts its calls."""
+    calls = [0]
+
+    def g(*args):
+        calls[0] += 1
+        return f(*args)
+    return g, calls
+
+
+def test_breakpoint_in_a_graded_level_is_honored():
+    # 0.1 lies in the left graded run, outside the middle third
+    f, calls = _counted(lambda x: np.abs(x - 0.1))
+    r = integrate(f, 0.0, 1.0, CFG, breakpoints=[0.1])
+    assert abs(r.value - 0.41) <= 1e-14
+    assert calls[0] <= 3
+
+
+def test_breakpoint_is_honored_in_lockstep():
+    kink = lambda x: np.abs(x - 0.1)
+    smooth = lambda x: np.exp(-x)
+    ranges = [(0.0, 1.0, (), [0.1]), (1.0, 2.0, (), ())]
+    f, calls = _counted(_per_range([kink, smooth]))
+    together = integrate_ranges(f, ranges, CFG)
+    assert abs(together[0].value - 0.41) <= 1e-14
+    assert calls[0] <= 3
+    alone = [integrate(kink, 0.0, 1.0, CFG, breakpoints=[0.1]),
+             integrate(smooth, 1.0, 2.0, CFG)]
+    assert [_bits(r) for r in together] == [_bits(r) for r in alone]
+
+
+@pytest.mark.parametrize("z", [0.3, 0.45])
+def test_undeclared_power_kink_takes_few_calls(z):
+    f, calls = _counted(lambda x: np.abs(x - z) ** 1.5)
+    r = integrate(f, 0.0, 1.0, CFG)
+    exact = (z ** 2.5 + (1.0 - z) ** 2.5) / 2.5
+    assert abs(r.value - exact) <= 1e-10
+    assert calls[0] <= 6
+
+
 def _inv_sqrt(c):
     def f(x):
         with np.errstate(divide="ignore"):
@@ -217,7 +267,7 @@ def test_ranges_match_one_range_integrals_bit_for_bit():
         ranges.append((a, b, singular, breakpoints))
 
     # an undeclared inf node first met in a refinement round
-    add(_inv_sqrt(0.5 * (1.0 / 3.0 + 0.5)), 0.0, 1.0)
+    add(_inv_sqrt(_refined_node()), 0.0, 1.0)
     # touching ranges on both sides of 0 and 1: an endpoint blowup, a
     # singular hint with a breakpoint, and 40 undeclared kinks
     add(lambda x: np.maximum(np.abs(x), 1e-300) ** -0.9, -1.0, 0.0)
@@ -237,7 +287,7 @@ def test_ranges_match_one_range_integrals_bit_for_bit():
 def test_first_range_to_raise_wins():
     # range 0 meets its NaN node only in a refinement round; range 1 meets
     # its NaN levels in the first pass, one step earlier
-    c = 0.5 * (1.0 / 3.0 + 0.5)
+    c = _refined_node()
     nan_at_c = lambda x: np.where(x == c, np.nan, 1.0)
     nan_near_1 = lambda x: np.where((x > 1.0) & (x < 1.0 + 1e-6), np.nan, 1.0)
     sharp = lambda x: nan_at_c(x) * np.abs(np.sin(40.0 * math.pi * x))

@@ -245,3 +245,17 @@ def test_x_norm_matches_ambient_norm_scale(figure1_chain, p2):
     seq = build_approx_sequence(u, w, aux, st_, p2, h_values=[8], cfg=CFG)
     amb = lp_aux_norm(u, aux, CFG)
     assert seq.x_norm_u == pytest.approx(amb.value ** 0.5, rel=1e-12)
+
+
+def test_verdict_is_free_of_the_scale_of_u(figure1_chain, p2):
+    # the energy gap and its limit both scale as |c|^p: f_rel and every flag
+    # must read the same from c = 1 down to c = 1e-12
+    w, st_, aux = figure1_chain
+    ys = np.array([0.0, 0.5, -1.0, 0.3, 0.0])
+    verdicts = [verify_relaxation(build_approx_sequence(
+        spline_function(np.linspace(-2.0, 2.0, 5), c * ys), w, aux, st_, p2, cfg=CFG))
+        for c in (1.0, 1e-4, 1e-8, 1e-12)]
+    for v in verdicts:
+        assert v.f_rel == pytest.approx(verdicts[0].f_rel, rel=1e-9)
+        assert (v.ok, v.x_ok, v.f_ok, v.f_rel_ok) == (
+            verdicts[0].ok, verdicts[0].x_ok, verdicts[0].f_ok, verdicts[0].f_rel_ok)
