@@ -68,6 +68,7 @@ _TAIL_TOL = 1e-14         # their size allowed relative to the largest coefficie
 _EPS = float(np.finfo(float).eps)
 _MAX_NOISE = 1.0 / 16.0   # node rounding, in half-widths, that the slope correction may absorb
 _PARTS = np.array([0.0, 0.25, 0.5, 0.75])  # a segment's inner fraction a series may leave out
+_BLOCK = 4096             # points per coefficient gather in a Chebyshev sum
 
 
 def _series_matrices() -> tuple[np.ndarray, np.ndarray]:
@@ -240,13 +241,18 @@ class BranchTable:
 
 
 def _clenshaw(series: np.ndarray, cols: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Sum over k of series[k, cols] * T_k(t), gathering one term at a time."""
-    b1 = np.zeros(t.shape)
-    b2 = np.zeros(t.shape)
-    tt = 2.0 * t
-    for k in range(series.shape[0] - 1, 0, -1):
-        b1, b2 = series[k, cols] + tt * b1 - b2, b1
-    return series[0, cols] + t * b1 - b2
+    """Sum over k of series[k, cols] * T_k(t), gathering the coefficients of
+    up to _BLOCK points at once (a bounded block, not one row per term)."""
+    out = np.empty(t.shape)
+    for at in range(0, t.size, _BLOCK):
+        coef, x = series[:, cols[at:at + _BLOCK]], t[at:at + _BLOCK]
+        b1 = np.zeros(x.shape)
+        b2 = np.zeros(x.shape)
+        tt = 2.0 * x
+        for k in range(series.shape[0] - 1, 0, -1):
+            b1, b2 = coef[k] + tt * b1 - b2, b1
+        out[at:at + _BLOCK] = coef[0] + x * b1 - b2
+    return out
 
 
 class _AuxTable:
@@ -432,15 +438,20 @@ def _build_branch(sigma, endpoint: float, mid: float, removables: Sequence[float
         # mesh keeps those at float-width scale
         plain &= ~((r >= seg_lo) & (r <= seg_hi))
     if np.any(plain):
-        k15, _, finite, _ = _eval_panels(sigma, seg_lo[plain], seg_hi[plain])
+        k15, _, finite, bad_at = _eval_panels(sigma, seg_lo[plain], seg_hi[plain])
         if not np.all(finite):
             # an undeclared blowup: fall back to adaptive panels there
             plain_idx = np.nonzero(plain)[0]
             vals[plain_idx[finite]] = k15[finite]
-            for j in plain_idx[~finite]:
-                r2 = integrate(sigma, float(seg_lo[j]), float(seg_hi[j]), cfg)
+            for j, x in zip(plain_idx[~finite], bad_at[~finite].tolist()):
+                lo, hi = float(seg_lo[j]), float(seg_hi[j])
+                r2 = integrate(sigma, lo, hi, cfg)
                 if not r2.is_finite:
-                    raise ArithmeticError("transform not integrable inside a branch segment")
+                    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES
+                    whole = ", across a whole panel" if not np.isfinite(sigma(nodes)).any() else ""
+                    raise ArithmeticError(
+                        f"transform not integrable inside the branch segment [{lo!r}, {hi!r}]: "
+                        f"sigma is non-finite at x={x!r}{whole}")
                 vals[j] = r2.value
                 plain[j] = False  # partial evaluation must stay adaptive here too
         else:

@@ -8,19 +8,21 @@ contributions c_k then behave like a geometric sequence, which gives both a
 cheap convergence accelerant (sum the geometric tail in closed form) and a
 robust divergence test (the c_k stop decaying exactly when the local
 integral diverges).  The first pass (every graded run, and the middle third
-of each gap as two panels) is evaluated in one batch.  Once it is walked,
-every walked panel that holds a declared breakpoint is replaced by its
-pieces, all in one more batch.  Surviving panels are then refined in
-rounds: each round quadrisects, in one batch, the worst panels whose summed
-Gauss/Kronrod discrepancy covers the excess over the error budget, until the
-budget is met or the panel limit is reached.  A kink costs one round per
-quartering of its panel rather than per halving.
+of each gap as two panels) is evaluated in one batch; then every walked
+panel that holds a declared breakpoint is cut there, in one more batch, and
+refinement rounds quadrisect, one batch each, the worst panels whose summed
+Gauss/Kronrod discrepancy covers the excess over the error budget.
 
-integrate_ranges() runs several ranges in lockstep: their first passes
-share one integrand call, and so does each refinement round, while every
-range walks, refines and sums its own panels exactly as integrate() alone
-would.  Integrands must therefore be elementwise: the value at a node may
-depend on that node (and, for integrate_ranges, its range index) only.
+integrate_ranges() runs several ranges in lockstep, sharing each integrand
+call, while every range walks, refines and sums its own panels exactly as
+integrate() alone would.  Integrands must therefore be elementwise.  The
+control flow runs in arrays: the graded runs of all ranges are the rows of
+one padded (run, level) array, walked at once with sequential cumulative
+sums along the rows, a cumulative count of non-decaying level pairs for the
+trend window, and each row ending at its first divergence or block-end
+exit; the inf levels of all rows are graded into in one request.  Each
+refinement round splits the panels of all ranges in one array step; only
+the choice of the panels to split stays per range, as its sums decide it.
 
 classify_endpoint_integrability() answers the one-sided question "is
 w^(-1/(p-1)) integrable next to z" through the Weight interface alone: by
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -144,8 +147,8 @@ def _panel_nodes(lows, highs):
 
 def _kronrod(xs, half, vals):
     """Kronrod value, Gauss/Kronrod discrepancy, first non-finite node and
-    first NaN node (NaN where none) for a batch of panels, from the
-    integrand's values at their nodes."""
+    first NaN node (NaN where none; both None when every node is finite)
+    for a batch of panels, from the integrand's values at their nodes."""
     vals = np.asarray(vals, dtype=float).reshape(xs.shape)
     # panels holding an inf node produce inf/nan sums here; the caller
     # resolves them by grading into the node, so silence the transient warning
@@ -153,9 +156,10 @@ def _kronrod(xs, half, vals):
         k15 = (vals * _WK).sum(axis=1) * half
         g7 = (vals * _WG).sum(axis=1) * half
         err = np.abs(k15 - g7)
-    bad = ~np.isfinite(vals)
-    if not bad.any():
-        return k15, err, np.full(half.shape, np.nan), np.full(half.shape, np.nan)
+    # a non-finite node makes its panel's sum non-finite
+    bad = None if np.logical_and.reduce(np.isfinite(k15)) else ~np.isfinite(vals)
+    if bad is None or not bad.any():
+        return k15, err, None, None
     return k15, err, _first_node(xs, bad), _first_node(xs, np.isnan(vals))
 
 
@@ -165,408 +169,475 @@ def _first_node(xs, mask):
     return np.where(mask.any(axis=1), xs[np.arange(xs.shape[0]), j], np.nan)
 
 
-def _check_nan(nan_at):
-    """Raise on the first panel that holds a NaN node."""
+def _nan_error(nan_at):
+    """The error for the first panel holding a NaN node, or None."""
     hit = ~np.isnan(nan_at)
-    if hit.any():
-        x = nan_at[np.argmax(hit)]
-        raise IntegrandEvaluationError(f"integrand is NaN at x={x!r}", location=float(x))
-
-
-def _checked(k15, err, bad_at, nan_at):
-    """Kronrod value, discrepancy, finiteness and first non-finite node of
-    evaluated panels; any NaN node raises."""
-    _check_nan(nan_at)
-    return k15, err, np.isnan(bad_at), bad_at
+    if not hit.any():
+        return None
+    x = nan_at[np.argmax(hit)]
+    return IntegrandEvaluationError(f"integrand is NaN at x={x!r}", location=float(x))
 
 
 def _eval_panels(f, lows, highs):
     """Kronrod value, Gauss/Kronrod discrepancy, finiteness and first
     non-finite node for a batch of panels; any NaN node raises."""
     xs, half = _panel_nodes(lows, highs)
-    return _checked(*_kronrod(xs, half, f(xs.ravel())))
+    k15, err, bad_at, nan_at = _kronrod(xs, half, f(xs.ravel()))
+    if bad_at is None:
+        return k15, err, np.ones(k15.shape, dtype=bool), np.full(k15.shape, np.nan)
+    if _nan_error(nan_at):
+        raise _nan_error(nan_at)
+    return k15, err, np.isnan(bad_at), bad_at
 
 
-# The adaptive algorithm is written as step generators: a step yields the
-# flat array of nodes it needs, receives the integrand's values there, and
-# the generator returns its result.  _drive() runs several of them in
-# lockstep, so that one integrand call serves every range at each step.
-
-
-def _kronrod_steps(sets):
-    """Kronrod sums (as _kronrod) of several (lows, highs) panel sets, from
-    one node request: the sets are joined into one node build and one
-    Kronrod sum, whose per-panel results are then sliced back per set."""
-    if len(sets) == 1:
-        lows, highs = sets[0]
-    else:
-        lows = np.concatenate([lo for lo, _ in sets])
-        highs = np.concatenate([hi for _, hi in sets])
-    xs, half = _panel_nodes(lows, highs)
-    vals = yield xs.ravel()
-    sums = _kronrod(xs, half, vals)
-    out, start = [], 0
-    for lo, _ in sets:
-        stop = start + len(lo)
-        out.append(tuple(s[start:stop] for s in sums))
-        start = stop
-    return out
+def _evaluator(f):
+    """evaluate(lows, highs, owner): _kronrod of panels from one call f(x, index),
+    index the range of each node: owner per panel, or one for all (a view)."""
+    def evaluate(lows, highs, owner):
+        xs, half = _panel_nodes(lows, highs)
+        x = xs.ravel()
+        index = (np.broadcast_to(owner, x.shape) if np.ndim(owner) == 0
+                 else np.repeat(owner, _NODES.size))
+        return _kronrod(xs, half, f(x, index))
+    return evaluate
 
 
 _BLOCK = 8  # graded levels walked between two early-exit tests
+_BACK8 = np.arange(8, 0, -1)  # offsets of the last eight of a row
+_FITS = np.array([[8], [4]])  # magnitudes in the two decay-ratio fits
 
 
-@dataclass
-class _GradedRun:
-    divergent: bool
-    partial: float       # sum of level values walked so far
-    tail: float          # closed-form geometric remainder (0 when divergent)
-    tail_err: float
-    panels: tuple        # (lows, highs, values, errs) of the walked levels
+class _Runs:
+    """Graded runs as rows of (run, level) arrays padded to the longest: level k
+    spans distances width*r^(k+1) to width*r^k from the anchor, down to where
+    offsets vanish against it (three levels at least).  vals, errs, bad_at and
+    nan_at hold the levels' sums (see _spread); _walk() adds each outcome."""
+
+    def __init__(self, anchors, outers, owner, cfg: QuadratureConfig):
+        dists = np.abs(outers - anchors)[:, None] * (
+            cfg.geometric_ratio ** np.arange(cfg.max_refinement_depth + 1))
+        a = anchors[:, None]
+        # the offsets shrink: a run ends at the first one lost against the
+        # anchor, on its side away from zero (where one is lost first)
+        size = np.abs(a)
+        size = np.maximum(np.add.reduce(size + dists[:, 1:] != size, axis=1), 3)
+        m = int(size.max())
+        edge = a + np.where(outers > anchors, 1.0, -1.0)[:, None] * dists[:, :m + 1]
+        self.lows = np.minimum(edge[:, 1:], edge[:, :-1])
+        self.highs = np.maximum(edge[:, 1:], edge[:, :-1])
+        self.size, self.owner, self.live = size, owner, np.arange(m) < size[:, None]
 
 
-def _graded_panels(anchor: float, outer: float, cfg: QuadratureConfig):
-    """(lows, highs) of the levels of a graded run from `outer` toward `anchor`.
-
-    Level k covers the slice between distances width*r^(k+1) and width*r^k
-    from the anchor, down to where the offsets vanish against the anchor.
-    """
-    width = abs(outer - anchor)
-    sgn = 1.0 if outer > anchor else -1.0
-    dists = width * cfg.geometric_ratio ** np.arange(cfg.max_refinement_depth + 1)
-    offs = dists[1:]
-    lost = (anchor + offs == anchor) | (anchor - offs == anchor) | (offs == 0.0)
-    depth = max(int(np.argmax(lost)) if lost.any() else offs.size, 3)
-    dists = dists[:depth + 1]
-    edge_a = anchor + sgn * dists[1:]
-    edge_b = anchor + sgn * dists[:-1]
-    return np.minimum(edge_a, edge_b), np.maximum(edge_a, edge_b)
+def _spread(sums, live):
+    """The Kronrod sums of the panels live[...] picks, spread over that padded
+    layout: (vals, errs, bad_at, nan_at), the last two None if all is finite."""
+    vals, errs = np.zeros(live.shape), np.zeros(live.shape)
+    vals[live], errs[live] = sums[0], sums[1]
+    if sums[2] is None:
+        return vals, errs, None, None
+    bad, nan = np.full(live.shape, np.nan), np.full(live.shape, np.nan)
+    bad[live], nan[live] = sums[2], sums[3]
+    return vals, errs, bad, nan
 
 
-def _walk_graded(lows, highs, sums, cfg: QuadratureConfig, resolve_depth: int = 0):
-    """Walk the evaluated levels of a graded run, outermost first (steps).
-
-    Levels are walked in blocks of eight; a NaN raises, and an inf node is
-    graded into, only in a block the walk reaches.  Divergence is declared
-    when the running sum passes the cap or the level contributions stop
-    decaying over a full trend window.  For a convergent run the untraversed
-    tail is summed in closed form from the fitted decay ratio, and the
-    walked panels are returned for further refinement.
-    """
-    k15, errs, bad_at, nan_at = sums
-    depth = lows.size
-    vals, errs, finite = k15.tolist(), errs.tolist(), np.isnan(bad_at).tolist()
-
-    contribs: list = []
-    divergent = False
-    partial = 0.0
-    mass = 0.0  # sum of walked level magnitudes: the run's own scale
+def _walk_levels(vals, size, ends, cfg: QuadratureConfig, lim=None, forced=None):
+    """One pass of the level walk over all rows: (stop, divergent, partial),
+    the level where each walk ended (the padded width if it did not), if it
+    diverged there, and the running sum there (or at its last level).  Row r
+    is read below lim[r] (all of it when lim is None); a level forced[r]
+    below that diverges; ends marks where an early exit is tested."""
+    rows, m = vals.shape
+    if lim is not None:
+        vals = np.where(np.arange(m) < lim[:, None], vals, 0.0)
+        ends = ends & (np.arange(m) < np.minimum(lim, forced)[:, None])
+    part = np.add.accumulate(vals, axis=1)
+    part += 0.0  # a running sum from 0.0 holds no -0.0
+    c = np.abs(vals)
+    mass = np.add.accumulate(c, axis=1)  # walked level magnitudes: the run's own scale
+    big = np.abs(part)
+    event = big > cfg.divergence_cap
+    # a full window of levels that stopped decaying; a zero level is decay and
+    # breaks the streak (dead levels next to the anchor must not read as growth)
+    prev = c[:, :-1]
+    grow = (prev > 0.0) & (c[:, 1:] >= prev * (1.0 - 1e-10))
     win = cfg.trend_window
-    for start in range(0, depth, _BLOCK):
-        stop = min(start + _BLOCK, depth)
-        _check_nan(nan_at[start:stop])
-        for i in range(start, stop):
-            v = vals[i]
-            if not finite[i]:
-                v, e, ok = yield from _resolve_inf_panel(
-                    float(lows[i]), float(highs[i]), float(bad_at[i]), cfg, resolve_depth)
-                if not ok:
-                    partial += v
-                    divergent = True
-                    break
-                vals[i], errs[i] = v, e
-            contribs.append(abs(v))
-            partial += v
-            mass += abs(v)
-            if abs(partial) > cfg.divergence_cap:
-                divergent = True
+    if win < m and np.count_nonzero(grow) >= win:
+        streak = np.zeros((rows, m), dtype=np.int64)
+        np.add.accumulate(grow, axis=1, dtype=np.int64, out=streak[:, 1:])
+        event[:, win:] |= ((streak[:, win:] - streak[:, :m - win] == win)
+                           & (c[:, win:] > 10.0 * cfg.abs_tol * mass[:, win:]))
+    # early exit once the deepest levels are negligible and clearly decaying
+    done = c < 1e-3 * np.maximum(cfg.abs_tol * mass, cfg.rel_tol * big)
+    fall = c[:, 1:] < prev
+    done[:, 2:] &= fall[:, 1:] & fall[:, :-1]
+    done &= ends
+    # the first event ends the walk; a divergence wins over an exit there
+    hit = event | done
+    stop = hit.argmax(axis=1)
+    r = np.arange(rows)
+    divergent = event[r, stop]
+    stop = np.where(hit[r, stop], stop, m)
+    if forced is not None:  # a resolution that diverged ends its run there
+        divergent |= forced < stop
+        stop = np.minimum(stop, forced)
+    return stop, divergent, part[r, np.minimum(stop, size - 1)]
+
+
+def _walk(runs: _Runs, depth: int, cfg: QuadratureConfig, evaluate):
+    """Walk every evaluated run at once, outermost level first, in blocks of
+    eight with an early exit tested at each block end.  A run diverges when
+    its running sum passes the cap or its levels stop decaying over a trend
+    window; a convergent run's tail is summed in closed form.  A NaN raises,
+    and an inf node is graded into (all runs' in one request, then the runs
+    are walked again), only in a block the walk reaches; a resolution that
+    diverges ends its run, as does a non-finite outermost level of a
+    resolution's own run (no isolated spike).  Stores per run n (levels
+    walked), divergent, partial, tail, tail_err, raise_at (NaN: none)."""
+    rows, m = runs.vals.shape
+    lvl = np.arange(m)
+    ends = ((lvl % _BLOCK == _BLOCK - 1) | (lvl == runs.size[:, None] - 1)) & runs.live
+    runs.raise_at = np.full(rows, np.nan)
+    if runs.bad_at is None:
+        stop, divergent, partial = _walk_levels(runs.vals, runs.size, ends, cfg)
+        runs.n = np.where(stop < m, stop + 1, runs.size)
+    else:
+        bad, has_nan = ~np.isnan(runs.bad_at), ~np.isnan(runs.nan_at)
+        first_nan = has_nan.argmax(axis=1)
+        nan_block = np.where(has_nan.any(axis=1), first_nan - first_nan % _BLOCK, m + 1)
+        lim = np.where(bad.any(axis=1), bad.argmax(axis=1), runs.size)
+        forced, sel = np.full(rows, m), np.arange(rows)
+        stop, divergent, partial = np.empty(rows, int), np.empty(rows, bool), np.empty(rows)
+        while sel.size:
+            stop[sel], divergent[sel], partial[sel] = _walk_levels(
+                runs.vals[sel], runs.size[sel], ends[sel], cfg, lim[sel], forced[sel])
+            b = lim[sel]
+            hit = (stop[sel] == m) & (b < runs.size[sel]) & (nan_block[sel] > b)
+            sel, b = sel[hit], b[hit]
+            spread = (b == 0) & (depth > 0)
+            forced[sel[spread]] = 0
+            go, b = sel[~spread], b[~spread]
+            if go.size:
+                v, e, ok, nested = _resolve(runs.lows[go, b], runs.highs[go, b],
+                                            runs.bad_at[go, b], runs.owner[go], depth, cfg,
+                                            evaluate)
+                runs.vals[go, b], runs.errs[go, b] = v, e
+                forced[go[~ok]] = b[~ok]
+                bad[go, b] = False
+                lim[go] = np.where(bad[go].any(axis=1), bad[go].argmax(axis=1), runs.size[go])
+                runs.raise_at[go[~np.isnan(nested)]] = nested[~np.isnan(nested)]
+                sel = np.concatenate((sel[spread], go[np.isnan(nested)]))
+        reached = np.isnan(runs.raise_at) & (nan_block <= np.where(stop < m, stop, lim))
+        runs.raise_at[reached] = runs.nan_at[reached, first_nan[reached]]
+        runs.n = np.where(stop < m, stop + 1 - (divergent & (stop == forced)), runs.size)
+    runs.partial, fit = partial, ~divergent & np.isnan(runs.raise_at)
+    runs.tail, runs.tail_err, flat = _geometric_tails(runs.vals, np.where(fit, runs.n, 0), cfg)
+    runs.divergent = divergent | flat
+
+
+def _geometric_tails(vals, n, cfg: QuadratureConfig):
+    """(tail, tail_err, divergent): closed-form estimates of the untraversed
+    geometric remainders of rows of level values, n[r] walked.  The decay
+    ratio is fitted over the last eight and last four positive magnitudes,
+    the two tails' spread is the error; exact for pure powers.  A fitted
+    ratio within 1e-3 of 1 means the levels failed to decay: divergent."""
+    rows, m = vals.shape
+    mags = np.where(np.arange(m) < n[:, None], np.abs(vals), 0.0)
+    pos = mags > 0.0
+    count = np.add.reduce(pos, axis=1)
+    flat = np.concatenate((mags[pos], [1.0]))  # the positive magnitudes, row after row
+    ends = np.add.accumulate(count)
+    # each row's mass is summed on its own, in numpy's pairwise order
+    mass = np.array([np.add.reduce(flat[e - k:e]) for e, k in zip(ends.tolist(), count.tolist())])
+    # the last eight positive magnitudes, right-aligned over ones
+    last8 = np.where(_BACK8 <= count[:, None], flat[np.maximum(ends[:, None] - _BACK8, 0)], 1.0)
+    top = last8[:, 7]
+    fit = (count >= 3) & (top > 10.0 * cfg.abs_tol * mass)
+    if not fit.any():  # no row's last level is above the noise: no tail
+        return np.zeros(rows), np.zeros(rows), fit
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        logs = np.log(last8[:, 1:] / last8[:, :-1])
+        # mean log ratio over the last eight and the last four magnitudes
+        steps = np.minimum(_FITS, count) - 1
+        rho = np.exp(np.add.reduce(np.where(_BACK8[1:] <= steps[..., None], logs, 0.0), axis=-1)
+                     / steps)
+        t = top * rho / (1.0 - rho)
+        err = np.abs(t[0] - np.where(rho[1] < 1.0, t[1], 2.0 * t[0])) + cfg.abs_tol * mass
+    stalled = fit & (rho[0] >= 1.0 - 1e-3)
+    fit ^= stalled
+    last_v = vals[np.arange(rows), n - 1] + 0.0  # the sign of the last level, +1 for a zero
+    return np.where(fit, np.copysign(t[0], last_v), 0.0), np.where(fit, err, 0.0), stalled
+
+
+def _resolve(lo, hi, bad, owner, depth: int, cfg: QuadratureConfig, evaluate):
+    """Resolve panels with a non-finite node by grading into that node from
+    both sides, left run first, in one request for all panels: per panel
+    (value, err, converged, nan_at), nan_at the NaN node reached (else NaN).
+    A panel whose nodes round onto the bad point, or met two resolutions
+    deep, is massless: the enclosing run and its tail hold the mass around
+    it.  A divergent spike never gets that far: the trend fires first."""
+    val, err = np.zeros(lo.size), np.full(lo.size, cfg.abs_tol)
+    ok, nan_at = np.ones(lo.size, dtype=bool), np.full(lo.size, np.nan)
+    scale = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-300)
+    graded = np.nonzero((hi - lo > 8.0 * np.spacing(scale)) & (depth < 2))[0]
+    if not graded.size:
+        return val, err, ok, nan_at
+    anchors = np.repeat(bad[graded], 2)
+    outers = np.column_stack((lo[graded], hi[graded])).ravel()
+    sides = anchors != outers
+    runs = _Runs(anchors[sides], outers[sides], np.repeat(owner[graded], 2)[sides], cfg)
+    runs.vals, runs.errs, runs.bad_at, runs.nan_at = _spread(
+        evaluate(runs.lows[runs.live], runs.highs[runs.live], np.repeat(runs.owner, runs.size)),
+        runs.live)
+    _walk(runs, depth + 1, cfg, evaluate)
+    row = np.full(sides.size, -1)
+    row[sides] = np.arange(runs.size.size)
+    part, tail, terr = runs.partial.tolist(), runs.tail.tolist(), runs.tail_err.tolist()
+    for i, pair in zip(graded.tolist(), row.reshape(-1, 2).tolist()):
+        total_v = total_e = 0.0
+        for j in (j for j in pair if j >= 0):
+            if not np.isnan(runs.raise_at[j]) or runs.divergent[j]:
+                nan_at[i], val[i], err[i], ok[i] = runs.raise_at[j], part[j], math.inf, False
                 break
-            if len(contribs) > win and contribs[-1] > 10.0 * cfg.abs_tol * mass:
-                recent = contribs[-(win + 1):]
-                # an exactly zero level is decay, not stagnation: it breaks
-                # the streak (integrands supported away from the anchor start
-                # with dead levels, and their onset must not read as growth)
-                if all(a > 0.0 and b >= a * (1.0 - 1e-10)
-                       for a, b in zip(recent, recent[1:])):
-                    divergent = True
-                    break
-        if divergent:
-            break
-        # early exit once the deepest levels are negligible and clearly decaying
-        if len(contribs) >= 4:
-            budget = max(cfg.abs_tol * mass, cfg.rel_tol * abs(partial))
-            if contribs[-1] < 1e-3 * budget and contribs[-1] < contribs[-2] < contribs[-3]:
-                break
-
-    n = len(contribs)
-    tail = tail_err = 0.0
-    if not divergent and n:
-        tail, tail_err, divergent = _geometric_tail(vals[:n], cfg)
-    panels = (lows[:n], highs[:n], np.array(vals[:n]), np.array(errs[:n]))
-    return _GradedRun(divergent, partial, tail, tail_err, panels)
+            total_v += part[j] + tail[j]
+            total_e += terr[j]
+        else:
+            val[i], err[i] = total_v, total_e
+    return val, err, ok, nan_at
 
 
-def _geometric_tail(values, cfg: QuadratureConfig):
-    """Closed-form estimate of the untraversed geometric remainder.
-
-    Fits the decay ratio over the last eight and last four positive level
-    magnitudes; the spread of the two resulting tail sums is the error
-    estimate.  Exact for pure power integrands, where the levels form a true
-    geometric sequence.  A fitted ratio within 1e-3 of 1 at depth exhaustion
-    means the levels failed to decay: the run is reported as divergent.
-    """
-    mags = np.abs(np.array(values, dtype=float))
-    mags = mags[mags > 0.0]
-    mass = float(mags.sum())
-    if mags.size < 3 or mags[-1] <= 10.0 * cfg.abs_tol * mass:
-        return 0.0, 0.0, False
-
-    def fit(n):
-        seg = mags[-n:]
-        return float(np.exp(np.mean(np.log(seg[1:] / seg[:-1]))))
-
-    rho_a = fit(min(8, mags.size))
-    if rho_a >= 1.0 - 1e-3:
-        return 0.0, 0.0, True
-    rho_b = fit(min(4, mags.size))
-    last_v = values[-1]
-    sgn = math.copysign(1.0, last_v) if last_v != 0.0 else 1.0
-    t_a = mags[-1] * rho_a / (1.0 - rho_a)
-    t_b = mags[-1] * rho_b / (1.0 - rho_b) if rho_b < 1.0 else 2.0 * t_a
-    return sgn * t_a, abs(t_a - t_b) + cfg.abs_tol * mass, False
+def _settle(lo, hi, sums, owner, cfg: QuadratureConfig, evaluate):
+    """NaN check and inf resolution of panels, in order: (values, errs, resolved
+    panels, stop), stop the error of the first panel with a NaN node, (bad
+    node, partial) of the first not locally integrable one, or None."""
+    k15, perr, bad_at, nan_at = sums
+    if _nan_error(nan_at):
+        return k15, perr, None, _nan_error(nan_at)
+    j = np.nonzero(~np.isnan(bad_at))[0]
+    v, e, ok, nested = _resolve(lo[j], hi[j], bad_at[j], np.full(j.size, owner), 0, cfg, evaluate)
+    for i in range(j.size):
+        if not np.isnan(nested[i]) or not ok[i]:
+            return k15, perr, None, _nan_error(nested[i:i + 1]) or (bad_at[j[i]], v[i])
+    k15[j], perr[j] = v, e
+    return k15, perr, j, None
 
 
-def _resolve_inf_panel(lo: float, hi: float, bad: float, cfg: QuadratureConfig,
-                       depth: int = 0):
-    """Resolve a panel with a non-finite node by grading into that point from
-    both sides (steps).
+class _Pool:
+    """The panels of one range between its first pass and its result."""
 
-    Returns (value, err, converged); converged=False signals local divergence.
-    A panel already at float-width scale cannot be graded further: its nodes
-    round onto the bad point itself.  Such a panel is counted as massless;
-    the surrounding mass was walked by the enclosing run and its geometric
-    tail.  A genuinely divergent spike never reaches that scale, because the
-    level trend detector fires while the levels are still wide.
-    """
-    scale = max(abs(lo), abs(hi), 1e-300)
-    if depth >= 2 or (hi - lo) <= 8.0 * np.spacing(scale):
-        return 0.0, cfg.abs_tol, True
-    total_v = total_e = 0.0
-    for a, b in ((bad, lo), (bad, hi)):
-        if a == b:
-            continue
-        lows, highs = _graded_panels(a, b, cfg)
-        (sums,) = yield from _kronrod_steps([(lows, highs)])
-        run = yield from _walk_graded(lows, highs, sums, cfg, depth + 1)
-        if run.divergent:
-            return run.partial, math.inf, False
-        total_v += run.partial + run.tail
-        total_e += run.tail_err
-    return total_v, total_e, True
+    def __init__(self, lows, highs, vals, errs, cuts=None, owner=0):
+        self.lows, self.highs, self.vals, self.errs = lows, highs, vals, errs
+        self.cuts, self.owner = cuts, owner
 
+    def pieces(self):
+        """(panels kept, pieces' lows, highs): panels cut at the breakpoints they
+        strictly hold; None if none does."""
+        cuts, self.cuts = self.cuts, None
+        first = np.searchsorted(cuts, self.lows, side="right")
+        last = np.searchsorted(cuts, self.highs, side="left")
+        keep = last <= first
+        hit = np.nonzero(~keep)[0]
+        if not hit.size:
+            return None
+        count = last[hit] - first[hit] + 1
+        at = np.repeat(hit, count)
+        k = np.arange(at.size) - np.repeat(np.cumsum(count) - count, count)
+        c = first[at] + k  # the breakpoint that ends each piece, but the last
+        return (keep, np.where(k == 0, self.lows[at], cuts[np.maximum(c - 1, 0)]),
+                np.where(c == last[at], self.highs[at], cuts[np.minimum(c, cuts.size - 1)]))
 
-def _evaluate_steps(lows, highs, cfg: QuadratureConfig):
-    """Kronrod values and discrepancies of new panels, in one node request
-    (steps).  A NaN node raises; a panel with an inf node is resolved by
-    grading into that node, and raises when it is not locally integrable."""
-    (sums,) = yield from _kronrod_steps([(lows, highs)])
-    k15, perr, finite, bad_at = _checked(*sums)
-    for j in np.nonzero(~finite)[0]:
-        v, e, ok = yield from _resolve_inf_panel(float(lows[j]), float(highs[j]),
-                                                 float(bad_at[j]), cfg)
-        if not ok:
-            raise IntegrandEvaluationError(
-                f"integrand not locally integrable inside panel near x={bad_at[j]!r}",
-                location=float(bad_at[j]))
-        k15[j], perr[j] = v, e
-    return k15, perr
-
-
-def _cut_steps(lows, highs, vals, errs, cuts, cfg: QuadratureConfig):
-    """Replace every panel that strictly holds a breakpoint by its pieces (steps).
-
-    All pieces are evaluated in one node request; a pool with no such
-    panel is returned as it is, without a request.
-    """
-    first = np.searchsorted(cuts, lows, side="right")
-    last = np.searchsorted(cuts, highs, side="left")
-    hit = np.nonzero(last > first)[0]
-    if not hit.size:
-        return lows, highs, vals, errs
-    edges = [np.concatenate(([lows[i]], cuts[first[i]:last[i]], [highs[i]])) for i in hit]
-    new_lo = np.concatenate([e[:-1] for e in edges])
-    new_hi = np.concatenate([e[1:] for e in edges])
-    k15, perr = yield from _evaluate_steps(new_lo, new_hi, cfg)
-    keep = np.ones(lows.size, dtype=bool)
-    keep[hit] = False
-    return (np.concatenate([lows[keep], new_lo]), np.concatenate([highs[keep], new_hi]),
-            np.concatenate([vals[keep], k15]), np.concatenate([errs[keep], perr]))
-
-
-def _refine_steps(lows, highs, vals, errs, cfg: QuadratureConfig):
-    """Quadrisect panels in rounds until the pooled error meets the budget (steps).
-
-    Each round splits, in one node request, the worst panels in descending
-    error until their summed error covers the excess over the budget, each
-    into four equal panels.  A round takes at most (max_panels - size) // 3
-    panels and refinement stops when none fits, so the pool never passes
-    max_panels; the given arrays may be modified.  A panel whose quarter
-    points do not separate at float resolution is accepted as it is.  The
-    total and its error are summed in canonical panel order, which keeps
-    them bit-stable across refinement histories.
-    """
-    while True:
-        room = (cfg.max_panels - lows.size) // 3
+    def select(self, cfg: QuadratureConfig):
+        """The worst panels whose summed error covers the excess over the budget,
+        at most (max_panels - size) // 3; None once it is met or none fits."""
+        room = (cfg.max_panels - self.lows.size) // 3
         if room <= 0:
-            break
-        excess = errs.sum() - max(cfg.abs_tol * np.abs(vals).sum(),
-                                  cfg.rel_tol * abs(vals.sum()))
+            return None
+        vals, errs = self.vals, self.errs
+        excess = np.add.reduce(errs) - max(cfg.abs_tol * np.add.reduce(np.abs(vals)),
+                                           cfg.rel_tol * abs(np.add.reduce(vals)))
         if excess <= 0.0:
-            break
+            return None
         order = np.argsort(-errs, kind="stable")
         order = order[errs[order] > 0.0]
         if order.size == 0:
+            return None
+        return order[:min(int(np.searchsorted(np.cumsum(errs[order]), excess)) + 1, room)]
+
+    def replace(self, drop, lows, highs, k15, perr):
+        """Put new panels in: drop masks the panels kept (a cut), or picks the
+        panels quartered, each replaced by its first quarter; others append."""
+        n = 0
+        if drop.dtype == bool:
+            self.lows, self.highs = self.lows[drop], self.highs[drop]
+            self.vals, self.errs = self.vals[drop], self.errs[drop]
+        else:
+            n = drop.size
+            self.highs[drop], self.vals[drop], self.errs[drop] = highs[:n], k15[:n], perr[:n]
+        self.lows = np.concatenate((self.lows, lows[n:]))
+        self.highs = np.concatenate((self.highs, highs[n:]))
+        self.vals = np.concatenate((self.vals, k15[n:]))
+        self.errs = np.concatenate((self.errs, perr[n:]))
+
+    def total(self):
+        """Value and error summed in canonical panel order: bit-stable."""
+        order = np.lexsort((self.highs, self.lows))
+        return float(np.add.reduce(self.vals[order])), float(np.add.reduce(self.errs[order]))
+
+
+def _refine(pools: list, cfg: QuadratureConfig, evaluate) -> list:
+    """Cut, then refine, all pools in lockstep: per pool (value, err) or the
+    exception it raised.  A pool first cuts the panels holding a breakpoint;
+    each later step quadrisects the panels select() names (a panel whose
+    quarter points do not separate at float resolution is accepted), the
+    geometry of all pools in one array step and their new panels in one
+    request (see _settle).  Pools after one that raised are dropped."""
+    out, live = [None] * len(pools), list(range(len(pools)))
+    while live:
+        # per pool: (what the new panels replace, their lows, highs)
+        plans = {p: pools[p].pieces() for p in live if pools[p].cuts is not None}
+        todo = [p for p in live if plans.get(p) is None]
+        plans = {p: plan for p, plan in plans.items() if plan is not None}
+        while todo:  # a pool none of whose picks split selects again
+            picks = []
+            for p in todo:
+                pick = pools[p].select(cfg)
+                if pick is None:
+                    out[p] = pools[p].total()
+                else:
+                    picks.append((p, pick))
+            if not picks:
+                break
+            lo = np.concatenate([pools[p].lows[k] for p, k in picks])
+            hi = np.concatenate([pools[p].highs[k] for p, k in picks])
+            mid = 0.5 * (lo + hi)
+            q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
+            split = (lo < q1) & (q1 < mid) & (mid < q3) & (q3 < hi)
+            todo, ends = [], [0, *accumulate(k.size for _, k in picks)]
+            for (p, pick), a, b in zip(picks, ends, ends[1:]):
+                at = slice(a, b)
+                if not split[at].all():
+                    pools[p].errs[pick[~split[at]]] = 0.0  # width at float resolution; accept
+                    pick, at = pick[split[at]], np.nonzero(split[at])[0] + a
+                    if not pick.size:
+                        todo.append(p)
+                        continue
+                plans[p] = (pick, np.concatenate((lo[at], q1[at], mid[at], q3[at])),
+                            np.concatenate((q1[at], mid[at], q3[at], hi[at])))
+        live = sorted(plans)
+        if not live:
             break
-        take = int(np.searchsorted(np.cumsum(errs[order]), excess)) + 1
-        pick = order[:min(take, room)]
-        lo, hi = lows[pick], highs[pick]
-        mid = 0.5 * (lo + hi)
-        q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        split = (lo < q1) & (q1 < mid) & (mid < q3) & (q3 < hi)
-        errs[pick[~split]] = 0.0  # panel width at float resolution; accept
-        pick = pick[split]
-        if not pick.size:
-            continue
-        lo, q1, mid, q3, hi = lo[split], q1[split], mid[split], q3[split], hi[split]
-        new_lo = np.concatenate([lo, q1, mid, q3])
-        new_hi = np.concatenate([q1, mid, q3, hi])
-        k15, perr = yield from _evaluate_steps(new_lo, new_hi, cfg)
-        n = pick.size
-        highs[pick], vals[pick], errs[pick] = q1, k15[:n], perr[:n]
-        lows = np.concatenate([lows, new_lo[n:]])
-        highs = np.concatenate([highs, new_hi[n:]])
-        vals = np.concatenate([vals, k15[n:]])
-        errs = np.concatenate([errs, perr[n:]])
-    order = np.lexsort((highs, lows))
-    return float(np.sum(vals[order])), float(np.sum(errs[order]))
+        parts = [plans[p] for p in live]
+        owner = (pools[live[0]].owner if len(live) == 1 else
+                 np.repeat([pools[p].owner for p in live], [lo.size for _, lo, _ in parts]))
+        k15, perr, bad_at, nan_at = evaluate(*(np.concatenate(a) if len(a) > 1 else a[0] for a in (
+            [lo for _, lo, _ in parts], [hi for _, _, hi in parts])), owner)
+        ends = [0, *accumulate(lo.size for _, lo, _ in parts)]
+        for p, (drop, lo, hi), a, b in zip(live, parts, ends, ends[1:]):
+            at = slice(a, b)
+            new, stop = (k15[at], perr[at]), None
+            if bad_at is not None and not np.isnan(bad_at[at]).all():
+                *new, _, stop = _settle(lo, hi, (k15[at], perr[at], bad_at[at], nan_at[at]),
+                                        pools[p].owner, cfg, evaluate)
+            if stop is not None:
+                out[p] = stop if isinstance(stop, Exception) else IntegrandEvaluationError(
+                    f"integrand not locally integrable inside panel near x={stop[0]!r}",
+                    location=float(stop[0]))
+                live = live[:live.index(p)]
+                break
+            pools[p].replace(drop, lo, hi, *new)
+    return out
 
 
 def _refine_pool(f, lows, highs, vals, errs, cfg: QuadratureConfig):
-    """_refine_steps driven to completion with the integrand f(x)."""
-    return _drive(lambda x, _: f(x), [_refine_steps(lows, highs, vals, errs, cfg)])[0]
+    """_refine of one pool of panels with the integrand f(x); modifies them."""
+    (res,) = _refine([_Pool(lows, highs, vals, errs)], cfg, _evaluator(lambda x, _: f(x)))
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
-def _integrate_steps(a: float, b: float, cfg: QuadratureConfig,
-                     singular: Sequence[float] = (), breakpoints: Sequence[float] = ()):
-    """Steps of the adaptive integral of one range (see integrate).
+def _integrate_all(f, pts: list, cuts: list, cfg: QuadratureConfig) -> list:
+    """IntegralResult or exception of each range, given by its graded points
+    and breakpoints (None after one raised).  The first pass of all ranges is
+    one request, one padded row per gap (both graded runs, then the middle);
+    each range then reads its gaps in order, and a divergent run ends it."""
+    evaluate = _evaluator(f)
+    gaps = [len(p) - 1 for p in pts]
+    owner = np.array([r for r, k in enumerate(gaps) for _ in range(k)])
+    ends = [(lo, hi) for p in pts for lo, hi in zip(p[:-1], p[1:])]
+    # graded runs cover the nearest third of each gap on each side; the
+    # middle third is two panels, no wider than a run's outermost level,
+    # and is cut at declared breakpoints
+    m_lo = np.array([lo + (hi - lo) / 3.0 for lo, hi in ends])
+    m_hi = np.array([hi - (hi - lo) / 3.0 for lo, hi in ends])
+    runs = _Runs(np.array(ends, dtype=float).ravel(), np.column_stack((m_lo, m_hi)).ravel(),
+                 np.repeat(owner, 2), cfg)
+    edges = np.column_stack((m_lo, 0.5 * (m_lo + m_hi), m_hi))
+    if any(cuts):  # the breakpoints inside a middle third join its edges
+        at = np.array([c for cs in cuts for c in cs])
+        inner = ((np.repeat(np.arange(len(pts)), [len(cs) for cs in cuts]) == owner[:, None])
+                 & (at > m_lo[:, None]) & (at < m_hi[:, None]))
+        edges = np.sort(np.column_stack((edges, np.where(inner, at, np.inf))), axis=1)
+    dup = edges[:, 1:] == edges[:, :-1]
+    if dup.any():  # an edge counts once
+        edges[:, 1:][dup] = np.inf
+        edges.sort(axis=1)
+    edges = edges[:, :np.add.reduce(edges < np.inf, axis=1).max()]
+    w = runs.live.size // owner.size
+    lows, highs, live = (np.concatenate((a.reshape(owner.size, w), b), axis=1) for a, b in (
+        (runs.lows, edges[:, :-1]), (runs.highs, edges[:, 1:]),
+        (runs.live, edges[:, 1:] < np.inf)))
+    vals, errs, bad, nan = _spread(evaluate(lows[live], highs[live], 0 if len(pts) == 1 else
+                                            np.repeat(owner, np.add.reduce(live, axis=1))), live)
+    runs.vals, runs.errs, runs.bad_at, runs.nan_at = (
+        None if a is None else a[:, :w].reshape(runs.lows.shape) for a in (vals, errs, bad, nan))
+    _walk(runs, 0, cfg, evaluate)
 
-    The first request holds every node of the first pass: both graded runs
-    and the middle panels of each gap between graded points.  The pass is
-    then walked gap by gap, and a divergent run ends it there, as if each
-    gap had been evaluated in turn.  A second request, made only when some
-    walked panel strictly holds a breakpoint, evaluates the pieces of every
-    such panel.  Refinement rounds follow, one request each.
-    """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValueError(f"need finite a < b, got ({a}, {b})")
-    width = b - a
-    tol = 1e-14 * width
-
-    sing = sorted({float(s) for s in singular})
-    sing = [s for s in sing if a + tol < s < b - tol]
-    graded_pts = [a] + sing + [b]
-    cuts = sorted({float(c) for c in breakpoints if a + tol < c < b - tol})
-
-    sets = []  # per gap: left graded run, right graded run, middle section
-    for lo, hi in zip(graded_pts[:-1], graded_pts[1:]):
-        gap = hi - lo
-        # graded runs cover the nearest third of the gap on each side; the
-        # middle third is two panels, no wider than a run's outermost
-        # level, and is cut at declared breakpoints
-        m_lo, m_hi = lo + gap / 3.0, hi - gap / 3.0
-        edges = np.array(sorted({m_lo, 0.5 * (m_lo + m_hi), m_hi,
-                                 *[c for c in cuts if m_lo < c < m_hi]}))
-        sets += [_graded_panels(lo, m_lo, cfg),
-                 _graded_panels(hi, m_hi, cfg),
-                 (edges[:-1], edges[1:])]
-    sums = yield from _kronrod_steps(sets)
-
-    pool = []  # (lows, highs, values, errs) per graded run and middle section
-    tails = 0.0
-    tail_errs = 0.0
-    walked = 0.0
-    for g in range(0, len(sets), 3):
-        run_l = yield from _walk_graded(*sets[g], sums[g], cfg)
-        if run_l.divergent:
-            return IntegralResult.divergent(walked + run_l.partial)
-        run_r = yield from _walk_graded(*sets[g + 1], sums[g + 1], cfg)
-        if run_r.divergent:
-            return IntegralResult.divergent(walked + run_l.partial + run_r.partial)
-        walked += run_l.partial + run_r.partial
-        tails += run_l.tail + run_r.tail
-        tail_errs += run_l.tail_err + run_r.tail_err
-        m_lows, m_highs = sets[g + 2]
-        mk15, merr, mfin, minf = _checked(*sums[g + 2])
-        for j in np.nonzero(~mfin)[0]:
-            v, e, ok = yield from _resolve_inf_panel(float(m_lows[j]), float(m_highs[j]),
-                                                     float(minf[j]), cfg)
-            if not ok:
-                return IntegralResult.divergent(walked + v)
-            # resolved by its own graded pass; do not re-bisect this span
-            mk15[j], merr[j] = v, 0.0
-        pool += [run_l.panels, run_r.panels, (m_lows, m_highs, mk15, merr)]
-    panels = [np.concatenate(c) for c in zip(*pool)]
-    if cuts:
-        panels = yield from _cut_steps(*panels, np.array(cuts), cfg)
-    value, err = yield from _refine_steps(*panels, cfg)
-    return IntegralResult.finite(value + tails, err + tail_errs)
-
-
-def _drive(f, steps: list) -> list:
-    """Run step generators in lockstep; returns their results in order.
-
-    Each round joins the pending node requests into one call f(x, index),
-    index holding each node's position in `steps`, and hands every
-    generator its slice of the values.  When generators raise, the
-    exception of the first one in order propagates once every generator
-    before it has finished: the exception a loop running them one after
-    the other would raise.  The generators after it are dropped.
-    """
-    results = [None] * len(steps)
-    failed = None  # (position, exception) of the first generator that raised
-    requests = []  # (position, nodes)
-
-    def advance(i, vals):
-        nonlocal failed
-        try:
-            requests.append((i, steps[i].send(vals)))
-        except StopIteration as done:
-            results[i] = done.value
-        except Exception as exc:  # deferred: an earlier range may still raise
-            failed = (i, exc)
-
-    for i in range(len(steps)):
-        advance(i, None)
-        if failed is not None:
-            break
-    while requests:  # only generators before the failed one request nodes
-        batch, requests = requests, []
-        if len(batch) == 1:  # no copies: a lone range's index is a zero-stride view
-            x = batch[0][1]
-            index = np.broadcast_to(batch[0][0], x.shape)
+    part, tail, terr = runs.partial.tolist(), runs.tail.tolist(), runs.tail_err.tolist()
+    divergent = runs.divergent.tolist()
+    raise_at = runs.raise_at.tolist()
+    out, tails, g0 = [None] * len(pts), {}, 0
+    for r, k in enumerate(gaps):
+        walked = t_sum = e_sum = 0.0
+        for g in range(g0, g0 + k):
+            acc = walked
+            for i in (2 * g, 2 * g + 1):
+                acc += part[i]
+                if not math.isnan(raise_at[i]) or divergent[i]:
+                    out[r] = _nan_error(np.array(raise_at[i:i + 1])) or \
+                        IntegralResult.divergent(acc)
+                    break
+            if out[r] is not None:
+                break
+            walked += part[2 * g] + part[2 * g + 1]
+            t_sum += tail[2 * g] + tail[2 * g + 1]
+            e_sum += terr[2 * g] + terr[2 * g + 1]
+            if bad is not None and not np.isnan(bad[g, w:]).all():
+                _, _, resolved, stop = _settle(lows[g, w:], highs[g, w:], (
+                    vals[g, w:], errs[g, w:], bad[g, w:], nan[g, w:]), r, cfg, evaluate)
+                if stop is not None:
+                    out[r] = stop if isinstance(stop, Exception) else IntegralResult.divergent(
+                        walked + stop[1])
+                    break
+                errs[g, w + resolved] = 0.0  # resolved by its own graded pass: not refined
         else:
-            x = np.concatenate([xi for _, xi in batch])
-            index = np.repeat([i for i, _ in batch], [xi.size for _, xi in batch])
-        vals = np.asarray(f(x, index), dtype=float).reshape(x.shape)
-        start = 0
-        for i, xi in batch:
-            if failed is None or i < failed[0]:
-                advance(i, vals[start:start + xi.size])
-            start += xi.size
-        del vals  # not kept alive through the next integrand call
-    if failed is not None:
-        raise failed[1]
-    return results
+            tails[r] = (t_sum, e_sum)
+        g0 += k
+        if isinstance(out[r], Exception):
+            break  # the ranges after it are dropped
+
+    # the pool of each pending range: its walked levels and middle panels
+    vals[:, :w], errs[:, :w] = runs.vals.reshape(-1, w), runs.errs.reshape(-1, w)  # resolved
+    keep = np.concatenate(((np.arange(w // 2) < runs.n[:, None]).reshape(owner.size, w),
+                           live[:, w:]), axis=1)
+    arrays = [a[keep] for a in (lows, highs, vals, errs)]
+    bounds = np.concatenate(([0], np.add.accumulate(np.add.reduce(keep, axis=1))))[
+        np.concatenate(([0], np.add.accumulate(gaps)))].tolist()
+    pools = [_Pool(*(a[bounds[r]:bounds[r + 1]] for a in arrays),
+                   np.array(cuts[r]) if cuts[r] else None, r) for r in tails]
+    for r, res in zip(tails, _refine(pools, cfg, evaluate)):
+        out[r] = (IntegralResult.finite(res[0] + tails[r][0], res[1] + tails[r][1])
+                  if isinstance(res, tuple) else res)
+    return out
 
 
 def integrate_ranges(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -585,8 +656,20 @@ def integrate_ranges(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     propagates.
     """
     cfg = cfg or DEFAULT_CONFIG
-    return _drive(f, [_integrate_steps(a, b, cfg, singular, breakpoints)
-                      for a, b, singular, breakpoints in ranges])
+    pts, cuts, invalid = [], [], None
+    for a, b, singular, breakpoints in ranges:
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            invalid = ValueError(f"need finite a < b, got ({a}, {b})")
+            break  # the ranges before it still run, and may raise first
+        tol = 1e-14 * (b - a)
+        sing = sorted({float(s) for s in singular})
+        pts.append([a] + [s for s in sing if a + tol < s < b - tol] + [b])
+        cuts.append(sorted({float(c) for c in breakpoints if a + tol < c < b - tol}))
+    out = _integrate_all(f, pts, cuts, cfg) if pts else []
+    for res in out + [invalid]:
+        if isinstance(res, Exception):
+            raise res
+    return out
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -607,6 +690,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     its own node.
     """
     return integrate_ranges(lambda x, _: f(x), [(a, b, singular, breakpoints)], cfg)[0]
+
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import signal
 import time
 
 import numpy as np
@@ -460,3 +461,26 @@ def test_graded_mesh_matches_the_level_loop():
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), (h_max, anchor, sgn)
         sizes.add(want.size)
     assert 1 in sizes and 801 in sizes  # one level only; the 80-level cap
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_grid_zero_at_the_origin_fails_fast():
+    # next to 0 the interpolant underflows to exactly 0, so sigma is +inf on
+    # every node of the deepest branch segments; grading into such a panel
+    # once shows that its bad node is no isolated spike
+    xs = np.linspace(-1.0, 1.0, 33)
+    w = GridSampledWeight(xs, np.abs(xs) ** 2 * (1.0 + 0.2 * np.cos(5.0 * xs)))
+    p = Exponent(1.5)
+    st_ = detect_structure(w, p, CFG)
+
+    def expire(*_):
+        raise TimeoutError("build_aux_weight ran past its 1 s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(1)
+    try:
+        with pytest.raises(ArithmeticError, match=r"non-finite at x=.*across a whole panel"):
+            build_aux_weight(w, p, st_, CFG)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,6 +1,7 @@
 """Adaptive integration: frozen values, divergence detection, classifier."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -350,3 +351,267 @@ def test_grid_weight_near_threshold_is_indeterminate(tmp_path):
     cls = classify_endpoint_integrability(w, Exponent(3.0), 0.0, 1.0, CFG)
     assert cls.integrable
     assert cls.value == pytest.approx(2.0, rel=5e-3)  # int_0^1 x^(-1/2)
+
+
+# ---------------------------------------------------------------------------
+# the array walker against the scalar walk it replaced
+
+
+def _ref_tail(values, cfg):
+    """The scalar geometric tail: (tail, tail_err, divergent)."""
+    mags = np.abs(np.array(values, dtype=float))
+    mags = mags[mags > 0.0]
+    mass = float(mags.sum())
+    if mags.size < 3 or mags[-1] <= 10.0 * cfg.abs_tol * mass:
+        return 0.0, 0.0, False
+
+    def fit(n):
+        seg = mags[-n:]
+        return float(np.exp(np.mean(np.log(seg[1:] / seg[:-1]))))
+
+    rho_a = fit(min(8, mags.size))
+    if rho_a >= 1.0 - 1e-3:
+        return 0.0, 0.0, True
+    rho_b = fit(min(4, mags.size))
+    last_v = values[-1]
+    sgn = math.copysign(1.0, last_v) if last_v != 0.0 else 1.0
+    t_a = mags[-1] * rho_a / (1.0 - rho_a)
+    t_b = mags[-1] * rho_b / (1.0 - rho_b) if rho_b < 1.0 else 2.0 * t_a
+    return sgn * t_a, abs(t_a - t_b) + cfg.abs_tol * mass, False
+
+
+def _ref_walk(vals, bad_at, nan_at, cfg, resolve, depth):
+    """The scalar level walk of one graded run, outermost level first:
+    (levels walked, divergent, partial, tail, tail_err).
+
+    Blocks of eight levels; a NaN raises, and an inf level is resolved by
+    resolve(bad node) -> (value, err, converged), only in a block the walk
+    reaches.  A resolution's own run (depth > 0) whose outermost level is
+    not finite diverges at once.
+    """
+    vals = list(vals)
+    contribs = []
+    divergent = False
+    partial = mass = 0.0
+    win = cfg.trend_window
+    for start in range(0, len(vals), 8):
+        stop = min(start + 8, len(vals))
+        for j in range(start, stop):
+            if not math.isnan(nan_at[j]):
+                raise IntegrandEvaluationError("NaN", location=nan_at[j])
+        for i in range(start, stop):
+            v = vals[i]
+            if not math.isnan(bad_at[i]):
+                v, _, ok = (0.0, math.inf, False) if depth and i == 0 else resolve(bad_at[i])
+                if not ok:
+                    partial += v
+                    divergent = True
+                    break
+                vals[i] = v
+            contribs.append(abs(v))
+            partial += v
+            mass += abs(v)
+            if abs(partial) > cfg.divergence_cap:
+                divergent = True
+                break
+            if len(contribs) > win and contribs[-1] > 10.0 * cfg.abs_tol * mass:
+                recent = contribs[-(win + 1):]
+                if all(a > 0.0 and b >= a * (1.0 - 1e-10) for a, b in zip(recent, recent[1:])):
+                    divergent = True
+                    break
+        if divergent:
+            break
+        if len(contribs) >= 4:
+            budget = max(cfg.abs_tol * mass, cfg.rel_tol * abs(partial))
+            if contribs[-1] < 1e-3 * budget and contribs[-1] < contribs[-2] < contribs[-3]:
+                break
+    n = len(contribs)
+    tail = tail_err = 0.0
+    if not divergent and n:
+        tail, tail_err, divergent = _ref_tail(vals[:n], cfg)
+    return n, divergent, partial, tail, tail_err
+
+
+def _random_rows(rng, count, kinds):
+    """Level rows of random kinds and lengths 3..61, each with its own
+    bad-node and NaN-node columns (NaN where the level is finite), and the
+    resolution of each inf level: bad node -> (value, err, converged, nested NaN)."""
+    rows, resolutions = [], {}
+    for r in range(count):
+        size = int(rng.integers(3, 62))
+        kind = kinds[r % len(kinds)]
+        k = np.arange(size)
+        scale = 10.0 ** rng.uniform(-8, 8) * rng.choice([-1.0, 1.0])
+        if kind == "decay":
+            vals = scale * rng.uniform(0.2, 0.9) ** k * (1.0 + 0.05 * rng.standard_normal(size))
+        elif kind == "power":  # a blowup: levels decay slowly or not at all
+            vals = scale * rng.uniform(0.9, 1.02) ** k
+        elif kind == "plateau":
+            vals = scale * 0.5 ** np.minimum(k, rng.integers(0, 30))
+        elif kind == "dead":  # zero levels first (all of them, now and then)
+            vals = np.where(k < rng.integers(1, size + 2), 0.0 * scale, scale * 0.6 ** k)
+        elif kind == "creep":  # magnitudes falling by less or more than the 1e-10 slack
+            vals = scale * (1.0 - rng.choice([3e-11, 3e-10])) ** k
+        else:  # oscillating
+            vals = scale * 0.7 ** k * np.cos(k * rng.uniform(0.5, 3.0))
+        bad = np.full(size, np.nan)
+        nan = np.full(size, np.nan)
+        for _ in range(int(rng.integers(0, 3))):
+            i = int(rng.integers(0, size))
+            loc = 1000.0 * r + i + 0.5
+            bad[i] = loc
+            vals[i] = math.inf
+            if rng.random() < 0.35:
+                nan[i] = loc
+                vals[i] = math.nan
+            else:
+                pick = rng.random()
+                resolutions[loc] = (float(scale * rng.uniform(0.0, 1.0) * 0.5 ** i), 1e-12,
+                                    pick > 0.2, 0.25 + loc if pick < 0.05 else math.nan)
+        rows.append((vals, bad, nan))
+    return rows, resolutions
+
+
+def _array_walk(rows, resolutions, cfg, depth, monkeypatch):
+    """The array walker over the rows at once, inf levels resolved from the table."""
+    m = max(v.size for v, _, _ in rows)
+
+    def pad(a, fill):
+        return np.array([np.concatenate((x, np.full(m - x.size, fill))) for x in a])
+
+    def resolve(lo, hi, bad, owner, depth, cfg, evaluate):
+        out = [resolutions[b] for b in bad.tolist()]
+        return tuple(np.array(col) for col in zip(*out))
+
+    monkeypatch.setattr(quadrature, "_resolve", resolve)
+    vals = pad([v for v, _, _ in rows], 0.0)
+    bad = pad([b for _, b, _ in rows], np.nan)
+    size = np.array([v.size for v, _, _ in rows])
+    runs = SimpleNamespace(vals=vals, errs=np.zeros(vals.shape), size=size,
+                           live=np.arange(m) < size[:, None], lows=vals, highs=vals,
+                           owner=np.zeros(len(rows), dtype=int),
+                           bad_at=bad if not np.isnan(bad).all() else None,
+                           nan_at=pad([nn for _, _, nn in rows], np.nan))
+    quadrature._walk(runs, depth, cfg, None)
+    return runs
+
+
+def _compare_walks(rows, resolutions, cfg, depth, monkeypatch):
+    """Walk the rows with the array walker and each with the scalar walk;
+    assert equal outcomes and return each row's kind of outcome."""
+    runs = _array_walk(rows, resolutions, cfg, depth, monkeypatch)
+
+    def resolve(b):
+        v, e, ok, nested = resolutions[b]
+        if not math.isnan(nested):
+            raise IntegrandEvaluationError("NaN", location=nested)
+        return v, e, ok
+
+    outcomes = []
+    for r, (vals, bad, nan) in enumerate(rows):
+        try:
+            want = _ref_walk(vals, bad, nan, cfg, resolve, depth)
+        except IntegrandEvaluationError as exc:
+            assert runs.raise_at[r] == exc.location
+            outcomes.append("raise")
+            continue
+        assert math.isnan(runs.raise_at[r])
+        got = (int(runs.n[r]), bool(runs.divergent[r]), float(runs.partial[r]),
+               float(runs.tail[r]), float(runs.tail_err[r]))
+        assert got == want
+        assert [x.hex() for x in got[2:]] == [x.hex() for x in want[2:]]  # signed zeros too
+        outcomes.append("divergent" if want[1] else "tail" if want[3] else "finite")
+    return outcomes
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+@pytest.mark.parametrize("seed", range(6))
+def test_array_walk_matches_the_scalar_walk(seed, depth, monkeypatch):
+    rng = np.random.default_rng(seed)
+    cfg = QuadratureConfig(divergence_cap=1e6) if seed == 5 else CFG
+    kinds = ["decay", "power", "plateau", "dead", "creep", "wave"]
+    rows, resolutions = _random_rows(rng, 48, kinds)
+    if seed % 2:  # every level finite: the walker's plain pass
+        rows = [(np.nan_to_num(v, nan=1.0, posinf=1.0), np.full(v.size, np.nan),
+                 np.full(v.size, np.nan)) for v, _, _ in rows]
+    # signed zeros: walked levels that are all -0.0, a last walked level of
+    # -0.0 under a fitted tail, and only two positive levels (no fit)
+    for vals in (np.full(5, -0.0), np.append(0.9 ** np.arange(19), -0.0),
+                 np.concatenate(([1.0, 0.5], np.zeros(10)))):
+        rows.append((vals, np.full(vals.size, np.nan), np.full(vals.size, np.nan)))
+    outcomes = _compare_walks(rows, resolutions, cfg, depth, monkeypatch)
+    assert set(outcomes) >= {"divergent", "tail"}
+    # and a walk in which every run has a fitted tail
+    fitted = [row for row, kind in zip(rows, outcomes) if kind == "tail"]
+    assert set(_compare_walks(fitted, resolutions, cfg, depth, monkeypatch)) == {"tail"}
+
+
+def test_array_walk_reads_a_nan_only_in_a_reached_block(monkeypatch):
+    # a NaN in the block after an early exit is never read; one in the block
+    # where a divergence fires is, since blocks are checked before walking
+    size = 61
+    rows = []
+    for vals, level in ((0.5 ** np.arange(size), 56), (0.5 ** np.arange(size), 44),
+                        (np.ones(size), 15), (np.ones(size), 9)):
+        nan = np.where(np.arange(size) == level, 7.0 + level, np.nan)
+        rows.append((np.where(np.isnan(nan), vals, np.nan), nan, nan))
+    runs = _array_walk(rows, {}, CFG, 0, monkeypatch)
+    assert _ref_walk(*rows[0], CFG, None, 0)[0] == runs.n[0] == 48
+    assert math.isnan(runs.raise_at[0])
+    for r in (1, 2, 3):
+        with pytest.raises(IntegrandEvaluationError) as info:
+            _ref_walk(*rows[r], CFG, None, 0)
+        assert runs.raise_at[r] == info.value.location == 7.0 + (44, 15, 9)[r - 1]
+
+
+def test_ranges_in_one_call_match_integrate_alone():
+    rng = np.random.default_rng(11)
+    funcs, ranges = [], []
+    for k in range(9):
+        a = float(k)
+        b = a + float(rng.uniform(0.5, 2.0))
+        z = float(rng.uniform(a, b))
+        cuts = sorted(rng.uniform(a, b, int(rng.integers(0, 6))).tolist())
+        s = float(rng.uniform(-1.5, 1.2))
+        family = k % 3
+        if family == 0:  # endpoint power, convergent or not
+            fk = (lambda x, a=a, s=s: np.maximum(x - a, 1e-300) ** s)
+        elif family == 1:  # kinks at the breakpoints
+            fk = (lambda x, cuts=cuts: np.abs(np.sin(3.0 * x)) + sum(np.abs(x - c) for c in cuts))
+        else:  # an interior blowup with its hint
+            fk = (lambda x, z=z, s=s: np.maximum(np.abs(x - z), 1e-300) ** min(s, 0.5) + x)
+        funcs.append(fk)
+        ranges.append((a, b, [z] if family == 2 else [], cuts))
+    together = integrate_ranges(_per_range(funcs), ranges, CFG)
+    alone = [integrate(fk, a, b, CFG, singular=sg, breakpoints=bp)
+             for fk, (a, b, sg, bp) in zip(funcs, ranges)]
+    assert [_bits(r) for r in together] == [_bits(r) for r in alone]
+    assert {r.kind for r in alone} == {"finite", "divergent"}
+
+
+def _graded_node(anchor, outer, level, j):
+    """Kronrod node j of level `level` of the graded run from `outer` toward
+    `anchor` (the first pass evaluates it)."""
+    d = abs(outer - anchor) * 0.5 ** np.arange(level, level + 2)
+    lo, hi = sorted(anchor + math.copysign(1.0, outer - anchor) * d)
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * quadrature._NODES[j]
+
+
+def test_inf_node_in_a_graded_level_of_a_later_gap_is_resolved():
+    # two gaps, the blowup on a Gauss node of the first pass's run from 2
+    # toward 1.5; its resolved value and error must reach the refined pool
+    c = _graded_node(2.0, 2.0 - 0.5 / 3.0, 3, 3)
+    hit = []
+
+    def f(x):
+        hit.append(bool(np.any(x == c)))
+        return _inv_sqrt(c)(x)
+
+    r = integrate(f, 1.0, 2.0, CFG, singular=[1.5])
+    assert hit[0]
+    exact = 2.0 * (math.sqrt(c - 1.0) + math.sqrt(2.0 - c))
+    assert r.is_finite and math.isfinite(r.err_estimate)
+    assert r.value == pytest.approx(exact, rel=1e-7)
+    together = integrate_ranges(_per_range([_inv_sqrt(0.5), f]),
+                                [(0.0, 1.0, (), ()), (1.0, 2.0, [1.5], ())], CFG)
+    assert _bits(together[1]) == _bits(r)
