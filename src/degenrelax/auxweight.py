@@ -57,7 +57,7 @@ import numpy as np
 
 from .degeneracy import DegeneracyInterval, DegeneracyStructure
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, _NODES, _eval_panels,
-                         integrate)
+                         integrate, integrate_ranges)
 from .weights import Exponent, Weight
 
 
@@ -354,13 +354,15 @@ class _AuxTable:
         if np.any(fast):
             k15, _, finite, _ = _eval_panels(self.sigma, plo[fast], phi[fast])
             part[fast] = np.where(finite, k15, np.nan)
-        for j in np.nonzero((phi > plo) & (self.kind[z] == _ADAPT))[0]:
-            hint = [r for r in self.removables if plo[j] < r < phi[j]]
-            res = integrate(self.sigma, float(plo[j]), float(phi[j]), self.cfg, singular=hint)
-            part[j] = res.value if res.is_finite else math.inf
-        for j in np.nonzero(np.isnan(part))[0]:
-            res = integrate(self.sigma, float(plo[j]), float(phi[j]), self.cfg)
-            part[j] = res.value if res.is_finite else math.inf
+        # the adaptive zones, then the panels a non-finite node spoiled
+        adapt = np.nonzero((phi > plo) & (self.kind[z] == _ADAPT))[0]
+        spoiled = np.nonzero(np.isnan(part))[0]
+        ranges = [(lo, hi, [r for r in self.removables if lo < r < hi], ())
+                  for lo, hi in zip(plo[adapt].tolist(), phi[adapt].tolist())]
+        ranges += [(lo, hi, (), ()) for lo, hi in zip(plo[spoiled].tolist(), phi[spoiled].tolist())]
+        res = integrate_ranges(lambda x, _: self.sigma(x), ranges, self.cfg)
+        part[np.concatenate((adapt, spoiled))] = [r.value if r.is_finite else math.inf
+                                                  for r in res]
         return self.c_ref[z] + part
 
 
@@ -437,31 +439,30 @@ def _build_branch(sigma, endpoint: float, mid: float, removables: Sequence[float
         # only segments actually touching the zero stay adaptive; the sliver
         # mesh keeps those at float-width scale
         plain &= ~((r >= seg_lo) & (r <= seg_hi))
+    touching = np.nonzero(~plain)[0]
+    fallback, bad_at = touching[:0], []
     if np.any(plain):
         k15, _, finite, bad_at = _eval_panels(sigma, seg_lo[plain], seg_hi[plain])
-        if not np.all(finite):
-            # an undeclared blowup: fall back to adaptive panels there
-            plain_idx = np.nonzero(plain)[0]
-            vals[plain_idx[finite]] = k15[finite]
-            for j, x in zip(plain_idx[~finite], bad_at[~finite].tolist()):
-                lo, hi = float(seg_lo[j]), float(seg_hi[j])
-                r2 = integrate(sigma, lo, hi, cfg)
-                if not r2.is_finite:
-                    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES
-                    whole = ", across a whole panel" if not np.isfinite(sigma(nodes)).any() else ""
-                    raise ArithmeticError(
-                        f"transform not integrable inside the branch segment [{lo!r}, {hi!r}]: "
-                        f"sigma is non-finite at x={x!r}{whole}")
-                vals[j] = r2.value
-                plain[j] = False  # partial evaluation must stay adaptive here too
-        else:
-            vals[plain] = k15
-    for j in np.nonzero(~plain)[0]:
-        hint = [r for r in removables if seg_lo[j] < r < seg_hi[j]]
-        r2 = integrate(sigma, float(seg_lo[j]), float(seg_hi[j]), cfg, singular=hint)
+        plain_idx = np.nonzero(plain)[0]
+        vals[plain_idx[finite]] = k15[finite]
+        # an undeclared blowup: fall back to adaptive panels there
+        fallback, bad_at = plain_idx[~finite], bad_at[~finite].tolist()
+        plain[fallback] = False  # partial evaluation must stay adaptive here too
+    adaptive = np.concatenate((fallback, touching))
+    res = integrate_ranges(lambda x, _: sigma(x), [
+        (lo, hi, [r for r in removables if lo < r < hi], ())
+        for lo, hi in zip(seg_lo[adaptive].tolist(), seg_hi[adaptive].tolist())], cfg)
+    for j, x, r2 in zip(fallback.tolist(), bad_at, res):
         if not r2.is_finite:
-            raise ArithmeticError("transform not integrable inside a branch segment")
-        vals[j] = r2.value
+            lo, hi = float(seg_lo[j]), float(seg_hi[j])
+            nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES
+            whole = ", across a whole panel" if not np.isfinite(sigma(nodes)).any() else ""
+            raise ArithmeticError(
+                f"transform not integrable inside the branch segment [{lo!r}, {hi!r}]: "
+                f"sigma is non-finite at x={x!r}{whole}")
+    if not all(r2.is_finite for r2 in res):
+        raise ArithmeticError("transform not integrable inside a branch segment")
+    vals[adaptive] = [r2.value for r2 in res]
 
     # cumulative anchors: C(d_mesh[k]) = c_quarter + mass of segments further in than x_k
     csum = np.concatenate([[0.0], np.cumsum(vals[::-1])])[::-1]
@@ -614,11 +615,11 @@ def build_aux_weight(w: Weight, p: Exponent, structure: DegeneracyStructure,
     return AuxWeight(w, p, structure, parts, cfg)
 
 
-def derivative_identity_residual(aux: AuxWeight, x: float,
-                                 h: Optional[float] = None) -> float:
+def derivative_identity_residual(aux: AuxWeight, x: float) -> float:
     """Relative defect of the branch derivative identity at a single point.
 
-    Compares the centered finite difference of the auxiliary weight against
+    Compares the centered finite difference of the auxiliary weight, with a
+    step of 3e-3 times the room to the branch ends around x, against
     +- aux(x)^2 * sigma(x), signed + on the growing left branch and - on the
     decaying right branch.  Only meaningful on the outer branches; plateau,
     endpoint and outside points raise ValueError.
@@ -633,8 +634,7 @@ def derivative_identity_residual(aux: AuxWeight, x: float,
     else:
         room = min(x - part.q3, part.base.hi - x)
         sign = -1.0
-    if h is None:
-        h = 3e-3 * room
+    h = 3e-3 * room
     if not (0.0 < h < room):
         raise ValueError(f"step {h} does not fit inside the branch around x={x}")
     fd = (aux(x + h) - aux(x - h)) / (2.0 * h)

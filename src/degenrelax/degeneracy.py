@@ -25,7 +25,7 @@ import numpy as np
 
 from .quadrature import (DEFAULT_CONFIG, EndpointClass, QuadratureConfig,
                          classify_endpoint_integrability, local_exponent_estimate)
-from .weights import Exponent, Interval, Weight, ZeroInfo
+from .weights import Exponent, Weight, ZeroInfo, zero_runs
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,6 @@ class DegeneracyInterval:
     hi: float
     lo_class: EndpointClass  # integrability of the transform next to lo, toward mid
     hi_class: EndpointClass
-
-    @property
-    def span(self) -> Interval:
-        return Interval(self.lo, self.hi)
 
     @property
     def width(self) -> float:
@@ -71,21 +67,16 @@ class DegeneracyStructure:
     def count(self) -> int:
         return len(self.intervals)
 
-    def interval_containing(self, x: float) -> Optional[int]:
-        for i, iv in enumerate(self.intervals):
-            if iv.lo <= x <= iv.hi:
-                return i
-        return None
 
-
-def _golden_min(f, lo: float, hi: float, iters: int = 90) -> float:
-    """Golden-section minimum of a unimodal-ish scalar function."""
+def _golden_min(f, lo: float, hi: float) -> float:
+    """Golden-section minimum of a unimodal-ish scalar function, in at most
+    90 steps."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(90):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -99,8 +90,9 @@ def _golden_min(f, lo: float, hi: float, iters: int = 90) -> float:
     return 0.5 * (a + b)
 
 
-def _bisect_threshold(f, below: float, above: float, tol_per_unit: float = 1e-12) -> float:
-    """Boundary point between f <= 0 at `below` and f > 0 at `above`."""
+def _bisect_threshold(f, below: float, above: float) -> float:
+    """Boundary point between f <= 0 at `below` and f > 0 at `above`, to
+    1e-12 of their distance."""
     span = abs(above - below)
     a, b = below, above
     for _ in range(200):
@@ -109,7 +101,7 @@ def _bisect_threshold(f, below: float, above: float, tol_per_unit: float = 1e-12
             a = m
         else:
             b = m
-        if abs(b - a) <= tol_per_unit * span:
+        if abs(b - a) <= 1e-12 * span:
             break
     return 0.5 * (a + b)
 
@@ -124,45 +116,31 @@ def _scan_weight(w: Weight):
     if peak <= 0.0:
         return [], [(dom.lo, dom.hi)]
     tol = 1e-14 * peak
+    at = lambda t: float(w(np.array([t]))[0])
 
+    first, last = zero_runs(vals)
+    flat = last > first  # a genuine flat span; refine its edges
+    first, last = first[flat], last[flat]
     regions = []
-    below = vals <= tol
-    i = 0
-    run_bounds = []
-    while i < n:
-        if not below[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and below[j + 1]:
-            j += 1
-        run_bounds.append((i, j))
-        i = j + 1
-    covered = []
-    for i0, i1 in run_bounds:
-        if i1 > i0:  # a genuine flat span; refine its edges
-            lo_edge = xs[i0] if i0 == 0 else _bisect_threshold(
-                lambda t: float(w(np.array([t]))[0]) - tol, xs[i0], xs[i0 - 1])
-            hi_edge = xs[i1] if i1 == n - 1 else _bisect_threshold(
-                lambda t: float(w(np.array([t]))[0]) - tol, xs[i1], xs[i1 + 1])
-            regions.append((float(min(lo_edge, hi_edge)), float(max(lo_edge, hi_edge))))
-            covered.append((i0, i1))
+    for i0, i1 in zip(first.tolist(), last.tolist()):
+        lo_edge = xs[i0] if i0 == 0 else _bisect_threshold(lambda t: at(t) - tol,
+                                                            xs[i0], xs[i0 - 1])
+        hi_edge = xs[i1] if i1 == n - 1 else _bisect_threshold(lambda t: at(t) - tol,
+                                                                xs[i1], xs[i1 + 1])
+        regions.append((float(min(lo_edge, hi_edge)), float(max(lo_edge, hi_edge))))
 
-    # isolated zeros: small local minima of the samples, sharpened by golden search
+    # isolated zeros: small local minima of the samples off the flat spans
+    # and their neighbours, sharpened by golden search
+    cover = np.zeros(n + 2, dtype=np.int64)
+    np.add.at(cover, np.maximum(first - 1, 0), 1)
+    np.add.at(cover, last + 2, -1)
+    is_min = (vals <= 1e-5 * peak) & (np.add.accumulate(cover[:n]) == 0)
+    is_min[1:] &= vals[1:] <= vals[:-1]
+    is_min[:-1] &= vals[:-1] <= vals[1:]
     zeros = []
-    soft = 1e-5 * peak
-    for i in range(n):
-        if any(i0 - 1 <= i <= i1 + 1 for i0, i1 in covered):
-            continue
-        is_min = (vals[i] <= soft
-                  and (i == 0 or vals[i] <= vals[i - 1])
-                  and (i == n - 1 or vals[i] <= vals[i + 1]))
-        if not is_min:
-            continue
-        lo_b = xs[max(i - 1, 0)]
-        hi_b = xs[min(i + 1, n - 1)]
-        z = _golden_min(lambda t: float(w(np.array([t]))[0]), lo_b, hi_b)
-        if float(w(np.array([z]))[0]) <= tol:
+    for i in np.nonzero(is_min)[0].tolist():
+        z = _golden_min(at, xs[max(i - 1, 0)], xs[min(i + 1, n - 1)])
+        if at(z) <= tol:
             zeros.append(float(z))
     # dedupe refined locations that collapsed together
     zeros = sorted(zeros)

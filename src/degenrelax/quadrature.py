@@ -89,15 +89,9 @@ class QuadratureConfig:
     # overflow guard on a graded run's running sum; divergence is read from
     # the level trend, so large finite integrals stay finite
     divergence_cap: float = 1e300
-    max_refinement_depth: int = 60
-    geometric_ratio: float = 0.5
-    trend_window: int = 10  # consecutive non-decaying levels that flag divergence
-    max_panels: int = 4000
 
     def __post_init__(self):
-        if not (0.0 < self.geometric_ratio < 1.0):
-            raise ValueError("geometric_ratio must be in (0, 1)")
-        if self.divergence_cap <= 0 or self.max_refinement_depth < 5:
+        if self.divergence_cap <= 0:
             raise ValueError("bad quadrature config")
 
 
@@ -202,20 +196,24 @@ def _evaluator(f):
     return evaluate
 
 
+# level k of a graded run spans distances width*2^-(k+1) to width*2^-k from
+# its anchor, at most 60 levels deep: the ladder holds exact powers of two
+_LADDER = 0.5 ** np.arange(61)
+_TREND_WINDOW = 10  # consecutive non-decaying levels that flag divergence
+_MAX_PANELS = 4000  # refinement never grows a range's panel pool past this
 _BLOCK = 8  # graded levels walked between two early-exit tests
 _BACK8 = np.arange(8, 0, -1)  # offsets of the last eight of a row
 _FITS = np.array([[8], [4]])  # magnitudes in the two decay-ratio fits
 
 
 class _Runs:
-    """Graded runs as rows of (run, level) arrays padded to the longest: level k
-    spans distances width*r^(k+1) to width*r^k from the anchor, down to where
-    offsets vanish against it (three levels at least).  vals, errs, bad_at and
-    nan_at hold the levels' sums (see _spread); _walk() adds each outcome."""
+    """Graded runs as rows of (run, level) arrays padded to the longest: the
+    levels of _LADDER, down to where offsets vanish against the anchor (three
+    levels at least).  vals, errs, bad_at and nan_at hold the levels' sums
+    (see _spread); _walk() adds each outcome."""
 
-    def __init__(self, anchors, outers, owner, cfg: QuadratureConfig):
-        dists = np.abs(outers - anchors)[:, None] * (
-            cfg.geometric_ratio ** np.arange(cfg.max_refinement_depth + 1))
+    def __init__(self, anchors, outers, owner):
+        dists = np.abs(outers - anchors)[:, None] * _LADDER
         a = anchors[:, None]
         # the offsets shrink: a run ends at the first one lost against the
         # anchor, on its side away from zero (where one is lost first)
@@ -260,7 +258,7 @@ def _walk_levels(vals, size, ends, cfg: QuadratureConfig, lim=None, forced=None)
     # breaks the streak (dead levels next to the anchor must not read as growth)
     prev = c[:, :-1]
     grow = (prev > 0.0) & (c[:, 1:] >= prev * (1.0 - 1e-10))
-    win = cfg.trend_window
+    win = _TREND_WINDOW
     if win < m and np.count_nonzero(grow) >= win:
         streak = np.zeros((rows, m), dtype=np.int64)
         np.add.accumulate(grow, axis=1, dtype=np.int64, out=streak[:, 1:])
@@ -384,7 +382,7 @@ def _resolve(lo, hi, bad, owner, depth: int, cfg: QuadratureConfig, evaluate):
     anchors = np.repeat(bad[graded], 2)
     outers = np.column_stack((lo[graded], hi[graded])).ravel()
     sides = anchors != outers
-    runs = _Runs(anchors[sides], outers[sides], np.repeat(owner[graded], 2)[sides], cfg)
+    runs = _Runs(anchors[sides], outers[sides], np.repeat(owner[graded], 2)[sides])
     runs.vals, runs.errs, runs.bad_at, runs.nan_at = _spread(
         evaluate(runs.lows[runs.live], runs.highs[runs.live], np.repeat(runs.owner, runs.size)),
         runs.live)
@@ -447,8 +445,8 @@ class _Pool:
 
     def select(self, cfg: QuadratureConfig):
         """The worst panels whose summed error covers the excess over the budget,
-        at most (max_panels - size) // 3; None once it is met or none fits."""
-        room = (cfg.max_panels - self.lows.size) // 3
+        at most (_MAX_PANELS - size) // 3; None once it is met or none fits."""
+        room = (_MAX_PANELS - self.lows.size) // 3
         if room <= 0:
             return None
         vals, errs = self.vals, self.errs
@@ -547,14 +545,6 @@ def _refine(pools: list, cfg: QuadratureConfig, evaluate) -> list:
     return out
 
 
-def _refine_pool(f, lows, highs, vals, errs, cfg: QuadratureConfig):
-    """_refine of one pool of panels with the integrand f(x); modifies them."""
-    (res,) = _refine([_Pool(lows, highs, vals, errs)], cfg, _evaluator(lambda x, _: f(x)))
-    if isinstance(res, Exception):
-        raise res
-    return res
-
-
 def _integrate_all(f, pts: list, cuts: list, cfg: QuadratureConfig) -> list:
     """IntegralResult or exception of each range, given by its graded points
     and breakpoints (None after one raised).  The first pass of all ranges is
@@ -570,7 +560,7 @@ def _integrate_all(f, pts: list, cuts: list, cfg: QuadratureConfig) -> list:
     m_lo = np.array([lo + (hi - lo) / 3.0 for lo, hi in ends])
     m_hi = np.array([hi - (hi - lo) / 3.0 for lo, hi in ends])
     runs = _Runs(np.array(ends, dtype=float).ravel(), np.column_stack((m_lo, m_hi)).ravel(),
-                 np.repeat(owner, 2), cfg)
+                 np.repeat(owner, 2))
     edges = np.column_stack((m_lo, 0.5 * (m_lo + m_hi), m_hi))
     if any(cuts):  # the breakpoints inside a middle third join its edges
         at = np.array([c for cs in cuts for c in cs])
@@ -714,20 +704,17 @@ class EndpointClass:
     local_exponent: Optional[float] = None
 
 
-def local_exponent_estimate(w: Weight, z: float, side: int, h0: float,
-                            k_range: tuple[int, int] = (4, 20),
-                            min_offset: float = 0.0) -> float:
+def local_exponent_estimate(w: Weight, z: float, side: int, h0: float) -> float:
     """Least-squares slope of log w against log distance on one side of z.
 
-    Samples at distances h0 * 2^-k for k in k_range, none closer than twice
+    Samples at distances h0 * 2^-k for k = 4 ... 20, none closer than twice
     w.resolution_near(z) (inside one grid cell a linear interpolant always
     looks like exponent 1).  Returns math.inf when the weight is numerically
     zero at nearly all probes, i.e. vanishing faster than any power (or
     identically) on that side.
     """
-    ks = np.arange(k_range[0], k_range[1] + 1)
-    d = h0 * 2.0 ** (-ks.astype(float))
-    d = d[d >= max(min_offset, 2.0 * w.resolution_near(z))]
+    d = h0 * 2.0 ** (-np.arange(4, 21).astype(float))
+    d = d[d >= 2.0 * w.resolution_near(z)]
     x = z + side * d
     x = x[(x > w.domain.lo) & (x < w.domain.hi)]
     if x.size < 3:

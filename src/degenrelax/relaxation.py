@@ -437,28 +437,27 @@ def _assemble_member(u: TestFunction, w: Weight, aux: AuxWeight,
 @dataclass(frozen=True)
 class RelaxationVerdict:
     ok: bool
-    x_ok: bool      # ambient error dropped to the declared fraction
-    f_ok: bool      # energy gap dropped to the declared fraction
-    f_rel_ok: bool  # final energy gap within f_rel_tol of the limit
+    x_ok: bool      # ambient error dropped to half its coarsest-mesh value
+    f_ok: bool      # energy gap dropped to half its coarsest-mesh value
+    f_rel_ok: bool  # final energy gap within 1% of the limit
     f_rel: float    # final f_gap / |f_limit|
     rows: tuple     # (h, x_err, f_gap, seam_mismatch)
 
 
-def verify_relaxation(seq: ApproxSequence, x_frac: float = 0.5, f_frac: float = 0.5,
-                      f_rel_tol: float = 0.01) -> RelaxationVerdict:
+def verify_relaxation(seq: ApproxSequence) -> RelaxationVerdict:
     """Check that the sequence converges: the ambient error and the energy gap
-    at the finest mesh have both dropped to the declared fractions of their
-    coarsest-mesh values, and the final gap sits within f_rel_tol of the
-    limit in relative terms.  All three must hold."""
+    at the finest mesh have both dropped to half their coarsest-mesh values,
+    and the final gap sits within 1% of the limit in relative terms.  All
+    three must hold."""
     rows = tuple((m.h, m.x_err, m.f_gap, m.seam_mismatch) for m in seq.members)
     first, last = seq.members[0], seq.members[-1]
     # purely relative tests: scaling u scales both sides alike
-    x_ok = last.x_err <= x_frac * first.x_err
-    f_ok = last.f_gap <= f_frac * first.f_gap
+    x_ok = last.x_err <= 0.5 * first.x_err
+    f_ok = last.f_gap <= 0.5 * first.f_gap
     if seq.f_limit == 0.0:
         f_rel = 0.0 if last.f_gap == 0.0 else math.inf
     else:
         f_rel = last.f_gap / abs(seq.f_limit)
-    f_rel_ok = f_rel <= f_rel_tol
+    f_rel_ok = f_rel <= 0.01
     return RelaxationVerdict(bool(x_ok and f_ok and f_rel_ok),
                              bool(x_ok), bool(f_ok), bool(f_rel_ok), float(f_rel), rows)

@@ -206,14 +206,13 @@ def log_edge_function(domain: Interval, label: str = "") -> TestFunction:
     )
 
 
-def random_test_functions(domain: Interval, count: int, seed: int,
-                          knots: int = 9) -> list[TestFunction]:
-    """Seeded natural cubic splines through uniform [-1, 1] knot values."""
+def random_test_functions(domain: Interval, count: int, seed: int) -> list[TestFunction]:
+    """Seeded natural cubic splines through uniform [-1, 1] values at 9 even knots."""
     rng = np.random.default_rng(seed)
-    xs = np.linspace(domain.lo, domain.hi, knots)
+    xs = np.linspace(domain.lo, domain.hi, 9)
     out = []
     for i in range(count):
-        ys = rng.uniform(-1.0, 1.0, size=knots)
+        ys = rng.uniform(-1.0, 1.0, size=9)
         out.append(spline_function(xs, ys, label=f"spline-{seed}-{i}"))
     return out
 
@@ -440,8 +439,8 @@ def poincare_global_check(u: TestFunction, w: Weight, aux: AuxWeight,
 class VanishingCheck:
     """Decay of |u|^p aux^(p-1) toward an interval endpoint.
 
-    Sampled at geometric offsets width * 2^-k; ok requires the last three
-    samples to sit below tol_factor times the largest sample.  The samples
+    Sampled at geometric offsets width * 2^-k, k = 4 ... 40; ok requires the
+    last three samples to sit below 1e-6 times the largest sample.  The samples
     themselves are reported so callers can judge slow (logarithmic) decay.
     """
 
@@ -454,14 +453,12 @@ class VanishingCheck:
 
 
 def endpoint_vanishing_check(u: TestFunction, aux: AuxWeight, interval_index: int,
-                             side: str, k_lo: int = 4, k_hi: int = 40,
-                             tol_factor: float = 1e-6) -> VanishingCheck:
+                             side: str) -> VanishingCheck:
     part = aux.parts[interval_index]
     iv = part.base
     anchor = iv.lo if side == "left" else iv.hi
     sgn = 1.0 if side == "left" else -1.0
-    ks = np.arange(k_lo, k_hi + 1)
-    offs = iv.width * 2.0 ** (-ks.astype(float))
+    offs = iv.width * 2.0 ** (-np.arange(4, 41).astype(float))
     xs = anchor + sgn * offs
     keep = xs != anchor  # drop offsets that collapse at float resolution
     xs = xs[keep]
@@ -469,7 +466,7 @@ def endpoint_vanishing_check(u: TestFunction, aux: AuxWeight, interval_index: in
     vals = aux_mass_density(u, aux, [0.0])(xs, 0)
     peak = float(np.max(vals)) if vals.size else 0.0
     tail = float(np.max(vals[-3:])) if vals.size >= 3 else peak
-    ok = vals.size >= 3 and tail <= tol_factor * max(peak, 1e-300)
+    ok = vals.size >= 3 and tail <= 1e-6 * max(peak, 1e-300)
     return VanishingCheck(side, tuple(map(float, offs)), tuple(map(float, vals)),
                           peak, tail, bool(ok))
 

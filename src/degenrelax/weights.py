@@ -69,7 +69,7 @@ class Exponent:
 
 @dataclass(frozen=True)
 class Interval:
-    """Open interval (lo, hi) with the quarter points used by the auxiliary weight."""
+    """Open interval (lo, hi)."""
 
     lo: float
     hi: float
@@ -85,14 +85,6 @@ class Interval:
     @property
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
-
-    @property
-    def q1(self) -> float:
-        return self.lo + 0.25 * self.width
-
-    @property
-    def q3(self) -> float:
-        return self.lo + 0.75 * self.width
 
 
 @dataclass(frozen=True)
@@ -490,6 +482,14 @@ def builtin_cascade(alpha: float, p: Exponent, bumps: int) -> PiecewisePowerWeig
 # grid sampled weights
 
 
+def zero_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each maximal run of samples at or below 1e-14
+    times the largest sample, in order."""
+    below = (values <= 1e-14 * float(np.max(values))).astype(np.int8)
+    step = np.diff(np.concatenate([[0], below, [0]]))
+    return np.nonzero(step == 1)[0], np.nonzero(step == -1)[0] - 1
+
+
 class GridSampledWeight(Weight):
     """Linear interpolation of nonnegative samples on a strictly increasing grid."""
 
@@ -517,11 +517,8 @@ class GridSampledWeight(Weight):
     def zero_set(self):
         # the interpolant vanishes exactly at zero nodes and on the spans
         # between consecutive zero nodes, nowhere else
-        below = (self.values <= 1e-14 * float(np.max(self.values))).astype(np.int8)
-        step = np.diff(np.concatenate([[0], below, [0]]))
-        runs = zip(np.nonzero(step == 1)[0], np.nonzero(step == -1)[0] - 1)
         zeros, regions = [], []
-        for i, j in runs:
+        for i, j in zip(*zero_runs(self.values)):
             if j > i:
                 regions.append((float(self.x[i]), float(self.x[j])))
             else:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from degenrelax import (
     Exponent,
+    GridSampledWeight,
     IndeterminateIntegrabilityError,
     Interval,
     PiecewisePowerWeight,
@@ -20,6 +21,7 @@ from degenrelax import (
     detect_structure,
     weight_from_csv,
 )
+from degenrelax import degeneracy
 
 CFG = QuadratureConfig()
 
@@ -47,7 +49,7 @@ def test_figure1_zero_becomes_removable_at_large_p():
     w = builtin_figure1()
     st_ = detect_structure(w, Exponent(4.0), CFG)
     assert st_.count == 1
-    assert st_.intervals[0].span == Interval(-2.0, 2.0)
+    assert (st_.intervals[0].lo, st_.intervals[0].hi) == (-2.0, 2.0)
     assert [z.location for z in st_.removable_zeros] == [-1.0, 1.0]
     assert st_.split_zeros == ()
 
@@ -102,7 +104,7 @@ def test_positive_weight_single_interval(unit_chain):
     w, st_, aux = unit_chain
     assert st_.count == 1
     iv = st_.intervals[0]
-    assert iv.span == Interval(0.0, 1.0)
+    assert (iv.lo, iv.hi) == (0.0, 1.0)
     assert iv.lo_class.integrable and iv.hi_class.integrable
     # the half integrals of sigma == 1 are just the half widths
     assert iv.lo_class.value == pytest.approx(0.5, abs=1e-12)
@@ -175,3 +177,126 @@ def test_grid_weight_detects_interval_pattern(tmp_path):
     for iv, (lo, hi) in zip(st_.intervals, [(-2, -1), (-1, 1), (1, 2)]):
         assert iv.lo == pytest.approx(lo, abs=2e-3)
         assert iv.hi == pytest.approx(hi, abs=2e-3)
+
+
+def _ref_scan_weight(w):
+    """The scan as a scalar loop: zero runs by a while loop, and each sample
+    tested against every widened flat run."""
+    dom = w.domain
+    n = 8193
+    xs = np.linspace(dom.lo, dom.hi, n)
+    vals = np.asarray(w(xs), dtype=float)
+    peak = float(np.max(vals))
+    if peak <= 0.0:
+        return [], [(dom.lo, dom.hi)]
+    tol = 1e-14 * peak
+
+    regions = []
+    below = vals <= tol
+    i = 0
+    run_bounds = []
+    while i < n:
+        if not below[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and below[j + 1]:
+            j += 1
+        run_bounds.append((i, j))
+        i = j + 1
+    covered = []
+    for i0, i1 in run_bounds:
+        if i1 > i0:
+            lo_edge = xs[i0] if i0 == 0 else degeneracy._bisect_threshold(
+                lambda t: float(w(np.array([t]))[0]) - tol, xs[i0], xs[i0 - 1])
+            hi_edge = xs[i1] if i1 == n - 1 else degeneracy._bisect_threshold(
+                lambda t: float(w(np.array([t]))[0]) - tol, xs[i1], xs[i1 + 1])
+            regions.append((float(min(lo_edge, hi_edge)), float(max(lo_edge, hi_edge))))
+            covered.append((i0, i1))
+
+    zeros = []
+    soft = 1e-5 * peak
+    for i in range(n):
+        if any(i0 - 1 <= i <= i1 + 1 for i0, i1 in covered):
+            continue
+        is_min = (vals[i] <= soft
+                  and (i == 0 or vals[i] <= vals[i - 1])
+                  and (i == n - 1 or vals[i] <= vals[i + 1]))
+        if not is_min:
+            continue
+        lo_b = xs[max(i - 1, 0)]
+        hi_b = xs[min(i + 1, n - 1)]
+        z = degeneracy._golden_min(lambda t: float(w(np.array([t]))[0]), lo_b, hi_b)
+        if float(w(np.array([z]))[0]) <= tol:
+            zeros.append(float(z))
+    zeros = sorted(zeros)
+    merged = []
+    for z in zeros:
+        if not merged or z - merged[-1] > 1e-10 * dom.width:
+            merged.append(z)
+    return merged, regions
+
+
+class _Formula:
+    """A weight known only by its values, as the scan sees one."""
+
+    def __init__(self, domain, fn):
+        self.domain, self.fn = domain, fn
+
+    def __call__(self, x):
+        return self.fn(np.asarray(x, dtype=float))
+
+
+def _scan_cases():
+    """Seeded weights for the scan: sampled exactly on the scan's 8193 points
+    or on other grids, and closed forms with power zeros and zero regions."""
+    n = 8193
+    ramp = 0.5 + 0.4 * np.sin(np.linspace(0.0, 7.0, n))
+    fixed = {
+        "flat-both-ends": np.concatenate([np.zeros(5), ramp[5:-7], np.zeros(7)]),
+        "one-sample-wide": np.where(np.isin(np.arange(n), [2000, 2001, 5000]), 0.0, ramp),
+        "one-sample-apart": np.where(np.isin(np.arange(n), [3000, 3001, 3002, 3004, 3005]),
+                                     0.0, ramp),
+        "all-zero": np.zeros(n),
+        "zero-free": ramp,
+        "soft-dips": np.where(np.isin(np.arange(n), [0, 17, 4000, n - 1]), 1e-9, ramp),
+    }
+    for name, vals in fixed.items():
+        yield name, GridSampledWeight(np.linspace(0.0, 1.0, n), vals)
+    # a zero halfway between two samples: two equal sample minima
+    yield "tied-minimum", _Formula(Interval(0.0, 1.0),
+                                   lambda x: np.abs(x - 0.5 - 2.0 ** -14) ** 3)
+    rng = np.random.default_rng(20240611)
+    for seed in range(110):
+        scale = 10.0 ** rng.uniform(-6, 6)
+        lo = float(rng.uniform(-3.0, 1.0))
+        hi = lo + float(rng.uniform(0.5, 4.0))
+        if seed % 2:
+            m = int(rng.choice([n, 1000, 2500, 20000]))
+            vals = scale * rng.uniform(0.2, 1.0, m)
+            for _ in range(int(rng.integers(0, 5))):  # zero runs, now and then at an end
+                at = int(rng.choice([0, m - 1, int(rng.integers(0, m))]))
+                vals[at:at + int(rng.integers(1, 7))] = 0.0
+            for at in rng.integers(0, m, int(rng.integers(0, 4))):  # dips, some to zero
+                vals[at] = scale * 10.0 ** rng.uniform(-17, -5)
+            yield f"grid-{seed}", GridSampledWeight(np.linspace(lo, hi, m), vals)
+        else:
+            zs = rng.uniform(lo, hi, int(rng.integers(1, 4)))
+            expo = rng.choice([0.5, 1.0, 2.0, 3.5], zs.size)
+            gap = np.sort(rng.uniform(lo, hi, 2)) if rng.random() < 0.5 else (hi, hi)
+
+            def fn(x, zs=zs, expo=expo, gap=gap, scale=scale):
+                v = scale * np.prod(np.abs(x[..., None] - zs) ** expo, axis=-1)
+                return np.where((x > gap[0]) & (x < gap[1]), 0.0, v)
+            yield f"formula-{seed}", _Formula(Interval(lo, hi), fn)
+
+
+def test_scan_matches_the_scalar_loop():
+    cases = list(_scan_cases())
+    assert len(cases) >= 100
+    found = 0
+    for name, w in cases:
+        got = degeneracy._scan_weight(w)
+        assert repr(got) == repr(_ref_scan_weight(w)), name
+        found += len(got[0]) + len(got[1])
+    assert found > 100  # the cases do hold zeros and zero regions

@@ -158,7 +158,8 @@ def test_undeclared_inf_node_met_in_refinement_is_resolved():
     assert r.value == pytest.approx(2.0 * (math.sqrt(c) + math.sqrt(1.0 - c)), rel=1e-7)
 
 
-def test_refinement_never_grows_past_max_panels():
+def test_refinement_never_grows_past_max_panels(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 20)
     points = []
 
     def f(x):
@@ -168,7 +169,10 @@ def test_refinement_never_grows_past_max_panels():
     lows, highs = np.array([0.0]), np.array([1.0])
     vals, errs, _, _ = quadrature._eval_panels(f, lows, highs)
     points.clear()
-    quadrature._refine_pool(f, lows, highs, vals, errs, QuadratureConfig(max_panels=20))
+    pool = quadrature._Pool(lows, highs, vals, errs)
+    (res,) = quadrature._refine([pool], CFG, quadrature._evaluator(lambda x, _: f(x)))
+    assert isinstance(res, tuple)
+    assert pool.lows.size == 19
     # one panel cannot meet the budget over 40 kinks; each quadrisection adds
     # three panels and evaluates four, and a round takes at most
     # (20 - size) // 3 panels: 1 -> 4 -> 16 -> 19, where none fits
@@ -393,7 +397,7 @@ def _ref_walk(vals, bad_at, nan_at, cfg, resolve, depth):
     contribs = []
     divergent = False
     partial = mass = 0.0
-    win = cfg.trend_window
+    win = quadrature._TREND_WINDOW
     for start in range(0, len(vals), 8):
         stop = min(start + 8, len(vals))
         for j in range(start, stop):

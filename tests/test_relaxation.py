@@ -1,6 +1,7 @@
 """Energy functional, relaxation, and the AC approximation construction."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -219,12 +220,17 @@ def test_verdict_requires_all_three_conditions(unit_chain, p2):
     seq = build_approx_sequence(u, w, aux, st_, p2, h_max=64, cfg=CFG)
     good = verify_relaxation(seq)
     assert good.ok
-    # an absurdly strict relative tolerance flips only the f_rel leg
-    strict = verify_relaxation(seq, f_rel_tol=1e-15)
+    first, *mid, last = seq.members
+    # a final gap ten times wider passes 1% of the limit, still below half
+    # the first gap: only the f_rel leg flips
+    wide = replace(last, f_gap=10.0 * last.f_gap)
+    strict = verify_relaxation(replace(seq, members=(first, *mid, wide)))
     assert strict.x_ok and strict.f_ok and not strict.f_rel_ok
     assert not strict.ok
-    # an impossible drop requirement flips the fraction legs
-    harsh = verify_relaxation(seq, x_frac=1e-12, f_frac=1e-12)
+    # a coarsest member no worse than the finest flips the fraction legs
+    flat = replace(first, x_err=last.x_err, f_gap=last.f_gap)
+    harsh = verify_relaxation(replace(seq, members=(flat, *mid, last)))
+    assert not harsh.x_ok and not harsh.f_ok and harsh.f_rel_ok
     assert not harsh.ok
 
 
