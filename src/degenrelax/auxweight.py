@@ -32,8 +32,9 @@ sorted list of zones:
   of its width (the queries there never reach a kink of w further in).
 * Panel zones are the mesh segments no series fits (kinks or jumps of w):
   C is the outer node anchor plus one 15-node Kronrod panel between the
-  query point and that node.  Segments touching a removable zero integrate
-  that stretch adaptively instead.
+  query point and that node, with integrate()'s rule for a non-finite node.
+  Segments touching a removable zero integrate that stretch adaptively
+  instead.
 * Below the deepest mesh node, C follows the power law (linear in log-log
   coordinates) with the monotone (PCHIP) end slope of the node data.  Next
   to an endpoint away from 0, the innermost segments are too few ulps wide
@@ -352,17 +353,12 @@ class _AuxTable:
         part = np.zeros(d.shape)
         fast = (phi > plo) & (self.kind[z] == _PANEL)
         if np.any(fast):
-            k15, _, finite, _ = _eval_panels(self.sigma, plo[fast], phi[fast])
-            part[fast] = np.where(finite, k15, np.nan)
-        # the adaptive zones, then the panels a non-finite node spoiled
+            part[fast] = _eval_panels(self.sigma, plo[fast], phi[fast], self.cfg)[0]
         adapt = np.nonzero((phi > plo) & (self.kind[z] == _ADAPT))[0]
-        spoiled = np.nonzero(np.isnan(part))[0]
-        ranges = [(lo, hi, [r for r in self.removables if lo < r < hi], ())
-                  for lo, hi in zip(plo[adapt].tolist(), phi[adapt].tolist())]
-        ranges += [(lo, hi, (), ()) for lo, hi in zip(plo[spoiled].tolist(), phi[spoiled].tolist())]
-        res = integrate_ranges(lambda x, _: self.sigma(x), ranges, self.cfg)
-        part[np.concatenate((adapt, spoiled))] = [r.value if r.is_finite else math.inf
-                                                  for r in res]
+        res = integrate_ranges(lambda x, _: self.sigma(x), [
+            (lo, hi, [r for r in self.removables if lo < r < hi], ())
+            for lo, hi in zip(plo[adapt].tolist(), phi[adapt].tolist())], self.cfg)
+        part[adapt] = [r.value if r.is_finite else math.inf for r in res]
         return self.c_ref[z] + part
 
 
@@ -439,30 +435,24 @@ def _build_branch(sigma, endpoint: float, mid: float, removables: Sequence[float
         # only segments actually touching the zero stay adaptive; the sliver
         # mesh keeps those at float-width scale
         plain &= ~((r >= seg_lo) & (r <= seg_hi))
-    touching = np.nonzero(~plain)[0]
-    fallback, bad_at = touching[:0], []
     if np.any(plain):
-        k15, _, finite, bad_at = _eval_panels(sigma, seg_lo[plain], seg_hi[plain])
-        plain_idx = np.nonzero(plain)[0]
-        vals[plain_idx[finite]] = k15[finite]
-        # an undeclared blowup: fall back to adaptive panels there
-        fallback, bad_at = plain_idx[~finite], bad_at[~finite].tolist()
-        plain[fallback] = False  # partial evaluation must stay adaptive here too
-    adaptive = np.concatenate((fallback, touching))
+        vals[plain] = _eval_panels(sigma, seg_lo[plain], seg_hi[plain], cfg)[0]
+    if np.isinf(vals).any():
+        j = int(np.argmax(np.isinf(vals)))
+        lo, hi = float(seg_lo[j]), float(seg_hi[j])
+        nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES
+        bad = ~np.isfinite(sigma(nodes))
+        whole = ", across a whole panel" if bad.all() else ""
+        raise ArithmeticError(
+            f"transform not integrable inside the branch segment [{lo!r}, {hi!r}]: "
+            f"sigma is non-finite at x={float(nodes[np.argmax(bad)])!r}{whole}")
+    touching = np.nonzero(~plain)[0]
     res = integrate_ranges(lambda x, _: sigma(x), [
         (lo, hi, [r for r in removables if lo < r < hi], ())
-        for lo, hi in zip(seg_lo[adaptive].tolist(), seg_hi[adaptive].tolist())], cfg)
-    for j, x, r2 in zip(fallback.tolist(), bad_at, res):
-        if not r2.is_finite:
-            lo, hi = float(seg_lo[j]), float(seg_hi[j])
-            nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES
-            whole = ", across a whole panel" if not np.isfinite(sigma(nodes)).any() else ""
-            raise ArithmeticError(
-                f"transform not integrable inside the branch segment [{lo!r}, {hi!r}]: "
-                f"sigma is non-finite at x={x!r}{whole}")
+        for lo, hi in zip(seg_lo[touching].tolist(), seg_hi[touching].tolist())], cfg)
     if not all(r2.is_finite for r2 in res):
         raise ArithmeticError("transform not integrable inside a branch segment")
-    vals[adaptive] = [r2.value for r2 in res]
+    vals[touching] = [r2.value for r2 in res]
 
     # cumulative anchors: C(d_mesh[k]) = c_quarter + mass of segments further in than x_k
     csum = np.concatenate([[0.0], np.cumsum(vals[::-1])])[::-1]

@@ -20,9 +20,7 @@ from typing import Optional
 from .auxweight import build_aux_weight
 from .degeneracy import detect_structure
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_ranges
-from .weights import Exponent, builtin_cascade
-
-MAX_BUMPS = 40
+from .weights import MAX_BUMPS, Exponent, builtin_cascade
 
 
 @dataclass(frozen=True)

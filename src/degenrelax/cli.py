@@ -308,7 +308,6 @@ def cmd_poincare(args) -> int:
 def cmd_relax(args) -> int:
     from .auxweight import build_aux_weight
     from .relaxation import _relaxed_parts, original_functional
-    from .spaces import check_membership, lp_aux_norm
     w, p, cfg, structure = _setup(args)
     u = parse_function_arg(args.u, w.domain)
     orig = original_functional(u, w, p, cfg)
@@ -320,12 +319,8 @@ def cmd_relax(args) -> int:
         aux = build_aux_weight(w, p, structure, cfg)
         rel, amb, mem = _relaxed_parts(u, w, aux, structure, p, cfg)
         relaxed = {"kind": rel.kind, "value": rel.value, "reason": rel.reason}
-        if mem is None:
-            mem = check_membership(u, w, structure, p, cfg)
         member = {"in_space": mem.in_space,
                   "seminorm": mem.seminorm.value if mem.seminorm.is_finite else math.inf}
-        if amb is None:
-            amb = lp_aux_norm(u, aux, cfg)
         ambient = amb.value if amb.is_finite else math.inf
     _emit({
         "command": "relax",

@@ -130,10 +130,11 @@ def _scan_weight(w: Weight):
         regions.append((float(min(lo_edge, hi_edge)), float(max(lo_edge, hi_edge))))
 
     # isolated zeros: small local minima of the samples off the flat spans
-    # and their neighbours, sharpened by golden search
-    cover = np.zeros(n + 2, dtype=np.int64)
-    np.add.at(cover, np.maximum(first - 1, 0), 1)
-    np.add.at(cover, last + 2, -1)
+    # (a span's neighbours lie above it, so they are never minima), sharpened
+    # by golden search
+    cover = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(cover, first, 1)
+    np.add.at(cover, last + 1, -1)
     is_min = (vals <= 1e-5 * peak) & (np.add.accumulate(cover[:n]) == 0)
     is_min[1:] &= vals[1:] <= vals[:-1]
     is_min[:-1] &= vals[:-1] <= vals[1:]
@@ -201,8 +202,7 @@ def detect_structure(w: Weight, p: Exponent,
             e_l = local_exponent_estimate(w, z, -1, h0)
         if e_r is None:
             e_r = local_exponent_estimate(w, z, +1, h0)
-        ap_l = math.inf if e_l == math.inf else p.alpha_p(e_l)
-        ap_r = math.inf if e_r == math.inf else p.alpha_p(e_r)
+        ap_l, ap_r = p.alpha_p(e_l), p.alpha_p(e_r)
         info = ZeroInfo(z, e_l, e_r)
         if ap_l >= 1.0 or ap_r >= 1.0:
             splitting.append(info)

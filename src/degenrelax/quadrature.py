@@ -130,15 +130,6 @@ class IntegralResult:
         return IntegralResult.divergent(self.value + other.value)
 
 
-def _panel_nodes(lows, highs):
-    """Kronrod nodes (one row per panel) and half-widths of a batch of panels."""
-    lows = np.asarray(lows, dtype=float)
-    highs = np.asarray(highs, dtype=float)
-    mid = 0.5 * (lows + highs)
-    half = 0.5 * (highs - lows)
-    return mid[:, None] + half[:, None] * _NODES[None, :], half
-
-
 def _kronrod(xs, half, vals):
     """Kronrod value, Gauss/Kronrod discrepancy, first non-finite node and
     first NaN node (NaN where none; both None when every node is finite)
@@ -172,23 +163,33 @@ def _nan_error(nan_at):
     return IntegrandEvaluationError(f"integrand is NaN at x={x!r}", location=float(x))
 
 
-def _eval_panels(f, lows, highs):
-    """Kronrod value, Gauss/Kronrod discrepancy, finiteness and first
-    non-finite node for a batch of panels; any NaN node raises."""
-    xs, half = _panel_nodes(lows, highs)
-    k15, err, bad_at, nan_at = _kronrod(xs, half, f(xs.ravel()))
+def _eval_panels(f, lows, highs, cfg: QuadratureConfig):
+    """Kronrod value and Gauss/Kronrod discrepancy of a batch of panels, with
+    integrate()'s rule for a non-finite node: a NaN node raises, an inf node
+    is graded into from both sides, and a panel not locally integrable
+    there reads +inf."""
+    evaluate = _evaluator(lambda x, _: f(x))
+    k15, err, bad_at, nan_at = evaluate(lows, highs, 0)
     if bad_at is None:
-        return k15, err, np.ones(k15.shape, dtype=bool), np.full(k15.shape, np.nan)
+        return k15, err
     if _nan_error(nan_at):
         raise _nan_error(nan_at)
-    return k15, err, np.isnan(bad_at), bad_at
+    j = np.nonzero(~np.isnan(bad_at))[0]
+    v, e, ok, nested = _resolve(lows[j], highs[j], bad_at[j], np.zeros(j.size, dtype=int), 0,
+                                cfg, evaluate)
+    if _nan_error(nested):
+        raise _nan_error(nested)
+    k15[j], err[j] = np.where(ok, v, math.inf), e
+    return k15, err
 
 
 def _evaluator(f):
-    """evaluate(lows, highs, owner): _kronrod of panels from one call f(x, index),
-    index the range of each node: owner per panel, or one for all (a view)."""
+    """evaluate(lows, highs, owner): _kronrod of the panels of two arrays from
+    one call f(x, index), index the range of each node: owner per panel, or
+    one for all (a view)."""
     def evaluate(lows, highs, owner):
-        xs, half = _panel_nodes(lows, highs)
+        half = 0.5 * (highs - lows)
+        xs = (0.5 * (lows + highs))[:, None] + half[:, None] * _NODES
         x = xs.ravel()
         index = (np.broadcast_to(owner, x.shape) if np.ndim(owner) == 0
                  else np.repeat(owner, _NODES.size))
@@ -759,13 +760,13 @@ def classify_endpoint_integrability(w: Weight, p: Exponent, z: float, far: float
         else:
             alpha = local_exponent_estimate(w, z, side, abs(far - z))
             rule = "estimated-exponent"
-            ap_est = math.inf if alpha == math.inf else p.alpha_p(alpha)
+            ap_est = p.alpha_p(alpha)
             if w.resolution_near(z) > 0.0 and abs(ap_est - 1.0) < 0.02:
                 raise IndeterminateIntegrabilityError(
                     f"estimated transform exponent {ap_est:.4f} at x={z} sits within 0.02 "
                     f"of the integrability threshold 1; refine the grid near x={z}")
 
-    ap = math.inf if alpha == math.inf else p.alpha_p(alpha)
+    ap = p.alpha_p(alpha)
     if ap >= 1.0:
         return EndpointClass(False, math.inf, rule, alpha)
 

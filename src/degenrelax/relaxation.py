@@ -29,7 +29,7 @@ from .degeneracy import DegeneracyStructure
 from .quadrature import (DEFAULT_CONFIG, IntegralResult, QuadratureConfig, integrate,
                          integrate_ranges)
 from .spaces import (MembershipReport, TestFunction, check_membership, density_cuts,
-                     energy_density, lp_aux_norm)
+                     energy_density, energy_ranges, lp_aux_norm)
 from .weights import Exponent, Weight
 
 
@@ -91,23 +91,22 @@ def relaxed_functional(u: TestFunction, w: Weight, aux: AuxWeight,
 def _relaxed_parts(u: TestFunction, w: Weight, aux: AuxWeight,
                    structure: DegeneracyStructure, p: Exponent,
                    cfg: Optional[QuadratureConfig] = None
-                   ) -> tuple[FunctionalValue, Optional[IntegralResult],
-                              Optional[MembershipReport]]:
+                   ) -> tuple[FunctionalValue, IntegralResult, MembershipReport]:
     """relaxed_functional on a nonempty structure, with the ambient integral
-    and the membership report it was decided on (None where the value was
-    settled without computing them)."""
+    and the membership report it is decided on."""
     cfg = cfg or DEFAULT_CONFIG
-    if u.tag == "Grid":
-        return FunctionalValue.infinite(
-            "sampled function carries no derivative; structure seminorm unavailable"), None, None
     amb = lp_aux_norm(u, aux, cfg)
-    if not amb.is_finite:
-        return FunctionalValue.infinite("u lies outside the ambient weighted space"), amb, None
     member = check_membership(u, w, structure, p, cfg)
-    if not member.in_space:
-        return (FunctionalValue.infinite("derivative energy diverges on the structure"),
-                amb, member)
-    return FunctionalValue.finite(member.seminorm.value), amb, member
+    if u.tag == "Grid":
+        value = FunctionalValue.infinite(
+            "sampled function carries no derivative; structure seminorm unavailable")
+    elif not amb.is_finite:
+        value = FunctionalValue.infinite("u lies outside the ambient weighted space")
+    elif not member.in_space:
+        value = FunctionalValue.infinite("derivative energy diverges on the structure")
+    else:
+        value = FunctionalValue.finite(member.seminorm.value)
+    return value, amb, member
 
 
 # ---------------------------------------------------------------------------
@@ -209,31 +208,26 @@ class _PiecewiseFunction:
         self.bounds = np.array([b.lo for b in self.branches] + [self.branches[-1].hi])
         self.overrides = dict(overrides)
 
-    def __call__(self, x):
+    def _dispatch(self, x, fns: list, overrides: dict):
+        """fns[j] on the points of branch j, then the overrides."""
         x = np.asarray(x, dtype=float)
         flat = np.atleast_1d(x).astype(float).ravel()
         out = np.empty(flat.shape)
         idx = np.clip(np.searchsorted(self.bounds, flat, side="right") - 1,
                       0, len(self.branches) - 1)
-        for j, br in enumerate(self.branches):
+        for j, fn in enumerate(fns):
             m = idx == j
             if m.any():
-                out[m] = np.asarray(br.fn(flat[m]), dtype=float)
-        for xo, vo in self.overrides.items():
+                out[m] = np.asarray(fn(flat[m]), dtype=float)
+        for xo, vo in overrides.items():
             out[flat == xo] = vo
         return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
 
+    def __call__(self, x):
+        return self._dispatch(x, [br.fn for br in self.branches], self.overrides)
+
     def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(x).astype(float).ravel()
-        out = np.empty(flat.shape)
-        idx = np.clip(np.searchsorted(self.bounds, flat, side="right") - 1,
-                      0, len(self.branches) - 1)
-        for j, br in enumerate(self.branches):
-            m = idx == j
-            if m.any():
-                out[m] = np.asarray(br.dfn(flat[m]), dtype=float)
-        return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
+        return self._dispatch(x, [br.dfn for br in self.branches], {})
 
 
 @dataclass(frozen=True)
@@ -422,11 +416,8 @@ def _assemble_member(u: TestFunction, w: Weight, aux: AuxWeight,
     x_err_val = x_err.value ** (1.0 / pp) if x_err.is_finite else math.inf
 
     # energy of the member over the whole domain, branch by branch
-    removable = [z.location for z in structure.removable_zeros]
-    energies = integrate_ranges(energy_density(ubar, w, pp), [
-        (br.lo, br.hi, [z for z in removable if br.lo < z < br.hi],
-         density_cuts(u, w, br.lo, br.hi))
-        for br in branches if br.kind != "constant"], cfg)
+    energies = integrate_ranges(energy_density(ubar, w, pp), energy_ranges(
+        u, w, structure, [(br.lo, br.hi) for br in branches if br.kind != "constant"]), cfg)
     f_val = 0.0
     for res in energies:
         f_val += res.value if res.is_finite else math.inf

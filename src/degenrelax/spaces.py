@@ -258,6 +258,15 @@ def density_cuts(u: TestFunction, w: Weight, lo: float, hi: float,
                    if lo < c < hi})
 
 
+def energy_ranges(u: TestFunction, w: Weight, structure: DegeneracyStructure,
+                  spans: Sequence[tuple]) -> list:
+    """One integrate_ranges range of the energy density per (lo, hi) span:
+    graded into the removable zeros inside it, cut at the kinks."""
+    removable = [z.location for z in structure.removable_zeros]
+    return [(lo, hi, [r for r in removable if lo < r < hi], density_cuts(u, w, lo, hi))
+            for lo, hi in spans]
+
+
 def _aux_ranges(u: TestFunction, aux: AuxWeight) -> list:
     """One integrate_ranges range per aux part, cut at its quarter points and the kinks."""
     return [(part.base.lo, part.base.hi, (),
@@ -272,11 +281,8 @@ def seminorm_energy(u: TestFunction, w: Weight, structure: DegeneracyStructure,
 
     With per_interval=True returns (total, tuple of per-interval results).
     """
-    removable = [z.location for z in structure.removable_zeros]
-    parts = integrate_ranges(energy_density(u, w, p.p), [
-        (iv.lo, iv.hi, [r for r in removable if iv.lo < r < iv.hi],
-         density_cuts(u, w, iv.lo, iv.hi))
-        for iv in structure.intervals], cfg)
+    parts = integrate_ranges(energy_density(u, w, p.p), energy_ranges(
+        u, w, structure, [(iv.lo, iv.hi) for iv in structure.intervals]), cfg)
     total = sum(parts, IntegralResult.finite(0.0, 0.0))
     if per_interval:
         return total, tuple(parts)
@@ -375,8 +381,8 @@ def pointwise_poincare_check(u: TestFunction, w: Weight, aux: AuxWeight,
 
     # the energy over the gap (when it is not empty) and over the outer stretch
     spans = [gap_span, mass_span] if gap_span[0] < gap_span[1] else [mass_span]
-    *g, m = integrate_ranges(energy_density(u, w, pp), [
-        (lo, hi, (), density_cuts(u, w, lo, hi)) for lo, hi in spans], cfg)
+    *g, m = integrate_ranges(energy_density(u, w, pp),
+                             energy_ranges(u, w, aux.structure, spans), cfg)
     gap_lhs = abs(u_x - u_eta) * aux_eta ** (1.0 / aux.exponent.conj)
     if g:
         gap_rhs = g[0].value ** (1.0 / pp) if g[0].is_finite else math.inf
@@ -500,8 +506,7 @@ def ac_extension_check(u: TestFunction, w: Weight, aux: AuxWeight,
     if not cls.integrable:
         raise ValueError(f"transform not integrable on the {side} side; no AC extension there")
     lo, hi = (iv.lo, iv.mid) if side == "left" else (iv.mid, iv.hi)
-    span = (lo, hi, [z.location for z in structure.removable_zeros if lo < z.location < hi],
-            density_cuts(u, w, lo, hi))
+    span, = energy_ranges(u, w, structure, [(lo, hi)])
     energy = energy_density(u, w, pp)
 
     def f(x, index):

@@ -310,6 +310,9 @@ class PiecewisePowerWeight(Weight):
         self.truncation_count = truncation_count
         self._los = np.array([q.lo for q in self.pieces])
         self._his = np.array([q.hi for q in self.pieces])
+        self._pivots = np.array([q.pivot for q in self.pieces])
+        self._log2s = np.array([q.log2_scale for q in self.pieces])
+        self._exponents = np.array([q.exponent for q in self.pieces])
         self._ends = tuple(sorted({e for q in self.pieces for e in (q.lo, q.hi)
                                    if domain.lo < e < domain.hi}))
 
@@ -348,13 +351,11 @@ class PiecewisePowerWeight(Weight):
             flat = np.atleast_1d(x).ravel()
             out = np.full(flat.shape, np.inf)
             idx = self._piece_index(flat)
-            for i, q in enumerate(self.pieces):
-                m = idx == i
-                if not m.any():
-                    continue
-                d = np.abs(flat[m] - q.pivot)
-                with np.errstate(divide="ignore", over="ignore"):
-                    out[m] = np.exp2(-_inv * q.log2_scale - _inv * q.exponent * np.log2(d))
+            m = idx >= 0
+            i = idx[m]
+            d = np.abs(flat[m] - self._pivots[i])
+            with np.errstate(divide="ignore", over="ignore"):
+                out[m] = np.exp2(-_inv * self._log2s[i] - _inv * self._exponents[i] * np.log2(d))
             return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
 
         return sigma
@@ -445,6 +446,9 @@ class PiecewisePowerWeight(Weight):
         }
 
 
+MAX_BUMPS = 40  # the largest bump count of a built-in cascade
+
+
 def builtin_cascade(alpha: float, p: Exponent, bumps: int) -> PiecewisePowerWeight:
     """Packed power bumps on (0, 1): bump i has width 2^-i and scale 2^((i+1)*alpha).
 
@@ -460,8 +464,8 @@ def builtin_cascade(alpha: float, p: Exponent, bumps: int) -> PiecewisePowerWeig
         raise WeightSpecError(
             f"cascade needs alpha/(p-1) > 1; alpha={alpha}, p={p.p} gives {alpha / (p.p - 1.0):.6g}"
         )
-    if not (1 <= bumps <= 40):
-        raise WeightSpecError(f"bump count must be in 1..40, got {bumps}")
+    if not (1 <= bumps <= MAX_BUMPS):
+        raise WeightSpecError(f"bump count must be in 1..{MAX_BUMPS}, got {bumps}")
     pieces = []
     for i in range(1, bumps + 1):
         a_i = 1.0 - 2.0 ** (-(i - 1))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from degenrelax import (
     AuxWeight,
+    ClosedFormWeight,
     Exponent,
     GridSampledWeight,
     Interval,
@@ -305,7 +306,7 @@ def _panel_reference(br, sigma, d):
     k = np.clip(np.searchsorted(br.d_mesh, d, side="right") - 1, 0, br.d_mesh.size - 2)
     x_pt = br.endpoint + br.sgn * d
     x_far = br.endpoint + br.sgn * br.d_mesh[k + 1]
-    k15, _, _, _ = _eval_panels(sigma, np.minimum(x_pt, x_far), np.maximum(x_pt, x_far))
+    k15, _ = _eval_panels(sigma, np.minimum(x_pt, x_far), np.maximum(x_pt, x_far), CFG)
     return br.c_nodes[k + 1] + k15
 
 
@@ -464,6 +465,29 @@ def test_graded_mesh_matches_the_level_loop():
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+@pytest.mark.parametrize("pv", [1.5, 2.0, 3.0])
+def test_point_zero_inside_a_branch_segment_is_graded_into(pv):
+    # w vanishes at one point only: the centre Kronrod node of a plain branch
+    # segment, where sigma is +inf; integrate()'s rule grades into it
+    smooth = lambda x: 1.0 + 0.5 * np.sin(3.0 * x) ** 2
+    dom = Interval(0.0, 1.0)
+    p = Exponent(pv)
+    clean_w = ClosedFormWeight(fn=smooth, domain=dom, zeros=())
+    clean = build_aux_weight(clean_w, p, detect_structure(clean_w, p, CFG), CFG)
+    br = clean.parts[0].left
+    k = br.d_mesh.size // 2
+    lo, hi = sorted(br.endpoint + br.sgn * br.d_mesh[k:k + 2])
+    x0 = 0.5 * (lo + hi)
+    w = ClosedFormWeight(fn=lambda x: np.where(x == x0, 0.0, smooth(x)), domain=dom, zeros=())
+    sigma = w.transform(p)
+    assert sigma(np.array([x0]))[0] == math.inf
+    aux = build_aux_weight(w, p, detect_structure(w, p, CFG), CFG)
+    assert aux.parts[0].left.plain.all()  # plain: free of removable zeros
+    near = x0 + np.spacing(x0) * np.arange(-3.0, 4.0)
+    xs = np.concatenate((near, np.linspace(lo, hi, 9), np.linspace(0.0, 1.0, 101)))
+    np.testing.assert_allclose(aux(xs), clean(xs), rtol=1e-12, atol=0.0)
+
+
 def test_grid_zero_at_the_origin_fails_fast():
     # next to 0 the interpolant underflows to exactly 0, so sigma is +inf on
     # every node of the deepest branch segments; grading into such a panel

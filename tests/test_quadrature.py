@@ -167,7 +167,7 @@ def test_refinement_never_grows_past_max_panels(monkeypatch):
         return np.abs(np.sin(40.0 * math.pi * x))
 
     lows, highs = np.array([0.0]), np.array([1.0])
-    vals, errs, _, _ = quadrature._eval_panels(f, lows, highs)
+    vals, errs = quadrature._eval_panels(f, lows, highs, CFG)
     points.clear()
     pool = quadrature._Pool(lows, highs, vals, errs)
     (res,) = quadrature._refine([pool], CFG, quadrature._evaluator(lambda x, _: f(x)))
@@ -178,6 +178,40 @@ def test_refinement_never_grows_past_max_panels(monkeypatch):
     # (20 - size) // 3 panels: 1 -> 4 -> 16 -> 19, where none fits
     assert sum(points) == 6 * 4 * 15
     assert 1 + 3 * (sum(points) // 60) == 19
+
+
+def _spike(power):
+    """|x - 0.5|^-power, +inf at 0.5: the centre Kronrod node of the panel [0, 1]."""
+    def f(x):
+        with np.errstate(divide="ignore"):
+            return np.abs(x - 0.5) ** -power
+    return f
+
+
+def test_eval_panels_grade_into_an_integrable_inf_node():
+    # an isolated inf node on a smooth integrand: graded into, it loses no mass
+    g = lambda x: np.where(x == 0.5, math.inf, np.exp(x))
+    vals, errs = quadrature._eval_panels(g, np.array([0.0]), np.array([1.0]), CFG)
+    assert vals[0] == pytest.approx(integrate(g, 0.0, 1.0, CFG).value, rel=1e-12)
+    assert vals[0] == pytest.approx(math.e - 1.0, rel=1e-12)
+    assert np.isfinite(errs[0])
+    # an integrable power blowup there is graded into from both sides
+    vals, _ = quadrature._eval_panels(_spike(0.5), np.array([0.0]), np.array([1.0]), CFG)
+    assert vals[0] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-8)
+
+
+def test_eval_panels_read_inf_where_not_locally_integrable():
+    vals, _ = quadrature._eval_panels(_spike(1.5), np.array([0.0, 0.0]), np.array([1.0, 0.25]),
+                                      CFG)
+    assert vals[0] == math.inf
+    assert vals[1] == pytest.approx(2.0 * (4.0 ** 0.5 - 2.0 ** 0.5), rel=1e-12)
+
+
+def test_eval_panels_raise_on_a_nan_node():
+    f = lambda x: np.where(x == 0.5, math.nan, 1.0)
+    with pytest.raises(IntegrandEvaluationError) as err:
+        quadrature._eval_panels(f, np.array([0.0]), np.array([1.0]), CFG)
+    assert err.value.location == 0.5
 
 
 def test_repeated_calls_are_bit_identical():

@@ -27,6 +27,8 @@ from degenrelax import (
     verify_relaxation,
 )
 
+from degenrelax.relaxation import _relaxed_parts
+
 CFG = QuadratureConfig()
 
 
@@ -66,6 +68,24 @@ def test_relaxed_infinite_outside_domain(figure1_chain, p2):
     w, st_, aux = figure1_chain
     val = relaxed_functional(log_edge_function(w.domain), w, aux, st_, p2, CFG)
     assert val.kind == "infinite"
+
+
+def test_relaxed_parts_always_hold_both_parts(unit_chain, p2):
+    w, st_, aux = unit_chain
+    xs = np.linspace(0.0, 1.0, 33)
+    sampled = TestFunction(fn=lambda x: np.interp(x, xs, np.sin(3.0 * xs)), deriv=None,
+                           tag="Grid", label="table")
+    value, amb, member = _relaxed_parts(sampled, w, aux, st_, p2, CFG)
+    assert value.reason == "sampled function carries no derivative; structure seminorm unavailable"
+    assert amb.is_finite and not member.in_space
+    # |u|^2 ~ x^-1.5 at the left end: outside the ambient space, and u' is
+    # not square-integrable there either
+    blowup = TestFunction(fn=lambda x: np.maximum(x, 1e-300) ** -0.75,
+                          deriv=lambda x: -0.75 * np.maximum(x, 1e-300) ** -1.75, tag="AC")
+    value, amb, member = _relaxed_parts(blowup, w, aux, st_, p2, CFG)
+    assert value.reason == "u lies outside the ambient weighted space"
+    assert not amb.is_finite
+    assert not member.in_space and not member.seminorm.is_finite
 
 
 def test_relaxed_below_original_on_figure1(figure1_chain, p2):

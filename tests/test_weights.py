@@ -186,6 +186,81 @@ def test_cascade_scales_do_not_round():
     assert w.truncated and w.truncation_count == 20
 
 
+def test_log_domain_values_of_huge_and_tiny_scales():
+    # |log2 scale| > 512 evaluates exp2(log2 scale + exponent * log2 d): exact at
+    # powers of two, exact 0 at the pivot, and scale * d^exponent where that fits
+    w = PiecewisePowerWeight(Interval(0.0, 2.0), [
+        PowerPiece(0.0, 1.0, 2.0 ** 600, 0.0, 2.0, log2scale=600.0),
+        PowerPiece(1.0, 2.0, 2.0 ** -600, 2.0, 1.5, log2scale=-600.0)])
+    k = np.arange(1.0, 40.0)
+    np.testing.assert_array_equal(w(2.0 ** -k), 2.0 ** (600.0 - 2.0 * k))
+    np.testing.assert_array_equal(w(2.0 - 2.0 ** -k), 2.0 ** (-600.0 - 1.5 * k))
+    assert w(0.0) == 0.0 and w(2.0) == 0.0
+    x = np.random.default_rng(5).uniform(0.0, 2.0, 200)
+    d = np.where(x < 1.0, x, 2.0 - x)
+    want = np.where(x < 1.0, 2.0 ** 600 * d ** 2.0, 2.0 ** -600 * d ** 1.5)
+    np.testing.assert_allclose(w(x), want, rtol=1e-12, atol=0.0)
+
+
+def _sigma_by_piece(w: PiecewisePowerWeight, p: Exponent):
+    """Reference transform: one masked evaluation per piece."""
+    inv = 1.0 / (p.p - 1.0)
+
+    def sigma(x):
+        flat = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+        out = np.full(flat.shape, np.inf)
+        idx = w._piece_index(flat)
+        for i, q in enumerate(w.pieces):
+            m = idx == i
+            if not m.any():
+                continue
+            d = np.abs(flat[m] - q.pivot)
+            with np.errstate(divide="ignore", over="ignore"):
+                out[m] = np.exp2(-inv * q.log2_scale - inv * q.exponent * np.log2(d))
+        return out
+
+    return sigma
+
+
+def _probe_points(w: PiecewisePowerWeight, rng) -> np.ndarray:
+    """Seeded points in every piece and the domain, the piece ends and pivots
+    and their neighbouring floats, and points off the domain."""
+    dom = w.domain
+    special = [dom.lo - 0.1, dom.hi + 0.1, dom.lo, dom.hi]
+    for q in w.pieces:
+        special += [q.lo, q.hi, q.pivot]
+        special += rng.uniform(q.lo, q.hi, 8).tolist()
+    special = np.array(special)
+    return np.concatenate((special, np.nextafter(special, -np.inf),
+                           np.nextafter(special, np.inf),
+                           rng.uniform(dom.lo - 0.05, dom.hi + 0.05, 500)))
+
+
+@pytest.mark.parametrize("pv", [1.5, 2.0, 3.0])
+def test_transform_matches_the_per_piece_loop(pv):
+    p = Exponent(pv)
+    rng = np.random.default_rng(11)
+    weights = [
+        # a gap (0.5, 0.6) outside every piece; the last piece is closed at 1
+        PiecewisePowerWeight(Interval(0.0, 1.0), [
+            PowerPiece(0.0, 0.3, 1.0, 0.0, 1.5),
+            PowerPiece(0.3, 0.5, 2.0, 0.5, 0.7),
+            PowerPiece(0.6, 1.0, 3.0, 1.0, 2.5)]),
+        builtin_cascade(4.0, p, 40),
+        builtin_cascade(15.0, p, 40),  # log2 scales up to 615
+        PiecewisePowerWeight(Interval(-1.0, 1.0), [
+            PowerPiece(-1.0, 0.0, 2.0 ** -600, -1.0, 0.5, log2scale=-600.0),
+            PowerPiece(0.0, 1.0, 2.0 ** 700, 1.0, 3.0, log2scale=700.0)]),
+        PiecewisePowerWeight(Interval(0.0, 1.0), []),  # no pieces: +inf everywhere
+    ]
+    for w in weights:
+        x = _probe_points(w, rng)
+        got = w.transform(p)(x)
+        want = _sigma_by_piece(w, p)(x)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.all(weights[-1].transform(p)(x) == math.inf)
+
+
 def test_cascade_requires_supercritical_alpha():
     with pytest.raises(WeightSpecError):
         builtin_cascade(2.0, Exponent(3.0), 4)
