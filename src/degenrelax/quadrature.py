@@ -159,8 +159,8 @@ def _nan_error(nan_at):
     hit = ~np.isnan(nan_at)
     if not hit.any():
         return None
-    x = nan_at[np.argmax(hit)]
-    return IntegrandEvaluationError(f"integrand is NaN at x={x!r}", location=float(x))
+    x = float(nan_at[np.argmax(hit)])
+    return IntegrandEvaluationError(f"integrand is NaN at x={x!r}", location=x)
 
 
 def _eval_panels(f, lows, highs, cfg: QuadratureConfig):
@@ -538,7 +538,7 @@ def _refine(pools: list, cfg: QuadratureConfig, evaluate) -> list:
                                         pools[p].owner, cfg, evaluate)
             if stop is not None:
                 out[p] = stop if isinstance(stop, Exception) else IntegrandEvaluationError(
-                    f"integrand not locally integrable inside panel near x={stop[0]!r}",
+                    f"integrand not locally integrable inside panel near x={float(stop[0])!r}",
                     location=float(stop[0]))
                 live = live[:live.index(p)]
                 break

@@ -30,7 +30,7 @@ from .quadrature import (DEFAULT_CONFIG, IntegralResult, QuadratureConfig, integ
                          integrate_ranges)
 from .spaces import (MembershipReport, TestFunction, check_membership, density_cuts,
                      energy_density, energy_ranges, lp_aux_norm)
-from .weights import Exponent, Weight
+from .weights import Exponent, Interval, Weight
 
 
 class UnsupportedStructureError(RuntimeError):
@@ -191,43 +191,119 @@ class _MollifiedAntiderivative:
         return np.interp(x, self.grid, self.v)
 
 
-@dataclass
-class _Branch:
-    lo: float
-    hi: float
-    fn: object
-    dfn: object
-    kind: str
+_CONST, _IDENT, _TAPER, _REBUILT, _BRIDGE = range(5)
 
 
-class _PiecewiseFunction:
-    """Dispatch evaluation over ordered branches with exact point overrides."""
+class _Member:
+    """The recovery member at mesh parameter h (module docstring), as a table.
 
-    def __init__(self, branches: Sequence[_Branch], overrides: dict):
-        self.branches = list(branches)
-        self.bounds = np.array([b.lo for b in self.branches] + [self.branches[-1].hi])
-        self.overrides = dict(overrides)
+    An interval side with a touching neighbour is tapered, one without is
+    rebuilt.  Branch i covers [start[i], end[i]); a point goes to the last
+    branch starting at or before it.  Columns a and b by branch kind:
 
-    def _dispatch(self, x, fns: list, overrides: dict):
-        """fns[j] on the points of branch j, then the overrides."""
+    ==========  =============================  =======================
+    kind        a                              b
+    ==========  =============================  =======================
+    _CONST      the value                      0 (the derivative)
+    _IDENT      -                              -
+    _TAPER      aux at the reference point     +1 rising, -1 falling
+    _REBUILT    interval index in `rebuilt`    -
+    _BRIDGE     value at start                 slope
+    ==========  =============================  =======================
+
+    Each falling taper's value at its seam overrides the value there, and
+    seam_mismatch is the worst gap between that and the rising taper's
+    limit on the other side.
+    """
+
+    def __init__(self, u: TestFunction, aux: AuxWeight, structure: DegeneracyStructure,
+                 dom: Interval, pp: float, h: int, junctions: tuple):
+        self.u, self.aux, self.pinv, self.pp = u, aux, 1.0 / pp, pp
+        ivs = structure.intervals
+        r = 1.0 / h
+        # per interval: does each side touch the neighbor?  The first interval's
+        # left side and the last one's right side never do.
+        touch_left = [False] + [j == "touching" for j in junctions]
+        touch_right = [j == "touching" for j in junctions] + [False]
+        self.rebuilt = rebuilt = [
+            None if tl and tr else _MollifiedAntiderivative(u, iv.lo, iv.hi, h)
+            for iv, tl, tr in zip(ivs, touch_left, touch_right)]
+        rows = []  # (start, end, kind, a, b), a taper's a its reference point
+        if ivs[0].lo > dom.lo:
+            rows.append((dom.lo, ivs[0].lo, _CONST, float(rebuilt[0].value(ivs[0].lo)), 0.0))
+        for k, iv in enumerate(ivs):
+            if touch_left[k]:
+                rows += [(iv.lo, iv.lo + r, _TAPER, iv.lo + r, 1.0),
+                         (iv.lo + r, iv.mid, _IDENT, 0.0, 0.0)]
+            else:
+                rows.append((iv.lo, iv.mid, _REBUILT, k, 0.0))
+            if touch_right[k]:
+                rows += [(iv.mid, iv.hi - r, _IDENT, 0.0, 0.0),
+                         (iv.hi - r, iv.hi, _TAPER, iv.hi - r, -1.0)]
+            else:
+                rows.append((iv.mid, iv.hi, _REBUILT, k, 0.0))
+            if k + 1 < len(ivs) and junctions[k] == "gap":
+                g_lo, g_hi = iv.hi, ivs[k + 1].lo
+                y0 = float(rebuilt[k].value(g_lo))
+                y1 = float(rebuilt[k + 1].value(g_hi))
+                rows.append((g_lo, g_hi, _BRIDGE, y0, (y1 - y0) / (g_hi - g_lo)))
+        if ivs[-1].hi < dom.hi:
+            rows.append((ivs[-1].hi, dom.hi, _CONST, float(rebuilt[-1].value(ivs[-1].hi)), 0.0))
+
+        self.start, self.end, kind, self.a, self.b = (np.array(c) for c in zip(*rows))
+        self.kind = kind.astype(np.intp)
+        taper = np.flatnonzero(self.kind == _TAPER)
+        self.a[taper] = aux(self.a[taper])
+        sign = self.b[taper]
+        seam = np.where(sign > 0, self.start[taper], self.end[taper])
+        lim = self._taper(seam, self.a[taper], sign, False).tolist()
+        self.overrides = {x: v for x, v, s in zip(seam.tolist(), lim, sign) if s < 0}
+        self.seam_mismatch = max([abs(self.overrides.get(x, v) - v)
+                                  for x, v, s in zip(seam.tolist(), lim, sign) if s > 0],
+                                 default=0.0)
+
+    def _taper(self, x, ref, sign, deriv: bool):
+        """u scaled by (aux/ref)^(1/p), or its derivative."""
+        wx = np.asarray(self.aux(x), dtype=float)
+        factor = np.maximum(wx / ref, 0.0) ** self.pinv
+        if not deriv:
+            return self.u(x) * factor
+        sx = np.asarray(self.aux.sigma(x), dtype=float)
+        return factor * (self.u.d(x) + self.u(x) * sign * wx * sx / self.pp)
+
+    def _eval(self, x, deriv: bool):
         x = np.asarray(x, dtype=float)
         flat = np.atleast_1d(x).astype(float).ravel()
         out = np.empty(flat.shape)
-        idx = np.clip(np.searchsorted(self.bounds, flat, side="right") - 1,
-                      0, len(self.branches) - 1)
-        for j, fn in enumerate(fns):
-            m = idx == j
-            if m.any():
-                out[m] = np.asarray(fn(flat[m]), dtype=float)
-        for xo, vo in overrides.items():
-            out[flat == xo] = vo
+        i = np.clip(np.searchsorted(self.start, flat, side="right") - 1, 0, self.kind.size - 1)
+        kind = self.kind[i]
+        for k in np.flatnonzero(np.bincount(kind, minlength=_BRIDGE + 1)):
+            sel = np.flatnonzero(kind == k)
+            xs, a, b = flat[sel], self.a[i[sel]], self.b[i[sel]]
+            if k == _IDENT:
+                out[sel] = self.u.d(xs) if deriv else self.u(xs)
+            elif k == _TAPER:
+                out[sel] = self._taper(xs, a, b, deriv)
+            elif k == _REBUILT:
+                iv = a.astype(np.intp)
+                for j in np.flatnonzero(np.bincount(iv)):
+                    at = np.flatnonzero(iv == j)
+                    t = self.rebuilt[j]
+                    out[sel[at]] = t.deriv(xs[at]) if deriv else t.value(xs[at])
+            elif deriv:
+                out[sel] = b
+            else:
+                out[sel] = a if k == _CONST else a + b * (xs - self.start[i[sel]])
+        if not deriv:
+            for xo, vo in self.overrides.items():
+                out[flat == xo] = vo
         return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
 
     def __call__(self, x):
-        return self._dispatch(x, [br.fn for br in self.branches], self.overrides)
+        return self._eval(x, False)
 
     def deriv(self, x):
-        return self._dispatch(x, [br.dfn for br in self.branches], {})
+        return self._eval(x, True)
 
 
 @dataclass(frozen=True)
@@ -249,22 +325,6 @@ class ApproxSequence:
     x_norm_u: float       # ambient norm of u, the scale for x_err
     junctions: tuple      # "touching" | "gap" between consecutive intervals
     h_min: int
-
-
-def _taper_closure(u: TestFunction, aux: AuxWeight, ref: float, sign: float, pp: float):
-    pinv = 1.0 / pp
-
-    def ev(x):
-        ratio = np.asarray(aux(x), dtype=float) / ref
-        return u(x) * np.maximum(ratio, 0.0) ** pinv
-
-    def dv(x):
-        wx = np.asarray(aux(x), dtype=float)
-        sx = np.asarray(aux.sigma(x), dtype=float)
-        factor = np.maximum(wx / ref, 0.0) ** pinv
-        return factor * (u.d(x) + u(x) * sign * wx * sx / pp)
-
-    return ev, dv
 
 
 def build_approx_sequence(u: TestFunction, w: Weight, aux: AuxWeight,
@@ -325,86 +385,11 @@ def _assemble_member(u: TestFunction, w: Weight, aux: AuxWeight,
                      structure: DegeneracyStructure, p: Exponent, h: int,
                      junctions: tuple, f_limit: float,
                      cfg: QuadratureConfig) -> ApproxMember:
-    ivs = structure.intervals
     dom = w.domain
     pp = p.p
-    r = 1.0 / h
-    branches: list = []
-    overrides: dict = {}
-    seam_gap = 0.0
-
-    # per interval: does each side touch the neighbor?
-    touch_left = [False] + [j == "touching" for j in junctions]
-    touch_right = [j == "touching" for j in junctions] + [False]
-
-    tildes = {}
-
-    def tilde(k: int) -> _MollifiedAntiderivative:
-        if k not in tildes:
-            tildes[k] = _MollifiedAntiderivative(u, ivs[k].lo, ivs[k].hi, h)
-        return tildes[k]
-
-    # leading constant segment; the first interval's left side never touches
-    first = ivs[0]
-    if first.lo > dom.lo:
-        lead = float(tilde(0).value(first.lo))
-        branches.append(_Branch(dom.lo, first.lo,
-                                (lambda c: (lambda x: np.full(np.shape(x), c)))(lead),
-                                lambda x: np.zeros(np.shape(x)), "constant"))
-
-    ufn = lambda x: u(x)
-    udfn = lambda x: u.d(x)
-
-    for k, iv in enumerate(ivs):
-        mid = iv.mid
-        # left half
-        if touch_left[k]:
-            ref = float(aux(iv.lo + r))
-            ev, dv = _taper_closure(u, aux, ref, +1.0, pp)
-            branches.append(_Branch(iv.lo, iv.lo + r, ev, dv, "taper-up"))
-            branches.append(_Branch(iv.lo + r, mid, ufn, udfn, "identity"))
-            right_lim = float(ev(np.array([iv.lo]))[0])
-            # the seam override was set while closing the previous interval;
-            # record the mismatch against this side's one-sided limit
-            seam_gap = max(seam_gap, abs(overrides.get(iv.lo, right_lim) - right_lim))
-        else:
-            t = tilde(k)
-            branches.append(_Branch(iv.lo, mid, t.value, t.deriv, "rebuilt"))
-        # right half
-        if touch_right[k]:
-            ref = float(aux(iv.hi - r))
-            branches.append(_Branch(mid, iv.hi - r, ufn, udfn, "identity"))
-            ev, dv = _taper_closure(u, aux, ref, -1.0, pp)
-            branches.append(_Branch(iv.hi - r, iv.hi, ev, dv, "taper-down"))
-            overrides[iv.hi] = float(ev(np.array([iv.hi]))[0])
-        else:
-            t = tilde(k)
-            branches.append(_Branch(mid, iv.hi, t.value, t.deriv, "rebuilt"))
-        # junction to the next interval
-        if k + 1 < len(ivs) and junctions[k] == "gap":
-            g_lo, g_hi = iv.hi, ivs[k + 1].lo
-            y0 = float(tilde(k).value(g_lo))
-            y1 = float(tilde(k + 1).value(g_hi))
-            slope = (y1 - y0) / (g_hi - g_lo)
-            branches.append(_Branch(
-                g_lo, g_hi,
-                (lambda y0_, s_, x0_: (lambda x: y0_ + s_ * (x - x0_)))(y0, slope, g_lo),
-                (lambda s_: (lambda x: np.full(np.shape(x), s_)))(slope),
-                "bridge"))
-
-    last = ivs[-1]
-    if last.hi < dom.hi:
-        if touch_right[-1]:
-            trail = overrides.get(last.hi, 0.0)
-        else:
-            trail = float(tilde(len(ivs) - 1).value(last.hi))
-        branches.append(_Branch(last.hi, dom.hi,
-                                (lambda c: (lambda x: np.full(np.shape(x), c)))(trail),
-                                lambda x: np.zeros(np.shape(x)), "constant"))
-
-    pw = _PiecewiseFunction(branches, overrides)
-    bps = tuple(sorted({float(b.lo) for b in branches} | {float(b.hi) for b in branches}
-                       | {iv.mid for iv in ivs} | set(u.breakpoints)))
+    pw = _Member(u, aux, structure, dom, pp, h, junctions)
+    bps = sorted(set(pw.start.tolist()) | set(pw.end.tolist())
+                 | {iv.mid for iv in structure.intervals} | set(u.breakpoints))
     ubar = TestFunction(fn=pw, deriv=pw.deriv, tag="AC",
                         label=f"{u.label or 'u'}~h{h}",
                         breakpoints=tuple(b_ for b_ in bps if dom.lo < b_ < dom.hi))
@@ -416,13 +401,15 @@ def _assemble_member(u: TestFunction, w: Weight, aux: AuxWeight,
     x_err_val = x_err.value ** (1.0 / pp) if x_err.is_finite else math.inf
 
     # energy of the member over the whole domain, branch by branch
-    energies = integrate_ranges(energy_density(ubar, w, pp), energy_ranges(
-        u, w, structure, [(br.lo, br.hi) for br in branches if br.kind != "constant"]), cfg)
+    spans = [(lo, hi) for lo, hi, kind in zip(pw.start.tolist(), pw.end.tolist(), pw.kind)
+             if kind != _CONST]
+    energies = integrate_ranges(energy_density(ubar, w, pp),
+                                energy_ranges(u, w, structure, spans), cfg)
     f_val = 0.0
     for res in energies:
         f_val += res.value if res.is_finite else math.inf
     return ApproxMember(h=h, fn=ubar, x_err=float(x_err_val), f_value=float(f_val),
-                        f_gap=float(abs(f_val - f_limit)), seam_mismatch=float(seam_gap))
+                        f_gap=float(abs(f_val - f_limit)), seam_mismatch=float(pw.seam_mismatch))
 
 
 @dataclass(frozen=True)

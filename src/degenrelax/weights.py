@@ -336,9 +336,11 @@ class PiecewisePowerWeight(Weight):
                 continue
             d = np.abs(flat[m] - q.pivot)
             if abs(q.log2_scale) > 512.0:
-                # log-domain path: exp2(log2 m + alpha*log2 d), exact 0 at the pivot
-                with np.errstate(divide="ignore"):
-                    out[m] = np.exp2(q.log2_scale + q.exponent * np.log2(d))
+                # log-domain path: exp2(log2 m + alpha*log2 d), exact 0 at the pivot;
+                # an exponent-0 piece is flat there, so 0 * log2(0) counts as 0
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    out[m] = np.exp2(q.log2_scale + np.where(
+                        q.exponent == 0.0, 0.0, q.exponent * np.log2(d)))
             else:
                 out[m] = q.scale * d ** q.exponent
         return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
@@ -354,8 +356,11 @@ class PiecewisePowerWeight(Weight):
             m = idx >= 0
             i = idx[m]
             d = np.abs(flat[m] - self._pivots[i])
-            with np.errstate(divide="ignore", over="ignore"):
-                out[m] = np.exp2(-_inv * self._log2s[i] - _inv * self._exponents[i] * np.log2(d))
+            e = self._exponents[i]
+            # as in __call__, 0 * log2(0) at the pivot of an exponent-0 piece counts as 0
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                out[m] = np.exp2(-_inv * self._log2s[i]
+                                 - np.where(e == 0.0, 0.0, _inv * e * np.log2(d)))
             return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
 
         return sigma

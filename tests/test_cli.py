@@ -3,13 +3,16 @@
 import csv
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 RUN = [sys.executable, "-m", "degenrelax.cli"]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args, check=True):
@@ -242,3 +245,26 @@ def test_import_leaves_scipy_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert (tmp_path / "members.csv").read_text().startswith("h,x_err")
+
+
+def readme_examples() -> list:
+    """The command lines of the README's CLI example block."""
+    prefix, fenced, lines = "python -m degenrelax.cli ", False, []
+    for line in README.read_text().splitlines():
+        fenced ^= line.startswith("```")
+        if fenced and line.startswith(prefix) and "<" not in line:
+            lines.append(line[len(prefix):])
+    return lines
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    from degenrelax import cli
+    lines = readme_examples()
+    assert len(lines) == 6
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        args = shlex.split(line)
+        code = cli.main(args + ["--no-timestamp"] * ("--no-timestamp" not in args))
+        out = capsys.readouterr().out
+        assert code == 0, line
+        assert isinstance(json.loads(out), dict), line

@@ -212,6 +212,7 @@ def test_eval_panels_raise_on_a_nan_node():
     with pytest.raises(IntegrandEvaluationError) as err:
         quadrature._eval_panels(f, np.array([0.0]), np.array([1.0]), CFG)
     assert err.value.location == 0.5
+    assert str(err.value) == "integrand is NaN at x=0.5"
 
 
 def test_repeated_calls_are_bit_identical():

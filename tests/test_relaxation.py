@@ -1,7 +1,7 @@
 """Energy functional, relaxation, and the AC approximation construction."""
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -10,12 +10,14 @@ from degenrelax import (
     Exponent,
     Interval,
     PiecewisePowerWeight,
+    PowerPiece,
     QuadratureConfig,
     TestFunction,
     UnsupportedStructureError,
     build_approx_sequence,
     build_aux_weight,
     builtin_cascade,
+    builtin_figure1,
     detect_structure,
     log_edge_function,
     min_mesh_parameter,
@@ -27,7 +29,9 @@ from degenrelax import (
     verify_relaxation,
 )
 
-from degenrelax.relaxation import _relaxed_parts
+from degenrelax.relaxation import _Member, _MollifiedAntiderivative, _relaxed_parts
+
+from conftest import make_two_tent
 
 CFG = QuadratureConfig()
 
@@ -285,3 +289,190 @@ def test_verdict_is_free_of_the_scale_of_u(figure1_chain, p2):
         assert v.f_rel == pytest.approx(verdicts[0].f_rel, rel=1e-9)
         assert (v.ok, v.x_ok, v.f_ok, v.f_rel_ok) == (
             verdicts[0].ok, verdicts[0].x_ok, verdicts[0].f_ok, verdicts[0].f_rel_ok)
+
+
+# ---------------------------------------------------------------------------
+# members as branch tables, against the closure-based construction they replace
+
+
+@dataclass
+class _Branch:
+    lo: float
+    hi: float
+    fn: object
+    dfn: object
+    kind: str
+
+
+class _PiecewiseFunction:
+    """Dispatch evaluation over ordered branches with exact point overrides."""
+
+    def __init__(self, branches, overrides: dict):
+        self.branches = list(branches)
+        self.bounds = np.array([b.lo for b in self.branches] + [self.branches[-1].hi])
+        self.overrides = dict(overrides)
+
+    def _dispatch(self, x, fns: list, overrides: dict):
+        x = np.asarray(x, dtype=float)
+        flat = np.atleast_1d(x).astype(float).ravel()
+        out = np.empty(flat.shape)
+        idx = np.clip(np.searchsorted(self.bounds, flat, side="right") - 1,
+                      0, len(self.branches) - 1)
+        for j, fn in enumerate(fns):
+            m = idx == j
+            if m.any():
+                out[m] = np.asarray(fn(flat[m]), dtype=float)
+        for xo, vo in overrides.items():
+            out[flat == xo] = vo
+        return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
+
+    def __call__(self, x):
+        return self._dispatch(x, [br.fn for br in self.branches], self.overrides)
+
+    def deriv(self, x):
+        return self._dispatch(x, [br.dfn for br in self.branches], {})
+
+
+def _taper_closure(u, aux, ref: float, sign: float, pp: float):
+    pinv = 1.0 / pp
+
+    def ev(x):
+        ratio = np.asarray(aux(x), dtype=float) / ref
+        return u(x) * np.maximum(ratio, 0.0) ** pinv
+
+    def dv(x):
+        wx = np.asarray(aux(x), dtype=float)
+        sx = np.asarray(aux.sigma(x), dtype=float)
+        factor = np.maximum(wx / ref, 0.0) ** pinv
+        return factor * (u.d(x) + u(x) * sign * wx * sx / pp)
+
+    return ev, dv
+
+
+def _closure_member(u, aux, structure, dom, pp: float, h: int, junctions: tuple):
+    """A member as one closure per branch: (function, seam mismatch)."""
+    ivs = structure.intervals
+    r = 1.0 / h
+    branches: list = []
+    overrides: dict = {}
+    seam_gap = 0.0
+    touch_left = [False] + [j == "touching" for j in junctions]
+    touch_right = [j == "touching" for j in junctions] + [False]
+    tildes = {}
+
+    def tilde(k: int):
+        if k not in tildes:
+            tildes[k] = _MollifiedAntiderivative(u, ivs[k].lo, ivs[k].hi, h)
+        return tildes[k]
+
+    first = ivs[0]
+    if first.lo > dom.lo:
+        lead = float(tilde(0).value(first.lo))
+        branches.append(_Branch(dom.lo, first.lo,
+                                (lambda c: (lambda x: np.full(np.shape(x), c)))(lead),
+                                lambda x: np.zeros(np.shape(x)), "constant"))
+    ufn = lambda x: u(x)
+    udfn = lambda x: u.d(x)
+    for k, iv in enumerate(ivs):
+        mid = iv.mid
+        if touch_left[k]:
+            ref = float(aux(iv.lo + r))
+            ev, dv = _taper_closure(u, aux, ref, +1.0, pp)
+            branches.append(_Branch(iv.lo, iv.lo + r, ev, dv, "taper-up"))
+            branches.append(_Branch(iv.lo + r, mid, ufn, udfn, "identity"))
+            right_lim = float(ev(np.array([iv.lo]))[0])
+            seam_gap = max(seam_gap, abs(overrides.get(iv.lo, right_lim) - right_lim))
+        else:
+            t = tilde(k)
+            branches.append(_Branch(iv.lo, mid, t.value, t.deriv, "rebuilt"))
+        if touch_right[k]:
+            ref = float(aux(iv.hi - r))
+            branches.append(_Branch(mid, iv.hi - r, ufn, udfn, "identity"))
+            ev, dv = _taper_closure(u, aux, ref, -1.0, pp)
+            branches.append(_Branch(iv.hi - r, iv.hi, ev, dv, "taper-down"))
+            overrides[iv.hi] = float(ev(np.array([iv.hi]))[0])
+        else:
+            t = tilde(k)
+            branches.append(_Branch(mid, iv.hi, t.value, t.deriv, "rebuilt"))
+        if k + 1 < len(ivs) and junctions[k] == "gap":
+            g_lo, g_hi = iv.hi, ivs[k + 1].lo
+            y0 = float(tilde(k).value(g_lo))
+            y1 = float(tilde(k + 1).value(g_hi))
+            slope = (y1 - y0) / (g_hi - g_lo)
+            branches.append(_Branch(
+                g_lo, g_hi,
+                (lambda y0_, s_, x0_: (lambda x: y0_ + s_ * (x - x0_)))(y0, slope, g_lo),
+                (lambda s_: (lambda x: np.full(np.shape(x), s_)))(slope),
+                "bridge"))
+    last = ivs[-1]
+    if last.hi < dom.hi:
+        trail = float(tilde(len(ivs) - 1).value(last.hi))
+        branches.append(_Branch(last.hi, dom.hi,
+                                (lambda c: (lambda x: np.full(np.shape(x), c)))(trail),
+                                lambda x: np.zeros(np.shape(x)), "constant"))
+    return _PiecewiseFunction(branches, overrides), seam_gap
+
+
+_MEMBER_WEIGHTS = {
+    "figure1": (lambda: builtin_figure1(),
+                ([-2, -1.2, -0.3, 0.5, 1.4, 2.0], [0.3, -0.5, 0.8, 0.1, -0.4, 0.2])),
+    "two_tent": (make_two_tent, ([0.0, 0.2, 0.5, 0.8, 1.0], [0.1, 0.7, -0.2, 0.5, 0.0])),
+    "unit": (lambda: PiecewisePowerWeight(Interval(0.0, 1.0),
+                                          [PowerPiece(0.0, 1.0, 1.0, 0.0, 0.0)]),
+             ([0.0, 0.3, 0.7, 1.0], [0.2, -0.4, 0.6, 0.1])),
+}
+
+
+@pytest.fixture(scope="module", params=[(name, pv) for name in _MEMBER_WEIGHTS
+                                        for pv in (1.5, 2.0, 3.0)],
+                ids=lambda c: f"{c[0]}-p{c[1]}")
+def member_case(request):
+    """(u, aux, structure, domain, p, junctions) for one weight and exponent."""
+    name, pv = request.param
+    make_w, (kx, ky) = _MEMBER_WEIGHTS[name]
+    w, p = make_w(), Exponent(pv)
+    st_ = detect_structure(w, p, CFG)
+    aux = build_aux_weight(w, p, st_, CFG)
+    ivs = st_.intervals
+    junctions = tuple("touching" if abs(b.lo - a.hi) <= 1e-12 * w.domain.width else "gap"
+                      for a, b in zip(ivs, ivs[1:]))
+    return spline_function(kx, ky), aux, st_, w.domain, pv, junctions
+
+
+def _mesh_ladder(structure, h_max: int = 32) -> list:
+    hs = [min_mesh_parameter(structure)]
+    while hs[-1] * 2 <= h_max:
+        hs.append(hs[-1] * 2)
+    return hs + [h_max] if hs[-1] < h_max else hs
+
+
+def test_members_match_the_closure_construction(member_case):
+    u, aux, st_, dom, pv, junctions = member_case
+    rng = np.random.default_rng(20)
+    for h in _mesh_ladder(st_):
+        new = _Member(u, aux, st_, dom, pv, h, junctions)
+        ref, seam_gap = _closure_member(u, aux, st_, dom, pv, h, junctions)
+        seams = [x for iv in st_.intervals for x in (iv.lo, iv.mid, iv.hi)]
+        xs = np.concatenate([ref.bounds, [b.hi for b in ref.branches], seams,
+                             rng.uniform(dom.lo, dom.hi, 200)])
+        assert new.seam_mismatch == seam_gap
+        # the taper's derivative is 0 * inf = NaN exactly at a seam, on both sides
+        with np.errstate(invalid="ignore"):
+            pairs = [(new(xs), ref(xs)), (new.deriv(xs), ref.deriv(xs))]
+            pairs += [(np.array([f(x) for x in seams]), np.array([g(x) for x in seams]))
+                      for f, g in ((new, ref), (new.deriv, ref.deriv))]
+        for got, want in pairs:
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_member_derivative_is_the_derivative_of_the_member(member_case):
+    # the energy of a member integrates fn.d, so fn.d must differentiate fn
+    u, aux, st_, dom, pv, junctions = member_case
+    for h in _mesh_ladder(st_):
+        fn = _Member(u, aux, st_, dom, pv, h, junctions)
+        for lo, hi, kind in zip(fn.start, fn.end, fn.kind):
+            step = 1e-6 * (hi - lo)
+            xs = lo + (hi - lo) * np.linspace(0.1, 0.9, 17)
+            d = fn.deriv(xs)
+            centred = (fn(xs + step) - fn(xs - step)) / (2.0 * step)
+            assert np.max(np.abs(centred - d)) <= 1e-5 * np.max(np.abs(d)), (h, lo, hi, kind)

@@ -1,6 +1,7 @@
 """Weight model: exponents, transforms, piecewise powers, parsing."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from degenrelax import (
     weight_from_csv,
     weight_from_spec,
 )
+from degenrelax import quadrature
 
 
 def test_exponent_rejects_bad_values():
@@ -345,3 +347,22 @@ def test_unit_weight_is_one_everywhere(unit_weight):
     xs = np.linspace(0, 1, 9)
     np.testing.assert_allclose(unit_weight(xs), 1.0, rtol=0, atol=0)
     assert unit_weight.zero_regions() == ()
+
+
+def test_exponent_zero_pivots_are_flat():
+    # at the pivot of an exponent-0 piece, 0 * log2(0) counts as 0: w stays
+    # positive there, so sigma is finite and a quadrature node may land on it
+    w = PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, 0.5, 1.0, 0.0, 0.0),
+                                                   PowerPiece(0.5, 1.0, 2.0, 0.7, 0.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigma = w.transform(Exponent(2.0))
+        assert sigma(0.0) == 1.0 and sigma(0.7) == 0.5
+        # the middle Kronrod node of [0.6, 0.8] is the pivot 0.7
+        k15, _ = quadrature._eval_panels(sigma, np.array([0.6]), np.array([0.8]),
+                                         quadrature.DEFAULT_CONFIG)
+        assert k15[0] == pytest.approx(0.1, rel=1e-14)
+        # the log-domain path of a huge scale, at its own pivot
+        huge = PiecewisePowerWeight(Interval(0.0, 1.0), [
+            PowerPiece(0.0, 1.0, math.inf, 0.5, 0.0, log2scale=600.0)])
+        assert huge(0.5) == 2.0 ** 600 and huge(0.25) == 2.0 ** 600
