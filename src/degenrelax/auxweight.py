@@ -44,21 +44,27 @@ sorted list of zones:
 * Endpoints, plateaus and the gaps between intervals are constant zones.
 
 An evaluation is one sorted search, one Chebyshev sum over the points in
-Chebyshev zones and at most one batched sigma call for the points in panel
-zones.  Away from panel zones no sigma is evaluated at all.
+Chebyshev zones and one batched sigma call per 1,152 panels
+(quadrature._MAX_REQUEST) for the points in panel zones.  Away from panel
+zones no sigma is evaluated at all.
+
+build_aux_weight makes one lockstep drive (integrate_ranges) for the whole
+structure: every plateau, every quarter-point-to-midpoint span and every
+branch segment touching a removable zero; the plain segments of all branches
+are one batch of Kronrod panels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .degeneracy import DegeneracyInterval, DegeneracyStructure
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, _NODES, _eval_panels,
-                         integrate, integrate_ranges)
+                         integrate_ranges)
 from .weights import Exponent, Weight
 
 
@@ -398,9 +404,20 @@ def _sliver_nodes(d_r: float, d_max: float) -> np.ndarray:
     return np.asarray(out)
 
 
-def _build_branch(sigma, endpoint: float, mid: float, removables: Sequence[float],
-                  cfg: QuadratureConfig) -> BranchTable:
-    """Tabulate C(d) = integral of sigma between (endpoint +- d) and mid, for one half."""
+class _Mesh(NamedTuple):
+    """The geometry of one outer branch, before any sigma is integrated."""
+
+    endpoint: float
+    sgn: float              # x = endpoint + sgn * d
+    d_mesh: np.ndarray      # ascending distances up to the quarter point
+    lo: np.ndarray          # the segments between consecutive mesh points,
+    hi: np.ndarray          # inner to outer, as x ranges
+    plain: np.ndarray       # per segment: free of removable zeros
+    span: tuple             # the quarter point to the midpoint, ascending
+
+
+def _branch_mesh(endpoint: float, mid: float, removables: Sequence[float]) -> _Mesh:
+    """The graded mesh of the half from endpoint to mid, up to its quarter point."""
     sgn = 1.0 if mid > endpoint else -1.0
     half = abs(mid - endpoint)
     d_mesh = _graded_mesh(0.5 * half, endpoint, sgn)  # up to the quarter point
@@ -414,45 +431,39 @@ def _build_branch(sigma, endpoint: float, mid: float, removables: Sequence[float
     keep[:-1] = np.abs(np.diff(xs)) > 0.0
     d_mesh = d_mesh[keep]
     xs = xs[keep]
-    # innermost piece: from the quarter point to the midpoint (graded at both
-    # ends; removable zeros inside get their own grading)
-    qpt = endpoint + sgn * 0.5 * half
-    lo_q, hi_q = (qpt, mid) if sgn > 0 else (mid, qpt)
-    inner_sing = [r for r in removables if lo_q < r < hi_q]
-    res = integrate(sigma, lo_q, hi_q, cfg, singular=inner_sing)
-    if not res.is_finite:
-        raise ArithmeticError(
-            "transform not integrable between quarter point and midpoint; "
-            "the degeneracy structure should have split here")
-    c_quarter = res.value
-
-    # segment integrals between consecutive mesh points, inner to outer
     seg_lo = np.minimum(xs[:-1], xs[1:])
     seg_hi = np.maximum(xs[:-1], xs[1:])
-    vals = np.zeros(seg_lo.size)
     plain = np.ones(seg_lo.size, dtype=bool)
     for r in removables:
         # only segments actually touching the zero stay adaptive; the sliver
         # mesh keeps those at float-width scale
         plain &= ~((r >= seg_lo) & (r <= seg_hi))
-    if np.any(plain):
-        vals[plain] = _eval_panels(sigma, seg_lo[plain], seg_hi[plain], cfg)[0]
+    qpt = endpoint + sgn * 0.5 * half
+    return _Mesh(endpoint, sgn, d_mesh, seg_lo, seg_hi, plain,
+                 (qpt, mid) if sgn > 0 else (mid, qpt))
+
+
+def _finish_branch(sigma, mesh: _Mesh, quarter, vals: np.ndarray, removables: Sequence[float],
+                   cfg: QuadratureConfig) -> BranchTable:
+    """Tabulate C(d) = integral of sigma between (endpoint +- d) and mid, for
+    one half, from the integral over its quarter span and its segments' (NaN
+    where a segment touching a removable zero did not converge)."""
+    if not quarter.is_finite:
+        raise ArithmeticError(
+            "transform not integrable between quarter point and midpoint; "
+            "the degeneracy structure should have split here")
+    c_quarter = quarter.value
     if np.isinf(vals).any():
         j = int(np.argmax(np.isinf(vals)))
-        lo, hi = float(seg_lo[j]), float(seg_hi[j])
+        lo, hi = float(mesh.lo[j]), float(mesh.hi[j])
         nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES
         bad = ~np.isfinite(sigma(nodes))
         whole = ", across a whole panel" if bad.all() else ""
         raise ArithmeticError(
             f"transform not integrable inside the branch segment [{lo!r}, {hi!r}]: "
             f"sigma is non-finite at x={float(nodes[np.argmax(bad)])!r}{whole}")
-    touching = np.nonzero(~plain)[0]
-    res = integrate_ranges(lambda x, _: sigma(x), [
-        (lo, hi, [r for r in removables if lo < r < hi], ())
-        for lo, hi in zip(seg_lo[touching].tolist(), seg_hi[touching].tolist())], cfg)
-    if not all(r2.is_finite for r2 in res):
+    if np.isnan(vals).any():
         raise ArithmeticError("transform not integrable inside a branch segment")
-    vals[touching] = [r2.value for r2 in res]
 
     # cumulative anchors: C(d_mesh[k]) = c_quarter + mass of segments further in than x_k
     csum = np.concatenate([[0.0], np.cumsum(vals[::-1])])[::-1]
@@ -462,10 +473,10 @@ def _build_branch(sigma, endpoint: float, mid: float, removables: Sequence[float
 
     # the log-log slope at the innermost node extends C below the mesh as a power law
     return BranchTable(
-        sigma=sigma, endpoint=endpoint, sgn=sgn, d_mesh=d_mesh, c_nodes=c_all,
-        plain=plain, removables=tuple(removables), cfg=cfg,
-        slope_inner=_end_slope(np.log(d_mesh), np.log(c_all)),
-        c_at_dmax=c_quarter, d_max=float(d_mesh[-1]))
+        sigma=sigma, endpoint=mesh.endpoint, sgn=mesh.sgn, d_mesh=mesh.d_mesh, c_nodes=c_all,
+        plain=mesh.plain, removables=tuple(removables), cfg=cfg,
+        slope_inner=_end_slope(np.log(mesh.d_mesh), np.log(c_all)),
+        c_at_dmax=c_quarter, d_max=float(mesh.d_mesh[-1]))
 
 
 def _end_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -583,22 +594,34 @@ def build_aux_weight(w: Weight, p: Exponent, structure: DegeneracyStructure,
         raise ValueError(f"structure was computed for p={structure.p}, not p={p.p}")
     sigma = w.transform(p)
     removables = [info.location for info in structure.removable_zeros]
+    ivs = structure.intervals
+    meshes = [_branch_mesh(end, iv.mid, removables) for iv in ivs for end in (iv.lo, iv.hi)]
+    # one drive: each plateau and the quarter spans of its branches, then
+    # every branch segment touching a removable zero
+    spans = [span for iv, left, right in zip(ivs, meshes[::2], meshes[1::2]) for span in (
+        (iv.lo + 0.25 * iv.width, iv.lo + 0.75 * iv.width), left.span, right.span)]
+    lo, hi = (np.concatenate([np.zeros(0), *(getattr(m, k) for m in meshes)])
+              for k in ("lo", "hi"))
+    plain = np.concatenate([np.zeros(0, dtype=bool), *(m.plain for m in meshes)])
+    spans += zip(lo[~plain].tolist(), hi[~plain].tolist())
+    res = integrate_ranges(lambda x, _: sigma(x), [
+        (a, b, [r for r in removables if a < r < b], ()) for a, b in spans], cfg)
+    # and one batch of panels for all plain segments
+    vals = np.zeros(lo.size)
+    if plain.any():
+        vals[plain] = _eval_panels(sigma, lo[plain], hi[plain], cfg)[0]
+    vals[~plain] = [r.value if r.is_finite else math.nan for r in res[3 * len(ivs):]]
+    ends = np.cumsum([0] + [m.lo.size for m in meshes])
     parts = []
-    for iv in structure.intervals:
-        mid = iv.mid
-        q1 = iv.lo + 0.25 * iv.width
-        q3 = iv.lo + 0.75 * iv.width
-        inner = [r for r in removables if q1 < r < q3]
-        plat_res = integrate(sigma, q1, q3, cfg, singular=inner)
-        if not plat_res.is_finite:
+    for i, iv in enumerate(ivs):  # failures in the order plateau, left, right
+        if not res[3 * i].is_finite:
             raise ArithmeticError("transform not integrable across the plateau span")
-        plateau = 1.0 / plat_res.value
-        left = _build_branch(sigma, iv.lo, mid, removables, cfg)
-        right = _build_branch(sigma, iv.hi, mid, removables, cfg)
+        left, right = (_finish_branch(sigma, meshes[k], res[i + k + 1], vals[ends[k]:ends[k + 1]],
+                                      removables, cfg) for k in (2 * i, 2 * i + 1))
         lo_value = 1.0 / iv.lo_class.value if iv.lo_class.integrable else 0.0
         hi_value = 1.0 / iv.hi_class.value if iv.hi_class.integrable else 0.0
         parts.append(AuxInterval(
-            base=iv, plateau=plateau, left=left, right=right,
+            base=iv, plateau=1.0 / res[3 * i].value, left=left, right=right,
             lo_value=lo_value, hi_value=hi_value,
             left_limit=1.0 / left.c_at_dmax, right_limit=1.0 / right.c_at_dmax,
         ))

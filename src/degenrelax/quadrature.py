@@ -15,7 +15,9 @@ Gauss/Kronrod discrepancy covers the excess over the error budget.
 
 integrate_ranges() runs several ranges in lockstep, sharing each integrand
 call, while every range walks, refines and sums its own panels exactly as
-integrate() alone would.  Integrands must therefore be elementwise.  The
+integrate() alone would.  Integrands must therefore be elementwise; a
+request of more than _MAX_REQUEST panels is evaluated in blocks of that
+size, which bounds its memory and changes no bit.  The
 control flow runs in arrays: the graded runs of all ranges are the rows of
 one padded (run, level) array, walked at once with sequential cumulative
 sums along the rows, a cumulative count of non-decaying level pairs for the
@@ -184,16 +186,30 @@ def _eval_panels(f, lows, highs, cfg: QuadratureConfig):
 
 
 def _evaluator(f):
-    """evaluate(lows, highs, owner): _kronrod of the panels of two arrays from
-    one call f(x, index), index the range of each node: owner per panel, or
-    one for all (a view)."""
-    def evaluate(lows, highs, owner):
+    """evaluate(lows, highs, owner): _kronrod of the panels of two arrays, in
+    blocks of at most _MAX_REQUEST panels, each from one call f(x, index),
+    index the range of each node: owner per panel, or one for all (a view).
+    f is elementwise and _kronrod sums each panel on its own, so the blocks
+    change no bit; they bound the memory a request holds."""
+    def block(lows, highs, owner):
         half = 0.5 * (highs - lows)
         xs = (0.5 * (lows + highs))[:, None] + half[:, None] * _NODES
         x = xs.ravel()
         index = (np.broadcast_to(owner, x.shape) if np.ndim(owner) == 0
                  else np.repeat(owner, _NODES.size))
         return _kronrod(xs, half, f(x, index))
+
+    def evaluate(lows, highs, owner):
+        if lows.size <= _MAX_REQUEST:
+            return block(lows, highs, owner)
+        parts = [block(lows[at:at + _MAX_REQUEST], highs[at:at + _MAX_REQUEST],
+                       owner if np.ndim(owner) == 0 else owner[at:at + _MAX_REQUEST])
+                 for at in range(0, lows.size, _MAX_REQUEST)]
+        k15, err = (np.concatenate([s[i] for s in parts]) for i in (0, 1))
+        if all(s[2] is None for s in parts):
+            return k15, err, None, None
+        return k15, err, *(np.concatenate([np.full(s[0].size, np.nan) if s[i] is None else s[i]
+                                           for s in parts]) for i in (2, 3))
     return evaluate
 
 
@@ -202,6 +218,8 @@ def _evaluator(f):
 _LADDER = 0.5 ** np.arange(61)
 _TREND_WINDOW = 10  # consecutive non-decaying levels that flag divergence
 _MAX_PANELS = 4000  # refinement never grows a range's panel pool past this
+_MAX_REQUEST = 1152  # panels per integrand call: bounds the memory of one request
+_FIRST_PICK = 256  # panels select() sorts first; it grows the count as needed
 _BLOCK = 8  # graded levels walked between two early-exit tests
 _BACK8 = np.arange(8, 0, -1)  # offsets of the last eight of a row
 _FITS = np.array([[8], [4]])  # magnitudes in the two decay-ratio fits
@@ -455,11 +473,25 @@ class _Pool:
                                            cfg.rel_tol * abs(np.add.reduce(vals)))
         if excess <= 0.0:
             return None
-        order = np.argsort(-errs, kind="stable")
-        order = order[errs[order] > 0.0]
-        if order.size == 0:
-            return None
-        return order[:min(int(np.searchsorted(np.cumsum(errs[order]), excess)) + 1, room)]
+        # the k worst in order, ties by index, for a k grown until their
+        # running sum covers the excess: a prefix of the full sort's order
+        # (a partial sort pays only on a pool several times larger than k)
+        k = _FIRST_PICK
+        while True:
+            whole = errs.size < 4 * k
+            if whole:
+                order = np.argsort(-errs, kind="stable")
+            else:
+                top = np.flatnonzero(errs >= np.partition(errs, errs.size - k)[errs.size - k])
+                order = top[np.argsort(-errs[top], kind="stable")][:k]
+            order = order[errs[order] > 0.0]
+            if order.size == 0:
+                return None
+            n = int(np.searchsorted(np.cumsum(errs[order]), excess)) + 1
+            # done once the sum is covered, room is filled or no panel is left out
+            if whole or n <= order.size or order.size >= room or order.size < k:
+                return order[:min(n, room)]
+            k *= 4
 
     def replace(self, drop, lows, highs, k15, perr):
         """Put new panels in: drop masks the panels kept (a cut), or picks the
@@ -639,7 +671,8 @@ def integrate_ranges(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     Each range is (a, b, singular, breakpoints) with integrate()'s meaning,
     and gets exactly the result integrate() would give it alone.  The
     ranges share every integrand call: one for all first passes, then one
-    per refinement round.  f(x, index) receives the nodes of all ranges and,
+    per refinement round, each split into calls of at most _MAX_REQUEST
+    panels (1,152).  f(x, index) receives the nodes of all ranges and,
     for each node, the position of its range in `ranges`; an integrand that
     differs per range must read that index, never infer the range from x
     (a deep graded node can round onto an endpoint shared by two ranges).

@@ -28,8 +28,9 @@ from .auxweight import AuxWeight
 from .degeneracy import DegeneracyStructure
 from .quadrature import (DEFAULT_CONFIG, IntegralResult, QuadratureConfig, integrate,
                          integrate_ranges)
-from .spaces import (MembershipReport, TestFunction, check_membership, density_cuts,
-                     energy_density, energy_ranges, lp_aux_norm)
+from .spaces import (MembershipReport, TestFunction, aux_ranges, check_membership,
+                     density_cuts, energy_density, energy_ranges, energy_values, lp_aux_norm,
+                     mass_values)
 from .weights import Exponent, Interval, Weight
 
 
@@ -372,44 +373,64 @@ def build_approx_sequence(u: TestFunction, w: Weight, aux: AuxWeight,
     # diagnostics compare percent-level quantities; relax the budget accordingly
     diag_cfg = replace(cfg, rel_tol=max(cfg.rel_tol, 1e-7), abs_tol=max(cfg.abs_tol, 1e-12))
 
+    # one drive for every member: its ambient ranges, then its energy ranges
+    # (over every branch but the constant ones), with index -> member
+    pws = [_Member(u, aux, structure, dom, p.p, h, junctions) for h in hs]
+    ubars, ranges, bounds, owner, energy = [], [], [], [], []
+    for k, (h, pw) in enumerate(zip(hs, pws)):
+        bps = sorted(set(pw.start.tolist()) | set(pw.end.tolist())
+                     | {iv.mid for iv in ivs} | set(u.breakpoints))
+        ubars.append(TestFunction(fn=pw, deriv=pw.deriv, tag="AC", label=f"{u.label or 'u'}~h{h}",
+                                  breakpoints=tuple(b_ for b_ in bps if dom.lo < b_ < dom.hi)))
+        spans = [(lo, hi) for lo, hi, kind in zip(pw.start.tolist(), pw.end.tolist(), pw.kind)
+                 if kind != _CONST]
+        amb, eng = aux_ranges(ubars[-1], aux), energy_ranges(u, w, structure, spans)
+        bounds.append((len(ranges), len(ranges) + len(amb), len(ranges) + len(amb) + len(eng)))
+        ranges += amb + eng
+        owner += [k] * (len(amb) + len(eng))
+        energy += [False] * len(amb) + [True] * len(eng)
+    res = integrate_ranges(_members_density(pws, u, aux, w, p.p, np.array(owner),
+                                            np.array(energy)), ranges, diag_cfg)
+
     members = []
-    for h in hs:
-        members.append(_assemble_member(u, w, aux, structure, p, h, junctions,
-                                        f_lim.value, diag_cfg))
+    for h, pw, ubar, (a, b, c) in zip(hs, pws, ubars, bounds):
+        x_err = sum(res[a:b], IntegralResult.finite(0.0, 0.0))
+        f_val = 0.0
+        for r in res[b:c]:
+            f_val += r.value if r.is_finite else math.inf
+        members.append(ApproxMember(
+            h=h, fn=ubar, x_err=float(x_err.value ** (1.0 / p.p) if x_err.is_finite else math.inf),
+            f_value=float(f_val), f_gap=float(abs(f_val - f_lim.value)),
+            seam_mismatch=float(pw.seam_mismatch)))
     return ApproxSequence(
         u_label=u.label, h_values=tuple(hs), members=tuple(members),
         f_limit=f_lim.value, x_norm_u=x_norm_u, junctions=junctions, h_min=h_min)
 
 
-def _assemble_member(u: TestFunction, w: Weight, aux: AuxWeight,
-                     structure: DegeneracyStructure, p: Exponent, h: int,
-                     junctions: tuple, f_limit: float,
-                     cfg: QuadratureConfig) -> ApproxMember:
-    dom = w.domain
-    pp = p.p
-    pw = _Member(u, aux, structure, dom, pp, h, junctions)
-    bps = sorted(set(pw.start.tolist()) | set(pw.end.tolist())
-                 | {iv.mid for iv in structure.intervals} | set(u.breakpoints))
-    ubar = TestFunction(fn=pw, deriv=pw.deriv, tag="AC",
-                        label=f"{u.label or 'u'}~h{h}",
-                        breakpoints=tuple(b_ for b_ in bps if dom.lo < b_ < dom.hi))
+def _members_density(pws: list, u: TestFunction, aux: AuxWeight, w: Weight, pp: float,
+                     owner: np.ndarray, energy: np.ndarray):
+    """The integrand of every member's ranges, f(x, index): range i is an
+    energy range (|m'|^p w) or an ambient one (|m - u|^p aux^(p-1)) of member
+    m = pws[owner[i]].  Each call evaluates u and aux once for all ambient
+    nodes and w once for all energy nodes."""
+    def f(x, index):
+        own, en = owner[index], energy[index]
+        v, out = np.empty(x.size), np.empty(x.size)
+        for k in np.flatnonzero(np.bincount(own)):
+            at = own == k
+            amb, eng = np.flatnonzero(at & ~en), np.flatnonzero(at & en)
+            if amb.size:
+                v[amb] = pws[k](x[amb])
+            if eng.size:
+                v[eng] = pws[k].deriv(x[eng])
+        amb, eng = np.flatnonzero(~en), np.flatnonzero(en)
+        if amb.size:
+            out[amb] = mass_values(v[amb] - u(x[amb]), aux(x[amb]), pp)
+        if eng.size:
+            out[eng] = energy_values(v[eng], w(x[eng]), pp)
+        return out
 
-    # ambient distance to u
-    diff = TestFunction(fn=lambda x: pw(x) - u(x), deriv=None, tag="AC",
-                        label="diff", breakpoints=ubar.breakpoints)
-    x_err = lp_aux_norm(diff, aux, cfg)
-    x_err_val = x_err.value ** (1.0 / pp) if x_err.is_finite else math.inf
-
-    # energy of the member over the whole domain, branch by branch
-    spans = [(lo, hi) for lo, hi, kind in zip(pw.start.tolist(), pw.end.tolist(), pw.kind)
-             if kind != _CONST]
-    energies = integrate_ranges(energy_density(ubar, w, pp),
-                                energy_ranges(u, w, structure, spans), cfg)
-    f_val = 0.0
-    for res in energies:
-        f_val += res.value if res.is_finite else math.inf
-    return ApproxMember(h=h, fn=ubar, x_err=float(x_err_val), f_value=float(f_val),
-                        f_gap=float(abs(f_val - f_limit)), seam_mismatch=float(pw.seam_mismatch))
+    return f
 
 
 @dataclass(frozen=True)

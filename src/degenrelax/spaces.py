@@ -221,13 +221,23 @@ def random_test_functions(domain: Interval, count: int, seed: int) -> list[TestF
 # norms and membership
 
 
+def energy_values(du, wx, pp: float) -> np.ndarray:
+    """|u'|^p w from the values of u' and w at the same points."""
+    return np.abs(du) ** pp * np.asarray(wx, dtype=float)
+
+
+def mass_values(v, ax, pp: float) -> np.ndarray:
+    """|v|^p aux^(p-1) from the values of v and aux at the same points."""
+    return np.abs(v) ** pp * np.asarray(ax, dtype=float) ** (pp - 1.0)
+
+
 def energy_density(u: TestFunction, w: Weight, pp: float):
     """The energy density |u'|^p w as an integrand f(x, index=None).
 
     Elementwise; the range index that integrate_ranges passes is unused.
     """
     def f(x, index=None):
-        return np.abs(u.d(x)) ** pp * np.asarray(w(x), dtype=float)
+        return energy_values(u.d(x), w(x), pp)
 
     return f
 
@@ -242,7 +252,7 @@ def aux_mass_density(u: TestFunction, aux: AuxWeight, shifts: Sequence[float]):
     pp = aux.exponent.p
 
     def f(x, index):
-        return np.abs(u(x) - c[index]) ** pp * np.asarray(aux(x), dtype=float) ** (pp - 1.0)
+        return mass_values(u(x) - c[index], aux(x), pp)
 
     return f
 
@@ -267,7 +277,7 @@ def energy_ranges(u: TestFunction, w: Weight, structure: DegeneracyStructure,
             for lo, hi in spans]
 
 
-def _aux_ranges(u: TestFunction, aux: AuxWeight) -> list:
+def aux_ranges(u: TestFunction, aux: AuxWeight) -> list:
     """One integrate_ranges range per aux part, cut at its quarter points and the kinks."""
     return [(part.base.lo, part.base.hi, (),
              density_cuts(u, aux.weight, part.base.lo, part.base.hi, (part.q1, part.q3)))
@@ -297,7 +307,7 @@ def lp_aux_norm(u: TestFunction, aux: AuxWeight,
     norm integral over the whole domain.  An empty structure gives 0.
     """
     parts = integrate_ranges(aux_mass_density(u, aux, np.zeros(len(aux.parts))),
-                             _aux_ranges(u, aux), cfg)
+                             aux_ranges(u, aux), cfg)
     return sum(parts, IntegralResult.finite(0.0, 0.0))
 
 
@@ -419,7 +429,7 @@ def poincare_global_check(u: TestFunction, w: Weight, aux: AuxWeight,
                           cfg: Optional[QuadratureConfig] = None) -> PoincareReport:
     _, energies = seminorm_energy(u, w, structure, p, cfg, per_interval=True)
     u_mids = [float(u(np.array([part.base.mid]))[0]) for part in aux.parts]
-    nums = integrate_ranges(aux_mass_density(u, aux, u_mids), _aux_ranges(u, aux), cfg)
+    nums = integrate_ranges(aux_mass_density(u, aux, u_mids), aux_ranges(u, aux), cfg)
     rows = []
     lhs_total = rhs_total = 0.0
     for part, energy, n in zip(aux.parts, energies, nums):

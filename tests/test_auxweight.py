@@ -1,5 +1,6 @@
 """Auxiliary weight: closed forms, branch identity, bounds, edge cases."""
 
+import dataclasses
 import gc
 import math
 import signal
@@ -15,10 +16,12 @@ from degenrelax import (
     ClosedFormWeight,
     Exponent,
     GridSampledWeight,
+    IntegralResult,
     Interval,
     PiecewisePowerWeight,
     PowerPiece,
     QuadratureConfig,
+    ZeroInfo,
     aux_global_bounds,
     build_aux_weight,
     builtin_cascade,
@@ -28,7 +31,7 @@ from degenrelax import (
     detect_structure,
     integrate,
 )
-from degenrelax import auxweight
+from degenrelax import auxweight, quadrature
 
 CFG = QuadratureConfig()
 
@@ -508,3 +511,125 @@ def test_grid_zero_at_the_origin_fails_fast():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _branch_alone(sigma, endpoint, mid, removables, cfg):
+    """One branch with its own integrals, as build_aux_weight made them before
+    it built every branch in one drive: the bit-for-bit reference."""
+    sgn = 1.0 if mid > endpoint else -1.0
+    half = abs(mid - endpoint)
+    d_mesh = auxweight._graded_mesh(0.5 * half, endpoint, sgn)
+    extra = [auxweight._sliver_nodes((r - endpoint) * sgn, d_mesh[-1]) for r in removables
+             if 0.0 < (r - endpoint) * sgn <= d_mesh[-1]]
+    if extra:
+        d_mesh = np.unique(np.concatenate([d_mesh, *extra]))
+    xs = endpoint + sgn * d_mesh
+    keep = np.ones(d_mesh.size, dtype=bool)
+    keep[:-1] = np.abs(np.diff(xs)) > 0.0
+    d_mesh, xs = d_mesh[keep], xs[keep]
+    qpt = endpoint + sgn * 0.5 * half
+    lo_q, hi_q = (qpt, mid) if sgn > 0 else (mid, qpt)
+    res = integrate(sigma, lo_q, hi_q, cfg, singular=[r for r in removables if lo_q < r < hi_q])
+    assert res.is_finite
+    seg_lo, seg_hi = np.minimum(xs[:-1], xs[1:]), np.maximum(xs[:-1], xs[1:])
+    vals = np.zeros(seg_lo.size)
+    plain = np.ones(seg_lo.size, dtype=bool)
+    for r in removables:
+        plain &= ~((r >= seg_lo) & (r <= seg_hi))
+    if np.any(plain):
+        vals[plain] = quadrature._eval_panels(sigma, seg_lo[plain], seg_hi[plain], cfg)[0]
+    assert np.isfinite(vals).all()
+    for j in np.flatnonzero(~plain):
+        lo, hi = float(seg_lo[j]), float(seg_hi[j])
+        seg = integrate(sigma, lo, hi, cfg, singular=[r for r in removables if lo < r < hi])
+        assert seg.is_finite
+        vals[j] = seg.value
+    c_all = res.value + np.concatenate([[0.0], np.cumsum(vals[::-1])])[::-1]
+    return d_mesh, c_all, plain, auxweight._end_slope(np.log(d_mesh), np.log(c_all))
+
+
+def _grid_split_at_half():
+    xs = np.linspace(0.0, 1.0, 1025)
+    return GridSampledWeight(xs, np.abs(xs - 0.5) ** 2 * (1.0 + 0.3 * xs)), Exponent(1.5)
+
+
+def _two_uneven_removables():
+    """On (0, 1): removable zeros at 0.1 and 0.85, in the left and the right
+    branch, each with other exponents on its two sides."""
+    return PiecewisePowerWeight(Interval(0.0, 1.0), [
+        PowerPiece(0.0, 0.1, 1.0, 0.1, 0.3), PowerPiece(0.1, 0.5, 2.0, 0.1, 0.6),
+        PowerPiece(0.5, 0.85, 1.5, 0.85, 0.4), PowerPiece(0.85, 1.0, 1.0, 0.85, 0.7)]), Exponent(2.0)
+
+
+ONE_DRIVE_CASES = {
+    "figure1": lambda: (builtin_figure1(), Exponent(2.0)),
+    "removable": lambda: (_removable_then_split(2.0), Exponent(2.0)),
+    "removable-uneven": _two_uneven_removables,
+    "removable-on-quarter-points": lambda: (builtin_figure1(), Exponent(4.0)),
+    "cascade20": lambda: (builtin_cascade(3.0, Exponent(2.0), 20), Exponent(2.0)),
+    "grid": _grid_split_at_half,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_DRIVE_CASES))
+def test_one_drive_build_matches_branch_by_branch(case):
+    w, p = ONE_DRIVE_CASES[case]()
+    st_ = detect_structure(w, p, CFG)
+    aux = build_aux_weight(w, p, st_, CFG)
+    sigma = w.transform(p)
+    removables = [z.location for z in st_.removable_zeros]
+    assert len(aux.parts) == len(st_.intervals) >= (20 if case == "cascade20" else 1)
+    touching = 0
+    for part in aux.parts:
+        iv = part.base
+        plateau = integrate(sigma, part.q1, part.q3, CFG,
+                            singular=[r for r in removables if part.q1 < r < part.q3])
+        assert part.plateau.hex() == (1.0 / plateau.value).hex()
+        for br, end, limit in ((part.left, iv.lo, part.left_limit),
+                               (part.right, iv.hi, part.right_limit)):
+            d_mesh, c_all, plain, slope = _branch_alone(sigma, end, iv.mid, removables, CFG)
+            assert br.d_mesh.tobytes() == d_mesh.tobytes()
+            assert br.c_nodes.tobytes() == c_all.tobytes()
+            assert np.array_equal(br.plain, plain)
+            assert br.slope_inner.hex() == slope.hex()
+            assert limit.hex() == (1.0 / c_all[-1]).hex() == (1.0 / br.c_at_dmax).hex()
+            touching += int(np.count_nonzero(~plain))
+    assert (touching > 0) == case.startswith("removable")
+
+
+def test_plateau_span_not_integrable_keeps_its_message():
+    # a double zero at 0.3 given as removable in a hand-made structure that
+    # keeps (0, 1) whole: the plateau (0.25, 0.75) grades into it and diverges
+    p = Exponent(2.0)
+    w = PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, 0.3, 1.0, 0.3, 2.0),
+                                                  PowerPiece(0.3, 1.0, 1.0, 0.3, 2.0)])
+    unit = PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, 1.0, 1.0, 0.0, 0.0)])
+    st_ = dataclasses.replace(detect_structure(unit, p, CFG),
+                              removable_zeros=(ZeroInfo(0.3, 2.0, 2.0),))
+    with pytest.raises(ArithmeticError, match="^transform not integrable across the plateau span$"):
+        build_aux_weight(w, p, st_)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (1, "transform not integrable between quarter point and midpoint; "
+        "the degeneracy structure should have split here"),
+    (-1, "transform not integrable inside a branch segment")])
+def test_branch_failures_keep_their_messages_and_order(bad, message, monkeypatch):
+    # a divergence reported for one range of the drive (a left quarter span or
+    # the last segment touching a removable zero) raises that range's message,
+    # ahead of a divergent plateau in a later interval
+    w = _removable_then_split(2.0)
+    p = Exponent(2.0)
+    st_ = detect_structure(w, p, CFG)
+    assert len(st_.intervals) == 2 and st_.removable_zeros
+    drive = auxweight.integrate_ranges
+
+    def diverging(f, ranges, cfg):
+        res = drive(f, ranges, cfg)
+        res[bad] = res[3] = IntegralResult.divergent(math.inf)
+        return res
+
+    monkeypatch.setattr(auxweight, "integrate_ranges", diverging)
+    with pytest.raises(ArithmeticError) as info:
+        build_aux_weight(w, p, st_, CFG)
+    assert str(info.value) == message

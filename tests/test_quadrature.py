@@ -654,3 +654,116 @@ def test_inf_node_in_a_graded_level_of_a_later_gap_is_resolved():
     together = integrate_ranges(_per_range([_inv_sqrt(0.5), f]),
                                 [(0.0, 1.0, (), ()), (1.0, 2.0, [1.5], ())], CFG)
     assert _bits(together[1]) == _bits(r)
+
+
+def _select_by_full_sort(pool, cfg):
+    """_Pool.select as one full stable argsort: the reference for its partial
+    selection."""
+    room = (quadrature._MAX_PANELS - pool.lows.size) // 3
+    if room <= 0:
+        return None
+    vals, errs = pool.vals, pool.errs
+    excess = np.add.reduce(errs) - max(cfg.abs_tol * np.add.reduce(np.abs(vals)),
+                                       cfg.rel_tol * abs(np.add.reduce(vals)))
+    if excess <= 0.0:
+        return None
+    order = np.argsort(-errs, kind="stable")
+    order = order[errs[order] > 0.0]
+    if order.size == 0:
+        return None
+    return order[:min(int(np.searchsorted(np.cumsum(errs[order]), excess)) + 1, room)]
+
+
+def test_select_matches_a_full_sort():
+    rng = np.random.default_rng(17)
+    picked = []
+    for trial in range(400):
+        n = int(rng.choice([rng.integers(1, 40), rng.integers(40, 1000), rng.integers(1000, 3000),
+                            rng.integers(3900, 4000)]))
+        # errors from a few levels, so ties are common; zeros, and now and then an inf
+        errs = rng.choice([0.0, 1e-12, 3e-12, 1e-9, 1e-6], size=n) * rng.choice([1.0, 2.0], size=n)
+        if trial % 2:  # or from a continuum with a few repeated values
+            errs = 10.0 ** rng.uniform(-14.0, -4.0, n)
+            errs[rng.integers(0, n, n // 3)] = errs[0]
+        if trial % 50 == 7:
+            errs[rng.integers(0, n)] = math.inf
+        # a budget that is a random share of the summed errors
+        share = rng.choice([0.0, rng.uniform(0.0, 1.0), 1.5])
+        vals = np.full(n, share * float(np.sum(errs[np.isfinite(errs)])) / (n * CFG.rel_tol))
+        pool = quadrature._Pool(np.zeros(n), np.ones(n), vals, errs)
+        want = _select_by_full_sort(pool, CFG)
+        got = pool.select(CFG)
+        if want is None:
+            assert got is None
+            picked.append((n, 0))
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            picked.append((n, want.size))
+    # no pick; from pools sorted in part, picks within and beyond the first
+    # batch; picks capped by room
+    first = quadrature._FIRST_PICK
+    assert 0 in [k for _, k in picked]
+    assert any(n >= 4 * first and 0 < k <= first for n, k in picked)
+    assert any(n >= 4 * first and k > first for n, k in picked)
+    assert any(k == (quadrature._MAX_PANELS - n) // 3 > 0 for n, k in picked)
+
+
+def _evaluator_case(n):
+    """n panels over ranges 0..4, and an integrand with one inf node and one
+    NaN node, both in the last panel (the last block of a capped request)."""
+    rng = np.random.default_rng(n)
+    lows = np.sort(rng.uniform(0.0, 1.0, n))
+    highs = lows + rng.uniform(1e-6, 1e-2, n)
+    owner = rng.integers(0, 5, n)
+    half = 0.5 * (highs - lows)
+    nodes = (0.5 * (lows + highs))[:, None] + half[:, None] * quadrature._NODES
+    at_inf, at_nan = float(nodes[-1, 3]), float(nodes[-1, 9])
+    calls = []
+
+    def f(x, index):
+        calls.append(x.size)
+        with np.errstate(divide="ignore"):
+            out = np.sin(7.0 * x * (index + 1.0)) + np.abs(x - at_inf) ** -0.5
+        return np.where(x == at_nan, math.nan, out)
+
+    return lows, highs, owner, f, calls, (at_inf, at_nan)
+
+
+def _hex(a):
+    return [float(v).hex() for v in np.asarray(a, dtype=float)]
+
+
+@pytest.mark.parametrize("n", [1, quadrature._MAX_REQUEST - 1, quadrature._MAX_REQUEST,
+                               quadrature._MAX_REQUEST + 1, 3 * quadrature._MAX_REQUEST + 7])
+def test_capped_requests_change_no_bit(n, monkeypatch):
+    cap = quadrature._MAX_REQUEST
+    lows, highs, owner, f, calls, (at_inf, at_nan) = _evaluator_case(n)
+    got = quadrature._evaluator(f)(lows, highs, owner)
+    assert calls == [15 * min(cap, n - k) for k in range(0, n, cap)]
+    monkeypatch.setattr(quadrature, "_MAX_REQUEST", 10 * n)
+    want = quadrature._evaluator(f)(lows, highs, owner)
+    assert len(calls) == -(-n // cap) + 1
+    for g, w in zip(got, want):
+        assert _hex(g) == _hex(w)
+    # the inf and the NaN node, met in the last block alone, are found
+    assert got[2][-1] == at_inf and got[3][-1] == at_nan
+    assert np.isnan(got[2][:-1]).all() and np.isnan(got[3][:-1]).all()
+
+
+@pytest.mark.parametrize("capped", [True, False])
+def test_capped_panels_meet_a_late_nan_and_inf_node(capped, monkeypatch):
+    n = 3 * quadrature._MAX_REQUEST + 7
+    if not capped:
+        monkeypatch.setattr(quadrature, "_MAX_REQUEST", n)
+    lows, highs, _, f, calls, (at_inf, at_nan) = _evaluator_case(n)
+    with pytest.raises(IntegrandEvaluationError) as info:
+        quadrature._eval_panels(lambda x: f(x, 0), lows, highs, CFG)
+    assert str(info.value) == f"integrand is NaN at x={at_nan!r}"
+    assert len(calls) == (4 if capped else 1)
+    # without the NaN, the inf node (an integrable blowup) is graded into,
+    # as it is in that panel alone
+    g = lambda x: np.nan_to_num(f(x, 0), nan=1.0, posinf=math.inf)
+    vals, errs = quadrature._eval_panels(g, lows, highs, CFG)
+    alone = quadrature._eval_panels(g, lows[-1:], highs[-1:], CFG)
+    assert _hex(vals[-1:]) == _hex(alone[0]) and _hex(errs[-1:]) == _hex(alone[1])
+    assert np.isfinite(vals).all()

@@ -19,7 +19,9 @@ from degenrelax import (
     builtin_cascade,
     builtin_figure1,
     detect_structure,
+    integrate_ranges,
     log_edge_function,
+    lp_aux_norm,
     min_mesh_parameter,
     original_functional,
     poly_function,
@@ -29,7 +31,8 @@ from degenrelax import (
     verify_relaxation,
 )
 
-from degenrelax.relaxation import _Member, _MollifiedAntiderivative, _relaxed_parts
+from degenrelax.relaxation import _CONST, _Member, _MollifiedAntiderivative, _relaxed_parts
+from degenrelax.spaces import energy_density, energy_ranges
 
 from conftest import make_two_tent
 
@@ -476,3 +479,27 @@ def test_member_derivative_is_the_derivative_of_the_member(member_case):
             d = fn.deriv(xs)
             centred = (fn(xs + step) - fn(xs - step)) / (2.0 * step)
             assert np.max(np.abs(centred - d)) <= 1e-5 * np.max(np.abs(d)), (h, lo, hi, kind)
+
+
+def test_one_drive_matches_member_by_member(member_case):
+    # each member's ambient distance and energy, measured with two drives of
+    # its own (lp_aux_norm of m - u, then its energy ranges), as they were
+    # before every member shared one drive: the bit-for-bit reference
+    u, aux, st_, dom, pv, _ = member_case
+    w, p = aux.weight, Exponent(pv)
+    seq = build_approx_sequence(u, w, aux, st_, p, h_max=32, cfg=CFG)
+    cfg = replace(CFG, rel_tol=1e-7, abs_tol=1e-12)  # the sequence's diagnostic budget
+    assert len(seq.members) >= 2
+    for m in seq.members:
+        pw = m.fn.fn
+        diff = TestFunction(fn=lambda x, pw=pw: pw(x) - u(x), deriv=None, tag="AC",
+                            breakpoints=m.fn.breakpoints)
+        x_err = lp_aux_norm(diff, aux, cfg)
+        spans = [(lo, hi) for lo, hi, kind in zip(pw.start.tolist(), pw.end.tolist(), pw.kind)
+                 if kind != _CONST]
+        f_value = 0.0
+        for r in integrate_ranges(energy_density(m.fn, w, pv), energy_ranges(u, w, st_, spans),
+                                  cfg):
+            f_value += r.value if r.is_finite else math.inf
+        assert m.x_err.hex() == (x_err.value ** (1.0 / pv)).hex()
+        assert m.f_value.hex() == f_value.hex()
