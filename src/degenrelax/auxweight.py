@@ -616,8 +616,11 @@ def build_aux_weight(w: Weight, p: Exponent, structure: DegeneracyStructure,
     for i, iv in enumerate(ivs):  # failures in the order plateau, left, right
         if not res[3 * i].is_finite:
             raise ArithmeticError("transform not integrable across the plateau span")
-        left, right = (_finish_branch(sigma, meshes[k], res[i + k + 1], vals[ends[k]:ends[k + 1]],
-                                      removables, cfg) for k in (2 * i, 2 * i + 1))
+        # spans 3i, 3i+1, 3i+2: plateau, left and right quarter spans;
+        # meshes 2i, 2i+1: the left and right branch
+        left, right = (_finish_branch(sigma, meshes[k], quarter, vals[ends[k]:ends[k + 1]],
+                                      removables, cfg)
+                       for k, quarter in ((2 * i, res[3 * i + 1]), (2 * i + 1, res[3 * i + 2])))
         lo_value = 1.0 / iv.lo_class.value if iv.lo_class.integrable else 0.0
         hi_value = 1.0 / iv.hi_class.value if iv.hi_class.integrable else 0.0
         parts.append(AuxInterval(

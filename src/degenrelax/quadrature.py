@@ -219,7 +219,6 @@ _LADDER = 0.5 ** np.arange(61)
 _TREND_WINDOW = 10  # consecutive non-decaying levels that flag divergence
 _MAX_PANELS = 4000  # refinement never grows a range's panel pool past this
 _MAX_REQUEST = 1152  # panels per integrand call: bounds the memory of one request
-_FIRST_PICK = 256  # panels select() sorts first; it grows the count as needed
 _BLOCK = 8  # graded levels walked between two early-exit tests
 _BACK8 = np.arange(8, 0, -1)  # offsets of the last eight of a row
 _FITS = np.array([[8], [4]])  # magnitudes in the two decay-ratio fits
@@ -473,25 +472,11 @@ class _Pool:
                                            cfg.rel_tol * abs(np.add.reduce(vals)))
         if excess <= 0.0:
             return None
-        # the k worst in order, ties by index, for a k grown until their
-        # running sum covers the excess: a prefix of the full sort's order
-        # (a partial sort pays only on a pool several times larger than k)
-        k = _FIRST_PICK
-        while True:
-            whole = errs.size < 4 * k
-            if whole:
-                order = np.argsort(-errs, kind="stable")
-            else:
-                top = np.flatnonzero(errs >= np.partition(errs, errs.size - k)[errs.size - k])
-                order = top[np.argsort(-errs[top], kind="stable")][:k]
-            order = order[errs[order] > 0.0]
-            if order.size == 0:
-                return None
-            n = int(np.searchsorted(np.cumsum(errs[order]), excess)) + 1
-            # done once the sum is covered, room is filled or no panel is left out
-            if whole or n <= order.size or order.size >= room or order.size < k:
-                return order[:min(n, room)]
-            k *= 4
+        order = np.argsort(-errs, kind="stable")
+        order = order[errs[order] > 0.0]
+        if order.size == 0:
+            return None
+        return order[:min(int(np.searchsorted(np.cumsum(errs[order]), excess)) + 1, room)]
 
     def replace(self, drop, lows, highs, k15, perr):
         """Put new panels in: drop masks the panels kept (a cut), or picks the

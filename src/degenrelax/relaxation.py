@@ -358,10 +358,10 @@ def build_approx_sequence(u: TestFunction, w: Weight, aux: AuxWeight,
         bad = [h for h in hs if h < h_min]
         if bad:
             raise ValueError(f"mesh parameters {bad} violate the strict bound h >= {h_min}")
-    f_lim, amb, _ = _relaxed_parts(u, w, aux, structure, p, cfg)
+    f_lim, amb_u, _ = _relaxed_parts(u, w, aux, structure, p, cfg)
     if not f_lim.is_finite:
         raise ValueError(f"u outside the relaxed domain: {f_lim.reason}")
-    x_norm_u = amb.value ** (1.0 / p.p)  # same norm that measures x_err
+    x_norm_u = amb_u.value ** (1.0 / p.p)  # same norm that measures x_err
 
     ivs = structure.intervals
     dom = w.domain

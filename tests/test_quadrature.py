@@ -656,58 +656,6 @@ def test_inf_node_in_a_graded_level_of_a_later_gap_is_resolved():
     assert _bits(together[1]) == _bits(r)
 
 
-def _select_by_full_sort(pool, cfg):
-    """_Pool.select as one full stable argsort: the reference for its partial
-    selection."""
-    room = (quadrature._MAX_PANELS - pool.lows.size) // 3
-    if room <= 0:
-        return None
-    vals, errs = pool.vals, pool.errs
-    excess = np.add.reduce(errs) - max(cfg.abs_tol * np.add.reduce(np.abs(vals)),
-                                       cfg.rel_tol * abs(np.add.reduce(vals)))
-    if excess <= 0.0:
-        return None
-    order = np.argsort(-errs, kind="stable")
-    order = order[errs[order] > 0.0]
-    if order.size == 0:
-        return None
-    return order[:min(int(np.searchsorted(np.cumsum(errs[order]), excess)) + 1, room)]
-
-
-def test_select_matches_a_full_sort():
-    rng = np.random.default_rng(17)
-    picked = []
-    for trial in range(400):
-        n = int(rng.choice([rng.integers(1, 40), rng.integers(40, 1000), rng.integers(1000, 3000),
-                            rng.integers(3900, 4000)]))
-        # errors from a few levels, so ties are common; zeros, and now and then an inf
-        errs = rng.choice([0.0, 1e-12, 3e-12, 1e-9, 1e-6], size=n) * rng.choice([1.0, 2.0], size=n)
-        if trial % 2:  # or from a continuum with a few repeated values
-            errs = 10.0 ** rng.uniform(-14.0, -4.0, n)
-            errs[rng.integers(0, n, n // 3)] = errs[0]
-        if trial % 50 == 7:
-            errs[rng.integers(0, n)] = math.inf
-        # a budget that is a random share of the summed errors
-        share = rng.choice([0.0, rng.uniform(0.0, 1.0), 1.5])
-        vals = np.full(n, share * float(np.sum(errs[np.isfinite(errs)])) / (n * CFG.rel_tol))
-        pool = quadrature._Pool(np.zeros(n), np.ones(n), vals, errs)
-        want = _select_by_full_sort(pool, CFG)
-        got = pool.select(CFG)
-        if want is None:
-            assert got is None
-            picked.append((n, 0))
-        else:
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-            picked.append((n, want.size))
-    # no pick; from pools sorted in part, picks within and beyond the first
-    # batch; picks capped by room
-    first = quadrature._FIRST_PICK
-    assert 0 in [k for _, k in picked]
-    assert any(n >= 4 * first and 0 < k <= first for n, k in picked)
-    assert any(n >= 4 * first and k > first for n, k in picked)
-    assert any(k == (quadrature._MAX_PANELS - n) // 3 > 0 for n, k in picked)
-
-
 def _evaluator_case(n):
     """n panels over ranges 0..4, and an integrand with one inf node and one
     NaN node, both in the last panel (the last block of a capped request)."""
