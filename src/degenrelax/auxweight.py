@@ -33,8 +33,6 @@ sorted list of zones:
 * Panel zones are the mesh segments no series fits (kinks or jumps of w):
   C is the outer node anchor plus one 15-node Kronrod panel between the
   query point and that node, with integrate()'s rule for a non-finite node.
-  Segments touching a removable zero integrate that stretch adaptively
-  instead.
 * Below the deepest mesh node, C follows the power law (linear in log-log
   coordinates) with the monotone (PCHIP) end slope of the node data.  Next
   to an endpoint away from 0, the innermost segments are too few ulps wide
@@ -49,9 +47,9 @@ Chebyshev zones and one batched sigma call per 1,152 panels
 zones no sigma is evaluated at all.
 
 build_aux_weight makes one lockstep drive (integrate_ranges) for the whole
-structure: every plateau, every quarter-point-to-midpoint span and every
-branch segment touching a removable zero; the plain segments of all branches
-are one batch of Kronrod panels.
+structure, every plateau and every quarter-point-to-midpoint span; the
+segments of all branches are one batch of Kronrod panels.  Those touching a
+removable zero are one ulp wide (see _sliver_nodes).
 """
 
 from __future__ import annotations
@@ -109,7 +107,7 @@ def _series_matrices() -> tuple[np.ndarray, np.ndarray]:
 _ANTIDERIVATIVE, _SLOPE = _series_matrices()  # (16, 15), (15, 15)
 _N_TERMS = _ANTIDERIVATIVE.shape[0]
 
-_CONST, _CHEB, _BELOW, _PANEL, _ADAPT = range(5)  # zone kinds
+_CONST, _CHEB, _BELOW, _PANEL = range(4)  # zone kinds
 
 
 @dataclass
@@ -131,7 +129,6 @@ class BranchTable:
     d_mesh: np.ndarray            # ascending distances, d_mesh[-1] == d_max
     c_nodes: np.ndarray           # C at the mesh nodes, descending
     plain: np.ndarray             # per segment: free of removable zeros
-    removables: tuple
     cfg: QuadratureConfig
     slope_inner: float            # d log C / d log d at the innermost node
     c_at_dmax: float
@@ -141,7 +138,7 @@ class BranchTable:
         """Auxiliary weight on the branch: 1 / C(d)."""
         d = np.asarray(np.atleast_1d(d), dtype=float).ravel()
         lo, hi = sorted((self.endpoint, self.endpoint + self.sgn * self.d_max))
-        table = _AuxTable(self.sigma, self.removables, self.cfg, [(self, lo, hi)])
+        table = _AuxTable(self.sigma, self.cfg, [(self, lo, hi)])
         z = np.clip(table.zone(self.endpoint + self.sgn * d), 0, table.kind.size - 1)
         out = table.values(z, d)
         out[d >= self.d_max] = 1.0 / self.c_at_dmax
@@ -155,9 +152,9 @@ class BranchTable:
         the below-mesh power law, which then runs from the outermost of them.
         Above them, Chebyshev candidates are runs of _GROUP mesh segments,
         then the single segments of rejected runs and the outer parts of
-        those (_PARTS).  What no candidate covers is a panel zone (adaptive
-        next to a removable zero).  `series` holds the Chebyshev zones'
-        coefficients only, in row order.
+        those (_PARTS).  What no candidate covers is a panel zone, as is
+        each segment touching a removable zero.  `series` holds the
+        Chebyshev zones' coefficients only, in row order.
         """
         d, c = self.d_mesh, self.c_nodes
         # the series run in s = log d, where sigma's power-law behaviour
@@ -203,8 +200,8 @@ class BranchTable:
         cols = {
             "d_start": np.concatenate([[0.0], np.where(s_lo == ls[first], d[first], np.exp(s_lo)),
                                        d[seg], [self.d_max]]),
-            "kind": np.concatenate([[_BELOW], np.full(n_c, _CHEB),
-                                    np.where(plain[seg], _PANEL, _ADAPT), [_CONST]]),
+            "kind": np.concatenate([[_BELOW], np.full(n_c, _CHEB), np.full(n_s, _PANEL),
+                                    [_CONST]]),
             "d_ref": np.concatenate([[math.log(d[0])], 0.5 * (s_lo + ls[outer]),
                                      d[seg + 1], [0.0]]),
             "scale": np.concatenate([[slope], 0.5 * (ls[outer] - s_lo),
@@ -275,17 +272,15 @@ class _AuxTable:
     _CHEB      centre of log d     half-width in log d  - (C is the series)
     _BELOW     log d at a node     log-log slope        log C at that node
     _PANEL     outer node          -                    C at the outer node
-    _ADAPT     outer node          -                    C at the outer node
     =========  ==================  ===================  ==========================
 
     Built one branch at a time, so only one branch's sigma samples are held.
     """
 
-    def __init__(self, sigma, removables: Sequence[float], cfg: QuadratureConfig, layout):
+    def __init__(self, sigma, cfg: QuadratureConfig, layout):
         """`layout` lists, in ascending x, constant zones as (start, value)
         and outer branches as (BranchTable, x_lo, x_hi)."""
         self.sigma = sigma
-        self.removables = tuple(removables)
         self.cfg = cfg
         cols = {k: [] for k in ("start", "kind", "ep", "sgn", "d_ref", "scale", "c_ref")}
         series = [np.zeros((0, _N_TERMS))]
@@ -345,7 +340,7 @@ class _AuxTable:
             zs = z[sel]
             ld = np.log(np.clip(d[sel], 1e-300, None))
             out[sel] = 1.0 / np.exp(self.c_ref[zs] + self.scale[zs] * (ld - self.d_ref[zs]))
-        sel = np.nonzero(kind >= _PANEL)[0]
+        sel = np.nonzero(kind == _PANEL)[0]
         if sel.size:
             out[sel] = 1.0 / self._partial_panels(z[sel], d[sel])
         return out
@@ -357,14 +352,9 @@ class _AuxTable:
         plo = np.minimum(x_pt, x_far)
         phi = np.maximum(x_pt, x_far)
         part = np.zeros(d.shape)
-        fast = (phi > plo) & (self.kind[z] == _PANEL)
-        if np.any(fast):
-            part[fast] = _eval_panels(self.sigma, plo[fast], phi[fast], self.cfg)[0]
-        adapt = np.nonzero((phi > plo) & (self.kind[z] == _ADAPT))[0]
-        res = integrate_ranges(lambda x, _: self.sigma(x), [
-            (lo, hi, [r for r in self.removables if lo < r < hi], ())
-            for lo, hi in zip(plo[adapt].tolist(), phi[adapt].tolist())], self.cfg)
-        part[adapt] = [r.value if r.is_finite else math.inf for r in res]
+        wide = phi > plo
+        if np.any(wide):
+            part[wide] = _eval_panels(self.sigma, plo[wide], phi[wide], self.cfg)[0]
         return self.c_ref[z] + part
 
 
@@ -389,9 +379,11 @@ def _graded_mesh(h_max: float, anchor: float, sgn: float) -> np.ndarray:
 def _sliver_nodes(d_r: float, d_max: float) -> np.ndarray:
     """Geometric mesh nodes closing in on distance d_r from both sides.
 
-    Keeps the segments that touch a removable zero at float-width scale, so
-    partial-panel queries near the zero stay inside analytic slivers and the
-    slow adaptive fallback is confined to an unhittable sliver pair.
+    The two segments that touch a removable zero come out one ulp wide, so
+    they are Kronrod panels like any other (with integrate()'s rule for a
+    non-finite node on the zero), and partial-panel queries near the zero
+    stay inside analytic slivers.  No mesh node resolves sigma's mass within
+    those few ulps, which a strong zero makes large.
     """
     out = [d_r]
     for span, sg in ((d_max - d_r, 1.0), (d_r, -1.0)):
@@ -435,19 +427,18 @@ def _branch_mesh(endpoint: float, mid: float, removables: Sequence[float]) -> _M
     seg_hi = np.maximum(xs[:-1], xs[1:])
     plain = np.ones(seg_lo.size, dtype=bool)
     for r in removables:
-        # only segments actually touching the zero stay adaptive; the sliver
-        # mesh keeps those at float-width scale
+        # segments touching the zero stay out of the Chebyshev fits (a series
+        # there could span the zero); the sliver mesh makes them one ulp wide
         plain &= ~((r >= seg_lo) & (r <= seg_hi))
     qpt = endpoint + sgn * 0.5 * half
     return _Mesh(endpoint, sgn, d_mesh, seg_lo, seg_hi, plain,
                  (qpt, mid) if sgn > 0 else (mid, qpt))
 
 
-def _finish_branch(sigma, mesh: _Mesh, quarter, vals: np.ndarray, removables: Sequence[float],
+def _finish_branch(sigma, mesh: _Mesh, quarter, vals: np.ndarray,
                    cfg: QuadratureConfig) -> BranchTable:
     """Tabulate C(d) = integral of sigma between (endpoint +- d) and mid, for
-    one half, from the integral over its quarter span and its segments' (NaN
-    where a segment touching a removable zero did not converge)."""
+    one half, from the integral over its quarter span and its segments'."""
     if not quarter.is_finite:
         raise ArithmeticError(
             "transform not integrable between quarter point and midpoint; "
@@ -462,8 +453,6 @@ def _finish_branch(sigma, mesh: _Mesh, quarter, vals: np.ndarray, removables: Se
         raise ArithmeticError(
             f"transform not integrable inside the branch segment [{lo!r}, {hi!r}]: "
             f"sigma is non-finite at x={float(nodes[np.argmax(bad)])!r}{whole}")
-    if np.isnan(vals).any():
-        raise ArithmeticError("transform not integrable inside a branch segment")
 
     # cumulative anchors: C(d_mesh[k]) = c_quarter + mass of segments further in than x_k
     csum = np.concatenate([[0.0], np.cumsum(vals[::-1])])[::-1]
@@ -474,7 +463,7 @@ def _finish_branch(sigma, mesh: _Mesh, quarter, vals: np.ndarray, removables: Se
     # the log-log slope at the innermost node extends C below the mesh as a power law
     return BranchTable(
         sigma=sigma, endpoint=mesh.endpoint, sgn=mesh.sgn, d_mesh=mesh.d_mesh, c_nodes=c_all,
-        plain=mesh.plain, removables=tuple(removables), cfg=cfg,
+        plain=mesh.plain, cfg=cfg,
         slope_inner=_end_slope(np.log(mesh.d_mesh), np.log(c_all)),
         c_at_dmax=c_quarter, d_max=float(mesh.d_mesh[-1]))
 
@@ -556,8 +545,7 @@ class AuxWeight:
 
     def _table(self) -> _AuxTable:
         if self._zones is None:
-            removables = [info.location for info in self.structure.removable_zeros]
-            self._zones = _AuxTable(self.sigma, removables, self.cfg, _whole_line(self.parts))
+            self._zones = _AuxTable(self.sigma, self.cfg, _whole_line(self.parts))
         return self._zones
 
     def __call__(self, x) -> np.ndarray:
@@ -596,21 +584,15 @@ def build_aux_weight(w: Weight, p: Exponent, structure: DegeneracyStructure,
     removables = [info.location for info in structure.removable_zeros]
     ivs = structure.intervals
     meshes = [_branch_mesh(end, iv.mid, removables) for iv in ivs for end in (iv.lo, iv.hi)]
-    # one drive: each plateau and the quarter spans of its branches, then
-    # every branch segment touching a removable zero
+    # one drive: each plateau and the quarter spans of its branches
     spans = [span for iv, left, right in zip(ivs, meshes[::2], meshes[1::2]) for span in (
         (iv.lo + 0.25 * iv.width, iv.lo + 0.75 * iv.width), left.span, right.span)]
-    lo, hi = (np.concatenate([np.zeros(0), *(getattr(m, k) for m in meshes)])
-              for k in ("lo", "hi"))
-    plain = np.concatenate([np.zeros(0, dtype=bool), *(m.plain for m in meshes)])
-    spans += zip(lo[~plain].tolist(), hi[~plain].tolist())
     res = integrate_ranges(lambda x, _: sigma(x), [
         (a, b, [r for r in removables if a < r < b], ()) for a, b in spans], cfg)
-    # and one batch of panels for all plain segments
-    vals = np.zeros(lo.size)
-    if plain.any():
-        vals[plain] = _eval_panels(sigma, lo[plain], hi[plain], cfg)[0]
-    vals[~plain] = [r.value if r.is_finite else math.nan for r in res[3 * len(ivs):]]
+    # and one batch of panels for all branch segments
+    lo, hi = (np.concatenate([np.zeros(0), *(getattr(m, k) for m in meshes)])
+              for k in ("lo", "hi"))
+    vals = _eval_panels(sigma, lo, hi, cfg)[0] if lo.size else lo
     ends = np.cumsum([0] + [m.lo.size for m in meshes])
     parts = []
     for i, iv in enumerate(ivs):  # failures in the order plateau, left, right
@@ -618,8 +600,7 @@ def build_aux_weight(w: Weight, p: Exponent, structure: DegeneracyStructure,
             raise ArithmeticError("transform not integrable across the plateau span")
         # spans 3i, 3i+1, 3i+2: plateau, left and right quarter spans;
         # meshes 2i, 2i+1: the left and right branch
-        left, right = (_finish_branch(sigma, meshes[k], quarter, vals[ends[k]:ends[k + 1]],
-                                      removables, cfg)
+        left, right = (_finish_branch(sigma, meshes[k], quarter, vals[ends[k]:ends[k + 1]], cfg)
                        for k, quarter in ((2 * i, res[3 * i + 1]), (2 * i + 1, res[3 * i + 2])))
         lo_value = 1.0 / iv.lo_class.value if iv.lo_class.integrable else 0.0
         hi_value = 1.0 / iv.hi_class.value if iv.hi_class.integrable else 0.0

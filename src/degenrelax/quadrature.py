@@ -171,7 +171,7 @@ def _eval_panels(f, lows, highs, cfg: QuadratureConfig):
     is graded into from both sides, and a panel not locally integrable
     there reads +inf."""
     evaluate = _evaluator(lambda x, _: f(x))
-    k15, err, bad_at, nan_at = evaluate(lows, highs, 0)
+    k15, err, bad_at, nan_at = evaluate(lows, highs, np.zeros(lows.size, dtype=int))
     if bad_at is None:
         return k15, err
     if _nan_error(nan_at):
@@ -188,22 +188,19 @@ def _eval_panels(f, lows, highs, cfg: QuadratureConfig):
 def _evaluator(f):
     """evaluate(lows, highs, owner): _kronrod of the panels of two arrays, in
     blocks of at most _MAX_REQUEST panels, each from one call f(x, index),
-    index the range of each node: owner per panel, or one for all (a view).
+    index the range of each node, from owner, the range of each panel.
     f is elementwise and _kronrod sums each panel on its own, so the blocks
     change no bit; they bound the memory a request holds."""
     def block(lows, highs, owner):
         half = 0.5 * (highs - lows)
         xs = (0.5 * (lows + highs))[:, None] + half[:, None] * _NODES
-        x = xs.ravel()
-        index = (np.broadcast_to(owner, x.shape) if np.ndim(owner) == 0
-                 else np.repeat(owner, _NODES.size))
-        return _kronrod(xs, half, f(x, index))
+        return _kronrod(xs, half, f(xs.ravel(), np.repeat(owner, _NODES.size)))
 
     def evaluate(lows, highs, owner):
         if lows.size <= _MAX_REQUEST:
             return block(lows, highs, owner)
         parts = [block(lows[at:at + _MAX_REQUEST], highs[at:at + _MAX_REQUEST],
-                       owner if np.ndim(owner) == 0 else owner[at:at + _MAX_REQUEST])
+                       owner[at:at + _MAX_REQUEST])
                  for at in range(0, lows.size, _MAX_REQUEST)]
         k15, err = (np.concatenate([s[i] for s in parts]) for i in (0, 1))
         if all(s[2] is None for s in parts):
@@ -542,8 +539,7 @@ def _refine(pools: list, cfg: QuadratureConfig, evaluate) -> list:
         if not live:
             break
         parts = [plans[p] for p in live]
-        owner = (pools[live[0]].owner if len(live) == 1 else
-                 np.repeat([pools[p].owner for p in live], [lo.size for _, lo, _ in parts]))
+        owner = np.repeat([pools[p].owner for p in live], [lo.size for _, lo, _ in parts])
         k15, perr, bad_at, nan_at = evaluate(*(np.concatenate(a) if len(a) > 1 else a[0] for a in (
             [lo for _, lo, _ in parts], [hi for _, _, hi in parts])), owner)
         ends = [0, *accumulate(lo.size for _, lo, _ in parts)]
@@ -594,7 +590,7 @@ def _integrate_all(f, pts: list, cuts: list, cfg: QuadratureConfig) -> list:
     lows, highs, live = (np.concatenate((a.reshape(owner.size, w), b), axis=1) for a, b in (
         (runs.lows, edges[:, :-1]), (runs.highs, edges[:, 1:]),
         (runs.live, edges[:, 1:] < np.inf)))
-    vals, errs, bad, nan = _spread(evaluate(lows[live], highs[live], 0 if len(pts) == 1 else
+    vals, errs, bad, nan = _spread(evaluate(lows[live], highs[live],
                                             np.repeat(owner, np.add.reduce(live, axis=1))), live)
     runs.vals, runs.errs, runs.bad_at, runs.nan_at = (
         None if a is None else a[:, :w].reshape(runs.lows.shape) for a in (vals, errs, bad, nan))

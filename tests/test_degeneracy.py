@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenrelax import (
+    ClosedFormWeight,
     Exponent,
     GridSampledWeight,
     IndeterminateIntegrabilityError,
@@ -80,6 +81,18 @@ def test_zero_regions_always_cut(two_tent_chain):
     for iv in st_.intervals:
         assert not iv.lo_class.integrable
         assert not iv.hi_class.integrable
+
+
+def test_overlapping_zero_regions_merge():
+    class Overlapping(ClosedFormWeight):
+        def zero_set(self):
+            return (), ((0.2, 0.4), (0.35, 0.5))
+
+    w = Overlapping(fn=lambda x: np.where((x >= 0.2) & (x <= 0.5), 0.0, 1.0),
+                    domain=Interval(0.0, 1.0), zeros=())
+    st_ = detect_structure(w, Exponent(2.0), CFG)
+    assert st_.zero_regions == ((0.2, 0.5),)
+    assert [(iv.lo, iv.hi) for iv in st_.intervals] == [(0.0, 0.2), (0.5, 1.0)]
 
 
 def test_identically_zero_weight():

@@ -158,6 +158,31 @@ def test_undeclared_inf_node_met_in_refinement_is_resolved():
     assert r.value == pytest.approx(2.0 * (math.sqrt(c) + math.sqrt(1.0 - c)), rel=1e-7)
 
 
+def _inverse_square(c):
+    def f(x):
+        with np.errstate(divide="ignore"):
+            return np.abs(x - c) ** -2.0
+    return f
+
+
+def test_undeclared_non_integrable_node_met_in_refinement_raises():
+    # grading into the inf node that a refinement round meets diverges
+    c = _refined_node()
+    with pytest.raises(IntegrandEvaluationError) as info:
+        integrate(_inverse_square(c), 0.0, 1.0, CFG)
+    assert str(info.value) == ("integrand not locally integrable inside panel "
+                               "near x=0.35416666666666663")
+    assert info.value.location == c
+
+
+def test_undeclared_non_integrable_node_in_the_first_pass_reads_divergent():
+    # the same defect on the centre node of a first-pass middle panel,
+    # [1/3, 1/2], is reported as a divergent integral, not raised
+    r = integrate(_inverse_square(0.5 * (1.0 / 3.0 + 0.5)), 0.0, 1.0, CFG)
+    assert r.kind == "divergent"
+    assert r.value > 0.0 and math.isnan(r.err_estimate)
+
+
 def test_refinement_never_grows_past_max_panels(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 20)
     points = []
