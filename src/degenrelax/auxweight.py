@@ -20,9 +20,11 @@ derivative identity  d/dx aux = +- aux^2 * sigma  (+ on the left branch,
 Construction stores, per outer branch, the running integral C(d) (d the
 distance from the interval endpoint) exactly at the nodes of a graded mesh:
 eleven nodes per halving of d down to float resolution at the endpoint, plus
-nodes closing in on each removable zero.  On its first evaluation an
-AuxWeight turns these anchors into one flat table over the whole line, a
-sorted list of zones:
+nodes closing in on each removable zero and one node on each other
+breakpoint of w (every interior node of a grid weight), so that sigma is
+smooth on every segment not touching a removable zero.  On its first
+evaluation an AuxWeight turns these anchors into one flat table over the
+whole line, a sorted list of zones:
 
 * Chebyshev zones hold the Chebyshev series of C in s = log d, anchored at
   the zone's outer mesh node and fitted to sigma at its 15 Kronrod nodes.  A
@@ -30,7 +32,8 @@ sorted list of zones:
   the endpoint makes C smooth in s; where that series does not decay, the
   zone is a single mesh segment, or the part of one beyond 1/4, 1/2 or 3/4
   of its width (the queries there never reach a kink of w further in).
-* Panel zones are the mesh segments no series fits (kinks or jumps of w):
+* Panel zones are the mesh segments touching a removable zero and those no
+  series fits (a kink or jump of w that w.breakpoints() does not declare):
   C is the outer node anchor plus one 15-node Kronrod panel between the
   query point and that node, with integrate()'s rule for a non-finite node.
 * Below the deepest mesh node, C follows the power law (linear in log-log
@@ -408,11 +411,36 @@ class _Mesh(NamedTuple):
     span: tuple             # the quarter point to the midpoint, ascending
 
 
-def _branch_mesh(endpoint: float, mid: float, removables: Sequence[float]) -> _Mesh:
-    """The graded mesh of the half from endpoint to mid, up to its quarter point."""
+def _kink_nodes(d_mesh: np.ndarray, endpoint: float, sgn: float,
+                kinks: np.ndarray) -> np.ndarray:
+    """The graded mesh with a node on each kink strictly inside the branch.
+
+    A graded node closer to a kink than 2 eps |x| / _MAX_NOISE (the narrowest
+    segment whose rounding a Chebyshev fit tolerates) gives way to the kink,
+    and a kink that close to the quarter point is left out.
+    """
+    d_k = sgn * (kinks - endpoint)
+    tol = 2.0 * _EPS / _MAX_NOISE * np.abs(kinks)
+    inside = (d_k > 0.0) & (d_k < d_mesh[-1] - tol)
+    if not inside.any():
+        return d_mesh
+    order = np.argsort(d_k[inside])
+    d_k, tol = d_k[inside][order], tol[inside][order]
+    at = np.searchsorted(d_k, d_mesh[:-1])
+    near = np.zeros(d_mesh.size, dtype=bool)
+    for k in (np.maximum(at - 1, 0), np.minimum(at, d_k.size - 1)):
+        near[:-1] |= np.abs(d_mesh[:-1] - d_k[k]) <= tol[k]
+    return np.union1d(d_mesh[~near], d_k)
+
+
+def _branch_mesh(endpoint: float, mid: float, removables: Sequence[float],
+                 kinks: np.ndarray) -> _Mesh:
+    """The graded mesh of the half from endpoint to mid, up to its quarter
+    point, cut at the kinks of w (not removable zeros) inside it."""
     sgn = 1.0 if mid > endpoint else -1.0
     half = abs(mid - endpoint)
     d_mesh = _graded_mesh(0.5 * half, endpoint, sgn)  # up to the quarter point
+    d_mesh = _kink_nodes(d_mesh, endpoint, sgn, kinks)
     extra = [_sliver_nodes((r - endpoint) * sgn, d_mesh[-1]) for r in removables
              if 0.0 < (r - endpoint) * sgn <= d_mesh[-1]]
     if extra:
@@ -582,8 +610,11 @@ def build_aux_weight(w: Weight, p: Exponent, structure: DegeneracyStructure,
         raise ValueError(f"structure was computed for p={structure.p}, not p={p.p}")
     sigma = w.transform(p)
     removables = [info.location for info in structure.removable_zeros]
+    # removable zeros get sliver nodes instead
+    kinks = np.setdiff1d(np.asarray(w.breakpoints(), dtype=float), removables)
     ivs = structure.intervals
-    meshes = [_branch_mesh(end, iv.mid, removables) for iv in ivs for end in (iv.lo, iv.hi)]
+    meshes = [_branch_mesh(end, iv.mid, removables, kinks)
+              for iv in ivs for end in (iv.lo, iv.hi)]
     # one drive: each plateau and the quarter spans of its branches
     spans = [span for iv, left, right in zip(ivs, meshes[::2], meshes[1::2]) for span in (
         (iv.lo + 0.25 * iv.width, iv.lo + 0.75 * iv.width), left.span, right.span)]

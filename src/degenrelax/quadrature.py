@@ -576,8 +576,8 @@ def _integrate_all(f, pts: list, cuts: list, cfg: QuadratureConfig) -> list:
     runs = _Runs(np.array(ends, dtype=float).ravel(), np.column_stack((m_lo, m_hi)).ravel(),
                  np.repeat(owner, 2))
     edges = np.column_stack((m_lo, 0.5 * (m_lo + m_hi), m_hi))
-    if any(cuts):  # the breakpoints inside a middle third join its edges
-        at = np.array([c for cs in cuts for c in cs])
+    if any(cs.size for cs in cuts):  # the breakpoints inside a middle third join its edges
+        at = np.concatenate(cuts)
         inner = ((np.repeat(np.arange(len(pts)), [len(cs) for cs in cuts]) == owner[:, None])
                  & (at > m_lo[:, None]) & (at < m_hi[:, None]))
         edges = np.sort(np.column_stack((edges, np.where(inner, at, np.inf))), axis=1)
@@ -637,7 +637,7 @@ def _integrate_all(f, pts: list, cuts: list, cfg: QuadratureConfig) -> list:
     bounds = np.concatenate(([0], np.add.accumulate(np.add.reduce(keep, axis=1))))[
         np.concatenate(([0], np.add.accumulate(gaps)))].tolist()
     pools = [_Pool(*(a[bounds[r]:bounds[r + 1]] for a in arrays),
-                   np.array(cuts[r]) if cuts[r] else None, r) for r in tails]
+                   cuts[r] if cuts[r].size else None, r) for r in tails]
     for r, res in zip(tails, _refine(pools, cfg, evaluate)):
         out[r] = (IntegralResult.finite(res[0] + tails[r][0], res[1] + tails[r][1])
                   if isinstance(res, tuple) else res)
@@ -658,7 +658,9 @@ def integrate_ranges(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     differs per range must read that index, never infer the range from x
     (a deep graded node can round onto an endpoint shared by two ranges).
     f must be elementwise.  If ranges raise, the error of the first of them
-    propagates.
+    propagates.  Refinement never grows a range past _MAX_PANELS panels
+    (4,000), so a range whose breakpoints alone cut it into that many is
+    not refined further: its result and error are those of the cut panels.
     """
     cfg = cfg or DEFAULT_CONFIG
     pts, cuts, invalid = [], [], None
@@ -669,7 +671,9 @@ def integrate_ranges(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         tol = 1e-14 * (b - a)
         sing = sorted({float(s) for s in singular})
         pts.append([a] + [s for s in sing if a + tol < s < b - tol] + [b])
-        cuts.append(sorted({float(c) for c in breakpoints if a + tol < c < b - tol}))
+        c = np.asarray(breakpoints, dtype=float)
+        c = c[(c > a + tol) & (c < b - tol)]
+        cuts.append(np.unique(c) if c.size > 1 else c)
     out = _integrate_all(f, pts, cuts, cfg) if pts else []
     for res in out + [invalid]:
         if isinstance(res, Exception):

@@ -258,14 +258,16 @@ def aux_mass_density(u: TestFunction, aux: AuxWeight, shifts: Sequence[float]):
 
 
 def density_cuts(u: TestFunction, w: Weight, lo: float, hi: float,
-                 extra: Sequence[float] = ()) -> list:
-    """The breakpoints of u and w, and any extra points, strictly inside (lo, hi).
+                 extra: Sequence[float] = ()) -> np.ndarray:
+    """The breakpoints of u and w, and any extra points, strictly inside (lo, hi),
+    in no order and with repeats (integrate_ranges sorts them and drops those).
 
     Both densities kink where u or u' does and where w does (the auxiliary
     weight follows w), so every density integral cuts its ranges here.
     """
-    return sorted({float(c) for c in (*u.breakpoints, *w.breakpoints(), *extra)
-                   if lo < c < hi})
+    cuts = np.concatenate([np.asarray(c, dtype=float)
+                           for c in (u.breakpoints, w.breakpoints(), extra)])
+    return cuts[(cuts > lo) & (cuts < hi)]
 
 
 def energy_ranges(u: TestFunction, w: Weight, structure: DegeneracyStructure,

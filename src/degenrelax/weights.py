@@ -151,9 +151,10 @@ class Weight:
         """Scale below which samples of w near z carry no shape information."""
         return 0.0
 
-    def breakpoints(self) -> tuple[float, ...]:
+    def breakpoints(self) -> Sequence[float]:
         """Points strictly inside the domain where w is known to kink or jump,
-        so that density integrals cut their panels there."""
+        ascending, so that density integrals cut their panels there and the
+        auxiliary weight's branch meshes put a node on each."""
         return ()
 
     def transform(self, p: Exponent) -> Callable[[np.ndarray], np.ndarray]:
@@ -518,10 +519,17 @@ class GridSampledWeight(Weight):
         self.values = np.maximum(v, 0.0)
         self.domain = Interval(float(x[0]), float(x[-1]))
         self.source = source
+        # a read-only view: no copy, and no Python float per node
+        self._nodes = x[1:-1]
+        self._nodes.flags.writeable = False
 
     def __call__(self, xq) -> np.ndarray:
         xq = np.asarray(xq, dtype=float)
         return np.interp(xq, self.x, self.values)
+
+    def breakpoints(self) -> np.ndarray:
+        """The interior grid nodes: the interpolant kinks at each of them."""
+        return self._nodes
 
     def zero_set(self):
         # the interpolant vanishes exactly at zero nodes and on the spans

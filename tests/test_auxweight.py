@@ -304,20 +304,29 @@ def test_empty_structure_gives_zero():
     assert aux(0.5) == 0.0
 
 
-def _panel_reference(br, sigma, d):
-    """C(d) as each query used to be answered: the anchor at the next mesh
-    node outward plus one 15-node Kronrod panel back to the query."""
-    from degenrelax.quadrature import _eval_panels
-    k = np.clip(np.searchsorted(br.d_mesh, d, side="right") - 1, 0, br.d_mesh.size - 2)
-    x_pt = br.endpoint + br.sgn * d
-    x_far = br.endpoint + br.sgn * br.d_mesh[k + 1]
-    k15, _ = _eval_panels(sigma, np.minimum(x_pt, x_far), np.maximum(x_pt, x_far), CFG)
-    return br.c_nodes[k + 1] + k15
+def _cell_mass(xs, ws, q, a, b):
+    """Integral of sigma = (linear interpolant of ws)^-q from a to b: per grid
+    cell the closed form, its log form at q = 1 and the constant one on a
+    flat cell, written in log1p/expm1 so that slight slopes keep their digits."""
+    cut = np.concatenate([[a], xs[(xs > a) & (xs < b)], [b]])
+    i = np.clip(np.searchsorted(xs, cut[:-1], side="right") - 1, 0, xs.size - 2)
+    slope = (ws[i + 1] - ws[i]) / (xs[i + 1] - xs[i])
+    w_lo = ws[i] + slope * (cut[:-1] - xs[i])
+    h = np.diff(cut)
+    r = slope * h / w_lo  # w at the cell's end over w at its start, minus 1
+    flat = r == 0.0
+    r = np.where(flat, 1.0, r)
+    if q == 1.0:
+        shape = np.log1p(r) / r
+    else:
+        shape = np.expm1((1.0 - q) * np.log1p(r)) / ((1.0 - q) * r)
+    return math.fsum(w_lo ** -q * h * np.where(flat, 1.0, shape))
 
 
 @pytest.mark.parametrize("pv", [1.5, 2.0, 3.0])
-def test_kinked_grid_segments_keep_the_partial_panel(pv):
-    # a grid weight is linear between nodes, so sigma has kinks the series cannot follow
+def test_kinked_grid_segments_match_the_cell_closed_form(pv):
+    # a grid weight is linear between nodes, so sigma kinks at every node;
+    # the branch mesh has a node on each, and every segment takes a series
     xs = np.linspace(-2.0, 2.0, 129)
     ws = np.abs(xs * xs - 1.0) ** (1.5 * (pv - 1.0)) * (1.0 + 0.3 * np.sin(3.0 * xs + 0.4))
     w = GridSampledWeight(xs, ws)
@@ -325,14 +334,17 @@ def test_kinked_grid_segments_keep_the_partial_panel(pv):
     st_ = detect_structure(w, p, CFG)
     aux = build_aux_weight(w, p, st_, CFG)
     table = aux._table()
-    assert np.any(table.kind == auxweight._PANEL)
+    assert not st_.removable_zeros  # every branch segment is plain
+    assert not np.any(table.kind == auxweight._PANEL)
     rng = np.random.default_rng(5)
     for part in aux.parts:
+        mid = part.base.mid
         for br in (part.left, part.right):
             d = np.sort(rng.uniform(1e-3, 1.0, 400)) * br.d_max
-            got = aux(br.endpoint + br.sgn * d)
-            ref = 1.0 / _panel_reference(br, aux.sigma, d)
-            np.testing.assert_allclose(got, ref, rtol=1e-12)
+            x = br.endpoint + br.sgn * d
+            ref = [1.0 / _cell_mass(xs, ws, 1.0 / (pv - 1.0), min(t, mid), max(t, mid))
+                   for t in x]
+            np.testing.assert_allclose(aux(x), ref, rtol=1e-10)
 
 
 class _CountingPower(PiecewisePowerWeight):
@@ -362,7 +374,21 @@ def test_tabulated_power_weight_needs_no_sigma(pv):
     assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
 
 
-def test_grid_evaluation_makes_one_sigma_call():
+def test_jump_at_a_piece_end_inside_a_branch_is_a_mesh_node():
+    # w jumps from 1 to 3 at 0.13, inside the left branch (0, 1/4); at p = 2
+    # sigma = 1/w, so C(x) = (0.13 - x) + 0.37/3 below the jump
+    w = PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, 0.13, 1.0, 0.0, 0.0),
+                                                  PowerPiece(0.13, 1.0, 3.0, 0.0, 0.0)])
+    p = Exponent(2.0)
+    aux = build_aux_weight(w, p, detect_structure(w, p, CFG), CFG)
+    assert 0.13 in aux.parts[0].left.d_mesh
+    assert not np.any(aux._table().kind == auxweight._PANEL)
+    x = np.linspace(0.001, 0.249, 500)
+    mass = np.where(x < 0.13, 0.13 - x + 0.37 / 3.0, (0.5 - x) / 3.0)
+    np.testing.assert_allclose(aux(x), 1.0 / mass, rtol=1e-13)
+
+
+def test_grid_evaluation_makes_no_sigma_call():
     xs = np.linspace(0.0, 1.0, 65)
     w = GridSampledWeight(xs, 1.0 + xs * (1.0 - xs))
     calls = []
@@ -374,7 +400,7 @@ def test_grid_evaluation_makes_one_sigma_call():
     inner = table.sigma
     table.sigma = lambda x: calls.append(np.size(x)) or inner(x)
     aux(np.random.default_rng(1).uniform(0.0, 1.0, 10_000))
-    assert len(calls) == 1 and calls[0] % 15 == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("chain", ["figure1_chain", "two_tent_chain"])
@@ -515,12 +541,21 @@ def test_grid_zero_at_the_origin_fails_fast():
         signal.signal(signal.SIGALRM, previous)
 
 
-def _branch_alone(sigma, endpoint, mid, removables, cfg):
+def _branch_alone(sigma, endpoint, mid, removables, kinks, cfg):
     """One branch with its own integrals, as build_aux_weight made them before
-    it built every branch in one drive: the bit-for-bit reference."""
+    it built every branch in one drive: the bit-for-bit reference.  The mesh
+    has a node on each kink of w that is not a removable zero."""
     sgn = 1.0 if mid > endpoint else -1.0
     half = abs(mid - endpoint)
     d_mesh = auxweight._graded_mesh(0.5 * half, endpoint, sgn)
+    # a graded node too close to a kink for a Chebyshev fit gives way to it
+    kinks = np.setdiff1d(kinks, removables)
+    d_k = sgn * (kinks - endpoint)
+    tol = 2.0 * np.finfo(float).eps / auxweight._MAX_NOISE * np.abs(kinks)
+    inside = (d_k > 0.0) & (d_k < d_mesh[-1] - tol)
+    d_k, tol = d_k[inside], tol[inside]
+    near = np.append(np.any(np.abs(d_mesh[:-1, None] - d_k) <= tol, axis=1), False)
+    d_mesh = np.union1d(d_mesh[~near], d_k)
     extra = [auxweight._sliver_nodes((r - endpoint) * sgn, d_mesh[-1]) for r in removables
              if 0.0 < (r - endpoint) * sgn <= d_mesh[-1]]
     if extra:
@@ -612,7 +647,8 @@ def test_one_drive_build_matches_branch_by_branch(case):
         assert part.plateau.hex() == (1.0 / plateau.value).hex()
         for br, end, limit in ((part.left, iv.lo, part.left_limit),
                                (part.right, iv.hi, part.right_limit)):
-            d_mesh, c_all, plain, slope = _branch_alone(sigma, end, iv.mid, removables, CFG)
+            d_mesh, c_all, plain, slope = _branch_alone(sigma, end, iv.mid, removables,
+                                                        w.breakpoints(), CFG)
             assert br.d_mesh.tobytes() == d_mesh.tobytes()
             assert br.c_nodes.tobytes() == c_all.tobytes()
             assert np.array_equal(br.plain, plain)

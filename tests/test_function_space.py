@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from degenrelax import (
     AuxWeight,
     Exponent,
+    GridSampledWeight,
     IntegralResult,
     Interval,
     PiecewisePowerWeight,
@@ -54,6 +55,31 @@ def test_seminorm_cuts_at_the_weight_piece_ends():
     r = seminorm_energy(poly_function([0.0, 1.0]), w, st_, p3, CFG)
     assert r.value == pytest.approx(exact, rel=1e-13)
     assert r.err_estimate >= abs(r.value - exact)
+
+
+@pytest.mark.parametrize("n", [129, 1025, 16385])
+def test_seminorm_cuts_at_the_grid_nodes(n):
+    # a grid weight kinks at every node; cut there, every cell holds a
+    # polynomial of degree 5, which one Kronrod panel integrates exactly
+    xs = np.linspace(-1.0, 2.0, n)
+    ws = (1.2 + np.sin(5.0 * xs)) * (1.0 + 0.2 * xs * xs)
+    w = GridSampledWeight(xs, ws)
+    assert np.array_equal(w.breakpoints(), xs[1:-1])
+    coeffs = [0.3, -1.0, 0.7, 0.4]
+    p = Exponent(2.0)
+    r = seminorm_energy(poly_function(coeffs), w, detect_structure(w, p, CFG), p, CFG)
+    # per cell, u'(x_i + t) = a0 + a1 t + a2 t^2 and w = w_i + slope t
+    x0, h = xs[:-1], np.diff(xs)
+    a0 = coeffs[1] + 2.0 * coeffs[2] * x0 + 3.0 * coeffs[3] * x0 * x0
+    a1 = 2.0 * coeffs[2] + 6.0 * coeffs[3] * x0
+    a2 = np.full_like(x0, 3.0 * coeffs[3])
+    du2 = [a0 * a0, 2.0 * a0 * a1, a1 * a1 + 2.0 * a0 * a2, 2.0 * a1 * a2, a2 * a2]
+    slope = np.diff(ws) / h
+    density = [ws[:-1] * c for c in du2] + [np.zeros_like(x0)]  # |u'|^2 w in powers of t
+    for k, c in enumerate(du2):
+        density[k + 1] += slope * c
+    exact = math.fsum(np.concatenate([c * h ** (k + 1) / (k + 1) for k, c in enumerate(density)]))
+    assert r.value == pytest.approx(exact, rel=1e-13)
 
 
 def test_seminorm_unit_weight(unit_chain, p2):
