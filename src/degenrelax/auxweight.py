@@ -37,11 +37,10 @@ whole line, a sorted list of zones:
   C is the outer node anchor plus one 15-node Kronrod panel between the
   query point and that node, with integrate()'s rule for a non-finite node.
 * Below the deepest mesh node, C follows the power law (linear in log-log
-  coordinates) with the monotone (PCHIP) end slope of the node data.  Next
-  to an endpoint away from 0, the innermost segments are too few ulps wide
-  for their sigma samples to be more than rounding noise: the power law
-  then takes them over, from the deepest node above them and with the
-  log-log secant across the halving of d above that node.
+  coordinates) with the log-log secant across the halving of d above that
+  node.  Next to an endpoint away from 0, the innermost segments are too
+  few ulps wide for their sigma samples to be more than rounding noise: the
+  power law then takes them over, from the deepest node above them.
 * Endpoints, plateaus and the gaps between intervals are constant zones.
 
 An evaluation is one sorted search, one Chebyshev sum over the points in
@@ -133,7 +132,6 @@ class BranchTable:
     c_nodes: np.ndarray           # C at the mesh nodes, descending
     plain: np.ndarray             # per segment: free of removable zeros
     cfg: QuadratureConfig
-    slope_inner: float            # d log C / d log d at the innermost node
     c_at_dmax: float
     d_max: float
 
@@ -196,10 +194,10 @@ class BranchTable:
         # panel zones: segments no series covers, or their part inside one
         seg = np.union1d(rest[~ok[0]], np.flatnonzero(~plain))
         n_c, n_s = first.size, seg.size
-        # the power law below: the stored end slope, or over noisy nodes the
-        # secant across the first halving of d above them
+        # the power law below: the log-log secant across the first halving
+        # of d above its base node
         g = min(_GROUP, nseg)
-        slope = self.slope_inner if base == 0 else math.log(c[g] / c[0]) / math.log(d[g] / d[0])
+        slope = math.log(c[g] / c[0]) / math.log(d[g] / d[0])
         cols = {
             "d_start": np.concatenate([[0.0], np.where(s_lo == ls[first], d[first], np.exp(s_lo)),
                                        d[seg], [self.d_max]]),
@@ -342,7 +340,8 @@ class _AuxTable:
         if sel.size:
             zs = z[sel]
             ld = np.log(np.clip(d[sel], 1e-300, None))
-            out[sel] = 1.0 / np.exp(self.c_ref[zs] + self.scale[zs] * (ld - self.d_ref[zs]))
+            with np.errstate(over="ignore"):  # C past the float range: aux reads its limit 0
+                out[sel] = 1.0 / np.exp(self.c_ref[zs] + self.scale[zs] * (ld - self.d_ref[zs]))
         sel = np.nonzero(kind == _PANEL)[0]
         if sel.size:
             out[sel] = 1.0 / self._partial_panels(z[sel], d[sel])
@@ -488,32 +487,9 @@ def _finish_branch(sigma, mesh: _Mesh, quarter, vals: np.ndarray,
     if np.any(c_all <= 0.0):
         raise ArithmeticError("cumulative transform integral lost positivity")
 
-    # the log-log slope at the innermost node extends C below the mesh as a power law
     return BranchTable(
         sigma=sigma, endpoint=mesh.endpoint, sgn=mesh.sgn, d_mesh=mesh.d_mesh, c_nodes=c_all,
-        plain=mesh.plain, cfg=cfg,
-        slope_inner=_end_slope(np.log(mesh.d_mesh), np.log(c_all)),
-        c_at_dmax=c_quarter, d_max=float(mesh.d_mesh[-1]))
-
-
-def _end_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Slope at x[0] of the monotone (PCHIP) interpolant through (x, y).
-
-    The one-sided three-point rule, zeroed when it points against the first
-    secant and capped at three secants when the data turns (Moler,
-    Numerical Computing with MATLAB, pchiptx); a lone segment gives its
-    secant.
-    """
-    h = np.diff(x[:3])
-    m = np.diff(y[:3]) / h
-    if m.size < 2:
-        return float(m[0])
-    d = ((2 * h[0] + h[1]) * m[0] - h[0] * m[1]) / (h[0] + h[1])
-    if np.sign(d) != np.sign(m[0]):
-        return 0.0
-    if np.sign(m[0]) != np.sign(m[1]) and abs(d) > 3.0 * abs(m[0]):
-        return float(3.0 * m[0])
-    return float(d)
+        plain=mesh.plain, cfg=cfg, c_at_dmax=c_quarter, d_max=float(mesh.d_mesh[-1]))
 
 
 @dataclass

@@ -8,10 +8,12 @@ contributions c_k then behave like a geometric sequence, which gives both a
 cheap convergence accelerant (sum the geometric tail in closed form) and a
 robust divergence test (the c_k stop decaying exactly when the local
 integral diverges).  The first pass (every graded run, and the middle third
-of each gap as two panels) is evaluated in one batch; then every walked
-panel that holds a declared breakpoint is cut there, in one more batch, and
+of each gap as two panels) is evaluated in one batch; then every panel of it
+that holds a declared breakpoint is cut there, in one more batch, and
 refinement rounds quadrisect, one batch each, the worst panels whose summed
-Gauss/Kronrod discrepancy covers the excess over the error budget.
+Gauss/Kronrod discrepancy covers the excess over the error budget.  A panel
+with a non-finite node follows one rule (_settle) wherever it is met: a NaN
+raises, an inf is graded into, and a point not locally integrable diverges.
 
 integrate_ranges() runs several ranges in lockstep, sharing each integrand
 call, while every range walks, refines and sums its own panels exactly as
@@ -47,7 +49,7 @@ from .weights import Exponent, Weight
 
 
 class IntegrandEvaluationError(RuntimeError):
-    """The integrand produced NaN (or persistent non-finite values) somewhere."""
+    """The integrand was NaN at a node that the quadrature read (NaN only)."""
 
     def __init__(self, message: str, location: Optional[float] = None):
         super().__init__(message)
@@ -167,22 +169,16 @@ def _nan_error(nan_at):
 
 def _eval_panels(f, lows, highs, cfg: QuadratureConfig):
     """Kronrod value and Gauss/Kronrod discrepancy of a batch of panels, with
-    integrate()'s rule for a non-finite node: a NaN node raises, an inf node
-    is graded into from both sides, and a panel not locally integrable
-    there reads +inf."""
+    integrate()'s rule for a non-finite node (_settle): a NaN node raises,
+    and a panel not locally integrable reads +inf."""
     evaluate = _evaluator(lambda x, _: f(x))
-    k15, err, bad_at, nan_at = evaluate(lows, highs, np.zeros(lows.size, dtype=int))
-    if bad_at is None:
-        return k15, err
-    if _nan_error(nan_at):
-        raise _nan_error(nan_at)
-    j = np.nonzero(~np.isnan(bad_at))[0]
-    v, e, ok, nested = _resolve(lows[j], highs[j], bad_at[j], np.zeros(j.size, dtype=int), 0,
-                                cfg, evaluate)
-    if _nan_error(nested):
-        raise _nan_error(nested)
-    k15[j], err[j] = np.where(ok, v, math.inf), e
-    return k15, err
+    sums = evaluate(lows, highs, np.zeros(lows.size, dtype=int))
+    if sums[2] is None:
+        return sums[:2]
+    k15, err, _, error = _settle(lows, highs, sums, 0, cfg, evaluate)
+    if error:
+        raise error
+    return np.where(np.isinf(err), math.inf, k15), err
 
 
 def _evaluator(f):
@@ -419,17 +415,18 @@ def _resolve(lo, hi, bad, owner, depth: int, cfg: QuadratureConfig, evaluate):
 
 
 def _settle(lo, hi, sums, owner, cfg: QuadratureConfig, evaluate):
-    """NaN check and inf resolution of panels, in order: (values, errs, resolved
-    panels, stop), stop the error of the first panel with a NaN node, (bad
-    node, partial) of the first not locally integrable one, or None."""
+    """integrate()'s one rule for panels with a non-finite node: (values, errs,
+    resolved panels, error), the sums updated in place.  A NaN node (in the
+    panels or met grading into them) gives the error; an inf node is graded
+    into from both sides, and a panel not locally integrable there keeps its
+    partial sum with an infinite error, which callers read as divergence."""
     k15, perr, bad_at, nan_at = sums
     if _nan_error(nan_at):
         return k15, perr, None, _nan_error(nan_at)
     j = np.nonzero(~np.isnan(bad_at))[0]
-    v, e, ok, nested = _resolve(lo[j], hi[j], bad_at[j], np.full(j.size, owner), 0, cfg, evaluate)
-    for i in range(j.size):
-        if not np.isnan(nested[i]) or not ok[i]:
-            return k15, perr, None, _nan_error(nested[i:i + 1]) or (bad_at[j[i]], v[i])
+    v, e, _, nested = _resolve(lo[j], hi[j], bad_at[j], np.full(j.size, owner), 0, cfg, evaluate)
+    if _nan_error(nested):
+        return k15, perr, None, _nan_error(nested)
     k15[j], perr[j] = v, e
     return k15, perr, j, None
 
@@ -502,7 +499,8 @@ def _refine(pools: list, cfg: QuadratureConfig, evaluate) -> list:
     each later step quadrisects the panels select() names (a panel whose
     quarter points do not separate at float resolution is accepted), the
     geometry of all pools in one array step and their new panels in one
-    request (see _settle).  Pools after one that raised are dropped."""
+    request (see _settle).  A pool that meets a panel not locally integrable
+    stops with an infinite err; pools after one that raised are dropped."""
     out, live = [None] * len(pools), list(range(len(pools)))
     while live:
         # per pool: (what the new panels replace, their lows, highs)
@@ -545,17 +543,19 @@ def _refine(pools: list, cfg: QuadratureConfig, evaluate) -> list:
         ends = [0, *accumulate(lo.size for _, lo, _ in parts)]
         for p, (drop, lo, hi), a, b in zip(live, parts, ends, ends[1:]):
             at = slice(a, b)
-            new, stop = (k15[at], perr[at]), None
+            new, error, diverges = (k15[at], perr[at]), None, False
             if bad_at is not None and not np.isnan(bad_at[at]).all():
-                *new, _, stop = _settle(lo, hi, (k15[at], perr[at], bad_at[at], nan_at[at]),
-                                        pools[p].owner, cfg, evaluate)
-            if stop is not None:
-                out[p] = stop if isinstance(stop, Exception) else IntegrandEvaluationError(
-                    f"integrand not locally integrable inside panel near x={float(stop[0])!r}",
-                    location=float(stop[0]))
+                *new, _, error = _settle(lo, hi, (k15[at], perr[at], bad_at[at], nan_at[at]),
+                                         pools[p].owner, cfg, evaluate)
+                diverges = np.isinf(new[1]).any()  # not locally integrable somewhere
+            if error:
+                out[p] = error
                 live = live[:live.index(p)]
                 break
             pools[p].replace(drop, lo, hi, *new)
+            if diverges:  # refined no further
+                out[p] = pools[p].total()
+        live = [p for p in live if out[p] is None]
     return out
 
 
@@ -563,33 +563,22 @@ def _integrate_all(f, pts: list, cuts: list, cfg: QuadratureConfig) -> list:
     """IntegralResult or exception of each range, given by its graded points
     and breakpoints (None after one raised).  The first pass of all ranges is
     one request, one padded row per gap (both graded runs, then the middle);
-    each range then reads its gaps in order, and a divergent run ends it."""
+    each range then reads its gaps in order, and a divergent run ends it;
+    the pool cuts at its breakpoints (see _refine)."""
     evaluate = _evaluator(f)
     gaps = [len(p) - 1 for p in pts]
     owner = np.array([r for r, k in enumerate(gaps) for _ in range(k)])
-    ends = [(lo, hi) for p in pts for lo, hi in zip(p[:-1], p[1:])]
+    ends = np.array([(lo, hi) for p in pts for lo, hi in zip(p[:-1], p[1:])], dtype=float)
     # graded runs cover the nearest third of each gap on each side; the
-    # middle third is two panels, no wider than a run's outermost level,
-    # and is cut at declared breakpoints
-    m_lo = np.array([lo + (hi - lo) / 3.0 for lo, hi in ends])
-    m_hi = np.array([hi - (hi - lo) / 3.0 for lo, hi in ends])
-    runs = _Runs(np.array(ends, dtype=float).ravel(), np.column_stack((m_lo, m_hi)).ravel(),
-                 np.repeat(owner, 2))
-    edges = np.column_stack((m_lo, 0.5 * (m_lo + m_hi), m_hi))
-    if any(cs.size for cs in cuts):  # the breakpoints inside a middle third join its edges
-        at = np.concatenate(cuts)
-        inner = ((np.repeat(np.arange(len(pts)), [len(cs) for cs in cuts]) == owner[:, None])
-                 & (at > m_lo[:, None]) & (at < m_hi[:, None]))
-        edges = np.sort(np.column_stack((edges, np.where(inner, at, np.inf))), axis=1)
-    dup = edges[:, 1:] == edges[:, :-1]
-    if dup.any():  # an edge counts once
-        edges[:, 1:][dup] = np.inf
-        edges.sort(axis=1)
-    edges = edges[:, :np.add.reduce(edges < np.inf, axis=1).max()]
+    # middle third is two panels, no wider than a run's outermost level
+    m_lo = ends[:, 0] + (ends[:, 1] - ends[:, 0]) / 3.0
+    m_hi = ends[:, 1] - (ends[:, 1] - ends[:, 0]) / 3.0
+    runs = _Runs(ends.ravel(), np.column_stack((m_lo, m_hi)).ravel(), np.repeat(owner, 2))
+    mid = 0.5 * (m_lo + m_hi)
     w = runs.live.size // owner.size
     lows, highs, live = (np.concatenate((a.reshape(owner.size, w), b), axis=1) for a, b in (
-        (runs.lows, edges[:, :-1]), (runs.highs, edges[:, 1:]),
-        (runs.live, edges[:, 1:] < np.inf)))
+        (runs.lows, np.column_stack((m_lo, mid))), (runs.highs, np.column_stack((mid, m_hi))),
+        (runs.live, np.ones((owner.size, 2), dtype=bool))))
     vals, errs, bad, nan = _spread(evaluate(lows[live], highs[live],
                                             np.repeat(owner, np.add.reduce(live, axis=1))), live)
     runs.vals, runs.errs, runs.bad_at, runs.nan_at = (
@@ -616,11 +605,10 @@ def _integrate_all(f, pts: list, cuts: list, cfg: QuadratureConfig) -> list:
             t_sum += tail[2 * g] + tail[2 * g + 1]
             e_sum += terr[2 * g] + terr[2 * g + 1]
             if bad is not None and not np.isnan(bad[g, w:]).all():
-                _, _, resolved, stop = _settle(lows[g, w:], highs[g, w:], (
+                v, e, resolved, error = _settle(lows[g, w:], highs[g, w:], (
                     vals[g, w:], errs[g, w:], bad[g, w:], nan[g, w:]), r, cfg, evaluate)
-                if stop is not None:
-                    out[r] = stop if isinstance(stop, Exception) else IntegralResult.divergent(
-                        walked + stop[1])
+                if error or np.isinf(e).any():
+                    out[r] = error or IntegralResult.divergent(walked + v[np.argmax(np.isinf(e))])
                     break
                 errs[g, w + resolved] = 0.0  # resolved by its own graded pass: not refined
         else:
@@ -639,8 +627,11 @@ def _integrate_all(f, pts: list, cuts: list, cfg: QuadratureConfig) -> list:
     pools = [_Pool(*(a[bounds[r]:bounds[r + 1]] for a in arrays),
                    cuts[r] if cuts[r].size else None, r) for r in tails]
     for r, res in zip(tails, _refine(pools, cfg, evaluate)):
-        out[r] = (IntegralResult.finite(res[0] + tails[r][0], res[1] + tails[r][1])
-                  if isinstance(res, tuple) else res)
+        if isinstance(res, tuple):
+            value = res[0] + tails[r][0]
+            res = (IntegralResult.divergent(value) if math.isinf(res[1])
+                   else IntegralResult.finite(value, res[1] + tails[r][1]))
+        out[r] = res
     return out
 
 
@@ -657,10 +648,12 @@ def integrate_ranges(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     for each node, the position of its range in `ranges`; an integrand that
     differs per range must read that index, never infer the range from x
     (a deep graded node can round onto an endpoint shared by two ranges).
-    f must be elementwise.  If ranges raise, the error of the first of them
-    propagates.  Refinement never grows a range past _MAX_PANELS panels
-    (4,000), so a range whose breakpoints alone cut it into that many is
-    not refined further: its result and error are those of the cut panels.
+    f must be elementwise.  Breakpoints are cut after the shared first pass,
+    so they never enlarge it.  If ranges raise (a NaN only), the error of
+    the first of them propagates.  Refinement never grows a range past
+    _MAX_PANELS panels (4,000), so a range whose breakpoints alone cut it
+    into that many is not refined further: its result and error are those
+    of the cut panels.
     """
     cfg = cfg or DEFAULT_CONFIG
     pts, cuts, invalid = [], [], None
@@ -690,13 +683,15 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     The endpoints a and b are always graded into; interior `singular` points
     are graded from both sides.  `breakpoints` cut the range (kinks, piece
     boundaries) without grading: every panel of the first pass that holds
-    one is cut there before refinement, wherever it lies; one deeper than
+    one is cut there in one step after it, wherever it lies; one deeper than
     the walked graded levels lies in the closed-form tail.  Refinement then
     quadrisects the panels with the largest errors.  Divergent behavior at
-    any graded point classifies the whole integral as divergent, reporting
-    the partial sum accumulated so far.  f must be elementwise: it is called
-    on flat arrays that batch many panels, and each value may depend only on
-    its own node.
+    any graded point, or an inf node where f is not locally integrable
+    (wherever it is met), classifies the whole integral as divergent,
+    reporting the partial sum accumulated so far; a NaN value raises
+    IntegrandEvaluationError.  f must be elementwise: it is called on flat
+    arrays that batch many panels, and each value may depend only on its
+    own node.
     """
     return integrate_ranges(lambda x, _: f(x), [(a, b, singular, breakpoints)], cfg)[0]
 

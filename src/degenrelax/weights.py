@@ -285,6 +285,9 @@ class PowerPiece:
         return math.log2(self.scale) if self.log2scale is None else self.log2scale
 
 
+_LOG_MAX = math.log(float(np.finfo(float).max))  # the largest log of a finite float
+
+
 class PiecewisePowerWeight(Weight):
     """Tiling of the domain by power pieces; uncovered spans carry w == 0.
 
@@ -436,7 +439,13 @@ class PiecewisePowerWeight(Weight):
             else:
                 # antiderivative d^(1-ap)/(1-ap), one-sided limit 0 at the pivot when ap < 1
                 g = 1.0 - ap
-                total += (2.0 ** c_log2) * (d1 ** g - d0 ** g) / g
+                try:
+                    total += (2.0 ** c_log2) * (d1 ** g - d0 ** g) / g
+                except OverflowError:  # a float power past the range: the term in logs
+                    a, b = sorted(g * math.log(d) if d > 0.0 else -math.inf for d in (d0, d1))
+                    log_term = (c_log2 * math.log(2.0) + b + math.log(-math.expm1(a - b))
+                                - math.log(abs(g)))
+                    total += math.exp(log_term) if log_term <= _LOG_MAX else math.inf
         return total
 
     def spec_dict(self) -> dict:

@@ -193,30 +193,30 @@ def test_sigma_callable_exposed(figure1_chain, p2, figure1):
     np.testing.assert_allclose(aux.sigma(xs), figure1.transform(p2)(xs), rtol=0)
 
 
-@pytest.mark.parametrize("ys", [
-    [0.0, 1.0, 1.5, 1.7],     # concave rise: the three-point rule as is
-    [0.0, 0.1, 5.0, 6.0],     # steep second segment: the rule turns negative, slope 0
-    [0.0, 0.1, -2.0, -3.0],   # turning data: capped at three secants
-    [2.0, 1.0],               # a lone segment: its secant
-])
-def test_end_slope_matches_pchip(ys):
-    interpolate = pytest.importorskip("scipy.interpolate")
-    from degenrelax.auxweight import _end_slope
-    x = np.array([0.0, 0.3, 1.0, 1.2][:len(ys)])
-    y = np.array(ys)
-    ref = float(interpolate.PchipInterpolator(x, y).derivative()(x[0]))
-    assert _end_slope(x, y) == ref
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_aux_below_the_mesh_follows_the_power_law(alpha):
+    # below the deepest mesh node (~2e-25 here) aux extends C as a power law
+    # with the log-log secant across the halving above that node
+    p = Exponent(2.0)
+    w = PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, 1.0, 1.0, 0.0, alpha)])
+    st_ = detect_structure(w, p, CFG)
+    aux = build_aux_weight(w, p, st_, CFG)
+    d = np.array([1e-30, 1e-100, 1e-250])
+    assert d[0] < aux.parts[0].left.d_mesh[0]
+    want = [1.0 / w.exact_transform_integral(p, x, st_.intervals[0].mid) for x in d]
+    np.testing.assert_allclose(aux(d), want, rtol=1e-9)
 
 
-def test_branch_slopes_match_pchip(figure1_chain):
-    # the deep-tail slope of every branch is PCHIP's end derivative, bit for bit
-    interpolate = pytest.importorskip("scipy.interpolate")
-    _, _, aux = figure1_chain
-    for part in aux.parts:
-        for br in (part.left, part.right):
-            x, y = np.log(br.d_mesh), np.log(br.c_nodes)
-            ref = float(interpolate.PchipInterpolator(x, y).derivative()(x[0]))
-            assert br.slope_inner == ref
+@pytest.mark.filterwarnings("error")
+def test_aux_below_the_mesh_reads_zero_where_c_overflows():
+    # w = x^3 at p = 2: C(d) ~ d^-2/2 passes the float range below ~1e-154,
+    # where aux reads its limit 0 without an overflow warning
+    p = Exponent(2.0)
+    w = PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, 1.0, 1.0, 0.0, 3.0)])
+    aux = build_aux_weight(w, p, detect_structure(w, p, CFG), CFG)
+    got = aux(np.array([1e-160, 1e-100]))
+    assert got[0] == 0.0
+    assert got[1] == pytest.approx(2e-200, rel=1e-9)
 
 
 # --- the evaluation table -------------------------------------------------------
@@ -582,7 +582,7 @@ def _branch_alone(sigma, endpoint, mid, removables, kinks, cfg):
         assert seg.is_finite
         vals[j] = seg.value
     c_all = res.value + np.concatenate([[0.0], np.cumsum(vals[::-1])])[::-1]
-    return d_mesh, c_all, plain, auxweight._end_slope(np.log(d_mesh), np.log(c_all))
+    return d_mesh, c_all, plain
 
 
 def _grid_split_at_half():
@@ -647,12 +647,11 @@ def test_one_drive_build_matches_branch_by_branch(case):
         assert part.plateau.hex() == (1.0 / plateau.value).hex()
         for br, end, limit in ((part.left, iv.lo, part.left_limit),
                                (part.right, iv.hi, part.right_limit)):
-            d_mesh, c_all, plain, slope = _branch_alone(sigma, end, iv.mid, removables,
-                                                        w.breakpoints(), CFG)
+            d_mesh, c_all, plain = _branch_alone(sigma, end, iv.mid, removables,
+                                                 w.breakpoints(), CFG)
             assert br.d_mesh.tobytes() == d_mesh.tobytes()
             assert br.c_nodes.tobytes() == c_all.tobytes()
             assert np.array_equal(br.plain, plain)
-            assert br.slope_inner.hex() == slope.hex()
             assert limit.hex() == (1.0 / c_all[-1]).hex() == (1.0 / br.c_at_dmax).hex()
             touching += int(np.count_nonzero(~plain))
     assert (touching > 0) == case.startswith("removable")

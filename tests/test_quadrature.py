@@ -165,19 +165,25 @@ def _inverse_square(c):
     return f
 
 
-def test_undeclared_non_integrable_node_met_in_refinement_raises():
-    # grading into the inf node that a refinement round meets diverges
+def test_undeclared_non_integrable_node_met_in_refinement_reads_divergent():
+    # grading into the inf node that a refinement round meets diverges, and
+    # the range is reported as a divergent integral, not raised
     c = _refined_node()
-    with pytest.raises(IntegrandEvaluationError) as info:
-        integrate(_inverse_square(c), 0.0, 1.0, CFG)
-    assert str(info.value) == ("integrand not locally integrable inside panel "
-                               "near x=0.35416666666666663")
-    assert info.value.location == c
+    hit = []
+
+    def f(x):
+        hit.append(bool(np.any(x == c)))
+        return _inverse_square(c)(x)
+
+    r = integrate(f, 0.0, 1.0, CFG)
+    assert hit.index(True) >= 1
+    assert r.kind == "divergent"
+    assert r.value > 0.0 and math.isnan(r.err_estimate)
 
 
 def test_undeclared_non_integrable_node_in_the_first_pass_reads_divergent():
     # the same defect on the centre node of a first-pass middle panel,
-    # [1/3, 1/2], is reported as a divergent integral, not raised
+    # [1/3, 1/2], is reported the same way
     r = integrate(_inverse_square(0.5 * (1.0 / 3.0 + 0.5)), 0.0, 1.0, CFG)
     assert r.kind == "divergent"
     assert r.value > 0.0 and math.isnan(r.err_estimate)
@@ -306,6 +312,29 @@ def test_breakpoint_is_honored_in_lockstep():
     alone = [integrate(kink, 0.0, 1.0, CFG, breakpoints=[0.1]),
              integrate(smooth, 1.0, 2.0, CFG)]
     assert [_bits(r) for r in together] == [_bits(r) for r in alone]
+
+
+def test_first_pass_request_does_not_grow_with_breakpoints():
+    # breakpoints are cut in one step after the first pass, so its request
+    # holds the same panels whether one range carries 8,000 of them or none
+    cuts = np.linspace(0.0, 1.0, 8002)[1:-1]
+    humps = lambda x: np.abs(np.sin(8001.0 * math.pi * x))  # kinks at the cuts
+    smooth = lambda x: np.exp(-x)
+    first = []
+    for bp in ((), cuts):
+        sizes = []
+
+        def f(x, index):
+            sizes.append(x.size)
+            return _per_range([humps, smooth])(x, index)
+
+        together = integrate_ranges(f, [(0.0, 1.0, (), bp), (1.0, 2.0, (), ())], CFG)
+        first.append(sizes[0])
+        alone = [integrate(humps, 0.0, 1.0, CFG, breakpoints=bp),
+                 integrate(smooth, 1.0, 2.0, CFG)]
+        assert [_bits(r) for r in together] == [_bits(r) for r in alone]
+    assert first[0] == first[1] < 15 * quadrature._MAX_REQUEST
+    assert together[0].value == pytest.approx(2.0 / math.pi, rel=1e-12)
 
 
 @pytest.mark.parametrize("z", [0.3, 0.45])

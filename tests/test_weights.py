@@ -160,6 +160,19 @@ def test_exact_transform_integral_near_a_nonintegrable_pivot(width):
         w.exact_transform_integral(p, -5e-12 * width, hi)
 
 
+def test_exact_transform_integral_past_the_float_range():
+    # x^3 at p = 2: sigma = x^-3, whose integral from d to 1/2 is (d^-2 - 4)/2;
+    # d^-2 overflows a float power, and the integral reads +inf
+    p = Exponent(2.0)
+    w = PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, 1.0, 1.0, 0.0, 3.0)])
+    for d in (1e-160, 1e-200):
+        assert w.exact_transform_integral(p, d, 0.5) == math.inf
+    # a scale that brings the term back inside the range keeps it finite
+    w = PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, 1.0, 2.0 ** 1000, 0.0, 3.0)])
+    want = math.exp(319.0 * math.log(10.0) - 1000.0 * math.log(2.0)) * 5.0  # 1e320 / 2^1001
+    assert w.exact_transform_integral(p, 1e-160, 0.5) == pytest.approx(want, rel=1e-12)
+
+
 def test_interface_on_grid_and_bare_closed_form():
     p = Exponent(2.0)
     xs = [0.0, 0.1, 0.2, 0.5, 0.6, 0.7, 0.8, 1.0]
