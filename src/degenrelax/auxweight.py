@@ -30,8 +30,7 @@ whole line, a sorted list of zones:
   the zone's outer mesh node and fitted to sigma at its 15 Kronrod nodes.  A
   zone spans one halving of d (ten mesh segments), where a power-law zero at
   the endpoint makes C smooth in s; where that series does not decay, the
-  zone is a single mesh segment, or the part of one beyond 1/4, 1/2 or 3/4
-  of its width (the queries there never reach a kink of w further in).
+  zone is a single mesh segment.
 * Panel zones are the mesh segments touching a removable zero and those no
   series fits (a kink or jump of w that w.breakpoints() does not declare):
   C is the outer node anchor plus one 15-node Kronrod panel between the
@@ -49,9 +48,10 @@ Chebyshev zones and one batched sigma call per 1,152 panels
 zones no sigma is evaluated at all.
 
 build_aux_weight makes one lockstep drive (integrate_ranges) for the whole
-structure, every plateau and every quarter-point-to-midpoint span; the
-segments of all branches are one batch of Kronrod panels.  Those touching a
-removable zero are one ulp wide (see _sliver_nodes).
+structure: the two quarter-point-to-midpoint spans of each interval, cut at
+the breakpoints of w.  Their sum is the plateau integral.  The segments of
+all branches are one batch of Kronrod panels.  Those touching a removable
+zero are one ulp wide (see _sliver_nodes).
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ _TAIL = 3                 # trailing series coefficients that must have decayed
 _TAIL_TOL = 1e-14         # their size allowed relative to the largest coefficient
 _EPS = float(np.finfo(float).eps)
 _MAX_NOISE = 1.0 / 16.0   # node rounding, in half-widths, that the slope correction may absorb
-_PARTS = np.array([0.0, 0.25, 0.5, 0.75])  # a segment's inner fraction a series may leave out
 _BLOCK = 4096             # points per coefficient gather in a Chebyshev sum
 
 
@@ -152,10 +151,9 @@ class BranchTable:
         their Kronrod nodes in place (to _MAX_NOISE of the half-width), join
         the below-mesh power law, which then runs from the outermost of them.
         Above them, Chebyshev candidates are runs of _GROUP mesh segments,
-        then the single segments of rejected runs and the outer parts of
-        those (_PARTS).  What no candidate covers is a panel zone, as is
-        each segment touching a removable zero.  `series` holds the
-        Chebyshev zones' coefficients only, in row order.
+        then the single segments of rejected runs.  What no candidate covers
+        is a panel zone, as is each segment touching a removable zero.
+        `series` holds the Chebyshev zones' coefficients only, in row order.
         """
         d, c = self.d_mesh, self.c_nodes
         # the series run in s = log d, where sigma's power-law behaviour
@@ -177,35 +175,25 @@ class BranchTable:
         for k in runs:
             rest[k:k + _GROUP] = False
         rest = np.flatnonzero(rest)
-        # each remaining segment whole, and its outer part beyond each
-        # fraction of its width: a kink of w further in lies outside the
-        # partial panels of all queries there
-        part_lo = ls[rest] + _PARTS[:, None] * (ls[rest + 1] - ls[rest])
-        ok, part_series = self._fit(part_lo.ravel(), np.tile(ls[rest + 1], _PARTS.size))
-        ok = ok.reshape(part_lo.shape)
-        took = np.flatnonzero(ok.any(axis=0))
-        widest = np.argmax(ok[:, took], axis=0)
-        first = np.concatenate([runs, rest[took]])
-        outer = np.concatenate([np.minimum(runs + _GROUP, nseg), rest[took] + 1])
-        s_lo = np.concatenate([ls[runs], part_lo[widest, took]])
-        series = np.concatenate([run_series,
-                                 part_series.reshape(*ok.shape, _N_TERMS)[widest, took]])
+        ok, seg_series = self._fit(ls[rest], ls[rest + 1])
+        first = np.concatenate([runs, rest[ok]])
+        outer = np.concatenate([np.minimum(runs + _GROUP, nseg), rest[ok] + 1])
+        series = np.concatenate([run_series, seg_series[ok]])
         series[:, 0] += c[outer]
-        # panel zones: segments no series covers, or their part inside one
-        seg = np.union1d(rest[~ok[0]], np.flatnonzero(~plain))
+        # panel zones: segments no series covers
+        seg = np.union1d(rest[~ok], np.flatnonzero(~plain))
         n_c, n_s = first.size, seg.size
         # the power law below: the log-log secant across the first halving
         # of d above its base node
         g = min(_GROUP, nseg)
         slope = math.log(c[g] / c[0]) / math.log(d[g] / d[0])
         cols = {
-            "d_start": np.concatenate([[0.0], np.where(s_lo == ls[first], d[first], np.exp(s_lo)),
-                                       d[seg], [self.d_max]]),
+            "d_start": np.concatenate([[0.0], d[first], d[seg], [self.d_max]]),
             "kind": np.concatenate([[_BELOW], np.full(n_c, _CHEB), np.full(n_s, _PANEL),
                                     [_CONST]]),
-            "d_ref": np.concatenate([[math.log(d[0])], 0.5 * (s_lo + ls[outer]),
+            "d_ref": np.concatenate([[math.log(d[0])], 0.5 * (ls[first] + ls[outer]),
                                      d[seg + 1], [0.0]]),
-            "scale": np.concatenate([[slope], 0.5 * (ls[outer] - s_lo),
+            "scale": np.concatenate([[slope], 0.5 * (ls[outer] - ls[first]),
                                      np.zeros(n_s), [0.0]]),
             "c_ref": np.concatenate([[math.log(c[0])], np.zeros(n_c), c[seg + 1],
                                      [1.0 / self.c_at_dmax]]),
@@ -591,28 +579,23 @@ def build_aux_weight(w: Weight, p: Exponent, structure: DegeneracyStructure,
     ivs = structure.intervals
     meshes = [_branch_mesh(end, iv.mid, removables, kinks)
               for iv in ivs for end in (iv.lo, iv.hi)]
-    # one drive: each plateau and the quarter spans of its branches
-    spans = [span for iv, left, right in zip(ivs, meshes[::2], meshes[1::2]) for span in (
-        (iv.lo + 0.25 * iv.width, iv.lo + 0.75 * iv.width), left.span, right.span)]
+    # one drive: the quarter span of each branch, range k for mesh k
     res = integrate_ranges(lambda x, _: sigma(x), [
-        (a, b, [r for r in removables if a < r < b], ()) for a, b in spans], cfg)
+        (a, b, [r for r in removables if a < r < b], kinks) for a, b in (m.span for m in meshes)],
+        cfg)
     # and one batch of panels for all branch segments
     lo, hi = (np.concatenate([np.zeros(0), *(getattr(m, k) for m in meshes)])
               for k in ("lo", "hi"))
     vals = _eval_panels(sigma, lo, hi, cfg)[0] if lo.size else lo
     ends = np.cumsum([0] + [m.lo.size for m in meshes])
+    branches = [_finish_branch(sigma, m, quarter, vals[ends[k]:ends[k + 1]], cfg)
+                for k, (m, quarter) in enumerate(zip(meshes, res))]
     parts = []
-    for i, iv in enumerate(ivs):  # failures in the order plateau, left, right
-        if not res[3 * i].is_finite:
-            raise ArithmeticError("transform not integrable across the plateau span")
-        # spans 3i, 3i+1, 3i+2: plateau, left and right quarter spans;
-        # meshes 2i, 2i+1: the left and right branch
-        left, right = (_finish_branch(sigma, meshes[k], quarter, vals[ends[k]:ends[k + 1]], cfg)
-                       for k, quarter in ((2 * i, res[3 * i + 1]), (2 * i + 1, res[3 * i + 2])))
+    for iv, left, right in zip(ivs, branches[::2], branches[1::2]):
         lo_value = 1.0 / iv.lo_class.value if iv.lo_class.integrable else 0.0
         hi_value = 1.0 / iv.hi_class.value if iv.hi_class.integrable else 0.0
         parts.append(AuxInterval(
-            base=iv, plateau=1.0 / res[3 * i].value, left=left, right=right,
+            base=iv, plateau=1.0 / (left.c_at_dmax + right.c_at_dmax), left=left, right=right,
             lo_value=lo_value, hi_value=hi_value,
             left_limit=1.0 / left.c_at_dmax, right_limit=1.0 / right.c_at_dmax,
         ))

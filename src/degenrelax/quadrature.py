@@ -789,7 +789,8 @@ def classify_endpoint_integrability(w: Weight, p: Exponent, z: float, far: float
         if alpha == 0.0 and rule == "exact-exponent":
             rule = "positive-weight"  # no decay at z: sigma locally bounded
         interior = [s for s in interior_singular if lo < s < hi]
-        res = integrate(w.transform(p), lo, hi, cfg, singular=interior)
+        res = integrate(w.transform(p), lo, hi, cfg, singular=interior,
+                        breakpoints=w.breakpoints())
         value = res.value if res.is_finite else math.inf
         if not res.is_finite and rule == "estimated-exponent":
             rule = "numeric-trend"  # the trend overrules the fit

@@ -16,7 +16,6 @@ from degenrelax import (
     ClosedFormWeight,
     Exponent,
     GridSampledWeight,
-    IntegralResult,
     Interval,
     PiecewisePowerWeight,
     PowerPiece,
@@ -326,25 +325,54 @@ def _cell_mass(xs, ws, q, a, b):
 @pytest.mark.parametrize("pv", [1.5, 2.0, 3.0])
 def test_kinked_grid_segments_match_the_cell_closed_form(pv):
     # a grid weight is linear between nodes, so sigma kinks at every node;
-    # the branch mesh has a node on each, and every segment takes a series
+    # the branch mesh has a node on each, and every segment takes a series.
+    # Every sigma integral is cut at the nodes: branch points, plateaus and
+    # endpoint values all match the per-cell closed form
     xs = np.linspace(-2.0, 2.0, 129)
-    ws = np.abs(xs * xs - 1.0) ** (1.5 * (pv - 1.0)) * (1.0 + 0.3 * np.sin(3.0 * xs + 0.4))
-    w = GridSampledWeight(xs, ws)
+    split = (xs, np.abs(xs * xs - 1.0) ** (1.5 * (pv - 1.0)) * (1.0 + 0.3 * np.sin(3.0 * xs + 0.4)))
+    xs = np.linspace(0.0, 1.0, 1025)
+    positive = (xs, (1.2 + np.sin(7.0 * xs)) * (1.0 + 0.3 * xs))
+    q = 1.0 / (pv - 1.0)
     p = Exponent(pv)
+    rng = np.random.default_rng(5)
+    for xs, ws in (split, positive):
+        w = GridSampledWeight(xs, ws)
+        st_ = detect_structure(w, p, CFG)
+        aux = build_aux_weight(w, p, st_, CFG)
+        table = aux._table()
+        assert not st_.removable_zeros  # every branch segment is plain
+        assert not np.any(table.kind == auxweight._PANEL)
+        for part in aux.parts:
+            lo, mid, hi = part.base.lo, part.base.mid, part.base.hi
+            np.testing.assert_allclose(part.plateau, 1.0 / _cell_mass(xs, ws, q, part.q1, part.q3),
+                                       rtol=1e-13)
+            for value, cls, a, b in ((part.lo_value, part.base.lo_class, lo, mid),
+                                     (part.hi_value, part.base.hi_class, mid, hi)):
+                want = 1.0 / _cell_mass(xs, ws, q, a, b) if cls.integrable else 0.0
+                np.testing.assert_allclose(value, want, rtol=1e-13)
+            for br in (part.left, part.right):
+                d = np.sort(rng.uniform(1e-3, 1.0, 400)) * br.d_max
+                x = br.endpoint + br.sgn * d
+                ref = [1.0 / _cell_mass(xs, ws, q, min(t, mid), max(t, mid)) for t in x]
+                np.testing.assert_allclose(aux(x), ref, rtol=1e-13)
+
+
+def test_undeclared_kink_segment_is_a_panel_zone():
+    # w = x^2 (1 + 3|x - 0.11|) with no metadata: the kink at 0.11 lies inside
+    # a mesh segment of the left branch, which no series fits; that segment
+    # is a panel zone, and every Chebyshev zone starts at a mesh node
+    w = ClosedFormWeight(fn=lambda x: x * x * (1.0 + 3.0 * np.abs(x - 0.11)),
+                         domain=Interval(0.0, 1.0))
+    p = Exponent(2.0)
     st_ = detect_structure(w, p, CFG)
     aux = build_aux_weight(w, p, st_, CFG)
-    table = aux._table()
-    assert not st_.removable_zeros  # every branch segment is plain
-    assert not np.any(table.kind == auxweight._PANEL)
-    rng = np.random.default_rng(5)
-    for part in aux.parts:
-        mid = part.base.mid
-        for br in (part.left, part.right):
-            d = np.sort(rng.uniform(1e-3, 1.0, 400)) * br.d_max
-            x = br.endpoint + br.sgn * d
-            ref = [1.0 / _cell_mass(xs, ws, 1.0 / (pv - 1.0), min(t, mid), max(t, mid))
-                   for t in x]
-            np.testing.assert_allclose(aux(x), ref, rtol=1e-10)
+    panels = 0
+    for br in (br for part in aux.parts for br in (part.left, part.right)):
+        zones = br.zones_by_distance()
+        starts = zones["d_start"][zones["kind"] == auxweight._CHEB]
+        assert np.isin(starts, br.d_mesh).all()
+        panels += np.count_nonzero(zones["kind"] == auxweight._PANEL)
+    assert panels >= 1
 
 
 class _CountingPower(PiecewisePowerWeight):
@@ -566,7 +594,8 @@ def _branch_alone(sigma, endpoint, mid, removables, kinks, cfg):
     d_mesh, xs = d_mesh[keep], xs[keep]
     qpt = endpoint + sgn * 0.5 * half
     lo_q, hi_q = (qpt, mid) if sgn > 0 else (mid, qpt)
-    res = integrate(sigma, lo_q, hi_q, cfg, singular=[r for r in removables if lo_q < r < hi_q])
+    res = integrate(sigma, lo_q, hi_q, cfg, singular=[r for r in removables if lo_q < r < hi_q],
+                    breakpoints=kinks)
     assert res.is_finite
     seg_lo, seg_hi = np.minimum(xs[:-1], xs[1:]), np.maximum(xs[:-1], xs[1:])
     vals = np.zeros(seg_lo.size)
@@ -642,9 +671,7 @@ def test_one_drive_build_matches_branch_by_branch(case):
     touching = 0
     for part in aux.parts:
         iv = part.base
-        plateau = integrate(sigma, part.q1, part.q3, CFG,
-                            singular=[r for r in removables if part.q1 < r < part.q3])
-        assert part.plateau.hex() == (1.0 / plateau.value).hex()
+        quarters = []
         for br, end, limit in ((part.left, iv.lo, part.left_limit),
                                (part.right, iv.hi, part.right_limit)):
             d_mesh, c_all, plain = _branch_alone(sigma, end, iv.mid, removables,
@@ -653,7 +680,10 @@ def test_one_drive_build_matches_branch_by_branch(case):
             assert br.c_nodes.tobytes() == c_all.tobytes()
             assert np.array_equal(br.plain, plain)
             assert limit.hex() == (1.0 / c_all[-1]).hex() == (1.0 / br.c_at_dmax).hex()
+            quarters.append(c_all[-1])
             touching += int(np.count_nonzero(~plain))
+        # the plateau integral is the sum of the two quarter spans
+        assert part.plateau.hex() == (1.0 / (quarters[0] + quarters[1])).hex()
     assert (touching > 0) == case.startswith("removable")
 
 
@@ -690,38 +720,17 @@ def test_aux_holds_the_mass_next_to_a_strong_removable_zero():
     np.testing.assert_allclose(aux(xs), want, rtol=1e-7)
 
 
-def test_plateau_span_not_integrable_keeps_its_message():
+def test_quarter_span_not_integrable_keeps_its_message():
     # a double zero at 0.3 given as removable in a hand-made structure that
-    # keeps (0, 1) whole: the plateau (0.25, 0.75) grades into it and diverges
+    # keeps (0, 1) whole: the left quarter span (0.25, 0.5) grades into it
+    # and diverges
     p = Exponent(2.0)
     w = PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, 0.3, 1.0, 0.3, 2.0),
                                                   PowerPiece(0.3, 1.0, 1.0, 0.3, 2.0)])
     unit = PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, 1.0, 1.0, 0.0, 0.0)])
     st_ = dataclasses.replace(detect_structure(unit, p, CFG),
                               removable_zeros=(ZeroInfo(0.3, 2.0, 2.0),))
-    with pytest.raises(ArithmeticError, match="^transform not integrable across the plateau span$"):
+    with pytest.raises(ArithmeticError, match=(
+            "^transform not integrable between quarter point and midpoint; "
+            "the degeneracy structure should have split here$")):
         build_aux_weight(w, p, st_)
-
-
-@pytest.mark.parametrize("bad, message", [
-    (1, "transform not integrable between quarter point and midpoint; "
-        "the degeneracy structure should have split here")])
-def test_branch_failures_keep_their_messages_and_order(bad, message, monkeypatch):
-    # a divergence reported for one range of the drive (a left quarter span)
-    # raises that range's message, ahead of a divergent plateau in a later
-    # interval
-    w = _removable_then_split(2.0)
-    p = Exponent(2.0)
-    st_ = detect_structure(w, p, CFG)
-    assert len(st_.intervals) == 2 and st_.removable_zeros
-    drive = auxweight.integrate_ranges
-
-    def diverging(f, ranges, cfg):
-        res = drive(f, ranges, cfg)
-        res[bad] = res[3] = IntegralResult.divergent(math.inf)
-        return res
-
-    monkeypatch.setattr(auxweight, "integrate_ranges", diverging)
-    with pytest.raises(ArithmeticError) as info:
-        build_aux_weight(w, p, st_, CFG)
-    assert str(info.value) == message
