@@ -47,6 +47,12 @@ Chebyshev zones and one batched sigma call per 1,152 panels
 (quadrature._MAX_REQUEST) for the points in panel zones.  Away from panel
 zones no sigma is evaluated at all.
 
+The ambient norms integrate |u - c|^p aux^(p-1) over the structure
+intervals.  AuxWeight.ambient_samples() holds aux^(p-1) at the first-pass
+nodes of those ranges (quadrature.first_pass_nodes), sampled through the
+weight's own __call__ on the first ambient drive and kept with the object,
+so every later drive evaluates aux only where its cuts and refinement go.
+
 build_aux_weight makes one lockstep drive (integrate_ranges) for the whole
 structure: the two quarter-point-to-midpoint spans of each interval, cut at
 the breakpoints of w.  Their sum is the plateau integral.  The segments of
@@ -64,7 +70,7 @@ import numpy as np
 
 from .degeneracy import DegeneracyInterval, DegeneracyStructure
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, _NODES, _eval_panels,
-                         integrate_ranges)
+                         first_pass_nodes, integrate_ranges)
 from .weights import Exponent, Weight
 
 
@@ -534,11 +540,27 @@ class AuxWeight:
         self.cfg = cfg
         self.sigma = weight.transform(p)
         self._zones: Optional[_AuxTable] = None  # tabulated on first evaluation
+        self._samples: Optional[tuple] = None    # sampled on the first ambient drive
 
     def _table(self) -> _AuxTable:
         if self._zones is None:
             self._zones = _AuxTable(self.sigma, self.cfg, _whole_line(self.parts))
         return self._zones
+
+    def ambient_weight(self, x) -> np.ndarray:
+        """aux(x)^(p-1), the weight of the ambient L^p norm."""
+        return np.asarray(self(x), dtype=float) ** (self.exponent.p - 1.0)
+
+    def ambient_samples(self) -> tuple:
+        """(x, counts, weight): the first-pass nodes of the ambient ranges
+        (part.base.lo, part.base.hi, ()), one range per part, the number of
+        nodes of each range, and ambient_weight(x).  Sampled once, on first
+        use, and kept as long as this object; they do not depend on u."""
+        if self._samples is None:
+            x, index = first_pass_nodes([(part.base.lo, part.base.hi, ()) for part in self.parts])
+            self._samples = (x, np.bincount(index, minlength=len(self.parts)),
+                             self.ambient_weight(x))
+        return self._samples
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -629,7 +651,9 @@ def derivative_identity_residual(aux: AuxWeight, x: float) -> float:
     sx = float(np.asarray(aux.sigma(np.array([x])), dtype=float)[0])
     ideal = sign * wx * wx * sx
     # relative to the identity's own size, so the residual is free of units
-    return abs(fd - ideal) / (abs(ideal) if ideal != 0.0 else aux.cfg.abs_tol)
+    if ideal == 0.0:
+        return 0.0 if fd == 0.0 else math.inf
+    return abs(fd - ideal) / abs(ideal)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,13 @@ exit; the inf levels of all rows are graded into in one request.  Each
 refinement round splits the panels of all ranges in one array step; only
 the choice of the panels to split stays per range, as its sums decide it.
 
+The first pass depends only on the ranges' ends and singular points, never
+on breakpoints or on the integrand: first_pass_nodes() returns its nodes,
+and integrate_ranges(..., first=values) takes the integrand's values there
+instead of calling it for that pass.  A factor of the integrand that several
+drives over the same ranges share (aux^(p-1) in the ambient norms) is thus
+sampled once.
+
 classify_endpoint_integrability() answers the one-sided question "is
 w^(-1/(p-1)) integrable next to z" through the Weight interface alone: by
 exact exponent arithmetic whenever w.side_exponent() knows the exponent,
@@ -181,22 +188,33 @@ def _eval_panels(f, lows, highs, cfg: QuadratureConfig):
     return np.where(np.isinf(err), math.inf, k15), err
 
 
-def _evaluator(f):
-    """evaluate(lows, highs, owner): _kronrod of the panels of two arrays, in
-    blocks of at most _MAX_REQUEST panels, each from one call f(x, index),
-    index the range of each node, from owner, the range of each panel.
-    f is elementwise and _kronrod sums each panel on its own, so the blocks
-    change no bit; they bound the memory a request holds."""
-    def block(lows, highs, owner):
-        half = 0.5 * (highs - lows)
-        xs = (0.5 * (lows + highs))[:, None] + half[:, None] * _NODES
-        return _kronrod(xs, half, f(xs.ravel(), np.repeat(owner, _NODES.size)))
+def _panel_nodes(lows, highs):
+    """The Kronrod nodes of a batch of panels, one row per panel, and their half-widths."""
+    half = 0.5 * (highs - lows)
+    return (0.5 * (lows + highs))[:, None] + half[:, None] * _NODES, half
 
-    def evaluate(lows, highs, owner):
+
+def _evaluator(f):
+    """evaluate(lows, highs, owner, vals=None): _kronrod of the panels of two
+    arrays, in blocks of at most _MAX_REQUEST panels, each from one call
+    f(x, index), index the range of each node, from owner, the range of each
+    panel; vals, when given, holds f's values at those nodes in that order,
+    and f is not called.  f is elementwise and _kronrod sums each panel on
+    its own, so the blocks change no bit; they bound the memory a request
+    holds."""
+    def block(lows, highs, owner, vals):
+        xs, half = _panel_nodes(lows, highs)
+        if vals is None:
+            vals = f(xs.ravel(), np.repeat(owner, _NODES.size))
+        return _kronrod(xs, half, vals)
+
+    def evaluate(lows, highs, owner, vals=None):
         if lows.size <= _MAX_REQUEST:
-            return block(lows, highs, owner)
+            return block(lows, highs, owner, vals)
         parts = [block(lows[at:at + _MAX_REQUEST], highs[at:at + _MAX_REQUEST],
-                       owner[at:at + _MAX_REQUEST])
+                       owner[at:at + _MAX_REQUEST],
+                       None if vals is None else vals[at * _NODES.size:
+                                                      (at + _MAX_REQUEST) * _NODES.size])
                  for at in range(0, lows.size, _MAX_REQUEST)]
         k15, err = (np.concatenate([s[i] for s in parts]) for i in (0, 1))
         if all(s[2] is None for s in parts):
@@ -559,13 +577,12 @@ def _refine(pools: list, cfg: QuadratureConfig, evaluate) -> list:
     return out
 
 
-def _integrate_all(f, pts: list, cuts: list, cfg: QuadratureConfig) -> list:
-    """IntegralResult or exception of each range, given by its graded points
-    and breakpoints (None after one raised).  The first pass of all ranges is
-    one request, one padded row per gap (both graded runs, then the middle);
-    each range then reads its gaps in order, and a divergent run ends it;
-    the pool cuts at its breakpoints (see _refine)."""
-    evaluate = _evaluator(f)
+def _first_pass(pts: list):
+    """The first pass of ranges given by their graded points: (gaps, owner,
+    runs, lows, highs, live), gaps the gap count of each range, owner the
+    range of each gap, runs its two graded runs (_Runs rows 2g and 2g + 1),
+    and lows, highs and live one padded row per gap: both runs' levels,
+    then the two middle panels.  Breakpoints never enter it."""
     gaps = [len(p) - 1 for p in pts]
     owner = np.array([r for r, k in enumerate(gaps) for _ in range(k)])
     ends = np.array([(lo, hi) for p in pts for lo, hi in zip(p[:-1], p[1:])], dtype=float)
@@ -579,8 +596,21 @@ def _integrate_all(f, pts: list, cuts: list, cfg: QuadratureConfig) -> list:
     lows, highs, live = (np.concatenate((a.reshape(owner.size, w), b), axis=1) for a, b in (
         (runs.lows, np.column_stack((m_lo, mid))), (runs.highs, np.column_stack((mid, m_hi))),
         (runs.live, np.ones((owner.size, 2), dtype=bool))))
+    return gaps, owner, runs, lows, highs, live
+
+
+def _integrate_all(f, pts: list, cuts: list, cfg: QuadratureConfig, first=None) -> list:
+    """IntegralResult or exception of each range, given by its graded points
+    and breakpoints (None after one raised).  The first pass of all ranges is
+    one request (see _first_pass; its values are `first` when given); each
+    range then reads its gaps in order, and a divergent run ends it; the
+    pool cuts at its breakpoints (see _refine)."""
+    evaluate = _evaluator(f)
+    gaps, owner, runs, lows, highs, live = _first_pass(pts)
+    w = runs.live.size // owner.size
     vals, errs, bad, nan = _spread(evaluate(lows[live], highs[live],
-                                            np.repeat(owner, np.add.reduce(live, axis=1))), live)
+                                            np.repeat(owner, np.add.reduce(live, axis=1)), first),
+                                   live)
     runs.vals, runs.errs, runs.bad_at, runs.nan_at = (
         None if a is None else a[:, :w].reshape(runs.lows.shape) for a in (vals, errs, bad, nan))
     _walk(runs, 0, cfg, evaluate)
@@ -635,9 +665,47 @@ def _integrate_all(f, pts: list, cuts: list, cfg: QuadratureConfig) -> list:
     return out
 
 
+def _graded_points(ranges: Sequence[tuple]):
+    """(pts, cuts, invalid): per range its graded points (the ends and the
+    singular points strictly inside) and its breakpoints strictly inside,
+    up to the first range that is not a finite a < b; invalid is the
+    ValueError for that one, or None."""
+    pts, cuts = [], []
+    for a, b, singular, breakpoints in ranges:
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            return pts, cuts, ValueError(f"need finite a < b, got ({a}, {b})")
+        tol = 1e-14 * (b - a)
+        sing = sorted({float(s) for s in singular})
+        pts.append([a] + [s for s in sing if a + tol < s < b - tol] + [b])
+        c = np.asarray(breakpoints, dtype=float)
+        c = c[(c > a + tol) & (c < b - tol)]
+        cuts.append(np.unique(c) if c.size > 1 else c)
+    return pts, cuts, None
+
+
+def first_pass_nodes(ranges: Sequence[tuple]) -> tuple:
+    """(x, index): the nodes of integrate_ranges' first pass over `ranges`
+    and the range of each, in the order of its first request.
+
+    Ranges are (a, b, singular) or (a, b, singular, breakpoints); the first
+    pass depends on a, b and the singular points alone, so breakpoints
+    change nothing here.  f's values at these nodes, passed to
+    integrate_ranges as `first`, stand in for its first call.
+    """
+    pts, _, invalid = _graded_points((a, b, singular, ()) for a, b, singular, *_ in ranges)
+    if invalid is not None:
+        raise invalid
+    if not pts:
+        return np.zeros(0), np.zeros(0, dtype=np.intp)
+    _, owner, _, lows, highs, live = _first_pass(pts)
+    xs, _ = _panel_nodes(lows[live], highs[live])
+    return xs.ravel(), np.repeat(owner, np.add.reduce(live, axis=1) * _NODES.size)
+
+
 def integrate_ranges(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                      ranges: Sequence[tuple],
-                     cfg: Optional[QuadratureConfig] = None) -> list:
+                     cfg: Optional[QuadratureConfig] = None,
+                     first: Optional[np.ndarray] = None) -> list:
     """Integrate f over several ranges in lockstep; one IntegralResult per range.
 
     Each range is (a, b, singular, breakpoints) with integrate()'s meaning,
@@ -654,20 +722,16 @@ def integrate_ranges(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     _MAX_PANELS panels (4,000), so a range whose breakpoints alone cut it
     into that many is not refined further: its result and error are those
     of the cut panels.
+
+    `first`, when given, holds f's values at first_pass_nodes(ranges), in
+    that order: f is then not called for the first pass, and the result is
+    the same bit for bit.  The cut step, grading into an inf node and
+    refinement still call f.
     """
     cfg = cfg or DEFAULT_CONFIG
-    pts, cuts, invalid = [], [], None
-    for a, b, singular, breakpoints in ranges:
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            invalid = ValueError(f"need finite a < b, got ({a}, {b})")
-            break  # the ranges before it still run, and may raise first
-        tol = 1e-14 * (b - a)
-        sing = sorted({float(s) for s in singular})
-        pts.append([a] + [s for s in sing if a + tol < s < b - tol] + [b])
-        c = np.asarray(breakpoints, dtype=float)
-        c = c[(c > a + tol) & (c < b - tol)]
-        cuts.append(np.unique(c) if c.size > 1 else c)
-    out = _integrate_all(f, pts, cuts, cfg) if pts else []
+    # the ranges before an invalid one still run, and may raise first
+    pts, cuts, invalid = _graded_points(ranges)
+    out = _integrate_all(f, pts, cuts, cfg, first) if pts else []
     for res in out + [invalid]:
         if isinstance(res, Exception):
             raise res

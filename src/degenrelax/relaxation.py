@@ -425,7 +425,7 @@ def _members_density(pws: list, u: TestFunction, aux: AuxWeight, w: Weight, pp: 
                 v[eng] = pws[k].deriv(x[eng])
         amb, eng = np.flatnonzero(~en), np.flatnonzero(en)
         if amb.size:
-            out[amb] = mass_values(v[amb] - u(x[amb]), aux(x[amb]), pp)
+            out[amb] = mass_values(v[amb] - u(x[amb]), aux.ambient_weight(x[amb]), pp)
         if eng.size:
             out[eng] = energy_values(v[eng], w(x[eng]), pp)
         return out

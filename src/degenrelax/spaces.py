@@ -8,6 +8,13 @@ checks in this module evaluate the pointwise and averaged Poincare
 inequalities tying the two weights together, the vanishing/extension
 dichotomy at interval endpoints, and provide seeded families of spline test
 functions for batteries.
+
+Every ambient drive (lp_aux_norm, the Poincare numerators, and through
+them relaxed_functional, space_norm and the ambient norm of u in
+build_approx_sequence) goes through ambient_integrals: its first pass reads
+aux^(p-1) from the samples the auxiliary weight keeps (see
+AuxWeight.ambient_samples), so only u is evaluated there, and the results
+are those of the plain drive bit for bit.
 """
 
 from __future__ import annotations
@@ -226,9 +233,10 @@ def energy_values(du, wx, pp: float) -> np.ndarray:
     return np.abs(du) ** pp * np.asarray(wx, dtype=float)
 
 
-def mass_values(v, ax, pp: float) -> np.ndarray:
-    """|v|^p aux^(p-1) from the values of v and aux at the same points."""
-    return np.abs(v) ** pp * np.asarray(ax, dtype=float) ** (pp - 1.0)
+def mass_values(v, weight, pp: float) -> np.ndarray:
+    """|v|^p aux^(p-1) from the values of v and of aux^(p-1) (AuxWeight.ambient_weight)
+    at the same points."""
+    return np.abs(v) ** pp * weight
 
 
 def energy_density(u: TestFunction, w: Weight, pp: float):
@@ -252,9 +260,23 @@ def aux_mass_density(u: TestFunction, aux: AuxWeight, shifts: Sequence[float]):
     pp = aux.exponent.p
 
     def f(x, index):
-        return mass_values(u(x) - c[index], aux(x), pp)
+        return mass_values(u(x) - c[index], aux.ambient_weight(x), pp)
 
     return f
+
+
+def ambient_integrals(u: TestFunction, aux: AuxWeight, shifts: Sequence[float],
+                      cfg: Optional[QuadratureConfig] = None) -> list:
+    """The integral of aux_mass_density(u, aux, shifts) over each range of
+    aux_ranges(u, aux), in one drive.  Its first pass takes aux^(p-1) from
+    aux.ambient_samples(), so only u is evaluated there; the result is the
+    plain drive's bit for bit."""
+    if not aux.parts:
+        return []
+    x, counts, weight = aux.ambient_samples()
+    first = mass_values(u(x) - np.repeat(np.asarray(shifts, dtype=float), counts), weight,
+                        aux.exponent.p)
+    return integrate_ranges(aux_mass_density(u, aux, shifts), aux_ranges(u, aux), cfg, first)
 
 
 def density_cuts(u: TestFunction, w: Weight, lo: float, hi: float,
@@ -308,8 +330,7 @@ def lp_aux_norm(u: TestFunction, aux: AuxWeight,
     The auxiliary weight vanishes off the interval closures, so this is the
     norm integral over the whole domain.  An empty structure gives 0.
     """
-    parts = integrate_ranges(aux_mass_density(u, aux, np.zeros(len(aux.parts))),
-                             aux_ranges(u, aux), cfg)
+    parts = ambient_integrals(u, aux, np.zeros(len(aux.parts)), cfg)
     return sum(parts, IntegralResult.finite(0.0, 0.0))
 
 
@@ -431,7 +452,7 @@ def poincare_global_check(u: TestFunction, w: Weight, aux: AuxWeight,
                           cfg: Optional[QuadratureConfig] = None) -> PoincareReport:
     _, energies = seminorm_energy(u, w, structure, p, cfg, per_interval=True)
     u_mids = [float(u(np.array([part.base.mid]))[0]) for part in aux.parts]
-    nums = integrate_ranges(aux_mass_density(u, aux, u_mids), aux_ranges(u, aux), cfg)
+    nums = ambient_integrals(u, aux, u_mids, cfg)
     rows = []
     lhs_total = rhs_total = 0.0
     for part, energy, n in zip(aux.parts, energies, nums):

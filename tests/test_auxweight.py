@@ -487,6 +487,19 @@ def test_identity_residual_is_free_of_units(scale):
         assert derivative_identity_residual(doubled, x) >= 0.4
 
 
+@pytest.mark.parametrize("abs_tol", [1e-13, 1e-6])
+def test_identity_residual_with_a_zero_ideal_is_infinite(abs_tol):
+    # where aux^2 sigma is 0 but the finite difference is not, the relative
+    # defect is infinite, whatever the config's absolute tolerance
+    p = Exponent(2.0)
+    w = PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, 1.0, 1.0, 0.0, 0.5)])
+    st_ = detect_structure(w, p, CFG)
+    aux = build_aux_weight(w, p, st_, QuadratureConfig(abs_tol=abs_tol))
+    aux(0.1)  # tabulated with the true sigma
+    aux.sigma = lambda x: np.zeros(np.shape(x))
+    assert derivative_identity_residual(aux, 0.1) == math.inf
+
+
 def _graded_mesh_loop(h_max, anchor, sgn):
     """The per-level loop _graded_mesh replaced: the bit-for-bit reference."""
     levels = [h_max]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degenrelax import quadrature, spaces
 from degenrelax import (
     AuxWeight,
     Exponent,
@@ -19,8 +20,12 @@ from degenrelax import (
     TestFunction,
     ac_extension_check,
     build_aux_weight,
+    builtin_cascade,
+    builtin_power,
     check_membership,
     builtin_figure1,
+    first_pass_nodes,
+    integrate_ranges,
     detect_structure,
     endpoint_vanishing_check,
     integrate,
@@ -30,6 +35,7 @@ from degenrelax import (
     pointwise_poincare_check,
     poly_function,
     random_test_functions,
+    relaxed_functional,
     seminorm_energy,
     space_norm,
     spline_function,
@@ -538,3 +544,90 @@ def test_seminorm_first_pass_is_one_call(figure1_chain, p2):
     # after it serve every interval still refining
     assert np.array_equal(together[0], np.concatenate([calls[0] for calls in alone]))
     assert len(together) == max(len(calls) for calls in alone)
+
+
+def _sampled_weight(name, pv):
+    """The weights whose ambient drives take their first pass from aux's samples."""
+    if name == "figure1":
+        return builtin_figure1()
+    if name == "power":
+        return builtin_power(0.7)
+    if name == "removable":  # w = |x - 0.4|^0.3: a removable zero at every p here
+        return PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, 0.4, 2.0, 0.4, 0.3),
+                                                         PowerPiece(0.4, 1.0, 0.5, 0.4, 0.3)])
+    if name == "grid":  # 128 cells; zeros at +-1 that split the domain
+        xs = np.linspace(-2.0, 2.0, 129)
+        return GridSampledWeight(xs, np.abs(xs * xs - 1.0) ** (1.5 * (pv - 1.0))
+                                 * (1.0 + 0.3 * np.sin(3.0 * xs + 0.4)))
+    return builtin_cascade(2.0 * (pv - 1.0), Exponent(pv), 14)
+
+
+@pytest.fixture(scope="module", params=[(name, pv)
+                                        for name in ("figure1", "power", "removable", "grid",
+                                                     "cascade")
+                                        for pv in (1.5, 2.0, 3.0)],
+                ids=lambda prm: f"{prm[0]}-p{prm[1]}")
+def sampled_chain(request):
+    name, pv = request.param
+    w = _sampled_weight(name, pv)
+    p = Exponent(pv)
+    st_ = detect_structure(w, p, CFG)
+    return name, w, st_, p
+
+
+def _test_functions(w):
+    dom = w.domain
+    knots = np.linspace(dom.lo, dom.hi, 8)
+    return [spline_function(knots, np.random.default_rng(5).uniform(-1.0, 1.0, 8)),
+            poly_function([0.3, -1.0, 0.5])]
+
+
+def _plain_ambient(u, aux, shifts, cfg=None):
+    return integrate_ranges(spaces.aux_mass_density(u, aux, shifts), spaces.aux_ranges(u, aux), cfg)
+
+
+def _ambient_bits(u, w, aux, st_, p):
+    rep = poincare_global_check(u, w, aux, st_, p, CFG)
+    rel = relaxed_functional(u, w, aux, st_, p, CFG)
+    return (_bits(lp_aux_norm(u, aux, CFG)), [(a.hex(), b.hex()) for a, b in rep.per_interval],
+            rep.lhs.hex(), rep.ratio.hex(), rep.ok, rel.kind, rel.value.hex())
+
+
+def test_ambient_samples_change_no_bit(sampled_chain, monkeypatch):
+    name, w, st_, p = sampled_chain
+    aux = build_aux_weight(w, p, st_, CFG)
+    us = _test_functions(w)
+    got = [_ambient_bits(u, w, aux, st_, p) for u in us + us]  # first and repeated calls
+    x, counts, weight = aux.ambient_samples()
+    assert x.size == counts.sum() and counts.size == len(aux.parts)
+    if name == "cascade":  # the first pass is more than one request
+        assert x.size > 15 * quadrature._MAX_REQUEST
+    # the same drives with the plain density: aux evaluated at every node
+    monkeypatch.setattr(spaces, "ambient_integrals", _plain_ambient)
+    plain = build_aux_weight(w, p, st_, CFG)
+    assert [_ambient_bits(u, w, plain, st_, p) for u in us + us] == got
+    assert plain._samples is None
+
+
+def test_second_ambient_drive_calls_aux_at_no_first_pass_node(figure1_chain, monkeypatch):
+    w, st_, _ = figure1_chain
+    aux = build_aux_weight(w, Exponent(2.0), st_, CFG)
+    seen = []
+    call = AuxWeight.__call__
+
+    def recording(self, x):
+        seen.append(np.array(x, dtype=float))
+        return call(self, x)
+
+    monkeypatch.setattr(AuxWeight, "__call__", recording)
+    first, second = _test_functions(w)
+    lp_aux_norm(first, aux, CFG)
+    x, _ = first_pass_nodes([(part.base.lo, part.base.hi, ()) for part in aux.parts])
+    # the samples are one aux call at the first-pass nodes
+    assert np.array_equal(seen[0], x) and np.array_equal(aux.ambient_samples()[0], x)
+    seen.clear()
+    norm = lp_aux_norm(second, aux, CFG)
+    later = np.concatenate(seen)
+    assert later.size and not np.isin(later, x).any()
+    assert _bits(norm) == _bits(
+        sum(_plain_ambient(second, aux, [0.0] * 3, CFG), IntegralResult.finite(0.0, 0.0)))

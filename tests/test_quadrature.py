@@ -16,6 +16,7 @@ from degenrelax import (
     builtin_figure1,
     builtin_power,
     classify_endpoint_integrability,
+    first_pass_nodes,
     integrate,
     integrate_ranges,
     local_exponent_estimate,
@@ -769,3 +770,125 @@ def test_capped_panels_meet_a_late_nan_and_inf_node(capped, monkeypatch):
     alone = quadrature._eval_panels(g, lows[-1:], highs[-1:], CFG)
     assert _hex(vals[-1:]) == _hex(alone[0]) and _hex(errs[-1:]) == _hex(alone[1])
     assert np.isfinite(vals).all()
+
+
+def test_steep_power_from_1e_3_is_finite():
+    r = integrate(lambda x: 1.0 / x ** 2, 1e-3, 0.5, CFG)
+    assert r.is_finite
+    assert r.value == pytest.approx(998.0, rel=1e-14)
+
+
+@pytest.mark.xfail(strict=True, reason="a steep but finite integrand near a range end reads "
+                   "divergent: partial sum 5507.8 (ROADMAP item 3)")
+def test_steep_power_from_1e_4_is_finite():
+    r = integrate(lambda x: 1.0 / x ** 2, 1e-4, 0.5, CFG)
+    assert r.is_finite
+    assert r.value == pytest.approx(9998.0, rel=1e-12)
+
+
+def _recording(f):
+    """f(x, index) and the list of (x, index) of every call it gets."""
+    calls = []
+
+    def g(x, index):
+        calls.append((np.array(x), np.array(index)))
+        return f(x, index)
+    return g, calls
+
+
+def _first_pass_calls(calls, n):
+    """The leading recorded calls that hold n nodes, concatenated."""
+    sizes = np.cumsum([x.size for x, _ in calls])
+    k = int(np.searchsorted(sizes, n)) + 1
+    assert sizes[k - 1] == n
+    return (np.concatenate([x for x, _ in calls[:k]]),
+            np.concatenate([i for _, i in calls[:k]]), k)
+
+
+_SINGULAR_RANGES = [(0.0, 1.0, [0.3, 0.7], [0.1, 0.5]), (1.0, 2.0, (), [1.25]),
+                    (-3.0, -2.5, [-2.75], ())]
+
+
+def _smooth(x, index):
+    return np.exp(-x) * (1.0 + index) + np.abs(x - 0.5)
+
+
+@pytest.mark.parametrize("ranges", [_SINGULAR_RANGES,
+                                    [(float(k), k + 1.0, (), [k + 0.3]) for k in range(12)]])
+def test_first_pass_nodes_are_the_first_request(ranges):
+    x, index = first_pass_nodes(ranges)
+    f, calls = _recording(_smooth)
+    integrate_ranges(f, ranges, CFG)
+    got_x, got_index, k = _first_pass_calls(calls, x.size)
+    assert np.array_equal(got_x, x) and np.array_equal(got_index, index)
+    # the first request is split at _MAX_REQUEST panels, and only there
+    assert k == -(-x.size // (15 * quadrature._MAX_REQUEST))
+    if len(ranges) > 10:
+        assert k > 1
+    # the cut step follows it: breakpoints enter no first-pass node
+    bare = [(a, b, s) for a, b, s, _ in ranges]
+    assert all(np.array_equal(a, b) for a, b in zip(first_pass_nodes(bare), (x, index)))
+    f, calls = _recording(_smooth)
+    integrate_ranges(f, [r + ((),) for r in bare], CFG)
+    assert np.array_equal(_first_pass_calls(calls, x.size)[0], x)
+
+
+@pytest.mark.parametrize("ranges", [_SINGULAR_RANGES,
+                                    [(float(k), k + 1.0, (), [k + 0.3]) for k in range(12)]])
+def test_first_values_change_no_bit(ranges):
+    f, calls = _recording(_smooth)
+    plain = integrate_ranges(f, ranges, CFG)
+    x, index = first_pass_nodes(ranges)
+    k = _first_pass_calls(calls, x.size)[2]
+    g, rest = _recording(_smooth)
+    given = integrate_ranges(g, ranges, CFG, first=_smooth(x, index))
+    assert [_bits(r) for r in given] == [_bits(r) for r in plain]
+    # f is called only for the cut step and refinement, as in the plain drive
+    assert len(rest) == len(calls) - k >= 1
+    assert all(np.array_equal(a[0], b[0]) for a, b in zip(rest, calls[k:]))
+
+
+def test_first_values_replace_every_first_call():
+    # a quintic over (0, 1) with no breakpoints is exact on the first pass
+    f, calls = _recording(lambda x, index: x ** 5)
+    ranges = [(0.0, 1.0, (), ())]
+    r, = integrate_ranges(f, ranges, CFG, first=first_pass_nodes(ranges)[0] ** 5)
+    assert calls == [] and r.value == pytest.approx(1.0 / 6.0, rel=1e-15)
+
+
+def _middle_node(ranges, k):
+    """A node of the first pass's left middle panel of range k's last gap."""
+    x, index = first_pass_nodes(ranges)
+    return float(x[index == k][-23])
+
+
+def test_first_values_keep_a_nan_node_error():
+    ranges = [(0.0, 1.0, (), ()), (1.0, 2.0, [1.5], [1.2])]
+    bad = _middle_node(ranges, 1)
+
+    def f(x, index):
+        return np.where(x == bad, math.nan, _smooth(x, index))
+
+    errors = []
+    for first in (None, f(*first_pass_nodes(ranges))):
+        with pytest.raises(IntegrandEvaluationError) as info:
+            integrate_ranges(f, ranges, CFG, first=first)
+        errors.append((str(info.value), info.value.location))
+    assert errors[0] == errors[1] and errors[0][1] == bad
+
+
+def test_first_values_grade_into_an_inf_node():
+    ranges = [(0.0, 1.0, (), ()), (1.0, 2.0, [1.5], [1.2])]
+    c = _middle_node(ranges, 0)
+    inv = _inv_sqrt(c)
+
+    def f(x, index):
+        return np.where(index == 0, inv(x), _smooth(x, index))
+
+    first = f(*first_pass_nodes(ranges))
+    assert np.isinf(first).sum() == 1
+    plain = integrate_ranges(f, ranges, CFG)
+    assert plain[0].is_finite
+    assert plain[0].value == pytest.approx(2.0 * (math.sqrt(c) + math.sqrt(1.0 - c)), rel=1e-7)
+    given = integrate_ranges(f, ranges, CFG, first=first)
+    assert [_bits(r) for r in given] == [_bits(r) for r in plain]
