@@ -82,9 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--abs-tol", type=float, default=None,
                         help="quadrature tolerance floor relative to the summed "
                              "magnitude of the panel values (default 1e-13)")
-    common.add_argument("--divergence-cap", type=float, default=None,
-                        help="running-sum magnitude treated as divergent, an overflow "
-                             "guard (default 1e300)")
     common.add_argument("--out", default=None, help="write JSON here instead of stdout")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp field (reproducible output)")
@@ -147,8 +144,6 @@ def _quad_config(args):
         kw["rel_tol"] = args.rel_tol
     if args.abs_tol is not None:
         kw["abs_tol"] = args.abs_tol
-    if args.divergence_cap is not None:
-        kw["divergence_cap"] = args.divergence_cap
     return replace(DEFAULT_CONFIG, **kw) if kw else DEFAULT_CONFIG
 
 

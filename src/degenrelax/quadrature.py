@@ -97,13 +97,6 @@ class QuadratureConfig:
     # error floor relative to the summed |panel values|, so that scaling the
     # integrand never changes the result; binds only where the integral cancels
     abs_tol: float = 1e-13
-    # overflow guard on a graded run's running sum; divergence is read from
-    # the level trend, so large finite integrals stay finite
-    divergence_cap: float = 1e300
-
-    def __post_init__(self):
-        if self.divergence_cap <= 0:
-            raise ValueError("bad quadrature config")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -133,6 +126,11 @@ class IntegralResult:
     @staticmethod
     def divergent(partial: float) -> "IntegralResult":
         return IntegralResult("divergent", float(partial), math.nan)
+
+    @staticmethod
+    def total(parts) -> "IntegralResult":
+        """The sum of several results; finite 0 for none."""
+        return sum(parts, IntegralResult.finite(0.0, 0.0))
 
     def __add__(self, other: "IntegralResult") -> "IntegralResult":
         if self.is_finite and other.is_finite:
@@ -228,6 +226,9 @@ def _evaluator(f):
 # its anchor, at most 60 levels deep: the ladder holds exact powers of two
 _LADDER = 0.5 ** np.arange(61)
 _TREND_WINDOW = 10  # consecutive non-decaying levels that flag divergence
+# overflow guard on a graded run's running sum; divergence is read from the
+# level trend, so large finite integrals stay finite
+_DIVERGENCE_CAP = 1e300
 _MAX_PANELS = 4000  # refinement never grows a range's panel pool past this
 _MAX_REQUEST = 1152  # panels per integrand call: bounds the memory of one request
 _BLOCK = 8  # graded levels walked between two early-exit tests
@@ -282,7 +283,7 @@ def _walk_levels(vals, size, ends, cfg: QuadratureConfig, lim=None, forced=None)
     c = np.abs(vals)
     mass = np.add.accumulate(c, axis=1)  # walked level magnitudes: the run's own scale
     big = np.abs(part)
-    event = big > cfg.divergence_cap
+    event = big > _DIVERGENCE_CAP
     # a full window of levels that stopped decaying; a zero level is decay and
     # breaks the streak (dead levels next to the anchor must not read as growth)
     prev = c[:, :-1]
@@ -713,9 +714,10 @@ def integrate_ranges(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ranges share every integrand call: one for all first passes, then one
     per refinement round, each split into calls of at most _MAX_REQUEST
     panels (1,152).  f(x, index) receives the nodes of all ranges and,
-    for each node, the position of its range in `ranges`; an integrand that
-    differs per range must read that index, never infer the range from x
-    (a deep graded node can round onto an endpoint shared by two ranges).
+    for each node, the position of its range in `ranges`, in range order
+    (index never decreases within a call); an integrand that differs per
+    range must read that index, never infer the range from x (a deep
+    graded node can round onto an endpoint shared by two ranges).
     f must be elementwise.  Breakpoints are cut after the shared first pass,
     so they never enlarge it.  If ranges raise (a NaN only), the error of
     the first of them propagates.  Refinement never grows a range past

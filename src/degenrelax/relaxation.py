@@ -13,7 +13,9 @@ approximant from the midpoint out, tapers u to zero across touching interval
 seams by the p-th root of the auxiliary weight ratio, bridges gaps linearly,
 and freezes constants outside the structure.  Each member is a genuine AC
 function whose ambient distance to u and energy gap are measured and
-reported.
+reported: every member's |m - u|^p aux^(p-1) and |m'|^p w are terms of one
+spaces.density_integrals drive, and the relaxed value and ambient norm of u
+are one more.
 """
 
 from __future__ import annotations
@@ -26,11 +28,9 @@ import numpy as np
 
 from .auxweight import AuxWeight
 from .degeneracy import DegeneracyStructure
-from .quadrature import (DEFAULT_CONFIG, IntegralResult, QuadratureConfig, integrate,
-                         integrate_ranges)
-from .spaces import (MembershipReport, TestFunction, aux_ranges, check_membership,
-                     density_cuts, energy_density, energy_ranges, energy_values, lp_aux_norm,
-                     mass_values)
+from .quadrature import DEFAULT_CONFIG, IntegralResult, QuadratureConfig
+from .spaces import (MembershipReport, TestFunction, check_membership, density_cuts,
+                     density_integrals, energy_ranges)
 from .weights import Exponent, Interval, Weight
 
 
@@ -62,14 +62,14 @@ class FunctionalValue:
 def original_functional(u: TestFunction, w: Weight, p: Exponent,
                         cfg: Optional[QuadratureConfig] = None) -> FunctionalValue:
     """p-energy of u against w over the whole domain; +inf off AC/C1 functions."""
-    cfg = cfg or DEFAULT_CONFIG
     if u.tag not in ("AC", "C1"):
         return FunctionalValue.infinite("not absolutely continuous")
     dom = w.domain
     zeros = [z.location for z in w.known_zeros() or ()]
     zeros += [c for region in w.zero_regions() for c in region]
-    res = integrate(energy_density(u, w, p.p), dom.lo, dom.hi, cfg,
-                    breakpoints=density_cuts(u, w, dom.lo, dom.hi, zeros))
+    (res,), = density_integrals(
+        [("energy", u, [(dom.lo, dom.hi, (), density_cuts(u, w, dom.lo, dom.hi, zeros))])],
+        w, p.p, cfg=cfg)
     if not res.is_finite:
         return FunctionalValue.infinite("energy integral diverges")
     return FunctionalValue.finite(res.value)
@@ -94,10 +94,15 @@ def _relaxed_parts(u: TestFunction, w: Weight, aux: AuxWeight,
                    cfg: Optional[QuadratureConfig] = None
                    ) -> tuple[FunctionalValue, IntegralResult, MembershipReport]:
     """relaxed_functional on a nonempty structure, with the ambient integral
-    and the membership report it is decided on."""
-    cfg = cfg or DEFAULT_CONFIG
-    amb = lp_aux_norm(u, aux, cfg)
-    member = check_membership(u, w, structure, p, cfg)
+    and the membership report it is decided on, from one drive (the
+    ambient integral alone for a sampled u, which has no energy)."""
+    terms = [("ambient", u, 0.0)]
+    if u.tag != "Grid":
+        terms.append(("energy", u, energy_ranges(u, w, structure)))
+    amb, *energies = density_integrals(terms, w, p.p, aux, cfg)
+    amb = IntegralResult.total(amb)
+    member = MembershipReport.of(energies[0]) if energies else check_membership(
+        u, w, structure, p, cfg)
     if u.tag == "Grid":
         value = FunctionalValue.infinite(
             "sampled function carries no derivative; structure seminorm unavailable")
@@ -373,30 +378,28 @@ def build_approx_sequence(u: TestFunction, w: Weight, aux: AuxWeight,
     # diagnostics compare percent-level quantities; relax the budget accordingly
     diag_cfg = replace(cfg, rel_tol=max(cfg.rel_tol, 1e-7), abs_tol=max(cfg.abs_tol, 1e-12))
 
-    # one drive for every member: its ambient ranges, then its energy ranges
-    # (over every branch but the constant ones), with index -> member
+    # one drive for every member: the ambient distance |m - u| (cut where m
+    # is), then the energy of m over every branch but the constant ones
     pws = [_Member(u, aux, structure, dom, p.p, h, junctions) for h in hs]
-    ubars, ranges, bounds, owner, energy = [], [], [], [], []
-    for k, (h, pw) in enumerate(zip(hs, pws)):
+    ubars, terms = [], []
+    for h, pw in zip(hs, pws):
         bps = sorted(set(pw.start.tolist()) | set(pw.end.tolist())
                      | {iv.mid for iv in ivs} | set(u.breakpoints))
         ubars.append(TestFunction(fn=pw, deriv=pw.deriv, tag="AC", label=f"{u.label or 'u'}~h{h}",
                                   breakpoints=tuple(b_ for b_ in bps if dom.lo < b_ < dom.hi)))
+        diff = TestFunction(fn=lambda x, pw=pw: pw(x) - u(x), deriv=None, tag="AC",
+                            breakpoints=ubars[-1].breakpoints)
         spans = [(lo, hi) for lo, hi, kind in zip(pw.start.tolist(), pw.end.tolist(), pw.kind)
                  if kind != _CONST]
-        amb, eng = aux_ranges(ubars[-1], aux), energy_ranges(u, w, structure, spans)
-        bounds.append((len(ranges), len(ranges) + len(amb), len(ranges) + len(amb) + len(eng)))
-        ranges += amb + eng
-        owner += [k] * (len(amb) + len(eng))
-        energy += [False] * len(amb) + [True] * len(eng)
-    res = integrate_ranges(_members_density(pws, u, aux, w, p.p, np.array(owner),
-                                            np.array(energy)), ranges, diag_cfg)
+        terms += [("ambient", diff, 0.0),
+                  ("energy", ubars[-1], energy_ranges(u, w, structure, spans))]
+    res = density_integrals(terms, w, p.p, aux, diag_cfg)
 
     members = []
-    for h, pw, ubar, (a, b, c) in zip(hs, pws, ubars, bounds):
-        x_err = sum(res[a:b], IntegralResult.finite(0.0, 0.0))
+    for h, pw, ubar, amb, eng in zip(hs, pws, ubars, res[::2], res[1::2]):
+        x_err = IntegralResult.total(amb)
         f_val = 0.0
-        for r in res[b:c]:
+        for r in eng:
             f_val += r.value if r.is_finite else math.inf
         members.append(ApproxMember(
             h=h, fn=ubar, x_err=float(x_err.value ** (1.0 / p.p) if x_err.is_finite else math.inf),
@@ -405,32 +408,6 @@ def build_approx_sequence(u: TestFunction, w: Weight, aux: AuxWeight,
     return ApproxSequence(
         u_label=u.label, h_values=tuple(hs), members=tuple(members),
         f_limit=f_lim.value, x_norm_u=x_norm_u, junctions=junctions, h_min=h_min)
-
-
-def _members_density(pws: list, u: TestFunction, aux: AuxWeight, w: Weight, pp: float,
-                     owner: np.ndarray, energy: np.ndarray):
-    """The integrand of every member's ranges, f(x, index): range i is an
-    energy range (|m'|^p w) or an ambient one (|m - u|^p aux^(p-1)) of member
-    m = pws[owner[i]].  Each call evaluates u and aux once for all ambient
-    nodes and w once for all energy nodes."""
-    def f(x, index):
-        own, en = owner[index], energy[index]
-        v, out = np.empty(x.size), np.empty(x.size)
-        for k in np.flatnonzero(np.bincount(own)):
-            at = own == k
-            amb, eng = np.flatnonzero(at & ~en), np.flatnonzero(at & en)
-            if amb.size:
-                v[amb] = pws[k](x[amb])
-            if eng.size:
-                v[eng] = pws[k].deriv(x[eng])
-        amb, eng = np.flatnonzero(~en), np.flatnonzero(en)
-        if amb.size:
-            out[amb] = mass_values(v[amb] - u(x[amb]), aux.ambient_weight(x[amb]), pp)
-        if eng.size:
-            out[eng] = energy_values(v[eng], w(x[eng]), pp)
-        return out
-
-    return f
 
 
 @dataclass(frozen=True)

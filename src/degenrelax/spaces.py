@@ -9,12 +9,14 @@ inequalities tying the two weights together, the vanishing/extension
 dichotomy at interval endpoints, and provide seeded families of spline test
 functions for batteries.
 
-Every ambient drive (lp_aux_norm, the Poincare numerators, and through
-them relaxed_functional, space_norm and the ambient norm of u in
-build_approx_sequence) goes through ambient_integrals: its first pass reads
-aux^(p-1) from the samples the auxiliary weight keeps (see
-AuxWeight.ambient_samples), so only u is evaluated there, and the results
-are those of the plain drive bit for bit.
+Every integral of u (or of a recovery member) goes through
+density_integrals, one integrand for both densities (energy terms |u'|^p w,
+ambient terms |u - c|^p aux^(p-1)) and one drive per question: one term for
+the seminorm, the ambient norm or the membership, two for space_norm,
+poincare_global_check and relaxed_functional, two per member for a recovery
+sequence.  Ambient terms read aux^(p-1) on their first pass from the samples
+the auxiliary weight keeps (AuxWeight.ambient_samples).  Every result is
+that of one plain drive per term, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import numpy as np
 
 from .auxweight import AuxWeight
 from .degeneracy import DegeneracyStructure
-from .quadrature import DEFAULT_CONFIG, IntegralResult, QuadratureConfig, integrate_ranges
+from .quadrature import (_MAX_REQUEST, _NODES, DEFAULT_CONFIG, IntegralResult, QuadratureConfig,
+                         first_pass_nodes, integrate_ranges)
 from .weights import Exponent, Interval, Weight
 
 
@@ -239,46 +242,6 @@ def mass_values(v, weight, pp: float) -> np.ndarray:
     return np.abs(v) ** pp * weight
 
 
-def energy_density(u: TestFunction, w: Weight, pp: float):
-    """The energy density |u'|^p w as an integrand f(x, index=None).
-
-    Elementwise; the range index that integrate_ranges passes is unused.
-    """
-    def f(x, index=None):
-        return energy_values(u.d(x), w(x), pp)
-
-    return f
-
-
-def aux_mass_density(u: TestFunction, aux: AuxWeight, shifts: Sequence[float]):
-    """The ambient density |u - c|^p aux^(p-1) as an integrand f(x, index).
-
-    c = shifts[index]: each range of integrate_ranges gets its own shift.
-    Elementwise; a zero shift gives |u|^p aux^(p-1) bit for bit.
-    """
-    c = np.asarray(shifts, dtype=float)
-    pp = aux.exponent.p
-
-    def f(x, index):
-        return mass_values(u(x) - c[index], aux.ambient_weight(x), pp)
-
-    return f
-
-
-def ambient_integrals(u: TestFunction, aux: AuxWeight, shifts: Sequence[float],
-                      cfg: Optional[QuadratureConfig] = None) -> list:
-    """The integral of aux_mass_density(u, aux, shifts) over each range of
-    aux_ranges(u, aux), in one drive.  Its first pass takes aux^(p-1) from
-    aux.ambient_samples(), so only u is evaluated there; the result is the
-    plain drive's bit for bit."""
-    if not aux.parts:
-        return []
-    x, counts, weight = aux.ambient_samples()
-    first = mass_values(u(x) - np.repeat(np.asarray(shifts, dtype=float), counts), weight,
-                        aux.exponent.p)
-    return integrate_ranges(aux_mass_density(u, aux, shifts), aux_ranges(u, aux), cfg, first)
-
-
 def density_cuts(u: TestFunction, w: Weight, lo: float, hi: float,
                  extra: Sequence[float] = ()) -> np.ndarray:
     """The breakpoints of u and w, and any extra points, strictly inside (lo, hi),
@@ -293,9 +256,12 @@ def density_cuts(u: TestFunction, w: Weight, lo: float, hi: float,
 
 
 def energy_ranges(u: TestFunction, w: Weight, structure: DegeneracyStructure,
-                  spans: Sequence[tuple]) -> list:
-    """One integrate_ranges range of the energy density per (lo, hi) span:
-    graded into the removable zeros inside it, cut at the kinks."""
+                  spans: Optional[Sequence[tuple]] = None) -> list:
+    """One integrate_ranges range of the energy density per (lo, hi) span
+    (default: per structure interval): graded into the removable zeros
+    inside it, cut at the kinks."""
+    if spans is None:
+        spans = [(iv.lo, iv.hi) for iv in structure.intervals]
     removable = [z.location for z in structure.removable_zeros]
     return [(lo, hi, [r for r in removable if lo < r < hi], density_cuts(u, w, lo, hi))
             for lo, hi in spans]
@@ -308,19 +274,69 @@ def aux_ranges(u: TestFunction, aux: AuxWeight) -> list:
             for part in aux.parts]
 
 
-def seminorm_energy(u: TestFunction, w: Weight, structure: DegeneracyStructure,
-                    p: Exponent, cfg: Optional[QuadratureConfig] = None,
-                    per_interval: bool = False):
-    """Integral of |u'|^p w over the structure intervals (summed IntegralResult).
+def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
+                      aux: Optional[AuxWeight] = None,
+                      cfg: Optional[QuadratureConfig] = None) -> list:
+    """The integrals of several densities in one drive: per term, in order,
+    the list of its ranges' IntegralResults.
 
-    With per_interval=True returns (total, tuple of per-interval results).
+    A term ("energy", fn, ranges) integrates |fn'|^p w over the given
+    ranges (see energy_ranges); a term ("ambient", fn, shifts) integrates
+    |fn - c_k|^p aux^(p-1) over aux_ranges(fn, aux), c_k = shifts[k] on part
+    k (a scalar shift holds on every part).  Energy terms use p = pp,
+    ambient ones aux's exponent.  The ranges keep the order of the terms,
+    so a NaN raises as it would in one drive per term made in that order,
+    and every result is that drive's bit for bit.  Each integrand call
+    evaluates w once for all energy nodes and aux once for all ambient
+    nodes.  When there are ambient ranges, the first pass takes aux^(p-1)
+    from aux.ambient_samples() and evaluates only the functions (and w).
     """
-    parts = integrate_ranges(energy_density(u, w, p.p), energy_ranges(
-        u, w, structure, [(iv.lo, iv.hi) for iv in structure.intervals]), cfg)
-    total = sum(parts, IntegralResult.finite(0.0, 0.0))
-    if per_interval:
-        return total, tuple(parts)
-    return total
+    is_amb, shifts, ranges, bounds = [], [], [], [0]  # bounds: each term's first range, the end
+    for kind, fn, arg in terms:
+        is_amb.append(kind == "ambient")
+        shifts.append(np.asarray(arg, dtype=float) if is_amb[-1] else None)
+        ranges += aux_ranges(fn, aux) if is_amb[-1] else list(arg)
+        bounds.append(len(ranges))
+
+    def f(x, index, weight=None):  # weight: aux^(p-1) at the ambient nodes, when known
+        # the nodes come in range order (integrate_ranges), so each term's are one slice
+        cut = np.searchsorted(index, bounds).tolist() if len(terms) > 1 else [0, x.size]
+        at, v = ([], []), ([], [])  # per kind (energy, ambient): the terms' slices and values
+        for (_, fn, _), amb, c, b, lo, hi in zip(terms, is_amb, shifts, bounds, cut, cut[1:]):
+            if lo < hi:
+                s = slice(lo, hi)
+                at[amb].append(s)
+                v[amb].append(fn(x[s]) - (c if c.ndim == 0 else c[index[s] - b]) if amb
+                              else fn.d(x[s]))
+        out = np.empty(x.size)
+        for amb in (0, 1):
+            if at[amb]:
+                s, vs = ((at[amb][0], v[amb][0]) if len(at[amb]) == 1
+                         else (np.r_[tuple(at[amb])], np.concatenate(v[amb])))
+                out[s] = mass_values(vs, aux.ambient_weight(x[s]) if weight is None else weight,
+                                     aux.exponent.p) if amb else energy_values(vs, w(x[s]), pp)
+        return out
+
+    first = None
+    if any(is_amb) and aux.parts:  # the first pass term by term, in calls of at most one request
+        sx, counts, sw = aux.ambient_samples()
+        first, n = [], _MAX_REQUEST * _NODES.size
+        for amb, lo, hi in zip(is_amb, bounds, bounds[1:]):
+            x, i = (sx, np.repeat(np.arange(counts.size), counts)) if amb \
+                else first_pass_nodes(ranges[lo:hi])
+            first += [f(x[a:a + n], i[a:a + n] + lo, sw[a:a + n] if amb else None)
+                      for a in range(0, x.size, n)]
+        first = np.concatenate(first)
+    res = integrate_ranges(f, ranges, cfg, first)
+    return [res[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def seminorm_energy(u: TestFunction, w: Weight, structure: DegeneracyStructure,
+                    p: Exponent, cfg: Optional[QuadratureConfig] = None) -> IntegralResult:
+    """Integral of |u'|^p w over the structure intervals, summed
+    (check_membership's report holds the per-interval results)."""
+    parts, = density_integrals([("energy", u, energy_ranges(u, w, structure))], w, p.p, cfg=cfg)
+    return IntegralResult.total(parts)
 
 
 def lp_aux_norm(u: TestFunction, aux: AuxWeight,
@@ -330,8 +346,8 @@ def lp_aux_norm(u: TestFunction, aux: AuxWeight,
     The auxiliary weight vanishes off the interval closures, so this is the
     norm integral over the whole domain.  An empty structure gives 0.
     """
-    parts = ambient_integrals(u, aux, np.zeros(len(aux.parts)), cfg)
-    return sum(parts, IntegralResult.finite(0.0, 0.0))
+    parts, = density_integrals([("ambient", u, 0.0)], aux.weight, aux.exponent.p, aux, cfg)
+    return IntegralResult.total(parts)
 
 
 @dataclass(frozen=True)
@@ -342,21 +358,27 @@ class MembershipReport:
     seminorm: IntegralResult
     per_interval: tuple
 
+    @staticmethod
+    def of(parts) -> "MembershipReport":
+        """The report on the per-interval energies `parts`."""
+        total = IntegralResult.total(parts)
+        return MembershipReport(total.is_finite, total, tuple(parts))
+
 
 def check_membership(u: TestFunction, w: Weight, structure: DegeneracyStructure,
                      p: Exponent, cfg: Optional[QuadratureConfig] = None) -> MembershipReport:
     if u.tag == "Grid":
         return MembershipReport(False, IntegralResult.divergent(math.inf), ())
-    total, parts = seminorm_energy(u, w, structure, p, cfg, per_interval=True)
-    return MembershipReport(total.is_finite, total, parts)
+    parts, = density_integrals([("energy", u, energy_ranges(u, w, structure))], w, p.p, cfg=cfg)
+    return MembershipReport.of(parts)
 
 
 def space_norm(u: TestFunction, w: Weight, aux: AuxWeight,
                structure: DegeneracyStructure, p: Exponent,
                cfg: Optional[QuadratureConfig] = None) -> float:
     """(lp_aux_norm^p + seminorm)^(1/p); math.inf when either part diverges."""
-    lp = lp_aux_norm(u, aux, cfg)
-    semi = seminorm_energy(u, w, structure, p, cfg)
+    lp, semi = map(IntegralResult.total, density_integrals(
+        [("ambient", u, 0.0), ("energy", u, energy_ranges(u, w, structure))], w, p.p, aux, cfg))
     if not (lp.is_finite and semi.is_finite):
         return math.inf
     return (lp.value + semi.value) ** (1.0 / p.p)
@@ -414,8 +436,8 @@ def pointwise_poincare_check(u: TestFunction, w: Weight, aux: AuxWeight,
 
     # the energy over the gap (when it is not empty) and over the outer stretch
     spans = [gap_span, mass_span] if gap_span[0] < gap_span[1] else [mass_span]
-    *g, m = integrate_ranges(energy_density(u, w, pp),
-                             energy_ranges(u, w, aux.structure, spans), cfg)
+    (*g, m), = density_integrals([("energy", u, energy_ranges(u, w, aux.structure, spans))],
+                                 w, pp, cfg=cfg)
     gap_lhs = abs(u_x - u_eta) * aux_eta ** (1.0 / aux.exponent.conj)
     if g:
         gap_rhs = g[0].value ** (1.0 / pp) if g[0].is_finite else math.inf
@@ -450,9 +472,9 @@ class PoincareReport:
 def poincare_global_check(u: TestFunction, w: Weight, aux: AuxWeight,
                           structure: DegeneracyStructure, p: Exponent,
                           cfg: Optional[QuadratureConfig] = None) -> PoincareReport:
-    _, energies = seminorm_energy(u, w, structure, p, cfg, per_interval=True)
     u_mids = [float(u(np.array([part.base.mid]))[0]) for part in aux.parts]
-    nums = ambient_integrals(u, aux, u_mids, cfg)
+    energies, nums = density_integrals(
+        [("energy", u, energy_ranges(u, w, structure)), ("ambient", u, u_mids)], w, p.p, aux, cfg)
     rows = []
     lhs_total = rhs_total = 0.0
     for part, energy, n in zip(aux.parts, energies, nums):
@@ -502,7 +524,7 @@ def endpoint_vanishing_check(u: TestFunction, aux: AuxWeight, interval_index: in
     keep = xs != anchor  # drop offsets that collapse at float resolution
     xs = xs[keep]
     offs = offs[keep]
-    vals = aux_mass_density(u, aux, [0.0])(xs, 0)
+    vals = mass_values(u(xs), aux.ambient_weight(xs), aux.exponent.p)
     peak = float(np.max(vals)) if vals.size else 0.0
     tail = float(np.max(vals[-3:])) if vals.size >= 3 else peak
     ok = vals.size >= 3 and tail <= 1e-6 * max(peak, 1e-300)
@@ -540,14 +562,13 @@ def ac_extension_check(u: TestFunction, w: Weight, aux: AuxWeight,
         raise ValueError(f"transform not integrable on the {side} side; no AC extension there")
     lo, hi = (iv.lo, iv.mid) if side == "left" else (iv.mid, iv.hi)
     span, = energy_ranges(u, w, structure, [(lo, hi)])
-    energy = energy_density(u, w, pp)
 
     def f(x, index):
         # range 0: |u'|, range 1: |u'|^p w, range 2: u'
         du = u.d(x)
         out = np.where(index == 0, np.abs(du), du)
         m = index == 1
-        out[m] = energy(x[m])
+        out[m] = energy_values(du[m], w(x[m]), pp)
         return out
 
     l1, en, signed = integrate_ranges(f, [span] * 3, cfg)

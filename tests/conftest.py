@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from degenrelax import quadrature, relaxation, spaces
 from degenrelax import (
     Exponent,
     Interval,
@@ -10,8 +11,23 @@ from degenrelax import (
     build_aux_weight,
     builtin_figure1,
     detect_structure,
+    integrate_ranges,
     parse_weight_arg,
 )
+
+
+def count_drives(monkeypatch) -> list:
+    """The ranges of every integrate_ranges call made from now on, one entry
+    per call, wherever the package looks the name up."""
+    calls = []
+
+    def counting(f, ranges, *args, **kwargs):
+        calls.append(list(ranges))
+        return integrate_ranges(f, ranges, *args, **kwargs)
+
+    for module in (quadrature, spaces, relaxation):
+        monkeypatch.setattr(module, "integrate_ranges", counting, raising=False)
+    return calls
 
 
 @pytest.fixture(scope="session")

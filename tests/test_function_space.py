@@ -13,6 +13,7 @@ from degenrelax import (
     Exponent,
     GridSampledWeight,
     IntegralResult,
+    IntegrandEvaluationError,
     Interval,
     PiecewisePowerWeight,
     PowerPiece,
@@ -41,7 +42,8 @@ from degenrelax import (
     spline_function,
     sqrt_edge_function,
 )
-from conftest import make_two_tent
+from degenrelax.relaxation import _relaxed_parts
+from conftest import count_drives, make_two_tent
 
 CFG = QuadratureConfig()
 
@@ -494,7 +496,8 @@ def test_density_integrals_equal_the_interval_loop(any_chain):
     us = [spline_function(knots, np.random.default_rng(3).uniform(-1.0, 1.0, 7)),
           _kink(st_.intervals[0].lo + 0.3 * st_.intervals[0].width)]
     for u in us:
-        total, parts = seminorm_energy(u, w, st_, p, CFG, per_interval=True)
+        total = seminorm_energy(u, w, st_, p, CFG)
+        parts = check_membership(u, w, st_, p, CFG).per_interval
         ref = _ref_seminorm(u, w, st_, p)
         assert [_bits(r) for r in parts] == [_bits(r) for r in ref]
         assert _bits(total) == _bits(sum(ref, IntegralResult.finite(0.0, 0.0)))
@@ -510,6 +513,52 @@ def test_density_integrals_equal_the_interval_loop(any_chain):
                      for pt, n, e in zip(aux.parts, nums, energies))
         assert [(a.hex(), b.hex()) for a, b in rep.per_interval] == \
             [(a.hex(), b.hex()) for a, b in rows]
+
+
+def test_each_question_is_one_drive(any_chain, monkeypatch):
+    w, st_, aux, p = any_chain
+    dom = w.domain
+    u = spline_function(np.linspace(dom.lo, dom.hi, 7), np.random.default_rng(4).uniform(-1, 1, 7))
+    lp, member = lp_aux_norm(u, aux, CFG), check_membership(u, w, st_, p, CFG)
+    calls = count_drives(monkeypatch)
+    rep = poincare_global_check(u, w, aux, st_, p, CFG)
+    assert len(calls) == 1
+    rel, amb, mem = _relaxed_parts(u, w, aux, st_, p, CFG)
+    assert len(calls) == 2
+    norm = space_norm(u, w, aux, st_, p, CFG)
+    assert len(calls) == 3
+    # energy ranges (their singular points a list) then the ambient ones,
+    # then twice the other way round
+    n = len(st_.intervals)
+    assert [[isinstance(r[2], list) for r in c] for c in calls] == \
+        [[True] * n + [False] * n] + [[False] * n + [True] * n] * 2
+    # each answers as the drives of its two sides alone, bit for bit
+    assert [e for _, e in rep.per_interval] == [e.value for e in member.per_interval]
+    assert _bits(amb) == _bits(lp) and mem == member and rel.value == member.seminorm.value
+    assert norm.hex() == ((lp.value + member.seminorm.value) ** (1.0 / p.p)).hex()
+    # a sampled u has no energy: its relaxed parts are the ambient drive alone
+    grid = TestFunction(fn=u.fn, deriv=None, tag="Grid")
+    calls.clear()
+    rel, amb, mem = _relaxed_parts(grid, w, aux, st_, p, CFG)
+    assert len(calls) == 1 and not mem.in_space and rel.kind == "infinite"
+    assert _bits(amb) == _bits(lp)
+
+
+def test_a_drive_raises_the_nan_of_its_first_question(figure1_chain, p2):
+    w, st_, aux = figure1_chain
+    # u is NaN on the right of 1.5, u' on the left of -1.5
+    u = TestFunction(fn=lambda x: np.where(x > 1.5, np.nan, x),
+                     deriv=lambda x: np.where(x < -1.5, np.nan, 1.0), tag="AC")
+    with pytest.raises(IntegrandEvaluationError) as energy:
+        seminorm_energy(u, w, st_, p2, CFG)
+    with pytest.raises(IntegrandEvaluationError) as ambient:
+        lp_aux_norm(u, aux, CFG)
+    assert energy.value.location < -1.5 and ambient.value.location > 1.5
+    for question, want in ((poincare_global_check, energy), (relaxed_functional, ambient),
+                           (space_norm, ambient)):
+        with pytest.raises(IntegrandEvaluationError) as got:
+            question(u, w, aux, st_, p2, CFG)
+        assert got.value.location == want.value.location, question.__name__
 
 
 def _recording(u, seen):
@@ -583,7 +632,29 @@ def _test_functions(w):
 
 
 def _plain_ambient(u, aux, shifts, cfg=None):
-    return integrate_ranges(spaces.aux_mass_density(u, aux, shifts), spaces.aux_ranges(u, aux), cfg)
+    """The ambient integrals as one plain drive: aux evaluated at every node."""
+    c, pp = np.asarray(shifts, dtype=float), aux.exponent.p
+
+    def density(x, index):
+        return np.abs(u(x) - c[index]) ** pp * np.asarray(aux(x), dtype=float) ** (pp - 1.0)
+
+    return integrate_ranges(density, spaces.aux_ranges(u, aux), cfg)
+
+
+def _plain_drives(monkeypatch):
+    """Make every density drive a plain one: no first-pass values are passed,
+    so the integrand (and aux) is evaluated at every node, and an aux weight
+    keeps no samples."""
+    samples = AuxWeight.ambient_samples
+
+    def unkept(self):
+        out = samples(self)
+        self._samples = None
+        return out
+
+    monkeypatch.setattr(AuxWeight, "ambient_samples", unkept)
+    monkeypatch.setattr(spaces, "integrate_ranges",
+                        lambda f, ranges, cfg=None, first=None: integrate_ranges(f, ranges, cfg))
 
 
 def _ambient_bits(u, w, aux, st_, p):
@@ -603,10 +674,32 @@ def test_ambient_samples_change_no_bit(sampled_chain, monkeypatch):
     if name == "cascade":  # the first pass is more than one request
         assert x.size > 15 * quadrature._MAX_REQUEST
     # the same drives with the plain density: aux evaluated at every node
-    monkeypatch.setattr(spaces, "ambient_integrals", _plain_ambient)
+    _plain_drives(monkeypatch)
     plain = build_aux_weight(w, p, st_, CFG)
     assert [_ambient_bits(u, w, plain, st_, p) for u in us + us] == got
     assert plain._samples is None
+
+
+def test_no_integrand_call_exceeds_one_request():
+    # the 14-bump cascade's first pass is more than one request; the values
+    # a drive supplies for it come in calls no larger than one request
+    p = Exponent(2.0)
+    w = _sampled_weight("cascade", p.p)
+    st_ = detect_structure(w, p, CFG)
+    aux = build_aux_weight(w, p, st_, CFG)
+    u, sizes = _test_functions(w)[0], []
+
+    def recording(g):
+        def h(x):
+            sizes.append(np.size(x))
+            return g(x)
+        return h
+
+    v = TestFunction(fn=recording(u.fn), deriv=recording(u.deriv), tag="C1")
+    poincare_global_check(v, w, aux, st_, p, CFG)
+    relaxed_functional(v, w, aux, st_, p, CFG)
+    assert aux.ambient_samples()[0].size > 15 * quadrature._MAX_REQUEST
+    assert max(sizes) <= 15 * quadrature._MAX_REQUEST
 
 
 def test_second_ambient_drive_calls_aux_at_no_first_pass_node(figure1_chain, monkeypatch):

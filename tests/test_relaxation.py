@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from degenrelax import (
+    AuxWeight,
     Exponent,
     Interval,
     PiecewisePowerWeight,
@@ -19,6 +20,7 @@ from degenrelax import (
     builtin_cascade,
     builtin_figure1,
     detect_structure,
+    first_pass_nodes,
     integrate_ranges,
     log_edge_function,
     lp_aux_norm,
@@ -32,9 +34,9 @@ from degenrelax import (
 )
 
 from degenrelax.relaxation import _CONST, _Member, _MollifiedAntiderivative, _relaxed_parts
-from degenrelax.spaces import energy_density, energy_ranges
+from degenrelax.spaces import energy_ranges
 
-from conftest import make_two_tent
+from conftest import count_drives, make_two_tent
 
 CFG = QuadratureConfig()
 
@@ -497,9 +499,46 @@ def test_one_drive_matches_member_by_member(member_case):
         x_err = lp_aux_norm(diff, aux, cfg)
         spans = [(lo, hi) for lo, hi, kind in zip(pw.start.tolist(), pw.end.tolist(), pw.kind)
                  if kind != _CONST]
+
+        def energy(x, index, fn=m.fn):
+            return np.abs(fn.d(x)) ** pv * np.asarray(w(x), dtype=float)
+
         f_value = 0.0
-        for r in integrate_ranges(energy_density(m.fn, w, pv), energy_ranges(u, w, st_, spans),
-                                  cfg):
+        for r in integrate_ranges(energy, energy_ranges(u, w, st_, spans), cfg):
             f_value += r.value if r.is_finite else math.inf
         assert m.x_err.hex() == (x_err.value ** (1.0 / pv)).hex()
         assert m.f_value.hex() == f_value.hex()
+
+
+def test_a_sequence_is_two_drives(figure1_chain, p2, monkeypatch):
+    w, st_, aux = figure1_chain
+    calls = count_drives(monkeypatch)
+    seq = build_approx_sequence(poly_function([0.2, 1.0, -0.5]), w, aux, st_, p2, h_max=32,
+                                cfg=CFG)
+    # the relaxed parts of u, then every member's ambient and energy ranges
+    assert len(calls) == 2 and len(seq.members) == 4
+    assert [r[:2] for r in calls[1][:3]] == [(iv.lo, iv.hi) for iv in st_.intervals]
+
+
+def test_second_sequence_calls_aux_at_no_first_pass_node(two_tent, p2, monkeypatch):
+    # two_tent's intervals meet across a gap: no member is tapered, so every
+    # aux call comes from a drive
+    w = two_tent
+    st_ = detect_structure(w, p2, CFG)
+    aux = build_aux_weight(w, p2, st_, CFG)
+    u = poly_function([0.2, 1.0, -0.5])
+    first = build_approx_sequence(u, w, aux, st_, p2, h_max=32, cfg=CFG)
+    seen = []
+    call = AuxWeight.__call__
+
+    def recording(self, x):
+        seen.append(np.array(x, dtype=float))
+        return call(self, x)
+
+    monkeypatch.setattr(AuxWeight, "__call__", recording)
+    second = build_approx_sequence(u, w, aux, st_, p2, h_max=32, cfg=CFG)
+    x, _ = first_pass_nodes([(part.base.lo, part.base.hi, ()) for part in aux.parts])
+    later = np.concatenate(seen)
+    assert later.size and not np.isin(later, x).any()
+    assert [(m.x_err.hex(), m.f_value.hex()) for m in second.members] == \
+        [(m.x_err.hex(), m.f_value.hex()) for m in first.members]
