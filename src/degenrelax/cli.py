@@ -30,9 +30,21 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import _apply_thread_cap
+from .auxweight import aux_global_bounds, build_aux_weight
+from .cascade import cascade_partial_sums
+from .degeneracy import detect_structure
+from .quadrature import DEFAULT_CONFIG, IndeterminateIntegrabilityError, IntegrandEvaluationError
+from .relaxation import (UnsupportedStructureError, _relaxed_parts, build_approx_sequence,
+                         original_functional, verify_relaxation)
+from .spaces import (constant_function, log_edge_function, poincare_global_check, poly_function,
+                     random_test_functions, spline_function, sqrt_edge_function)
+from .weights import Exponent, parse_weight_arg
 
 
 def _jsonable(obj):
@@ -137,8 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _quad_config(args):
-    from .quadrature import DEFAULT_CONFIG
-    from dataclasses import replace
     kw = {}
     if args.rel_tol is not None:
         kw["rel_tol"] = args.rel_tol
@@ -149,16 +159,15 @@ def _quad_config(args):
 
 def parse_function_arg(text: str, domain):
     """Build a test function from a CLI spec string."""
-    from . import spaces
     text = text.strip()
     kind, _, rest = text.partition(":")
     if kind == "poly":
         coeffs = [float(t) for t in rest.split(",") if t.strip()]
         if not coeffs:
             raise ValueError(f"empty polynomial spec {text!r}")
-        return spaces.poly_function(coeffs, label=text)
+        return poly_function(coeffs, label=text)
     if kind == "const":
-        return spaces.constant_function(float(rest), label=text)
+        return constant_function(float(rest), label=text)
     if kind == "spline":
         kx, ky = [], []
         for pair in rest.split(","):
@@ -167,11 +176,11 @@ def parse_function_arg(text: str, domain):
             ky.append(float(ys))
         if len(kx) < 2:
             raise ValueError(f"spline spec {text!r} needs at least two x=y knots")
-        return spaces.spline_function(kx, ky, label=text)
+        return spline_function(kx, ky, label=text)
     if kind == "sqrt":
-        return spaces.sqrt_edge_function(domain, label=text)
+        return sqrt_edge_function(domain, label=text)
     if kind == "logdist":
-        return spaces.log_edge_function(domain, label=text)
+        return log_edge_function(domain, label=text)
     raise ValueError(f"unknown test function spec {text!r}")
 
 
@@ -211,8 +220,6 @@ def _structure_dict(structure) -> dict:
 
 
 def _setup(args):
-    from .weights import Exponent, parse_weight_arg
-    from .degeneracy import detect_structure
     p = Exponent(args.p)
     cfg = _quad_config(args)
     w = parse_weight_arg(args.weight, p)
@@ -232,8 +239,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_aux(args) -> int:
-    import numpy as np
-    from .auxweight import aux_global_bounds, build_aux_weight
     w, p, cfg, structure = _setup(args)
     aux = build_aux_weight(w, p, structure, cfg)
     bounds = aux_global_bounds(aux)
@@ -273,8 +278,6 @@ def cmd_aux(args) -> int:
 
 
 def cmd_poincare(args) -> int:
-    from .auxweight import build_aux_weight
-    from .spaces import poincare_global_check, random_test_functions
     w, p, cfg, structure = _setup(args)
     if structure.kind == "zero":
         raise ValueError("weight vanishes a.e.; no structure to test against")
@@ -301,41 +304,27 @@ def cmd_poincare(args) -> int:
 
 
 def cmd_relax(args) -> int:
-    from .auxweight import build_aux_weight
-    from .relaxation import _relaxed_parts, original_functional
     w, p, cfg, structure = _setup(args)
     u = parse_function_arg(args.u, w.domain)
     orig = original_functional(u, w, p, cfg)
-    if structure.kind == "zero":
-        relaxed = {"kind": "finite", "value": 0.0, "reason": ""}
-        member = {"in_space": True, "seminorm": 0.0}
-        ambient = 0.0
-    else:
-        aux = build_aux_weight(w, p, structure, cfg)
-        rel, amb, mem = _relaxed_parts(u, w, aux, structure, p, cfg)
-        relaxed = {"kind": rel.kind, "value": rel.value, "reason": rel.reason}
-        member = {"in_space": mem.in_space,
-                  "seminorm": mem.seminorm.value if mem.seminorm.is_finite else math.inf}
-        ambient = amb.value if amb.is_finite else math.inf
+    aux = build_aux_weight(w, p, structure, cfg)
+    rel, amb, mem = _relaxed_parts(u, w, aux, structure, p, cfg)
     _emit({
         "command": "relax",
         "weight": w.spec_dict(),
         "p": p.p,
         "u": u.label,
         "original": {"kind": orig.kind, "value": orig.value, "reason": orig.reason},
-        "relaxed": relaxed,
-        "membership": member,
-        "ambient_norm_p": ambient,
+        "relaxed": {"kind": rel.kind, "value": rel.value, "reason": rel.reason},
+        "membership": {"in_space": mem.in_space,
+                       "seminorm": mem.seminorm.value if mem.seminorm.is_finite else math.inf},
+        "ambient_norm_p": amb.value if amb.is_finite else math.inf,
     }, args)
     return 0
 
 
 def cmd_approx(args) -> int:
-    from .auxweight import build_aux_weight
-    from .relaxation import build_approx_sequence, verify_relaxation
     w, p, cfg, structure = _setup(args)
-    if structure.kind == "zero":
-        raise ValueError("weight vanishes a.e.; nothing to approximate against")
     aux = build_aux_weight(w, p, structure, cfg)
     u = parse_function_arg(args.u, w.domain)
     hs = None
@@ -372,8 +361,6 @@ def cmd_approx(args) -> int:
 
 
 def cmd_cascade(args) -> int:
-    from .cascade import cascade_partial_sums
-    from .weights import Exponent
     p = Exponent(args.p)
     cfg = _quad_config(args)
     rep = cascade_partial_sums(args.alpha, p, args.bumps, cfg)
@@ -419,8 +406,6 @@ def main(argv=None) -> int:
     if problem:
         raise SystemExit(f"error: {problem}")
     args = build_parser().parse_args(argv)
-    from .quadrature import IndeterminateIntegrabilityError, IntegrandEvaluationError
-    from .relaxation import UnsupportedStructureError
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, ArithmeticError, OSError,

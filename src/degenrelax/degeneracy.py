@@ -25,7 +25,7 @@ import numpy as np
 
 from .quadrature import (DEFAULT_CONFIG, EndpointClass, QuadratureConfig,
                          classify_endpoint_integrability, local_exponent_estimate)
-from .weights import Exponent, Weight, ZeroInfo, zero_runs
+from .weights import Exponent, Weight, WeightSpecError, ZeroInfo, finite_peak, zero_runs
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,17 @@ def _bisect_threshold(f, below: float, above: float) -> float:
 
 
 def _scan_weight(w: Weight):
-    """Zero candidates of a weight without a zero set: (isolated zeros, zero regions)."""
+    """Zero candidates of a weight without a zero set: (isolated zeros, zero
+    regions).  Raises WeightSpecError at the first NaN or negative sample."""
     dom = w.domain
     n = 8193
     xs = np.linspace(dom.lo, dom.hi, n)
     vals = np.asarray(w(xs), dtype=float)
-    peak = float(np.max(vals))
+    bad = ~(vals >= 0.0)
+    if bad.any():
+        i = int(bad.argmax())
+        raise WeightSpecError(f"weight is {float(vals[i])!r} at x={float(xs[i])!r}: not a weight")
+    peak = finite_peak(vals)
     if peak <= 0.0:
         return [], [(dom.lo, dom.hi)]
     tol = 1e-14 * peak

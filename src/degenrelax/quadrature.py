@@ -52,7 +52,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .weights import Exponent, Weight
+from .weights import Exponent, Weight, finite_peak
 
 
 class IntegrandEvaluationError(RuntimeError):
@@ -865,4 +865,4 @@ def classify_endpoint_integrability(w: Weight, p: Exponent, z: float, far: float
 
 def _peak_sample(w: Weight, n: int = 513) -> float:
     xs = np.linspace(w.domain.lo, w.domain.hi, n)
-    return float(np.max(np.asarray(w(xs), dtype=float)))
+    return finite_peak(np.asarray(w(xs), dtype=float))

@@ -29,8 +29,8 @@ import numpy as np
 from .auxweight import AuxWeight
 from .degeneracy import DegeneracyStructure
 from .quadrature import DEFAULT_CONFIG, IntegralResult, QuadratureConfig
-from .spaces import (MembershipReport, TestFunction, check_membership, density_cuts,
-                     density_integrals, energy_ranges)
+from .spaces import (MembershipReport, TestFunction, density_cuts, density_integrals,
+                     energy_ranges)
 from .weights import Exponent, Interval, Weight
 
 
@@ -82,10 +82,9 @@ def relaxed_functional(u: TestFunction, w: Weight, aux: AuxWeight,
 
     Empty structure (w vanishing a.e.): the ambient space collapses and the
     relaxation is identically 0.  Otherwise the value is the structure
-    seminorm when both it and the ambient norm of u are finite, else +inf.
+    seminorm when both it and the ambient norm of u are finite, else +inf
+    (always for a sampled u, which has no seminorm).
     """
-    if structure.kind == "zero":
-        return FunctionalValue.finite(0.0)
     return _relaxed_parts(u, w, aux, structure, p, cfg)[0]
 
 
@@ -93,17 +92,15 @@ def _relaxed_parts(u: TestFunction, w: Weight, aux: AuxWeight,
                    structure: DegeneracyStructure, p: Exponent,
                    cfg: Optional[QuadratureConfig] = None
                    ) -> tuple[FunctionalValue, IntegralResult, MembershipReport]:
-    """relaxed_functional on a nonempty structure, with the ambient integral
-    and the membership report it is decided on, from one drive (the
-    ambient integral alone for a sampled u, which has no energy)."""
-    terms = [("ambient", u, 0.0)]
-    if u.tag != "Grid":
-        terms.append(("energy", u, energy_ranges(u, w, structure)))
-    amb, *energies = density_integrals(terms, w, p.p, aux, cfg)
+    """relaxed_functional with the ambient integral and the membership
+    report it is decided on, from one drive."""
+    amb, energies = density_integrals(
+        [("ambient", u, 0.0), ("energy", u, energy_ranges(u, w, structure))], w, p.p, aux, cfg)
     amb = IntegralResult.total(amb)
-    member = MembershipReport.of(energies[0]) if energies else check_membership(
-        u, w, structure, p, cfg)
-    if u.tag == "Grid":
+    member = MembershipReport.of(energies)
+    if structure.kind == "zero":
+        value = FunctionalValue.finite(0.0)
+    elif u.tag == "Grid":
         value = FunctionalValue.infinite(
             "sampled function carries no derivative; structure seminorm unavailable")
     elif not amb.is_finite:

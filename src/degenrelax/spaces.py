@@ -15,8 +15,9 @@ ambient terms |u - c|^p aux^(p-1)) and one drive per question: one term for
 the seminorm, the ambient norm or the membership, two for space_norm,
 poincare_global_check and relaxed_functional, two per member for a recovery
 sequence.  Ambient terms read aux^(p-1) on their first pass from the samples
-the auxiliary weight keeps (AuxWeight.ambient_samples).  Every result is
-that of one plain drive per term, bit for bit.
+the auxiliary weight keeps (AuxWeight.ambient_samples).  A sampled u (tag
+"Grid") has no seminorm: its energy is divergent(inf) in every question.
+Every result is that of one plain drive per term, bit for bit.
 """
 
 from __future__ import annotations
@@ -284,21 +285,23 @@ def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
     ranges (see energy_ranges); a term ("ambient", fn, shifts) integrates
     |fn - c_k|^p aux^(p-1) over aux_ranges(fn, aux), c_k = shifts[k] on part
     k (a scalar shift holds on every part).  Energy terms use p = pp,
-    ambient ones aux's exponent.  The ranges keep the order of the terms,
-    so a NaN raises as it would in one drive per term made in that order,
-    and every result is that drive's bit for bit.  Each integrand call
-    evaluates w once for all energy nodes and aux once for all ambient
-    nodes.  When there are ambient ranges, the first pass takes aux^(p-1)
-    from aux.ambient_samples() and evaluates only the functions (and w).
+    ambient ones aux's exponent.  The energy of a sampled fn (tag "Grid")
+    is divergent(inf) on each range, none of them integrated.  The ranges
+    keep the order of the terms, so a NaN raises as it would in one drive
+    per term made in that order, and every result is that drive's bit for
+    bit.  Each integrand call evaluates w once for all energy nodes and aux
+    once for all ambient nodes.  With ambient ranges, the first request
+    (aux^(p-1) from aux.ambient_samples()) is one loop of request-sized
+    blocks over all terms.
     """
     is_amb, shifts, ranges, bounds = [], [], [], [0]  # bounds: each term's first range, the end
     for kind, fn, arg in terms:
         is_amb.append(kind == "ambient")
         shifts.append(np.asarray(arg, dtype=float) if is_amb[-1] else None)
-        ranges += aux_ranges(fn, aux) if is_amb[-1] else list(arg)
+        ranges += aux_ranges(fn, aux) if is_amb[-1] else [] if fn.tag == "Grid" else list(arg)
         bounds.append(len(ranges))
 
-    def f(x, index, weight=None):  # weight: aux^(p-1) at the ambient nodes, when known
+    def f(x, index, weight=None):  # weight: aux^(p-1) at the nodes, when known
         # the nodes come in range order (integrate_ranges), so each term's are one slice
         cut = np.searchsorted(index, bounds).tolist() if len(terms) > 1 else [0, x.size]
         at, v = ([], []), ([], [])  # per kind (energy, ambient): the terms' slices and values
@@ -313,22 +316,28 @@ def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
             if at[amb]:
                 s, vs = ((at[amb][0], v[amb][0]) if len(at[amb]) == 1
                          else (np.r_[tuple(at[amb])], np.concatenate(v[amb])))
-                out[s] = mass_values(vs, aux.ambient_weight(x[s]) if weight is None else weight,
+                out[s] = mass_values(vs, aux.ambient_weight(x[s]) if weight is None else weight[s],
                                      aux.exponent.p) if amb else energy_values(vs, w(x[s]), pp)
         return out
 
     first = None
-    if any(is_amb) and aux.parts:  # the first pass term by term, in calls of at most one request
+    if any(is_amb) and aux.parts:  # the first request, in blocks that span the terms
         sx, counts, sw = aux.ambient_samples()
-        first, n = [], _MAX_REQUEST * _NODES.size
-        for amb, lo, hi in zip(is_amb, bounds, bounds[1:]):
-            x, i = (sx, np.repeat(np.arange(counts.size), counts)) if amb \
-                else first_pass_nodes(ranges[lo:hi])
-            first += [f(x[a:a + n], i[a:a + n] + lo, sw[a:a + n] if amb else None)
-                      for a in range(0, x.size, n)]
+        own = np.repeat(np.arange(counts.size), counts)
+        # a term at a time into `rest`, the nodes not yet evaluated: few nodes held at once
+        n, first, rest = _MAX_REQUEST * _NODES.size, [], ()
+        for k, (amb, lo, hi) in enumerate(zip(is_amb, bounds, bounds[1:])):
+            x, i = (sx, own) if amb else first_pass_nodes(ranges[lo:hi])
+            rest += (x, i + lo, sw if amb else np.zeros(x.size)),
+            x, i, weight = map(np.concatenate, zip(*rest))
+            end = x.size if k == len(terms) - 1 else x.size - x.size % n  # whole blocks but last
+            rest = (x[end:], i[end:], weight[end:]),
+            first += [f(x[a:a + n], i[a:a + n], weight[a:a + n]) for a in range(0, end, n)]
         first = np.concatenate(first)
     res = integrate_ranges(f, ranges, cfg, first)
-    return [res[a:b] for a, b in zip(bounds, bounds[1:])]
+    return [[IntegralResult.divergent(math.inf)] * len(arg)
+            if kind == "energy" and fn.tag == "Grid" else res[a:b]
+            for (kind, fn, arg), a, b in zip(terms, bounds, bounds[1:])]
 
 
 def seminorm_energy(u: TestFunction, w: Weight, structure: DegeneracyStructure,
@@ -367,8 +376,6 @@ class MembershipReport:
 
 def check_membership(u: TestFunction, w: Weight, structure: DegeneracyStructure,
                      p: Exponent, cfg: Optional[QuadratureConfig] = None) -> MembershipReport:
-    if u.tag == "Grid":
-        return MembershipReport(False, IntegralResult.divergent(math.inf), ())
     parts, = density_integrals([("energy", u, energy_ranges(u, w, structure))], w, p.p, cfg=cfg)
     return MembershipReport.of(parts)
 

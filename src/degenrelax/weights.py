@@ -501,10 +501,15 @@ def builtin_cascade(alpha: float, p: Exponent, bumps: int) -> PiecewisePowerWeig
 # grid sampled weights
 
 
+def finite_peak(values: np.ndarray) -> float:
+    """The largest finite sample of w, or 0: a +inf one must not scale a tolerance."""
+    return float(np.max(values, where=np.isfinite(values), initial=0.0))
+
+
 def zero_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and last index of each maximal run of samples at or below 1e-14
-    times the largest sample, in order."""
-    below = (values <= 1e-14 * float(np.max(values))).astype(np.int8)
+    times the largest finite sample, in order."""
+    below = (values <= 1e-14 * finite_peak(values)).astype(np.int8)
     step = np.diff(np.concatenate([[0], below, [0]]))
     return np.nonzero(step == 1)[0], np.nonzero(step == -1)[0] - 1
 

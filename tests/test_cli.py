@@ -156,6 +156,18 @@ def test_bad_input_exits_two():
     assert out.returncode == 2  # below the admissible mesh floor
 
 
+def test_empty_structure(tmp_path):
+    # w vanishes a.e.: the relaxation is identically 0, and approx has nothing to approximate
+    path = tmp_path / "null.json"
+    path.write_text('{"family": "piecewise_power", "domain": [0, 1], "pieces": []}')
+    d = json.loads(run_cli("relax", "--weight", str(path), "--u", "poly:0,1",
+                           "--no-timestamp").stdout)
+    assert d["relaxed"] == {"kind": "finite", "value": 0.0, "reason": ""}
+    assert d["membership"] == {"in_space": True, "seminorm": 0.0} and d["ambient_norm_p"] == 0.0
+    out = run_cli("approx", "--weight", str(path), "--u", "poly:0,1", check=False)
+    assert out.returncode == 2 and "empty structure" in out.stderr
+
+
 def test_failed_check_exits_one():
     # logdist is outside the relaxed domain: approx refuses with exit 2;
     # a cascade asked to certify growth with a single bump cannot show an
@@ -267,4 +279,5 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
         code = cli.main(args + ["--no-timestamp"] * ("--no-timestamp" not in args))
         out = capsys.readouterr().out
         assert code == 0, line
-        assert isinstance(json.loads(out), dict), line
+        d = json.loads(out)
+        assert isinstance(d, dict) and d["command"] == args[0], line

@@ -16,6 +16,7 @@ from degenrelax import (
     PiecewisePowerWeight,
     PowerPiece,
     QuadratureConfig,
+    WeightSpecError,
     builtin_cascade,
     builtin_figure1,
     builtin_power,
@@ -313,3 +314,25 @@ def test_scan_matches_the_scalar_loop():
         assert repr(got) == repr(_ref_scan_weight(w)), name
         found += len(got[0]) + len(got[1])
     assert found > 100  # the cases do hold zeros and zero regions
+
+
+@pytest.mark.parametrize("fn, message", [
+    (lambda x: x - 0.3, "weight is -0.3 at x=0.0: not a weight"),
+    # the first of the 8,193 scan samples past 0.6
+    (lambda x: np.where(x > 0.6, np.nan, 1.0), "weight is nan at x=0.60009765625: not a weight"),
+])
+def test_scan_rejects_values_that_are_not_weights(fn, message, p2):
+    w = ClosedFormWeight(fn=fn, domain=Interval(0.0, 1.0))
+    with pytest.raises(WeightSpecError) as err:
+        detect_structure(w, p2, CFG)
+    assert str(err.value) == message
+
+
+def test_an_infinite_sample_is_not_a_zero_weight(p2):
+    # w = x^-0.5 is +inf at 0: the zero tolerance scales with the finite samples
+    st_ = detect_structure(builtin_power(-0.5), p2, CFG)
+    assert st_.kind == "finite" and [(iv.lo, iv.hi) for iv in st_.intervals] == [(0.0, 1.0)]
+    iv = st_.intervals[0]
+    assert iv.lo_class.integrable
+    assert abs(iv.lo_class.value - (2.0 / 3.0) * 0.5 ** 1.5) <= 1e-10
+    assert iv.hi_class.rule == "positive-weight"

@@ -1,6 +1,8 @@
 """Ambient norm, membership, Poincare checks, endpoint behavior."""
 
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from degenrelax import (
     build_aux_weight,
     builtin_cascade,
     builtin_power,
+    build_approx_sequence,
     check_membership,
     builtin_figure1,
     first_pass_nodes,
@@ -340,13 +343,63 @@ def test_extension_refused_at_divergent_edge(figure1_chain, p2):
 
 
 def test_grid_tagged_function_never_in_space(figure1_chain, p2):
-    from degenrelax import TestFunction
+    # a sampled u has no seminorm, in every question, and none raises
     w, st_, aux = figure1_chain
     xs = np.linspace(-2, 2, 101)
     u = TestFunction(fn=lambda x: np.interp(x, xs, np.sin(xs)), deriv=None,
                      tag="Grid", label="sampled")
+    divergent = [("divergent", math.inf)] * len(st_.intervals)
     rep = check_membership(u, w, st_, p2, CFG)
-    assert not rep.in_space
+    assert not rep.in_space and [(r.kind, r.value) for r in rep.per_interval] == divergent
+    semi = seminorm_energy(u, w, st_, p2, CFG)
+    assert (semi.kind, semi.value) == divergent[0]
+    assert space_norm(u, w, aux, st_, p2, CFG) == math.inf
+    poinc = poincare_global_check(u, w, aux, st_, p2, CFG)
+    assert [rhs for _, rhs in poinc.per_interval] == [math.inf] * len(st_.intervals)
+    assert math.isfinite(poinc.lhs) and poinc.rhs == math.inf
+    iv = st_.intervals[1]
+    check = pointwise_poincare_check(u, w, aux, 1, iv.lo + 0.25 * iv.width, iv.mid, CFG)
+    assert check.gap_rhs == math.inf and check.ok
+    val = relaxed_functional(u, w, aux, st_, p2, CFG)
+    assert val.kind == "infinite" and val.reason.startswith("sampled function")
+    # on an empty structure the relaxation is identically 0, sampled u or not
+    null = PiecewisePowerWeight(Interval(-2.0, 2.0), [], family="null")
+    st0 = detect_structure(null, p2, CFG)
+    val = relaxed_functional(u, null, build_aux_weight(null, p2, st0, CFG), st0, p2, CFG)
+    assert (val.kind, val.value) == ("finite", 0.0)
+
+
+def test_a_first_request_is_one_integrand_call_per_block(figure1_chain, p2, monkeypatch):
+    # counts the calls of density_integrals' integrand made before each drive
+    # starts (its first request), next to that request's node count
+    integrand, = [c for c in spaces.density_integrals.__code__.co_consts
+                  if isinstance(c, types.CodeType) and c.co_name == "f"]
+    calls, drives = [0], []
+
+    def drive(f, ranges, cfg=None, first=None):
+        drives.append((first.size, calls[0]))
+        out = integrate_ranges(f, ranges, cfg, first)
+        calls[0] = 0
+        return out
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is integrand:
+            calls[0] += 1
+
+    monkeypatch.setattr(spaces, "integrate_ranges", drive)
+    w, st_, aux = figure1_chain
+    u = spline_function([-2.0, -1.0, 0.0, 1.0, 2.0], [0.0, 1.0, 0.5, 1.0, 0.0])
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        space_norm(u, w, aux, st_, p2, CFG)
+        build_approx_sequence(u, w, aux, st_, p2, h_values=[8, 16, 32, 64], cfg=CFG)
+    finally:
+        sys.setprofile(previous)
+    # space_norm, then the sequence's relaxed value and its member drive: 8
+    # terms whose first request spans more than four blocks of 17,280 nodes
+    assert len(drives) == 3 and drives[2][0] > 4 * 17280
+    assert [c for _, c in drives] == [math.ceil(n / 17280) for n, _ in drives]
 
 
 # ---------------------------------------------------------------------------
