@@ -31,7 +31,7 @@ _apply_thread_cap()
 from .weights import (Exponent, Interval, Weight, ZeroInfo, ClosedFormWeight,
                       PiecewisePowerWeight, PowerPiece, GridSampledWeight,
                       WeightSpecError, builtin_figure1, builtin_power,
-                      builtin_cascade, eval_weight, weight_from_csv,
+                      builtin_cascade, weight_from_csv,
                       weight_from_spec, parse_weight_arg)
 from .quadrature import (QuadratureConfig, IntegralResult, integrate, integrate_ranges,
                          first_pass_nodes, classify_endpoint_integrability,

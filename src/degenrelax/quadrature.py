@@ -834,7 +834,7 @@ def classify_endpoint_integrability(w: Weight, p: Exponent, z: float, far: float
     rule = "exact-exponent"
     if alpha is None:
         val_at = float(np.asarray(w(np.array([z])), dtype=float)[0])
-        if val_at > 1e-10 * _peak_sample(w):
+        if math.isfinite(val_at) and val_at > 1e-10 * _peak_sample(w):
             alpha, rule = 0.0, "positive-weight"
         else:
             alpha = local_exponent_estimate(w, z, side, abs(far - z))

@@ -11,11 +11,13 @@ build_approx_sequence() realizes the matching recovery construction: for a
 mesh parameter h it mollifies u' inside each structure interval, rebuilds an
 approximant from the midpoint out, tapers u to zero across touching interval
 seams by the p-th root of the auxiliary weight ratio, bridges gaps linearly,
-and freezes constants outside the structure.  Each member is a genuine AC
-function whose ambient distance to u and energy gap are measured and
-reported: every member's |m - u|^p aux^(p-1) and |m'|^p w are terms of one
-spaces.density_integrals drive, and the relaxed value and ambient norm of u
-are one more.
+and freezes constants outside the structure.  A member is one sorted table
+of three row kinds: u, the taper, and a quadratic segment (every rebuilt
+grid segment, bridge, constant and touching seam).  Each member is a
+genuine AC function whose ambient distance to u and energy gap are measured
+and reported: every member's |m - u|^p aux^(p-1) and |m'|^p w are terms of
+one spaces.density_integrals drive, and the relaxed value and ambient norm
+of u are one more.
 """
 
 from __future__ import annotations
@@ -128,17 +130,17 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 class _MollifiedAntiderivative:
-    """Mollified derivative v_h of u on one interval and its exact antiderivative.
+    """Mollified derivative v_h of u on one interval, and its antiderivative at the nodes.
 
     v_h is the average of u' against a quartic bump of support width 1/h
     (radius 1/(2h)), windows clipped near the interval ends and renormalized
     by the clipped kernel mass, multiplied by a cutoff that vanishes within
     1/h^2 of the ends (so v_h has compact support inside the interval).
     Values live on a uniform grid of spacing about 1/(16h) whose two halves
-    share the midpoint node; between nodes v_h is linear and the
-    antiderivative is its exact piecewise-quadratic integral, so the
-    reconstruction pins the midpoint value exactly and differentiates back
-    to v_h everywhere.
+    share the midpoint node; between nodes v_h is linear, and cum holds its
+    exact (trapezoid) integral from the first node, so the reconstruction
+    u(mid) + (integral - cum at mid) pins the midpoint value exactly and
+    differentiates back to v_h everywhere.
     """
 
     def __init__(self, u: TestFunction, lo: float, hi: float, h: int):
@@ -175,48 +177,38 @@ class _MollifiedAntiderivative:
         self.c_mid = float(self.cum[self.mid_index])
         self.u_mid = float(u(np.array([mid]))[0])
 
-    def _cum_at(self, x: np.ndarray) -> np.ndarray:
-        g = self.grid
-        j = np.clip(np.searchsorted(g, x, side="right") - 1, 0, g.size - 2)
-        t = x - g[j]
-        dg = g[j + 1] - g[j]
-        vx = self.v[j] + (self.v[j + 1] - self.v[j]) * (t / dg)
-        return self.cum[j] + 0.5 * (self.v[j] + vx) * t
 
-    def value(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(x).astype(float).ravel()
-        out = self.u_mid + (self._cum_at(flat) - self.c_mid)
-        return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
-
-    def deriv(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.interp(x, self.grid, self.v)
+_SEG, _IDENT, _TAPER = range(3)
+_V0, _DV, _DG, _CUM, _A, _OFF = range(6)  # rows of _Member.cols
 
 
-_CONST, _IDENT, _TAPER, _REBUILT, _BRIDGE = range(5)
+def _cum(cum, v0, dv, dg, t):
+    """A _SEG row's antiderivative at t = x - start: cum plus its trapezoid from start."""
+    return cum + 0.5 * (v0 + (v0 + dv * (t / dg))) * t
 
 
 class _Member:
-    """The recovery member at mesh parameter h (module docstring), as a table.
+    """The recovery member at mesh parameter h (module docstring), as a row table.
 
     An interval side with a touching neighbour is tapered, one without is
-    rebuilt.  Branch i covers [start[i], end[i]); a point goes to the last
-    branch starting at or before it.  Columns a and b by branch kind:
+    rebuilt.  Row i covers [start[i], start[i+1]): a point goes to the last
+    row starting at or before it.  Rows by kind, with t = x - start:
 
-    ==========  =============================  =======================
-    kind        a                              b
-    ==========  =============================  =======================
-    _CONST      the value                      0 (the derivative)
-    _IDENT      -                              -
-    _TAPER      aux at the reference point     +1 rising, -1 falling
-    _REBUILT    interval index in `rebuilt`    -
-    _BRIDGE     value at start                 slope
-    ==========  =============================  =======================
+    _SEG    a + (_cum(cum, v0, dv, dg, t) - off); derivative v0 at t = 0, else
+            dv/dg*t + v0
+    _IDENT  u
+    _TAPER  u*(aux/a)^(1/p), a = aux at the reference point; v0 = +1 rising,
+            -1 falling
 
-    Each falling taper's value at its seam overrides the value there, and
-    seam_mismatch is the worst gap between that and the rising taper's
-    limit on the other side.
+    A rebuilt half has one _SEG row per mollifier grid segment (a = u(mid),
+    off = cum at mid): the reconstruction and np.interp over the grid, bit
+    for bit.  A right half's last node has its own row, holding the last
+    segment's value at t = its width and v[-1].  Other _SEG rows are lines
+    with cum = dv = -0.0, off = 0.0 and dg = 1, so a (even -0.0) and
+    a + v0*t come back exactly: bridges (v0 the slope), the constants
+    outside the structure, and each touching seam, one point wide since the
+    rising taper starts an ulp later: it holds the falling taper's limit and
+    derivative -0.0.  spans lists the branches the energy is integrated on.
     """
 
     def __init__(self, u: TestFunction, aux: AuxWeight, structure: DegeneracyStructure,
@@ -224,46 +216,59 @@ class _Member:
         self.u, self.aux, self.pinv, self.pp = u, aux, 1.0 / pp, pp
         ivs = structure.intervals
         r = 1.0 / h
-        # per interval: does each side touch the neighbor?  The first interval's
-        # left side and the last one's right side never do.
-        touch_left = [False] + [j == "touching" for j in junctions]
-        touch_right = [j == "touching" for j in junctions] + [False]
-        self.rebuilt = rebuilt = [
-            None if tl and tr else _MollifiedAntiderivative(u, iv.lo, iv.hi, h)
-            for iv, tl, tr in zip(ivs, touch_left, touch_right)]
-        rows = []  # (start, end, kind, a, b), a taper's a its reference point
-        if ivs[0].lo > dom.lo:
-            rows.append((dom.lo, ivs[0].lo, _CONST, float(rebuilt[0].value(ivs[0].lo)), 0.0))
-        for k, iv in enumerate(ivs):
-            if touch_left[k]:
-                rows += [(iv.lo, iv.lo + r, _TAPER, iv.lo + r, 1.0),
-                         (iv.lo + r, iv.mid, _IDENT, 0.0, 0.0)]
-            else:
-                rows.append((iv.lo, iv.mid, _REBUILT, k, 0.0))
-            if touch_right[k]:
-                rows += [(iv.mid, iv.hi - r, _IDENT, 0.0, 0.0),
-                         (iv.hi - r, iv.hi, _TAPER, iv.hi - r, -1.0)]
-            else:
-                rows.append((iv.mid, iv.hi, _REBUILT, k, 0.0))
-            if k + 1 < len(ivs) and junctions[k] == "gap":
-                g_lo, g_hi = iv.hi, ivs[k + 1].lo
-                y0 = float(rebuilt[k].value(g_lo))
-                y1 = float(rebuilt[k + 1].value(g_hi))
-                rows.append((g_lo, g_hi, _BRIDGE, y0, (y1 - y0) / (g_hi - g_lo)))
-        if ivs[-1].hi < dom.hi:
-            rows.append((ivs[-1].hi, dom.hi, _CONST, float(rebuilt[-1].value(ivs[-1].hi)), 0.0))
+        # touch[k] and touch[k + 1]: does interval k touch its left, its right
+        # neighbour?  The first left side and the last right side never do.
+        touch = [False] + [j == "touching" for j in junctions] + [False]
+        blocks, self.spans = [], []  # blocks: (starts, kind, columns)
 
-        self.start, self.end, kind, self.a, self.b = (np.array(c) for c in zip(*rows))
-        self.kind = kind.astype(np.intp)
+        def row(x, kind, a=0.0, v0=0.0):  # a taper's a is its reference point until aux is read
+            blocks.append(([x], kind, np.array([[v0], [-0.0], [1.0], [-0.0], [a], [0.0]])))
+
+        for k, iv in enumerate(ivs):
+            if not (touch[k] and touch[k + 1]):
+                m = _MollifiedAntiderivative(u, iv.lo, iv.hi, h)
+                g, v, cum, n = m.grid, m.v, m.cum, m.mid_index
+                dg, dv = np.diff(g), np.diff(v)
+                last = _cum(cum[-2], v[-2], dv[-1], dg[-1], dg[-1])
+                cols = np.stack([v, np.append(dv, -0.0), np.append(dg, 1.0), np.append(cum[:-1], last),
+                                 np.full(g.size, m.u_mid), np.full(g.size, m.c_mid)])
+                y1 = m.u_mid + (_cum(cum[0], v[0], dv[0], dg[0], 0.0) - m.c_mid)
+                if k == 0 and iv.lo > dom.lo:
+                    row(dom.lo, _SEG, y1)
+                elif k and junctions[k - 1] == "gap":  # bridge from the last interval's hi
+                    g_lo = ivs[k - 1].hi
+                    row(g_lo, _SEG, y0, (y1 - y0) / (iv.lo - g_lo))
+                    self.spans.append((g_lo, iv.lo))
+                y0 = m.u_mid + (last - m.c_mid)
+            if touch[k]:
+                row(np.nextafter(iv.lo, math.inf), _TAPER, iv.lo + r, 1.0)
+                row(iv.lo + r, _IDENT)
+                self.spans += [(iv.lo, iv.lo + r), (iv.lo + r, iv.mid)]
+            else:
+                blocks.append((g[:n], _SEG, cols[:, :n]))
+                self.spans.append((iv.lo, iv.mid))
+            if touch[k + 1]:
+                row(iv.mid, _IDENT)
+                row(iv.hi - r, _TAPER, iv.hi - r, -1.0)
+                row(iv.hi, _SEG, 0.0, -0.0)  # the seam; its value is the falling limit
+                self.spans += [(iv.mid, iv.hi - r), (iv.hi - r, iv.hi)]
+            else:
+                blocks.append((g[n:], _SEG, cols[:, n:]))
+                self.spans.append((iv.mid, iv.hi))
+        if ivs[-1].hi < dom.hi:
+            row(ivs[-1].hi, _SEG, y0)
+
+        self.start = np.concatenate([np.asarray(b[0], dtype=float) for b in blocks])
+        self.kind = np.concatenate([np.full(len(b[0]), b[1], dtype=np.int8) for b in blocks])
+        self.cols = np.concatenate([b[2] for b in blocks], axis=1)
         taper = np.flatnonzero(self.kind == _TAPER)
-        self.a[taper] = aux(self.a[taper])
-        sign = self.b[taper]
-        seam = np.where(sign > 0, self.start[taper], self.end[taper])
-        lim = self._taper(seam, self.a[taper], sign, False).tolist()
-        self.overrides = {x: v for x, v, s in zip(seam.tolist(), lim, sign) if s < 0}
-        self.seam_mismatch = max([abs(self.overrides.get(x, v) - v)
-                                  for x, v, s in zip(seam.tolist(), lim, sign) if s > 0],
-                                 default=0.0)
+        ref = self.cols[_A, taper] = np.asarray(aux(self.cols[_A, taper]), dtype=float)
+        sign = self.cols[_V0, taper]
+        seam = np.where(sign > 0, taper - 1, taper + 1)  # the seam row next to each taper
+        lim = self._taper(self.start[seam], ref, sign, False)
+        fall = sign < 0
+        self.cols[_A, seam[fall]] = lim[fall]
+        self.seam_mismatch = float(np.max(np.abs(lim[fall] - lim[~fall]), initial=0.0))
 
     def _taper(self, x, ref, sign, deriv: bool):
         """u scaled by (aux/ref)^(1/p), or its derivative."""
@@ -280,26 +285,21 @@ class _Member:
         out = np.empty(flat.shape)
         i = np.clip(np.searchsorted(self.start, flat, side="right") - 1, 0, self.kind.size - 1)
         kind = self.kind[i]
-        for k in np.flatnonzero(np.bincount(kind, minlength=_BRIDGE + 1)):
+        for k in np.flatnonzero(np.bincount(kind, minlength=_TAPER + 1)):
             sel = np.flatnonzero(kind == k)
-            xs, a, b = flat[sel], self.a[i[sel]], self.b[i[sel]]
+            xs, rows = flat[sel], i[sel]
             if k == _IDENT:
                 out[sel] = self.u.d(xs) if deriv else self.u(xs)
             elif k == _TAPER:
-                out[sel] = self._taper(xs, a, b, deriv)
-            elif k == _REBUILT:
-                iv = a.astype(np.intp)
-                for j in np.flatnonzero(np.bincount(iv)):
-                    at = np.flatnonzero(iv == j)
-                    t = self.rebuilt[j]
-                    out[sel[at]] = t.deriv(xs[at]) if deriv else t.value(xs[at])
-            elif deriv:
-                out[sel] = b
+                out[sel] = self._taper(xs, self.cols[_A, rows], self.cols[_V0, rows], deriv)
             else:
-                out[sel] = a if k == _CONST else a + b * (xs - self.start[i[sel]])
-        if not deriv:
-            for xo, vo in self.overrides.items():
-                out[flat == xo] = vo
+                t = xs - self.start[rows]
+                if deriv:
+                    v0, dv, dg = self.cols[:_CUM].take(rows, axis=1)
+                    out[sel] = np.where(t == 0.0, v0, dv / dg * t + v0)
+                else:
+                    v0, dv, dg, cum, a, off = self.cols.take(rows, axis=1)
+                    out[sel] = a + (_cum(cum, v0, dv, dg, t) - off)
         return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
 
     def __call__(self, x):
@@ -376,20 +376,17 @@ def build_approx_sequence(u: TestFunction, w: Weight, aux: AuxWeight,
     diag_cfg = replace(cfg, rel_tol=max(cfg.rel_tol, 1e-7), abs_tol=max(cfg.abs_tol, 1e-12))
 
     # one drive for every member: the ambient distance |m - u| (cut where m
-    # is), then the energy of m over every branch but the constant ones
+    # is), then the energy of m over its spans
     pws = [_Member(u, aux, structure, dom, p.p, h, junctions) for h in hs]
     ubars, terms = [], []
     for h, pw in zip(hs, pws):
-        bps = sorted(set(pw.start.tolist()) | set(pw.end.tolist())
-                     | {iv.mid for iv in ivs} | set(u.breakpoints))
+        bps = sorted({b_ for span in pw.spans for b_ in span} | set(u.breakpoints))
         ubars.append(TestFunction(fn=pw, deriv=pw.deriv, tag="AC", label=f"{u.label or 'u'}~h{h}",
                                   breakpoints=tuple(b_ for b_ in bps if dom.lo < b_ < dom.hi)))
         diff = TestFunction(fn=lambda x, pw=pw: pw(x) - u(x), deriv=None, tag="AC",
                             breakpoints=ubars[-1].breakpoints)
-        spans = [(lo, hi) for lo, hi, kind in zip(pw.start.tolist(), pw.end.tolist(), pw.kind)
-                 if kind != _CONST]
         terms += [("ambient", diff, 0.0),
-                  ("energy", ubars[-1], energy_ranges(u, w, structure, spans))]
+                  ("energy", ubars[-1], energy_ranges(u, w, structure, pw.spans))]
     res = density_integrals(terms, w, p.p, aux, diag_cfg)
 
     members = []

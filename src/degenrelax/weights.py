@@ -174,18 +174,6 @@ class Weight:
         raise NotImplementedError
 
 
-def eval_weight(w: Weight, x) -> np.ndarray:
-    """Evaluate a weight, checking nonnegativity and finiteness of the values."""
-    vals = np.asarray(w(np.asarray(x, dtype=float)), dtype=float)
-    if np.any(~np.isfinite(vals)):
-        bad = np.asarray(x, dtype=float)[~np.isfinite(vals)]
-        raise WeightSpecError(f"weight evaluated non-finite at x={bad[:3]!r}")
-    if np.any(vals < 0.0):
-        bad = np.asarray(x, dtype=float)[vals < 0.0]
-        raise WeightSpecError(f"weight evaluated negative at x={bad[:3]!r}")
-    return vals
-
-
 # ---------------------------------------------------------------------------
 # closed form weights
 

@@ -335,4 +335,7 @@ def test_an_infinite_sample_is_not_a_zero_weight(p2):
     iv = st_.intervals[0]
     assert iv.lo_class.integrable
     assert abs(iv.lo_class.value - (2.0 / 3.0) * 0.5 ** 1.5) <= 1e-10
+    # w(0) = +inf is no positive weight: the exponent is estimated
+    assert iv.lo_class.rule == "estimated-exponent"
+    assert abs(iv.lo_class.local_exponent + 0.5) <= 1e-9
     assert iv.hi_class.rule == "positive-weight"

@@ -33,7 +33,7 @@ from degenrelax import (
     verify_relaxation,
 )
 
-from degenrelax.relaxation import _CONST, _Member, _MollifiedAntiderivative, _relaxed_parts
+from degenrelax.relaxation import _Member, _MollifiedAntiderivative, _relaxed_parts
 from degenrelax.spaces import energy_ranges
 
 from conftest import count_drives, make_two_tent
@@ -312,10 +312,11 @@ class _Branch:
 class _PiecewiseFunction:
     """Dispatch evaluation over ordered branches with exact point overrides."""
 
-    def __init__(self, branches, overrides: dict):
+    def __init__(self, branches, overrides: dict, d_overrides: dict):
         self.branches = list(branches)
         self.bounds = np.array([b.lo for b in self.branches] + [self.branches[-1].hi])
         self.overrides = dict(overrides)
+        self.d_overrides = dict(d_overrides)
 
     def _dispatch(self, x, fns: list, overrides: dict):
         x = np.asarray(x, dtype=float)
@@ -335,7 +336,31 @@ class _PiecewiseFunction:
         return self._dispatch(x, [br.fn for br in self.branches], self.overrides)
 
     def deriv(self, x):
-        return self._dispatch(x, [br.dfn for br in self.branches], {})
+        return self._dispatch(x, [br.dfn for br in self.branches], self.d_overrides)
+
+
+class _Rebuilt:
+    """The rebuilt branch of one interval, evaluated from its mollification."""
+
+    def __init__(self, u, lo: float, hi: float, h: int):
+        self.m = _MollifiedAntiderivative(u, lo, hi, h)
+
+    def _cum_at(self, x: np.ndarray) -> np.ndarray:
+        g, v, cum = self.m.grid, self.m.v, self.m.cum
+        j = np.clip(np.searchsorted(g, x, side="right") - 1, 0, g.size - 2)
+        t = x - g[j]
+        dg = g[j + 1] - g[j]
+        vx = v[j] + (v[j + 1] - v[j]) * (t / dg)
+        return cum[j] + 0.5 * (v[j] + vx) * t
+
+    def value(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        flat = np.atleast_1d(x).astype(float).ravel()
+        out = self.m.u_mid + (self._cum_at(flat) - self.m.c_mid)
+        return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
+
+    def deriv(self, x) -> np.ndarray:
+        return np.interp(np.asarray(x, dtype=float), self.m.grid, self.m.v)
 
 
 def _taper_closure(u, aux, ref: float, sign: float, pp: float):
@@ -360,6 +385,7 @@ def _closure_member(u, aux, structure, dom, pp: float, h: int, junctions: tuple)
     r = 1.0 / h
     branches: list = []
     overrides: dict = {}
+    d_overrides: dict = {}  # the seam row's derivative, where the taper's is 0 * inf = NaN
     seam_gap = 0.0
     touch_left = [False] + [j == "touching" for j in junctions]
     touch_right = [j == "touching" for j in junctions] + [False]
@@ -367,7 +393,7 @@ def _closure_member(u, aux, structure, dom, pp: float, h: int, junctions: tuple)
 
     def tilde(k: int):
         if k not in tildes:
-            tildes[k] = _MollifiedAntiderivative(u, ivs[k].lo, ivs[k].hi, h)
+            tildes[k] = _Rebuilt(u, ivs[k].lo, ivs[k].hi, h)
         return tildes[k]
 
     first = ivs[0]
@@ -396,6 +422,7 @@ def _closure_member(u, aux, structure, dom, pp: float, h: int, junctions: tuple)
             ev, dv = _taper_closure(u, aux, ref, -1.0, pp)
             branches.append(_Branch(iv.hi - r, iv.hi, ev, dv, "taper-down"))
             overrides[iv.hi] = float(ev(np.array([iv.hi]))[0])
+            d_overrides[iv.hi] = -0.0
         else:
             t = tilde(k)
             branches.append(_Branch(mid, iv.hi, t.value, t.deriv, "rebuilt"))
@@ -415,7 +442,7 @@ def _closure_member(u, aux, structure, dom, pp: float, h: int, junctions: tuple)
         branches.append(_Branch(last.hi, dom.hi,
                                 (lambda c: (lambda x: np.full(np.shape(x), c)))(trail),
                                 lambda x: np.zeros(np.shape(x)), "constant"))
-    return _PiecewiseFunction(branches, overrides), seam_gap
+    return _PiecewiseFunction(branches, overrides, d_overrides), seam_gap
 
 
 _MEMBER_WEIGHTS = {
@@ -461,12 +488,13 @@ def test_members_match_the_closure_construction(member_case):
         xs = np.concatenate([ref.bounds, [b.hi for b in ref.branches], seams,
                              rng.uniform(dom.lo, dom.hi, 200)])
         assert new.seam_mismatch == seam_gap
-        # the taper's derivative is 0 * inf = NaN exactly at a seam, on both sides
+        # the reference's taper derivative is 0 * inf = NaN at a seam before its override
         with np.errstate(invalid="ignore"):
-            pairs = [(new(xs), ref(xs)), (new.deriv(xs), ref.deriv(xs))]
-            pairs += [(np.array([f(x) for x in seams]), np.array([g(x) for x in seams]))
-                      for f, g in ((new, ref), (new.deriv, ref.deriv))]
-        for got, want in pairs:
+            wants = [ref(xs), ref.deriv(xs), np.array([ref(x) for x in seams]),
+                     np.array([ref.deriv(x) for x in seams])]
+        gots = [new(xs), new.deriv(xs), np.array([new(x) for x in seams]),
+                np.array([new.deriv(x) for x in seams])]
+        for got, want in zip(gots, wants):
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -475,12 +503,28 @@ def test_member_derivative_is_the_derivative_of_the_member(member_case):
     u, aux, st_, dom, pv, junctions = member_case
     for h in _mesh_ladder(st_):
         fn = _Member(u, aux, st_, dom, pv, h, junctions)
-        for lo, hi, kind in zip(fn.start, fn.end, fn.kind):
+        for lo, hi in fn.spans:
             step = 1e-6 * (hi - lo)
             xs = lo + (hi - lo) * np.linspace(0.1, 0.9, 17)
             d = fn.deriv(xs)
             centred = (fn(xs + step) - fn(xs - step)) / (2.0 * step)
-            assert np.max(np.abs(centred - d)) <= 1e-5 * np.max(np.abs(d)), (h, lo, hi, kind)
+            assert np.max(np.abs(centred - d)) <= 1e-5 * np.max(np.abs(d)), (h, lo, hi)
+
+
+@pytest.mark.parametrize("pv", [1.5, 2.0, 3.0])
+def test_member_derivative_is_finite_at_touching_seams(pv):
+    # figure1's intervals touch at -1 and 1, where the taper's derivative is
+    # 0 * inf; the seam row holds 0 there instead
+    w, p = builtin_figure1(), Exponent(pv)
+    st_ = detect_structure(w, p, CFG)
+    aux = build_aux_weight(w, p, st_, CFG)
+    u = spline_function([-2.0, -1.2, -0.3, 0.5, 1.4, 2.0], [0.3, -0.5, 0.8, 0.1, -0.4, 0.2])
+    seq = build_approx_sequence(u, w, aux, st_, p, h_max=32, cfg=CFG)
+    assert seq.junctions == ("touching", "touching")
+    for m in seq.members:
+        d = m.fn.d(np.array([-1.0, 1.0]))
+        assert np.all(np.isfinite(d)) and np.all(d == 0.0), (m.h, d)
+        assert [m.fn.d(-1.0), m.fn.d(1.0)] == [0.0, 0.0]
 
 
 def test_one_drive_matches_member_by_member(member_case):
@@ -497,14 +541,12 @@ def test_one_drive_matches_member_by_member(member_case):
         diff = TestFunction(fn=lambda x, pw=pw: pw(x) - u(x), deriv=None, tag="AC",
                             breakpoints=m.fn.breakpoints)
         x_err = lp_aux_norm(diff, aux, cfg)
-        spans = [(lo, hi) for lo, hi, kind in zip(pw.start.tolist(), pw.end.tolist(), pw.kind)
-                 if kind != _CONST]
 
         def energy(x, index, fn=m.fn):
             return np.abs(fn.d(x)) ** pv * np.asarray(w(x), dtype=float)
 
         f_value = 0.0
-        for r in integrate_ranges(energy, energy_ranges(u, w, st_, spans), cfg):
+        for r in integrate_ranges(energy, energy_ranges(u, w, st_, pw.spans), cfg):
             f_value += r.value if r.is_finite else math.inf
         assert m.x_err.hex() == (x_err.value ** (1.0 / pv)).hex()
         assert m.f_value.hex() == f_value.hex()

@@ -20,7 +20,6 @@ from degenrelax import (
     builtin_cascade,
     builtin_figure1,
     builtin_power,
-    eval_weight,
     parse_weight_arg,
     weight_from_csv,
     weight_from_spec,
@@ -71,13 +70,6 @@ def test_transform_maps_zeros_to_inf():
     vals = sigma(np.array([-1.0, 0.0, 1.0]))
     assert vals[0] == math.inf and vals[2] == math.inf
     assert vals[1] == 1.0
-
-
-def test_eval_weight_rejects_negative():
-    w = type("Bad", (), {"__call__": lambda self, x: np.asarray(x) - 10.0,
-                         "domain": Interval(0.0, 1.0)})()
-    with pytest.raises(ValueError):
-        eval_weight(w, np.array([0.5]))
 
 
 def test_piecewise_power_uncovered_is_zero():
