@@ -179,7 +179,7 @@ class _MollifiedAntiderivative:
 
 
 _SEG, _IDENT, _TAPER = range(3)
-_V0, _DV, _DG, _CUM, _A, _OFF = range(6)  # rows of _Member.cols
+_V0, _DV, _DG, _CUM = range(4)  # rows of _Member.cols
 
 
 def _cum(cum, v0, dv, dg, t):
@@ -191,23 +191,24 @@ class _Member:
     """The recovery member at mesh parameter h (module docstring), as a row table.
 
     An interval side with a touching neighbour is tapered, one without is
-    rebuilt.  Row i covers [start[i], start[i+1]): a point goes to the last
-    row starting at or before it.  Rows by kind, with t = x - start:
+    rebuilt.  Rows come in blocks of one kind, a and off (bstart: a block's
+    first start).  Row i covers [start[i], start[i+1]): a point goes to the
+    last row, and block, starting at or before it.  With t = x - start:
 
     _SEG    a + (_cum(cum, v0, dv, dg, t) - off); derivative v0 at t = 0, else
             dv/dg*t + v0
     _IDENT  u
-    _TAPER  u*(aux/a)^(1/p), a = aux at the reference point; v0 = +1 rising,
-            -1 falling
+    _TAPER  u*(aux/a)^(1/p), a = aux at the reference point, off = +1 rising, -1 falling
 
-    A rebuilt half has one _SEG row per mollifier grid segment (a = u(mid),
-    off = cum at mid): the reconstruction and np.interp over the grid, bit
-    for bit.  A right half's last node has its own row, holding the last
-    segment's value at t = its width and v[-1].  Other _SEG rows are lines
-    with cum = dv = -0.0, off = 0.0 and dg = 1, so a (even -0.0) and
-    a + v0*t come back exactly: bridges (v0 the slope), the constants
-    outside the structure, and each touching seam, one point wide since the
-    rising taper starts an ulp later: it holds the falling taper's limit and
+    A rebuilt half is one block with a _SEG row per mollifier grid segment
+    (a = u(mid), off = cum at mid): the reconstruction and np.interp over
+    the grid, bit for bit.  A right half's last node has its own row,
+    holding the last segment's value at t = its width and v[-1].  Other
+    _SEG rows are lines with cum = dv = -0.0, off = 0.0 and dg = 1, so
+    a + v0*t comes back exactly: bridges (v0 the slope), the constants
+    outside the structure (a + 0.0, but a is never -0.0 there) and each
+    touching seam, one point wide since the rising taper starts an ulp later:
+    v0 = -0.0 gives back a, the falling taper's limit, even -0.0, and
     derivative -0.0.  spans lists the branches the energy is integrated on.
     """
 
@@ -219,10 +220,10 @@ class _Member:
         # touch[k] and touch[k + 1]: does interval k touch its left, its right
         # neighbour?  The first left side and the last right side never do.
         touch = [False] + [j == "touching" for j in junctions] + [False]
-        blocks, self.spans = [], []  # blocks: (starts, kind, columns)
+        blocks, self.spans = [], []  # blocks: (starts, kind, a, off, columns)
 
-        def row(x, kind, a=0.0, v0=0.0):  # a taper's a is its reference point until aux is read
-            blocks.append(([x], kind, np.array([[v0], [-0.0], [1.0], [-0.0], [a], [0.0]])))
+        def row(x, kind, a=0.0, v0=0.0, off=0.0):  # a taper's a: its reference point, for now
+            blocks.append(([x], kind, a, off, np.array([[v0], [-0.0], [1.0], [-0.0]])))
 
         for k, iv in enumerate(ivs):
             if not (touch[k] and touch[k + 1]):
@@ -230,8 +231,7 @@ class _Member:
                 g, v, cum, n = m.grid, m.v, m.cum, m.mid_index
                 dg, dv = np.diff(g), np.diff(v)
                 last = _cum(cum[-2], v[-2], dv[-1], dg[-1], dg[-1])
-                cols = np.stack([v, np.append(dv, -0.0), np.append(dg, 1.0), np.append(cum[:-1], last),
-                                 np.full(g.size, m.u_mid), np.full(g.size, m.c_mid)])
+                cols = np.stack([v, np.append(dv, -0.0), np.append(dg, 1.0), np.append(cum[:-1], last)])
                 y1 = m.u_mid + (_cum(cum[0], v[0], dv[0], dg[0], 0.0) - m.c_mid)
                 if k == 0 and iv.lo > dom.lo:
                     row(dom.lo, _SEG, y1)
@@ -241,34 +241,35 @@ class _Member:
                     self.spans.append((g_lo, iv.lo))
                 y0 = m.u_mid + (last - m.c_mid)
             if touch[k]:
-                row(np.nextafter(iv.lo, math.inf), _TAPER, iv.lo + r, 1.0)
+                row(np.nextafter(iv.lo, math.inf), _TAPER, iv.lo + r, off=1.0)
                 row(iv.lo + r, _IDENT)
                 self.spans += [(iv.lo, iv.lo + r), (iv.lo + r, iv.mid)]
             else:
-                blocks.append((g[:n], _SEG, cols[:, :n]))
+                blocks.append((g[:n], _SEG, m.u_mid, m.c_mid, cols[:, :n]))
                 self.spans.append((iv.lo, iv.mid))
             if touch[k + 1]:
                 row(iv.mid, _IDENT)
-                row(iv.hi - r, _TAPER, iv.hi - r, -1.0)
-                row(iv.hi, _SEG, 0.0, -0.0)  # the seam; its value is the falling limit
+                row(iv.hi - r, _TAPER, iv.hi - r, off=-1.0)
+                row(iv.hi, _SEG, 0.0, -0.0)  # the seam; its a is the falling limit
                 self.spans += [(iv.mid, iv.hi - r), (iv.hi - r, iv.hi)]
             else:
-                blocks.append((g[n:], _SEG, cols[:, n:]))
+                blocks.append((g[n:], _SEG, m.u_mid, m.c_mid, cols[:, n:]))
                 self.spans.append((iv.mid, iv.hi))
         if ivs[-1].hi < dom.hi:
             row(ivs[-1].hi, _SEG, y0)
 
-        self.start = np.concatenate([np.asarray(b[0], dtype=float) for b in blocks])
-        self.kind = np.concatenate([np.full(len(b[0]), b[1], dtype=np.int8) for b in blocks])
-        self.cols = np.concatenate([b[2] for b in blocks], axis=1)
-        taper = np.flatnonzero(self.kind == _TAPER)
-        ref = self.cols[_A, taper] = np.asarray(aux(self.cols[_A, taper]), dtype=float)
-        sign = self.cols[_V0, taper]
-        seam = np.where(sign > 0, taper - 1, taper + 1)  # the seam row next to each taper
-        lim = self._taper(self.start[seam], ref, sign, False)
-        fall = sign < 0
-        self.cols[_A, seam[fall]] = lim[fall]
-        self.seam_mismatch = float(np.max(np.abs(lim[fall] - lim[~fall]), initial=0.0))
+        starts, kind, a, off, cols = zip(*blocks)
+        self.start, self.cols = np.concatenate(starts, dtype=float), np.concatenate(cols, axis=1)
+        self.bstart = np.array([x[0] for x in starts], dtype=float)
+        self.kind, self.a, self.off = np.array(kind, dtype=np.int8), np.array(a), np.array(off)
+        self.seam_mismatch = 0.0
+        taper = np.flatnonzero(self.kind == _TAPER)  # at each seam: falling taper, seam, rising
+        if taper.size:
+            ref = self.a[taper] = np.asarray(aux(self.a[taper]), dtype=float)
+            seam = taper[::2] + 1
+            lim = self._taper(np.repeat(self.bstart[seam], 2), ref, None, False)
+            self.a[seam] = lim[::2]
+            self.seam_mismatch = float(np.max(np.abs(lim[::2] - lim[1::2])))
 
     def _taper(self, x, ref, sign, deriv: bool):
         """u scaled by (aux/ref)^(1/p), or its derivative."""
@@ -283,22 +284,23 @@ class _Member:
         x = np.asarray(x, dtype=float)
         flat = np.atleast_1d(x).astype(float).ravel()
         out = np.empty(flat.shape)
-        i = np.clip(np.searchsorted(self.start, flat, side="right") - 1, 0, self.kind.size - 1)
-        kind = self.kind[i]
+        i = np.clip(np.searchsorted(self.start, flat, side="right") - 1, 0, self.start.size - 1)
+        b = np.clip(np.searchsorted(self.bstart, flat, side="right") - 1, 0, self.kind.size - 1)
+        kind = self.kind[b]
         for k in np.flatnonzero(np.bincount(kind, minlength=_TAPER + 1)):
             sel = np.flatnonzero(kind == k)
-            xs, rows = flat[sel], i[sel]
+            xs, rows, a, off = flat[sel], i[sel], self.a[b[sel]], self.off[b[sel]]
             if k == _IDENT:
                 out[sel] = self.u.d(xs) if deriv else self.u(xs)
             elif k == _TAPER:
-                out[sel] = self._taper(xs, self.cols[_A, rows], self.cols[_V0, rows], deriv)
+                out[sel] = self._taper(xs, a, off, deriv)
             else:
                 t = xs - self.start[rows]
                 if deriv:
                     v0, dv, dg = self.cols[:_CUM].take(rows, axis=1)
                     out[sel] = np.where(t == 0.0, v0, dv / dg * t + v0)
                 else:
-                    v0, dv, dg, cum, a, off = self.cols.take(rows, axis=1)
+                    v0, dv, dg, cum = self.cols.take(rows, axis=1)
                     out[sel] = a + (_cum(cum, v0, dv, dg, t) - off)
         return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
 

@@ -503,7 +503,8 @@ def test_member_derivative_is_the_derivative_of_the_member(member_case):
     u, aux, st_, dom, pv, junctions = member_case
     for h in _mesh_ladder(st_):
         fn = _Member(u, aux, st_, dom, pv, h, junctions)
-        for lo, hi in fn.spans:
+        ends = [(dom.lo, st_.intervals[0].lo), (st_.intervals[-1].hi, dom.hi)]  # the constants
+        for lo, hi in fn.spans + [(lo, hi) for lo, hi in ends if lo < hi]:
             step = 1e-6 * (hi - lo)
             xs = lo + (hi - lo) * np.linspace(0.1, 0.9, 17)
             d = fn.deriv(xs)
