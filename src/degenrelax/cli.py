@@ -30,7 +30,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -184,38 +184,15 @@ def parse_function_arg(text: str, domain):
     raise ValueError(f"unknown test function spec {text!r}")
 
 
-def _endpoint_dict(cls) -> dict:
-    return {
-        "integrable": cls.integrable,
-        "value": cls.value,
-        "rule": cls.rule,
-        "local_exponent": cls.local_exponent,
-    }
-
-
 def _structure_dict(structure) -> dict:
     return {
         "kind": structure.kind,
         "count": structure.count,
-        "intervals": [
-            {
-                "lo": iv.lo, "hi": iv.hi, "mid": iv.mid, "width": iv.width,
-                "lo_class": _endpoint_dict(iv.lo_class),
-                "hi_class": _endpoint_dict(iv.hi_class),
-            }
-            for iv in structure.intervals
-        ],
-        "removable_zeros": [
-            {"location": z.location, "left_exponent": z.left_exponent,
-             "right_exponent": z.right_exponent}
-            for z in structure.removable_zeros
-        ],
-        "split_zeros": [
-            {"location": z.location, "left_exponent": z.left_exponent,
-             "right_exponent": z.right_exponent}
-            for z in structure.split_zeros
-        ],
-        "zero_regions": [[lo, hi] for lo, hi in structure.zero_regions],
+        "intervals": [{**asdict(iv), "mid": iv.mid, "width": iv.width}
+                      for iv in structure.intervals],
+        "removable_zeros": [asdict(z) for z in structure.removable_zeros],
+        "split_zeros": [asdict(z) for z in structure.split_zeros],
+        "zero_regions": structure.zero_regions,
     }
 
 
@@ -314,13 +291,17 @@ def cmd_relax(args) -> int:
         "weight": w.spec_dict(),
         "p": p.p,
         "u": u.label,
-        "original": {"kind": orig.kind, "value": orig.value, "reason": orig.reason},
-        "relaxed": {"kind": rel.kind, "value": rel.value, "reason": rel.reason},
+        "original": asdict(orig),
+        "relaxed": asdict(rel),
         "membership": {"in_space": mem.in_space,
                        "seminorm": mem.seminorm.value if mem.seminorm.is_finite else math.inf},
         "ambient_norm_p": amb.value if amb.is_finite else math.inf,
     }, args)
     return 0
+
+
+# the per-member columns of approx, in JSON and in --csv
+_MEMBER_COLUMNS = ("h", "x_err", "f_value", "f_gap", "seam_mismatch")
 
 
 def cmd_approx(args) -> int:
@@ -332,16 +313,11 @@ def cmd_approx(args) -> int:
         hs = [int(t) for t in args.h.split(",") if t.strip()]
     seq = build_approx_sequence(u, w, aux, structure, p,
                                 h_values=hs, h_max=args.h_max, cfg=cfg)
-    verdict = verify_relaxation(seq)
-    members = [
-        {"h": m.h, "x_err": m.x_err, "f_value": m.f_value,
-         "f_gap": m.f_gap, "seam_mismatch": m.seam_mismatch}
-        for m in seq.members
-    ]
+    verdict = asdict(verify_relaxation(seq))
+    del verdict["rows"]
+    rows = [tuple(getattr(m, c) for c in _MEMBER_COLUMNS) for m in seq.members]
     if args.csv:
-        _write_csv(args.csv, ["h", "x_err", "f_value", "f_gap", "seam_mismatch"],
-                   [(m.h, m.x_err, m.f_value, m.f_gap, m.seam_mismatch)
-                    for m in seq.members])
+        _write_csv(args.csv, list(_MEMBER_COLUMNS), rows)
     _emit({
         "command": "approx",
         "weight": w.spec_dict(),
@@ -352,12 +328,11 @@ def cmd_approx(args) -> int:
         "junctions": list(seq.junctions),
         "f_limit": seq.f_limit,
         "x_norm_u": seq.x_norm_u,
-        "members": members,
-        "verdict": {"ok": verdict.ok, "x_ok": verdict.x_ok, "f_ok": verdict.f_ok,
-                    "f_rel_ok": verdict.f_rel_ok, "f_rel": verdict.f_rel},
+        "members": [dict(zip(_MEMBER_COLUMNS, row)) for row in rows],
+        "verdict": verdict,
         "csv": args.csv,
     }, args)
-    return 0 if verdict.ok else 1
+    return 0 if verdict["ok"] else 1
 
 
 def cmd_cascade(args) -> int:
@@ -373,21 +348,9 @@ def cmd_cascade(args) -> int:
         _write_csv(args.csv,
                    ["i", "lo", "hi", "term", "partial_sum", "comparison", "ratio"],
                    rows)
-    _emit({
-        "command": "cascade",
-        "alpha": rep.alpha,
-        "p": rep.p,
-        "bumps": rep.bumps,
-        "terms": list(rep.terms),
-        "partial_sums": list(rep.partial_sums),
-        "comparison_log2": list(rep.comparison_log2),
-        "comparison": list(rep.comparison),
-        "ratios": list(rep.ratios),
-        "increasing": rep.increasing,
-        "c_lo": rep.c_lo,
-        "c_hi": rep.c_hi,
-        "csv": args.csv,
-    }, args)
+    body = asdict(rep)
+    del body["spans"]
+    _emit({"command": "cascade", **body, "csv": args.csv}, args)
     return 0 if rep.increasing else 1
 
 

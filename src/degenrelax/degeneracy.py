@@ -25,7 +25,7 @@ import numpy as np
 
 from .quadrature import (DEFAULT_CONFIG, EndpointClass, QuadratureConfig,
                          classify_endpoint_integrability, local_exponent_estimate)
-from .weights import Exponent, Weight, WeightSpecError, ZeroInfo, finite_peak, zero_runs
+from .weights import Exponent, Weight, ZeroInfo, checked_samples, finite_peak, zero_runs
 
 
 @dataclass(frozen=True)
@@ -110,13 +110,8 @@ def _scan_weight(w: Weight):
     """Zero candidates of a weight without a zero set: (isolated zeros, zero
     regions).  Raises WeightSpecError at the first NaN or negative sample."""
     dom = w.domain
-    n = 8193
-    xs = np.linspace(dom.lo, dom.hi, n)
-    vals = np.asarray(w(xs), dtype=float)
-    bad = ~(vals >= 0.0)
-    if bad.any():
-        i = int(bad.argmax())
-        raise WeightSpecError(f"weight is {float(vals[i])!r} at x={float(xs[i])!r}: not a weight")
+    xs, vals = checked_samples(w)
+    n = xs.size
     peak = finite_peak(vals)
     if peak <= 0.0:
         return [], [(dom.lo, dom.hi)]
@@ -214,21 +209,16 @@ def detect_structure(w: Weight, p: Exponent,
         else:
             removable.append(info)
 
-    # carve the domain: remove zero regions, then split at the splitting zeros
-    segments = []
-    cursor = dom.lo
-    for r_lo, r_hi in regions:
-        if r_lo - cursor > tol:
-            segments.append((cursor, r_lo))
-        cursor = max(cursor, r_hi)
-    if dom.hi - cursor > tol:
-        segments.append((cursor, dom.hi))
+    # carve the domain at one sorted set of ends, keeping each span wider than
+    # tol that no region covers; a splitting zero within tol of the last one
+    # kept cuts nothing
+    cuts = []
     for info in splitting:
-        z = info.location
-        for k, (s_lo, s_hi) in enumerate(segments):
-            if s_lo + tol < z < s_hi - tol:
-                segments[k:k + 1] = [(s_lo, z), (z, s_hi)]
-                break
+        if not cuts or info.location - cuts[-1] > tol:
+            cuts.append(info.location)
+    ends = sorted({dom.lo, dom.hi, *cuts, *(e for r in regions for e in r)})
+    segments = [(a, b) for a, b in zip(ends, ends[1:])
+                if b - a > tol and not any(r_lo <= a and b <= r_hi for r_lo, r_hi in regions)]
 
     removable_pts = [info.location for info in removable]
     intervals = []

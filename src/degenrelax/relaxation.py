@@ -67,11 +67,9 @@ def original_functional(u: TestFunction, w: Weight, p: Exponent,
     if u.tag not in ("AC", "C1"):
         return FunctionalValue.infinite("not absolutely continuous")
     dom = w.domain
-    zeros = [z.location for z in w.known_zeros() or ()]
-    zeros += [c for region in w.zero_regions() for c in region]
-    (res,), = density_integrals(
-        [("energy", u, [(dom.lo, dom.hi, (), density_cuts(u, w, dom.lo, dom.hi, zeros))])],
-        w, p.p, cfg=cfg)
+    zeros, regions = w.zero_set() or ((), ())
+    cuts = density_cuts(u, w, dom.lo, dom.hi, [*zeros, *(e for r in regions for e in r)])
+    (res,), = density_integrals([("energy", u, [(dom.lo, dom.hi, (), cuts)])], w, p.p, cfg=cfg)
     if not res.is_finite:
         return FunctionalValue.infinite("energy integral diverges")
     return FunctionalValue.finite(res.value)

@@ -15,10 +15,11 @@ Three representations are supported:
   transform integrals have closed forms.
 * GridSampledWeight: samples on a grid, evaluated by linear interpolation.
 
-Besides evaluation, every Weight answers the four questions the degeneracy
-detection and the endpoint classifier ask, so neither needs to know which
-representation it holds:
+Besides evaluation, every Weight answers these questions, so that no caller
+needs to know which representation it holds:
 
+* zero_set(): the exact zero locations and zero regions, or None when only
+  scanning the samples can find them; the one source of w's zeros;
 * side_exponent(z, side): the exact one-sided power exponent of w at z, or
   None when it must be estimated from samples;
 * exact_transform_integral(p, lo, hi): the closed-form integral of the
@@ -26,8 +27,8 @@ representation it holds:
 * resolution_near(z): the sampling scale of w near z (0.0 when w is known
   everywhere); exponent probes stay outside it, and where it is positive an
   estimated exponent within 0.02 of the threshold is indeterminate;
-* zero_set(): the exact zero locations and zero regions, or None when only
-  scanning the samples can find them.
+* breakpoints(): the points inside the domain where w kinks or jumps;
+* transform(p): the function w^(-1/(p-1)), +inf where w == 0.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -102,30 +104,19 @@ class ZeroInfo:
 
 
 class Weight:
-    """Base class; concrete weights implement __call__ on float arrays."""
+    """Base class; concrete weights implement __call__ on float arrays and
+    override the methods below where they know more than these defaults."""
 
     domain: Interval
     family: str = "custom"
     truncated: bool = False  # finite truncation of an infinite bump family
-    truncation_count: int = 0
 
     def __call__(self, x) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def known_zeros(self) -> Optional[tuple[ZeroInfo, ...]]:
-        """Exact zero metadata, or None when only scanning can find zeros."""
-        return None
-
-    def zero_regions(self) -> tuple[tuple[float, float], ...]:
-        """Maximal positive-length subintervals where w == 0 identically."""
-        return ()
-
     def zero_set(self) -> Optional[tuple[tuple[float, ...], tuple[tuple[float, float], ...]]]:
         """(zero locations, zero regions) when exactly known, else None (scan)."""
-        known = self.known_zeros()
-        if known is None:
-            return None
-        return tuple(info.location for info in known), self.zero_regions()
+        return None
 
     def side_exponent(self, z: float, side: int) -> Optional[float]:
         """Exact power exponent of w at z on one side (+1 right, -1 left).
@@ -134,13 +125,7 @@ class Weight:
         that side; None when there is no metadata and the exponent must be
         estimated from samples.
         """
-        known = self.known_zeros()
-        if known is None:
-            return None
-        for info in known:
-            if abs(info.location - z) <= 1e-12 * self.domain.width:
-                return info.right_exponent if side > 0 else info.left_exponent
-        return 0.0  # no recorded zero at z: w positive there
+        return None
 
     def exact_transform_integral(self, p: Exponent, lo: float, hi: float) -> Optional[float]:
         """Closed-form integral of w^(-1/(p-1)) over [lo, hi] (math.inf when divergent),
@@ -178,6 +163,18 @@ class Weight:
 # closed form weights
 
 
+def checked_samples(w: Weight) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, w(xs)) at 8,193 even points of the closed domain; raises
+    WeightSpecError at the first sample that is NaN or negative."""
+    xs = np.linspace(w.domain.lo, w.domain.hi, 8193)
+    vals = np.asarray(w(xs), dtype=float)
+    bad = ~(vals >= 0.0)
+    if bad.any():
+        i = int(bad.argmax())
+        raise WeightSpecError(f"weight is {float(vals[i])!r} at x={float(xs[i])!r}: not a weight")
+    return xs, vals
+
+
 @dataclass(frozen=True)
 class ClosedFormWeight(Weight):
     fn: Callable[[np.ndarray], np.ndarray] = None
@@ -190,8 +187,18 @@ class ClosedFormWeight(Weight):
         x = np.asarray(x, dtype=float)
         return np.asarray(self.fn(x), dtype=float)
 
-    def known_zeros(self):
-        return self.zeros
+    def __post_init__(self):
+        if self.zeros is not None:  # metadata replaces the scan: check the samples here
+            checked_samples(self)
+
+    def zero_set(self):
+        return None if self.zeros is None else (tuple(z.location for z in self.zeros), ())
+
+    def side_exponent(self, z: float, side: int) -> Optional[float]:
+        for info in self.zeros or ():
+            if abs(info.location - z) <= 1e-12 * self.domain.width:
+                return info.right_exponent if side > 0 else info.left_exponent
+        return None if self.zeros is None else 0.0  # no recorded zero at z: w positive there
 
     def spec_dict(self) -> dict:
         return {"family": self.family, **self.params}
@@ -286,7 +293,7 @@ class PiecewisePowerWeight(Weight):
 
     def __init__(self, domain: Interval, pieces: Sequence[PowerPiece],
                  family: str = "piecewise_power", params: Optional[dict] = None,
-                 truncated: bool = False, truncation_count: int = 0):
+                 truncated: bool = False):
         self.domain = domain
         ps = sorted(pieces, key=lambda q: q.lo)
         for q in ps:
@@ -299,7 +306,6 @@ class PiecewisePowerWeight(Weight):
         self.family = family
         self.params = dict(params or {})
         self.truncated = truncated
-        self.truncation_count = truncation_count
         self._los = np.array([q.lo for q in self.pieces])
         self._his = np.array([q.hi for q in self.pieces])
         self._pivots = np.array([q.pivot for q in self.pieces])
@@ -307,6 +313,10 @@ class PiecewisePowerWeight(Weight):
         self._exponents = np.array([q.exponent for q in self.pieces])
         self._ends = tuple(sorted({e for q in self.pieces for e in (q.lo, q.hi)
                                    if domain.lo < e < domain.hi}))
+        # the uncovered spans (w == 0), from the furthest piece end so far to the next piece
+        reach = accumulate([domain.lo] + [q.hi for q in self.pieces], max)
+        starts = [q.lo for q in self.pieces] + [domain.hi]
+        self._regions = tuple((a, b) for a, b in zip(reach, starts) if b > a + 1e-14 * domain.width)
 
     def _piece_index(self, x: np.ndarray) -> np.ndarray:
         # index of the piece containing each x ([lo, hi) half open, last piece closed), -1 if none
@@ -371,27 +381,15 @@ class PiecewisePowerWeight(Weight):
             return 0.0  # inside a piece w is positive (an inner pivot has exponent 0)
         return math.inf  # no piece on that side: uncovered, w == 0 there
 
-    def known_zeros(self) -> tuple[ZeroInfo, ...]:
+    def zero_set(self) -> tuple[tuple[float, ...], tuple[tuple[float, float], ...]]:
+        """The pivots of the decaying pieces, and the uncovered spans."""
         zeros = sorted({q.pivot for q in self.pieces
                         if q.exponent > 0.0 and q.pivot in (q.lo, q.hi)})
-        return tuple(ZeroInfo(z, self.side_exponent(z, -1), self.side_exponent(z, +1))
-                     for z in zeros)
+        return tuple(zeros), self._regions
 
     def breakpoints(self) -> tuple[float, ...]:
         """The piece ends strictly inside the domain."""
         return self._ends
-
-    def zero_regions(self) -> tuple[tuple[float, float], ...]:
-        tol = 1e-14 * self.domain.width
-        regions = []
-        cursor = self.domain.lo
-        for q in self.pieces:
-            if q.lo > cursor + tol:
-                regions.append((cursor, q.lo))
-            cursor = max(cursor, q.hi)
-        if self.domain.hi > cursor + tol:
-            regions.append((cursor, self.domain.hi))
-        return tuple(regions)
 
     def exact_transform_integral(self, p: Exponent, lo: float, hi: float) -> float:
         """Closed-form integral of w^(-1/(p-1)) over [lo, hi]; math.inf when divergent.
@@ -404,7 +402,7 @@ class PiecewisePowerWeight(Weight):
         if not (self.domain.lo - slack <= lo < hi <= self.domain.hi + slack):
             raise ValueError(f"span ({lo}, {hi}) outside domain")
         tol = 1e-14 * self.domain.width
-        for rlo, rhi in self.zero_regions():
+        for rlo, rhi in self._regions:
             if min(hi, rhi) - max(lo, rlo) > tol:
                 return math.inf
         inv = 1.0 / (p.p - 1.0)
@@ -481,7 +479,7 @@ def builtin_cascade(alpha: float, p: Exponent, bumps: int) -> PiecewisePowerWeig
     return PiecewisePowerWeight(
         Interval(0.0, 1.0), pieces,
         family="cascade", params={"alpha": alpha, "bumps": bumps},
-        truncated=True, truncation_count=bumps,
+        truncated=True,
     )
 
 

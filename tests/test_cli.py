@@ -281,3 +281,67 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
         assert code == 0, line
         d = json.loads(out)
         assert isinstance(d, dict) and d["command"] == args[0], line
+
+
+def _key_paths(obj, prefix=""):
+    """Every key path of a JSON value; the items of a list share the path `name[]`."""
+    if isinstance(obj, dict):
+        return set().union(*({prefix + k} | _key_paths(v, prefix + k + ".") for k, v in obj.items()))
+    if isinstance(obj, list):
+        return set().union(*(_key_paths(v, prefix[:-1] + "[].") for v in obj))
+    return set()
+
+
+_CLASS = "integrable local_exponent rule value"
+_ZERO = "left_exponent location right_exponent"
+_STRUCTURE = " ".join(
+    ["structure"]
+    + [f"structure.{k}" for k in "count kind intervals removable_zeros split_zeros zero_regions".split()]
+    + [f"structure.intervals[].{k}" for k in "lo hi mid width lo_class hi_class".split()]
+    + [f"structure.intervals[].{end}.{k}" for end in ("lo_class", "hi_class") for k in _CLASS.split()]
+    + [f"structure.{kind}[].{k}" for kind in ("removable_zeros", "split_zeros") for k in _ZERO.split()])
+_PIECEWISE = " weight.domain weight.pieces" + "".join(
+    f" weight.pieces[].{k}" for k in "lo hi scale pivot exponent".split())
+# the full schema of each subcommand (common keys aside): a field added to a
+# result type changes the default output, so it has to be added here too
+_SCHEMAS = {
+    "analyze": _STRUCTURE + _PIECEWISE,
+    "aux": _STRUCTURE + _PIECEWISE + " covers_domain csv inf sup intervals" + "".join(
+        f" intervals[].{k}" for k in
+        "span plateau lo_value hi_value left_limit right_limit sup inf".split()),
+    "poincare": "ok checks" + "".join(f" checks[].{k}" for k in "label lhs rhs ratio ok".split()),
+    "relax": "u ambient_norm_p membership membership.in_space membership.seminorm" + "".join(
+        f" {f} {f}.kind {f}.value {f}.reason" for f in ("original", "relaxed")),
+    "approx": "u csv f_limit h_min h_values junctions x_norm_u members verdict" + "".join(
+        f" members[].{k}" for k in "h x_err f_value f_gap seam_mismatch".split()) + "".join(
+        f" verdict.{k}" for k in "ok x_ok f_ok f_rel_ok f_rel".split()),
+    "cascade": "alpha bumps c_hi c_lo comparison comparison_log2 csv increasing "
+               "partial_sums ratios terms",
+}
+
+
+def test_json_key_paths_are_pinned(tmp_path, capsys):
+    from degenrelax import cli
+    # a removable zero at 0.4, a splitting zero at 0.75 and three zero regions,
+    # so that every list of the structure has items
+    spec = tmp_path / "w.json"
+    spec.write_text(json.dumps({"family": "piecewise_power", "domain": [0.0, 1.0], "pieces": [
+        {"lo": 0.1, "hi": 0.4, "pivot": 0.4, "exponent": 0.5},
+        {"lo": 0.4, "hi": 0.5, "pivot": 0.4, "exponent": 0.5},
+        {"lo": 0.6, "hi": 0.75, "pivot": 0.75, "exponent": 1.5},
+        {"lo": 0.75, "hi": 0.9, "pivot": 0.75, "exponent": 1.5}]}))
+    runs = {
+        "analyze": ["--weight", str(spec)],
+        "aux": ["--weight", str(spec)],
+        "poincare": ["--weight", "figure1", "--count", "2"],
+        "relax": ["--weight", "figure1", "--u", "poly:0,1"],
+        "approx": ["--weight", "figure1", "--u", "poly:0,1", "--h", "6,12"],
+        "cascade": ["--alpha", "2", "--bumps", "3"],
+    }
+    for command, args in runs.items():
+        assert cli.main([command, *args, "--no-timestamp"]) in (0, 1), capsys.readouterr().err
+        got = _key_paths(json.loads(capsys.readouterr().out))
+        want = set(_SCHEMAS[command].split()) | {"command", "p", "schema_version"}
+        if command != "cascade":
+            want |= {"weight", "weight.family"}
+        assert got == want, command

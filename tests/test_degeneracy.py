@@ -17,6 +17,7 @@ from degenrelax import (
     PowerPiece,
     QuadratureConfig,
     WeightSpecError,
+    ZeroInfo,
     builtin_cascade,
     builtin_figure1,
     builtin_power,
@@ -94,6 +95,16 @@ def test_overlapping_zero_regions_merge():
     st_ = detect_structure(w, Exponent(2.0), CFG)
     assert st_.zero_regions == ((0.2, 0.5),)
     assert [(iv.lo, iv.hi) for iv in st_.intervals] == [(0.0, 0.2), (0.5, 1.0)]
+
+
+def test_splitting_zeros_closer_than_the_tolerance_cut_once():
+    # hand-written metadata: the second zero lies within 1e-12 * width of the
+    # first, so it cuts nothing and the intervals meet at the first
+    w = ClosedFormWeight(fn=lambda x: (x - 0.5) ** 2, domain=Interval(0.0, 1.0),
+                         zeros=(ZeroInfo(0.5, 2.0, 2.0), ZeroInfo(0.5 + 5e-13, 2.0, 2.0)))
+    st_ = detect_structure(w, Exponent(2.0), CFG)
+    assert [z.location for z in st_.split_zeros] == [0.5, 0.5 + 5e-13]
+    assert [(iv.lo, iv.hi) for iv in st_.intervals] == [(0.0, 0.5), (0.5, 1.0)]
 
 
 def test_identically_zero_weight():
@@ -322,10 +333,13 @@ def test_scan_matches_the_scalar_loop():
     (lambda x: np.where(x > 0.6, np.nan, 1.0), "weight is nan at x=0.60009765625: not a weight"),
 ])
 def test_scan_rejects_values_that_are_not_weights(fn, message, p2):
-    w = ClosedFormWeight(fn=fn, domain=Interval(0.0, 1.0))
-    with pytest.raises(WeightSpecError) as err:
-        detect_structure(w, p2, CFG)
-    assert str(err.value) == message
+    # without metadata the scan checks the samples; with it, no scan runs, so
+    # the weight checks the same samples when it is built
+    for zeros in (None, (ZeroInfo(0.3, 1.0, 1.0),)):
+        with pytest.raises(WeightSpecError) as err:
+            detect_structure(ClosedFormWeight(fn=fn, domain=Interval(0.0, 1.0), zeros=zeros),
+                             p2, CFG)
+        assert str(err.value) == message
 
 
 def test_an_infinite_sample_is_not_a_zero_weight(p2):

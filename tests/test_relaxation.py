@@ -9,6 +9,7 @@ import pytest
 from degenrelax import (
     AuxWeight,
     Exponent,
+    GridSampledWeight,
     Interval,
     PiecewisePowerWeight,
     PowerPiece,
@@ -52,6 +53,30 @@ def test_functionals_agree_on_smooth_unit_case(unit_chain, p2):
     relax = relaxed_functional(u, w, aux, st_, p2, CFG)
     assert orig.kind == "finite" and orig.value == pytest.approx(1.0, abs=1e-12)
     assert relax.kind == "finite" and relax.value == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["piecewise", "grid"])
+def test_original_matches_closed_form_on_weights_with_zero_sets(kind):
+    # u' = 2, so the energy is 2^p times the mass of w; the zeros and the zero
+    # region edges of w are cuts of the drive
+    p = Exponent(3.0)
+    if kind == "piecewise":
+        # zero regions (0, 0.1), (0.5, 0.6) and (0.9, 1); zeros at 0.4 and 0.75
+        w = PiecewisePowerWeight(Interval(0.0, 1.0), [
+            PowerPiece(0.1, 0.4, 2.0, 0.4, 1.0), PowerPiece(0.4, 0.5, 2.0, 0.4, 1.0),
+            PowerPiece(0.6, 0.75, 1.0, 0.75, 2.5), PowerPiece(0.75, 0.9, 1.0, 0.75, 2.5)])
+        mass = 2.0 * (0.3 ** 2 + 0.1 ** 2) / 2.0 + 2.0 * 0.15 ** 3.5 / 3.5
+    else:
+        # 65 nodes, a zero node at 0.25 and a zero region [0.625, 0.75]; the
+        # trapezoid rule integrates the interpolant exactly
+        xs = np.linspace(0.0, 1.0, 65)
+        ws = np.where(xs < 0.625, (xs - 0.25) ** 2, np.where(xs <= 0.75, 0.0, xs - 0.75))
+        w = GridSampledWeight(xs, ws)
+        mass = float(np.sum(0.5 * (ws[1:] + ws[:-1]) * np.diff(xs)))
+    zeros, regions = w.zero_set()
+    assert zeros and regions
+    val = original_functional(poly_function([1.0, 2.0]), w, p, CFG)
+    assert val.kind == "finite" and val.value == pytest.approx(8.0 * mass, rel=1e-12, abs=0)
 
 
 def test_original_rejects_non_ac(figure1_chain, p2):

@@ -16,7 +16,6 @@ from degenrelax import (
     PiecewisePowerWeight,
     PowerPiece,
     WeightSpecError,
-    ZeroInfo,
     builtin_cascade,
     builtin_figure1,
     builtin_power,
@@ -59,9 +58,8 @@ def test_figure1_values():
     assert w.domain.lo == -2.0 and w.domain.hi == 2.0
     x = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     np.testing.assert_allclose(w(x), [9.0, 0.0, 1.0, 0.0, 9.0], atol=0)
-    zs = w.known_zeros()
-    assert sorted(z.location for z in zs) == [-1.0, 1.0]
-    assert all(z.left_exponent == 2.0 and z.right_exponent == 2.0 for z in zs)
+    assert w.zero_set() == ((-1.0, 1.0), ())
+    assert all(w.side_exponent(z, side) == 2.0 for z in (-1.0, 1.0) for side in (-1, +1))
 
 
 def test_transform_maps_zeros_to_inf():
@@ -78,7 +76,7 @@ def test_piecewise_power_uncovered_is_zero():
     assert float(w(np.array([0.1]))[0]) == 0.0
     assert float(w(np.array([0.9]))[0]) == 0.0
     assert float(w(np.array([0.3]))[0]) == pytest.approx(0.1)
-    assert w.zero_regions() == ((0.0, 0.2), (0.5, 1.0))
+    assert w.zero_set()[1] == ((0.0, 0.2), (0.5, 1.0))
 
 
 def test_piecewise_local_exponent_metadata():
@@ -115,7 +113,6 @@ def test_interface_on_piecewise_with_zero_regions():
     assert w.side_exponent(0.35, -1) == w.side_exponent(0.35, +1) == 0.0
     assert w.side_exponent(0.8, +1) == math.inf
     assert w.side_exponent(0.0, -1) is None and w.side_exponent(1.0, +1) is None
-    assert w.known_zeros() == (ZeroInfo(0.2, math.inf, 1.0),)
     assert w.zero_set() == ((0.2,), ((0.0, 0.2), (0.5, 1.0)))
     # sigma = 1/(x - 0.2) at p = 2
     assert w.exact_transform_integral(p, 0.3, 0.4) == pytest.approx(math.log(2.0), rel=1e-14)
@@ -190,7 +187,7 @@ def test_cascade_scales_do_not_round():
     x = w.pieces[-1].lo + 0.25 * (w.pieces[-1].hi - w.pieces[-1].lo)
     v = float(w(np.array([x]))[0])
     assert math.isfinite(v) and v > 0.0
-    assert w.truncated and w.truncation_count == 20
+    assert w.truncated and w.params["bumps"] == 20
 
 
 def test_log_domain_values_of_huge_and_tiny_scales():
@@ -351,7 +348,7 @@ def test_weight_from_csv_without_numeric_rows(tmp_path):
 def test_unit_weight_is_one_everywhere(unit_weight):
     xs = np.linspace(0, 1, 9)
     np.testing.assert_allclose(unit_weight(xs), 1.0, rtol=0, atol=0)
-    assert unit_weight.zero_regions() == ()
+    assert unit_weight.zero_set() == ((), ())
 
 
 def test_exponent_zero_pivots_are_flat():
