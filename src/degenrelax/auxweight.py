@@ -49,9 +49,10 @@ zones no sigma is evaluated at all.
 
 The ambient norms integrate |u - c|^p aux^(p-1) over the structure
 intervals.  AuxWeight.ambient_samples() holds aux^(p-1) at the first-pass
-nodes of those ranges (quadrature.first_pass_nodes), sampled through the
-weight's own __call__ on the first ambient drive and kept with the object,
-so every later drive evaluates aux only where its cuts and refinement go.
+nodes of each range (quadrature.first_pass_nodes), sampled through the
+weight's own __call__ on the first ambient drive and kept with the object;
+drives hand them to integrate_ranges, and evaluate aux only where their cuts
+and refinement go.
 
 build_aux_weight makes one lockstep drive (integrate_ranges) for the whole
 structure: the two quarter-point-to-midpoint spans of each interval, cut at
@@ -540,7 +541,7 @@ class AuxWeight:
         self.cfg = cfg
         self.sigma = weight.transform(p)
         self._zones: Optional[_AuxTable] = None  # tabulated on first evaluation
-        self._samples: Optional[tuple] = None    # sampled on the first ambient drive
+        self._samples: Optional[list] = None     # sampled on the first ambient drive
 
     def _table(self) -> _AuxTable:
         if self._zones is None:
@@ -551,15 +552,15 @@ class AuxWeight:
         """aux(x)^(p-1), the weight of the ambient L^p norm."""
         return np.asarray(self(x), dtype=float) ** (self.exponent.p - 1.0)
 
-    def ambient_samples(self) -> tuple:
-        """(x, counts, weight): the first-pass nodes of the ambient ranges
-        (part.base.lo, part.base.hi, ()), one range per part, the number of
-        nodes of each range, and ambient_weight(x).  Sampled once, on first
-        use, and kept as long as this object; they do not depend on u."""
+    def ambient_samples(self) -> list:
+        """ambient_weight at the first-pass nodes of each ambient range
+        (part.base.lo, part.base.hi, ()), one array per part: integrate_ranges'
+        `first` for those ranges.  Sampled in one call, on first use, and kept
+        as long as this object; they do not depend on u."""
         if self._samples is None:
             x, index = first_pass_nodes([(part.base.lo, part.base.hi, ()) for part in self.parts])
-            self._samples = (x, np.bincount(index, minlength=len(self.parts)),
-                             self.ambient_weight(x))
+            ends = np.bincount(index, minlength=len(self.parts)).cumsum()
+            self._samples = np.split(self.ambient_weight(x), ends)[:-1]  # the last is empty
         return self._samples
 
     def __call__(self, x) -> np.ndarray:

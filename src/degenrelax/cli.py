@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     wopt = argparse.ArgumentParser(add_help=False)
     wopt.add_argument("--weight", required=True,
                       help="weight spec: figure1 | power:alpha=A | "
-                           "cascade:alpha=A,bumps=M | grid:FILE.csv | FILE.json | FILE.csv")
+                           "cascade:alpha=A,bumps=N | grid:FILE.csv | FILE.json | FILE.csv")
 
     ap = argparse.ArgumentParser(
         prog="degenrelax",
@@ -160,7 +160,9 @@ def _quad_config(args):
 def parse_function_arg(text: str, domain):
     """Build a test function from a CLI spec string."""
     text = text.strip()
-    kind, _, rest = text.partition(":")
+    kind, sep, rest = text.partition(":")
+    if kind in ("sqrt", "logdist") and sep:
+        raise ValueError(f"test function {kind!r} takes no argument, got {text!r}")
     if kind == "poly":
         coeffs = [float(t) for t in rest.split(",") if t.strip()]
         if not coeffs:

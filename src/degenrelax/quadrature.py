@@ -29,11 +29,10 @@ refinement round splits the panels of all ranges in one array step; only
 the choice of the panels to split stays per range, as its sums decide it.
 
 The first pass depends only on the ranges' ends and singular points, never
-on breakpoints or on the integrand: first_pass_nodes() returns its nodes,
-and integrate_ranges(..., first=values) takes the integrand's values there
-instead of calling it for that pass.  A factor of the integrand that several
-drives over the same ranges share (aux^(p-1) in the ambient norms) is thus
-sampled once.
+on breakpoints or on the integrand: first_pass_nodes() returns its nodes.
+integrate_ranges(..., first=) hands f inputs kept per range at those nodes,
+in its first request only, so a factor of the integrand that several drives
+over the same ranges share (aux^(p-1) in the ambient norms) is sampled once.
 
 classify_endpoint_integrability() answers the one-sided question "is
 w^(-1/(p-1)) integrable next to z" through the Weight interface alone: by
@@ -193,27 +192,25 @@ def _panel_nodes(lows, highs):
 
 
 def _evaluator(f):
-    """evaluate(lows, highs, owner, vals=None): _kronrod of the panels of two
+    """evaluate(lows, highs, owner, inputs=None): _kronrod of the panels of two
     arrays, in blocks of at most _MAX_REQUEST panels, each from one call
     f(x, index), index the range of each node, from owner, the range of each
-    panel; vals, when given, holds f's values at those nodes in that order,
-    and f is not called.  f is elementwise and _kronrod sums each panel on
-    its own, so the blocks change no bit; they bound the memory a request
-    holds."""
-    def block(lows, highs, owner, vals):
+    panel; with inputs (one per node, in that order), the call is
+    f(x, index, inputs) on the block's share of them.  f is elementwise and
+    _kronrod sums each panel on its own, so the blocks change no bit; they
+    bound the memory a request holds."""
+    def block(lows, highs, owner, inputs):
         xs, half = _panel_nodes(lows, highs)
-        if vals is None:
-            vals = f(xs.ravel(), np.repeat(owner, _NODES.size))
-        return _kronrod(xs, half, vals)
+        args = (xs.ravel(), np.repeat(owner, _NODES.size))
+        return _kronrod(xs, half, f(*args) if inputs is None else f(*args, inputs))
 
-    def evaluate(lows, highs, owner, vals=None):
+    def evaluate(lows, highs, owner, inputs=None):
         if lows.size <= _MAX_REQUEST:
-            return block(lows, highs, owner, vals)
-        parts = [block(lows[at:at + _MAX_REQUEST], highs[at:at + _MAX_REQUEST],
-                       owner[at:at + _MAX_REQUEST],
-                       None if vals is None else vals[at * _NODES.size:
-                                                      (at + _MAX_REQUEST) * _NODES.size])
-                 for at in range(0, lows.size, _MAX_REQUEST)]
+            return block(lows, highs, owner, inputs)
+        parts = [block(lows[s], highs[s], owner[s], None if inputs is None else
+                       inputs[s.start * _NODES.size:s.stop * _NODES.size])
+                 for s in (slice(at, at + _MAX_REQUEST)
+                           for at in range(0, lows.size, _MAX_REQUEST))]
         k15, err = (np.concatenate([s[i] for s in parts]) for i in (0, 1))
         if all(s[2] is None for s in parts):
             return k15, err, None, None
@@ -603,14 +600,18 @@ def _first_pass(pts: list):
 def _integrate_all(f, pts: list, cuts: list, cfg: QuadratureConfig, first=None) -> list:
     """IntegralResult or exception of each range, given by its graded points
     and breakpoints (None after one raised).  The first pass of all ranges is
-    one request (see _first_pass; its values are `first` when given); each
-    range then reads its gaps in order, and a divergent run ends it; the
-    pool cuts at its breakpoints (see _refine)."""
+    one request (see _first_pass), with f's inputs from `first` when given
+    (see integrate_ranges); each range then reads its gaps in order, and a
+    divergent run ends it; the pool cuts at its breakpoints (see _refine)."""
     evaluate = _evaluator(f)
     gaps, owner, runs, lows, highs, live = _first_pass(pts)
     w = runs.live.size // owner.size
-    vals, errs, bad, nan = _spread(evaluate(lows[live], highs[live],
-                                            np.repeat(owner, np.add.reduce(live, axis=1)), first),
+    per = np.add.reduce(live, axis=1)  # first-pass panels per gap
+    if first is not None:  # NaN inputs for the ranges given none
+        nodes = (np.add.reduceat(per, np.cumsum([0, *gaps[:-1]])) * _NODES.size).tolist()
+        first = np.concatenate([np.full(n, np.nan) if v is None else np.reshape(v, n)
+                                for v, n in zip(first[:len(pts)], nodes, strict=True)])
+    vals, errs, bad, nan = _spread(evaluate(lows[live], highs[live], np.repeat(owner, per), first),
                                    live)
     runs.vals, runs.errs, runs.bad_at, runs.nan_at = (
         None if a is None else a[:, :w].reshape(runs.lows.shape) for a in (vals, errs, bad, nan))
@@ -690,8 +691,8 @@ def first_pass_nodes(ranges: Sequence[tuple]) -> tuple:
 
     Ranges are (a, b, singular) or (a, b, singular, breakpoints); the first
     pass depends on a, b and the singular points alone, so breakpoints
-    change nothing here.  f's values at these nodes, passed to
-    integrate_ranges as `first`, stand in for its first call.
+    change nothing here.  A range's nodes are the same alone as among others,
+    so inputs kept at them can be handed to integrate_ranges as `first`.
     """
     pts, _, invalid = _graded_points((a, b, singular, ()) for a, b, singular, *_ in ranges)
     if invalid is not None:
@@ -703,10 +704,10 @@ def first_pass_nodes(ranges: Sequence[tuple]) -> tuple:
     return xs.ravel(), np.repeat(owner, np.add.reduce(live, axis=1) * _NODES.size)
 
 
-def integrate_ranges(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+def integrate_ranges(f: Callable[..., np.ndarray],
                      ranges: Sequence[tuple],
                      cfg: Optional[QuadratureConfig] = None,
-                     first: Optional[np.ndarray] = None) -> list:
+                     first: Optional[Sequence[Optional[np.ndarray]]] = None) -> list:
     """Integrate f over several ranges in lockstep; one IntegralResult per range.
 
     Each range is (a, b, singular, breakpoints) with integrate()'s meaning,
@@ -725,10 +726,10 @@ def integrate_ranges(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     into that many is not refined further: its result and error are those
     of the cut panels.
 
-    `first`, when given, holds f's values at first_pass_nodes(ranges), in
-    that order: f is then not called for the first pass, and the result is
-    the same bit for bit.  The cut step, grading into an inf node and
-    refinement still call f.
+    `first`, when given, holds per range None or one input of f at each of
+    that range's first-pass nodes, in first_pass_nodes([range]) order (else
+    ValueError).  The first request then calls f(x, index, inputs), inputs
+    NaN on the ranges given None; every later call is f(x, index).
     """
     cfg = cfg or DEFAULT_CONFIG
     # the ranges before an invalid one still run, and may raise first

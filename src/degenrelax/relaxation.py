@@ -418,7 +418,11 @@ def verify_relaxation(seq: ApproxSequence) -> RelaxationVerdict:
     """Check that the sequence converges: the ambient error and the energy gap
     at the finest mesh have both dropped to half their coarsest-mesh values,
     and the final gap sits within 1% of the limit in relative terms.  All
-    three must hold."""
+    three must hold.  A sequence of one member (one mesh parameter h, or
+    h_max at or below h_min) has nothing to compare: ValueError."""
+    if len(seq.members) < 2:
+        raise ValueError(f"the verdict compares the coarsest member with the finest, so it needs "
+                         f"two mesh parameters h >= h_min = {seq.h_min}; got {list(seq.h_values)}")
     rows = tuple((m.h, m.x_err, m.f_gap, m.seam_mismatch) for m in seq.members)
     first, last = seq.members[0], seq.members[-1]
     # purely relative tests: scaling u scales both sides alike

@@ -15,8 +15,9 @@ ambient terms |u - c|^p aux^(p-1)) and one drive per question: one term for
 the seminorm, the ambient norm or the membership, two for space_norm,
 poincare_global_check and relaxed_functional, two per member for a recovery
 sequence.  Ambient terms read aux^(p-1) on their first pass from the samples
-the auxiliary weight keeps (AuxWeight.ambient_samples).  A sampled u (tag
-"Grid") has no seminorm: its energy is divergent(inf) in every question.
+the auxiliary weight keeps (AuxWeight.ambient_samples), handed to
+integrate_ranges as they are.  A sampled u (tag "Grid") has no seminorm: its
+energy is divergent(inf) in every question.
 Every result is that of one plain drive per term, bit for bit.
 """
 
@@ -30,8 +31,7 @@ import numpy as np
 
 from .auxweight import AuxWeight
 from .degeneracy import DegeneracyStructure
-from .quadrature import (_MAX_REQUEST, _NODES, DEFAULT_CONFIG, IntegralResult, QuadratureConfig,
-                         first_pass_nodes, integrate_ranges)
+from .quadrature import DEFAULT_CONFIG, IntegralResult, QuadratureConfig, integrate_ranges
 from .weights import Exponent, Interval, Weight
 
 
@@ -290,9 +290,8 @@ def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
     keep the order of the terms, so a NaN raises as it would in one drive
     per term made in that order, and every result is that drive's bit for
     bit.  Each integrand call evaluates w once for all energy nodes and aux
-    once for all ambient nodes.  With ambient ranges, the first request
-    (aux^(p-1) from aux.ambient_samples()) is one loop of request-sized
-    blocks over all terms.
+    once for all ambient nodes, but the first: it reads aux^(p-1) from
+    aux.ambient_samples(), handed to integrate_ranges as `first`.
     """
     is_amb, shifts, ranges, bounds = [], [], [], [0]  # bounds: each term's first range, the end
     for kind, fn, arg in terms:
@@ -301,7 +300,7 @@ def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
         ranges += aux_ranges(fn, aux) if is_amb[-1] else [] if fn.tag == "Grid" else list(arg)
         bounds.append(len(ranges))
 
-    def f(x, index, weight=None):  # weight: aux^(p-1) at the nodes, when known
+    def f(x, index, weight=None):  # weight: aux^(p-1) at the ambient nodes, when kept
         # the nodes come in range order (integrate_ranges), so each term's are one slice
         cut = np.searchsorted(index, bounds).tolist() if len(terms) > 1 else [0, x.size]
         at, v = ([], []), ([], [])  # per kind (energy, ambient): the terms' slices and values
@@ -321,19 +320,9 @@ def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
         return out
 
     first = None
-    if any(is_amb) and aux.parts:  # the first request, in blocks that span the terms
-        sx, counts, sw = aux.ambient_samples()
-        own = np.repeat(np.arange(counts.size), counts)
-        # a term at a time into `rest`, the nodes not yet evaluated: few nodes held at once
-        n, first, rest = _MAX_REQUEST * _NODES.size, [], ()
-        for k, (amb, lo, hi) in enumerate(zip(is_amb, bounds, bounds[1:])):
-            x, i = (sx, own) if amb else first_pass_nodes(ranges[lo:hi])
-            rest += (x, i + lo, sw if amb else np.zeros(x.size)),
-            x, i, weight = map(np.concatenate, zip(*rest))
-            end = x.size if k == len(terms) - 1 else x.size - x.size % n  # whole blocks but last
-            rest = (x[end:], i[end:], weight[end:]),
-            first += [f(x[a:a + n], i[a:a + n], weight[a:a + n]) for a in range(0, end, n)]
-        first = np.concatenate(first)
+    if any(is_amb) and aux.parts:  # aux^(p-1) at the ambient ranges' first-pass nodes
+        first = [v for amb, a, b in zip(is_amb, bounds, bounds[1:])
+                 for v in (aux.ambient_samples() if amb else [None] * (b - a))]
     res = integrate_ranges(f, ranges, cfg, first)
     return [[IntegralResult.divergent(math.inf)] * len(arg)
             if kind == "energy" and fn.tag == "Grid" else res[a:b]

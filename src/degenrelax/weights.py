@@ -578,11 +578,33 @@ def weight_from_csv(path: str) -> GridSampledWeight:
     return GridSampledWeight(xs, ws, source=path)
 
 
+# the parameters each spec family takes, and those of a piecewise_power piece
+_SPEC_KEYS = {"figure1": (), "power": ("alpha",), "cascade": ("alpha", "bumps"),
+              "grid": ("csv", "x", "w"), "piecewise_power": ("domain", "pieces")}
+_PIECE_KEYS = ("lo", "hi", "scale", "pivot", "exponent")
+
+
+def _check_keys(spec: dict, allowed: tuple, what: str) -> None:
+    """WeightSpecError unless spec is a dict whose keys are all allowed."""
+    if not isinstance(spec, dict):
+        raise WeightSpecError(f"{what} must be a JSON object, got {spec!r}")
+    unknown = sorted(map(str, set(spec) - set(allowed)))
+    if unknown:
+        takes = ", ".join(k for k in allowed if k != "family") or "none"
+        raise WeightSpecError(f"{what} takes no parameter {', '.join(unknown)} (it takes {takes})")
+
+
 def weight_from_spec(spec: dict, p: Optional[Exponent] = None) -> Weight:
-    """Build a weight from its JSON-style dict specification."""
+    """Build a weight from its JSON-style dict specification.
+
+    A key that the family (or a piecewise_power piece) does not take raises
+    WeightSpecError, as does a cascade `bumps` that is not an integer."""
     if not isinstance(spec, dict) or "family" not in spec:
         raise WeightSpecError(f"weight spec must be a dict with a 'family' key, got {spec!r}")
     family = spec["family"]
+    if not isinstance(family, str) or family not in _SPEC_KEYS:
+        raise WeightSpecError(f"unknown weight family {family!r}")
+    _check_keys(spec, ("family", *_SPEC_KEYS[family]), f"{family} weight")
     if family == "figure1":
         return builtin_figure1()
     if family == "power":
@@ -590,24 +612,27 @@ def weight_from_spec(spec: dict, p: Optional[Exponent] = None) -> Weight:
     if family == "cascade":
         if p is None:
             raise WeightSpecError("cascade weight needs the run exponent p for validation")
-        return builtin_cascade(spec.get("alpha", 2.0), p, int(spec.get("bumps", spec.get("M", 8))))
+        bumps = float(spec.get("bumps", 8))
+        if not bumps.is_integer():
+            raise WeightSpecError(f"cascade bumps must be an integer, got {spec['bumps']!r}")
+        return builtin_cascade(spec.get("alpha", 2.0), p, int(bumps))
     if family == "grid":
         if "csv" in spec:
             return weight_from_csv(spec["csv"])
         if "x" in spec and "w" in spec:
             return GridSampledWeight(spec["x"], spec["w"])
         raise WeightSpecError("grid weight spec needs 'csv' or 'x'+'w'")
-    if family == "piecewise_power":
-        dom = spec.get("domain")
-        if not (isinstance(dom, (list, tuple)) and len(dom) == 2):
-            raise WeightSpecError("piecewise_power spec needs 'domain': [lo, hi]")
-        pieces = [
-            PowerPiece(float(q["lo"]), float(q["hi"]), float(q.get("scale", 1.0)),
-                       float(q["pivot"]), float(q.get("exponent", 0.0)))
-            for q in spec.get("pieces", [])
-        ]
-        return PiecewisePowerWeight(Interval(float(dom[0]), float(dom[1])), pieces)
-    raise WeightSpecError(f"unknown weight family {family!r}")
+    dom = spec.get("domain")
+    if not (isinstance(dom, (list, tuple)) and len(dom) == 2):
+        raise WeightSpecError("piecewise_power spec needs 'domain': [lo, hi]")
+    pieces = spec.get("pieces", [])
+    if not isinstance(pieces, list):
+        raise WeightSpecError(f"piecewise_power 'pieces' must be a list, got {pieces!r}")
+    for q in pieces:
+        _check_keys(q, _PIECE_KEYS, "a piecewise_power piece")
+    pieces = [PowerPiece(float(q["lo"]), float(q["hi"]), float(q.get("scale", 1.0)),
+                         float(q["pivot"]), float(q.get("exponent", 0.0))) for q in pieces]
+    return PiecewisePowerWeight(Interval(float(dom[0]), float(dom[1])), pieces)
 
 
 def parse_weight_arg(text: str, p: Optional[Exponent] = None) -> Weight:
@@ -635,7 +660,4 @@ def parse_weight_arg(text: str, p: Optional[Exponent] = None) -> Weight:
             if not _:
                 raise WeightSpecError(f"bad weight argument fragment {part!r}")
             kwargs[k.strip()] = float(v)
-    spec = {"family": name, **kwargs}
-    if "m" in spec:  # allow cascade:alpha=2,M=8 spelling
-        spec["bumps"] = spec.pop("m")
-    return weight_from_spec(spec, p)
+    return weight_from_spec({"family": name, **kwargs}, p)

@@ -168,13 +168,37 @@ def test_empty_structure(tmp_path):
     assert out.returncode == 2 and "empty structure" in out.stderr
 
 
-def test_failed_check_exits_one():
-    # logdist is outside the relaxed domain: approx refuses with exit 2;
-    # a cascade asked to certify growth with a single bump cannot show an
-    # increasing tail, but one bump is still increasing, so force failure
-    # through the membership path instead
+def test_u_outside_the_relaxed_domain_exits_two():
+    # logdist is outside the relaxed domain: approx refuses it as bad input
     out = run_cli("approx", "--weight", "figure1", "--u", "logdist", check=False)
-    assert out.returncode == 2
+    assert out.returncode == 2 and "relaxed domain" in out.stderr
+
+
+def test_failed_verification_exits_one():
+    # h = 6 and 7 are both above figure1's h_min = 5, but one step of the mesh
+    # halves neither the ambient error nor the energy gap: a genuine failed check
+    out = run_cli("approx", "--weight", "figure1", "--u", "poly:0,1", "--h", "6,7",
+                  "--no-timestamp", check=False)
+    d = json.loads(out.stdout)
+    assert out.returncode == 1 and d["h_values"] == [6, 7] and not d["verdict"]["ok"]
+
+
+@pytest.mark.parametrize("mesh", [("--h-max", "4"), ("--h", "8")])
+def test_one_member_sequence_exits_two(mesh):
+    # the verdict compares the coarsest member with the finest; on figure1
+    # (h_min = 5) these give one member, which is bad input, not a failed check
+    out = run_cli("approx", "--weight", "figure1", "--u", "poly:0,1", *mesh, check=False)
+    assert out.returncode == 2 and "h_min = 5" in out.stderr and out.stdout == ""
+
+
+def test_function_spec_rejects_an_argument_it_would_ignore():
+    from degenrelax.cli import parse_function_arg
+    from degenrelax import Interval
+    dom = Interval(0.0, 1.0)
+    for text in ("sqrt:junk", "logdist:3", "sqrt:"):
+        with pytest.raises(ValueError, match="takes no argument"):
+            parse_function_arg(text, dom)
+    assert [parse_function_arg(t, dom).label for t in ("sqrt", "logdist")] == ["sqrt", "logdist"]
 
 
 def test_out_flag_writes_file(tmp_path):

@@ -370,21 +370,27 @@ def test_grid_tagged_function_never_in_space(figure1_chain, p2):
 
 
 def test_a_first_request_is_one_integrand_call_per_block(figure1_chain, p2, monkeypatch):
-    # counts the calls of density_integrals' integrand made before each drive
-    # starts (its first request), next to that request's node count
+    # records, per drive, the node counts of the calls of density_integrals'
+    # integrand that read kept aux^(p-1) samples (its first request), and
+    # counts the calls made outside a drive
     integrand, = [c for c in spaces.density_integrals.__code__.co_consts
                   if isinstance(c, types.CodeType) and c.co_name == "f"]
-    calls, drives = [0], []
+    sizes, drives, outside, inside = [], [], [0], [False]
 
     def drive(f, ranges, cfg=None, first=None):
-        drives.append((first.size, calls[0]))
+        inside[0] = True
         out = integrate_ranges(f, ranges, cfg, first)
-        calls[0] = 0
+        inside[0] = False
+        drives.append((first_pass_nodes(ranges)[0].size, list(sizes)))
+        sizes.clear()
         return out
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code is integrand:
-            calls[0] += 1
+            if not inside[0]:
+                outside[0] += 1
+            elif frame.f_locals["weight"] is not None:
+                sizes.append(frame.f_locals["x"].size)
 
     monkeypatch.setattr(spaces, "integrate_ranges", drive)
     w, st_, aux = figure1_chain
@@ -398,8 +404,24 @@ def test_a_first_request_is_one_integrand_call_per_block(figure1_chain, p2, monk
         sys.setprofile(previous)
     # space_norm, then the sequence's relaxed value and its member drive: 8
     # terms whose first request spans more than four blocks of 17,280 nodes
-    assert len(drives) == 3 and drives[2][0] > 4 * 17280
-    assert [c for _, c in drives] == [math.ceil(n / 17280) for n, _ in drives]
+    assert len(drives) == 3 and drives[2][0] > 4 * 17280 and outside == [0]
+    assert [len(s) for _, s in drives] == [math.ceil(n / 17280) for n, _ in drives]
+    assert all(sum(s) == n and max(s) <= 17280 for n, s in drives)
+
+
+def test_a_density_drive_lays_out_its_first_pass_once(figure1_chain, p2, monkeypatch):
+    # the quadrature alone lays out a drive's first request: once per drive,
+    # plus once per aux weight for the samples it keeps
+    w, st_, aux = figure1_chain
+    aux.ambient_samples()
+    layouts, lay_out = [], quadrature._first_pass
+    monkeypatch.setattr(quadrature, "_first_pass", lambda pts: layouts.append(1) or lay_out(pts))
+    drives = count_drives(monkeypatch)
+    u = spline_function([-2.0, -1.0, 0.0, 1.0, 2.0], [0.0, 1.0, 0.5, 1.0, 0.0])
+    space_norm(u, w, aux, st_, p2, CFG)
+    assert len(layouts) == len(drives) == 1
+    build_approx_sequence(u, w, aux, st_, p2, h_values=[8, 16, 32], cfg=CFG)
+    assert len(layouts) == len(drives) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -722,10 +744,14 @@ def test_ambient_samples_change_no_bit(sampled_chain, monkeypatch):
     aux = build_aux_weight(w, p, st_, CFG)
     us = _test_functions(w)
     got = [_ambient_bits(u, w, aux, st_, p) for u in us + us]  # first and repeated calls
-    x, counts, weight = aux.ambient_samples()
-    assert x.size == counts.sum() and counts.size == len(aux.parts)
+    samples = aux.ambient_samples()
+    # one array per part: aux^(p-1) at that part's first-pass nodes
+    assert len(samples) == len(aux.parts)
+    for part, weight in zip(aux.parts, samples):
+        x, _ = first_pass_nodes([(part.base.lo, part.base.hi, ())])
+        assert _same_bits(weight, aux.ambient_weight(x))
     if name == "cascade":  # the first pass is more than one request
-        assert x.size > 15 * quadrature._MAX_REQUEST
+        assert sum(weight.size for weight in samples) > 15 * quadrature._MAX_REQUEST
     # the same drives with the plain density: aux evaluated at every node
     _plain_drives(monkeypatch)
     plain = build_aux_weight(w, p, st_, CFG)
@@ -751,7 +777,7 @@ def test_no_integrand_call_exceeds_one_request():
     v = TestFunction(fn=recording(u.fn), deriv=recording(u.deriv), tag="C1")
     poincare_global_check(v, w, aux, st_, p, CFG)
     relaxed_functional(v, w, aux, st_, p, CFG)
-    assert aux.ambient_samples()[0].size > 15 * quadrature._MAX_REQUEST
+    assert sum(weight.size for weight in aux.ambient_samples()) > 15 * quadrature._MAX_REQUEST
     assert max(sizes) <= 15 * quadrature._MAX_REQUEST
 
 
@@ -770,7 +796,8 @@ def test_second_ambient_drive_calls_aux_at_no_first_pass_node(figure1_chain, mon
     lp_aux_norm(first, aux, CFG)
     x, _ = first_pass_nodes([(part.base.lo, part.base.hi, ()) for part in aux.parts])
     # the samples are one aux call at the first-pass nodes
-    assert np.array_equal(seen[0], x) and np.array_equal(aux.ambient_samples()[0], x)
+    assert np.array_equal(seen[0], x)
+    assert _same_bits(np.concatenate(aux.ambient_samples()), aux.ambient_weight(x))
     seen.clear()
     norm = lp_aux_norm(second, aux, CFG)
     later = np.concatenate(seen)

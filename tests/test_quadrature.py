@@ -788,12 +788,12 @@ def test_steep_power_from_1e_4_is_finite():
 
 
 def _recording(f):
-    """f(x, index) and the list of (x, index) of every call it gets."""
+    """f(x, index[, inputs]) and the list of (x, index[, inputs]) of every call it gets."""
     calls = []
 
-    def g(x, index):
-        calls.append((np.array(x), np.array(index)))
-        return f(x, index)
+    def g(x, index, *inputs):
+        calls.append((np.array(x), np.array(index), *(np.array(v) for v in inputs)))
+        return f(x, index, *inputs)
     return g, calls
 
 
@@ -834,27 +834,60 @@ def test_first_pass_nodes_are_the_first_request(ranges):
     assert np.array_equal(_first_pass_calls(calls, x.size)[0], x)
 
 
+def _per_range_inputs(ranges, g, given):
+    """integrate_ranges' `first`: g(x) at each first-pass node of range k for
+    k in `given`, None for the others."""
+    x, index = first_pass_nodes(ranges)
+    for k, r in enumerate(ranges):  # a range's nodes are the same alone as among others
+        assert np.array_equal(first_pass_nodes([r])[0], x[index == k])
+    return [g(x[index == k]) if k in given else None for k in range(len(ranges))]
+
+
+def _factored(x, index, factor=None):
+    """_smooth, its factor exp(-x) read from `factor` on the ranges it is given for."""
+    e = np.exp(-x)
+    if factor is not None:
+        e = np.where(np.isnan(factor), e, factor)
+    return e * (1.0 + index) + np.abs(x - 0.5)
+
+
 @pytest.mark.parametrize("ranges", [_SINGULAR_RANGES,
                                     [(float(k), k + 1.0, (), [k + 0.3]) for k in range(12)]])
 def test_first_values_change_no_bit(ranges):
-    f, calls = _recording(_smooth)
+    f, calls = _recording(_factored)
     plain = integrate_ranges(f, ranges, CFG)
     x, index = first_pass_nodes(ranges)
-    k = _first_pass_calls(calls, x.size)[2]
-    g, rest = _recording(_smooth)
-    given = integrate_ranges(g, ranges, CFG, first=_smooth(x, index))
-    assert [_bits(r) for r in given] == [_bits(r) for r in plain]
-    # f is called only for the cut step and refinement, as in the plain drive
-    assert len(rest) == len(calls) - k >= 1
-    assert all(np.array_equal(a[0], b[0]) for a, b in zip(rest, calls[k:]))
+    k = _first_pass_calls([c[:2] for c in calls], x.size)[2]
+    given = set(range(0, len(ranges), 2))
+    first = _per_range_inputs(ranges, lambda x: np.exp(-x), given)
+    g, rest = _recording(_factored)
+    got = integrate_ranges(g, ranges, CFG, first=first)
+    assert [_bits(r) for r in got] == [_bits(r) for r in plain]
+    # the calls are the plain drive's, the first request one call per block of
+    # at most _MAX_REQUEST panels, each with its block of inputs (NaN where none)
+    assert len(rest) == len(calls) > k
+    assert k == -(-x.size // (15 * quadrature._MAX_REQUEST))
+    assert all(np.array_equal(a[0], b[0]) for a, b in zip(rest, calls))
+    assert all(len(c) == 3 for c in rest[:k]) and all(len(c) == 2 for c in rest[k:])
+    inputs = np.concatenate([c[2] for c in rest[:k]])
+    on = np.isin(index, list(given))
+    assert np.array_equal(inputs[on], np.exp(-x[on])) and np.isnan(inputs[~on]).all()
 
 
-def test_first_values_replace_every_first_call():
-    # a quintic over (0, 1) with no breakpoints is exact on the first pass
-    f, calls = _recording(lambda x, index: x ** 5)
+def test_first_values_reach_every_first_call(monkeypatch):
+    # a quintic over (0, 1) with no breakpoints is exact on the first pass,
+    # here split into requests of 10 panels: each call reads its own inputs
+    monkeypatch.setattr(quadrature, "_MAX_REQUEST", 10)
+    f, calls = _recording(lambda x, index, x5: x5)
     ranges = [(0.0, 1.0, (), ())]
-    r, = integrate_ranges(f, ranges, CFG, first=first_pass_nodes(ranges)[0] ** 5)
-    assert calls == [] and r.value == pytest.approx(1.0 / 6.0, rel=1e-15)
+    r, = integrate_ranges(f, ranges, CFG, first=_per_range_inputs(ranges, lambda x: x ** 5, {0}))
+    assert len(calls) == -(-first_pass_nodes(ranges)[0].size // 150) > 1
+    assert all(x.size <= 150 and np.array_equal(v, x ** 5) for x, _, v in calls)
+    assert r.value == pytest.approx(1.0 / 6.0, rel=1e-15)
+    with pytest.raises(ValueError):  # an input short, or a range without an entry
+        integrate_ranges(f, ranges, CFG, first=[np.zeros(3)])
+    with pytest.raises(ValueError):
+        integrate_ranges(f, ranges + [(1.0, 2.0, (), ())], CFG, first=[None])
 
 
 def _middle_node(ranges, k):
@@ -867,11 +900,14 @@ def test_first_values_keep_a_nan_node_error():
     ranges = [(0.0, 1.0, (), ()), (1.0, 2.0, [1.5], [1.2])]
     bad = _middle_node(ranges, 1)
 
-    def f(x, index):
-        return np.where(x == bad, math.nan, _smooth(x, index))
+    def factor(x):
+        return np.where(x == bad, math.nan, np.exp(-x))
+
+    def f(x, index, given=None):  # the NaN comes from `given` on the first request
+        return (factor(x) if given is None else given) * (1.0 + index) + np.abs(x - 0.5)
 
     errors = []
-    for first in (None, f(*first_pass_nodes(ranges))):
+    for first in (None, _per_range_inputs(ranges, factor, {0, 1})):
         with pytest.raises(IntegrandEvaluationError) as info:
             integrate_ranges(f, ranges, CFG, first=first)
         errors.append((str(info.value), info.value.location))
@@ -883,11 +919,11 @@ def test_first_values_grade_into_an_inf_node():
     c = _middle_node(ranges, 0)
     inv = _inv_sqrt(c)
 
-    def f(x, index):
-        return np.where(index == 0, inv(x), _smooth(x, index))
+    def f(x, index, given=None):  # range 0's first request reads inv from `given`
+        return np.where(index == 0, inv(x) if given is None else given, _smooth(x, index))
 
-    first = f(*first_pass_nodes(ranges))
-    assert np.isinf(first).sum() == 1
+    first = _per_range_inputs(ranges, inv, {0})
+    assert np.isinf(first[0]).sum() == 1 and first[1] is None
     plain = integrate_ranges(f, ranges, CFG)
     assert plain[0].is_finite
     assert plain[0].value == pytest.approx(2.0 * (math.sqrt(c) + math.sqrt(1.0 - c)), rel=1e-7)

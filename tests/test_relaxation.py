@@ -307,6 +307,18 @@ def test_x_norm_matches_ambient_norm_scale(figure1_chain, p2):
     assert seq.x_norm_u == pytest.approx(amb.value ** 0.5, rel=1e-12)
 
 
+def test_verdict_of_one_member_is_bad_input(figure1_chain, p2):
+    # a one-member sequence is still built, but the verdict compares the
+    # coarsest member with the finest: it names h_min instead of failing
+    w, st_, aux = figure1_chain
+    for hs in ([8], None):
+        seq = build_approx_sequence(poly_function([0.0, 1.0]), w, aux, st_, p2, h_values=hs,
+                                    h_max=4, cfg=CFG)
+        assert len(seq.members) == 1 and seq.h_min == 5
+        with pytest.raises(ValueError, match="h_min = 5"):
+            verify_relaxation(seq)
+
+
 def test_verdict_is_free_of_the_scale_of_u(figure1_chain, p2):
     # the energy gap and its limit both scale as |c|^p: f_rel and every flag
     # must read the same from c = 1 down to c = 1e-12

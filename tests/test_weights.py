@@ -303,6 +303,40 @@ def test_parse_weight_arg_grammar():
         parse_weight_arg("nosuchfamily")
 
 
+@pytest.mark.parametrize("text", ["power:alhpa=2", "figure1:alpha=3", "cascade:alpha=2,M=8",
+                                  "cascade:alpha=2,m=8", "cascade:alpha=2,bumps=3.7",
+                                  "cascade:alpha=2,bumps=inf"])
+def test_weight_arg_rejects_what_it_would_ignore(text):
+    # a misspelt or foreign parameter once built a default weight silently,
+    # and a fractional bump count was truncated
+    with pytest.raises(WeightSpecError):
+        parse_weight_arg(text, Exponent(2.0))
+
+
+def test_weight_spec_rejects_unknown_keys(tmp_path):
+    piece = {"lo": 0.0, "hi": 1.0, "scale": 1.0, "pivot": 0.0, "exponnet": 2.0}
+    with pytest.raises(WeightSpecError, match="exponnet"):
+        weight_from_spec({"family": "piecewise_power", "domain": [0.0, 1.0], "pieces": [piece]})
+    with pytest.raises(WeightSpecError, match="scale"):
+        weight_from_spec({"family": "grid", "x": [0.0, 1.0], "w": [1.0, 1.0], "scale": 2.0})
+    with pytest.raises(WeightSpecError, match="bumps"):
+        weight_from_spec({"family": "cascade", "alpha": 2.0, "bumps": 4.5}, Exponent(2.0))
+    # malformed JSON is bad input, and a piece takes no family
+    for pieces in ([5], 5, [{"lo": 0.0, "hi": 1.0, "pivot": 0.0, "family": "x"}]):
+        with pytest.raises(WeightSpecError):
+            weight_from_spec({"family": "piecewise_power", "domain": [0.0, 1.0], "pieces": pieces})
+    # every documented spelling still builds its weight
+    p = Exponent(2.0)
+    w = weight_from_spec({"family": "cascade", "alpha": 2.0, "bumps": 4.0}, p)
+    assert w.spec_dict() == {"family": "cascade", "alpha": 2.0, "bumps": 4}
+    assert parse_weight_arg("cascade:alpha=2,bumps=4", p).pieces == w.pieces
+    piece["exponent"] = piece.pop("exponnet")
+    for spec in ({"family": "figure1"}, {"family": "power", "alpha": 1.5}, w.spec_dict(),
+                 {"family": "piecewise_power", "domain": [0.0, 1.0], "pieces": [piece]},
+                 {"family": "grid", "x": [0.0, 1.0], "w": [1.0, 2.0]}):
+        assert weight_from_spec(spec, p).spec_dict() == spec
+
+
 def test_weight_spec_dict_round_trip():
     w = builtin_power(1.5)
     w2 = weight_from_spec(w.spec_dict())
