@@ -72,7 +72,7 @@ import numpy as np
 from .degeneracy import DegeneracyInterval, DegeneracyStructure
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, _NODES, _eval_panels,
                          first_pass_nodes, integrate_ranges)
-from .weights import Exponent, Weight
+from .weights import Exponent, Weight, sorted_unique
 
 
 _SUBNODES_PER_LEVEL = 11  # log-spaced mesh points per dyadic distance level
@@ -188,7 +188,7 @@ class BranchTable:
         series = np.concatenate([run_series, seg_series[ok]])
         series[:, 0] += c[outer]
         # panel zones: segments no series covers
-        seg = np.union1d(rest[~ok], np.flatnonzero(~plain))
+        seg = sorted_unique(np.concatenate((rest[~ok], np.flatnonzero(~plain))))
         n_c, n_s = first.size, seg.size
         # the power law below: the log-log secant across the first halving
         # of d above its base node
@@ -370,7 +370,7 @@ def _graded_mesh(h_max: float, anchor: float, sgn: float) -> np.ndarray:
     # math.log, not np.log: the two differ in the last ulp on some levels
     logs = np.array([math.log(d) for d in levels])
     mesh = np.exp(np.linspace(logs[:-1], logs[1:], _SUBNODES_PER_LEVEL, axis=1))
-    return np.unique(mesh)  # ascending distances
+    return sorted_unique(mesh)  # ascending distances
 
 
 def _sliver_nodes(d_r: float, d_max: float) -> np.ndarray:
@@ -424,7 +424,7 @@ def _kink_nodes(d_mesh: np.ndarray, endpoint: float, sgn: float,
     near = np.zeros(d_mesh.size, dtype=bool)
     for k in (np.maximum(at - 1, 0), np.minimum(at, d_k.size - 1)):
         near[:-1] |= np.abs(d_mesh[:-1] - d_k[k]) <= tol[k]
-    return np.union1d(d_mesh[~near], d_k)
+    return sorted_unique(np.concatenate((d_mesh[~near], d_k)))
 
 
 def _branch_mesh(endpoint: float, mid: float, removables: Sequence[float],
@@ -438,7 +438,7 @@ def _branch_mesh(endpoint: float, mid: float, removables: Sequence[float],
     extra = [_sliver_nodes((r - endpoint) * sgn, d_mesh[-1]) for r in removables
              if 0.0 < (r - endpoint) * sgn <= d_mesh[-1]]
     if extra:
-        d_mesh = np.unique(np.concatenate([d_mesh, *extra]))
+        d_mesh = sorted_unique(np.concatenate([d_mesh, *extra]))
     xs = endpoint + sgn * d_mesh
     # distinct distances can collide in x at float resolution; keep the outer one
     keep = np.ones(d_mesh.size, dtype=bool)
@@ -598,7 +598,8 @@ def build_aux_weight(w: Weight, p: Exponent, structure: DegeneracyStructure,
     sigma = w.transform(p)
     removables = [info.location for info in structure.removable_zeros]
     # removable zeros get sliver nodes instead
-    kinks = np.setdiff1d(np.asarray(w.breakpoints(), dtype=float), removables)
+    kinks = sorted_unique(np.asarray(w.breakpoints(), dtype=float))
+    kinks = kinks[~np.isin(kinks, sorted_unique(removables), assume_unique=True)]
     ivs = structure.intervals
     meshes = [_branch_mesh(end, iv.mid, removables, kinks)
               for iv in ivs for end in (iv.lo, iv.hi)]

@@ -44,7 +44,7 @@ from .relaxation import (UnsupportedStructureError, _relaxed_parts, build_approx
                          original_functional, verify_relaxation)
 from .spaces import (constant_function, log_edge_function, poincare_global_check, poly_function,
                      random_test_functions, spline_function, sqrt_edge_function)
-from .weights import Exponent, parse_weight_arg
+from .weights import Exponent, parse_weight_arg, sorted_unique
 
 
 def _jsonable(obj):
@@ -237,7 +237,7 @@ def cmd_aux(args) -> int:
         rows = []
         for part in aux.parts:
             xs = np.linspace(part.base.lo, part.base.hi, max(args.samples, 8))
-            xs = np.unique(np.concatenate([xs, [part.q1, part.q3]]))
+            xs = sorted_unique(np.concatenate([xs, [part.q1, part.q3]]))
             wv = np.asarray(w(xs), dtype=float)
             av = np.asarray(aux(xs), dtype=float)
             rows += [(float(x), float(wx), float(ax)) for x, wx, ax in zip(xs, wv, av)]

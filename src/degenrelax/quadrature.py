@@ -51,7 +51,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .weights import Exponent, Weight, finite_peak
+from .weights import Exponent, Weight, finite_peak, sorted_unique
 
 
 class IntegrandEvaluationError(RuntimeError):
@@ -681,7 +681,7 @@ def _graded_points(ranges: Sequence[tuple]):
         pts.append([a] + [s for s in sing if a + tol < s < b - tol] + [b])
         c = np.asarray(breakpoints, dtype=float)
         c = c[(c > a + tol) & (c < b - tol)]
-        cuts.append(np.unique(c) if c.size > 1 else c)
+        cuts.append(sorted_unique(c) if c.size > 1 else c)
     return pts, cuts, None
 
 

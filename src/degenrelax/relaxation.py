@@ -17,7 +17,7 @@ grid segment, bridge, constant and touching seam).  Each member is a
 genuine AC function whose ambient distance to u and energy gap are measured
 and reported: every member's |m - u|^p aux^(p-1) and |m'|^p w are terms of
 one spaces.density_integrals drive, and the relaxed value and ambient norm
-of u are one more.
+of u are one more, or none when earlier questions answered them for u.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def _relaxed_parts(u: TestFunction, w: Weight, aux: AuxWeight,
                    cfg: Optional[QuadratureConfig] = None
                    ) -> tuple[FunctionalValue, IntegralResult, MembershipReport]:
     """relaxed_functional with the ambient integral and the membership
-    report it is decided on, from one drive."""
+    report it is decided on, from at most one drive."""
     amb, energies = density_integrals(
         [("ambient", u, 0.0), ("energy", u, energy_ranges(u, w, structure))], w, p.p, aux, cfg)
     amb = IntegralResult.total(amb)

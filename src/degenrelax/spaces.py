@@ -11,10 +11,14 @@ functions for batteries.
 
 Every integral of u (or of a recovery member) goes through
 density_integrals, one integrand for both densities (energy terms |u'|^p w,
-ambient terms |u - c|^p aux^(p-1)) and one drive per question: one term for
-the seminorm, the ambient norm or the membership, two for space_norm,
-poincare_global_check and relaxed_functional, two per member for a recovery
-sequence.  Ambient terms read aux^(p-1) on their first pass from the samples
+ambient terms |u - c|^p aux^(p-1)): one term for the seminorm, the ambient
+norm or the membership, two for space_norm, poincare_global_check and
+relaxed_functional, two per member for a recovery sequence.  u keeps every
+range's result as long as it lives, so each question makes at most one
+drive, of the ranges not yet answered for that u: asked in a battery's
+order (ambient norm, seminorm, Poincare check, relaxed value), the Poincare
+check integrates only its shifted ambient term and the relaxed value
+nothing.  Ambient terms read aux^(p-1) on their first pass from the samples
 the auxiliary weight keeps (AuxWeight.ambient_samples), handed to
 integrate_ranges as they are.  A sampled u (tag "Grid") has no seminorm: its
 energy is divergent(inf) in every question.
@@ -42,7 +46,9 @@ class TestFunction:
     tag is one of "AC" (absolutely continuous), "C1", or "Grid" (merely
     sampled; such functions carry no meaningful derivative and never have
     finite original energy).  breakpoints list derivative kinks so
-    quadrature can cut panels there.
+    quadrature can cut panels there.  The function keeps the result of each
+    range density_integrals integrated it over, so no question asked of it
+    integrates a range twice; that memo is not a field.
     """
 
     __test__ = False  # not a test case, despite the Test prefix
@@ -56,6 +62,9 @@ class TestFunction:
     def __post_init__(self):
         if self.tag not in ("AC", "C1", "Grid"):
             raise ValueError(f"unknown regularity tag {self.tag!r}")
+        # density_integrals' finished ranges; not a field, so ==, hash, repr,
+        # asdict never see it and dataclasses.replace starts an empty one
+        object.__setattr__(self, "_memo", {})
 
     def __call__(self, x):
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
@@ -278,33 +287,57 @@ def aux_ranges(u: TestFunction, aux: AuxWeight) -> list:
 def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
                       aux: Optional[AuxWeight] = None,
                       cfg: Optional[QuadratureConfig] = None) -> list:
-    """The integrals of several densities in one drive: per term, in order,
-    the list of its ranges' IntegralResults.
+    """The integrals of several densities: per term, in order, the list of
+    its ranges' IntegralResults.
 
     A term ("energy", fn, ranges) integrates |fn'|^p w over the given
     ranges (see energy_ranges); a term ("ambient", fn, shifts) integrates
     |fn - c_k|^p aux^(p-1) over aux_ranges(fn, aux), c_k = shifts[k] on part
     k (a scalar shift holds on every part).  Energy terms use p = pp,
     ambient ones aux's exponent.  The energy of a sampled fn (tag "Grid")
-    is divergent(inf) on each range, none of them integrated.  The ranges
-    keep the order of the terms, so a NaN raises as it would in one drive
-    per term made in that order, and every result is that drive's bit for
-    bit.  Each integrand call evaluates w once for all energy nodes and aux
-    once for all ambient nodes, but the first: it reads aux^(p-1) from
-    aux.ambient_samples(), handed to integrate_ranges as `first`.
+    is divergent(inf) on each range, none of them integrated.
+
+    Each fn keeps the result of every range it was integrated over, keyed by
+    the term kind, the object integrated against (w or aux, which the entry
+    holds), the exponent, cfg, the range and, for an ambient range, c_k.  A
+    range found there is not integrated again; the others make one drive,
+    in term order, stored only once it returns.  So a NaN raises as it would
+    in one drive per term made in that order, and every result is that
+    drive's bit for bit.  Each integrand call evaluates w once for all
+    energy nodes and aux once for all ambient nodes, but the first: it reads
+    aux^(p-1) from aux.ambient_samples(), handed to integrate_ranges as
+    `first`.
     """
-    is_amb, shifts, ranges, bounds = [], [], [], [0]  # bounds: each term's first range, the end
+    cfg = cfg or DEFAULT_CONFIG
+    answers, todo, ranges, bounds, first, store = [], [], [], [], [], []
     for kind, fn, arg in terms:
-        is_amb.append(kind == "ambient")
-        shifts.append(np.asarray(arg, dtype=float) if is_amb[-1] else None)
-        ranges += aux_ranges(fn, aux) if is_amb[-1] else [] if fn.tag == "Grid" else list(arg)
-        bounds.append(len(ranges))
+        amb = kind == "ambient"
+        if not amb and fn.tag == "Grid":
+            answers.append([IntegralResult.divergent(math.inf)] * len(arg))
+            continue
+        obj, c = (aux, np.asarray(arg, dtype=float)) if amb else (w, None)
+        own = aux_ranges(fn, aux) if amb else list(arg)
+        memo = fn._memo.setdefault((kind, id(obj), aux.exponent.p if amb else pp, cfg),
+                                   (obj, {}))[1]
+        keys = [(a, b, tuple(s), tuple(cuts), float(c if c.ndim == 0 else c[k]) if amb else None)
+                for k, (a, b, s, cuts) in enumerate(own)]
+        answers.append([memo.get(key) for key in keys])
+        miss = [k for k, r in enumerate(answers[-1]) if r is None]
+        if miss:
+            todo.append((fn, amb, c if not amb or c.ndim == 0 else c[miss]))
+            bounds.append(len(ranges))
+            ranges += [own[k] for k in miss]
+            first += [aux.ambient_samples()[k] for k in miss] if amb else [None] * len(miss)
+            store += [(answers[-1], k, memo, keys[k]) for k in miss]
+    if not ranges:
+        return answers
+    bounds.append(len(ranges))  # bounds: each drive term's first range, the end
 
     def f(x, index, weight=None):  # weight: aux^(p-1) at the ambient nodes, when kept
         # the nodes come in range order (integrate_ranges), so each term's are one slice
-        cut = np.searchsorted(index, bounds).tolist() if len(terms) > 1 else [0, x.size]
+        cut = np.searchsorted(index, bounds).tolist() if len(todo) > 1 else [0, x.size]
         at, v = ([], []), ([], [])  # per kind (energy, ambient): the terms' slices and values
-        for (_, fn, _), amb, c, b, lo, hi in zip(terms, is_amb, shifts, bounds, cut, cut[1:]):
+        for (fn, amb, c), b, lo, hi in zip(todo, bounds, cut, cut[1:]):
             if lo < hi:
                 s = slice(lo, hi)
                 at[amb].append(s)
@@ -319,14 +352,10 @@ def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
                                      aux.exponent.p) if amb else energy_values(vs, w(x[s]), pp)
         return out
 
-    first = None
-    if any(is_amb) and aux.parts:  # aux^(p-1) at the ambient ranges' first-pass nodes
-        first = [v for amb, a, b in zip(is_amb, bounds, bounds[1:])
-                 for v in (aux.ambient_samples() if amb else [None] * (b - a))]
-    res = integrate_ranges(f, ranges, cfg, first)
-    return [[IntegralResult.divergent(math.inf)] * len(arg)
-            if kind == "energy" and fn.tag == "Grid" else res[a:b]
-            for (kind, fn, arg), a, b in zip(terms, bounds, bounds[1:])]
+    res = integrate_ranges(f, ranges, cfg, first if any(amb for _, amb, _ in todo) else None)
+    for (results, k, memo, key), r in zip(store, res):
+        results[k] = memo[key] = r
+    return answers
 
 
 def seminorm_energy(u: TestFunction, w: Weight, structure: DegeneracyStructure,

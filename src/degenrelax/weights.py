@@ -487,6 +487,17 @@ def builtin_cascade(alpha: float, p: Exponent, bumps: int) -> PiecewisePowerWeig
 # grid sampled weights
 
 
+def sorted_unique(values) -> np.ndarray:
+    """The distinct values of a NaN-free array, ascending, as np.unique gives
+    them, without the numpy.ma import np.unique makes on its first call
+    (numpy 2.4; union1d and setdiff1d call np.unique too)."""
+    s = np.sort(values, axis=None)
+    keep = np.empty(s.size, dtype=bool)
+    keep[:1] = True
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
+
+
 def finite_peak(values: np.ndarray) -> float:
     """The largest finite sample of w, or 0: a +inf one must not scale a tolerance."""
     return float(np.max(values, where=np.isfinite(values), initial=0.0))

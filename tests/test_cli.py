@@ -283,6 +283,26 @@ def test_import_leaves_scipy_unloaded(tmp_path):
     assert (tmp_path / "members.csv").read_text().startswith("h,x_err")
 
 
+def test_subcommands_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique, union1d and setdiff1d import numpy.ma on their first call
+    # (numpy 2.4), 15-17 ms of a CLI run; the package calls none of them
+    code = "\n".join([
+        "import sys",
+        "from degenrelax import cli",
+        "for args in (['analyze', '--weight', 'figure1', '--p', '2'],",
+        "             ['relax', '--weight', 'figure1', '--u', 'poly:0,1'],",
+        "             ['poincare', '--weight', 'figure1', '--count', '4'],",
+        f"             ['aux', '--weight', 'figure1', '--csv', {str(tmp_path / 'aux.csv')!r}],",
+        "             ['approx', '--weight', 'figure1', '--u', 'poly:0,1', '--h-max', '16'],",
+        "             ['cascade', '--alpha', '2', '--bumps', '6']):",
+        "    assert cli.main(args + ['--no-timestamp']) == 0, args",
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "aux.csv").read_text().startswith("x,weight,aux")
+
+
 def readme_examples() -> list:
     """The command lines of the README's CLI example block."""
     prefix, fenced, lines = "python -m degenrelax.cli ", False, []

@@ -3,6 +3,7 @@
 import math
 import sys
 import types
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -402,16 +403,18 @@ def test_a_first_request_is_one_integrand_call_per_block(figure1_chain, p2, monk
         build_approx_sequence(u, w, aux, st_, p2, h_values=[8, 16, 32, 64], cfg=CFG)
     finally:
         sys.setprofile(previous)
-    # space_norm, then the sequence's relaxed value and its member drive: 8
-    # terms whose first request spans more than four blocks of 17,280 nodes
-    assert len(drives) == 3 and drives[2][0] > 4 * 17280 and outside == [0]
+    # space_norm, then the sequence's member drive (space_norm answered its
+    # relaxed value): 8 terms whose first request spans more than four blocks
+    # of 17,280 nodes
+    assert len(drives) == 2 and drives[1][0] > 4 * 17280 and outside == [0]
     assert [len(s) for _, s in drives] == [math.ceil(n / 17280) for n, _ in drives]
     assert all(sum(s) == n and max(s) <= 17280 for n, s in drives)
 
 
 def test_a_density_drive_lays_out_its_first_pass_once(figure1_chain, p2, monkeypatch):
     # the quadrature alone lays out a drive's first request: once per drive,
-    # plus once per aux weight for the samples it keeps
+    # plus once per aux weight for the samples it keeps; the sequence's relaxed
+    # value is space_norm's answer, so its member drive is the only new one
     w, st_, aux = figure1_chain
     aux.ambient_samples()
     layouts, lay_out = [], quadrature._first_pass
@@ -421,7 +424,7 @@ def test_a_density_drive_lays_out_its_first_pass_once(figure1_chain, p2, monkeyp
     space_norm(u, w, aux, st_, p2, CFG)
     assert len(layouts) == len(drives) == 1
     build_approx_sequence(u, w, aux, st_, p2, h_values=[8, 16, 32], cfg=CFG)
-    assert len(layouts) == len(drives) == 3
+    assert len(layouts) == len(drives) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -591,26 +594,37 @@ def test_density_integrals_equal_the_interval_loop(any_chain):
 
 
 def test_each_question_is_one_drive(any_chain, monkeypatch):
+    # each question makes at most one drive, of the ranges not yet answered
+    # for that u; a copy of u (dataclasses.replace) has none answered
     w, st_, aux, p = any_chain
     dom = w.domain
     u = spline_function(np.linspace(dom.lo, dom.hi, 7), np.random.default_rng(4).uniform(-1, 1, 7))
     lp, member = lp_aux_norm(u, aux, CFG), check_membership(u, w, st_, p, CFG)
     calls = count_drives(monkeypatch)
     rep = poincare_global_check(u, w, aux, st_, p, CFG)
-    assert len(calls) == 1
     rel, amb, mem = _relaxed_parts(u, w, aux, st_, p, CFG)
-    assert len(calls) == 2
     norm = space_norm(u, w, aux, st_, p, CFG)
-    assert len(calls) == 3
-    # energy ranges (their singular points a list) then the ambient ones,
-    # then twice the other way round
+    # the energy and the ambient term at shift 0 were answered: the Poincare
+    # check drives its shifted ambient ranges alone, the other two nothing
     n = len(st_.intervals)
-    assert [[isinstance(r[2], list) for r in c] for c in calls] == \
+    spans = [(part.base.lo, part.base.hi) for part in aux.parts]
+    assert [[r[:2] for r in c] for c in calls] == [spans]
+    fresh = (poincare_global_check(replace(u), w, aux, st_, p, CFG),
+             _relaxed_parts(replace(u), w, aux, st_, p, CFG),
+             space_norm(replace(u), w, aux, st_, p, CFG))
+    # on copies: energy ranges (their singular points a list) then the
+    # ambient ones, then twice the other way round
+    assert [[isinstance(r[2], list) for r in c] for c in calls[1:]] == \
         [[True] * n + [False] * n] + [[False] * n + [True] * n] * 2
     # each answers as the drives of its two sides alone, bit for bit
     assert [e for _, e in rep.per_interval] == [e.value for e in member.per_interval]
     assert _bits(amb) == _bits(lp) and mem == member and rel.value == member.seminorm.value
     assert norm.hex() == ((lp.value + member.seminorm.value) ** (1.0 / p.p)).hex()
+    assert [(a.hex(), b.hex()) for a, b in rep.per_interval] == \
+        [(a.hex(), b.hex()) for a, b in fresh[0].per_interval]
+    assert (rel.value.hex(), _bits(amb), [_bits(r) for r in mem.per_interval]) == \
+        (fresh[1][0].value.hex(), _bits(fresh[1][1]), [_bits(r) for r in fresh[1][2].per_interval])
+    assert norm.hex() == fresh[2].hex()
     # a sampled u has no energy: its relaxed parts are the ambient drive alone
     grid = TestFunction(fn=u.fn, deriv=None, tag="Grid")
     calls.clear()
@@ -634,6 +648,113 @@ def test_a_drive_raises_the_nan_of_its_first_question(figure1_chain, p2):
         with pytest.raises(IntegrandEvaluationError) as got:
             question(u, w, aux, st_, p2, CFG)
         assert got.value.location == want.value.location, question.__name__
+
+
+# ---------------------------------------------------------------------------
+# each range integrated once per u
+
+
+def _battery(fresh, w, st_, aux, p):
+    """A battery case's four questions, in its order, each asked of fresh(),
+    as bit strings."""
+    lp = lp_aux_norm(fresh(), aux, CFG)
+    semi = seminorm_energy(fresh(), w, st_, p, CFG)
+    rep = poincare_global_check(fresh(), w, aux, st_, p, CFG)
+    rel = relaxed_functional(fresh(), w, aux, st_, p, CFG)
+    return [_bits(lp), _bits(semi), [(a.hex(), b.hex()) for a, b in rep.per_interval],
+            rep.lhs.hex(), rep.rhs.hex(), rep.ratio.hex(), (rel.kind, rel.value.hex())]
+
+
+@pytest.mark.parametrize("pv", [1.5, 3.0])
+@pytest.mark.parametrize("name", ["figure1", "power", "two_tent"])
+def test_a_battery_case_integrates_each_range_once(name, pv, monkeypatch):
+    w = {"figure1": builtin_figure1, "power": lambda: builtin_power(0.7),
+         "two_tent": make_two_tent}[name]()
+    p = Exponent(pv)
+    st_ = detect_structure(w, p, CFG)
+    aux = build_aux_weight(w, p, st_, CFG)
+    dom = w.domain
+    u = spline_function(np.linspace(dom.lo, dom.hi, 7), np.random.default_rng(5).uniform(-1, 1, 7))
+    calls = count_drives(monkeypatch)
+    got = _battery(lambda: u, w, st_, aux, p)
+    # the ambient norm and the seminorm drive, the Poincare check its shifted
+    # ambient term alone, the relaxed value nothing
+    assert len(calls) == 3 and [r[:2] for r in calls[2]] == \
+        [(part.base.lo, part.base.hi) for part in aux.parts]
+    # each question asked of its own copy of u is one drive, with the same bits
+    calls.clear()
+    assert _battery(lambda: replace(u), w, st_, aux, p) == got and len(calls) == 4
+
+
+def test_a_question_asked_twice_calls_no_integrand(figure1_chain, p2, monkeypatch):
+    w, st_, aux = figure1_chain
+    seen = []
+    u = _recording(spline_function([-2.0, -1.2, 0.0, 0.7, 2.0], [0.0, 0.5, -1.0, 0.3, 0.0]), seen)
+    first = (_bits(seminorm_energy(u, w, st_, p2, CFG)), space_norm(u, w, aux, st_, p2, CFG))
+    assert seen
+    seen.clear()
+    calls = count_drives(monkeypatch)
+    assert (_bits(seminorm_energy(u, w, st_, p2, CFG)), space_norm(u, w, aux, st_, p2, CFG)) == first
+    # None is the default configuration, which CFG equals
+    assert _bits(seminorm_energy(u, w, st_, p2)) == first[0]
+    assert calls == [] and seen == []
+
+
+def test_what_a_range_depends_on_integrates_again(figure1_chain, p2, monkeypatch):
+    w, st_, aux = figure1_chain
+    u = spline_function([-2.0, -1.2, 0.0, 0.7, 2.0], [0.0, 0.5, -1.0, 0.3, 0.0])
+    semi, lp = seminorm_energy(u, w, st_, p2, CFG), lp_aux_norm(u, aux, CFG)
+    iv = st_.intervals[1]
+    pointwise_poincare_check(u, w, aux, 1, iv.lo + 0.25 * iv.width, iv.mid, CFG)
+    calls = count_drives(monkeypatch)
+    other_w = builtin_figure1()  # equal values, another object
+    other_aux = build_aux_weight(w, p2, st_, CFG)
+    again = [
+        lambda: seminorm_energy(u, other_w, st_, p2, CFG),
+        lambda: lp_aux_norm(u, other_aux, CFG),
+        lambda: seminorm_energy(u, w, st_, Exponent(3.0), CFG),
+        lambda: seminorm_energy(u, w, st_, p2, QuadratureConfig(rel_tol=1e-9)),
+        lambda: poincare_global_check(u, w, aux, st_, p2, CFG),  # ambient shifts u(mid)
+        lambda: pointwise_poincare_check(u, w, aux, 1, iv.lo + 0.3 * iv.width, iv.mid, CFG),
+        lambda: seminorm_energy(replace(u, breakpoints=(0.0,)), w, st_, p2, CFG),
+    ]
+    for k, question in enumerate(again):
+        question()
+        assert len(calls) == k + 1, k
+    # the Poincare check's energy was answered: its drive is the ambient term
+    assert [r[:2] for r in calls[4]] == [(part.base.lo, part.base.hi) for part in aux.parts]
+    # equal answers where only the object differs
+    assert _bits(seminorm_energy(u, other_w, st_, p2, CFG)) == _bits(semi)
+    assert _bits(lp_aux_norm(u, other_aux, CFG)) == _bits(lp)
+    assert len(calls) == len(again)
+
+
+def test_a_question_that_raised_raises_again(figure1_chain, p2, monkeypatch):
+    w, st_, aux = figure1_chain
+    # u is NaN on the right of 1.5, u' on the left of -1.5
+    u = TestFunction(fn=lambda x: np.where(x > 1.5, np.nan, x),
+                     deriv=lambda x: np.where(x < -1.5, np.nan, 1.0), tag="AC")
+    calls = count_drives(monkeypatch)
+    for question in (lambda: seminorm_energy(u, w, st_, p2, CFG),
+                     lambda: lp_aux_norm(u, aux, CFG),
+                     lambda: relaxed_functional(u, w, aux, st_, p2, CFG)):
+        with pytest.raises(IntegrandEvaluationError) as first:
+            question()
+        with pytest.raises(IntegrandEvaluationError) as again:
+            question()
+        assert str(again.value) == str(first.value)
+        assert again.value.location == first.value.location
+    assert len(calls) == 6 and all(not memo for _, memo in u._memo.values())
+
+
+def test_the_memo_is_no_field(figure1_chain, p2):
+    w, st_, aux = figure1_chain
+    u = spline_function([-2.0, -1.2, 0.0, 0.7, 2.0], [0.0, 0.5, -1.0, 0.3, 0.0], label="s")
+    before = repr(u), hash(u), asdict(u)
+    space_norm(u, w, aux, st_, p2, CFG)
+    assert u._memo and not replace(u)._memo
+    assert (repr(u), hash(u), asdict(u)) == before
+    assert u == replace(u) and hash(u) == hash(replace(u))
 
 
 def _recording(u, seen):
