@@ -13,7 +13,6 @@ band so the growth rate can be read off directly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -63,7 +62,7 @@ def cascade_partial_sums(alpha: float, p: Exponent, bumps: int,
     spans = [(part.base.lo, part.base.hi) for part in aux.parts]
     masses = integrate_ranges(lambda x, _: aux(x),
                               [(part.base.lo, part.q1, (), ()) for part in aux.parts], cfg)
-    terms = [res.value if res.is_finite else math.inf for res in masses]
+    terms = [res.value_or_inf for res in masses]
 
     comparison_log2 = [alpha_p * (i + 1) - alpha_p * i for i in range(1, bumps + 1)]
     comparison = [2.0 ** lg for lg in comparison_log2]

@@ -40,10 +40,11 @@ from .auxweight import aux_global_bounds, build_aux_weight
 from .cascade import cascade_partial_sums
 from .degeneracy import detect_structure
 from .quadrature import DEFAULT_CONFIG, IndeterminateIntegrabilityError, IntegrandEvaluationError
-from .relaxation import (UnsupportedStructureError, _relaxed_parts, build_approx_sequence,
-                         original_functional, verify_relaxation)
-from .spaces import (constant_function, log_edge_function, poincare_global_check, poly_function,
-                     random_test_functions, spline_function, sqrt_edge_function)
+from .relaxation import (UnsupportedStructureError, build_approx_sequence, original_functional,
+                         relaxed_functional, verify_relaxation)
+from .spaces import (check_membership, constant_function, log_edge_function, lp_aux_norm,
+                     poincare_global_check, poly_function, random_test_functions,
+                     spline_function, sqrt_edge_function)
 from .weights import Exponent, parse_weight_arg, sorted_unique
 
 
@@ -115,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="auxiliary weight construction and bounds")
     sp.add_argument("--csv", default=None, help="write (x, weight, aux) samples here")
     sp.add_argument("--samples", type=int, default=256,
-                    help="sample count per interval for --csv (default 256)")
+                    help="sample count per interval for --csv, at least 8 (default 256)")
 
     sp = sub.add_parser("poincare", parents=[common, wopt],
                         help="weighted mean-gap inequality battery")
@@ -123,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="test function spec (repeatable): poly:c0,c1,... | "
                          "const:V | spline:x=y,x=y,... | sqrt | logdist")
     sp.add_argument("--count", type=int, default=8,
-                    help="random spline count when no --u given (default 8)")
+                    help="random spline count when no --u given, at least 1 (default 8)")
     sp.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
     sp = sub.add_parser("relax", parents=[common, wopt],
@@ -218,6 +219,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_aux(args) -> int:
+    if args.samples < 8:
+        raise ValueError(f"--samples must be at least 8, got {args.samples}")
     w, p, cfg, structure = _setup(args)
     aux = build_aux_weight(w, p, structure, cfg)
     bounds = aux_global_bounds(aux)
@@ -236,7 +239,7 @@ def cmd_aux(args) -> int:
     if args.csv:
         rows = []
         for part in aux.parts:
-            xs = np.linspace(part.base.lo, part.base.hi, max(args.samples, 8))
+            xs = np.linspace(part.base.lo, part.base.hi, args.samples)
             xs = sorted_unique(np.concatenate([xs, [part.q1, part.q3]]))
             wv = np.asarray(w(xs), dtype=float)
             av = np.asarray(aux(xs), dtype=float)
@@ -257,6 +260,8 @@ def cmd_aux(args) -> int:
 
 
 def cmd_poincare(args) -> int:
+    if not args.u and args.count < 1:  # a verification of no function would pass
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     w, p, cfg, structure = _setup(args)
     if structure.kind == "zero":
         raise ValueError("weight vanishes a.e.; no structure to test against")
@@ -287,7 +292,8 @@ def cmd_relax(args) -> int:
     u = parse_function_arg(args.u, w.domain)
     orig = original_functional(u, w, p, cfg)
     aux = build_aux_weight(w, p, structure, cfg)
-    rel, amb, mem = _relaxed_parts(u, w, aux, structure, p, cfg)
+    rel = relaxed_functional(u, w, aux, structure, p, cfg)
+    mem = check_membership(u, w, structure, p, cfg)  # both read what relaxed_functional integrated
     _emit({
         "command": "relax",
         "weight": w.spec_dict(),
@@ -295,9 +301,8 @@ def cmd_relax(args) -> int:
         "u": u.label,
         "original": asdict(orig),
         "relaxed": asdict(rel),
-        "membership": {"in_space": mem.in_space,
-                       "seminorm": mem.seminorm.value if mem.seminorm.is_finite else math.inf},
-        "ambient_norm_p": amb.value if amb.is_finite else math.inf,
+        "membership": {"in_space": mem.in_space, "seminorm": mem.seminorm.value_or_inf},
+        "ambient_norm_p": lp_aux_norm(u, aux, cfg).value_or_inf,
     }, args)
     return 0
 

@@ -97,6 +97,13 @@ class QuadratureConfig:
     # integrand never changes the result; binds only where the integral cancels
     abs_tol: float = 1e-13
 
+    def __post_init__(self):
+        for name in ("rel_tol", "abs_tol"):
+            value = getattr(self, name)
+            # an infinite tolerance would switch refinement off, NaN or a negative one read as 0
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
 
 DEFAULT_CONFIG = QuadratureConfig()
 
@@ -117,6 +124,12 @@ class IntegralResult:
     @property
     def is_finite(self) -> bool:
         return self.kind == "finite"
+
+    @property
+    def value_or_inf(self) -> float:
+        """The value, or +inf when divergent: how an integral of a nonnegative
+        density reads as a number (the partial sum of a divergent one does not)."""
+        return math.inf if self.kind == "divergent" else self.value
 
     @staticmethod
     def finite(value: float, err: float) -> "IntegralResult":
@@ -858,7 +871,7 @@ def classify_endpoint_integrability(w: Weight, p: Exponent, z: float, far: float
         interior = [s for s in interior_singular if lo < s < hi]
         res = integrate(w.transform(p), lo, hi, cfg, singular=interior,
                         breakpoints=w.breakpoints())
-        value = res.value if res.is_finite else math.inf
+        value = res.value_or_inf
         if not res.is_finite and rule == "estimated-exponent":
             rule = "numeric-trend"  # the trend overrules the fit
     return EndpointClass(math.isfinite(value), value, rule, alpha)

@@ -17,7 +17,8 @@ grid segment, bridge, constant and touching seam).  Each member is a
 genuine AC function whose ambient distance to u and energy gap are measured
 and reported: every member's |m - u|^p aux^(p-1) and |m'|^p w are terms of
 one spaces.density_integrals drive, and the relaxed value and ambient norm
-of u are one more, or none when earlier questions answered them for u.
+of u are one more, or none when earlier questions answered them for u:
+relaxed_functional drives both, and lp_aux_norm reads the ambient one.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ import numpy as np
 from .auxweight import AuxWeight
 from .degeneracy import DegeneracyStructure
 from .quadrature import DEFAULT_CONFIG, IntegralResult, QuadratureConfig
-from .spaces import (MembershipReport, TestFunction, density_cuts, density_integrals,
-                     energy_ranges)
+from .spaces import TestFunction, density_cuts, density_integrals, energy_ranges, lp_aux_norm
 from .weights import Exponent, Interval, Weight
 
 
@@ -83,33 +83,23 @@ def relaxed_functional(u: TestFunction, w: Weight, aux: AuxWeight,
     Empty structure (w vanishing a.e.): the ambient space collapses and the
     relaxation is identically 0.  Otherwise the value is the structure
     seminorm when both it and the ambient norm of u are finite, else +inf
-    (always for a sampled u, which has no seminorm).
+    (always for a sampled u, which has no seminorm).  One drive of both
+    integrals, or none when earlier questions answered them for u: asked
+    next, lp_aux_norm and check_membership read what this one integrated.
     """
-    return _relaxed_parts(u, w, aux, structure, p, cfg)[0]
-
-
-def _relaxed_parts(u: TestFunction, w: Weight, aux: AuxWeight,
-                   structure: DegeneracyStructure, p: Exponent,
-                   cfg: Optional[QuadratureConfig] = None
-                   ) -> tuple[FunctionalValue, IntegralResult, MembershipReport]:
-    """relaxed_functional with the ambient integral and the membership
-    report it is decided on, from at most one drive."""
     amb, energies = density_integrals(
         [("ambient", u, 0.0), ("energy", u, energy_ranges(u, w, structure))], w, p.p, aux, cfg)
-    amb = IntegralResult.total(amb)
-    member = MembershipReport.of(energies)
+    seminorm = IntegralResult.total(energies)
     if structure.kind == "zero":
-        value = FunctionalValue.finite(0.0)
-    elif u.tag == "Grid":
-        value = FunctionalValue.infinite(
+        return FunctionalValue.finite(0.0)
+    if u.tag == "Grid":
+        return FunctionalValue.infinite(
             "sampled function carries no derivative; structure seminorm unavailable")
-    elif not amb.is_finite:
-        value = FunctionalValue.infinite("u lies outside the ambient weighted space")
-    elif not member.in_space:
-        value = FunctionalValue.infinite("derivative energy diverges on the structure")
-    else:
-        value = FunctionalValue.finite(member.seminorm.value)
-    return value, amb, member
+    if not IntegralResult.total(amb).is_finite:
+        return FunctionalValue.infinite("u lies outside the ambient weighted space")
+    if not seminorm.is_finite:
+        return FunctionalValue.infinite("derivative energy diverges on the structure")
+    return FunctionalValue.finite(seminorm.value)
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +350,10 @@ def build_approx_sequence(u: TestFunction, w: Weight, aux: AuxWeight,
         bad = [h for h in hs if h < h_min]
         if bad:
             raise ValueError(f"mesh parameters {bad} violate the strict bound h >= {h_min}")
-    f_lim, amb_u, _ = _relaxed_parts(u, w, aux, structure, p, cfg)
+    f_lim = relaxed_functional(u, w, aux, structure, p, cfg)
     if not f_lim.is_finite:
         raise ValueError(f"u outside the relaxed domain: {f_lim.reason}")
-    x_norm_u = amb_u.value ** (1.0 / p.p)  # same norm that measures x_err
+    x_norm_u = lp_aux_norm(u, aux, cfg).value ** (1.0 / p.p)  # same norm that measures x_err
 
     ivs = structure.intervals
     dom = w.domain
@@ -391,12 +381,11 @@ def build_approx_sequence(u: TestFunction, w: Weight, aux: AuxWeight,
 
     members = []
     for h, pw, ubar, amb, eng in zip(hs, pws, ubars, res[::2], res[1::2]):
-        x_err = IntegralResult.total(amb)
         f_val = 0.0
         for r in eng:
-            f_val += r.value if r.is_finite else math.inf
+            f_val += r.value_or_inf
         members.append(ApproxMember(
-            h=h, fn=ubar, x_err=float(x_err.value ** (1.0 / p.p) if x_err.is_finite else math.inf),
+            h=h, fn=ubar, x_err=float(IntegralResult.total(amb).value_or_inf ** (1.0 / p.p)),
             f_value=float(f_val), f_gap=float(abs(f_val - f_lim.value)),
             seam_mismatch=float(pw.seam_mismatch)))
     return ApproxSequence(

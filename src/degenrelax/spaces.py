@@ -9,20 +9,21 @@ inequalities tying the two weights together, the vanishing/extension
 dichotomy at interval endpoints, and provide seeded families of spline test
 functions for batteries.
 
-Every integral of u (or of a recovery member) goes through
+Every integral of a density of u (or of a recovery member) goes through
 density_integrals, one integrand for both densities (energy terms |u'|^p w,
 ambient terms |u - c|^p aux^(p-1)): one term for the seminorm, the ambient
-norm or the membership, two for space_norm, poincare_global_check and
-relaxed_functional, two per member for a recovery sequence.  u keeps every
-range's result as long as it lives, so each question makes at most one
-drive, of the ranges not yet answered for that u: asked in a battery's
-order (ambient norm, seminorm, Poincare check, relaxed value), the Poincare
-check integrates only its shifted ambient term and the relaxed value
-nothing.  Ambient terms read aux^(p-1) on their first pass from the samples
-the auxiliary weight keeps (AuxWeight.ambient_samples), handed to
-integrate_ranges as they are.  A sampled u (tag "Grid") has no seminorm: its
-energy is divergent(inf) in every question.
-Every result is that of one plain drive per term, bit for bit.
+norm, the membership or ac_extension_check's energy, two for space_norm,
+poincare_global_check and relaxed_functional, two per member for a
+recovery sequence.  A divergent one reads as +inf wherever it enters a
+number (IntegralResult.value_or_inf).  u keeps every range's result as long
+as it lives, so each question makes at most one drive, of the ranges not
+yet answered for that u: asked in a battery's order (ambient norm,
+seminorm, Poincare check, relaxed value), the Poincare check integrates
+only its shifted ambient term and the relaxed value nothing.  Ambient terms
+read aux^(p-1) on their first pass from the samples the auxiliary weight
+keeps (AuxWeight.ambient_samples), handed to integrate_ranges as they are.
+A sampled u (tag "Grid") has no seminorm: its energy is divergent(inf) in
+every question.  Every result is that of one plain drive per term, bit for bit.
 """
 
 from __future__ import annotations
@@ -385,17 +386,12 @@ class MembershipReport:
     seminorm: IntegralResult
     per_interval: tuple
 
-    @staticmethod
-    def of(parts) -> "MembershipReport":
-        """The report on the per-interval energies `parts`."""
-        total = IntegralResult.total(parts)
-        return MembershipReport(total.is_finite, total, tuple(parts))
-
 
 def check_membership(u: TestFunction, w: Weight, structure: DegeneracyStructure,
                      p: Exponent, cfg: Optional[QuadratureConfig] = None) -> MembershipReport:
     parts, = density_integrals([("energy", u, energy_ranges(u, w, structure))], w, p.p, cfg=cfg)
-    return MembershipReport.of(parts)
+    total = IntegralResult.total(parts)
+    return MembershipReport(total.is_finite, total, tuple(parts))
 
 
 def space_norm(u: TestFunction, w: Weight, aux: AuxWeight,
@@ -404,9 +400,7 @@ def space_norm(u: TestFunction, w: Weight, aux: AuxWeight,
     """(lp_aux_norm^p + seminorm)^(1/p); math.inf when either part diverges."""
     lp, semi = map(IntegralResult.total, density_integrals(
         [("ambient", u, 0.0), ("energy", u, energy_ranges(u, w, structure))], w, p.p, aux, cfg))
-    if not (lp.is_finite and semi.is_finite):
-        return math.inf
-    return (lp.value + semi.value) ** (1.0 / p.p)
+    return (lp.value_or_inf + semi.value_or_inf) ** (1.0 / p.p)
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +458,11 @@ def pointwise_poincare_check(u: TestFunction, w: Weight, aux: AuxWeight,
     (*g, m), = density_integrals([("energy", u, energy_ranges(u, w, aux.structure, spans))],
                                  w, pp, cfg=cfg)
     gap_lhs = abs(u_x - u_eta) * aux_eta ** (1.0 / aux.exponent.conj)
-    if g:
-        gap_rhs = g[0].value ** (1.0 / pp) if g[0].is_finite else math.inf
-    else:
-        gap_rhs = 0.0
+    gap_rhs = g[0].value_or_inf ** (1.0 / pp) if g else 0.0
     gap_ok = gap_lhs <= gap_rhs * (1.0 + 1e-9)
 
     mass_lhs = abs(u_eta) ** pp * aux_eta ** (pp - 1.0)
-    m_val = m.value if m.is_finite else math.inf
-    mass_rhs = 2.0 ** (pp - 1.0) * (abs(u_x) ** pp * aux_eta ** (pp - 1.0) + m_val)
+    mass_rhs = 2.0 ** (pp - 1.0) * (abs(u_x) ** pp * aux_eta ** (pp - 1.0) + m.value_or_inf)
     mass_ok = mass_lhs <= mass_rhs * (1.0 + 1e-9)
     return PointwiseCheck(side, gap_lhs, gap_rhs, gap_ok, mass_lhs, mass_rhs, mass_ok)
 
@@ -503,8 +493,8 @@ def poincare_global_check(u: TestFunction, w: Weight, aux: AuxWeight,
     rows = []
     lhs_total = rhs_total = 0.0
     for part, energy, n in zip(aux.parts, energies, nums):
-        lhs_i = n.value / part.base.width if n.is_finite else math.inf
-        rhs_i = energy.value if energy.is_finite else math.inf
+        lhs_i = n.value_or_inf / part.base.width
+        rhs_i = energy.value_or_inf
         rows.append((lhs_i, rhs_i))
         lhs_total += lhs_i
         rhs_total += rhs_i
@@ -577,36 +567,26 @@ class ExtensionCheck:
 def ac_extension_check(u: TestFunction, w: Weight, aux: AuxWeight,
                        structure: DegeneracyStructure, interval_index: int, side: str,
                        cfg: Optional[QuadratureConfig] = None) -> ExtensionCheck:
-    cfg = cfg or DEFAULT_CONFIG
     part = aux.parts[interval_index]
     iv = part.base
     p = aux.exponent
-    pp = p.p
     cls = iv.lo_class if side == "left" else iv.hi_class
     if not cls.integrable:
         raise ValueError(f"transform not integrable on the {side} side; no AC extension there")
     lo, hi = (iv.lo, iv.mid) if side == "left" else (iv.mid, iv.hi)
     span, = energy_ranges(u, w, structure, [(lo, hi)])
 
-    def f(x, index):
-        # range 0: |u'|, range 1: |u'|^p w, range 2: u'
+    def f(x, index):  # range 0: |u'|, range 1: u'
         du = u.d(x)
-        out = np.where(index == 0, np.abs(du), du)
-        m = index == 1
-        out[m] = energy_values(du[m], w(x[m]), pp)
-        return out
+        return np.where(index == 0, np.abs(du), du)
 
-    l1, en, signed = integrate_ranges(f, [span] * 3, cfg)
-    holder_lhs = l1.value if l1.is_finite else math.inf
-    if en.is_finite:
-        holder_rhs = en.value ** (1.0 / pp) * cls.value ** (1.0 / p.conj)
-    else:
-        holder_rhs = math.inf
+    l1, signed = integrate_ranges(f, [span] * 2, cfg)
+    (en,), = density_integrals([("energy", u, [span])], w, p.p, cfg=cfg)
+    holder_lhs = l1.value_or_inf
+    holder_rhs = en.value_or_inf ** (1.0 / p.p) * cls.value ** (1.0 / p.conj)
     u_mid = float(u(np.array([iv.mid]))[0])
-    if side == "left":
-        ext = u_mid - (signed.value if signed.is_finite else math.nan)
-    else:
-        ext = u_mid + (signed.value if signed.is_finite else math.nan)
+    step = signed.value if signed.is_finite else math.nan  # divergent: u has no limit there
+    ext = u_mid - step if side == "left" else u_mid + step
     ok = (math.isfinite(holder_lhs)
           and holder_lhs <= holder_rhs * (1.0 + 1e-8) + 1e-10
           and math.isfinite(ext))

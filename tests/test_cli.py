@@ -156,6 +156,37 @@ def test_bad_input_exits_two():
     assert out.returncode == 2  # below the admissible mesh floor
 
 
+@pytest.mark.parametrize("opt", ["--rel-tol", "--abs-tol"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+def test_a_tolerance_that_is_not_one_exits_two(opt, value):
+    # an infinite tolerance would switch refinement off (relax would read
+    # 6.8163 for 92/15 = 6.1333), and NaN or a negative one would read as 0
+    out = run_cli("relax", "--weight", "figure1", "--u", "poly:0,1", opt, value, check=False)
+    name = opt[2:].replace("-", "_")
+    assert out.returncode == 2 and out.stdout == ""
+    assert f"error: {name} must be finite and >= 0" in out.stderr
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_a_battery_of_no_function_exits_two(count):
+    # with no --u, --count random splines are checked: none would pass vacuously
+    out = run_cli("poincare", "--weight", "figure1", "--count", count, check=False)
+    assert out.returncode == 2 and out.stdout == ""
+    assert f"--count must be at least 1, got {count}" in out.stderr
+
+
+def test_too_few_samples_exit_two(tmp_path):
+    # fewer than 8 samples per interval is bad input, not a request for 8
+    out = run_cli("aux", "--weight", "figure1", "--samples", "-5",
+                  "--csv", str(tmp_path / "aux.csv"), check=False)
+    assert out.returncode == 2 and "--samples must be at least 8, got -5" in out.stderr
+    assert not (tmp_path / "aux.csv").exists()
+    run_cli("aux", "--weight", "figure1", "--samples", "8",
+            "--csv", str(tmp_path / "aux.csv"), "--no-timestamp")
+    # the header, then per interval the 8 samples and its two quarter points
+    assert len((tmp_path / "aux.csv").read_text().splitlines()) == 1 + 3 * (8 + 2)
+
+
 def test_empty_structure(tmp_path):
     # w vanishes a.e.: the relaxation is identically 0, and approx has nothing to approximate
     path = tmp_path / "null.json"
@@ -325,6 +356,9 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
         assert code == 0, line
         d = json.loads(out)
         assert isinstance(d, dict) and d["command"] == args[0], line
+        if "--csv" in args:  # the CSV path is relative: written into the temp dir
+            rows = (tmp_path / args[args.index("--csv") + 1]).read_text().splitlines()
+            assert len(rows) > 1 and rows[0].split(",")[0] in ("x", "h", "i"), line
 
 
 def _key_paths(obj, prefix=""):

@@ -46,7 +46,6 @@ from degenrelax import (
     spline_function,
     sqrt_edge_function,
 )
-from degenrelax.relaxation import _relaxed_parts
 from conftest import count_drives, make_two_tent
 
 CFG = QuadratureConfig()
@@ -319,7 +318,8 @@ def test_extension_at_integrable_edge(figure1_chain, p2):
 
 
 def test_extension_check_equals_three_separate_integrals(figure1_chain):
-    # one lockstep call over three copies of the half interval, one density each
+    # |u'| and u' in one lockstep call over two copies of the half interval,
+    # the energy a density_integrals term: each as its own integral, bit for bit
     w, st_, aux = figure1_chain
     u = spline_function([-2.0, -1.2, 0.0, 0.7, 2.0], [0.0, 0.5, -1.0, 0.3, 0.0])
     iv = aux.parts[0].base
@@ -341,6 +341,19 @@ def test_extension_refused_at_divergent_edge(figure1_chain, p2):
     u = poly_function([0.0, 1.0])
     with pytest.raises(ValueError):
         ac_extension_check(u, w, aux, figure1_chain[1], 0, "right", CFG)
+
+
+def test_extension_of_a_function_with_divergent_integrals():
+    # log x on x^0.5 at p = 2: sigma = x^-0.5 is integrable at 0, but neither
+    # the L1 norm of u' = 1/x nor its energy is, and u has no limit there
+    p = Exponent(2.0)
+    w = builtin_power(0.5)
+    st_ = detect_structure(w, p, CFG)
+    aux = build_aux_weight(w, p, st_, CFG)
+    assert st_.intervals[0].lo_class.integrable
+    chk = ac_extension_check(log_edge_function(w.domain), w, aux, st_, 0, "left", CFG)
+    assert (chk.holder_lhs, chk.holder_rhs) == (math.inf, math.inf)
+    assert math.isnan(chk.extension_value) and not chk.ok
 
 
 def test_grid_tagged_function_never_in_space(figure1_chain, p2):
@@ -602,18 +615,22 @@ def test_each_question_is_one_drive(any_chain, monkeypatch):
     lp, member = lp_aux_norm(u, aux, CFG), check_membership(u, w, st_, p, CFG)
     calls = count_drives(monkeypatch)
     rep = poincare_global_check(u, w, aux, st_, p, CFG)
-    rel, amb, mem = _relaxed_parts(u, w, aux, st_, p, CFG)
+    rel = relaxed_functional(u, w, aux, st_, p, CFG)
+    amb, mem = lp_aux_norm(u, aux, CFG), check_membership(u, w, st_, p, CFG)
     norm = space_norm(u, w, aux, st_, p, CFG)
     # the energy and the ambient term at shift 0 were answered: the Poincare
-    # check drives its shifted ambient ranges alone, the other two nothing
+    # check drives its shifted ambient ranges alone, the others nothing
     n = len(st_.intervals)
     spans = [(part.base.lo, part.base.hi) for part in aux.parts]
     assert [[r[:2] for r in c] for c in calls] == [spans]
+    copy = replace(u)
     fresh = (poincare_global_check(replace(u), w, aux, st_, p, CFG),
-             _relaxed_parts(replace(u), w, aux, st_, p, CFG),
+             (relaxed_functional(copy, w, aux, st_, p, CFG), lp_aux_norm(copy, aux, CFG),
+              check_membership(copy, w, st_, p, CFG)),
              space_norm(replace(u), w, aux, st_, p, CFG))
     # on copies: energy ranges (their singular points a list) then the
-    # ambient ones, then twice the other way round
+    # ambient ones, then twice the other way round; the relaxed value's
+    # follow-up questions read its drive
     assert [[isinstance(r[2], list) for r in c] for c in calls[1:]] == \
         [[True] * n + [False] * n] + [[False] * n + [True] * n] * 2
     # each answers as the drives of its two sides alone, bit for bit
@@ -625,10 +642,12 @@ def test_each_question_is_one_drive(any_chain, monkeypatch):
     assert (rel.value.hex(), _bits(amb), [_bits(r) for r in mem.per_interval]) == \
         (fresh[1][0].value.hex(), _bits(fresh[1][1]), [_bits(r) for r in fresh[1][2].per_interval])
     assert norm.hex() == fresh[2].hex()
-    # a sampled u has no energy: its relaxed parts are the ambient drive alone
+    # a sampled u has no energy: its relaxed value is the ambient drive alone,
+    # and its ambient norm and membership read that drive
     grid = TestFunction(fn=u.fn, deriv=None, tag="Grid")
     calls.clear()
-    rel, amb, mem = _relaxed_parts(grid, w, aux, st_, p, CFG)
+    rel = relaxed_functional(grid, w, aux, st_, p, CFG)
+    amb, mem = lp_aux_norm(grid, aux, CFG), check_membership(grid, w, st_, p, CFG)
     assert len(calls) == 1 and not mem.in_space and rel.kind == "infinite"
     assert _bits(amb) == _bits(lp)
 

@@ -9,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenrelax import (
+    ClosedFormWeight,
     Exponent,
     IndeterminateIntegrabilityError,
     IntegrandEvaluationError,
+    Interval,
     QuadratureConfig,
     builtin_figure1,
     builtin_power,
     classify_endpoint_integrability,
+    detect_structure,
     first_pass_nodes,
     integrate,
     integrate_ranges,
@@ -247,6 +250,28 @@ def test_eval_panels_raise_on_a_nan_node():
     assert str(err.value) == "integrand is NaN at x=0.5"
 
 
+def test_a_nan_met_grading_into_an_inf_node_raises_there():
+    # f(c) = inf at the first-pass node c nearest 5/12, and f is NaN within
+    # 1e-4 of c: the graded runs into c meet the NaN, and that NaN raises
+    # (not the inf node, and not a divergence)
+    xs, _ = first_pass_nodes([(0.0, 1.0, ())])
+    c = xs[np.argmin(np.abs(xs - 5.0 / 12.0))]
+
+    def f(x):
+        d = np.abs(x - c)
+        with np.errstate(divide="ignore"):
+            out = d ** -0.5
+        out[(d > 0.0) & (d < 1e-4)] = math.nan
+        return out
+
+    for run in (lambda: integrate(f, 0.0, 1.0, CFG),
+                lambda: quadrature._eval_panels(f, np.array([1 / 3]), np.array([1 / 2]), CFG)):
+        with pytest.raises(IntegrandEvaluationError) as err:
+            run()
+        assert 0.0 < abs(err.value.location - c) < 1e-4
+        assert str(err.value).startswith("integrand is NaN at x=0.41656844")
+
+
 def test_repeated_calls_are_bit_identical():
     f = lambda x: np.abs(np.sin(40.0 * math.pi * x)) + np.maximum(x, 1e-300) ** -0.5
     a = integrate(f, 0.0, 1.0, CFG, breakpoints=[0.3])
@@ -427,6 +452,29 @@ def test_classifier_threshold_sides():
     assert not c3.integrable
     c4 = classify_endpoint_integrability(w, Exponent(4.0), 1.0, 0.0, CFG)
     assert c4.integrable and math.isfinite(c4.value)
+
+
+def test_the_graded_trend_overrules_a_fit_that_says_integrable():
+    # sqrt(x) above 1e-6, a cube below: the probes fit an exponent near 0.5,
+    # so alpha/(p - 1) < 1 says sigma is integrable at 0, but sigma ~ x^-3
+    # at the end diverges and the value integral's trend says so
+    def fn(x):
+        return np.where(x > 1e-6, np.sqrt(np.maximum(x, 0.0)), 1e-3 * (x / 1e-6) ** 3)
+
+    w = ClosedFormWeight(fn=fn, domain=Interval(0.0, 1.0))  # no metadata: the exponent is fit
+    p = Exponent(2.0)
+    for cls in (classify_endpoint_integrability(w, p, 0.0, 1.0, CFG),
+                detect_structure(w, p, CFG).intervals[0].lo_class):
+        assert (cls.integrable, cls.value, cls.rule) == (False, math.inf, "numeric-trend")
+        assert 0.5 < cls.local_exponent < 0.6 and p.alpha_p(cls.local_exponent) < 1.0
+
+
+@pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_a_tolerance_must_be_finite_and_nonnegative(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+        QuadratureConfig(**{field: value})
+    assert getattr(QuadratureConfig(**{field: 0.0}), field) == 0.0
 
 
 def test_grid_weight_near_threshold_is_indeterminate(tmp_path):

@@ -20,6 +20,8 @@ from degenrelax import (
     build_aux_weight,
     builtin_cascade,
     builtin_figure1,
+    builtin_power,
+    check_membership,
     detect_structure,
     first_pass_nodes,
     integrate_ranges,
@@ -31,10 +33,11 @@ from degenrelax import (
     relaxed_functional,
     space_norm,
     spline_function,
+    sqrt_edge_function,
     verify_relaxation,
 )
 
-from degenrelax.relaxation import _Member, _MollifiedAntiderivative, _relaxed_parts
+from degenrelax.relaxation import _Member, _MollifiedAntiderivative
 from degenrelax.spaces import energy_ranges
 
 from conftest import count_drives, make_two_tent
@@ -104,22 +107,40 @@ def test_relaxed_infinite_outside_domain(figure1_chain, p2):
     assert val.kind == "infinite"
 
 
-def test_relaxed_parts_always_hold_both_parts(unit_chain, p2):
+def test_relaxed_value_answers_both_parts(unit_chain, p2, monkeypatch):
+    # whatever decides the relaxed value, its drive holds both parts: the
+    # ambient norm and the membership asked next integrate nothing
     w, st_, aux = unit_chain
     xs = np.linspace(0.0, 1.0, 33)
     sampled = TestFunction(fn=lambda x: np.interp(x, xs, np.sin(3.0 * xs)), deriv=None,
                            tag="Grid", label="table")
-    value, amb, member = _relaxed_parts(sampled, w, aux, st_, p2, CFG)
+    calls = count_drives(monkeypatch)
+
+    def parts(u):
+        value = relaxed_functional(u, w, aux, st_, p2, CFG)
+        drives = len(calls)
+        amb, member = lp_aux_norm(u, aux, CFG), check_membership(u, w, st_, p2, CFG)
+        assert len(calls) == drives
+        return value, amb, member
+
+    value, amb, member = parts(sampled)
     assert value.reason == "sampled function carries no derivative; structure seminorm unavailable"
     assert amb.is_finite and not member.in_space
     # |u|^2 ~ x^-1.5 at the left end: outside the ambient space, and u' is
     # not square-integrable there either
     blowup = TestFunction(fn=lambda x: np.maximum(x, 1e-300) ** -0.75,
                           deriv=lambda x: -0.75 * np.maximum(x, 1e-300) ** -1.75, tag="AC")
-    value, amb, member = _relaxed_parts(blowup, w, aux, st_, p2, CFG)
+    value, amb, member = parts(blowup)
     assert value.reason == "u lies outside the ambient weighted space"
     assert not amb.is_finite
     assert not member.in_space and not member.seminorm.is_finite
+
+
+def test_original_infinite_when_the_energy_diverges(p2):
+    # sqrt(x) on w = 1: |u'|^2 = 1/(4x) is not integrable at 0
+    w = builtin_power(0.0)
+    val = original_functional(sqrt_edge_function(w.domain), w, p2, CFG)
+    assert (val.kind, val.value, val.reason) == ("infinite", math.inf, "energy integral diverges")
 
 
 def test_relaxed_below_original_on_figure1(figure1_chain, p2):
