@@ -22,9 +22,9 @@ distance from the interval endpoint) exactly at the nodes of a graded mesh:
 eleven nodes per halving of d down to float resolution at the endpoint, plus
 nodes closing in on each removable zero and one node on each other
 breakpoint of w (every interior node of a grid weight), so that sigma is
-smooth on every segment not touching a removable zero.  On its first
-evaluation an AuxWeight turns these anchors into one flat table over the
-whole line, a sorted list of zones:
+smooth on every segment not touching a removable zero.  An AuxWeight
+turns these anchors into one flat table over the whole line, a sorted list
+of zones, each branch on the first query that lands in it:
 
 * Chebyshev zones hold the Chebyshev series of C in s = log d, anchored at
   the zone's outer mesh node and fitted to sigma at its 15 Kronrod nodes.  A
@@ -44,15 +44,9 @@ whole line, a sorted list of zones:
 
 An evaluation is one sorted search, one Chebyshev sum over the points in
 Chebyshev zones and one batched sigma call per 1,152 panels
-(quadrature._MAX_REQUEST) for the points in panel zones.  Away from panel
-zones no sigma is evaluated at all.
-
-The ambient norms integrate |u - c|^p aux^(p-1) over the structure
-intervals.  AuxWeight.ambient_samples() holds aux^(p-1) at the first-pass
-nodes of each range (quadrature.first_pass_nodes), sampled through the
-weight's own __call__ on the first ambient drive and kept with the object;
-drives hand them to integrate_ranges, and evaluate aux only where their cuts
-and refinement go.
+(quadrature._MAX_REQUEST) for the points in panel zones.  Once the branches
+it lands in are built, no sigma is evaluated away from panel zones.  The
+ambient norms' aux^(p-1) is sampled once (AuxWeight.ambient_samples).
 
 build_aux_weight makes one lockstep drive (integrate_ranges) for the whole
 structure: the two quarter-point-to-midpoint spans of each interval, cut at
@@ -115,7 +109,7 @@ def _series_matrices() -> tuple[np.ndarray, np.ndarray]:
 _ANTIDERIVATIVE, _SLOPE = _series_matrices()  # (16, 15), (15, 15)
 _N_TERMS = _ANTIDERIVATIVE.shape[0]
 
-_CONST, _CHEB, _BELOW, _PANEL = range(4)  # zone kinds
+_CONST, _CHEB, _BELOW, _PANEL, _SLOT = range(5)  # zone kinds; _SLOT: a branch not yet built
 
 
 @dataclass
@@ -255,6 +249,30 @@ def _clenshaw(series: np.ndarray, cols: np.ndarray, t: np.ndarray) -> np.ndarray
     return out
 
 
+_NO_SERIES = np.zeros((0, _N_TERMS))
+
+
+def _branch_rows(br: "BranchTable", x_lo: float, x_hi: float) -> tuple:
+    """The zones of one branch in ascending x, their starts clipped to
+    [x_lo, x_hi]: the table's columns as rows of one array, and the series."""
+    z = br.zones_by_distance()
+    # a zone holds the x whose distance d = sgn*(x - endpoint) lies in
+    # [d_start, d_end); in ascending x it starts at the first float with
+    # d >= d_start on the left branch, d < d_end on the right
+    if br.sgn > 0:
+        bound, rows = z["d_start"], slice(None)
+    else:
+        bound, rows = np.append(z["d_start"][1:], math.inf), slice(None, None, -1)
+    near = br.endpoint + br.sgn * bound
+    cands = np.stack([np.nextafter(near, -math.inf), near, np.nextafter(near, math.inf)])
+    dist = br.sgn * (cands - br.endpoint)
+    inside = dist >= bound if br.sgn > 0 else dist < bound
+    x = cands[np.argmax(inside, axis=0), np.arange(near.size)]
+    cols = np.broadcast_arrays(np.clip(x, x_lo, x_hi)[rows], z["kind"][rows], br.endpoint, br.sgn,
+                               z["d_ref"][rows], z["scale"][rows], z["c_ref"][rows])
+    return np.array(cols, dtype=float), z["series"][rows]
+
+
 class _AuxTable:
     """Sorted zones over the line: the whole auxiliary weight, or one branch.
 
@@ -268,59 +286,49 @@ class _AuxTable:
     _CHEB      centre of log d     half-width in log d  - (C is the series)
     _BELOW     log d at a node     log-log slope        log C at that node
     _PANEL     outer node          -                    C at the outer node
+    _SLOT      -                   -                    its index in the layout
     =========  ==================  ===================  ==========================
 
-    Built one branch at a time, so only one branch's sigma samples are held.
+    A branch is one _SLOT zone until the first query that lands in it
+    (`zone`) splices in its rows, fitted on their own (zones_by_distance):
+    once every branch was queried, the table equals one built whole.
     """
 
     def __init__(self, sigma, cfg: QuadratureConfig, layout):
         """`layout` lists, in ascending x, constant zones as (start, value)
         and outer branches as (BranchTable, x_lo, x_hi)."""
-        self.sigma = sigma
-        self.cfg = cfg
-        cols = {k: [] for k in ("start", "kind", "ep", "sgn", "d_ref", "scale", "c_ref")}
-        series = [np.zeros((0, _N_TERMS))]
+        self.sigma, self.cfg, self._layout = sigma, cfg, list(layout)
+        # one zone per layout item to start with: a constant, or a branch's slot
+        zones = np.array([(item[1], _SLOT, 0, 0, 0, 0, k) if isinstance(item[0], BranchTable)
+                          else (item[0], _CONST, 0, 0, 0, 0, item[1])
+                          for k, item in enumerate(self._layout)], dtype=float).T
+        self._join([(zones[:, k:k + 1], _NO_SERIES) for k in range(zones.shape[1])])
 
-        def add(start, kind, ep=0.0, sgn=0.0, d_ref=0.0, scale=0.0, c_ref=0.0):
-            n = np.size(start)
-            for key, val in (("start", start), ("kind", kind), ("ep", ep), ("sgn", sgn),
-                             ("d_ref", d_ref), ("scale", scale), ("c_ref", c_ref)):
-                cols[key].append(np.broadcast_to(np.asarray(val, dtype=float), (n,)))
-
-        def add_branch(br, x_lo, x_hi):
-            z = br.zones_by_distance()
-            # a zone holds the x whose distance d = sgn*(x - endpoint) lies in
-            # [d_start, d_end); in ascending x it starts at the first float
-            # with d >= d_start on the left branch, d < d_end on the right
-            if br.sgn > 0:
-                bound, rows = z["d_start"], slice(None)
-            else:
-                bound, rows = np.append(z["d_start"][1:], math.inf), slice(None, None, -1)
-            near = br.endpoint + br.sgn * bound
-            cands = np.stack([np.nextafter(near, -math.inf), near, np.nextafter(near, math.inf)])
-            dist = br.sgn * (cands - br.endpoint)
-            inside = dist >= bound if br.sgn > 0 else dist < bound
-            x = cands[np.argmax(inside, axis=0), np.arange(near.size)]
-            series.append(z["series"][rows])
-            add(np.clip(x, x_lo, x_hi)[rows], z["kind"][rows], br.endpoint, br.sgn,
-                z["d_ref"][rows], z["scale"][rows], z["c_ref"][rows])
-
-        for item in layout:
-            if isinstance(item[0], BranchTable):
-                add_branch(*item)
-            else:
-                add(item[0], _CONST, c_ref=item[1])
-        for key, vals in cols.items():
-            setattr(self, key, np.concatenate(vals))
-        self.kind = self.kind.astype(np.int8)
+    def _join(self, pieces: list) -> None:
+        """Lay out the (columns, series) of each layout item as the table;
+        ArithmeticError, with nothing changed, if their zones overlap."""
+        cols = np.concatenate([piece[0] for piece in pieces], axis=1)
+        if np.any(np.diff(cols[0]) < 0.0):
+            raise ArithmeticError("auxiliary weight zones overlap")
+        self.start, kind, self.ep, self.sgn, self.d_ref, self.scale, self.c_ref = cols
+        self.kind = kind.astype(np.int8)
+        self._unbuilt = bool(np.any(self.kind == _SLOT))
+        self._pieces = pieces if self._unbuilt else None  # kept only while a slot is left
         # Chebyshev zone i keeps its series in column row[i], one row per term
         self.row = (np.cumsum(self.kind == _CHEB) - 1).astype(np.int32)
-        self.series = np.ascontiguousarray(np.concatenate(series).T)
-        if np.any(np.diff(self.start) < 0.0):
-            raise ArithmeticError("auxiliary weight zones overlap")
+        self.series = np.ascontiguousarray(np.concatenate([piece[1] for piece in pieces]).T)
 
     def zone(self, x: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.start, x, side="right") - 1
+        """The zone of each x, once every branch that one lands in is built."""
+        z = np.searchsorted(self.start, x, side="right") - 1
+        hit = sorted_unique(self.c_ref[z[self.kind[z] == _SLOT]]) if self._unbuilt else ()
+        if len(hit):
+            pieces = list(self._pieces)
+            for k in hit.astype(int):
+                pieces[k] = _branch_rows(*self._layout[k])
+            self._join(pieces)
+            z = np.searchsorted(self.start, x, side="right") - 1
+        return z
 
     def values(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Auxiliary weight at distance d inside zone z (d unused on constant zones)."""
@@ -358,13 +366,8 @@ class _AuxTable:
 def _graded_mesh(h_max: float, anchor: float, sgn: float) -> np.ndarray:
     """Distances h_max down to the float-representability floor, 11 per halving."""
     levels = [h_max]
-    d = h_max
-    while True:
-        nxt = 0.5 * d
-        if anchor + sgn * nxt == anchor or nxt <= 0.0 or len(levels) > 80:
-            break
+    while (nxt := 0.5 * levels[-1]) > 0.0 and anchor + sgn * nxt != anchor and len(levels) <= 80:
         levels.append(nxt)
-        d = nxt
     if len(levels) == 1:
         return np.array([h_max])
     # math.log, not np.log: the two differ in the last ulp on some levels
@@ -441,12 +444,9 @@ def _branch_mesh(endpoint: float, mid: float, removables: Sequence[float],
         d_mesh = sorted_unique(np.concatenate([d_mesh, *extra]))
     xs = endpoint + sgn * d_mesh
     # distinct distances can collide in x at float resolution; keep the outer one
-    keep = np.ones(d_mesh.size, dtype=bool)
-    keep[:-1] = np.abs(np.diff(xs)) > 0.0
-    d_mesh = d_mesh[keep]
-    xs = xs[keep]
-    seg_lo = np.minimum(xs[:-1], xs[1:])
-    seg_hi = np.maximum(xs[:-1], xs[1:])
+    keep = np.append(np.diff(xs) != 0.0, True)
+    d_mesh, xs = d_mesh[keep], xs[keep]
+    seg_lo, seg_hi = np.minimum(xs[:-1], xs[1:]), np.maximum(xs[:-1], xs[1:])
     plain = np.ones(seg_lo.size, dtype=bool)
     for r in removables:
         # segments touching the zero stay out of the Chebyshev fits (a series
@@ -529,7 +529,10 @@ class AuxWeight:
 
     Callable on scalars or arrays; zero off the closure of the structure
     intervals.  At a shared boundary point of two touching intervals the
-    left interval's endpoint value is used.
+    left interval's endpoint value is used.  Evaluation reads one zone table
+    over the whole line, made on the first query; each branch's zones are
+    fitted and spliced in on the first query that lands in that branch, so
+    a caller that queries left branches only never fits a right one.
     """
 
     def __init__(self, weight: Weight, p: Exponent, structure: DegeneracyStructure,
@@ -540,7 +543,7 @@ class AuxWeight:
         self.parts: list[AuxInterval] = parts
         self.cfg = cfg
         self.sigma = weight.transform(p)
-        self._zones: Optional[_AuxTable] = None  # tabulated on first evaluation
+        self._zones: Optional[_AuxTable] = None  # made on the first query
         self._samples: Optional[list] = None     # sampled on the first ambient drive
 
     def _table(self) -> _AuxTable:
@@ -616,11 +619,10 @@ def build_aux_weight(w: Weight, p: Exponent, structure: DegeneracyStructure,
                 for k, (m, quarter) in enumerate(zip(meshes, res))]
     parts = []
     for iv, left, right in zip(ivs, branches[::2], branches[1::2]):
-        lo_value = 1.0 / iv.lo_class.value if iv.lo_class.integrable else 0.0
-        hi_value = 1.0 / iv.hi_class.value if iv.hi_class.integrable else 0.0
         parts.append(AuxInterval(
             base=iv, plateau=1.0 / (left.c_at_dmax + right.c_at_dmax), left=left, right=right,
-            lo_value=lo_value, hi_value=hi_value,
+            lo_value=1.0 / iv.lo_class.value if iv.lo_class.integrable else 0.0,
+            hi_value=1.0 / iv.hi_class.value if iv.hi_class.integrable else 0.0,
             left_limit=1.0 / left.c_at_dmax, right_limit=1.0 / right.c_at_dmax,
         ))
     return AuxWeight(w, p, structure, parts, cfg)
@@ -685,7 +687,5 @@ def aux_global_bounds(aux: AuxWeight) -> AuxBounds:
     covered = sum(p_.base.width for p_ in aux.parts)
     covers = math.isclose(covered, dom.width, rel_tol=1e-12, abs_tol=1e-12 * dom.width)
     sup = max((s for s, _ in per), default=0.0)
-    inf = min((i_ for _, i_ in per), default=0.0)
-    if not covers:
-        inf = 0.0
+    inf = min((i_ for _, i_ in per), default=0.0) if covers else 0.0
     return AuxBounds(tuple(per), float(sup), float(inf), covers)

@@ -167,7 +167,7 @@ class _MollifiedAntiderivative:
 
 
 _SEG, _IDENT, _TAPER = range(3)
-_V0, _DV, _DG, _CUM = range(4)  # rows of _Member.cols
+_V0, _DV, _DG, _CUM, _A, _OFF = range(6)  # rows of _Member.cols
 
 
 def _cum(cum, v0, dv, dg, t):
@@ -179,9 +179,9 @@ class _Member:
     """The recovery member at mesh parameter h (module docstring), as a row table.
 
     An interval side with a touching neighbour is tapered, one without is
-    rebuilt.  Rows come in blocks of one kind, a and off (bstart: a block's
-    first start).  Row i covers [start[i], start[i+1]): a point goes to the
-    last row, and block, starting at or before it.  With t = x - start:
+    rebuilt.  Row i covers [start[i], start[i+1]); one search finds the last
+    row starting at or before a point, which gives its kind and its column
+    of cols.  Rows come in blocks that share kind, a and off.  With t = x - start:
 
     _SEG    a + (_cum(cum, v0, dv, dg, t) - off); derivative v0 at t = 0, else
             dv/dg*t + v0
@@ -247,16 +247,16 @@ class _Member:
             row(ivs[-1].hi, _SEG, y0)
 
         starts, kind, a, off, cols = zip(*blocks)
-        self.start, self.cols = np.concatenate(starts, dtype=float), np.concatenate(cols, axis=1)
-        self.bstart = np.array([x[0] for x in starts], dtype=float)
-        self.kind, self.a, self.off = np.array(kind, dtype=np.int8), np.array(a), np.array(off)
+        size = [len(x) for x in starts]
+        self.start, self.kind = np.concatenate(starts, dtype=float), np.repeat(np.int8(kind), size)
+        self.cols = np.vstack([np.concatenate(cols, axis=1), np.repeat(a, size), np.repeat(off, size)])
         self.seam_mismatch = 0.0
         taper = np.flatnonzero(self.kind == _TAPER)  # at each seam: falling taper, seam, rising
         if taper.size:
-            ref = self.a[taper] = np.asarray(aux(self.a[taper]), dtype=float)
+            ref = self.cols[_A, taper] = np.asarray(aux(self.cols[_A, taper]), dtype=float)
             seam = taper[::2] + 1
-            lim = self._taper(np.repeat(self.bstart[seam], 2), ref, None, False)
-            self.a[seam] = lim[::2]
+            lim = self._taper(np.repeat(self.start[seam], 2), ref, None, False)
+            self.cols[_A, seam] = lim[::2]
             self.seam_mismatch = float(np.max(np.abs(lim[::2] - lim[1::2])))
 
     def _taper(self, x, ref, sign, deriv: bool):
@@ -270,25 +270,25 @@ class _Member:
 
     def _eval(self, x, deriv: bool):
         x = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(x).astype(float).ravel()
+        flat = np.atleast_1d(x).ravel()
         out = np.empty(flat.shape)
-        i = np.clip(np.searchsorted(self.start, flat, side="right") - 1, 0, self.start.size - 1)
-        b = np.clip(np.searchsorted(self.bstart, flat, side="right") - 1, 0, self.kind.size - 1)
-        kind = self.kind[b]
-        for k in np.flatnonzero(np.bincount(kind, minlength=_TAPER + 1)):
-            sel = np.flatnonzero(kind == k)
-            xs, rows, a, off = flat[sel], i[sel], self.a[b[sel]], self.off[b[sel]]
+        i = np.searchsorted(self.start[1:], flat, side="right")  # row 0 below the first start
+        kind = self.kind[i]
+        mixed = kind.any()  # else every point lands in a _SEG row: no selection
+        for k in np.flatnonzero(np.bincount(kind, minlength=_TAPER + 1)) if mixed else (_SEG,):
+            sel = np.flatnonzero(kind == k) if mixed else slice(None)
+            xs, rows = flat[sel], i[sel]
             if k == _IDENT:
                 out[sel] = self.u.d(xs) if deriv else self.u(xs)
             elif k == _TAPER:
-                out[sel] = self._taper(xs, a, off, deriv)
+                out[sel] = self._taper(xs, *self.cols[_A:].take(rows, axis=1), deriv)
             else:
                 t = xs - self.start[rows]
                 if deriv:
                     v0, dv, dg = self.cols[:_CUM].take(rows, axis=1)
                     out[sel] = np.where(t == 0.0, v0, dv / dg * t + v0)
                 else:
-                    v0, dv, dg, cum = self.cols.take(rows, axis=1)
+                    v0, dv, dg, cum, a, off = self.cols.take(rows, axis=1)
                     out[sel] = a + (_cum(cum, v0, dv, dg, t) - off)
         return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
 
@@ -399,28 +399,28 @@ class RelaxationVerdict:
     x_ok: bool      # ambient error dropped to half its coarsest-mesh value
     f_ok: bool      # energy gap dropped to half its coarsest-mesh value
     f_rel_ok: bool  # final energy gap within 1% of the limit
-    f_rel: float    # final f_gap / |f_limit|
+    f_rel: float    # final f_gap / |f_limit|, or / the coarsest f_value for a zero limit
     rows: tuple     # (h, x_err, f_gap, seam_mismatch)
 
 
 def verify_relaxation(seq: ApproxSequence) -> RelaxationVerdict:
     """Check that the sequence converges: the ambient error and the energy gap
     at the finest mesh have both dropped to half their coarsest-mesh values,
-    and the final gap sits within 1% of the limit in relative terms.  All
-    three must hold.  A sequence of one member (one mesh parameter h, or
-    h_max at or below h_min) has nothing to compare: ValueError."""
+    and the final gap sits within 1% of the limit in relative terms, or of
+    the coarsest member's energy when the limit is 0 (inf unless the gap is
+    0 when that energy is 0 too).  All three must hold.  A sequence of one
+    member (one mesh parameter h, or h_max at or below h_min) has nothing to
+    compare: ValueError."""
     if len(seq.members) < 2:
         raise ValueError(f"the verdict compares the coarsest member with the finest, so it needs "
                          f"two mesh parameters h >= h_min = {seq.h_min}; got {list(seq.h_values)}")
     rows = tuple((m.h, m.x_err, m.f_gap, m.seam_mismatch) for m in seq.members)
     first, last = seq.members[0], seq.members[-1]
-    # purely relative tests: scaling u scales both sides alike
+    # purely relative tests: the maps of u, w and x scale both sides alike
     x_ok = last.x_err <= 0.5 * first.x_err
     f_ok = last.f_gap <= 0.5 * first.f_gap
-    if seq.f_limit == 0.0:
-        f_rel = 0.0 if last.f_gap == 0.0 else math.inf
-    else:
-        f_rel = last.f_gap / abs(seq.f_limit)
+    scale = abs(seq.f_limit) or first.f_value
+    f_rel = last.f_gap / scale if scale else (0.0 if last.f_gap == 0.0 else math.inf)
     f_rel_ok = f_rel <= 0.01
     return RelaxationVerdict(bool(x_ok and f_ok and f_rel_ok),
                              bool(x_ok), bool(f_ok), bool(f_rel_ok), float(f_rel), rows)

@@ -306,11 +306,9 @@ class PiecewisePowerWeight(Weight):
         self.family = family
         self.params = dict(params or {})
         self.truncated = truncated
-        self._los = np.array([q.lo for q in self.pieces])
-        self._his = np.array([q.hi for q in self.pieces])
-        self._pivots = np.array([q.pivot for q in self.pieces])
-        self._log2s = np.array([q.log2_scale for q in self.pieces])
-        self._exponents = np.array([q.exponent for q in self.pieces])
+        self._los, self._his, self._pivots, self._log2s, self._exponents = (
+            np.array([getattr(q, k) for q in self.pieces], dtype=float)
+            for k in ("lo", "hi", "pivot", "log2_scale", "exponent"))
         self._ends = tuple(sorted({e for q in self.pieces for e in (q.lo, q.hi)
                                    if domain.lo < e < domain.hi}))
         # the uncovered spans (w == 0), from the furthest piece end so far to the next piece
@@ -320,11 +318,11 @@ class PiecewisePowerWeight(Weight):
 
     def _piece_index(self, x: np.ndarray) -> np.ndarray:
         # index of the piece containing each x ([lo, hi) half open, last piece closed), -1 if none
-        idx = np.searchsorted(self._los, x, side="right") - 1
-        idx = np.clip(idx, 0, len(self.pieces) - 1) if len(self.pieces) else np.full(x.shape, -1, dtype=int)
+        idx = np.searchsorted(self._los, x, side="right") - 1  # -1 below the first piece
         if len(self.pieces):
-            inside = (x >= self._los[idx]) & ((x < self._his[idx]) | (x <= self._his[idx]) & (idx == len(self.pieces) - 1))
-            idx = np.where(inside, idx, -1)
+            his = self._his[idx]
+            inside = (x < his) | (x == his) & (idx == len(self.pieces) - 1)
+            idx[~(inside & (idx >= 0))] = -1
         return idx
 
     def __call__(self, x) -> np.ndarray:
@@ -349,20 +347,22 @@ class PiecewisePowerWeight(Weight):
 
     def transform(self, p: Exponent) -> Callable[[np.ndarray], np.ndarray]:
         inv = 1.0 / (p.p - 1.0)
+        # per piece: sigma = exp2(c0 - c1 * log2 d), d = |x - pivot|; on a level
+        # (exponent-0) piece c1 * log2 d reads 0 even at the pivot, as in __call__
+        c0, c1, level = -inv * self._log2s, inv * self._exponents, self._exponents == 0.0
 
-        def sigma(x, _inv=inv):
+        def sigma(x):
             x = np.asarray(x, dtype=float)
             flat = np.atleast_1d(x).ravel()
             out = np.full(flat.shape, np.inf)
             idx = self._piece_index(flat)
             m = idx >= 0
             i = idx[m]
-            d = np.abs(flat[m] - self._pivots[i])
-            e = self._exponents[i]
-            # as in __call__, 0 * log2(0) at the pivot of an exponent-0 piece counts as 0
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                out[m] = np.exp2(-_inv * self._log2s[i]
-                                 - np.where(e == 0.0, 0.0, _inv * e * np.log2(d)))
+                t = np.log2(np.abs(flat[m] - self._pivots[i]))
+                t *= c1[i]
+                t[level[i]] = 0.0
+                out[m] = np.exp2(np.subtract(c0[i], t, out=t), out=t)
             return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
 
         return sigma

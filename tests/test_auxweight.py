@@ -26,6 +26,7 @@ from degenrelax import (
     builtin_cascade,
     builtin_figure1,
     builtin_power,
+    cascade_partial_sums,
     derivative_identity_residual,
     detect_structure,
     integrate,
@@ -339,9 +340,7 @@ def test_kinked_grid_segments_match_the_cell_closed_form(pv):
         w = GridSampledWeight(xs, ws)
         st_ = detect_structure(w, p, CFG)
         aux = build_aux_weight(w, p, st_, CFG)
-        table = aux._table()
         assert not st_.removable_zeros  # every branch segment is plain
-        assert not np.any(table.kind == auxweight._PANEL)
         for part in aux.parts:
             lo, mid, hi = part.base.lo, part.base.mid, part.base.hi
             np.testing.assert_allclose(part.plateau, 1.0 / _cell_mass(xs, ws, q, part.q1, part.q3),
@@ -355,6 +354,8 @@ def test_kinked_grid_segments_match_the_cell_closed_form(pv):
                 x = br.endpoint + br.sgn * d
                 ref = [1.0 / _cell_mass(xs, ws, q, min(t, mid), max(t, mid)) for t in x]
                 np.testing.assert_allclose(aux(x), ref, rtol=1e-13)
+        # every branch has been queried, so the table is whole
+        assert not np.any(aux._table().kind >= auxweight._PANEL)
 
 
 def test_undeclared_kink_segment_is_a_panel_zone():
@@ -394,7 +395,7 @@ def test_tabulated_power_weight_needs_no_sigma(pv):
     st_ = detect_structure(w, p, CFG)
     aux = build_aux_weight(w, p, st_, CFG)
     assert aux._zones is None  # construction alone builds no table
-    aux(0.1)
+    aux([0.1, 0.9])  # one query in each branch builds both
     w.sigma_calls = 0
     xs = np.random.default_rng(0).uniform(0.0, 1.0, 10_000)
     vals = aux(xs)
@@ -410,10 +411,11 @@ def test_jump_at_a_piece_end_inside_a_branch_is_a_mesh_node():
     p = Exponent(2.0)
     aux = build_aux_weight(w, p, detect_structure(w, p, CFG), CFG)
     assert 0.13 in aux.parts[0].left.d_mesh
-    assert not np.any(aux._table().kind == auxweight._PANEL)
     x = np.linspace(0.001, 0.249, 500)
     mass = np.where(x < 0.13, 0.13 - x + 0.37 / 3.0, (0.5 - x) / 3.0)
     np.testing.assert_allclose(aux(x), 1.0 / mass, rtol=1e-13)
+    aux(0.9)  # the right branch too: the table is whole
+    assert not np.any(aux._table().kind >= auxweight._PANEL)
 
 
 def test_grid_evaluation_makes_no_sigma_call():
@@ -456,6 +458,81 @@ def test_branch_values_outlive_their_aux(figure1, p2):
     # another AuxWeight over the same parts leaves the branch's values alone
     _Doubled(figure1, p2, st_, [part], CFG)(part.q1)
     np.testing.assert_array_equal(part.left.values(d), first)
+
+
+def test_left_queries_fit_no_right_branch(monkeypatch):
+    # cascade_partial_sums integrates aux over each bump's first quarter
+    # only: each left branch is fitted once, no right branch ever
+    fitted = []
+    fit = auxweight.BranchTable.zones_by_distance
+
+    def counting(self):
+        fitted.append(self.sgn)
+        return fit(self)
+
+    monkeypatch.setattr(auxweight.BranchTable, "zones_by_distance", counting)
+    rep = cascade_partial_sums(3.0, Exponent(2.0), 6, CFG)
+    assert len(rep.terms) == 6 and fitted == [1.0] * 6
+
+
+def _lazy_cases():
+    xs = np.linspace(-2.0, 2.0, 129)
+    for pv in (1.5, 2.0, 3.0):
+        p = Exponent(pv)
+        grid = GridSampledWeight(xs, np.abs(xs * xs - 1.0) ** (1.5 * (pv - 1.0))
+                                 * (1.0 + 0.3 * np.sin(3.0 * xs + 0.4)))
+        for w in (builtin_figure1(), builtin_cascade(2.0 * (pv - 1.0), p, 6), grid):
+            yield pytest.param(w, p, id=f"{w.family}-p{pv}")
+
+
+@pytest.mark.parametrize("w, p", _lazy_cases())
+def test_branches_built_in_any_order_give_one_table(w, p):
+    # aux at seeded points, and the finished table, do not depend on which
+    # branches the first queries land in: left first, right first, or all
+    # at once, each from a fresh build; the reference is the table built
+    # whole, every branch spliced in at once
+    st_ = detect_structure(w, p, CFG)
+    rng = np.random.default_rng(11)
+    parts = build_aux_weight(w, p, st_, CFG).parts
+    x = np.concatenate([rng.uniform(w.domain.lo, w.domain.hi, 500)] + [
+        e + s * np.geomspace(1e-12, 1.0, 40) * (part.q1 - part.base.lo)
+        for part in parts for e, s in ((part.base.lo, 1.0), (part.base.hi, -1.0))])
+    whole = auxweight._AuxTable(None, CFG, auxweight._whole_line(parts))
+    whole.zone(whole.start)
+    left = np.zeros(x.shape, dtype=bool)
+    right = np.zeros(x.shape, dtype=bool)
+    for part in parts:
+        left |= (x > part.base.lo) & (x < part.q1)
+        right |= (x > part.q3) & (x < part.base.hi)
+    want = None
+    for first in (left, right, np.ones(x.shape, dtype=bool)):
+        aux = build_aux_weight(w, p, st_, CFG)
+        aux(x[first])
+        got = aux(x)
+        want = got if want is None else want
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        table = aux._table()
+        assert not np.any(table.kind == auxweight._SLOT)
+        for key in ("start", "kind", "ep", "sgn", "d_ref", "scale", "c_ref", "row", "series"):
+            np.testing.assert_array_equal(getattr(table, key), getattr(whole, key))
+
+
+def test_overlapping_branch_zones_raise_on_their_first_query(figure1, p2):
+    # a branch whose zones come out of order in x cannot be spliced in: its
+    # first query raises, leaves the table as it was, and so does the next;
+    # the other branches are unaffected
+    st_ = detect_structure(figure1, p2, CFG)
+    aux = build_aux_weight(figure1, p2, st_, CFG)
+    part = aux.parts[0]
+    zones = part.left.zones_by_distance()
+    part.left.zones_by_distance = lambda: {**zones, "d_start": zones["d_start"][::-1].copy()}
+    inside = part.base.lo + 0.5 * (part.q1 - part.base.lo)
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match="zones overlap"):
+            aux(inside)
+        assert np.count_nonzero(aux._table().kind == auxweight._SLOT) == 2 * len(aux.parts)
+    right = part.base.hi - 0.5 * (part.base.hi - part.q3)
+    assert aux(right) == build_aux_weight(figure1, p2, st_, CFG)(right)
 
 
 def test_series_matrices_match_numpy_polynomial():

@@ -22,6 +22,7 @@ from degenrelax import (
     builtin_figure1,
     builtin_power,
     check_membership,
+    constant_function,
     detect_structure,
     first_pass_nodes,
     integrate_ranges,
@@ -37,7 +38,7 @@ from degenrelax import (
     verify_relaxation,
 )
 
-from degenrelax.relaxation import _Member, _MollifiedAntiderivative
+from degenrelax.relaxation import _A, _Member, _MollifiedAntiderivative
 from degenrelax.spaces import energy_ranges
 
 from conftest import count_drives, make_two_tent
@@ -354,6 +355,28 @@ def test_verdict_is_free_of_the_scale_of_u(figure1_chain, p2):
             verdicts[0].ok, verdicts[0].x_ok, verdicts[0].f_ok, verdicts[0].f_rel_ok)
 
 
+def test_verdict_of_a_zero_limit_reads_the_coarsest_energy(figure1_chain, p2):
+    # u = c has relaxed energy 0 on figure1, so the final gap is measured
+    # against the coarsest member's energy: free of c, and within 1% of it
+    # from h_max = 512 on, not at 256
+    w, st_, aux = figure1_chain
+    for c, want in ((1.0, 0.0132), (-3e-6, 0.0132)):
+        seq = build_approx_sequence(constant_function(c), w, aux, st_, p2, h_max=256, cfg=CFG)
+        v = verify_relaxation(seq)
+        assert seq.f_limit == 0.0
+        assert v.f_rel == seq.members[-1].f_gap / seq.members[0].f_value
+        assert v.f_rel == pytest.approx(want, rel=1e-2) and v.x_ok and v.f_ok and not v.ok
+    seq = build_approx_sequence(constant_function(1.0), w, aux, st_, p2, h_max=512, cfg=CFG)
+    v = verify_relaxation(seq)
+    assert v.f_rel == pytest.approx(0.0066, rel=1e-2) and v.ok
+    # a zero limit and a zero coarsest energy: a zero gap passes, any other fails
+    first, *rest, last = seq.members
+    zero = replace(first, f_value=0.0)
+    assert verify_relaxation(replace(seq, members=(zero, *rest, last))).f_rel == math.inf
+    done = replace(last, f_gap=0.0)
+    assert verify_relaxation(replace(seq, members=(zero, *rest, done))).f_rel == 0.0
+
+
 # ---------------------------------------------------------------------------
 # members as branch tables, against the closure-based construction they replace
 
@@ -542,8 +565,17 @@ def test_members_match_the_closure_construction(member_case):
     for h in _mesh_ladder(st_):
         new = _Member(u, aux, st_, dom, pv, h, junctions)
         ref, seam_gap = _closure_member(u, aux, st_, dom, pv, h, junctions)
-        seams = [x for iv in st_.intervals for x in (iv.lo, iv.mid, iv.hi)]
+        # every row start and the floats on either side of it pin the one row
+        # search; scalar calls go to the block starts: where a row's kind, a
+        # or off changes, the interval seams and midpoints
+        rows = np.concatenate([np.nextafter(new.start, -np.inf), new.start,
+                               np.nextafter(new.start, np.inf)])
+        block = np.any(np.diff(new.cols[_A:], axis=1) != 0.0, axis=0)
+        block |= np.diff(new.kind) != 0
+        seams = [*new.start[np.flatnonzero(block) + 1], new.start[0],
+                 *(x for iv in st_.intervals for x in (iv.lo, iv.mid, iv.hi))]
         xs = np.concatenate([ref.bounds, [b.hi for b in ref.branches], seams,
+                             rows[(rows >= dom.lo) & (rows <= dom.hi)],
                              rng.uniform(dom.lo, dom.hi, 200)])
         assert new.seam_mismatch == seam_gap
         # the reference's taper derivative is 0 * inf = NaN at a seam before its override
