@@ -17,8 +17,9 @@ at the quarter points and below by the endpoint limits, and satisfy the
 derivative identity  d/dx aux = +- aux^2 * sigma  (+ on the left branch,
 - on the right: the left branch grows, the right one decays).
 
-Construction stores, per outer branch, the running integral C(d) (d the
-distance from the interval endpoint) exactly at the nodes of a graded mesh:
+Each outer branch holds the running integral C(d) (d the distance from
+the interval endpoint) exactly at the nodes of a graded mesh, tabulated on
+the first query that lands in the branch:
 eleven nodes per halving of d down to float resolution at the endpoint, plus
 nodes closing in on each removable zero and one node on each other
 breakpoint of w (every interior node of a grid weight), so that sigma is
@@ -50,16 +51,19 @@ ambient norms' aux^(p-1) is sampled once (AuxWeight.ambient_samples).
 
 build_aux_weight makes one lockstep drive (integrate_ranges) for the whole
 structure: the two quarter-point-to-midpoint spans of each interval, cut at
-the breakpoints of w.  Their sum is the plateau integral.  The segments of
-all branches are one batch of Kronrod panels.  Those touching a removable
-zero are one ulp wide (see _sliver_nodes).
+the breakpoints of w.  Their sum is the plateau integral; they and the
+endpoint limits give every plateau, branch limit and bound, so construction
+evaluates no mesh.  A branch's mesh segments are one batch of Kronrod panels,
+integrated on its first query; those touching a removable zero are one ulp
+wide (see _sliver_nodes).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -118,22 +122,49 @@ class BranchTable:
 
     d is the distance from the interval endpoint; C(d) is the integral of
     sigma from the point at distance d to the interval midpoint, so C is
-    positive and decreasing in d.  The mesh stores C at the graded nodes,
-    and `zones_by_distance` turns those anchors into this branch's rows of
-    a zone table (see the module docstring).  `values` evaluates 1/C through
-    a table of this branch alone and clamps to the quarter-integral anchor at
-    and above d_max (the quarter point, where the branch domain ends).
+    positive and decreasing in d.  The graded mesh (d_mesh, up to d_max, the
+    quarter point) and C at its nodes (c_nodes) are tabulated on first
+    access and kept: one batch of Kronrod panels over the mesh segments,
+    summed onto c_at_dmax.  A segment sigma is not integrable on, or an
+    anchor that is not positive, raises ArithmeticError on every access.
+    `zones_by_distance` turns those anchors into this branch's rows of a
+    zone table (see the module docstring).  `values` evaluates 1/C through a
+    table of this branch alone and clamps to the quarter-integral anchor at
+    and above d_max.
     """
 
     sigma: object                 # transform callable
     endpoint: float
     sgn: float                    # x = endpoint + sgn * d
-    d_mesh: np.ndarray            # ascending distances, d_mesh[-1] == d_max
-    c_nodes: np.ndarray           # C at the mesh nodes, descending
-    plain: np.ndarray             # per segment: free of removable zeros
+    mid: float                    # the interval midpoint
+    removables: Sequence[float]   # removable zeros of w: sliver nodes close in on them
+    kinks: np.ndarray             # the other breakpoints of w: mesh nodes
     cfg: QuadratureConfig
-    c_at_dmax: float
-    d_max: float
+    c_at_dmax: float              # C at the quarter point
+
+    d_mesh = property(lambda self: self._tabulated[0], doc="ascending distances")
+    c_nodes = property(lambda self: self._tabulated[1], doc="C at the mesh nodes, descending")
+    plain = property(lambda self: self._tabulated[2], doc="per segment: free of removable zeros")
+    d_max = property(lambda self: self._tabulated[3], doc="the last mesh node: the quarter point")
+
+    @cached_property
+    def _tabulated(self) -> tuple:
+        d_mesh, lo, hi, plain = _branch_mesh(self.endpoint, self.mid, self.removables, self.kinks)
+        vals = _eval_panels(self.sigma, lo, hi, self.cfg)[0] if lo.size else lo
+        if np.isinf(vals).any():
+            j = int(np.argmax(np.isinf(vals)))
+            lo, hi = float(lo[j]), float(hi[j])
+            nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES
+            bad = ~np.isfinite(self.sigma(nodes))
+            whole = ", across a whole panel" if bad.all() else ""
+            raise ArithmeticError(
+                f"transform not integrable inside the branch segment [{lo!r}, {hi!r}]: "
+                f"sigma is non-finite at x={float(nodes[np.argmax(bad)])!r}{whole}")
+        # C(d_mesh[k]) = c_at_dmax + mass of the segments further in than node k
+        c_nodes = self.c_at_dmax + np.concatenate([[0.0], np.cumsum(vals[::-1])])[::-1]
+        if np.any(c_nodes <= 0.0):
+            raise ArithmeticError("cumulative transform integral lost positivity")
+        return d_mesh, c_nodes, plain, float(d_mesh[-1])
 
     def values(self, d: np.ndarray) -> np.ndarray:
         """Auxiliary weight on the branch: 1 / C(d)."""
@@ -396,18 +427,6 @@ def _sliver_nodes(d_r: float, d_max: float) -> np.ndarray:
     return np.asarray(out)
 
 
-class _Mesh(NamedTuple):
-    """The geometry of one outer branch, before any sigma is integrated."""
-
-    endpoint: float
-    sgn: float              # x = endpoint + sgn * d
-    d_mesh: np.ndarray      # ascending distances up to the quarter point
-    lo: np.ndarray          # the segments between consecutive mesh points,
-    hi: np.ndarray          # inner to outer, as x ranges
-    plain: np.ndarray       # per segment: free of removable zeros
-    span: tuple             # the quarter point to the midpoint, ascending
-
-
 def _kink_nodes(d_mesh: np.ndarray, endpoint: float, sgn: float,
                 kinks: np.ndarray) -> np.ndarray:
     """The graded mesh with a node on each kink strictly inside the branch.
@@ -431,12 +450,13 @@ def _kink_nodes(d_mesh: np.ndarray, endpoint: float, sgn: float,
 
 
 def _branch_mesh(endpoint: float, mid: float, removables: Sequence[float],
-                 kinks: np.ndarray) -> _Mesh:
+                 kinks: np.ndarray) -> tuple:
     """The graded mesh of the half from endpoint to mid, up to its quarter
-    point, cut at the kinks of w (not removable zeros) inside it."""
+    point, cut at the kinks of w (not removable zeros) inside it: its
+    ascending distances, its segments as x ranges (lo, hi), inner to outer,
+    and which of them are free of removable zeros."""
     sgn = 1.0 if mid > endpoint else -1.0
-    half = abs(mid - endpoint)
-    d_mesh = _graded_mesh(0.5 * half, endpoint, sgn)  # up to the quarter point
+    d_mesh = _graded_mesh(0.5 * abs(mid - endpoint), endpoint, sgn)  # up to the quarter point
     d_mesh = _kink_nodes(d_mesh, endpoint, sgn, kinks)
     extra = [_sliver_nodes((r - endpoint) * sgn, d_mesh[-1]) for r in removables
              if 0.0 < (r - endpoint) * sgn <= d_mesh[-1]]
@@ -452,39 +472,7 @@ def _branch_mesh(endpoint: float, mid: float, removables: Sequence[float],
         # segments touching the zero stay out of the Chebyshev fits (a series
         # there could span the zero); the sliver mesh makes them one ulp wide
         plain &= ~((r >= seg_lo) & (r <= seg_hi))
-    qpt = endpoint + sgn * 0.5 * half
-    return _Mesh(endpoint, sgn, d_mesh, seg_lo, seg_hi, plain,
-                 (qpt, mid) if sgn > 0 else (mid, qpt))
-
-
-def _finish_branch(sigma, mesh: _Mesh, quarter, vals: np.ndarray,
-                   cfg: QuadratureConfig) -> BranchTable:
-    """Tabulate C(d) = integral of sigma between (endpoint +- d) and mid, for
-    one half, from the integral over its quarter span and its segments'."""
-    if not quarter.is_finite:
-        raise ArithmeticError(
-            "transform not integrable between quarter point and midpoint; "
-            "the degeneracy structure should have split here")
-    c_quarter = quarter.value
-    if np.isinf(vals).any():
-        j = int(np.argmax(np.isinf(vals)))
-        lo, hi = float(mesh.lo[j]), float(mesh.hi[j])
-        nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES
-        bad = ~np.isfinite(sigma(nodes))
-        whole = ", across a whole panel" if bad.all() else ""
-        raise ArithmeticError(
-            f"transform not integrable inside the branch segment [{lo!r}, {hi!r}]: "
-            f"sigma is non-finite at x={float(nodes[np.argmax(bad)])!r}{whole}")
-
-    # cumulative anchors: C(d_mesh[k]) = c_quarter + mass of segments further in than x_k
-    csum = np.concatenate([[0.0], np.cumsum(vals[::-1])])[::-1]
-    c_all = c_quarter + csum  # descending; c_all[-1] == c_quarter
-    if np.any(c_all <= 0.0):
-        raise ArithmeticError("cumulative transform integral lost positivity")
-
-    return BranchTable(
-        sigma=sigma, endpoint=mesh.endpoint, sgn=mesh.sgn, d_mesh=mesh.d_mesh, c_nodes=c_all,
-        plain=mesh.plain, cfg=cfg, c_at_dmax=c_quarter, d_max=float(mesh.d_mesh[-1]))
+    return d_mesh, seg_lo, seg_hi, plain
 
 
 @dataclass
@@ -594,7 +582,13 @@ class AuxWeight:
 
 def build_aux_weight(w: Weight, p: Exponent, structure: DegeneracyStructure,
                      cfg: Optional[QuadratureConfig] = None) -> AuxWeight:
-    """Construct the auxiliary weight for a previously detected structure."""
+    """Construct the auxiliary weight for a previously detected structure.
+
+    One drive integrates sigma over every branch's quarter span; a span that
+    diverges raises ArithmeticError here.  The branch meshes wait for the
+    first query that lands in each branch (BranchTable), and so do their
+    errors.
+    """
     cfg = cfg or DEFAULT_CONFIG
     if structure.p != p.p:
         raise ValueError(f"structure was computed for p={structure.p}, not p={p.p}")
@@ -603,22 +597,20 @@ def build_aux_weight(w: Weight, p: Exponent, structure: DegeneracyStructure,
     # removable zeros get sliver nodes instead
     kinks = sorted_unique(np.asarray(w.breakpoints(), dtype=float))
     kinks = kinks[~np.isin(kinks, sorted_unique(removables), assume_unique=True)]
-    ivs = structure.intervals
-    meshes = [_branch_mesh(end, iv.mid, removables, kinks)
-              for iv in ivs for end in (iv.lo, iv.hi)]
-    # one drive: the quarter span of each branch, range k for mesh k
+    ends = [(end, iv.mid, 1.0 if iv.mid > end else -1.0)
+            for iv in structure.intervals for end in (iv.lo, iv.hi)]
+    # one drive: the quarter span of each branch, from its quarter point to the midpoint
+    spans = [sorted((end + sgn * 0.5 * abs(mid - end), mid)) for end, mid, sgn in ends]
     res = integrate_ranges(lambda x, _: sigma(x), [
-        (a, b, [r for r in removables if a < r < b], kinks) for a, b in (m.span for m in meshes)],
-        cfg)
-    # and one batch of panels for all branch segments
-    lo, hi = (np.concatenate([np.zeros(0), *(getattr(m, k) for m in meshes)])
-              for k in ("lo", "hi"))
-    vals = _eval_panels(sigma, lo, hi, cfg)[0] if lo.size else lo
-    ends = np.cumsum([0] + [m.lo.size for m in meshes])
-    branches = [_finish_branch(sigma, m, quarter, vals[ends[k]:ends[k + 1]], cfg)
-                for k, (m, quarter) in enumerate(zip(meshes, res))]
+        (a, b, [r for r in removables if a < r < b], kinks) for a, b in spans], cfg)
+    if not all(quarter.is_finite for quarter in res):
+        raise ArithmeticError(
+            "transform not integrable between quarter point and midpoint; "
+            "the degeneracy structure should have split here")
+    branches = [BranchTable(sigma, end, sgn, mid, removables, kinks, cfg, quarter.value)
+                for (end, mid, sgn), quarter in zip(ends, res)]
     parts = []
-    for iv, left, right in zip(ivs, branches[::2], branches[1::2]):
+    for iv, left, right in zip(structure.intervals, branches[::2], branches[1::2]):
         parts.append(AuxInterval(
             base=iv, plateau=1.0 / (left.c_at_dmax + right.c_at_dmax), left=left, right=right,
             lo_value=1.0 / iv.lo_class.value if iv.lo_class.integrable else 0.0,

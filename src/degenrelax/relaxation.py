@@ -114,7 +114,15 @@ def min_mesh_parameter(structure: DegeneracyStructure) -> int:
     return int(math.floor(4.0 / wmin)) + 1
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# the 16-point Gauss-Legendre rule as numpy.polynomial.legendre.leggauss(16)
+# gives it, symmetric to the bit: its positive nodes, then their weights
+_GL_HALF = np.array([
+    [0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+     0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499],
+    [0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+     0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176]])
+_GL_NODES = np.concatenate((-_GL_HALF[0, ::-1], _GL_HALF[0]))
+_GL_WEIGHTS = np.concatenate((_GL_HALF[1, ::-1], _GL_HALF[1]))
 
 
 class _MollifiedAntiderivative:

@@ -306,9 +306,13 @@ class PiecewisePowerWeight(Weight):
         self.family = family
         self.params = dict(params or {})
         self.truncated = truncated
-        self._los, self._his, self._pivots, self._log2s, self._exponents = (
+        self._los, self._his, self._pivots, self._log2s, self._exponents, self._scales = (
             np.array([getattr(q, k) for q in self.pieces], dtype=float)
-            for k in ("lo", "hi", "pivot", "log2_scale", "exponent"))
+            for k in ("lo", "hi", "pivot", "log2_scale", "exponent", "scale"))
+        # pieces sharing a formula in __call__: (exponent, log-domain path); -1 off the pieces
+        keys = [(q.exponent, abs(q.log2_scale) > 512.0) for q in self.pieces]
+        self._formulas = sorted(set(keys))
+        self._formula = np.array([self._formulas.index(k) for k in keys] + [-1])
         self._ends = tuple(sorted({e for q in self.pieces for e in (q.lo, q.hi)
                                    if domain.lo < e < domain.hi}))
         # the uncovered spans (w == 0), from the furthest piece end so far to the next piece
@@ -330,19 +334,20 @@ class PiecewisePowerWeight(Weight):
         flat = np.atleast_1d(x).ravel()
         out = np.zeros(flat.shape)
         idx = self._piece_index(flat)
-        for i, q in enumerate(self.pieces):
-            m = idx == i
-            if not m.any():
+        formula = self._formula[idx]
+        for k, (e, log_path) in enumerate(self._formulas):
+            m = np.flatnonzero(formula == k)
+            if not m.size:
                 continue
-            d = np.abs(flat[m] - q.pivot)
-            if abs(q.log2_scale) > 512.0:
+            i = idx[m]
+            d = np.abs(flat[m] - self._pivots[i])
+            if log_path:
                 # log-domain path: exp2(log2 m + alpha*log2 d), exact 0 at the pivot;
                 # an exponent-0 piece is flat there, so 0 * log2(0) counts as 0
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    out[m] = np.exp2(q.log2_scale + np.where(
-                        q.exponent == 0.0, 0.0, q.exponent * np.log2(d)))
+                    out[m] = np.exp2(self._log2s[i] + (0.0 if e == 0.0 else e * np.log2(d)))
             else:
-                out[m] = q.scale * d ** q.exponent
+                out[m] = self._scales[i] * d ** e  # e a scalar: numpy's fast paths round per e
         return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
 
     def transform(self, p: Exponent) -> Callable[[np.ndarray], np.ndarray]:

@@ -462,17 +462,22 @@ def test_branch_values_outlive_their_aux(figure1, p2):
 
 def test_left_queries_fit_no_right_branch(monkeypatch):
     # cascade_partial_sums integrates aux over each bump's first quarter
-    # only: each left branch is fitted once, no right branch ever
-    fitted = []
-    fit = auxweight.BranchTable.zones_by_distance
+    # only: each left branch is meshed and fitted once, no right branch ever
+    fitted, meshed = [], []
+    fit, mesh = auxweight.BranchTable.zones_by_distance, auxweight._branch_mesh
 
     def counting(self):
         fitted.append(self.sgn)
         return fit(self)
 
+    def counting_mesh(endpoint, mid, *args):
+        meshed.append(1.0 if mid > endpoint else -1.0)
+        return mesh(endpoint, mid, *args)
+
     monkeypatch.setattr(auxweight.BranchTable, "zones_by_distance", counting)
+    monkeypatch.setattr(auxweight, "_branch_mesh", counting_mesh)
     rep = cascade_partial_sums(3.0, Exponent(2.0), 6, CFG)
-    assert len(rep.terms) == 6 and fitted == [1.0] * 6
+    assert len(rep.terms) == 6 and fitted == [1.0] * 6 and meshed == [1.0] * 6
 
 
 def _lazy_cases():
@@ -481,36 +486,84 @@ def _lazy_cases():
         p = Exponent(pv)
         grid = GridSampledWeight(xs, np.abs(xs * xs - 1.0) ** (1.5 * (pv - 1.0))
                                  * (1.0 + 0.3 * np.sin(3.0 * xs + 0.4)))
-        for w in (builtin_figure1(), builtin_cascade(2.0 * (pv - 1.0), p, 6), grid):
+        for w in (builtin_figure1(), builtin_cascade(2.0 * (pv - 1.0), p, 6), grid,
+                  _removable_then_split(pv)):
             yield pytest.param(w, p, id=f"{w.family}-p{pv}")
 
 
 @pytest.mark.parametrize("w, p", _lazy_cases())
+def test_build_and_bounds_mesh_no_branch(monkeypatch, w, p):
+    # the quarter-span drive gives every plateau, limit and bound: the build
+    # integrates no mesh segment, and neither do the bounds
+    calls = []
+    for name in ("_eval_panels", "_branch_mesh"):
+        monkeypatch.setattr(auxweight, name, lambda *a, name=name: calls.append(name))
+    st_ = detect_structure(w, p, CFG)
+    bounds = aux_global_bounds(build_aux_weight(w, p, st_, CFG))
+    assert calls == [] and len(bounds.per_interval) == len(st_.intervals)
+    assert math.isfinite(bounds.sup) and bounds.sup > 0.0
+
+
+def _eager_tables(w, p, parts):
+    """Every branch's (d_mesh, c_nodes, plain, d_max) as build_aux_weight made
+    them before each branch waited for its first query: the segments of all
+    branches one batch of panels.  The bit-for-bit reference."""
+    branches = [br for part in parts for br in (part.left, part.right)]
+    meshes = [auxweight._branch_mesh(br.endpoint, br.mid, br.removables, br.kinks)
+              for br in branches]
+    lo, hi = (np.concatenate([np.zeros(0)] + [m[k] for m in meshes]) for k in (1, 2))
+    vals = quadrature._eval_panels(w.transform(p), lo, hi, CFG)[0]
+    ends = np.cumsum([0] + [m[1].size for m in meshes])
+    tables = []
+    for k, (br, (d_mesh, _, _, plain)) in enumerate(zip(branches, meshes)):
+        seg = vals[ends[k]:ends[k + 1]]
+        c = br.c_at_dmax + np.concatenate([[0.0], np.cumsum(seg[::-1])])[::-1]
+        tables.append((d_mesh, c, plain, float(d_mesh[-1])))
+    return tables
+
+
+def _with_tables(parts, tables):
+    """Copies of parts whose branches hold the given tabulations."""
+    out = []
+    for part, left, right in zip(parts, tables[::2], tables[1::2]):
+        brs = [dataclasses.replace(br) for br in (part.left, part.right)]
+        for br, tab in zip(brs, (left, right)):
+            br.__dict__["_tabulated"] = tab
+        out.append(dataclasses.replace(part, left=brs[0], right=brs[1]))
+    return out
+
+
+@pytest.mark.parametrize("w, p", _lazy_cases())
 def test_branches_built_in_any_order_give_one_table(w, p):
-    # aux at seeded points, and the finished table, do not depend on which
-    # branches the first queries land in: left first, right first, or all
-    # at once, each from a fresh build; the reference is the table built
-    # whole, every branch spliced in at once
+    # aux at seeded points, the branch tabulations and the finished table do
+    # not depend on which branches the first queries land in: left first,
+    # right first, or all at once, each from a fresh build; the reference is
+    # the table built whole from the eager batch of all branches' panels
     st_ = detect_structure(w, p, CFG)
     rng = np.random.default_rng(11)
     parts = build_aux_weight(w, p, st_, CFG).parts
     x = np.concatenate([rng.uniform(w.domain.lo, w.domain.hi, 500)] + [
         e + s * np.geomspace(1e-12, 1.0, 40) * (part.q1 - part.base.lo)
         for part in parts for e, s in ((part.base.lo, 1.0), (part.base.hi, -1.0))])
-    whole = auxweight._AuxTable(None, CFG, auxweight._whole_line(parts))
+    eager = _eager_tables(w, p, parts)
+    eager_parts = _with_tables(parts, eager)
+    whole = auxweight._AuxTable(None, CFG, auxweight._whole_line(eager_parts))
     whole.zone(whole.start)
+    want = AuxWeight(w, p, st_, eager_parts, CFG)(x)
     left = np.zeros(x.shape, dtype=bool)
     right = np.zeros(x.shape, dtype=bool)
     for part in parts:
         left |= (x > part.base.lo) & (x < part.q1)
         right |= (x > part.q3) & (x < part.base.hi)
-    want = None
     for first in (left, right, np.ones(x.shape, dtype=bool)):
         aux = build_aux_weight(w, p, st_, CFG)
         aux(x[first])
         got = aux(x)
-        want = got if want is None else want
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        branches = [br for part in aux.parts for br in (part.left, part.right)]
+        for br, tab in zip(branches, eager):
+            for got_k, want_k in zip((br.d_mesh, br.c_nodes, br.plain, br.d_max), tab):
+                assert np.asarray(got_k).tobytes() == np.asarray(want_k).tobytes()
         table = aux._table()
         assert not np.any(table.kind == auxweight._SLOT)
         for key in ("start", "kind", "ep", "sgn", "d_ref", "scale", "c_ref", "row", "series"):
@@ -640,20 +693,27 @@ def test_point_zero_inside_a_branch_segment_is_graded_into(pv):
 def test_grid_zero_at_the_origin_fails_fast():
     # next to 0 the interpolant underflows to exactly 0, so sigma is +inf on
     # every node of the deepest branch segments; grading into such a panel
-    # once shows that its bad node is no isolated spike
+    # once shows that its bad node is no isolated spike.  The quarter spans
+    # are finite, so the build and its bounds succeed; the branch left of 0
+    # fails on its first query, and on every later one
     xs = np.linspace(-1.0, 1.0, 33)
     w = GridSampledWeight(xs, np.abs(xs) ** 2 * (1.0 + 0.2 * np.cos(5.0 * xs)))
     p = Exponent(1.5)
     st_ = detect_structure(w, p, CFG)
 
     def expire(*_):
-        raise TimeoutError("build_aux_weight ran past its 1 s budget")
+        raise TimeoutError("the aux weight ran past its 1 s budget")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(1)
     try:
-        with pytest.raises(ArithmeticError, match=r"non-finite at x=.*across a whole panel"):
-            build_aux_weight(w, p, st_, CFG)
+        aux = build_aux_weight(w, p, st_, CFG)
+        bounds = aux_global_bounds(aux)
+        assert math.isfinite(bounds.sup) and math.isfinite(bounds.inf)
+        assert all(math.isfinite(v) for b in bounds.per_interval for v in b)
+        for _ in range(2):
+            with pytest.raises(ArithmeticError, match=r"non-finite at x=.*across a whole panel"):
+                aux(-1e-3)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

@@ -316,7 +316,8 @@ def test_import_leaves_scipy_unloaded(tmp_path):
 
 def test_subcommands_leave_numpy_ma_unloaded(tmp_path):
     # np.unique, union1d and setdiff1d import numpy.ma on their first call
-    # (numpy 2.4), 15-17 ms of a CLI run; the package calls none of them
+    # (numpy 2.4), 15-17 ms of a CLI run; the package calls none of them.
+    # numpy.polynomial (4-6 ms) is not imported either
     code = "\n".join([
         "import sys",
         "from degenrelax import cli",
@@ -328,6 +329,7 @@ def test_subcommands_leave_numpy_ma_unloaded(tmp_path):
         "             ['cascade', '--alpha', '2', '--bumps', '6']):",
         "    assert cli.main(args + ['--no-timestamp']) == 0, args",
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'",
+        "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial imported'",
     ])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr

@@ -944,3 +944,23 @@ def test_second_ambient_drive_calls_aux_at_no_first_pass_node(figure1_chain, mon
     assert later.size and not np.isin(later, x).any()
     assert _bits(norm) == _bits(
         sum(_plain_ambient(second, aux, [0.0] * 3, CFG), IntegralResult.finite(0.0, 0.0)))
+
+
+def test_poly_function_matches_numpy_polyval():
+    # polyval's own recurrence, bit for bit: negative x, -0.0 and infinities
+    # (where x * 0 reads NaN) included, for arrays and 0-d inputs
+    rng = np.random.default_rng(3)
+    x = np.concatenate((rng.uniform(-3.0, 3.0, 200), [0.0, -0.0, 1e300, -1e-300,
+                                                      math.inf, -math.inf]))
+    for coeffs in ([2.5], [0.0, 1.0], [1.0, -2.0, 0.5], [-0.0, 3.0, 0.0, -1.25, 7.0],
+                   rng.normal(size=9).tolist()):
+        u = poly_function(coeffs)
+        c = np.asarray(coeffs, dtype=float)
+        dc = np.array([k * c[k] for k in range(1, c.size)]) if c.size > 1 else np.zeros(1)
+        for fn, cc in ((u, c), (u.d, dc)):
+            with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, 1e300 ** 8
+                want = np.polynomial.polynomial.polyval(x, cc)
+                np.testing.assert_array_equal(fn(x).view(np.int64), want.view(np.int64))
+                for v in (-0.0, -2.0, math.inf):
+                    want = np.polynomial.polynomial.polyval(np.asarray(v), cc)
+                    assert np.asarray(fn(v)).tobytes() == np.asarray(want).tobytes()

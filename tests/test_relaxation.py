@@ -675,3 +675,10 @@ def test_second_sequence_calls_aux_at_no_first_pass_node(two_tent, p2, monkeypat
     assert later.size and not np.isin(later, x).any()
     assert [(m.x_err.hex(), m.f_value.hex()) for m in second.members] == \
         [(m.x_err.hex(), m.f_value.hex()) for m in first.members]
+
+
+def test_gauss_legendre_table_matches_leggauss():
+    from degenrelax.relaxation import _GL_NODES, _GL_WEIGHTS
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    np.testing.assert_array_equal(_GL_NODES.view(np.int64), nodes.view(np.int64))
+    np.testing.assert_array_equal(_GL_WEIGHTS.view(np.int64), weights.view(np.int64))

@@ -265,6 +265,50 @@ def test_transform_matches_the_per_piece_loop(pv):
     assert np.all(weights[-1].transform(p)(x) == math.inf)
 
 
+def _w_by_piece(w: PiecewisePowerWeight, x) -> np.ndarray:
+    """Reference w: one full-length masked pass per piece."""
+    flat = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    out = np.zeros(flat.shape)
+    idx = w._piece_index(flat)
+    for i, q in enumerate(w.pieces):
+        m = idx == i
+        if not m.any():
+            continue
+        d = np.abs(flat[m] - q.pivot)
+        if abs(q.log2_scale) > 512.0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out[m] = np.exp2(q.log2_scale + np.where(
+                    q.exponent == 0.0, 0.0, q.exponent * np.log2(d)))
+        else:
+            out[m] = q.scale * d ** q.exponent
+    return out
+
+
+def test_weight_matches_the_per_piece_loop(two_tent):
+    # one pass per (exponent, log-domain path) group, bit for bit; numpy's
+    # scalar fast paths for d ** 0.5, ** 2 and ** -1 round unlike an array
+    # exponent, so each group keeps its exponent a scalar
+    rng = np.random.default_rng(13)
+    weights = [
+        builtin_cascade(3.0, Exponent(2.0), 20),
+        builtin_cascade(15.0, Exponent(2.0), 40),  # log2 scales past 512
+        two_tent,
+        PiecewisePowerWeight(Interval(0.0, 1.0), [
+            PowerPiece(0.0, 0.2, 1.0, 0.0, 0.5), PowerPiece(0.2, 0.4, 3.0, 0.0, 0.0),
+            PowerPiece(0.4, 0.6, 0.5, 0.6, 2.0), PowerPiece(0.6, 0.7, 2.0, 0.6, 0.5),
+            PowerPiece(0.7, 0.8, 2.0 ** 700, 0.7, 0.0, log2scale=700.0),
+            PowerPiece(0.8, 0.9, 2.0 ** -600, 0.9, 2.0, log2scale=-600.0),
+            PowerPiece(0.9, 1.0, 1.5, 0.9, 2.0)]),
+        PiecewisePowerWeight(Interval(0.0, 1.0), []),  # no pieces: 0 everywhere
+    ]
+    assert max(abs(q.log2_scale) for q in weights[1].pieces) > 512.0
+    for w in weights:
+        x = np.concatenate((_probe_points(w, rng), rng.uniform(w.domain.lo, w.domain.hi, 20_000)))
+        want = _w_by_piece(w, x)
+        np.testing.assert_array_equal(w(x).view(np.int64), want.view(np.int64))
+        assert all(w(v) == want[k] for k, v in enumerate(x[:50]))  # scalar calls
+
+
 def test_cascade_requires_supercritical_alpha():
     with pytest.raises(WeightSpecError):
         builtin_cascade(2.0, Exponent(3.0), 4)
