@@ -1,33 +1,5 @@
 """Degenerate-weight p-energy toolkit."""
 
-import os as _os
-
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-
-
-def _apply_thread_cap():
-    """Default each numeric library's thread count to DEGEN_RELAX_THREADS.
-
-    Runs on package import, before any submodule loads numpy.  Returns the
-    reason an invalid value was ignored (the CLI exits with it), else None.
-    """
-    raw = _os.environ.get("DEGEN_RELAX_THREADS")
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        return f"DEGEN_RELAX_THREADS={raw!r} is not an integer"
-    if n < 1:
-        return f"DEGEN_RELAX_THREADS must be >= 1, got {n}"
-    for var in _THREAD_VARS:
-        _os.environ.setdefault(var, str(n))
-    return None
-
-
-_apply_thread_cap()
-
 from .weights import (Exponent, Interval, Weight, ZeroInfo, ClosedFormWeight,
                       PiecewisePowerWeight, PowerPiece, GridSampledWeight,
                       WeightSpecError, builtin_figure1, builtin_power,

@@ -495,21 +495,20 @@ class AuxInterval:
         return self.base.lo + 0.75 * self.base.width
 
 
-def _whole_line(parts):
+def _whole_line(parts, touching):
     """The table layout of the auxiliary weight: 0 off the intervals, their
-    endpoint values, branches and plateaus in between."""
+    endpoint values, branches and plateaus in between.  touching is the
+    structure's, one flag per pair of neighbouring parts."""
     yield -math.inf, 0.0
-    prev_hi = -math.inf
-    for part in parts:
+    for part, seam in zip(parts, (False, *touching)):
         lo, hi = part.base.lo, part.base.hi
-        if lo > prev_hi:  # touching intervals share the left one's endpoint value
+        if not seam:  # touching intervals share the left one's endpoint value
             yield lo, part.lo_value
         yield part.left, np.nextafter(lo, math.inf), part.q1
         yield part.q1, part.plateau
         yield part.right, np.nextafter(part.q3, math.inf), hi
         yield hi, part.hi_value
         yield np.nextafter(hi, math.inf), 0.0
-        prev_hi = hi
 
 
 class AuxWeight:
@@ -536,7 +535,8 @@ class AuxWeight:
 
     def _table(self) -> _AuxTable:
         if self._zones is None:
-            self._zones = _AuxTable(self.sigma, self.cfg, _whole_line(self.parts))
+            self._zones = _AuxTable(self.sigma, self.cfg,
+                                    _whole_line(self.parts, self.structure.touching))
         return self._zones
 
     def ambient_weight(self, x) -> np.ndarray:
@@ -601,8 +601,8 @@ def build_aux_weight(w: Weight, p: Exponent, structure: DegeneracyStructure,
             for iv in structure.intervals for end in (iv.lo, iv.hi)]
     # one drive: the quarter span of each branch, from its quarter point to the midpoint
     spans = [sorted((end + sgn * 0.5 * abs(mid - end), mid)) for end, mid, sgn in ends]
-    res = integrate_ranges(lambda x, _: sigma(x), [
-        (a, b, [r for r in removables if a < r < b], kinks) for a, b in spans], cfg)
+    res = integrate_ranges(lambda x, _: sigma(x), [(a, b, removables, kinks) for a, b in spans],
+                           cfg)
     if not all(quarter.is_finite for quarter in res):
         raise ArithmeticError(
             "transform not integrable between quarter point and midpoint; "

@@ -19,7 +19,7 @@ from typing import Optional
 from .auxweight import build_aux_weight
 from .degeneracy import detect_structure
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_ranges
-from .weights import MAX_BUMPS, Exponent, builtin_cascade
+from .weights import Exponent, builtin_cascade
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,11 @@ def cascade_partial_sums(alpha: float, p: Exponent, bumps: int,
     telescoping is exact in floating point whenever alpha_p is.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if not 1 <= bumps <= MAX_BUMPS:
-        raise ValueError(f"bump count must lie in 1..{MAX_BUMPS}")
+    w = builtin_cascade(alpha, p, bumps)
     alpha_p = p.alpha_p(alpha)
     if (bumps + 1) * alpha_p > 900.0:
         raise ValueError("cascade amplitudes overflow double precision at this "
                          "alpha/p/bump combination")
-    w = builtin_cascade(alpha, p, bumps)
     structure = detect_structure(w, p, cfg)
     aux = build_aux_weight(w, p, structure, cfg)
     if len(aux.parts) != bumps:

@@ -15,12 +15,6 @@ for the commands that have any (aux, approx, cascade).
 
 Exit status: 0 on success, 1 when a requested verification fails, 2 on bad
 input.
-
-The environment variable DEGEN_RELAX_THREADS (a positive integer) caps the
-thread count of the underlying numeric libraries.  It is applied when the
-package is imported, before those libraries load, so it must be set in the
-environment of the process, not mutated afterwards.  All algorithms here
-are single-threaded; the cap only affects vendored BLAS-style pools.
 """
 
 from __future__ import annotations
@@ -35,7 +29,6 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import _apply_thread_cap
 from .auxweight import aux_global_bounds, build_aux_weight
 from .cascade import cascade_partial_sums
 from .degeneracy import detect_structure
@@ -372,9 +365,6 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    problem = _apply_thread_cap()
-    if problem:
-        raise SystemExit(f"error: {problem}")
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)

@@ -53,7 +53,9 @@ class DegeneracyStructure:
     kind is "zero" when the set is empty (w vanishes a.e.), "finite" for an
     ordinary finite decomposition, and "infinite_truncated" when the weight
     is a finite truncation of an infinite family, so the finite interval
-    list stands in for an infinite one.
+    list stands in for an infinite one.  Every quadrature range may be
+    handed all of removable_zeros: integrate_ranges ignores the points
+    outside a range.
     """
 
     p: float
@@ -66,6 +68,16 @@ class DegeneracyStructure:
     @property
     def count(self) -> int:
         return len(self.intervals)
+
+    @property
+    def touching(self) -> tuple[bool, ...]:
+        """Per pair of neighbouring intervals: do they share an end (a seam
+        the recovery tapers across, where aux takes the left value) rather
+        than leave a gap (which it bridges)?  detect_structure gives
+        touching intervals one float and parts the others by a zero region
+        wider than its 1e-12 * width tolerance, so equality decides."""
+        ivs = self.intervals
+        return tuple(a.hi == b.lo for a, b in zip(ivs, ivs[1:]))
 
 
 def _golden_min(f, lo: float, hi: float) -> float:
@@ -224,11 +236,10 @@ def detect_structure(w: Weight, p: Exponent,
     intervals = []
     for s_lo, s_hi in segments:
         mid = 0.5 * (s_lo + s_hi)
-        inner = [r for r in removable_pts if s_lo < r < s_hi]
         lo_cls = classify_endpoint_integrability(w, p, s_lo, mid, cfg,
-                                                 interior_singular=inner)
+                                                 interior_singular=removable_pts)
         hi_cls = classify_endpoint_integrability(w, p, s_hi, mid, cfg,
-                                                 interior_singular=inner)
+                                                 interior_singular=removable_pts)
         intervals.append(DegeneracyInterval(s_lo, s_hi, lo_cls, hi_cls))
 
     if not intervals:

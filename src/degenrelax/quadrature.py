@@ -724,7 +724,9 @@ def integrate_ranges(f: Callable[..., np.ndarray],
     """Integrate f over several ranges in lockstep; one IntegralResult per range.
 
     Each range is (a, b, singular, breakpoints) with integrate()'s meaning,
-    and gets exactly the result integrate() would give it alone.  The
+    and gets exactly the result integrate() would give it alone.  Singular
+    points and breakpoints within 1e-14 * (b - a) of an end, or outside the
+    range, are ignored, so every range may be handed one shared list.  The
     ranges share every integrand call: one for all first passes, then one
     per refinement round, each split into calls of at most _MAX_REQUEST
     panels (1,152).  f(x, index) receives the nodes of all ranges and,
@@ -835,8 +837,8 @@ def classify_endpoint_integrability(w: Weight, p: Exponent, z: float, far: float
     value taken from) the graded-tail behavior of the numeric integral.
     The value is exact wherever w.exact_transform_integral has one.
 
-    interior_singular lists removable zeros strictly between z and far, so
-    the value integral can grade into them.
+    interior_singular lists removable zeros for the value integral to grade
+    into; those not strictly between z and far are ignored (integrate_ranges).
     """
     cfg = cfg or DEFAULT_CONFIG
     if z == far:
@@ -868,8 +870,7 @@ def classify_endpoint_integrability(w: Weight, p: Exponent, z: float, far: float
     if value is None:
         if alpha == 0.0 and rule == "exact-exponent":
             rule = "positive-weight"  # no decay at z: sigma locally bounded
-        interior = [s for s in interior_singular if lo < s < hi]
-        res = integrate(w.transform(p), lo, hi, cfg, singular=interior,
+        res = integrate(w.transform(p), lo, hi, cfg, singular=interior_singular,
                         breakpoints=w.breakpoints())
         value = res.value_or_inf
         if not res.is_finite and rule == "estimated-exponent":

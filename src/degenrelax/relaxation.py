@@ -209,13 +209,13 @@ class _Member:
     """
 
     def __init__(self, u: TestFunction, aux: AuxWeight, structure: DegeneracyStructure,
-                 dom: Interval, pp: float, h: int, junctions: tuple):
+                 dom: Interval, pp: float, h: int):
         self.u, self.aux, self.pinv, self.pp = u, aux, 1.0 / pp, pp
         ivs = structure.intervals
         r = 1.0 / h
         # touch[k] and touch[k + 1]: does interval k touch its left, its right
         # neighbour?  The first left side and the last right side never do.
-        touch = [False] + [j == "touching" for j in junctions] + [False]
+        touch = [False, *structure.touching, False]
         blocks, self.spans = [], []  # blocks: (starts, kind, a, off, columns)
 
         def row(x, kind, a=0.0, v0=0.0, off=0.0):  # a taper's a: its reference point, for now
@@ -231,7 +231,7 @@ class _Member:
                 y1 = m.u_mid + (_cum(cum[0], v[0], dv[0], dg[0], 0.0) - m.c_mid)
                 if k == 0 and iv.lo > dom.lo:
                     row(dom.lo, _SEG, y1)
-                elif k and junctions[k - 1] == "gap":  # bridge from the last interval's hi
+                elif k and not touch[k]:  # bridge from the last interval's hi
                     g_lo = ivs[k - 1].hi
                     row(g_lo, _SEG, y0, (y1 - y0) / (iv.lo - g_lo))
                     self.spans.append((g_lo, iv.lo))
@@ -363,19 +363,15 @@ def build_approx_sequence(u: TestFunction, w: Weight, aux: AuxWeight,
         raise ValueError(f"u outside the relaxed domain: {f_lim.reason}")
     x_norm_u = lp_aux_norm(u, aux, cfg).value ** (1.0 / p.p)  # same norm that measures x_err
 
-    ivs = structure.intervals
     dom = w.domain
-    tol = 1e-12 * dom.width
-    junctions = tuple(
-        "touching" if abs(ivs[k + 1].lo - ivs[k].hi) <= tol else "gap"
-        for k in range(len(ivs) - 1))
+    junctions = tuple("touching" if seam else "gap" for seam in structure.touching)
 
     # diagnostics compare percent-level quantities; relax the budget accordingly
     diag_cfg = replace(cfg, rel_tol=max(cfg.rel_tol, 1e-7), abs_tol=max(cfg.abs_tol, 1e-12))
 
     # one drive for every member: the ambient distance |m - u| (cut where m
     # is), then the energy of m over its spans
-    pws = [_Member(u, aux, structure, dom, p.p, h, junctions) for h in hs]
+    pws = [_Member(u, aux, structure, dom, p.p, h) for h in hs]
     ubars, terms = [], []
     for h, pw in zip(hs, pws):
         bps = sorted({b_ for span in pw.spans for b_ in span} | set(u.breakpoints))

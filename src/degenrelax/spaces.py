@@ -279,12 +279,12 @@ def energy_ranges(u: TestFunction, w: Weight, structure: DegeneracyStructure,
                   spans: Optional[Sequence[tuple]] = None) -> list:
     """One integrate_ranges range of the energy density per (lo, hi) span
     (default: per structure interval): graded into the removable zeros
-    inside it, cut at the kinks."""
+    inside it (each range holds them all; quadrature ignores the others),
+    cut at the kinks."""
     if spans is None:
         spans = [(iv.lo, iv.hi) for iv in structure.intervals]
     removable = [z.location for z in structure.removable_zeros]
-    return [(lo, hi, [r for r in removable if lo < r < hi], density_cuts(u, w, lo, hi))
-            for lo, hi in spans]
+    return [(lo, hi, removable, density_cuts(u, w, lo, hi)) for lo, hi in spans]
 
 
 def aux_ranges(u: TestFunction, aux: AuxWeight) -> list:

@@ -547,7 +547,7 @@ def test_branches_built_in_any_order_give_one_table(w, p):
         for part in parts for e, s in ((part.base.lo, 1.0), (part.base.hi, -1.0))])
     eager = _eager_tables(w, p, parts)
     eager_parts = _with_tables(parts, eager)
-    whole = auxweight._AuxTable(None, CFG, auxweight._whole_line(eager_parts))
+    whole = auxweight._AuxTable(None, CFG, auxweight._whole_line(eager_parts, st_.touching))
     whole.zone(whole.start)
     want = AuxWeight(w, p, st_, eager_parts, CFG)(x)
     left = np.zeros(x.shape, dtype=bool)

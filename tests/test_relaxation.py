@@ -257,6 +257,26 @@ def test_gap_junction_two_tent(two_tent_chain, p2):
     assert m.f_gap <= 0.01 * max(abs(seq.f_limit), 1e-12)
 
 
+def test_sequence_and_aux_read_one_touching_rule(p2):
+    # a structure decides once whether neighbours touch, by equality of their
+    # ends: an interval moved 1e-13 off its neighbour leaves a gap for the
+    # sequence (it bridges) and for aux (each side keeps its endpoint value)
+    pieces = [PowerPiece(0.0, 0.5, 1.0, 0.5, 3.0), PowerPiece(0.5, 1.0, 1.0, 0.5, 0.5)]
+    w = PiecewisePowerWeight(Interval(0.0, 1.0), pieces)
+    u = poly_function([0.0, 1.0])
+    st_ = detect_structure(w, p2, CFG)
+    left, right = st_.intervals
+    moved = replace(st_, intervals=(left, replace(right, lo=0.5 + 1e-13)))
+    for structure, touching in ((st_, True), (moved, False)):
+        assert structure.touching == (touching,)
+        aux = build_aux_weight(w, p2, structure, CFG)
+        seq = build_approx_sequence(u, w, aux, structure, p2, h_max=8, cfg=CFG)
+        assert seq.junctions == ("touching" if touching else "gap",)
+        lo = structure.intervals[1].lo
+        assert aux(0.5) == aux.parts[0].hi_value == 0.0
+        assert aux(lo) == (0.0 if touching else aux.parts[1].lo_value) and aux(lo + 1e-14) > 0.0
+
+
 def test_taper_stays_below_original(figure1_chain, p2):
     # near a divergent seam the taper multiplies u by (aux/ref)^(1/p) <= 1
     w, st_, aux = figure1_chain
@@ -563,7 +583,7 @@ def test_members_match_the_closure_construction(member_case):
     u, aux, st_, dom, pv, junctions = member_case
     rng = np.random.default_rng(20)
     for h in _mesh_ladder(st_):
-        new = _Member(u, aux, st_, dom, pv, h, junctions)
+        new = _Member(u, aux, st_, dom, pv, h)
         ref, seam_gap = _closure_member(u, aux, st_, dom, pv, h, junctions)
         # every row start and the floats on either side of it pin the one row
         # search; scalar calls go to the block starts: where a row's kind, a
@@ -592,7 +612,7 @@ def test_member_derivative_is_the_derivative_of_the_member(member_case):
     # the energy of a member integrates fn.d, so fn.d must differentiate fn
     u, aux, st_, dom, pv, junctions = member_case
     for h in _mesh_ladder(st_):
-        fn = _Member(u, aux, st_, dom, pv, h, junctions)
+        fn = _Member(u, aux, st_, dom, pv, h)
         ends = [(dom.lo, st_.intervals[0].lo), (st_.intervals[-1].hi, dom.hi)]  # the constants
         for lo, hi in fn.spans + [(lo, hi) for lo, hi in ends if lo < hi]:
             step = 1e-6 * (hi - lo)

@@ -1,6 +1,7 @@
 """Weight model: exponents, transforms, piecewise powers, parsing."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -30,6 +31,38 @@ def test_exponent_rejects_bad_values():
     for bad in (1.0, 0.5, 0.0, -2.0, math.inf, math.nan):
         with pytest.raises(WeightSpecError):
             Exponent(bad)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Interval(1.0, 0.0), "need finite lo < hi"),
+    (lambda: builtin_power(-1.0), "power weight needs alpha > -1"),
+    (lambda: PowerPiece(0.5, 0.5, 1.0, 0.0, 1.0), "bad piece span"),
+    (lambda: PowerPiece(0.0, 1.0, 0.0, 0.0, 1.0), "piece scale must be positive finite"),
+    (lambda: PowerPiece(0.0, 1.0, 1.0, 0.0, 1.0, log2scale=math.inf),
+     "piece log2scale must be finite"),
+    (lambda: PowerPiece(0.0, 1.0, 1.0, 0.0, -1.0), "piece exponent must be > -1"),
+    (lambda: PowerPiece(0.0, 1.0, 1.0, 0.5, 1.0), "lies strictly inside"),
+    (lambda: PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, 0.6, 1.0, 0.0, 1.0),
+                                                       PowerPiece(0.4, 1.0, 1.0, 1.0, 1.0)]),
+     "pieces overlap"),
+    (lambda: PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, 2.0, 1.0, 0.0, 1.0)]),
+     "outside domain"),
+    (lambda: GridSampledWeight([0.0, 0.0, 1.0], [1.0, 1.0, 1.0]), "strictly increasing"),
+    (lambda: GridSampledWeight([0.0, 1.0], [1.0, math.nan]), "must be finite"),
+    (lambda: GridSampledWeight([0.0, 1.0], [1.0, -1.0]), "significantly negative"),
+    (lambda: weight_from_spec({}), "with a 'family' key"),
+    (lambda: weight_from_spec({"family": "cascade"}), "needs the run exponent p"),
+    (lambda: weight_from_spec({"family": "grid"}), "needs 'csv' or 'x'+'w'"),
+    (lambda: weight_from_spec({"family": "piecewise_power"}), "needs 'domain'"),
+    (lambda: parse_weight_arg("power:alpha"), "bad weight argument fragment 'alpha'"),
+], ids=["interval-reversed", "power-alpha-minus-1", "piece-empty-span", "piece-scale-0",
+        "piece-log2scale-inf", "piece-exponent-minus-1", "piece-pivot-inside",
+        "pieces-overlap", "piece-outside-domain", "grid-not-increasing", "grid-nan",
+        "grid-negative", "spec-empty", "spec-cascade-without-p", "spec-grid-without-data",
+        "spec-piecewise-without-domain", "arg-fragment-without-value"])
+def test_spec_checks_raise_with_their_message(make, message):
+    with pytest.raises(WeightSpecError, match=re.escape(message)):
+        make()
 
 
 def test_conjugate_exponent_relation():
