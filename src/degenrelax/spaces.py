@@ -11,19 +11,25 @@ functions for batteries.
 
 Every integral of a density of u (or of a recovery member) goes through
 density_integrals, one integrand for both densities (energy terms |u'|^p w,
-ambient terms |u - c|^p aux^(p-1)): one term for the seminorm, the ambient
-norm, the membership or ac_extension_check's energy, two for space_norm,
-poincare_global_check and relaxed_functional, two per member for a
+ambient terms |u - c|^p aux^(p-1)): one term for the seminorm, the
+membership or ac_extension_check's energy, two for space_norm,
+poincare_global_check and relaxed_functional, three for the ambient norm
+(one for a sampled u or one without a derivative), two per member for a
 recovery sequence.  A divergent one reads as +inf wherever it enters a
 number (IntegralResult.value_or_inf).  u keeps every range's result as long
 as it lives, so each question makes at most one drive, of the ranges not
-yet answered for that u: asked in a battery's order (ambient norm,
-seminorm, Poincare check, relaxed value), the Poincare check integrates
-only its shifted ambient term and the relaxed value nothing.  Ambient terms
-read aux^(p-1) on their first pass from the samples the auxiliary weight
-keeps (AuxWeight.ambient_samples), handed to integrate_ranges as they are.
-A sampled u (tag "Grid") has no seminorm: its energy is divergent(inf) in
-every question.  Every result is that of one plain drive per term, bit for bit.
+yet answered for that u.  The ambient norm's drive, when it has one, also
+integrates the energy and the ambient term shifted by u(mid), the other
+questions' terms: asked in a battery's order (ambient norm, seminorm,
+Poincare check, relaxed value), only the ambient norm drives.  Should that
+joint drive raise, the ambient norm drives a second time, alone.  Asked
+first, the relaxed value drives its two terms and the ambient norm and
+membership asked next read them; the Poincare check drives its two.
+Ambient terms read aux^(p-1) on their first pass from the samples the
+auxiliary weight keeps (AuxWeight.ambient_samples), handed to
+integrate_ranges as they are.  A sampled u (tag "Grid") has no seminorm:
+its energy is divergent(inf) in every question.  Every result is that of
+one plain drive per term, bit for bit.
 """
 
 from __future__ import annotations
@@ -294,6 +300,20 @@ def aux_ranges(u: TestFunction, aux: AuxWeight) -> list:
             for part in aux.parts]
 
 
+def _memo_slots(kind: str, fn: TestFunction, arg, w: Weight, pp: float,
+                aux: Optional[AuxWeight], cfg: QuadratureConfig) -> tuple:
+    """A term's ranges, fn's memo for its kind, and the memo key of each range
+    (see density_integrals)."""
+    amb = kind == "ambient"
+    obj = aux if amb else w
+    own = aux_ranges(fn, aux) if amb else list(arg)
+    memo = fn._memo.setdefault((kind, id(obj), aux.exponent.p if amb else pp, cfg), (obj, {}))[1]
+    c = np.asarray(arg, dtype=float) if amb else None
+    keys = [(a, b, tuple(s), tuple(cuts), float(c if c.ndim == 0 else c[k]) if amb else None)
+            for k, (a, b, s, cuts) in enumerate(own)]
+    return own, memo, keys
+
+
 def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
                       aux: Optional[AuxWeight] = None,
                       cfg: Optional[QuadratureConfig] = None) -> list:
@@ -325,12 +345,8 @@ def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
         if not amb and fn.tag == "Grid":
             answers.append([IntegralResult.divergent(math.inf)] * len(arg))
             continue
-        obj, c = (aux, np.asarray(arg, dtype=float)) if amb else (w, None)
-        own = aux_ranges(fn, aux) if amb else list(arg)
-        memo = fn._memo.setdefault((kind, id(obj), aux.exponent.p if amb else pp, cfg),
-                                   (obj, {}))[1]
-        keys = [(a, b, tuple(s), tuple(cuts), float(c if c.ndim == 0 else c[k]) if amb else None)
-                for k, (a, b, s, cuts) in enumerate(own)]
+        c = np.asarray(arg, dtype=float) if amb else None
+        own, memo, keys = _memo_slots(kind, fn, arg, w, pp, aux, cfg)
         answers.append([memo.get(key) for key in keys])
         miss = [k for k, r in enumerate(answers[-1]) if r is None]
         if miss:
@@ -382,8 +398,31 @@ def lp_aux_norm(u: TestFunction, aux: AuxWeight,
 
     The auxiliary weight vanishes off the interval closures, so this is the
     norm integral over the whole domain.  An empty structure gives 0.
+
+    When it has to integrate (u's memo lacks some of its ranges) and u has a
+    derivative and is not sampled, the same drive also integrates, after its
+    own ranges, the energy over aux.structure and the ambient term shifted
+    by u(mid) on each part: the seminorm, membership, relaxed value and
+    averaged Poincare check of u then read them and make no drive.  Those
+    added ranges never change the answer: each range's result is that of a
+    drive of it alone, and if the joint drive raises, the ambient norm is
+    integrated again alone, answering or raising as that drive does, and
+    nothing of the joint drive is kept.
     """
-    parts, = density_integrals([("ambient", u, 0.0)], aux.weight, aux.exponent.p, aux, cfg)
+    asked = ("ambient", u, 0.0)
+    args = aux.weight, aux.exponent.p, aux, cfg or DEFAULT_CONFIG
+    _, memo, keys = _memo_slots(*asked, *args)
+    if all(key in memo for key in keys):
+        return IntegralResult.total([memo[key] for key in keys])
+    if u.deriv is not None and u.tag != "Grid":
+        try:
+            parts = density_integrals([asked,
+                                       ("energy", u, energy_ranges(u, aux.weight, aux.structure)),
+                                       ("ambient", u, _mid_values(u, aux))], *args)[0]
+            return IntegralResult.total(parts)
+        except Exception:  # an added term failed, or the asked one: ask it alone
+            pass
+    parts, = density_integrals([asked], *args)
     return IntegralResult.total(parts)
 
 
@@ -493,12 +532,17 @@ class PoincareReport:
     ok: bool
 
 
+def _mid_values(u: TestFunction, aux: AuxWeight) -> list:
+    """u at the midpoint of each aux part: the averaged Poincare check's shifts."""
+    return [float(u(np.array([part.base.mid]))[0]) for part in aux.parts]
+
+
 def poincare_global_check(u: TestFunction, w: Weight, aux: AuxWeight,
                           structure: DegeneracyStructure, p: Exponent,
                           cfg: Optional[QuadratureConfig] = None) -> PoincareReport:
-    u_mids = [float(u(np.array([part.base.mid]))[0]) for part in aux.parts]
     energies, nums = density_integrals(
-        [("energy", u, energy_ranges(u, w, structure)), ("ambient", u, u_mids)], w, p.p, aux, cfg)
+        [("energy", u, energy_ranges(u, w, structure)), ("ambient", u, _mid_values(u, aux))],
+        w, p.p, aux, cfg)
     rows = []
     lhs_total = rhs_total = 0.0
     for part, energy, n in zip(aux.parts, energies, nums):

@@ -565,6 +565,24 @@ def _bits(r):
     return r.kind, r.value.hex(), r.err_estimate.hex()
 
 
+def _plain(ranges):
+    """A drive's ranges as comparable tuples: the ends, the singular points
+    (their container tells energy ranges, a list, from ambient ones, a
+    tuple) and the breakpoints."""
+    return [(a, b, type(s).__name__, tuple(s), tuple(np.asarray(c, dtype=float).tolist()))
+            for a, b, s, c in ranges]
+
+
+def _layouts(u, w, st_, aux):
+    """The ambient ranges and the energy ranges of u, as _plain gives them."""
+    return _plain(spaces.aux_ranges(u, aux)), _plain(spaces.energy_ranges(u, w, st_))
+
+
+def _kept(u):
+    """The kind and shift of every range u's memo holds (None for energy)."""
+    return [(kind, key[-1]) for (kind, *_), (_, memo) in u._memo.items() for key in memo]
+
+
 def _kink(b):
     return TestFunction(fn=lambda x: np.abs(x - b), deriv=lambda x: np.sign(x - b),
                         tag="AC", label="kink", breakpoints=(b,))
@@ -612,27 +630,26 @@ def test_each_question_is_one_drive(any_chain, monkeypatch):
     w, st_, aux, p = any_chain
     dom = w.domain
     u = spline_function(np.linspace(dom.lo, dom.hi, 7), np.random.default_rng(4).uniform(-1, 1, 7))
-    lp, member = lp_aux_norm(u, aux, CFG), check_membership(u, w, st_, p, CFG)
+    ambient, energy = _layouts(u, w, st_, aux)
     calls = count_drives(monkeypatch)
+    lp, member = lp_aux_norm(u, aux, CFG), check_membership(u, w, st_, p, CFG)
     rep = poincare_global_check(u, w, aux, st_, p, CFG)
     rel = relaxed_functional(u, w, aux, st_, p, CFG)
     amb, mem = lp_aux_norm(u, aux, CFG), check_membership(u, w, st_, p, CFG)
     norm = space_norm(u, w, aux, st_, p, CFG)
-    # the energy and the ambient term at shift 0 were answered: the Poincare
-    # check drives its shifted ambient ranges alone, the others nothing
-    n = len(st_.intervals)
-    spans = [(part.base.lo, part.base.hi) for part in aux.parts]
-    assert [[r[:2] for r in c] for c in calls] == [spans]
+    # the ambient norm's drive also integrates the energy and the ambient
+    # term shifted by u(mid): every later question reads it
+    assert [_plain(c) for c in calls] == [ambient + energy + ambient]
+    calls.clear()
     copy = replace(u)
     fresh = (poincare_global_check(replace(u), w, aux, st_, p, CFG),
              (relaxed_functional(copy, w, aux, st_, p, CFG), lp_aux_norm(copy, aux, CFG),
               check_membership(copy, w, st_, p, CFG)),
              space_norm(replace(u), w, aux, st_, p, CFG))
-    # on copies: energy ranges (their singular points a list) then the
-    # ambient ones, then twice the other way round; the relaxed value's
+    # on copies: the Poincare check's energy then its shifted ambient ranges,
+    # then twice the ambient ranges then the energy ones; the relaxed value's
     # follow-up questions read its drive
-    assert [[isinstance(r[2], list) for r in c] for c in calls[1:]] == \
-        [[True] * n + [False] * n] + [[False] * n + [True] * n] * 2
+    assert [_plain(c) for c in calls] == [energy + ambient] + [ambient + energy] * 2
     # each answers as the drives of its two sides alone, bit for bit
     assert [e for _, e in rep.per_interval] == [e.value for e in member.per_interval]
     assert _bits(amb) == _bits(lp) and mem == member and rel.value == member.seminorm.value
@@ -648,8 +665,8 @@ def test_each_question_is_one_drive(any_chain, monkeypatch):
     calls.clear()
     rel = relaxed_functional(grid, w, aux, st_, p, CFG)
     amb, mem = lp_aux_norm(grid, aux, CFG), check_membership(grid, w, st_, p, CFG)
-    assert len(calls) == 1 and not mem.in_space and rel.kind == "infinite"
-    assert _bits(amb) == _bits(lp)
+    assert [_plain(c) for c in calls] == [_plain(spaces.aux_ranges(grid, aux))]
+    assert not mem.in_space and rel.kind == "infinite" and _bits(amb) == _bits(lp)
 
 
 def test_a_drive_raises_the_nan_of_its_first_question(figure1_chain, p2):
@@ -694,15 +711,18 @@ def test_a_battery_case_integrates_each_range_once(name, pv, monkeypatch):
     aux = build_aux_weight(w, p, st_, CFG)
     dom = w.domain
     u = spline_function(np.linspace(dom.lo, dom.hi, 7), np.random.default_rng(5).uniform(-1, 1, 7))
+    ambient, energy = _layouts(u, w, st_, aux)
     calls = count_drives(monkeypatch)
     got = _battery(lambda: u, w, st_, aux, p)
-    # the ambient norm and the seminorm drive, the Poincare check its shifted
-    # ambient term alone, the relaxed value nothing
-    assert len(calls) == 3 and [r[:2] for r in calls[2]] == \
-        [(part.base.lo, part.base.hi) for part in aux.parts]
+    # the ambient norm drives its own ranges, then the energy and the ambient
+    # term shifted by u(mid); the seminorm, the Poincare check and the
+    # relaxed value read that drive
+    assert [_plain(c) for c in calls] == [ambient + energy + ambient]
     # each question asked of its own copy of u is one drive, with the same bits
     calls.clear()
-    assert _battery(lambda: replace(u), w, st_, aux, p) == got and len(calls) == 4
+    assert _battery(lambda: replace(u), w, st_, aux, p) == got
+    assert [_plain(c) for c in calls] == \
+        [ambient + energy + ambient, energy, energy + ambient, ambient + energy]
 
 
 def test_a_question_asked_twice_calls_no_integrand(figure1_chain, p2, monkeypatch):
@@ -728,24 +748,34 @@ def test_what_a_range_depends_on_integrates_again(figure1_chain, p2, monkeypatch
     calls = count_drives(monkeypatch)
     other_w = builtin_figure1()  # equal values, another object
     other_aux = build_aux_weight(w, p2, st_, CFG)
+    _, energy = _layouts(u, w, st_, aux)
+    kinked = replace(u, breakpoints=(0.0,))
+    gap = (iv.lo + 0.3 * iv.width, iv.mid)
+    # each question with the ranges its one drive integrates, or None
     again = [
-        lambda: seminorm_energy(u, other_w, st_, p2, CFG),
-        lambda: lp_aux_norm(u, other_aux, CFG),
-        lambda: seminorm_energy(u, w, st_, Exponent(3.0), CFG),
-        lambda: seminorm_energy(u, w, st_, p2, QuadratureConfig(rel_tol=1e-9)),
-        lambda: poincare_global_check(u, w, aux, st_, p2, CFG),  # ambient shifts u(mid)
-        lambda: pointwise_poincare_check(u, w, aux, 1, iv.lo + 0.3 * iv.width, iv.mid, CFG),
-        lambda: seminorm_energy(replace(u, breakpoints=(0.0,)), w, st_, p2, CFG),
+        (lambda: seminorm_energy(u, other_w, st_, p2, CFG), energy),
+        # another aux: its ambient ranges and their shifts by u(mid); the
+        # energy against w was answered
+        (lambda: lp_aux_norm(u, other_aux, CFG), _plain(spaces.aux_ranges(u, other_aux)) * 2),
+        (lambda: seminorm_energy(u, w, st_, Exponent(3.0), CFG), energy),
+        (lambda: seminorm_energy(u, w, st_, p2, QuadratureConfig(rel_tol=1e-9)), energy),
+        # the ambient norm's drive answered its energy and its shifted ambient term
+        (lambda: poincare_global_check(u, w, aux, st_, p2, CFG), None),
+        # a new gap span; the outer span (lo, mid) was answered
+        (lambda: pointwise_poincare_check(u, w, aux, 1, *gap, CFG),
+         _plain(spaces.energy_ranges(u, w, st_, [gap]))),
+        (lambda: seminorm_energy(kinked, w, st_, p2, CFG),
+         _plain(spaces.energy_ranges(kinked, w, st_))),
     ]
-    for k, question in enumerate(again):
+    for k, (question, ranges) in enumerate(again):
+        calls.clear()
         question()
-        assert len(calls) == k + 1, k
-    # the Poincare check's energy was answered: its drive is the ambient term
-    assert [r[:2] for r in calls[4]] == [(part.base.lo, part.base.hi) for part in aux.parts]
+        assert [_plain(c) for c in calls] == ([ranges] if ranges else []), k
     # equal answers where only the object differs
+    calls.clear()
     assert _bits(seminorm_energy(u, other_w, st_, p2, CFG)) == _bits(semi)
     assert _bits(lp_aux_norm(u, other_aux, CFG)) == _bits(lp)
-    assert len(calls) == len(again)
+    assert calls == []
 
 
 def test_a_question_that_raised_raises_again(figure1_chain, p2, monkeypatch):
@@ -763,7 +793,82 @@ def test_a_question_that_raised_raises_again(figure1_chain, p2, monkeypatch):
             question()
         assert str(again.value) == str(first.value)
         assert again.value.location == first.value.location
-    assert len(calls) == 6 and all(not memo for _, memo in u._memo.values())
+    # the ambient norm's joint drive raises, so it drives its own ranges
+    # again alone, and raises as that drive does
+    ambient, energy = _layouts(u, w, st_, aux)
+    assert [_plain(c) for c in calls] == [energy] * 2 + [ambient + energy + ambient, ambient] * 2 \
+        + [ambient + energy] * 2
+    assert _kept(u) == []
+
+
+@pytest.mark.parametrize("case", ["no derivative", "sampled", "empty structure"])
+def test_the_ambient_norm_adds_no_term_it_cannot_integrate(case, figure1_chain, p2, monkeypatch):
+    w, st_, aux = figure1_chain
+    s = spline_function([-2.0, -1.2, 0.0, 0.7, 2.0], [0.0, 0.5, -1.0, 0.3, 0.0])
+    if case == "empty structure":
+        w = PiecewisePowerWeight(Interval(-2.0, 2.0), [], family="null")
+        st_ = detect_structure(w, p2, CFG)
+        aux = build_aux_weight(w, p2, st_, CFG)
+    u = TestFunction(fn=s.fn, deriv=None if case == "no derivative" else s.deriv,
+                     tag="Grid" if case == "sampled" else "AC")
+    calls = count_drives(monkeypatch)
+    got = lp_aux_norm(u, aux, CFG)
+    # its own ranges alone (an empty structure has none), each with the bits
+    # of a drive of it alone; only they are kept
+    assert [_plain(c) for c in calls] == ([_plain(spaces.aux_ranges(u, aux))] if aux.parts else [])
+    assert _bits(got) == _bits(sum(_ref_aux_mass(u, aux, [0.0] * len(aux.parts)),
+                                   IntegralResult.finite(0.0, 0.0)))
+    assert _kept(u) == [("ambient", 0.0)] * len(aux.parts)
+
+
+def test_a_nan_derivative_leaves_the_ambient_norm_as_it_was(figure1_chain, p2, monkeypatch):
+    w, st_, aux = figure1_chain
+    # u is finite, u' NaN on the left of -1.5
+    u = TestFunction(fn=lambda x: 0.5 * x, deriv=lambda x: np.where(x < -1.5, np.nan, 0.5),
+                     tag="AC")
+    ambient, energy = _layouts(u, w, st_, aux)
+    calls = count_drives(monkeypatch)
+    lp = lp_aux_norm(u, aux, CFG)
+    # the joint drive raises on the energy: the ambient norm drives its own
+    # ranges again alone, with the bits of a drive per part, and nothing of
+    # the joint drive is kept
+    assert [_plain(c) for c in calls] == [ambient + energy + ambient, ambient]
+    assert _bits(lp) == _bits(sum(_ref_aux_mass(u, aux, [0.0] * len(aux.parts)),
+                                  IntegralResult.finite(0.0, 0.0)))
+    assert _kept(u) == [("ambient", 0.0)] * len(aux.parts)
+    # the questions that need the energy raise as they do asked of a u that
+    # was asked nothing before
+    for question in (lambda v: seminorm_energy(v, w, st_, p2, CFG),
+                     lambda v: poincare_global_check(v, w, aux, st_, p2, CFG)):
+        with pytest.raises(IntegrandEvaluationError) as got:
+            question(u)
+        with pytest.raises(IntegrandEvaluationError) as want:
+            question(replace(u))
+        assert (str(got.value), got.value.location) == (str(want.value), want.value.location)
+        assert got.value.location < -1.5
+    assert _kept(u) == [("ambient", 0.0)] * len(aux.parts)
+
+
+def test_other_orders_add_no_term(figure1_chain, p2, monkeypatch):
+    w, st_, aux = figure1_chain
+    u = spline_function([-2.0, -1.2, 0.0, 0.7, 2.0], [0.0, 0.5, -1.0, 0.3, 0.0])
+    ambient, energy = _layouts(u, w, st_, aux)
+    calls = count_drives(monkeypatch)
+    # build_approx_sequence's order (and relax's, and approx's): the relaxed
+    # value's drive answers the ambient norm and the membership, and no
+    # ambient range shifted by u(mid) is integrated
+    relaxed_functional(u, w, aux, st_, p2, CFG)
+    lp_aux_norm(u, aux, CFG)
+    check_membership(u, w, st_, p2, CFG)
+    assert [_plain(c) for c in calls] == [ambient + energy]
+    assert sorted(set(_kept(u)), key=str) == [("ambient", 0.0), ("energy", None)]
+    # the Poincare check asked first is one drive of its two terms; the
+    # ambient norm asked next drives only its own ranges
+    calls.clear()
+    v = replace(u)
+    poincare_global_check(v, w, aux, st_, p2, CFG)
+    lp_aux_norm(v, aux, CFG)
+    assert [_plain(c) for c in calls] == [energy + ambient, ambient]
 
 
 def test_the_memo_is_no_field(figure1_chain, p2):
