@@ -24,9 +24,11 @@ control flow runs in arrays: the graded runs of all ranges are the rows of
 one padded (run, level) array, walked at once with sequential cumulative
 sums along the rows, a cumulative count of non-decaying level pairs for the
 trend window, and each row ending at its first divergence or block-end
-exit; the inf levels of all rows are graded into in one request.  Each
-refinement round splits the panels of all ranges in one array step; only
-the choice of the panels to split stays per range, as its sums decide it.
+exit; the inf levels of all rows are graded into in one request.  Then a
+pool (_Pool) per range holds its refinement rule, and a round is plan, one
+request, take: each live pool plans its next panels (its cut pieces, then
+quarters of its worst panels), all plans are evaluated in one request, and
+each pool takes its share.
 
 The first pass depends only on the ranges' ends and singular points, never
 on breakpoints or on the integrand: first_pass_nodes() returns its nodes.
@@ -461,7 +463,9 @@ def _settle(lo, hi, sums, owner, cfg: QuadratureConfig, evaluate):
 
 
 class _Pool:
-    """The panels of one range between its first pass and its result."""
+    """The panels of one range between its first pass and its result, and
+    the rule for what the range refines next.  A round is plan(), then one
+    request for the planned panels of every live range, then take()."""
 
     def __init__(self, lows, highs, vals, errs, cuts=None, owner=0):
         self.lows, self.highs, self.vals, self.errs = lows, highs, vals, errs
@@ -484,26 +488,55 @@ class _Pool:
         return (keep, np.where(k == 0, self.lows[at], cuts[np.maximum(c - 1, 0)]),
                 np.where(c == last[at], self.highs[at], cuts[np.minimum(c, cuts.size - 1)]))
 
-    def select(self, cfg: QuadratureConfig):
-        """The worst panels whose summed error covers the excess over the budget,
-        at most (_MAX_PANELS - size) // 3; None once it is met or none fits."""
+    def plan(self, cfg: QuadratureConfig):
+        """The range's next panels as (what they replace, lows, highs), None once
+        the budget is met or _MAX_PANELS leaves no room: first the cut pieces,
+        then quarters of the worst panels whose summed error covers the excess
+        over the budget, at most (_MAX_PANELS - size) // 3.  A pick whose quarter
+        points do not separate at float resolution is accepted (error 0), and
+        the worst panels are picked again."""
+        if self.cuts is not None and (cut := self.pieces()) is not None:
+            return cut
         room = (_MAX_PANELS - self.lows.size) // 3
-        if room <= 0:
-            return None
         vals, errs = self.vals, self.errs
-        excess = np.add.reduce(errs) - max(cfg.abs_tol * np.add.reduce(np.abs(vals)),
-                                           cfg.rel_tol * abs(np.add.reduce(vals)))
-        if excess <= 0.0:
-            return None
-        order = np.argsort(-errs, kind="stable")
-        order = order[errs[order] > 0.0]
-        if order.size == 0:
-            return None
-        return order[:min(int(np.searchsorted(np.cumsum(errs[order]), excess)) + 1, room)]
+        while room > 0:
+            excess = np.add.reduce(errs) - max(cfg.abs_tol * np.add.reduce(np.abs(vals)),
+                                               cfg.rel_tol * abs(np.add.reduce(vals)))
+            if excess <= 0.0:
+                return None
+            order = np.argsort(-errs, kind="stable")
+            order = order[errs[order] > 0.0]
+            if order.size == 0:
+                return None
+            pick = order[:min(int(np.searchsorted(np.cumsum(errs[order]), excess)) + 1, room)]
+            lo, hi = self.lows[pick], self.highs[pick]
+            mid = 0.5 * (lo + hi)
+            # five edges, one block of picks each: lows the first four, highs the last four
+            edges = np.concatenate((lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi))
+            split = edges[:-pick.size] < edges[pick.size:]
+            if not split.all():
+                split = split.reshape(4, -1).all(axis=0)
+                errs[pick[~split]] = 0.0  # width at float resolution; accept
+                if not split.any():
+                    continue
+                pick, edges = pick[split], edges.reshape(5, -1)[:, split].ravel()
+            return pick, edges[:-pick.size], edges[pick.size:]
+        return None
 
-    def replace(self, drop, lows, highs, k15, perr):
-        """Put new panels in: drop masks the panels kept (a cut), or picks the
-        panels quartered, each replaced by its first quarter; others append."""
+    def take(self, plan, sums, cfg: QuadratureConfig, evaluate):
+        """Put a plan's panels in from their sums (see _evaluator), settling
+        non-finite nodes (see _settle): None to go on, total() once a panel is
+        not locally integrable, or the exception met.  A cut keeps the panels
+        its mask holds; a quartered panel becomes its first quarter; the other
+        new panels append."""
+        drop, lows, highs = plan
+        k15, perr, bad_at, _ = sums
+        diverges = False
+        if bad_at is not None and not np.isnan(bad_at).all():
+            k15, perr, _, error = _settle(lows, highs, sums, self.owner, cfg, evaluate)
+            if error:
+                return error
+            diverges = np.isinf(perr).any()
         n = 0
         if drop.dtype == bool:
             self.lows, self.highs = self.lows[drop], self.highs[drop]
@@ -515,6 +548,7 @@ class _Pool:
         self.highs = np.concatenate((self.highs, highs[n:]))
         self.vals = np.concatenate((self.vals, k15[n:]))
         self.errs = np.concatenate((self.errs, perr[n:]))
+        return self.total() if diverges else None
 
     def total(self):
         """Value and error summed in canonical panel order: bit-stable."""
@@ -523,68 +557,31 @@ class _Pool:
 
 
 def _refine(pools: list, cfg: QuadratureConfig, evaluate) -> list:
-    """Cut, then refine, all pools in lockstep: per pool (value, err) or the
-    exception it raised.  A pool first cuts the panels holding a breakpoint;
-    each later step quadrisects the panels select() names (a panel whose
-    quarter points do not separate at float resolution is accepted), the
-    geometry of all pools in one array step and their new panels in one
-    request (see _settle).  A pool that meets a panel not locally integrable
-    stops with an infinite err; pools after one that raised are dropped."""
+    """Refine all pools in lockstep: per pool (value, err) or the exception it
+    raised.  A round asks each live pool for its plan (see _Pool.plan),
+    evaluates all plans in one request in pool order and hands each pool its
+    share (see _Pool.take).  A pool stops with its total once it has no plan
+    or meets a panel not locally integrable; pools after one that raised are
+    dropped."""
     out, live = [None] * len(pools), list(range(len(pools)))
     while live:
-        # per pool: (what the new panels replace, their lows, highs)
-        plans = {p: pools[p].pieces() for p in live if pools[p].cuts is not None}
-        todo = [p for p in live if plans.get(p) is None]
-        plans = {p: plan for p, plan in plans.items() if plan is not None}
-        while todo:  # a pool none of whose picks split selects again
-            picks = []
-            for p in todo:
-                pick = pools[p].select(cfg)
-                if pick is None:
-                    out[p] = pools[p].total()
-                else:
-                    picks.append((p, pick))
-            if not picks:
-                break
-            lo = np.concatenate([pools[p].lows[k] for p, k in picks])
-            hi = np.concatenate([pools[p].highs[k] for p, k in picks])
-            mid = 0.5 * (lo + hi)
-            q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
-            split = (lo < q1) & (q1 < mid) & (mid < q3) & (q3 < hi)
-            todo, ends = [], [0, *accumulate(k.size for _, k in picks)]
-            for (p, pick), a, b in zip(picks, ends, ends[1:]):
-                at = slice(a, b)
-                if not split[at].all():
-                    pools[p].errs[pick[~split[at]]] = 0.0  # width at float resolution; accept
-                    pick, at = pick[split[at]], np.nonzero(split[at])[0] + a
-                    if not pick.size:
-                        todo.append(p)
-                        continue
-                plans[p] = (pick, np.concatenate((lo[at], q1[at], mid[at], q3[at])),
-                            np.concatenate((q1[at], mid[at], q3[at], hi[at])))
-        live = sorted(plans)
-        if not live:
-            break
-        parts = [plans[p] for p in live]
-        owner = np.repeat([pools[p].owner for p in live], [lo.size for _, lo, _ in parts])
-        k15, perr, bad_at, nan_at = evaluate(*(np.concatenate(a) if len(a) > 1 else a[0] for a in (
-            [lo for _, lo, _ in parts], [hi for _, _, hi in parts])), owner)
-        ends = [0, *accumulate(lo.size for _, lo, _ in parts)]
-        for p, (drop, lo, hi), a, b in zip(live, parts, ends, ends[1:]):
-            at = slice(a, b)
-            new, error, diverges = (k15[at], perr[at]), None, False
-            if bad_at is not None and not np.isnan(bad_at[at]).all():
-                *new, _, error = _settle(lo, hi, (k15[at], perr[at], bad_at[at], nan_at[at]),
-                                         pools[p].owner, cfg, evaluate)
-                diverges = np.isinf(new[1]).any()  # not locally integrable somewhere
-            if error:
-                out[p] = error
-                live = live[:live.index(p)]
-                break
-            pools[p].replace(drop, lo, hi, *new)
-            if diverges:  # refined no further
+        plans = [(p, pools[p].plan(cfg)) for p in live]
+        for p, plan in plans:
+            if plan is None:
                 out[p] = pools[p].total()
-        live = [p for p in live if out[p] is None]
+        plans = [(p, plan) for p, plan in plans if plan is not None]
+        if not plans:
+            break
+        bounds = [0, *accumulate(plan[1].size for _, plan in plans)]
+        sums = evaluate(*(np.concatenate([plan[i] for _, plan in plans]) for i in (1, 2)),
+                        np.repeat([pools[p].owner for p, _ in plans], np.diff(bounds)))
+        live = []
+        for (p, plan), a, b in zip(plans, bounds, bounds[1:]):
+            out[p] = pools[p].take(plan, [s if s is None else s[a:b] for s in sums], cfg, evaluate)
+            if out[p] is None:
+                live.append(p)
+            elif isinstance(out[p], Exception):
+                break
     return out
 
 

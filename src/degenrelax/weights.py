@@ -347,7 +347,8 @@ class PiecewisePowerWeight(Weight):
                 with np.errstate(divide="ignore", invalid="ignore"):
                     out[m] = np.exp2(self._log2s[i] + (0.0 if e == 0.0 else e * np.log2(d)))
             else:
-                out[m] = self._scales[i] * d ** e  # e a scalar: numpy's fast paths round per e
+                with np.errstate(divide="ignore"):  # a negative exponent reads +inf at the pivot
+                    out[m] = self._scales[i] * d ** e  # e a scalar: numpy's fast paths round per e
         return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
 
     def transform(self, p: Exponent) -> Callable[[np.ndarray], np.ndarray]:

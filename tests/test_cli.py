@@ -55,6 +55,17 @@ def test_timestamp_only_difference():
     assert with_ts == without
 
 
+def test_negative_exponent_aux_csv_runs_under_warnings_as_errors(tmp_path):
+    spec = tmp_path / "neg.json"
+    spec.write_text(json.dumps({"family": "piecewise_power", "domain": [0.0, 1.0], "pieces": [
+        {"lo": 0.0, "hi": 1.0, "pivot": 0.0, "exponent": -0.5}]}))
+    out = subprocess.run([sys.executable, "-W", "error", *RUN[1:], "aux", "--weight", str(spec),
+                          "--csv", str(tmp_path / "out.csv"), "--no-timestamp"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    assert (tmp_path / "out.csv").exists()
+
+
 def test_aux_csv_round_trip(tmp_path):
     from degenrelax import (Exponent, QuadratureConfig, build_aux_weight,
                             builtin_figure1, detect_structure)

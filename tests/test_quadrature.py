@@ -215,6 +215,70 @@ def test_refinement_never_grows_past_max_panels(monkeypatch):
     assert 1 + 3 * (sum(points) // 60) == 19
 
 
+def _hand_pool(lows, highs, vals, errs, cuts=None):
+    return quadrature._Pool(*(np.array(a, dtype=float) for a in (lows, highs, vals, errs)),
+                            None if cuts is None else np.array(cuts, dtype=float))
+
+
+def test_first_plan_is_the_cut_and_only_the_first():
+    def f(x):
+        return np.abs(np.sin(40.0 * math.pi * x))
+
+    evaluate = quadrature._evaluator(lambda x, _: f(x))
+    lows, highs = np.array([0.0, 0.5]), np.array([0.5, 1.0])
+    # 0.5 is a panel end, so it cuts nothing; 0.25 and 0.75 cut one panel each
+    pool = quadrature._Pool(lows, highs, *quadrature._eval_panels(f, lows, highs, CFG),
+                            np.array([0.25, 0.5, 0.75]))
+    drop, lo, hi = plan = pool.plan(CFG)
+    assert drop.dtype == bool and not drop.any()
+    assert lo.tolist() == [0.0, 0.25, 0.5, 0.75] and hi.tolist() == [0.25, 0.5, 0.75, 1.0]
+    assert pool.take(plan, evaluate(lo, hi, np.zeros(lo.size, dtype=int)), CFG, evaluate) is None
+    assert pool.lows.tolist() == [0.0, 0.25, 0.5, 0.75]
+    # every later plan quarters picked panels, each replaced by its first quarter
+    drop, lo, hi = pool.plan(CFG)
+    assert drop.dtype != bool and drop.size and lo.size == hi.size == 4 * drop.size
+    assert lo[:drop.size].tolist() == pool.lows[drop].tolist()
+    assert hi[-drop.size:].tolist() == pool.highs[drop].tolist()
+    # breakpoints that cut no panel: the first plan already quarters
+    pool = _hand_pool([0.0, 0.5], [0.5, 1.0], [0.5, 0.5], [0.1, 0.1], cuts=[0.5])
+    assert pool.plan(CFG)[0].dtype != bool
+
+
+@pytest.mark.parametrize("max_panels", [quadrature._MAX_PANELS, 5], ids=["both-picked", "room-1"])
+def test_a_pick_too_narrow_to_quarter_is_accepted_and_others_planned(monkeypatch, max_panels):
+    # [1, 1 + 2 ulp] has no quarter points at float resolution.  With room for
+    # both it is picked with [0, 1]; with room for one (_MAX_PANELS 5) it is
+    # picked alone, and the same call picks again
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", max_panels)
+    pool = _hand_pool([0.0, 1.0], [1.0, 1.0 + 2.0 * np.spacing(1.0)], [1.0, 0.0], [1e-3, 1.0])
+    drop, lo, hi = pool.plan(CFG)
+    assert pool.errs.tolist() == [1e-3, 0.0]
+    assert drop.tolist() == [0]
+    assert lo.tolist() == [0.0, 0.25, 0.5, 0.75] and hi.tolist() == [0.25, 0.5, 0.75, 1.0]
+
+
+def test_plan_is_none_once_the_budget_is_met_or_no_room_is_left(monkeypatch):
+    # budget: max(abs_tol * sum |vals|, rel_tol * |sum vals|) = 1e-10
+    assert _hand_pool([0.0], [1.0], [1.0], [1e-11]).plan(CFG) is None
+    pool = _hand_pool([0.0, 0.5], [0.5, 1.0], [0.5, 0.5], [0.1, 0.1])
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 4)  # (4 - 2) // 3: no room
+    assert pool.plan(CFG) is None
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 5)  # room for one pick
+    assert pool.plan(CFG)[0].tolist() == [0]
+    # refined to the end, a pool stops planning once its budget is met
+    evaluate = quadrature._evaluator(lambda x, _: np.sin(x))
+    lows, highs = np.array([0.0]), np.array([math.pi])
+    pool = quadrature._Pool(lows, highs, *quadrature._eval_panels(np.sin, lows, highs, CFG))
+    pool.errs[:] = 1.0  # far over budget: at least one round
+    rounds = 0
+    while (plan := pool.plan(CFG)) is not None:
+        assert pool.take(plan, evaluate(*plan[1:], np.zeros(plan[1].size, dtype=int)),
+                         CFG, evaluate) is None
+        rounds += 1
+    value, err = pool.total()
+    assert rounds and err <= CFG.rel_tol * abs(value) and value == pytest.approx(2.0, abs=1e-12)
+
+
 def _spike(power):
     """|x - 0.5|^-power, +inf at 0.5: the centre Kronrod node of the panel [0, 1]."""
     def f(x):

@@ -112,6 +112,17 @@ def test_piecewise_power_uncovered_is_zero():
     assert w.zero_set()[1] == ((0.0, 0.2), (0.5, 1.0))
 
 
+def test_negative_exponent_piece_is_inf_at_its_pivot_without_warning():
+    # as builtin_power with alpha = -0.5: +inf at the pivot, and no warning
+    w = PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, 1.0, 1.0, 0.0, -0.5)])
+    x = np.array([0.0, 0.25, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = w(x)
+        want = builtin_power(-0.5)(x)
+    assert vals.tolist() == [math.inf, 2.0, 1.0] == want.tolist()
+
+
 def test_piecewise_local_exponent_metadata():
     pieces = [PowerPiece(0.0, 0.5, 2.0, 0.0, 3.0), PowerPiece(0.5, 1.0, 2.0, 1.0, 3.0)]
     w = PiecewisePowerWeight(Interval(0.0, 1.0), pieces)
