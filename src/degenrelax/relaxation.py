@@ -16,9 +16,9 @@ of three row kinds: u, the taper, and a quadratic segment (every rebuilt
 grid segment, bridge, constant and touching seam).  Each member is a
 genuine AC function whose ambient distance to u and energy gap are measured
 and reported: every member's |m - u|^p aux^(p-1) and |m'|^p w are terms of
-one spaces.density_integrals drive, and the relaxed value and ambient norm
-of u are one more, or none when earlier questions answered them for u:
-relaxed_functional drives both, and lp_aux_norm reads the ambient one.
+one spaces.density_integrals drive, which keeps nothing.  u keeps its
+relaxed value's two terms (see spaces): relaxed_functional drives them
+unless earlier questions did, and lp_aux_norm reads the ambient one.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ import numpy as np
 from .auxweight import AuxWeight
 from .degeneracy import DegeneracyStructure
 from .quadrature import DEFAULT_CONFIG, IntegralResult, QuadratureConfig
-from .spaces import TestFunction, density_cuts, density_integrals, energy_ranges, lp_aux_norm
+from .spaces import (TestFunction, _structure_terms, density_cuts, density_integrals,
+                     energy_ranges, lp_aux_norm)
 from .weights import Exponent, Interval, Weight
 
 
@@ -87,8 +88,7 @@ def relaxed_functional(u: TestFunction, w: Weight, aux: AuxWeight,
     integrals, or none when earlier questions answered them for u: asked
     next, lp_aux_norm and check_membership read what this one integrated.
     """
-    amb, energies = density_integrals(
-        [("ambient", u, 0.0), ("energy", u, energy_ranges(u, w, structure))], w, p.p, aux, cfg)
+    amb, energies = _structure_terms(u, ("ambient", "energy"), w, structure, p.p, aux, cfg)
     seminorm = IntegralResult.total(energies)
     if structure.kind == "zero":
         return FunctionalValue.finite(0.0)

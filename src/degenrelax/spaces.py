@@ -10,26 +10,24 @@ dichotomy at interval endpoints, and provide seeded families of spline test
 functions for batteries.
 
 Every integral of a density of u (or of a recovery member) goes through
-density_integrals, one integrand for both densities (energy terms |u'|^p w,
-ambient terms |u - c|^p aux^(p-1)): one term for the seminorm, the
-membership or ac_extension_check's energy, two for space_norm,
-poincare_global_check and relaxed_functional, three for the ambient norm
-(one for a sampled u or one without a derivative), two per member for a
-recovery sequence.  A divergent one reads as +inf wherever it enters a
-number (IntegralResult.value_or_inf).  u keeps every range's result as long
-as it lives, so each question makes at most one drive, of the ranges not
-yet answered for that u.  The ambient norm's drive, when it has one, also
-integrates the energy and the ambient term shifted by u(mid), the other
-questions' terms: asked in a battery's order (ambient norm, seminorm,
-Poincare check, relaxed value), only the ambient norm drives.  Should that
-joint drive raise, the ambient norm drives a second time, alone.  Asked
-first, the relaxed value drives its two terms and the ambient norm and
-membership asked next read them; the Poincare check drives its two.
-Ambient terms read aux^(p-1) on their first pass from the samples the
-auxiliary weight keeps (AuxWeight.ambient_samples), handed to
-integrate_ranges as they are.  A sampled u (tag "Grid") has no seminorm:
-its energy is divergent(inf) in every question.  Every result is that of
-one plain drive per term, bit for bit.
+density_integrals, one plain drive of one integrand for both densities
+(energy terms |u'|^p w, ambient terms |u - c|^p aux^(p-1)).  A divergent
+one reads as +inf wherever it enters a number (IntegralResult.value_or_inf).
+The per-u questions (ambient norm, seminorm, membership, space norm,
+averaged Poincare check, relaxed value) read three structure terms: the
+energy, the ambient term and the ambient term shifted by u(mid).  u keeps
+each term's results as long as it lives (_structure_terms), so a question
+makes at most one drive, of the terms it asks that u lacks.  The ambient
+norm's drive, when it has one, also integrates the energy and the shifted
+term (should that joint drive raise, the ambient norm drives again,
+alone): asked in a battery's order (ambient norm, seminorm, Poincare
+check, relaxed value), only the ambient norm drives.  Asked first, the
+relaxed value and the Poincare check each drive their two terms.  The
+pointwise and extension checks keep nothing.  Ambient terms read
+aux^(p-1) on their first pass from the samples the auxiliary weight keeps
+(AuxWeight.ambient_samples).  A sampled u (tag "Grid") has no seminorm: its
+energy is divergent(inf) in every question.  Every result is that of one
+plain drive per term, bit for bit.
 """
 
 from __future__ import annotations
@@ -53,9 +51,9 @@ class TestFunction:
     tag is one of "AC" (absolutely continuous), "C1", or "Grid" (merely
     sampled; such functions carry no meaningful derivative and never have
     finite original energy).  breakpoints list derivative kinks so
-    quadrature can cut panels there.  The function keeps the result of each
-    range density_integrals integrated it over, so no question asked of it
-    integrates a range twice; that memo is not a field.
+    quadrature can cut panels there.  The function keeps its structure
+    terms' results (see _structure_terms), so no question asked of it
+    integrates one twice; that memo is not a field.
     """
 
     __test__ = False  # not a test case, despite the Test prefix
@@ -69,7 +67,7 @@ class TestFunction:
     def __post_init__(self):
         if self.tag not in ("AC", "C1", "Grid"):
             raise ValueError(f"unknown regularity tag {self.tag!r}")
-        # density_integrals' finished ranges; not a field, so ==, hash, repr,
+        # _structure_terms' finished terms; not a field, so ==, hash, repr,
         # asdict never see it and dataclasses.replace starts an empty one
         object.__setattr__(self, "_memo", {})
 
@@ -300,25 +298,16 @@ def aux_ranges(u: TestFunction, aux: AuxWeight) -> list:
             for part in aux.parts]
 
 
-def _memo_slots(kind: str, fn: TestFunction, arg, w: Weight, pp: float,
-                aux: Optional[AuxWeight], cfg: QuadratureConfig) -> tuple:
-    """A term's ranges, fn's memo for its kind, and the memo key of each range
-    (see density_integrals)."""
-    amb = kind == "ambient"
-    obj = aux if amb else w
-    own = aux_ranges(fn, aux) if amb else list(arg)
-    memo = fn._memo.setdefault((kind, id(obj), aux.exponent.p if amb else pp, cfg), (obj, {}))[1]
-    c = np.asarray(arg, dtype=float) if amb else None
-    keys = [(a, b, tuple(s), tuple(cuts), float(c if c.ndim == 0 else c[k]) if amb else None)
-            for k, (a, b, s, cuts) in enumerate(own)]
-    return own, memo, keys
+def _mid_values(u: TestFunction, aux: AuxWeight) -> list:
+    """u at each aux part's midpoint, in one call (u is elementwise): the shifted term's c."""
+    return u(np.array([part.base.mid for part in aux.parts])).tolist()
 
 
 def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
                       aux: Optional[AuxWeight] = None,
                       cfg: Optional[QuadratureConfig] = None) -> list:
-    """The integrals of several densities: per term, in order, the list of
-    its ranges' IntegralResults.
+    """The integrals of several densities in one drive: per term, in order,
+    the list of its ranges' IntegralResults.
 
     A term ("energy", fn, ranges) integrates |fn'|^p w over the given
     ranges (see energy_ranges); a term ("ambient", fn, shifts) integrates
@@ -327,37 +316,26 @@ def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
     ambient ones aux's exponent.  The energy of a sampled fn (tag "Grid")
     is divergent(inf) on each range, none of them integrated.
 
-    Each fn keeps the result of every range it was integrated over, keyed by
-    the term kind, the object integrated against (w or aux, which the entry
-    holds), the exponent, cfg, the range and, for an ambient range, c_k.  A
-    range found there is not integrated again; the others make one drive,
-    in term order, stored only once it returns.  So a NaN raises as it would
-    in one drive per term made in that order, and every result is that
-    drive's bit for bit.  Each integrand call evaluates w once for all
-    energy nodes and aux once for all ambient nodes, but the first: it reads
-    aux^(p-1) from aux.ambient_samples(), handed to integrate_ranges as
-    `first`.
+    The ranges make one drive, in term order, and nothing is kept.  A NaN
+    raises as it would in one drive per term made in that order, and every
+    result is that drive's bit for bit.  Each integrand call evaluates w
+    once for all energy nodes and aux once for all ambient nodes, but the
+    first: it reads aux^(p-1) from aux.ambient_samples(), handed to
+    integrate_ranges as `first`.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    answers, todo, ranges, bounds, first, store = [], [], [], [], [], []
+    answers, todo, ranges, bounds, first = [], [], [], [], []
     for kind, fn, arg in terms:
         amb = kind == "ambient"
+        own = aux_ranges(fn, aux) if amb else list(arg)
         if not amb and fn.tag == "Grid":
-            answers.append([IntegralResult.divergent(math.inf)] * len(arg))
+            answers.append([IntegralResult.divergent(math.inf)] * len(own))
             continue
-        c = np.asarray(arg, dtype=float) if amb else None
-        own, memo, keys = _memo_slots(kind, fn, arg, w, pp, aux, cfg)
-        answers.append([memo.get(key) for key in keys])
-        miss = [k for k, r in enumerate(answers[-1]) if r is None]
-        if miss:
-            todo.append((fn, amb, c if not amb or c.ndim == 0 else c[miss]))
-            bounds.append(len(ranges))
-            ranges += [own[k] for k in miss]
-            first += [aux.ambient_samples()[k] for k in miss] if amb else [None] * len(miss)
-            store += [(answers[-1], k, memo, keys[k]) for k in miss]
-    if not ranges:
-        return answers
-    bounds.append(len(ranges))  # bounds: each drive term's first range, the end
+        todo.append((fn, amb, np.asarray(arg, dtype=float) if amb else None))
+        bounds.append(len(ranges))
+        ranges += own
+        first += aux.ambient_samples() if amb and own else [None] * len(own)  # no ranges, no samples
+        answers.append(slice(bounds[-1], len(ranges)))
+    bounds.append(len(ranges))  # bounds: each driven term's first range, the end
 
     def f(x, index, weight=None):  # weight: aux^(p-1) at the ambient nodes, when kept
         # the nodes come in range order (integrate_ranges), so each term's are one slice
@@ -378,17 +356,57 @@ def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
                                      aux.exponent.p) if amb else energy_values(vs, w(x[s]), pp)
         return out
 
-    res = integrate_ranges(f, ranges, cfg, first if any(amb for _, amb, _ in todo) else None)
-    for (results, k, memo, key), r in zip(store, res):
-        results[k] = memo[key] = r
-    return answers
+    res = (integrate_ranges(f, ranges, cfg, first if any(amb for _, amb, _ in todo) else None)
+           if ranges else [])
+    return [res[a] if isinstance(a, slice) else a for a in answers]
+
+
+def _structure_terms(u: TestFunction, asked: Sequence[str], w: Weight,
+                     structure: DegeneracyStructure, pp: float,
+                     aux: Optional[AuxWeight] = None, cfg: Optional[QuadratureConfig] = None,
+                     added: Sequence[str] = ()) -> list:
+    """u's per-interval results of the asked structure terms, in order.
+
+    The terms: "energy", |u'|^p w over the structure intervals (p = pp);
+    "ambient", |u|^p aux^(p-1), and "shifted", |u - u(mid)|^p aux^(p-1),
+    over the aux parts.  u keeps each term's results as long as it lives,
+    keyed by the term and what it is integrated against: w, structure, pp
+    and cfg for the energy, aux and cfg for the others (the objects by
+    identity; the entry holds them).  The asked terms u lacks make one
+    density_integrals drive, in the order asked, followed by the added terms
+    it lacks.  Should that joint drive raise, the asked terms drive again
+    alone, so the added ones never change an answer or an error.  Nothing
+    of a drive that raised is kept.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    held = {"energy": (w, structure), "ambient": (aux,), "shifted": (aux,)}
+
+    def key(term):
+        return (term, cfg, pp if term == "energy" else None, *map(id, held[term]))
+
+    def spec(term):
+        return (("energy", u, energy_ranges(u, w, structure)) if term == "energy" else
+                ("ambient", u, 0.0 if term == "ambient" else _mid_values(u, aux)))
+
+    todo = [term for term in asked if key(term) not in u._memo]
+    if todo:
+        extra = [term for term in added if key(term) not in u._memo]
+        for drive in ([todo + extra] if extra else []) + [todo]:
+            try:
+                res = density_integrals([spec(term) for term in drive], w, pp, aux, cfg)
+                break
+            except Exception:  # an added term failed, or an asked one: ask those alone
+                if drive is todo:
+                    raise
+        u._memo.update((key(term), (held[term], r)) for term, r in zip(drive, res))
+    return [u._memo[key(term)][1] for term in asked]
 
 
 def seminorm_energy(u: TestFunction, w: Weight, structure: DegeneracyStructure,
                     p: Exponent, cfg: Optional[QuadratureConfig] = None) -> IntegralResult:
     """Integral of |u'|^p w over the structure intervals, summed
     (check_membership's report holds the per-interval results)."""
-    parts, = density_integrals([("energy", u, energy_ranges(u, w, structure))], w, p.p, cfg=cfg)
+    parts, = _structure_terms(u, ("energy",), w, structure, p.p, cfg=cfg)
     return IntegralResult.total(parts)
 
 
@@ -399,30 +417,15 @@ def lp_aux_norm(u: TestFunction, aux: AuxWeight,
     The auxiliary weight vanishes off the interval closures, so this is the
     norm integral over the whole domain.  An empty structure gives 0.
 
-    When it has to integrate (u's memo lacks some of its ranges) and u has a
-    derivative and is not sampled, the same drive also integrates, after its
-    own ranges, the energy over aux.structure and the ambient term shifted
-    by u(mid) on each part: the seminorm, membership, relaxed value and
-    averaged Poincare check of u then read them and make no drive.  Those
-    added ranges never change the answer: each range's result is that of a
-    drive of it alone, and if the joint drive raises, the ambient norm is
-    integrated again alone, answering or raising as that drive does, and
-    nothing of the joint drive is kept.
+    When u lacks it and has a derivative and is not sampled, its drive also
+    integrates the energy over aux.structure and the ambient term shifted by
+    u(mid) on each part (_structure_terms' added terms): the seminorm,
+    membership, relaxed value and averaged Poincare check of u then read
+    them and make no drive.
     """
-    asked = ("ambient", u, 0.0)
-    args = aux.weight, aux.exponent.p, aux, cfg or DEFAULT_CONFIG
-    _, memo, keys = _memo_slots(*asked, *args)
-    if all(key in memo for key in keys):
-        return IntegralResult.total([memo[key] for key in keys])
-    if u.deriv is not None and u.tag != "Grid":
-        try:
-            parts = density_integrals([asked,
-                                       ("energy", u, energy_ranges(u, aux.weight, aux.structure)),
-                                       ("ambient", u, _mid_values(u, aux))], *args)[0]
-            return IntegralResult.total(parts)
-        except Exception:  # an added term failed, or the asked one: ask it alone
-            pass
-    parts, = density_integrals([asked], *args)
+    added = ("energy", "shifted") if u.deriv is not None and u.tag != "Grid" else ()
+    parts, = _structure_terms(u, ("ambient",), aux.weight, aux.structure, aux.exponent.p, aux,
+                              cfg, added)
     return IntegralResult.total(parts)
 
 
@@ -437,7 +440,7 @@ class MembershipReport:
 
 def check_membership(u: TestFunction, w: Weight, structure: DegeneracyStructure,
                      p: Exponent, cfg: Optional[QuadratureConfig] = None) -> MembershipReport:
-    parts, = density_integrals([("energy", u, energy_ranges(u, w, structure))], w, p.p, cfg=cfg)
+    parts, = _structure_terms(u, ("energy",), w, structure, p.p, cfg=cfg)
     total = IntegralResult.total(parts)
     return MembershipReport(total.is_finite, total, tuple(parts))
 
@@ -446,8 +449,8 @@ def space_norm(u: TestFunction, w: Weight, aux: AuxWeight,
                structure: DegeneracyStructure, p: Exponent,
                cfg: Optional[QuadratureConfig] = None) -> float:
     """(lp_aux_norm^p + seminorm)^(1/p); math.inf when either part diverges."""
-    lp, semi = map(IntegralResult.total, density_integrals(
-        [("ambient", u, 0.0), ("energy", u, energy_ranges(u, w, structure))], w, p.p, aux, cfg))
+    lp, semi = map(IntegralResult.total,
+                   _structure_terms(u, ("ambient", "energy"), w, structure, p.p, aux, cfg))
     return (lp.value_or_inf + semi.value_or_inf) ** (1.0 / p.p)
 
 
@@ -532,18 +535,10 @@ class PoincareReport:
     ok: bool
 
 
-def _mid_values(u: TestFunction, aux: AuxWeight) -> list:
-    """u at the midpoint of each aux part, in one call (u is elementwise): the
-    averaged Poincare check's shifts."""
-    return u(np.array([part.base.mid for part in aux.parts])).tolist()
-
-
 def poincare_global_check(u: TestFunction, w: Weight, aux: AuxWeight,
                           structure: DegeneracyStructure, p: Exponent,
                           cfg: Optional[QuadratureConfig] = None) -> PoincareReport:
-    energies, nums = density_integrals(
-        [("energy", u, energy_ranges(u, w, structure)), ("ambient", u, _mid_values(u, aux))],
-        w, p.p, aux, cfg)
+    energies, nums = _structure_terms(u, ("energy", "shifted"), w, structure, p.p, aux, cfg)
     rows = []
     lhs_total = rhs_total = 0.0
     for part, energy, n in zip(aux.parts, energies, nums):
@@ -584,6 +579,8 @@ class VanishingCheck:
 
 def endpoint_vanishing_check(u: TestFunction, aux: AuxWeight, interval_index: int,
                              side: str) -> VanishingCheck:
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
     part = aux.parts[interval_index]
     iv = part.base
     anchor = iv.lo if side == "left" else iv.hi
@@ -621,6 +618,8 @@ class ExtensionCheck:
 def ac_extension_check(u: TestFunction, w: Weight, aux: AuxWeight,
                        structure: DegeneracyStructure, interval_index: int, side: str,
                        cfg: Optional[QuadratureConfig] = None) -> ExtensionCheck:
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
     part = aux.parts[interval_index]
     iv = part.base
     p = aux.exponent

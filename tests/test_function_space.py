@@ -36,6 +36,7 @@ from degenrelax import (
     integrate,
     log_edge_function,
     lp_aux_norm,
+    original_functional,
     poincare_global_check,
     pointwise_poincare_check,
     poly_function,
@@ -579,8 +580,11 @@ def _layouts(u, w, st_, aux):
 
 
 def _kept(u):
-    """The kind and shift of every range u's memo holds (None for energy)."""
-    return [(kind, key[-1]) for (kind, *_), (_, memo) in u._memo.items() for key in memo]
+    """The kind and shift of every range u's memo holds (None for energy,
+    "u(mid)" for the shifted ambient term)."""
+    shift = {"energy": None, "ambient": 0.0, "shifted": "u(mid)"}
+    return [("energy" if term == "energy" else "ambient", shift[term])
+            for (term, *_), (_, results) in u._memo.items() for _ in results]
 
 
 def _kink(b):
@@ -761,9 +765,9 @@ def test_what_a_range_depends_on_integrates_again(figure1_chain, p2, monkeypatch
         (lambda: seminorm_energy(u, w, st_, p2, QuadratureConfig(rel_tol=1e-9)), energy),
         # the ambient norm's drive answered its energy and its shifted ambient term
         (lambda: poincare_global_check(u, w, aux, st_, p2, CFG), None),
-        # a new gap span; the outer span (lo, mid) was answered
+        # the gap span and the outer span (lo, mid): u keeps neither
         (lambda: pointwise_poincare_check(u, w, aux, 1, *gap, CFG),
-         _plain(spaces.energy_ranges(u, w, st_, [gap]))),
+         _plain(spaces.energy_ranges(u, w, st_, [gap, (iv.lo, iv.mid)]))),
         (lambda: seminorm_energy(kinked, w, st_, p2, CFG),
          _plain(spaces.energy_ranges(kinked, w, st_))),
     ]
@@ -879,6 +883,110 @@ def test_the_memo_is_no_field(figure1_chain, p2):
     assert u._memo and not replace(u)._memo
     assert (repr(u), hash(u), asdict(u)) == before
     assert u == replace(u) and hash(u) == hash(replace(u))
+
+
+def _answer_bits(question, u, w, st_, aux, p):
+    """A per-u question's answer as bit strings."""
+    if question is lp_aux_norm:
+        return _bits(lp_aux_norm(u, aux, CFG))
+    if question is seminorm_energy:
+        return _bits(seminorm_energy(u, w, st_, p, CFG))
+    if question is check_membership:
+        mem = check_membership(u, w, st_, p, CFG)
+        return mem.in_space, _bits(mem.seminorm), [_bits(r) for r in mem.per_interval]
+    got = question(u, w, aux, st_, p, CFG)
+    if question is space_norm:
+        return got.hex()
+    if question is poincare_global_check:
+        return ([(a.hex(), b.hex()) for a, b in got.per_interval], got.lhs.hex(), got.rhs.hex(),
+                got.ratio.hex(), got.ok)
+    return got.kind, got.value.hex(), got.reason
+
+
+_QUESTIONS = (lp_aux_norm, seminorm_energy, check_membership, space_norm, poincare_global_check,
+              relaxed_functional)
+# every rotation of the six, forwards and backwards
+_ORDERS = [order[k:] + order[:k] for order in (_QUESTIONS, _QUESTIONS[::-1]) for k in range(6)]
+
+
+@pytest.mark.parametrize("pv", [1.5, 3.0])
+@pytest.mark.parametrize("name", ["figure1", "two_tent"])
+def test_the_order_of_questions_changes_no_bit(name, pv, monkeypatch):
+    w = builtin_figure1() if name == "figure1" else make_two_tent()
+    p = Exponent(pv)
+    st_ = detect_structure(w, p, CFG)
+    aux = build_aux_weight(w, p, st_, CFG)
+    dom = w.domain
+    u = spline_function(np.linspace(dom.lo, dom.hi, 7), np.random.default_rng(6).uniform(-1, 1, 7))
+    alone = {q: _answer_bits(q, replace(u), w, st_, aux, p) for q in _QUESTIONS}
+    calls = count_drives(monkeypatch)
+    for order in _ORDERS:
+        v = replace(u)
+        for question in order:
+            before = len(calls)
+            assert _answer_bits(question, v, w, st_, aux, p) == alone[question], question.__name__
+            assert len(calls) - before <= 1, question.__name__
+
+
+def test_after_the_ambient_norm_no_question_calls_u(any_chain):
+    w, st_, aux, p = any_chain
+    dom = w.domain
+    s = spline_function(np.linspace(dom.lo, dom.hi, 7), np.random.default_rng(4).uniform(-1, 1, 7))
+    seen = []
+    u = TestFunction(fn=lambda x: seen.append("u") or s(x),
+                     deriv=lambda x: seen.append("du") or s.d(x), tag="C1")
+    lp_aux_norm(u, aux, CFG)
+    assert set(seen) == {"u", "du"}
+    seen.clear()
+    for question in _QUESTIONS[1:]:
+        _answer_bits(question, u, w, st_, aux, p)
+    assert seen == []
+
+
+def test_density_integrals_keeps_nothing(figure1_chain, p2, monkeypatch):
+    w, st_, aux = figure1_chain
+    u = spline_function([-2.0, -1.2, 0.0, 0.7, 2.0], [0.0, 0.5, -1.0, 0.3, 0.0])
+    terms = [("ambient", u, 0.0), ("energy", u, spaces.energy_ranges(u, w, st_))]
+    calls = count_drives(monkeypatch)
+    first, again = (spaces.density_integrals(terms, w, p2.p, aux, CFG) for _ in range(2))
+    ambient, energy = _layouts(u, w, st_, aux)
+    assert [_plain(c) for c in calls] == [ambient + energy] * 2
+    assert [[_bits(r) for r in t] for t in first] == [[_bits(r) for r in t] for t in again]
+    assert _kept(u) == []
+
+
+def test_only_structure_terms_are_kept(figure1_chain, p2):
+    w, st_, aux = figure1_chain
+    u = spline_function([-2.0, -1.2, 0.0, 0.7, 2.0], [0.0, 0.5, -1.0, 0.3, 0.0])
+    build_approx_sequence(u, w, aux, st_, p2, h_max=16, cfg=CFG)
+    iv = st_.intervals[1]
+    pointwise_poincare_check(u, w, aux, 1, iv.lo + 0.25 * iv.width, iv.mid, CFG)
+    ac_extension_check(u, w, aux, st_, 0, "left", CFG)
+    original_functional(u, w, p2, CFG)
+    # the relaxed value's two terms, which the ambient norm asked next reads
+    assert _kept(u) == [("ambient", 0.0)] * len(aux.parts) + [("energy", None)] * len(st_.intervals)
+
+
+def test_the_energy_of_another_structure_integrates_again(figure1_chain, p2, monkeypatch):
+    w, st_, aux = figure1_chain
+    u = spline_function([-2.0, -1.2, 0.0, 0.7, 2.0], [0.0, 0.5, -1.0, 0.3, 0.0])
+    lp_aux_norm(u, aux, CFG)  # its drive answers the energy over st_
+    first = replace(st_, intervals=st_.intervals[:1])
+    calls = count_drives(monkeypatch)
+    semi = seminorm_energy(u, w, first, p2, CFG)
+    assert [_plain(c) for c in calls] == [_plain(spaces.energy_ranges(u, w, first))]
+    assert _bits(semi) == _bits(seminorm_energy(replace(u), w, first, p2, CFG))
+
+
+@pytest.mark.parametrize("check", ["vanishing", "extension"])
+def test_an_unknown_side_is_refused(check, figure1_chain, p2):
+    w, st_, aux = figure1_chain
+    u = poly_function([0.0, 0.5, 0.25])
+    with pytest.raises(ValueError, match="side must be 'left' or 'right', not 'lo'"):
+        if check == "vanishing":
+            endpoint_vanishing_check(u, aux, 0, "lo")
+        else:
+            ac_extension_check(u, w, aux, st_, 0, "lo", CFG)
 
 
 def _recording(u, seen):
