@@ -17,45 +17,39 @@ at the quarter points and below by the endpoint limits, and satisfy the
 derivative identity  d/dx aux = +- aux^2 * sigma  (+ on the left branch,
 - on the right: the left branch grows, the right one decays).
 
-Each outer branch holds the running integral C(d) (d the distance from
-the interval endpoint) exactly at the nodes of a graded mesh, tabulated on
-the first query that lands in the branch:
-eleven nodes per halving of d down to float resolution at the endpoint, plus
-nodes closing in on each removable zero and one node on each other
-breakpoint of w (every interior node of a grid weight), so that sigma is
-smooth on every segment not touching a removable zero.  An AuxWeight
-turns these anchors into one flat table over the whole line, a sorted list
-of zones, each branch on the first query that lands in it:
+An AuxWeight evaluates one flat table over the whole line, a sorted list
+of zones (_AuxTable).  Endpoints, plateaus and the gaps between intervals
+are constant zones; each outer branch is a slot until the first query that
+lands in it splices in the branch's own zones, which hold the running
+integral C between the query and the midpoint in one of two ways.
 
-* Chebyshev zones hold the Chebyshev series of C in s = log d, anchored at
-  the zone's outer mesh node and fitted to sigma at its 15 Kronrod nodes.  A
-  zone spans one halving of d (ten mesh segments), where a power-law zero at
-  the endpoint makes C smooth in s; where that series does not decay, the
-  zone is a single mesh segment.
-* Panel zones are the mesh segments touching a removable zero and those no
-  series fits (a kink or jump of w that w.breakpoints() does not declare):
-  C is the outer node anchor plus one 15-node Kronrod panel between the
-  query point and that node, with integrate()'s rule for a non-finite node.
-* Below the deepest mesh node, C follows the power law (linear in log-log
-  coordinates) with the log-log secant across the halving of d above that
-  node.  Next to an endpoint away from 0, the innermost segments are too
-  few ulps wide for their sigma samples to be more than rounding noise: the
-  power law then takes them over, from the deepest node above them.
-* Endpoints, plateaus and the gaps between intervals are constant zones.
+* ExactBranch, for a weight with closed-form sigma masses
+  (Weight.sigma_masses: piecewise power and grid weights).  build_aux_weight
+  makes one call of the masses over the segments between each interval's
+  ends, quarter points, midpoint and the breakpoints of w, and sums C at
+  those knots outward from the midpoint.  Each segment of a branch is an
+  exact zone: C at its knot nearer the midpoint plus the mass back to x.
+* BranchTable, for any other weight.  One lockstep drive (integrate_ranges)
+  integrates sigma over the quarter spans.  A branch's first query
+  tabulates C at the nodes of a graded mesh, one batch of Kronrod panels:
+  eleven nodes per halving of d (the distance from the endpoint) down to
+  float resolution, nodes closing in on each removable zero (the segments
+  touching one are one ulp wide, see _sliver_nodes) and a node on each other
+  breakpoint of w.  Chebyshev zones hold the series of C in s = log d, fitted
+  to sigma at the 15 Kronrod nodes of a halving of d (ten mesh segments), or
+  of one segment where that series does not decay.  Panel zones, the
+  segments touching a removable zero and those no series fits (a kink of w
+  that w.breakpoints() does not declare), add one Kronrod panel between x
+  and the outer node, with integrate()'s rule for a non-finite node.  Below
+  the deepest node, and over the innermost segments too few ulps wide for
+  their samples to be more than rounding noise, C follows the log-log secant
+  across the halving of d above.
 
-An evaluation is one sorted search, one Chebyshev sum over the points in
-Chebyshev zones and one batched sigma call per 1,152 panels
-(quadrature._MAX_REQUEST) for the points in panel zones.  Once the branches
-it lands in are built, no sigma is evaluated away from panel zones.  The
-ambient norms' aux^(p-1) is sampled once (AuxWeight.ambient_samples).
-
-build_aux_weight makes one lockstep drive (integrate_ranges) for the whole
-structure: the two quarter-point-to-midpoint spans of each interval, cut at
-the breakpoints of w.  Their sum is the plateau integral; they and the
-endpoint limits give every plateau, branch limit and bound, so construction
-evaluates no mesh.  A branch's mesh segments are one batch of Kronrod panels,
-integrated on its first query; those touching a removable zero are one ulp
-wide (see _sliver_nodes).
+Either way the build gives every plateau, branch limit and bound.  An
+evaluation is one sorted search, then per zone kind one vectorized pass:
+the masses, a Chebyshev sum, or one batched sigma call per 1,152 panels
+(quadrature._MAX_REQUEST).  The ambient norms' aux^(p-1) is sampled once
+(AuxWeight.ambient_samples).
 """
 
 from __future__ import annotations
@@ -113,25 +107,31 @@ def _series_matrices() -> tuple[np.ndarray, np.ndarray]:
 _ANTIDERIVATIVE, _SLOPE = _series_matrices()  # (16, 15), (15, 15)
 _N_TERMS = _ANTIDERIVATIVE.shape[0]
 
-_CONST, _CHEB, _BELOW, _PANEL, _SLOT = range(5)  # zone kinds; _SLOT: a branch not yet built
+_CONST, _CHEB, _BELOW, _PANEL, _EXACT, _SLOT = range(6)  # zone kinds; _SLOT: a branch not yet built
+
+
+class _Branch:
+    """An outer branch: its zones of the table in ascending x (rows)."""
+
+    def values(self, d: np.ndarray) -> np.ndarray:
+        """Auxiliary weight 1 / C(d) on the branch, through a table of this
+        branch alone; the quarter-point limit at and above d_max."""
+        d = np.asarray(np.atleast_1d(d), dtype=float).ravel()
+        table = _AuxTable([(self, *sorted((self.endpoint, self.endpoint + self.sgn * self.d_max)))])
+        x = self.endpoint + self.sgn * d
+        out = table.values(np.clip(table.zone(x), 0, table.kind.size - 1), x, d)
+        out[d >= self.d_max] = 1.0 / self.c_at_dmax
+        return out
 
 
 @dataclass
-class BranchTable:
-    """Running transform integral C(d) for one outer branch.
-
-    d is the distance from the interval endpoint; C(d) is the integral of
-    sigma from the point at distance d to the interval midpoint, so C is
-    positive and decreasing in d.  The graded mesh (d_mesh, up to d_max, the
-    quarter point) and C at its nodes (c_nodes) are tabulated on first
-    access and kept: one batch of Kronrod panels over the mesh segments,
-    summed onto c_at_dmax.  A segment sigma is not integrable on, or an
-    anchor that is not positive, raises ArithmeticError on every access.
-    `zones_by_distance` turns those anchors into this branch's rows of a
-    zone table (see the module docstring).  `values` evaluates 1/C through a
-    table of this branch alone and clamps to the quarter-integral anchor at
-    and above d_max.
-    """
+class BranchTable(_Branch):
+    """C(d) for one outer branch of a weight without sigma masses, d the
+    distance from the endpoint: the graded mesh (d_mesh, up to d_max, the
+    quarter point) and C at its nodes (c_nodes), tabulated on first access as
+    one batch of Kronrod panels summed onto c_at_dmax.  A segment sigma is not
+    integrable on, or an anchor that is not positive, raises ArithmeticError
+    on every access."""
 
     sigma: object                 # transform callable
     endpoint: float
@@ -166,27 +166,14 @@ class BranchTable:
             raise ArithmeticError("cumulative transform integral lost positivity")
         return d_mesh, c_nodes, plain, float(d_mesh[-1])
 
-    def values(self, d: np.ndarray) -> np.ndarray:
-        """Auxiliary weight on the branch: 1 / C(d)."""
-        d = np.asarray(np.atleast_1d(d), dtype=float).ravel()
-        lo, hi = sorted((self.endpoint, self.endpoint + self.sgn * self.d_max))
-        table = _AuxTable(self.sigma, self.cfg, [(self, lo, hi)])
-        z = np.clip(table.zone(self.endpoint + self.sgn * d), 0, table.kind.size - 1)
-        out = table.values(z, d)
-        out[d >= self.d_max] = 1.0 / self.c_at_dmax
-        return out
-
     def zones_by_distance(self) -> dict:
         """This branch's table rows in ascending distance, keyed by column.
 
-        The innermost segments, too few ulps wide for rounding to leave
-        their Kronrod nodes in place (to _MAX_NOISE of the half-width), join
-        the below-mesh power law, which then runs from the outermost of them.
-        Above them, Chebyshev candidates are runs of _GROUP mesh segments,
-        then the single segments of rejected runs.  What no candidate covers
-        is a panel zone, as is each segment touching a removable zero.
-        `series` holds the Chebyshev zones' coefficients only, in row order.
-        """
+        The innermost segments, too few ulps wide for rounding to leave their
+        Kronrod nodes in place (to _MAX_NOISE of the half-width), join the
+        power law below.  Chebyshev candidates are runs of _GROUP segments,
+        then the single segments of rejected runs; the rest are panel zones.
+        `series` holds the Chebyshev zones' coefficients only, in row order."""
         d, c = self.d_mesh, self.c_nodes
         # the series run in s = log d, where sigma's power-law behaviour
         # toward the endpoint is smooth, between the mesh points as placed in
@@ -236,17 +223,33 @@ class BranchTable:
         cols["series"] = series[cols.pop("row")[cols["kind"] == _CHEB]]
         return cols
 
-    def _fit(self, s_lo: np.ndarray, s_hi: np.ndarray):
-        """Chebyshev series, in s on [s_lo, s_hi], of the mass of sigma
-        between log-distances s and s_hi, from one sigma call over the
-        Kronrod nodes of every candidate; returns (accepted, series) per
-        candidate.
+    def rows(self, x_lo: float, x_hi: float) -> tuple:
+        """The zones of this branch in ascending x, their starts clipped to
+        [x_lo, x_hi]: the table's columns as rows of one array, and the series."""
+        z = self.zones_by_distance()
+        # a zone holds the x whose distance d = sgn*(x - endpoint) lies in
+        # [d_start, d_end); in ascending x it starts at the first float with
+        # d >= d_start on the left branch, d < d_end on the right
+        if self.sgn > 0:
+            bound, rows = z["d_start"], slice(None)
+        else:
+            bound, rows = np.append(z["d_start"][1:], math.inf), slice(None, None, -1)
+        near = self.endpoint + self.sgn * bound
+        cands = np.stack([np.nextafter(near, -math.inf), near, np.nextafter(near, math.inf)])
+        dist = self.sgn * (cands - self.endpoint)
+        inside = dist >= bound if self.sgn > 0 else dist < bound
+        x = cands[np.argmax(inside, axis=0), np.arange(near.size)]
+        cols = np.broadcast_arrays(np.clip(x, x_lo, x_hi)[rows], z["kind"][rows], self.endpoint,
+                                   self.sgn, z["d_ref"][rows], z["scale"][rows], z["c_ref"][rows])
+        return np.array(cols, dtype=float), z["series"][rows]
 
-        A candidate is accepted when its series is finite, its trailing
-        coefficients have decayed to _TAIL_TOL of its largest (or to the
-        rounding noise of its nodes, when that is larger), and rounding moved
-        its nodes by less than _MAX_NOISE of its half-width.
-        """
+    def _fit(self, s_lo: np.ndarray, s_hi: np.ndarray):
+        """Chebyshev series, in s on [s_lo, s_hi], of sigma's mass between
+        log-distances s and s_hi, from one sigma call over the Kronrod nodes
+        of all candidates; (accepted, series) per candidate.  Accepted: the
+        series is finite, its trailing coefficients decayed to _TAIL_TOL of its
+        largest (or to its nodes' rounding noise, if larger), and rounding
+        moved its nodes by less than _MAX_NOISE of its half-width."""
         half = 0.5 * (s_hi - s_lo)[:, None]
         centre = 0.5 * (s_hi + s_lo)[:, None]
         xs = self.endpoint + self.sgn * np.exp(centre + half * _NODES)
@@ -263,6 +266,27 @@ class BranchTable:
             ok = (np.isfinite(top) & (noise < _MAX_NOISE)
                   & (tail <= np.maximum(_TAIL_TOL, noise) * top))
         return ok, series
+
+
+@dataclass
+class ExactBranch(_Branch):
+    """C for one outer branch of a weight with sigma_masses at its knots (in
+    ascending x), and one exact zone per segment between them: C at its knot
+    nearer the midpoint plus the closed-form mass back to the query."""
+
+    masses: object                # the weight's sigma_masses
+    endpoint: float
+    sgn: float                    # x = endpoint + sgn * d
+    knots: np.ndarray
+    c_knots: np.ndarray           # C at the knots
+    c_at_dmax = property(lambda self: float(self.c_knots[-1 if self.sgn > 0 else 0]))
+    d_max = property(lambda self: float(self.knots[-1] - self.knots[0]))
+
+    def rows(self, x_lo: float, x_hi: float) -> tuple:
+        at = slice(1, None) if self.sgn > 0 else slice(None, -1)  # the knots nearer the midpoint
+        cols = np.broadcast_arrays(np.clip(self.knots[:-1], x_lo, x_hi), _EXACT, self.endpoint,
+                                   self.sgn, self.knots[at], 0.0, self.c_knots[at])
+        return np.array(cols, dtype=float), _NO_SERIES
 
 
 def _clenshaw(series: np.ndarray, cols: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -283,27 +307,6 @@ def _clenshaw(series: np.ndarray, cols: np.ndarray, t: np.ndarray) -> np.ndarray
 _NO_SERIES = np.zeros((0, _N_TERMS))
 
 
-def _branch_rows(br: "BranchTable", x_lo: float, x_hi: float) -> tuple:
-    """The zones of one branch in ascending x, their starts clipped to
-    [x_lo, x_hi]: the table's columns as rows of one array, and the series."""
-    z = br.zones_by_distance()
-    # a zone holds the x whose distance d = sgn*(x - endpoint) lies in
-    # [d_start, d_end); in ascending x it starts at the first float with
-    # d >= d_start on the left branch, d < d_end on the right
-    if br.sgn > 0:
-        bound, rows = z["d_start"], slice(None)
-    else:
-        bound, rows = np.append(z["d_start"][1:], math.inf), slice(None, None, -1)
-    near = br.endpoint + br.sgn * bound
-    cands = np.stack([np.nextafter(near, -math.inf), near, np.nextafter(near, math.inf)])
-    dist = br.sgn * (cands - br.endpoint)
-    inside = dist >= bound if br.sgn > 0 else dist < bound
-    x = cands[np.argmax(inside, axis=0), np.arange(near.size)]
-    cols = np.broadcast_arrays(np.clip(x, x_lo, x_hi)[rows], z["kind"][rows], br.endpoint, br.sgn,
-                               z["d_ref"][rows], z["scale"][rows], z["c_ref"][rows])
-    return np.array(cols, dtype=float), z["series"][rows]
-
-
 class _AuxTable:
     """Sorted zones over the line: the whole auxiliary weight, or one branch.
 
@@ -317,20 +320,24 @@ class _AuxTable:
     _CHEB      centre of log d     half-width in log d  - (C is the series)
     _BELOW     log d at a node     log-log slope        log C at that node
     _PANEL     outer node          -                    C at the outer node
+    _EXACT     its anchor knot, x  -                    C at that knot
     _SLOT      -                   -                    its index in the layout
     =========  ==================  ===================  ==========================
 
     A branch is one _SLOT zone until the first query that lands in it
-    (`zone`) splices in its rows, fitted on their own (zones_by_distance):
-    once every branch was queried, the table equals one built whole.
-    """
+    (`zone`) splices in its rows: once every branch was queried, the table
+    equals one built whole."""
 
-    def __init__(self, sigma, cfg: QuadratureConfig, layout):
-        """`layout` lists, in ascending x, constant zones as (start, value)
-        and outer branches as (BranchTable, x_lo, x_hi)."""
-        self.sigma, self.cfg, self._layout = sigma, cfg, list(layout)
+    def __init__(self, layout):
+        """`layout`: in ascending x, constant zones as (start, value) and outer
+        branches as (branch, x_lo, x_hi), all of one weight: panel zones read
+        their sigma and cfg, exact zones their masses."""
+        self._layout = list(layout)
+        br = next((item[0] for item in self._layout if isinstance(item[0], _Branch)), None)
+        self.sigma, self.cfg, self.masses = (getattr(br, key, None)
+                                             for key in ("sigma", "cfg", "masses"))
         # one zone per layout item to start with: a constant, or a branch's slot
-        zones = np.array([(item[1], _SLOT, 0, 0, 0, 0, k) if isinstance(item[0], BranchTable)
+        zones = np.array([(item[1], _SLOT, 0, 0, 0, 0, k) if isinstance(item[0], _Branch)
                           else (item[0], _CONST, 0, 0, 0, 0, item[1])
                           for k, item in enumerate(self._layout)], dtype=float).T
         self._join([(zones[:, k:k + 1], _NO_SERIES) for k in range(zones.shape[1])])
@@ -356,29 +363,34 @@ class _AuxTable:
         if len(hit):
             pieces = list(self._pieces)
             for k in hit.astype(int):
-                pieces[k] = _branch_rows(*self._layout[k])
+                pieces[k] = self._layout[k][0].rows(*self._layout[k][1:])
             self._join(pieces)
             z = np.searchsorted(self.start, x, side="right") - 1
         return z
 
-    def values(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Auxiliary weight at distance d inside zone z (d unused on constant zones)."""
+    def values(self, z: np.ndarray, x: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Auxiliary weight at x, at distance d from the endpoint of its zone z."""
         kind = self.kind[z]
         out = self.c_ref[z]
-        sel = np.nonzero(kind == _CHEB)[0]
-        if sel.size:
+        present = np.bincount(kind, minlength=_SLOT + 1)  # the kinds to read
+        if present[_CHEB]:
+            sel = np.nonzero(kind == _CHEB)[0]
             zs = z[sel]
             t = (np.log(d[sel]) - self.d_ref[zs]) / self.scale[zs]
             out[sel] = 1.0 / _clenshaw(self.series, self.row[zs], t)
-        sel = np.nonzero(kind == _BELOW)[0]
-        if sel.size:
+        if present[_BELOW]:
+            sel = np.nonzero(kind == _BELOW)[0]
             zs = z[sel]
             ld = np.log(np.clip(d[sel], 1e-300, None))
             with np.errstate(over="ignore"):  # C past the float range: aux reads its limit 0
                 out[sel] = 1.0 / np.exp(self.c_ref[zs] + self.scale[zs] * (ld - self.d_ref[zs]))
-        sel = np.nonzero(kind == _PANEL)[0]
-        if sel.size:
+        if present[_PANEL]:
+            sel = np.nonzero(kind == _PANEL)[0]
             out[sel] = 1.0 / self._partial_panels(z[sel], d[sel])
+        if present[_EXACT]:  # C at the anchor plus the closed-form mass back to x
+            sel = np.nonzero(kind == _EXACT)[0]
+            xs, knot, c = x[sel], self.d_ref[z[sel]], self.c_ref[z[sel]]
+            out[sel] = 1.0 / (c + self.masses(np.minimum(xs, knot), np.maximum(xs, knot)))
         return out
 
     def _partial_panels(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -408,14 +420,11 @@ def _graded_mesh(h_max: float, anchor: float, sgn: float) -> np.ndarray:
 
 
 def _sliver_nodes(d_r: float, d_max: float) -> np.ndarray:
-    """Geometric mesh nodes closing in on distance d_r from both sides.
-
-    The two segments that touch a removable zero come out one ulp wide, so
-    they are Kronrod panels like any other (with integrate()'s rule for a
-    non-finite node on the zero), and partial-panel queries near the zero
-    stay inside analytic slivers.  No mesh node resolves sigma's mass within
-    those few ulps, which a strong zero makes large.
-    """
+    """Geometric mesh nodes closing in on distance d_r from both sides: the
+    two segments that touch a removable zero come out one ulp wide, Kronrod
+    panels like any other (with integrate()'s rule for a non-finite node on
+    the zero).  No node resolves sigma's mass within those few ulps, which a
+    strong zero makes large: exact branches hold it."""
     out = [d_r]
     for span, sg in ((d_max - d_r, 1.0), (d_r, -1.0)):
         off = 0.5 * span
@@ -430,11 +439,9 @@ def _sliver_nodes(d_r: float, d_max: float) -> np.ndarray:
 def _kink_nodes(d_mesh: np.ndarray, endpoint: float, sgn: float,
                 kinks: np.ndarray) -> np.ndarray:
     """The graded mesh with a node on each kink strictly inside the branch.
-
     A graded node closer to a kink than 2 eps |x| / _MAX_NOISE (the narrowest
     segment whose rounding a Chebyshev fit tolerates) gives way to the kink,
-    and a kink that close to the quarter point is left out.
-    """
+    and a kink that close to the quarter point is left out."""
     d_k = sgn * (kinks - endpoint)
     tol = 2.0 * _EPS / _MAX_NOISE * np.abs(kinks)
     inside = (d_k > 0.0) & (d_k < d_mesh[-1] - tol)
@@ -479,8 +486,8 @@ def _branch_mesh(endpoint: float, mid: float, removables: Sequence[float],
 class AuxInterval:
     base: DegeneracyInterval
     plateau: float
-    left: BranchTable
-    right: BranchTable
+    left: _Branch
+    right: _Branch
     lo_value: float      # endpoint limit at base.lo (0 when the half integral diverges)
     hi_value: float
     left_limit: float    # one-sided branch limit at q1 (max of the left branch)
@@ -515,11 +522,9 @@ class AuxWeight:
     """Evaluable auxiliary weight for a degeneracy structure.
 
     Callable on scalars or arrays; zero off the closure of the structure
-    intervals.  At a shared boundary point of two touching intervals the
-    left interval's endpoint value is used.  Evaluation reads one zone table
-    over the whole line, made on the first query; each branch's zones are
-    fitted and spliced in on the first query that lands in that branch, so
-    a caller that queries left branches only never fits a right one.
+    intervals, and the left interval's endpoint value where two touch.  It
+    reads one zone table, made on the first query; a branch's zones are laid
+    in on the first query that lands in it, so left queries fit no right one.
     """
 
     def __init__(self, weight: Weight, p: Exponent, structure: DegeneracyStructure,
@@ -535,8 +540,7 @@ class AuxWeight:
 
     def _table(self) -> _AuxTable:
         if self._zones is None:
-            self._zones = _AuxTable(self.sigma, self.cfg,
-                                    _whole_line(self.parts, self.structure.touching))
+            self._zones = _AuxTable(_whole_line(self.parts, self.structure.touching))
         return self._zones
 
     def ambient_weight(self, x) -> np.ndarray:
@@ -561,7 +565,7 @@ class AuxWeight:
         z = table.zone(flat)
         with np.errstate(invalid="ignore"):  # inf/nan x land on constant zones
             d = table.sgn[z] * (flat - table.ep[z])
-        out = table.values(z, d)
+        out = table.values(z, flat, d)
         return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
 
     def branch_of(self, x: float) -> tuple[int, str]:
@@ -582,33 +586,34 @@ class AuxWeight:
 
 def build_aux_weight(w: Weight, p: Exponent, structure: DegeneracyStructure,
                      cfg: Optional[QuadratureConfig] = None) -> AuxWeight:
-    """Construct the auxiliary weight for a previously detected structure.
-
-    One drive integrates sigma over every branch's quarter span; a span that
-    diverges raises ArithmeticError here.  The branch meshes wait for the
-    first query that lands in each branch (BranchTable), and so do their
-    errors.
-    """
+    """Construct the auxiliary weight for a previously detected structure:
+    ExactBranches for a weight with sigma_masses, else BranchTables, whose
+    meshes (and their errors) wait for the first query that lands in each.
+    A quarter span that diverges raises ArithmeticError."""
     cfg = cfg or DEFAULT_CONFIG
     if structure.p != p.p:
         raise ValueError(f"structure was computed for p={structure.p}, not p={p.p}")
-    sigma = w.transform(p)
-    removables = [info.location for info in structure.removable_zeros]
-    # removable zeros get sliver nodes instead
+    masses = w.sigma_masses(p)
     kinks = sorted_unique(np.asarray(w.breakpoints(), dtype=float))
-    kinks = kinks[~np.isin(kinks, sorted_unique(removables), assume_unique=True)]
-    ends = [(end, iv.mid, 1.0 if iv.mid > end else -1.0)
-            for iv in structure.intervals for end in (iv.lo, iv.hi)]
-    # one drive: the quarter span of each branch, from its quarter point to the midpoint
-    spans = [sorted((end + sgn * 0.5 * abs(mid - end), mid)) for end, mid, sgn in ends]
-    res = integrate_ranges(lambda x, _: sigma(x), [(a, b, removables, kinks) for a, b in spans],
-                           cfg)
-    if not all(quarter.is_finite for quarter in res):
+    if masses is not None:
+        branches = _exact_branches(masses, structure.intervals, kinks)
+    else:
+        sigma = w.transform(p)
+        removables = [info.location for info in structure.removable_zeros]
+        # removable zeros get sliver nodes instead
+        kinks = kinks[~np.isin(kinks, sorted_unique(removables), assume_unique=True)]
+        ends = [(end, iv.mid, 1.0 if iv.mid > end else -1.0)
+                for iv in structure.intervals for end in (iv.lo, iv.hi)]
+        # one drive: the quarter span of each branch, from its quarter point to the midpoint
+        spans = [sorted((end + sgn * 0.5 * abs(mid - end), mid)) for end, mid, sgn in ends]
+        res = integrate_ranges(lambda x, _: sigma(x),
+                               [(a, b, removables, kinks) for a, b in spans], cfg)
+        branches = [BranchTable(sigma, end, sgn, mid, removables, kinks, cfg, quarter.value_or_inf)
+                    for (end, mid, sgn), quarter in zip(ends, res)]
+    if not all(math.isfinite(br.c_at_dmax) for br in branches):
         raise ArithmeticError(
             "transform not integrable between quarter point and midpoint; "
             "the degeneracy structure should have split here")
-    branches = [BranchTable(sigma, end, sgn, mid, removables, kinks, cfg, quarter.value)
-                for (end, mid, sgn), quarter in zip(ends, res)]
     parts = []
     for iv, left, right in zip(structure.intervals, branches[::2], branches[1::2]):
         parts.append(AuxInterval(
@@ -618,6 +623,25 @@ def build_aux_weight(w: Weight, p: Exponent, structure: DegeneracyStructure,
             left_limit=1.0 / left.c_at_dmax, right_limit=1.0 / right.c_at_dmax,
         ))
     return AuxWeight(w, p, structure, parts, cfg)
+
+
+def _exact_branches(masses, intervals, kinks: np.ndarray) -> list:
+    """Two ExactBranches per interval: C at its ends, quarter points, midpoint
+    and kinks, summed outward from the midpoint over one call of `masses`."""
+    knots = [sorted_unique(np.concatenate(([iv.lo, iv.lo + 0.25 * iv.width, iv.mid,
+                                            iv.lo + 0.75 * iv.width, iv.hi],
+                                           kinks[(kinks > iv.lo) & (kinks < iv.hi)])))
+             for iv in intervals]
+    ends = np.cumsum([t.size - 1 for t in knots])[:-1]
+    segs = np.split(masses(*(np.concatenate([t[s] for t in knots] + [np.zeros(0)])
+                             for s in (slice(None, -1), slice(1, None)))), ends)
+    out = []
+    for iv, t, m in zip(intervals, knots, segs):
+        k, q1, q3 = np.searchsorted(t, [iv.mid, iv.lo + 0.25 * iv.width, iv.lo + 0.75 * iv.width])
+        c = np.concatenate((np.cumsum(m[:k][::-1])[::-1], [0.0], np.cumsum(m[k:])))
+        out += [ExactBranch(masses, iv.lo, 1.0, t[:q1 + 1], c[:q1 + 1]),
+                ExactBranch(masses, iv.hi, -1.0, t[q3:], c[q3:])]
+    return out
 
 
 def derivative_identity_residual(aux: AuxWeight, x: float) -> float:

@@ -867,11 +867,10 @@ def classify_endpoint_integrability(w: Weight, p: Exponent, z: float, far: float
     if value is None:
         if alpha == 0.0 and rule == "exact-exponent":
             rule = "positive-weight"  # no decay at z: sigma locally bounded
-        res = integrate(w.transform(p), lo, hi, cfg, singular=interior_singular,
-                        breakpoints=w.breakpoints())
-        value = res.value_or_inf
-        if not res.is_finite and rule == "estimated-exponent":
-            rule = "numeric-trend"  # the trend overrules the fit
+        value = integrate(w.transform(p), lo, hi, cfg, singular=interior_singular,
+                          breakpoints=w.breakpoints()).value_or_inf
+    if math.isinf(value) and rule == "estimated-exponent":
+        rule = "numeric-trend"  # the trend (or the closed form) overrules the fit
     return EndpointClass(math.isfinite(value), value, rule, alpha)
 
 

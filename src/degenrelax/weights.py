@@ -11,8 +11,7 @@ Three representations are supported:
 * ClosedFormWeight: arbitrary vectorized callable, optionally annotated with
   the locations and one-sided power exponents of its zeros.
 * PiecewisePowerWeight: a tiling of the domain by pure power pieces
-  m * |x - pivot|^alpha; uncovered subintervals mean w == 0.  All
-  transform integrals have closed forms.
+  m * |x - pivot|^alpha; uncovered subintervals mean w == 0.
 * GridSampledWeight: samples on a grid, evaluated by linear interpolation.
 
 Besides evaluation, every Weight answers these questions, so that no caller
@@ -22,8 +21,10 @@ needs to know which representation it holds:
   scanning the samples can find them; the one source of w's zeros;
 * side_exponent(z, side): the exact one-sided power exponent of w at z, or
   None when it must be estimated from samples;
-* exact_transform_integral(p, lo, hi): the closed-form integral of the
-  transform, or None when it must be computed numerically;
+* sigma_masses(p): the integral of the transform over spans inside segments
+  between breakpoints, vectorized and in closed form (sigma is a power of a
+  linear function on a power piece or a grid cell), or None;
+* exact_transform_integral(p, lo, hi): those masses summed over [lo, hi], or None;
 * resolution_near(z): the sampling scale of w near z (0.0 when w is known
   everywhere); exponent probes stay outside it, and where it is positive an
   estimated exponent within 0.02 of the threshold is indeterminate;
@@ -127,10 +128,22 @@ class Weight:
         """
         return None
 
+    def sigma_masses(self, p: Exponent) -> Optional[Callable]:
+        """masses(lo, hi): the integral of w^(-1/(p-1)) over each span [lo[i], hi[i]]
+        inside one segment between breakpoints (math.inf where divergent), or None."""
+        return None
+
     def exact_transform_integral(self, p: Exponent, lo: float, hi: float) -> Optional[float]:
         """Closed-form integral of w^(-1/(p-1)) over [lo, hi] (math.inf when divergent),
         or None when it must be integrated numerically."""
-        return None
+        if (masses := self.sigma_masses(p)) is None:
+            return None
+        dom, cuts = self.domain, np.asarray(self.breakpoints(), dtype=float)
+        if not (dom.lo - 1e-12 * dom.width <= lo < hi <= dom.hi + 1e-12 * dom.width):
+            raise ValueError(f"span ({lo}, {hi}) outside domain")
+        ends = np.concatenate(([max(lo, dom.lo)], cuts[(cuts > lo) & (cuts < hi)],
+                               [min(hi, dom.hi)]))
+        return float(np.sum(masses(ends[:-1], ends[1:])))
 
     def resolution_near(self, z: float) -> float:
         """Scale below which samples of w near z carry no shape information."""
@@ -214,28 +227,13 @@ def builtin_figure1() -> ClosedFormWeight:
     )
 
 
-def builtin_power(alpha: float) -> ClosedFormWeight:
+def builtin_power(alpha: float) -> PiecewisePowerWeight:
     """w(x) = x^alpha on (0, 1); requires alpha > -1 so w stays locally integrable."""
     alpha = float(alpha)
     if not (alpha > -1.0 and math.isfinite(alpha)):
         raise WeightSpecError(f"power weight needs alpha > -1, got {alpha}")
-    if alpha == 0.0:
-        fn = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    else:
-        def fn(x, _a=alpha):
-            x = np.asarray(x, dtype=float)
-            with np.errstate(divide="ignore", over="ignore"):
-                out = np.where(x > 0.0, np.abs(x) ** _a, np.inf if _a < 0 else 0.0)
-            return out
-
-    zeros = (ZeroInfo(0.0, None, alpha),) if alpha > 0.0 else None
-    return ClosedFormWeight(
-        fn=fn,
-        domain=Interval(0.0, 1.0),
-        family="power",
-        params={"alpha": alpha},
-        zeros=zeros,
-    )
+    return PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, 1.0, 1.0, 0.0, alpha)],
+                                family="power", params={"alpha": alpha})
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +242,10 @@ def builtin_power(alpha: float) -> ClosedFormWeight:
 
 @dataclass(frozen=True)
 class PowerPiece:
-    """w(x) = scale * |x - pivot|^exponent on [lo, hi).
-
-    Scale may be given exactly through its base-2 log (log2scale) so that
-    families with astronomically large coefficients never round through a
-    float scale; scale itself may then overflow to inf and is only used for
-    display.
-    """
+    """w(x) = scale * |x - pivot|^exponent on [lo, hi).  Scale may be given
+    exactly through its base-2 log (log2scale), so that astronomically large
+    coefficients never round through a float scale, which may then overflow
+    to inf and is only displayed."""
 
     lo: float
     hi: float
@@ -280,16 +275,25 @@ class PowerPiece:
         return math.log2(self.scale) if self.log2scale is None else self.log2scale
 
 
-_LOG_MAX = math.log(float(np.finfo(float).max))  # the largest log of a finite float
+def _power_mass(y0, y1, gap, g, lg) -> np.ndarray:
+    """2^lg times the integral of y^(g-1) over [y0, y1] (0 <= y0 <= y1, y1 > 0):
+    2^lg lead^g shape, lead y0 where g < 0, else y1, and shape log(y1/y0) at
+    g = 0, else (1 - (y0/y1)^|g|) / |g|.  log(y0/y1) keeps its digits near 0
+    and, from gap = y1 - y0 (given apart), near 1; logs past the float range."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ell = np.where(y0 + y0 < y1, np.log(y0 / y1), np.log1p(-gap / y1))  # <= 0
+        shape = np.where(g == 0.0, -ell, -np.expm1((ag := np.abs(g)) * ell) / ag)
+        m = np.exp2(lg) * (lead := np.where(g < 0.0, y0, y1)) ** g * shape
+        if m.size and not 0.0 < m.min() <= m.max() < math.inf:  # NaN fails too
+            m = np.where(np.isfinite(m) & (m > 0.0), m,
+                         np.exp2(lg + g * np.log2(lead) + np.log2(shape)))
+    return m
 
 
 class PiecewisePowerWeight(Weight):
     """Tiling of the domain by power pieces; uncovered spans carry w == 0.
-
-    Piece scales can be astronomically large (cascade bumps); evaluation and
-    transform go through base-2 logs whenever direct arithmetic could
-    overflow or underflow.
-    """
+    Evaluation, transform and sigma masses go through base-2 logs wherever
+    astronomically large scales (cascade bumps) could overflow or underflow."""
 
     def __init__(self, domain: Interval, pieces: Sequence[PowerPiece],
                  family: str = "piecewise_power", params: Optional[dict] = None,
@@ -397,48 +401,37 @@ class PiecewisePowerWeight(Weight):
         """The piece ends strictly inside the domain."""
         return self._ends
 
-    def exact_transform_integral(self, p: Exponent, lo: float, hi: float) -> float:
-        """Closed-form integral of w^(-1/(p-1)) over [lo, hi]; math.inf when divergent.
+    def sigma_masses(self, p: Exponent):
+        """Per span, its piece's power or log antiderivative in d = |x - pivot|, formed
+        from x - pivot; infinite on an uncovered span wider than 1e-14 of the domain."""
+        ends, dom = np.asarray(self._ends, dtype=float), self.domain
+        k = self._piece_index(0.5 * (np.append(dom.lo, ends) + np.append(ends, dom.hi)))
+        level = np.where(self._exponents == 0.0, self._los, self._pivots)  # w flat: pivot at lo
+        ex, lg, pivots = (np.append(a, 0.0)[k]  # per segment; k = -1 (uncovered) reads the 0
+                          for a in (self._exponents, self._log2s / (1.0 - p.p), level))
+        g = 1.0 - ex / (p.p - 1.0)  # per segment between ends: sigma ~ d^(g-1); 0: log
+        g[np.abs(g) < 1e-15] = 0.0
 
-        Pure power pieces integrate to power or log antiderivatives; any
-        positive-length overlap with an uncovered region makes the integral
-        infinite outright.
-        """
-        slack = 1e-12 * self.domain.width
-        if not (self.domain.lo - slack <= lo < hi <= self.domain.hi + slack):
-            raise ValueError(f"span ({lo}, {hi}) outside domain")
-        tol = 1e-14 * self.domain.width
-        for rlo, rhi in self._regions:
-            if min(hi, rhi) - max(lo, rlo) > tol:
-                return math.inf
-        inv = 1.0 / (p.p - 1.0)
-        total = 0.0
-        for q in self.pieces:
-            s, e = max(lo, q.lo), min(hi, q.hi)
-            if e - s <= 0.0:
-                continue
-            ap = q.exponent * inv  # transform behaves like d^-ap near the pivot
-            c_log2 = -inv * q.log2_scale
-            d0, d1 = sorted((abs(s - q.pivot), abs(e - q.pivot)))
-            near = s if abs(s - q.pivot) == d0 else e
-            # the span touches the pivot only within float resolution of it
-            if ap >= 1.0 and d0 <= 4.0 * math.ulp(max(abs(near), abs(q.pivot))):
-                return math.inf
-            if abs(ap - 1.0) < 1e-15:
-                if d0 <= 0.0:
-                    return math.inf
-                total += (2.0 ** c_log2) * math.log(d1 / d0)
-            else:
-                # antiderivative d^(1-ap)/(1-ap), one-sided limit 0 at the pivot when ap < 1
-                g = 1.0 - ap
-                try:
-                    total += (2.0 ** c_log2) * (d1 ** g - d0 ** g) / g
-                except OverflowError:  # a float power past the range: the term in logs
-                    a, b = sorted(g * math.log(d) if d > 0.0 else -math.inf for d in (d0, d1))
-                    log_term = (c_log2 * math.log(2.0) + b + math.log(-math.expm1(a - b))
-                                - math.log(abs(g)))
-                    total += math.exp(log_term) if log_term <= _LOG_MAX else math.inf
-        return total
+        def masses(lo, hi):
+            s = np.searchsorted(ends, 0.5 * (lo + hi), side="right")  # the segment
+            d0, d1 = np.abs(lo - (piv := pivots[s])), np.abs(hi - piv)
+            near, far = np.minimum(d0, d1), np.maximum(d0, d1)
+            m = _power_mass(near, far, far - near, g[s], lg[s])
+            if not (cov := k[s] >= 0).all():
+                m = np.where(cov, m, np.where(hi - lo > 1e-14 * dom.width, np.inf, 0.0))
+            return np.where(hi > lo, m, 0.0)
+
+        return masses
+
+    def exact_transform_integral(self, p: Exponent, lo: float, hi: float) -> float:
+        """The base class's sum; infinite when [lo, hi], clipped to a piece, ends
+        within 4 ulps of its pivot where sigma is not integrable, as if it met it."""
+        total = super().exact_transform_integral(p, lo, hi)
+        sel = (self._exponents * (1.0 / (p.p - 1.0)) >= 1.0) & (self._los < hi) & (lo < self._his)
+        piv, a, b = self._pivots[sel], np.maximum(lo, self._los[sel]), np.minimum(hi, self._his[sel])
+        at = np.where(np.abs(piv - a) <= np.abs(piv - b), a, b)  # the clipped end nearer the pivot
+        met = np.abs(piv - at) <= 4.0 * np.spacing(np.maximum(np.abs(piv), np.abs(at)))
+        return math.inf if met.any() else total
 
     def spec_dict(self) -> dict:
         if self.params:
@@ -547,6 +540,24 @@ class GridSampledWeight(Weight):
     def breakpoints(self) -> np.ndarray:
         """The interior grid nodes: the interpolant kinks at each of them."""
         return self._nodes
+
+    def sigma_masses(self, p: Exponent):
+        """Per span, the closed form in its cell, where w is linear, w built up from
+        the cell's lower node: infinite on a zero cell and next to a zero node if p <= 2."""
+        s, xs, vs = 1.0 / (p.p - 1.0), self.x, self.values
+        low = np.where(vs[:-1] <= vs[1:], xs[:-1], xs[1:])  # per cell
+        v_low, rate = np.minimum(vs[:-1], vs[1:]), np.abs(np.diff(vs)) / np.diff(xs)
+
+        def masses(lo, hi):
+            i = np.searchsorted(self._nodes, 0.5 * (lo + hi), side="right")  # the cell
+            v, r, t0, t1 = v_low[i], rate[i], np.abs(lo - (at := low[i])), np.abs(hi - at)
+            y0, y1 = v + r * np.minimum(t0, t1), v + r * np.maximum(t0, t1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                m = _power_mass(y0, y1, r * (hi - lo), 1.0 - s, 0.0) / r
+                m = m if r.all() else np.where(r == 0.0, (hi - lo) * y1 ** -s, m)  # level cells
+            return np.where(hi > lo, m, 0.0)
+
+        return masses
 
     def zero_set(self):
         # the interpolant vanishes exactly at zero nodes and on the spans

@@ -359,8 +359,12 @@ def test_scan_rejects_values_that_are_not_weights(fn, message, p2):
 
 
 def test_an_infinite_sample_is_not_a_zero_weight(p2):
-    # w = x^-0.5 is +inf at 0: the zero tolerance scales with the finite samples
-    st_ = detect_structure(builtin_power(-0.5), p2, CFG)
+    # w = x^-0.5 is +inf at 0, with no metadata (the closure builtin_power
+    # was): the zero tolerance scales with the finite samples
+    w = ClosedFormWeight(fn=lambda x: np.where(x > 0.0, np.abs(x), 0.0) ** -0.5,
+                         domain=Interval(0.0, 1.0), family="power")
+    with np.errstate(divide="ignore"):
+        st_ = detect_structure(w, p2, CFG)
     assert st_.kind == "finite" and [(iv.lo, iv.hi) for iv in st_.intervals] == [(0.0, 1.0)]
     iv = st_.intervals[0]
     assert iv.lo_class.integrable

@@ -143,8 +143,11 @@ def test_interface_on_figure1_and_power():
     assert w.side_exponent(0.0, +1) == 1.5
     assert w.side_exponent(0.0, -1) is None  # that side lies outside the domain
     assert w.zero_set() == ((0.0,), ())
-    w = builtin_power(0.0)  # no zeros, no metadata
-    assert w.side_exponent(0.0, +1) is None and w.zero_set() is None
+    # one power piece: sigma = x^-1.5 at p = 2, whose integral from a to b is 2 (a^-1/2 - b^-1/2)
+    assert w.exact_transform_integral(p, 0.25, 1.0) == pytest.approx(2.0, rel=1e-15)
+    assert w.spec_dict() == {"family": "power", "alpha": 1.5}
+    w = builtin_power(0.0)  # w == 1: no zeros, and a positive exponent-0 side at 0
+    assert w.side_exponent(0.0, +1) == 0.0 and w.zero_set() == ((), ())
 
 
 def test_interface_on_piecewise_with_zero_regions():
@@ -193,6 +196,19 @@ def test_exact_transform_integral_near_a_nonintegrable_pivot(width):
         w.exact_transform_integral(p, -5e-12 * width, hi)
 
 
+def test_a_pivot_outside_its_piece_is_measured_from_the_piece():
+    # x^2 on [0.3, 1) pivots at 0, outside its piece: the span (0, 0.5) meets that
+    # pivot only inside the integrable x^0.5 piece, so the zero at 0 stays integrable
+    p = Exponent(2.0)
+    w = PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, 0.3, 1.0, 0.0, 0.5),
+                                                  PowerPiece(0.3, 1.0, 1.0, 0.0, 2.0)])
+    want = 2.0 * math.sqrt(0.3) + 1.0 / 0.3 - 2.0
+    assert w.exact_transform_integral(p, 0.0, 0.5) == pytest.approx(want, rel=1e-14)
+    cls = quadrature.classify_endpoint_integrability(w, p, 0.0, 0.5)
+    assert cls.integrable and cls.rule == "exact-exponent"
+    assert cls.value == pytest.approx(want, rel=1e-14)
+
+
 def test_exact_transform_integral_past_the_float_range():
     # x^3 at p = 2: sigma = x^-3, whose integral from d to 1/2 is (d^-2 - 4)/2;
     # d^-2 overflows a float power, and the integral reads +inf
@@ -211,7 +227,13 @@ def test_interface_on_grid_and_bare_closed_form():
     xs = [0.0, 0.1, 0.2, 0.5, 0.6, 0.7, 0.8, 1.0]
     w = GridSampledWeight(xs, [0.0, 1.0, 2.0, 0.0, 3.0, 0.0, 0.0, 1.0])
     assert w.side_exponent(0.0, +1) is None and w.side_exponent(0.5, -1) is None
-    assert w.exact_transform_integral(p, 0.1, 0.2) is None
+    # w rises from 1 to 2 on (0.1, 0.2): sigma = 1/w integrates to 0.1 log 2 there
+    assert w.exact_transform_integral(p, 0.1, 0.2) == pytest.approx(0.1 * math.log(2.0), rel=1e-15)
+    # cut at the node 0.2; w falls from 2 at 0.2 to 2/3 at 0.4 in the cell (0.2, 0.5)
+    want = 0.1 * math.log(2.0 / 1.5) + 0.15 * math.log(3.0)
+    assert w.exact_transform_integral(p, 0.15, 0.4) == pytest.approx(want, rel=1e-14)
+    assert w.exact_transform_integral(p, 0.4, 0.6) == math.inf  # meets the zero node at 0.5
+    assert w.exact_transform_integral(p, 0.65, 0.9) == math.inf  # meets the zero cell
     assert w.zero_set() == ((0.0, 0.5), ((0.7, 0.8),))
     # the widest cell among the few around z
     assert w.resolution_near(0.05) == pytest.approx(0.3, rel=1e-12)
