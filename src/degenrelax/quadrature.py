@@ -53,7 +53,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .weights import Exponent, Weight, finite_peak, sorted_unique
+from .weights import Exponent, Weight, sorted_unique
 
 
 class IntegrandEvaluationError(RuntimeError):
@@ -802,9 +802,10 @@ def local_exponent_estimate(w: Weight, z: float, side: int, h0: float) -> float:
 
     Samples at distances h0 * 2^-k for k = 4 ... 20, none closer than twice
     w.resolution_near(z) (inside one grid cell a linear interpolant always
-    looks like exponent 1).  Returns math.inf when the weight is numerically
-    zero at nearly all probes, i.e. vanishing faster than any power (or
-    identically) on that side.
+    looks like exponent 1).  Returns math.inf when fewer than 3 probes lie
+    inside the domain past that floor, or when fewer than 3 of them sample a
+    positive weight, i.e. vanishing faster than any power (or identically)
+    on that side.
     """
     d = h0 * 2.0 ** (-np.arange(4, 21).astype(float))
     d = d[d >= 2.0 * w.resolution_near(z)]
@@ -818,7 +819,8 @@ def local_exponent_estimate(w: Weight, z: float, side: int, h0: float) -> float:
         return math.inf
     ld = np.log(np.abs(x[keep] - z))
     lv = np.log(vals[keep])
-    return float(np.polyfit(ld, lv, 1)[0])
+    ld, lv = ld - ld.mean(), lv - lv.mean()
+    return float(ld @ lv / (ld @ ld))
 
 
 def classify_endpoint_integrability(w: Weight, p: Exponent, z: float, far: float,
@@ -847,7 +849,7 @@ def classify_endpoint_integrability(w: Weight, p: Exponent, z: float, far: float
     rule = "exact-exponent"
     if alpha is None:
         val_at = float(np.asarray(w(np.array([z])), dtype=float)[0])
-        if math.isfinite(val_at) and val_at > 1e-10 * _peak_sample(w):
+        if math.isfinite(val_at) and val_at > 1e-10 * w._peak:
             alpha, rule = 0.0, "positive-weight"
         else:
             alpha = local_exponent_estimate(w, z, side, abs(far - z))
@@ -872,8 +874,3 @@ def classify_endpoint_integrability(w: Weight, p: Exponent, z: float, far: float
     if math.isinf(value) and rule == "estimated-exponent":
         rule = "numeric-trend"  # the trend (or the closed form) overrules the fit
     return EndpointClass(math.isfinite(value), value, rule, alpha)
-
-
-def _peak_sample(w: Weight, n: int = 513) -> float:
-    xs = np.linspace(w.domain.lo, w.domain.hi, n)
-    return finite_peak(np.asarray(w(xs), dtype=float))

@@ -39,6 +39,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
@@ -170,6 +171,12 @@ class Weight:
 
     def spec_dict(self) -> dict:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    @cached_property
+    def _peak(self) -> float:
+        """The largest finite of 513 even samples of w, taken once per weight."""
+        return finite_peak(np.asarray(self(np.linspace(self.domain.lo, self.domain.hi, 513)),
+                                      dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +539,10 @@ class GridSampledWeight(Weight):
         # a read-only view: no copy, and no Python float per node
         self._nodes = x[1:-1]
         self._nodes.flags.writeable = False
+        # sigma_masses' cell table, whatever p: the lower node, w there, |w'|
+        vs = self.values
+        self._cells = (np.where(vs[:-1] <= vs[1:], x[:-1], x[1:]),
+                       np.minimum(vs[:-1], vs[1:]), np.abs(np.diff(vs)) / np.diff(x))
 
     def __call__(self, xq) -> np.ndarray:
         xq = np.asarray(xq, dtype=float)
@@ -544,9 +555,8 @@ class GridSampledWeight(Weight):
     def sigma_masses(self, p: Exponent):
         """Per span, the closed form in its cell, where w is linear, w built up from
         the cell's lower node: infinite on a zero cell and next to a zero node if p <= 2."""
-        s, xs, vs = 1.0 / (p.p - 1.0), self.x, self.values
-        low = np.where(vs[:-1] <= vs[1:], xs[:-1], xs[1:])  # per cell
-        v_low, rate = np.minimum(vs[:-1], vs[1:]), np.abs(np.diff(vs)) / np.diff(xs)
+        s = 1.0 / (p.p - 1.0)
+        low, v_low, rate = self._cells
 
         def masses(lo, hi):
             i = np.searchsorted(self._nodes, 0.5 * (lo + hi), side="right")  # the cell
@@ -572,7 +582,7 @@ class GridSampledWeight(Weight):
 
     def resolution_near(self, z: float) -> float:
         """Widest grid cell among the few around z."""
-        j = int(np.clip(np.searchsorted(self.x, z), 1, self.x.size - 1))
+        j = min(max(int(np.searchsorted(self.x, z)), 1), self.x.size - 1)
         lo = max(j - 2, 0)
         hi = min(j + 2, self.x.size - 1)
         return float(np.max(np.diff(self.x[lo:hi + 1])))

@@ -1,6 +1,7 @@
 """Degeneracy structure detection across weight families and exponents."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -332,15 +333,109 @@ def _scan_cases():
             yield f"formula-{seed}", _Formula(Interval(lo, hi), fn)
 
 
-def test_scan_matches_the_scalar_loop():
+def _golden_searches(monkeypatch):
+    """(lo, hi, result) of every golden search made from now on."""
+    golden, seen = degeneracy._golden_min, []
+
+    def recording(f, lo, hi):
+        seen.append((lo, hi, golden(f, lo, hi)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(degeneracy, "_golden_min", recording)
+    return seen
+
+
+def test_scan_matches_the_scalar_loop(monkeypatch):
+    # the scan is the loop less the zeros the loop golden-searches from an end
+    # sample of exactly 0: such a sample is a zero on that domain end
+    seen = _golden_searches(monkeypatch)
     cases = list(_scan_cases())
     assert len(cases) >= 100
-    found = 0
+    found = dropped = 0
     for name, w in cases:
+        xs = np.linspace(w.domain.lo, w.domain.hi, 8193)
+        vals = np.asarray(w(xs), dtype=float)
+        end_brackets = {b for b, v in (((xs[0], xs[1]), vals[0]), ((xs[-2], xs[-1]), vals[-1]))
+                        if v == 0.0}
+        seen.clear()
+        zeros, regions = _ref_scan_weight(w)
+        from_ends = [z for lo, hi, z in seen if (lo, hi) in end_brackets]
+        want = ([z for z in zeros if z not in from_ends], regions)
+        dropped += len(zeros) - len(want[0])
         got = degeneracy._scan_weight(w)
-        assert repr(got) == repr(_ref_scan_weight(w)), name
+        assert repr(got) == repr(want), name
         found += len(got[0]) + len(got[1])
     assert found > 100  # the cases do hold zeros and zero regions
+    assert dropped  # and a zero sampled on an end
+
+
+@pytest.mark.parametrize("c", [0.0, 1000.0, 1e6, -3e5])
+def test_zeros_on_shifted_ends_are_the_ends(c):
+    # |x - c|^a |c + 1 - x|^a on (c, c + 1) without metadata: the scan samples
+    # both end zeros exactly, and they are the domain's ends wherever c puts
+    # them; a golden search from an end sample can land 3.3e-11 inside
+    # (1000, 1001), past the edge tolerance, and the exponent probes round
+    # onto such a zero
+    for a in (0.5, 2.0, 3.0):
+        w = ClosedFormWeight(fn=lambda x, a=a: np.abs(x - c) ** a * np.abs(c + 1.0 - x) ** a,
+                             domain=Interval(c, c + 1.0))
+        for p in (1.5, 2.0, 3.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                st_ = detect_structure(w, Exponent(p), CFG)
+            iv, = st_.intervals
+            assert (iv.lo, iv.hi) == (c, c + 1.0)
+            want = a / (p - 1.0) < 1.0
+            assert iv.lo_class.integrable is want and iv.hi_class.integrable is want, (a, p)
+
+
+def test_no_golden_search_for_a_zero_sampled_on_an_end(monkeypatch):
+    seen = _golden_searches(monkeypatch)
+    xs = np.linspace(0.0, 1.0, 8193)
+    w = _Formula(Interval(0.0, 1.0), lambda x: (x * (1.0 - x)) ** 2 * np.abs(x - 0.3) ** 3)
+    zeros, regions = degeneracy._scan_weight(w)
+    # the interior minimum is still searched; neither end zero is
+    assert [(lo, hi) for lo, hi, _ in seen] == [(xs[2457], xs[2459])]
+    assert zeros == [pytest.approx(0.3, abs=1e-6)] and regions == []
+    # end samples that dip but stay above 0 are searched too
+    seen.clear()
+    _, w = next(case for case in _scan_cases() if case[0] == "soft-dips")
+    degeneracy._scan_weight(w)
+    brackets = [(lo, hi) for lo, hi, _ in seen]
+    assert (xs[0], xs[1]) in brackets and (xs[-2], xs[-1]) in brackets and len(seen) == 4
+
+
+@pytest.mark.parametrize("z", [1e-6, 1.0 - 1e-6])
+def test_a_zero_within_the_first_sample_step_splits(z):
+    # the end sample of |x - z|^3 is about 1e-18 of the peak, at or below the
+    # scan's tol but not 0: the zero is searched from it, found at z and split
+    # there, with the divergence on both sides of z and none at the ends
+    w = ClosedFormWeight(fn=lambda x: np.abs(x - z) ** 3, domain=Interval(0.0, 1.0))
+    st_ = detect_structure(w, Exponent(2.0), CFG)
+    zero, = [zi.location for zi in st_.split_zeros]
+    assert zero == pytest.approx(z, abs=1e-12)
+    assert [(iv.lo, iv.hi) for iv in st_.intervals] == [(0.0, zero), (zero, 1.0)]
+    left, right = st_.intervals
+    assert left.lo_class.integrable and not left.hi_class.integrable
+    assert not right.lo_class.integrable and right.hi_class.integrable
+
+
+def test_the_peak_sample_is_taken_once_per_weight():
+    sizes = []
+
+    class Counted(GridSampledWeight):
+        def __call__(self, x):
+            sizes.append(np.size(x))
+            return super().__call__(x)
+
+    x = np.linspace(0.0, 1.0, 4097)
+    w = Counted(x, ((x - 0.25) * (x - 0.5) * (x - 0.75)) ** 2)
+    st_ = detect_structure(w, Exponent(2.0), CFG)
+    assert [z.location for z in st_.split_zeros] == [0.25, 0.5, 0.75]
+    # eight endpoints ask for the peak; 513 points are sampled once
+    assert sizes.count(513) == 1
+    detect_structure(w, Exponent(1.5), CFG)
+    assert sizes.count(513) == 1
 
 
 @pytest.mark.parametrize("fn, message", [

@@ -1,6 +1,7 @@
 """Adaptive integration: frozen values, divergence detection, classifier."""
 
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from degenrelax import (
     ClosedFormWeight,
     Exponent,
+    GridSampledWeight,
     IndeterminateIntegrabilityError,
     IntegrandEvaluationError,
     Interval,
@@ -496,6 +498,85 @@ def test_local_exponent_estimate_recovers_power():
     w = builtin_power(1.7)
     est = local_exponent_estimate(w, 0.0, +1, 0.5)
     assert est == pytest.approx(1.7, abs=1e-3)
+
+
+class _Probed:
+    """A weight that keeps the points it is sampled at and its values there."""
+
+    def __init__(self, w):
+        self.w, self.domain, self.seen = w, w.domain, []
+
+    def resolution_near(self, z):
+        return self.w.resolution_near(z)
+
+    def __call__(self, x):
+        vals = self.w(x)
+        self.seen.append((np.array(x), np.array(vals)))
+        return vals
+
+
+def _exponent_probe_sets(rng):
+    """(weight, zero, side, h0): a zero with exponents 0.3-3 on both sides, on
+    grids of 1k-16k cells and as closures."""
+    for k in range(40):
+        z = float(rng.uniform(-0.5, 0.5))
+        a_l, a_r = rng.uniform(0.3, 3.0, 2)
+        scale = 10.0 ** rng.uniform(-6, 6)
+
+        def fn(x, z=z, a_l=a_l, a_r=a_r, scale=scale):
+            d = x - z
+            return scale * np.abs(d) ** np.where(d < 0, a_l, a_r) * (1.0 + 0.3 * np.sin(3.0 * x))
+        if k % 2:
+            n = int(rng.choice([1024, 2048, 4096, 8192, 16384]))
+            x = np.linspace(-1.0, 1.0, n + 1)
+            z = float(x[int(np.argmin(np.abs(x - z)))])  # a zero node
+            w = GridSampledWeight(x, fn(x, z=z))
+        else:
+            w = ClosedFormWeight(fn=fn, domain=Interval(-1.0, 1.0))
+        h0 = float(rng.uniform(0.3, 0.5))
+        for side in (-1, 1):
+            yield w, z, side, h0
+
+
+def test_the_exponent_fit_is_the_least_squares_slope():
+    # the closed-form slope against np.polyfit's and against the exact
+    # least-squares slope of the same float samples
+    count = 0
+    for w, z, side, h0 in _exponent_probe_sets(np.random.default_rng(20261020)):
+        probed = _Probed(w)
+        est = local_exponent_estimate(probed, z, side, h0)
+        (x, vals), = probed.seen
+        keep = vals > 0.0
+        ld, lv = np.log(np.abs(x[keep] - z)), np.log(vals[keep])
+        assert ld.size >= 3
+        ulp = np.spacing(abs(est))
+        assert abs(est - np.polyfit(ld, lv, 1)[0]) <= 16 * ulp
+        fd, fv = [Fraction(float(t)) for t in ld], [Fraction(float(t)) for t in lv]
+        md, mv = sum(fd) / len(fd), sum(fv) / len(fv)
+        exact = (sum((a - md) * (b - mv) for a, b in zip(fd, fv))
+                 / sum((a - md) ** 2 for a in fd))
+        assert abs(est - float(exact)) <= 4 * ulp
+        count += 1
+    assert count == 80
+
+
+def test_too_few_probes_read_as_infinite():
+    # the documented contract (ROADMAP item 3 asks to answer "indeterminate"):
+    # math.inf when fewer than 3 probes lie past twice resolution_near ...
+    x = np.linspace(0.0, 1.0, 65)
+    w = GridSampledWeight(x, np.abs(x - 0.5) ** 0.5)
+    assert local_exponent_estimate(w, 0.5, +1, 0.5) == math.inf
+    probed = _Probed(w)
+    assert local_exponent_estimate(probed, 0.5, -1, 0.5) == math.inf
+    assert probed.seen == []  # decided before sampling
+    # ... and when fewer than 3 probes sample a positive weight
+    flat = ClosedFormWeight(fn=lambda x: np.where(x < 0.5, np.exp(-1.0 / (x - 0.5) ** 2), 1.0),
+                            domain=Interval(0.0, 1.0))
+    probed = _Probed(flat)
+    assert local_exponent_estimate(probed, 0.5, -1, 0.5) == math.inf
+    (x, vals), = probed.seen
+    assert x.size == 17 and np.count_nonzero(vals > 0.0) < 3
+    assert local_exponent_estimate(flat, 0.5, +1, 0.5) == 0.0
 
 
 def test_classifier_exact_rule_on_figure1():

@@ -245,6 +245,25 @@ def test_interface_on_grid_and_bare_closed_form():
     assert w.zero_set() is None
 
 
+def test_a_grid_builds_its_cell_table_once():
+    # the cells' lower nodes, values there and slopes do not depend on p: the
+    # grid derives them once and every sigma_masses reads them
+    xs = np.linspace(0.0, 1.0, 9)
+    vals = np.abs(np.sin(7.0 * xs)) + 0.1
+    w, lo, hi = GridSampledWeight(xs, vals), xs[:-1] + 0.01, xs[1:] - 0.02
+    tables = []
+    for pv in (1.5, 2.0, 3.0):
+        got = w.sigma_masses(Exponent(pv))(lo, hi)
+        tables.append(w._cells)
+        fresh = GridSampledWeight(xs, vals).sigma_masses(Exponent(pv))(lo, hi)
+        assert got.tobytes() == fresh.tobytes()
+    assert all(t is tables[0] for t in tables)
+    # the index clamps at both ends of the grid, also for z outside it
+    w = GridSampledWeight([0.0, 0.1, 0.2, 0.5, 0.6, 0.7, 0.8, 1.0], np.ones(8))
+    assert [w.resolution_near(z) for z in (-1.0, 0.0, 1.0, 2.0)] == [
+        pytest.approx(r, rel=1e-12) for r in (0.3, 0.3, 0.2, 0.2)]
+
+
 def test_cascade_scales_do_not_round():
     # the later bumps carry scales like 2^(alpha_p * i); values must stay
     # finite and exact in the log2 sense even when scale overflows a float
