@@ -48,8 +48,8 @@ integral C between the query and the midpoint in one of two ways.
 Either way the build gives every plateau, branch limit and bound.  An
 evaluation is one sorted search, then per zone kind one vectorized pass:
 the masses, a Chebyshev sum, or one batched sigma call per 1,152 panels
-(quadrature._MAX_REQUEST).  The ambient norms' aux^(p-1) is sampled once
-(AuxWeight.ambient_samples).
+(quadrature._MAX_REQUEST).  The density drives' first pass, aux^(p-1) and w
+there are kept once per AuxWeight (ambient_samples, first_pass).
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .degeneracy import DegeneracyInterval, DegeneracyStructure
-from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, _NODES, _eval_panels,
+from .quadrature import (DEFAULT_CONFIG, FirstPass, QuadratureConfig, _NODES, _eval_panels,
                          first_pass_nodes, integrate_ranges)
 from .weights import Exponent, Weight, sorted_unique
 
@@ -525,6 +525,13 @@ class AuxWeight:
     intervals, and the left interval's endpoint value where two touch.  It
     reads one zone table, made on the first query; a branch's zones are laid
     in on the first query that lands in it, so left queries fit no right one.
+
+    It also keeps, as long as it lives, what every u of its chain shares in
+    a density drive over its own structure ranges: aux^(p-1) at their
+    first-pass nodes (ambient_samples), and per structure drive its
+    quadrature.FirstPass and w at its energy ranges' first-pass nodes
+    (first_pass).  The first u's drive derives them; a later u's drive of
+    the same terms derives no first pass and calls neither aux nor w there.
     """
 
     def __init__(self, weight: Weight, p: Exponent, structure: DegeneracyStructure,
@@ -537,6 +544,8 @@ class AuxWeight:
         self.sigma = weight.transform(p)
         self._zones: Optional[_AuxTable] = None  # made on the first query
         self._samples: Optional[list] = None     # sampled on the first ambient drive
+        self._passes: dict = {}                  # first_pass' layouts, by their terms
+        self._w_samples: Optional[list] = None   # w at the energy ranges' first-pass nodes
 
     def _table(self) -> _AuxTable:
         if self._zones is None:
@@ -557,6 +566,31 @@ class AuxWeight:
             ends = np.bincount(index, minlength=len(self.parts)).cumsum()
             self._samples = np.split(self.ambient_weight(x), ends)[:-1]  # the last is empty
         return self._samples
+
+    def first_pass(self, ambient: tuple) -> tuple:
+        """integrate_ranges' `first` for a drive over this weight's own ranges,
+        one structure term per entry of `ambient`: an ambient term (True) over
+        the parts (lo, hi, ()), an energy term (False) over the structure
+        intervals graded into the removable zeros.  It is (layout, inputs):
+        the drive's quadrature.FirstPass, derived on the first drive of these
+        terms, and per range aux^(p-1) (ambient_samples) or w at its
+        first-pass nodes, w sampled in one call on the first drive with an
+        energy term."""
+        layout = self._passes.get(ambient)
+        if layout is None:
+            removables = [info.location for info in self.structure.removable_zeros]
+            layout = self._passes[ambient] = FirstPass([
+                (part.base.lo, part.base.hi, () if amb else removables)
+                for amb in ambient for part in self.parts])
+        n = len(self.parts)
+        if self._w_samples is None and not all(ambient):
+            x, index = layout.nodes()
+            k = ambient.index(False) * n  # the first energy term's ranges
+            lo, hi = np.searchsorted(index, [k, k + n])
+            wx = np.asarray(self.weight(x[lo:hi]), dtype=float)
+            self._w_samples = np.split(wx, np.bincount(index[lo:hi] - k, minlength=n).cumsum())[:-1]
+        aux_samples = self.ambient_samples() if any(ambient) else None
+        return layout, [s for a in ambient for s in (aux_samples if a else self._w_samples)]
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -31,10 +31,15 @@ quarters of its worst panels), all plans are evaluated in one request, and
 each pool takes its share.
 
 The first pass depends only on the ranges' ends and singular points, never
-on breakpoints or on the integrand: first_pass_nodes() returns its nodes.
-integrate_ranges(..., first=) hands f inputs kept per range at those nodes,
-in its first request only, so a factor of the integrand that several drives
-over the same ranges share (aux^(p-1) in the ambient norms) is sampled once.
+on breakpoints or on the integrand.  A FirstPass object holds it, laid out
+once: the graded points, the padded layout of every gap and the panel list
+of the first request; first_pass_nodes() reads its nodes.  A caller that
+drives ranges with the same ends and singular points again and again
+keeps the object and hands it back through integrate_ranges(..., first=),
+with f's inputs kept per range at those nodes, read in the first request
+only: such a drive derives no first pass, and a factor of the integrand
+that the drives share (aux^(p-1) in the ambient norms, w in the energies)
+is sampled once.
 
 classify_endpoint_integrability() answers the one-sided question "is
 w^(-1/(p-1)) integrable next to z" through the Weight interface alone: by
@@ -46,6 +51,7 @@ w.resolution_near(), cross-checked by the graded-tail trend.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -244,6 +250,7 @@ _DIVERGENCE_CAP = 1e300
 _MAX_PANELS = 4000  # refinement never grows a range's panel pool past this
 _MAX_REQUEST = 1152  # panels per integrand call: bounds the memory of one request
 _BLOCK = 8  # graded levels walked between two early-exit tests
+_SNAP = 4  # ulps of a panel edge within which a breakpoint is that edge
 _BACK8 = np.arange(8, 0, -1)  # offsets of the last eight of a row
 _FITS = np.array([[8], [4]])  # magnitudes in the two decay-ratio fits
 
@@ -473,10 +480,13 @@ class _Pool:
 
     def pieces(self):
         """(panels kept, pieces' lows, highs): panels cut at the breakpoints they
-        strictly hold; None if none does."""
+        strictly hold; None if none does.  A breakpoint within _SNAP ulps of a
+        panel edge is that edge: it cuts no piece off that panel."""
         cuts, self.cuts = self.cuts, None
-        first = np.searchsorted(cuts, self.lows, side="right")
-        last = np.searchsorted(cuts, self.highs, side="left")
+        first = np.searchsorted(cuts, self.lows + _SNAP * np.spacing(np.abs(self.lows)),
+                                side="right")
+        last = np.searchsorted(cuts, self.highs - _SNAP * np.spacing(np.abs(self.highs)),
+                               side="left")
         keep = last <= first
         hit = np.nonzero(~keep)[0]
         if not hit.size:
@@ -607,22 +617,80 @@ def _first_pass(pts: list):
     return gaps, owner, runs, lows, highs, live
 
 
-def _integrate_all(f, pts: list, cuts: list, cfg: QuadratureConfig, first=None) -> list:
-    """IntegralResult or exception of each range, given by its graded points
-    and breakpoints (None after one raised).  The first pass of all ranges is
-    one request (see _first_pass), with f's inputs from `first` when given
-    (see integrate_ranges); each range then reads its gaps in order, and a
+def _graded(ranges) -> tuple:
+    """(pts, invalid): per range its graded points (the ends and the singular
+    points strictly inside), up to the first range that is not a finite
+    a < b; invalid is the ValueError for that one, or None."""
+    pts = []
+    for a, b, singular, *_ in ranges:
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            return pts, ValueError(f"need finite a < b, got ({a}, {b})")
+        tol = 1e-14 * (b - a)
+        pts.append([a] + [s for s in sorted({float(s) for s in singular})
+                          if a + tol < s < b - tol] + [b])
+    return pts, None
+
+
+def _cuts(ranges, n: int) -> list:
+    """The breakpoints strictly inside each of the first n ranges, sorted."""
+    cuts = []
+    for (a, b, _, breakpoints), _ in zip(ranges, range(n)):
+        tol = 1e-14 * (b - a)
+        c = np.asarray(breakpoints, dtype=float)
+        c = c[(c > a + tol) & (c < b - tol)]
+        cuts.append(sorted_unique(c) if c.size > 1 else c)
+    return cuts
+
+
+class FirstPass:
+    """integrate_ranges' first pass over some ranges, laid out once.
+
+    It depends on the ranges' ends and singular points alone, never on
+    breakpoints or on the integrand, so one object serves every drive over
+    ranges with the same (a, b, singular), handed to integrate_ranges as
+    `first`.  It holds each range's graded points, the padded layout of all
+    gaps (both graded runs, then the two middle panels of each) and the
+    panel list of the first request, but not its nodes: nodes() computes
+    them.  A range that is not a finite a < b ends the layout; `invalid`
+    holds its ValueError (None when every range is valid).
+    """
+
+    def __init__(self, ranges: Sequence[tuple]):
+        self.pts, self.invalid = _graded(ranges)
+        if not self.pts:
+            return
+        self.gaps, self.owner, self.runs, self.lows, self.highs, self.live = _first_pass(self.pts)
+        per = np.add.reduce(self.live, axis=1)  # first-pass panels per gap
+        self.panels = (self.lows[self.live], self.highs[self.live],
+                       np.repeat(self.owner, per))  # the first request: lows, highs, owner
+        # first-pass nodes per range
+        self.sizes = (np.add.reduceat(per, np.cumsum([0, *self.gaps[:-1]])) * _NODES.size).tolist()
+
+    def nodes(self) -> tuple:
+        """(x, index): the first request's nodes and the range of each, in
+        order; raises `invalid`, if any."""
+        if self.invalid is not None:
+            raise self.invalid
+        if not self.pts:
+            return np.zeros(0), np.zeros(0, dtype=np.intp)
+        lows, highs, owner = self.panels
+        return _panel_nodes(lows, highs)[0].ravel(), np.repeat(owner, _NODES.size)
+
+
+def _integrate_all(f, layout: FirstPass, cuts: list, cfg: QuadratureConfig, inputs=None) -> list:
+    """IntegralResult or exception of each range of the layout, given its
+    breakpoints (None after one raised).  The first pass of all ranges is one
+    request (see FirstPass), with f's inputs when given (see
+    integrate_ranges); each range then reads its gaps in order, and a
     divergent run ends it; the pool cuts at its breakpoints (see _refine)."""
     evaluate = _evaluator(f)
-    gaps, owner, runs, lows, highs, live = _first_pass(pts)
+    gaps, owner, lows, highs, live = layout.gaps, layout.owner, layout.lows, layout.highs, layout.live
+    runs = copy.copy(layout.runs)  # a drive's sums and outcomes go on its own copy
     w = runs.live.size // owner.size
-    per = np.add.reduce(live, axis=1)  # first-pass panels per gap
-    if first is not None:  # NaN inputs for the ranges given none
-        nodes = (np.add.reduceat(per, np.cumsum([0, *gaps[:-1]])) * _NODES.size).tolist()
-        first = np.concatenate([np.full(n, np.nan) if v is None else np.reshape(v, n)
-                                for v, n in zip(first[:len(pts)], nodes, strict=True)])
-    vals, errs, bad, nan = _spread(evaluate(lows[live], highs[live], np.repeat(owner, per), first),
-                                   live)
+    if inputs is not None:  # NaN inputs for the ranges given none
+        inputs = np.concatenate([np.full(n, np.nan) if v is None else np.reshape(v, n)
+                                 for v, n in zip(inputs[:len(gaps)], layout.sizes, strict=True)])
+    vals, errs, bad, nan = _spread(evaluate(*layout.panels, inputs), live)
     runs.vals, runs.errs, runs.bad_at, runs.nan_at = (
         None if a is None else a[:, :w].reshape(runs.lows.shape) for a in (vals, errs, bad, nan))
     _walk(runs, 0, cfg, evaluate)
@@ -630,7 +698,7 @@ def _integrate_all(f, pts: list, cuts: list, cfg: QuadratureConfig, first=None) 
     part, tail, terr = runs.partial.tolist(), runs.tail.tolist(), runs.tail_err.tolist()
     divergent = runs.divergent.tolist()
     raise_at = runs.raise_at.tolist()
-    out, tails, g0 = [None] * len(pts), {}, 0
+    out, tails, g0 = [None] * len(gaps), {}, 0
     for r, k in enumerate(gaps):
         walked = t_sum = e_sum = 0.0
         for g in range(g0, g0 + k):
@@ -677,47 +745,23 @@ def _integrate_all(f, pts: list, cuts: list, cfg: QuadratureConfig, first=None) 
     return out
 
 
-def _graded_points(ranges: Sequence[tuple]):
-    """(pts, cuts, invalid): per range its graded points (the ends and the
-    singular points strictly inside) and its breakpoints strictly inside,
-    up to the first range that is not a finite a < b; invalid is the
-    ValueError for that one, or None."""
-    pts, cuts = [], []
-    for a, b, singular, breakpoints in ranges:
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            return pts, cuts, ValueError(f"need finite a < b, got ({a}, {b})")
-        tol = 1e-14 * (b - a)
-        sing = sorted({float(s) for s in singular})
-        pts.append([a] + [s for s in sing if a + tol < s < b - tol] + [b])
-        c = np.asarray(breakpoints, dtype=float)
-        c = c[(c > a + tol) & (c < b - tol)]
-        cuts.append(sorted_unique(c) if c.size > 1 else c)
-    return pts, cuts, None
-
-
 def first_pass_nodes(ranges: Sequence[tuple]) -> tuple:
     """(x, index): the nodes of integrate_ranges' first pass over `ranges`
-    and the range of each, in the order of its first request.
+    and the range of each, in the order of its first request
+    (FirstPass(ranges).nodes()).
 
     Ranges are (a, b, singular) or (a, b, singular, breakpoints); the first
     pass depends on a, b and the singular points alone, so breakpoints
     change nothing here.  A range's nodes are the same alone as among others,
-    so inputs kept at them can be handed to integrate_ranges as `first`.
+    so inputs kept at them can be handed to integrate_ranges in `first`.
     """
-    pts, _, invalid = _graded_points((a, b, singular, ()) for a, b, singular, *_ in ranges)
-    if invalid is not None:
-        raise invalid
-    if not pts:
-        return np.zeros(0), np.zeros(0, dtype=np.intp)
-    _, owner, _, lows, highs, live = _first_pass(pts)
-    xs, _ = _panel_nodes(lows[live], highs[live])
-    return xs.ravel(), np.repeat(owner, np.add.reduce(live, axis=1) * _NODES.size)
+    return FirstPass(ranges).nodes()
 
 
 def integrate_ranges(f: Callable[..., np.ndarray],
                      ranges: Sequence[tuple],
                      cfg: Optional[QuadratureConfig] = None,
-                     first: Optional[Sequence[Optional[np.ndarray]]] = None) -> list:
+                     first: Optional[tuple] = None) -> list:
     """Integrate f over several ranges in lockstep; one IntegralResult per range.
 
     Each range is (a, b, singular, breakpoints) with integrate()'s meaning,
@@ -738,15 +782,27 @@ def integrate_ranges(f: Callable[..., np.ndarray],
     into that many is not refined further: its result and error are those
     of the cut panels.
 
-    `first`, when given, holds per range None or one input of f at each of
-    that range's first-pass nodes, in first_pass_nodes([range]) order (else
-    ValueError).  The first request then calls f(x, index, inputs), inputs
-    NaN on the ranges given None; every later call is f(x, index).
+    `first`, when given, is a pair (layout, inputs).  layout is None, or
+    the FirstPass of ranges with the same ends and the same singular points
+    strictly inside as these (else ValueError): the drive then takes its
+    first pass from it instead of deriving one.  inputs is None, or holds per range None or one input of f
+    at each of that range's first-pass nodes, in FirstPass([range]).nodes()
+    order (else ValueError).  Then the first request calls f(x, index,
+    inputs), inputs NaN on the ranges given None; every later call is
+    f(x, index).
     """
     cfg = cfg or DEFAULT_CONFIG
+    layout, inputs = first or (None, None)
+    if layout is None:
+        layout = FirstPass(ranges)
+        invalid = layout.invalid
+    else:
+        pts, invalid = _graded(ranges)
+        if pts != layout.pts or (invalid is None) != (layout.invalid is None):
+            raise ValueError("first holds the first pass of other ranges")
     # the ranges before an invalid one still run, and may raise first
-    pts, cuts, invalid = _graded_points(ranges)
-    out = _integrate_all(f, pts, cuts, cfg, first) if pts else []
+    out = _integrate_all(f, layout, _cuts(ranges, len(layout.pts)), cfg, inputs) \
+        if layout.pts else []
     for res in out + [invalid]:
         if isinstance(res, Exception):
             raise res
@@ -762,8 +818,9 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     The endpoints a and b are always graded into; interior `singular` points
     are graded from both sides.  `breakpoints` cut the range (kinks, piece
     boundaries) without grading: every panel of the first pass that holds
-    one is cut there in one step after it, wherever it lies; one deeper than
-    the walked graded levels lies in the closed-form tail.  Refinement then
+    one is cut there in one step after it, wherever it lies (one within 4
+    ulps of a panel edge is that edge); one deeper than the walked graded
+    levels lies in the closed-form tail.  Refinement then
     quadrisects the panels with the largest errors.  Divergent behavior at
     any graded point, or an inf node where f is not locally integrable
     (wherever it is met), classifies the whole integral as divergent,

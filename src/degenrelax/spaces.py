@@ -25,9 +25,15 @@ check, relaxed value), only the ambient norm drives.  Asked first, the
 relaxed value and the Poincare check each drive their two terms.  The
 pointwise and extension checks keep nothing.  Ambient terms read
 aux^(p-1) on their first pass from the samples the auxiliary weight keeps
-(AuxWeight.ambient_samples).  A sampled u (tag "Grid") has no seminorm: its
-energy is divergent(inf) in every question.  Every result is that of one
-plain drive per term, bit for bit.
+(AuxWeight.ambient_samples).  A drive of structure terms over the
+auxiliary weight's own ranges (every _structure_terms drive with aux)
+also takes its first-pass layout and w at its energy ranges' first-pass
+nodes from the auxiliary weight (AuxWeight.first_pass), which keeps them
+per chain: the first u's drive derives them, and every later u's drive of
+the same terms derives no first pass and calls w at no first-pass node.
+A sampled u (tag "Grid") has no seminorm: its energy is divergent(inf) in
+every question.  Every result is that of one plain drive per term, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -316,28 +322,37 @@ def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
     ambient ones aux's exponent.  The energy of a sampled fn (tag "Grid")
     is divergent(inf) on each range, none of them integrated.
 
-    The ranges make one drive, in term order, and nothing is kept.  A NaN
-    raises as it would in one drive per term made in that order, and every
-    result is that drive's bit for bit.  Each integrand call evaluates w
-    once for all energy nodes and aux once for all ambient nodes, but the
-    first: it reads aux^(p-1) from aux.ambient_samples(), handed to
-    integrate_ranges as `first`.
+    The ranges make one drive, in term order, and nothing is kept here.  A
+    NaN raises as it would in one drive per term made in that order, and
+    every result is that drive's bit for bit.  Each integrand call evaluates
+    w once for all energy nodes and aux once for all ambient nodes, but the
+    first.  There ambient terms read aux^(p-1) from the samples aux keeps.
+    A drive over aux's own ranges alone, every energy term over the
+    structure intervals of aux (see _on_structure) with w = aux.weight,
+    also reads w there from aux, and takes its first-pass layout from aux
+    too: aux.first_pass() keeps both per chain, so a later u's drive of the
+    same terms derives no first pass and calls w at no first-pass node.
     """
-    answers, todo, ranges, bounds, first = [], [], [], [], []
+    answers, todo, ranges, bounds, inputs = [], [], [], [], []
+    on_aux = aux is not None and w is aux.weight  # a drive over aux's own ranges alone
     for kind, fn, arg in terms:
         amb = kind == "ambient"
         own = aux_ranges(fn, aux) if amb else list(arg)
         if not amb and fn.tag == "Grid":
             answers.append([IntegralResult.divergent(math.inf)] * len(own))
             continue
+        on_aux = on_aux and (amb or _on_structure(own, aux.structure))
         todo.append((fn, amb, np.asarray(arg, dtype=float) if amb else None))
         bounds.append(len(ranges))
         ranges += own
-        first += aux.ambient_samples() if amb and own else [None] * len(own)  # no ranges, no samples
+        inputs += aux.ambient_samples() if amb and own else [None] * len(own)  # no ranges, no samples
         answers.append(slice(bounds[-1], len(ranges)))
     bounds.append(len(ranges))  # bounds: each driven term's first range, the end
+    kinds = tuple(amb for _, amb, _ in todo)
+    first = (aux.first_pass(kinds) if on_aux and ranges else
+             (None, inputs) if any(kinds) else None)
 
-    def f(x, index, weight=None):  # weight: aux^(p-1) at the ambient nodes, when kept
+    def f(x, index, weight=None):  # weight: the kept inputs at the first-pass nodes
         # the nodes come in range order (integrate_ranges), so each term's are one slice
         cut = np.searchsorted(index, bounds).tolist() if len(todo) > 1 else [0, x.size]
         at, v = ([], []), ([], [])  # per kind (energy, ambient): the terms' slices and values
@@ -350,15 +365,26 @@ def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
         out = np.empty(x.size)
         for amb in (0, 1):
             if at[amb]:
-                s, vs = ((at[amb][0], v[amb][0]) if len(at[amb]) == 1
-                         else (np.r_[tuple(at[amb])], np.concatenate(v[amb])))
-                out[s] = mass_values(vs, aux.ambient_weight(x[s]) if weight is None else weight[s],
-                                     aux.exponent.p) if amb else energy_values(vs, w(x[s]), pp)
+                kept = weight is not None and (amb or on_aux)
+                # one call of aux or w for all terms of a kind, unless kept inputs replace it
+                for s, vs in (zip(at[amb], v[amb]) if kept or len(at[amb]) == 1 else
+                              [(np.r_[tuple(at[amb])], np.concatenate(v[amb]))]):
+                    ws = weight[s] if kept else aux.ambient_weight(x[s]) if amb else w(x[s])
+                    out[s] = mass_values(vs, ws, aux.exponent.p) if amb else \
+                        energy_values(vs, ws, pp)
         return out
 
-    res = (integrate_ranges(f, ranges, cfg, first if any(amb for _, amb, _ in todo) else None)
-           if ranges else [])
+    res = integrate_ranges(f, ranges, cfg, first) if ranges else []
     return [res[a] if isinstance(a, slice) else a for a in answers]
+
+
+def _on_structure(ranges: list, structure: DegeneracyStructure) -> bool:
+    """Whether energy ranges are the structure's intervals, graded into its
+    removable zeros: energy_ranges' default spans, whatever the cuts."""
+    removable = [z.location for z in structure.removable_zeros]
+    return len(ranges) == len(structure.intervals) and all(
+        a == iv.lo and b == iv.hi and list(singular) == removable
+        for (a, b, singular, _), iv in zip(ranges, structure.intervals))
 
 
 def _structure_terms(u: TestFunction, asked: Sequence[str], w: Weight,

@@ -1,8 +1,10 @@
 """Ambient norm, membership, Poincare checks, endpoint behavior."""
 
+import gc
 import math
 import sys
 import types
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -29,6 +31,7 @@ from degenrelax import (
     build_approx_sequence,
     check_membership,
     builtin_figure1,
+    constant_function,
     first_pass_nodes,
     integrate_ranges,
     detect_structure,
@@ -428,8 +431,10 @@ def test_a_first_request_is_one_integrand_call_per_block(figure1_chain, p2, monk
 def test_a_density_drive_lays_out_its_first_pass_once(figure1_chain, p2, monkeypatch):
     # the quadrature alone lays out a drive's first request: once per drive,
     # plus once per aux weight for the samples it keeps; the sequence's relaxed
-    # value is space_norm's answer, so its member drive is the only new one
-    w, st_, aux = figure1_chain
+    # value is space_norm's answer, so its member drive is the only new one;
+    # a fresh aux weight, which keeps no drive's layout yet
+    w, st_, _ = figure1_chain
+    aux = build_aux_weight(w, p2, st_, CFG)
     aux.ambient_samples()
     layouts, lay_out = [], quadrature._first_pass
     monkeypatch.setattr(quadrature, "_first_pass", lambda pts: layouts.append(1) or lay_out(pts))
@@ -1070,17 +1075,25 @@ def _plain_ambient(u, aux, shifts, cfg=None):
 
 
 def _plain_drives(monkeypatch):
-    """Make every density drive a plain one: no first-pass values are passed,
-    so the integrand (and aux) is evaluated at every node, and an aux weight
-    keeps no samples."""
-    samples = AuxWeight.ambient_samples
+    """Make every density drive a plain one: no first pass or first-pass
+    values are passed, so the drive lays out its own first pass and the
+    integrand (aux and w) is evaluated at every node, and an aux weight
+    keeps no samples and no first pass."""
+    samples, passes = AuxWeight.ambient_samples, AuxWeight.first_pass
 
     def unkept(self):
         out = samples(self)
         self._samples = None
         return out
 
+    def unkept_pass(self, ambient):
+        out = passes(self, ambient)
+        self._passes.clear()
+        self._w_samples = None
+        return out
+
     monkeypatch.setattr(AuxWeight, "ambient_samples", unkept)
+    monkeypatch.setattr(AuxWeight, "first_pass", unkept_pass)
     monkeypatch.setattr(spaces, "integrate_ranges",
                         lambda f, ranges, cfg=None, first=None: integrate_ranges(f, ranges, cfg))
 
@@ -1109,7 +1122,7 @@ def test_ambient_samples_change_no_bit(sampled_chain, monkeypatch):
     _plain_drives(monkeypatch)
     plain = build_aux_weight(w, p, st_, CFG)
     assert [_ambient_bits(u, w, plain, st_, p) for u in us + us] == got
-    assert plain._samples is None
+    assert plain._samples is None and plain._passes == {} and plain._w_samples is None
 
 
 def test_no_integrand_call_exceeds_one_request():
@@ -1157,6 +1170,121 @@ def test_second_ambient_drive_calls_aux_at_no_first_pass_node(figure1_chain, mon
     assert later.size and not np.isin(later, x).any()
     assert _bits(norm) == _bits(
         sum(_plain_ambient(second, aux, [0.0] * 3, CFG), IntegralResult.finite(0.0, 0.0)))
+
+
+_SIX = ("lp_aux_norm", "seminorm_energy", "check_membership", "space_norm",
+        "poincare_global_check", "relaxed_functional")
+
+
+def _six(u, w, st_, aux, p, order=_SIX):
+    """The six per-u questions, asked of u in `order`, as bit strings by name."""
+    out = {}
+    for name in order:
+        if name == "lp_aux_norm":
+            out[name] = _bits(lp_aux_norm(u, aux, CFG))
+        elif name == "seminorm_energy":
+            out[name] = _bits(seminorm_energy(u, w, st_, p, CFG))
+        elif name == "check_membership":
+            rep = check_membership(u, w, st_, p, CFG)
+            out[name] = (rep.in_space, _bits(rep.seminorm), [_bits(r) for r in rep.per_interval])
+        elif name == "space_norm":
+            out[name] = float(space_norm(u, w, aux, st_, p, CFG)).hex()
+        elif name == "poincare_global_check":
+            rep = poincare_global_check(u, w, aux, st_, p, CFG)
+            out[name] = ([(a.hex(), b.hex()) for a, b in rep.per_interval], rep.lhs.hex(),
+                         rep.rhs.hex(), rep.ratio.hex(), rep.ok)
+        else:
+            rel = relaxed_functional(u, w, aux, st_, p, CFG)
+            out[name] = (rel.kind, rel.value.hex())
+    return out
+
+
+def _chain_bits(us, w, st_, aux, p):
+    """Each u asked the six questions twice, then a copy of it asked them in
+    the reverse order (its own drives, of other terms, on the same chain)."""
+    return [[_six(v, w, st_, aux, p, order) for v, order in
+             ((u, _SIX), (u, _SIX), (replace(u), _SIX[::-1]))] for u in us]
+
+
+def test_a_chain_keeps_its_first_pass_and_changes_no_bit(sampled_chain, monkeypatch):
+    name, w, st_, p = sampled_chain
+    aux = build_aux_weight(w, p, st_, CFG)
+    us = _test_functions(w) + [poly_function([0.5, -1.0, 0.25, 0.75]), constant_function(0.5)]
+    got = _chain_bits(us, w, st_, aux, p)
+    # the structure drives' first passes: the battery's order, then the
+    # reverse order's relaxed value and its shifted term alone
+    assert set(aux._passes) == {(True, False, True), (True, False), (True,)}
+    assert len(aux._w_samples) == len(aux.parts)
+    # the same questions with plain drives: every first pass laid out, and
+    # aux and w evaluated at every node
+    _plain_drives(monkeypatch)
+    plain = build_aux_weight(w, p, st_, CFG)
+    assert _chain_bits(us, w, st_, plain, p) == got
+    assert plain._passes == {} and plain._w_samples is None and plain._samples is None
+
+
+def test_second_drive_calls_w_at_no_first_pass_node(figure1_chain, monkeypatch):
+    w, st_, _ = figure1_chain
+    p = Exponent(2.0)
+    aux = build_aux_weight(w, p, st_, CFG)
+    aux.ambient_samples()  # aux's own samples, laid out before
+    seen, layouts, call, lay_out = [], [], type(w).__call__, quadrature._first_pass
+
+    def recording(self, x):  # w's calls from the integrand and from the kept samples
+        caller = sys._getframe(1).f_code.co_name
+        if caller in ("f", "first_pass"):
+            seen.append((caller, np.array(x, dtype=float)))
+        return call(self, x)
+
+    monkeypatch.setattr(type(w), "__call__", recording)
+    monkeypatch.setattr(quadrature, "_first_pass", lambda pts: layouts.append(1) or lay_out(pts))
+    second, first = _test_functions(w)  # the spline refines, so w is called again
+    lp_aux_norm(first, aux, CFG)
+    # the first drive lays out its first pass, and w is sampled at its energy
+    # ranges' first-pass nodes in one call; the integrand reads those samples
+    assert len(layouts) == 1
+    x, _ = first_pass_nodes(spaces.energy_ranges(first, w, st_))
+    assert [c for c, _ in seen].count("first_pass") == 1 and np.array_equal(seen[0][1], x)
+    assert all(not np.isin(y, x).any() for c, y in seen if c == "f")
+    assert _same_bits(np.concatenate(aux._w_samples), np.asarray(call(w, x), dtype=float))
+    seen.clear()
+    layouts.clear()
+    lp_aux_norm(second, aux, CFG)
+    later = np.concatenate([y for _, y in seen])
+    assert layouts == [] and [c for c, _ in seen].count("first_pass") == 0
+    assert later.size and not np.isin(later, x).any()
+    # the energy read from that drive is a plain drive's, bit for bit
+    plain = seminorm_energy(replace(second), w, st_, p, CFG)  # no aux: a drive of its own
+    assert len(layouts) == 1
+    assert _bits(seminorm_energy(second, w, st_, p, CFG)) == _bits(plain)
+
+
+def test_the_chain_memo_dies_with_its_aux_weight(figure1_chain):
+    w, st_, _ = figure1_chain
+    aux = build_aux_weight(w, Exponent(2.0), st_, CFG)
+    u = _test_functions(w)[0]
+    lp_aux_norm(u, aux, CFG)
+    layout, = aux._passes.values()
+    refs = [weakref.ref(obj) for obj in (aux, layout, aux._w_samples[0], aux._samples[0])]
+    del aux, layout, u  # u's memo holds the aux weight its terms were integrated against
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 4
+
+
+def test_a_member_drive_keeps_no_first_pass(figure1_chain, p2, monkeypatch):
+    w, st_, _ = figure1_chain
+    aux = build_aux_weight(w, p2, st_, CFG)
+    u = poly_function([0.2, 1.0, -0.5])
+    relaxed_functional(u, w, aux, st_, p2, CFG)
+    lp_aux_norm(u, aux, CFG)
+    kept = dict(aux._passes)
+    assert set(kept) == {(True, False)}  # the relaxed value's drive; lp_aux_norm reads it
+    drives = count_drives(monkeypatch)
+    build_approx_sequence(u, w, aux, st_, p2, h_max=32, cfg=CFG)
+    # the member drive is the only one, and the aux weight keeps nothing of it
+    assert len(drives) == 1 and len(drives[0]) > 2 * len(aux.parts)
+    assert aux._passes.keys() == kept.keys()
+    assert all(aux._passes[k] is kept[k] for k in kept)
 
 
 def test_poly_function_matches_numpy_polyval():

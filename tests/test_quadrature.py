@@ -21,6 +21,7 @@ from degenrelax import (
     builtin_power,
     classify_endpoint_integrability,
     detect_structure,
+    FirstPass,
     first_pass_nodes,
     integrate,
     integrate_ranges,
@@ -1010,29 +1011,34 @@ def _smooth(x, index):
 @pytest.mark.parametrize("ranges", [_SINGULAR_RANGES,
                                     [(float(k), k + 1.0, (), [k + 0.3]) for k in range(12)]])
 def test_first_pass_nodes_are_the_first_request(ranges):
-    x, index = first_pass_nodes(ranges)
-    f, calls = _recording(_smooth)
-    integrate_ranges(f, ranges, CFG)
-    got_x, got_index, k = _first_pass_calls(calls, x.size)
-    assert np.array_equal(got_x, x) and np.array_equal(got_index, index)
+    layout = FirstPass(ranges)
+    x, index = layout.nodes()
+    # first_pass_nodes reads the same object
+    assert all(np.array_equal(a, b) for a, b in zip(first_pass_nodes(ranges), (x, index)))
+    for first in (None, (layout, None)):  # derived by the drive, or handed to it
+        f, calls = _recording(_smooth)
+        integrate_ranges(f, ranges, CFG, first=first)
+        got_x, got_index, k = _first_pass_calls(calls, x.size)
+        assert np.array_equal(got_x, x) and np.array_equal(got_index, index)
     # the first request is split at _MAX_REQUEST panels, and only there
     assert k == -(-x.size // (15 * quadrature._MAX_REQUEST))
     if len(ranges) > 10:
         assert k > 1
     # the cut step follows it: breakpoints enter no first-pass node
     bare = [(a, b, s) for a, b, s, _ in ranges]
-    assert all(np.array_equal(a, b) for a, b in zip(first_pass_nodes(bare), (x, index)))
+    assert all(np.array_equal(a, b) for a, b in zip(FirstPass(bare).nodes(), (x, index)))
     f, calls = _recording(_smooth)
-    integrate_ranges(f, [r + ((),) for r in bare], CFG)
+    # the layout of the ranges with breakpoints serves the ranges without
+    integrate_ranges(f, [r + ((),) for r in bare], CFG, first=(layout, None))
     assert np.array_equal(_first_pass_calls(calls, x.size)[0], x)
 
 
 def _per_range_inputs(ranges, g, given):
-    """integrate_ranges' `first`: g(x) at each first-pass node of range k for
-    k in `given`, None for the others."""
-    x, index = first_pass_nodes(ranges)
+    """The inputs of integrate_ranges' `first`: g(x) at each first-pass node
+    of range k for k in `given`, None for the others."""
+    x, index = FirstPass(ranges).nodes()
     for k, r in enumerate(ranges):  # a range's nodes are the same alone as among others
-        assert np.array_equal(first_pass_nodes([r])[0], x[index == k])
+        assert np.array_equal(FirstPass([r]).nodes()[0], x[index == k])
     return [g(x[index == k]) if k in given else None for k in range(len(ranges))]
 
 
@@ -1049,13 +1055,17 @@ def _factored(x, index, factor=None):
 def test_first_values_change_no_bit(ranges):
     f, calls = _recording(_factored)
     plain = integrate_ranges(f, ranges, CFG)
-    x, index = first_pass_nodes(ranges)
+    layout = FirstPass(ranges)
+    x, index = layout.nodes()
     k = _first_pass_calls([c[:2] for c in calls], x.size)[2]
     given = set(range(0, len(ranges), 2))
     first = _per_range_inputs(ranges, lambda x: np.exp(-x), given)
     g, rest = _recording(_factored)
-    got = integrate_ranges(g, ranges, CFG, first=first)
+    got = integrate_ranges(g, ranges, CFG, first=(layout, first))
     assert [_bits(r) for r in got] == [_bits(r) for r in plain]
+    # a drive that derives its own layout reads the inputs alike
+    assert [_bits(r) for r in integrate_ranges(_factored, ranges, CFG, first=(None, first))] \
+        == [_bits(r) for r in plain]
     # the calls are the plain drive's, the first request one call per block of
     # at most _MAX_REQUEST panels, each with its block of inputs (NaN where none)
     assert len(rest) == len(calls) > k
@@ -1073,14 +1083,61 @@ def test_first_values_reach_every_first_call(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_REQUEST", 10)
     f, calls = _recording(lambda x, index, x5: x5)
     ranges = [(0.0, 1.0, (), ())]
-    r, = integrate_ranges(f, ranges, CFG, first=_per_range_inputs(ranges, lambda x: x ** 5, {0}))
-    assert len(calls) == -(-first_pass_nodes(ranges)[0].size // 150) > 1
+    layout = FirstPass(ranges)
+    r, = integrate_ranges(f, ranges, CFG,
+                          first=(layout, _per_range_inputs(ranges, lambda x: x ** 5, {0})))
+    assert len(calls) == -(-layout.nodes()[0].size // 150) > 1
     assert all(x.size <= 150 and np.array_equal(v, x ** 5) for x, _, v in calls)
     assert r.value == pytest.approx(1.0 / 6.0, rel=1e-15)
     with pytest.raises(ValueError):  # an input short, or a range without an entry
-        integrate_ranges(f, ranges, CFG, first=[np.zeros(3)])
+        integrate_ranges(f, ranges, CFG, first=(layout, [np.zeros(3)]))
     with pytest.raises(ValueError):
-        integrate_ranges(f, ranges + [(1.0, 2.0, (), ())], CFG, first=[None])
+        two = ranges + [(1.0, 2.0, (), ())]
+        integrate_ranges(f, two, CFG, first=(FirstPass(two), [None]))
+
+
+def test_a_first_pass_of_other_ranges_raises():
+    ranges = [(0.0, 1.0, [0.3], ()), (1.0, 2.0, (), [1.5])]
+    layout = FirstPass(ranges)
+    plain = integrate_ranges(_smooth, ranges, CFG)
+    # breakpoints and singular points outside a range never enter the first pass
+    same = [(0.0, 1.0, [0.3, 1.7], [0.5]), (1.0, 2.0, [0.3], [1.5])]
+    assert [_bits(r) for r in integrate_ranges(_smooth, ranges, CFG, first=(layout, None))] \
+        == [_bits(r) for r in plain]
+    assert [_bits(r) for r in integrate_ranges(_smooth, same, CFG, first=(layout, None))] \
+        == [_bits(r) for r in integrate_ranges(_smooth, same, CFG)]
+    for other in ([(0.0, 1.0, [0.4], ()), (1.0, 2.0, (), ())],   # another singular point
+                  [(0.0, 1.0, (), ()), (1.0, 2.0, (), ())],      # none
+                  [(0.0, 1.0, [0.3], ()), (1.0, 2.5, (), ())],   # another end
+                  ranges[::-1], ranges[:1], ranges + [(2.0, 3.0, (), ())],
+                  ranges + [(3.0, 3.0, (), ())]):                # one more, invalid
+        with pytest.raises(ValueError, match="first pass of other ranges"):
+            integrate_ranges(_smooth, other, CFG, first=(layout, None))
+
+
+def test_a_breakpoint_an_ulp_inside_a_panel_edge_cuts_no_sliver(monkeypatch):
+    # the middle third of the gap (0, 0.3) starts at 0.09999999999999999, an
+    # ulp below the breakpoint 0.1: the breakpoint is that edge, and cuts no
+    # piece an ulp wide off the panel; 0.45 cuts a middle panel of (0.3, 0.7)
+    ranges = [(0.0, 1.0, [0.3, 0.7], [0.1, 0.45])]
+    lows, highs, _ = FirstPass(ranges).panels
+    assert np.nextafter(0.1, 0.0) in lows and 0.1 not in lows and 0.1 not in highs
+    pieces, plan = [], quadrature._Pool.pieces
+
+    def recording(self):
+        out = plan(self)
+        if out is not None:
+            pieces.append(out[1:])
+        return out
+
+    monkeypatch.setattr(quadrature._Pool, "pieces", recording)
+    r = integrate(lambda x: np.abs(x - 0.1) + np.abs(x - 0.45), 0.0, 1.0, CFG,
+                  singular=[0.3, 0.7], breakpoints=[0.1, 0.45])
+    lo, hi = (np.concatenate(a) for a in zip(*pieces))
+    assert lo.size == 2 and 0.45 in lo and 0.45 in hi
+    assert (hi - lo > 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))).all()
+    # |x - 0.1| + |x - 0.45| over (0, 1)
+    assert r.value == pytest.approx(0.41 + 0.2525, rel=1e-13)
 
 
 def _middle_node(ranges, k):
@@ -1100,7 +1157,7 @@ def test_first_values_keep_a_nan_node_error():
         return (factor(x) if given is None else given) * (1.0 + index) + np.abs(x - 0.5)
 
     errors = []
-    for first in (None, _per_range_inputs(ranges, factor, {0, 1})):
+    for first in (None, (FirstPass(ranges), _per_range_inputs(ranges, factor, {0, 1}))):
         with pytest.raises(IntegrandEvaluationError) as info:
             integrate_ranges(f, ranges, CFG, first=first)
         errors.append((str(info.value), info.value.location))
@@ -1120,7 +1177,7 @@ def test_first_values_grade_into_an_inf_node():
     plain = integrate_ranges(f, ranges, CFG)
     assert plain[0].is_finite
     assert plain[0].value == pytest.approx(2.0 * (math.sqrt(c) + math.sqrt(1.0 - c)), rel=1e-7)
-    given = integrate_ranges(f, ranges, CFG, first=first)
+    given = integrate_ranges(f, ranges, CFG, first=(FirstPass(ranges), first))
     assert [_bits(r) for r in given] == [_bits(r) for r in plain]
 
 
