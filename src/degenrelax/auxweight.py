@@ -528,11 +528,10 @@ class AuxWeight:
 
     It also keeps, as long as it lives, what every u of its chain shares in
     a density drive over its own structure ranges: aux^(p-1) at their
-    first-pass nodes (ambient_samples), and per structure drive its
-    quadrature.FirstPass and w at its energy ranges' first-pass nodes
-    (first_pass).  The first u's drive derives them; a later u's drive of
-    the same terms derives no first pass and calls neither aux nor w there.
-    """
+    layout nodes (ambient_samples), and per structure drive its
+    quadrature.FirstPass, cut at the breakpoints, with aux^(p-1) and w at
+    every node of its first request (first_pass).  A later u's drive of the
+    same terms cuts nothing and calls neither aux nor w at those nodes."""
 
     def __init__(self, weight: Weight, p: Exponent, structure: DegeneracyStructure,
                  parts: list, cfg: QuadratureConfig):
@@ -546,6 +545,7 @@ class AuxWeight:
         self._samples: Optional[list] = None     # sampled on the first ambient drive
         self._passes: dict = {}                  # first_pass' layouts, by their terms
         self._w_samples: Optional[list] = None   # w at the energy ranges' first-pass nodes
+        self._aux_samples: Optional[list] = None  # aux^(p-1) at the ambient ranges' ones
 
     def _table(self) -> _AuxTable:
         if self._zones is None:
@@ -571,26 +571,34 @@ class AuxWeight:
         """integrate_ranges' `first` for a drive over this weight's own ranges,
         one structure term per entry of `ambient`: an ambient term (True) over
         the parts (lo, hi, ()), an energy term (False) over the structure
-        intervals graded into the removable zeros.  It is (layout, inputs):
+        intervals graded into the removable zeros, all cut at the kinks of w
+        and the ambient ones at the quarter points.  It is (layout, inputs):
         the drive's quadrature.FirstPass, derived on the first drive of these
-        terms, and per range aux^(p-1) (ambient_samples) or w at its
-        first-pass nodes, w sampled in one call on the first drive with an
-        energy term."""
+        terms, and per range aux^(p-1) or w at its first-pass nodes, each kind
+        sampled in one call on its first drive (aux^(p-1) at the pieces)."""
         layout = self._passes.get(ambient)
         if layout is None:
             removables = [info.location for info in self.structure.removable_zeros]
+            kinks = self.weight.breakpoints()
             layout = self._passes[ambient] = FirstPass([
-                (part.base.lo, part.base.hi, () if amb else removables)
+                (part.base.lo, part.base.hi, () if amb else removables,
+                 np.concatenate((kinks, (part.q1, part.q3))) if amb else kinks)
                 for amb in ambient for part in self.parts])
         n = len(self.parts)
-        if self._w_samples is None and not all(ambient):
-            x, index = layout.nodes()
-            k = ambient.index(False) * n  # the first energy term's ranges
-            lo, hi = np.searchsorted(index, [k, k + n])
-            wx = np.asarray(self.weight(x[lo:hi]), dtype=float)
-            self._w_samples = np.split(wx, np.bincount(index[lo:hi] - k, minlength=n).cumsum())[:-1]
-        aux_samples = self.ambient_samples() if any(ambient) else None
-        return layout, [s for a in ambient for s in (aux_samples if a else self._w_samples)]
+        for amb in (False, True):
+            if amb in ambient and (self._aux_samples if amb else self._w_samples) is None:
+                x, index = layout.nodes(pieces=amb)
+                k = ambient.index(amb) * n  # the first term of that kind
+                lo, hi = np.searchsorted(index, [k, k + n])
+                fill = self.ambient_weight if amb else self.weight
+                values = np.asarray(fill(x[lo:hi]), dtype=float)
+                split = np.split(values, np.bincount(index[lo:hi] - k, minlength=n).cumsum())[:-1]
+                if amb:
+                    self._aux_samples = [np.concatenate(s)
+                                         for s in zip(self.ambient_samples(), split)]
+                else:
+                    self._w_samples = split
+        return layout, [s for a in ambient for s in (self._aux_samples if a else self._w_samples)]
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

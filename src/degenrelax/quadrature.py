@@ -8,8 +8,8 @@ contributions c_k then behave like a geometric sequence, which gives both a
 cheap convergence accelerant (sum the geometric tail in closed form) and a
 robust divergence test (the c_k stop decaying exactly when the local
 integral diverges).  The first pass (every graded run, and the middle third
-of each gap as two panels) is evaluated in one batch; then every panel of it
-that holds a declared breakpoint is cut there, in one more batch, and
+of each gap as two panels), with every panel of it that holds a declared
+breakpoint also cut there into pieces, is evaluated in one batch; then
 refinement rounds quadrisect, one batch each, the worst panels whose summed
 Gauss/Kronrod discrepancy covers the excess over the error budget.  A panel
 with a non-finite node follows one rule (_settle) wherever it is met: a NaN
@@ -25,21 +25,19 @@ one padded (run, level) array, walked at once with sequential cumulative
 sums along the rows, a cumulative count of non-decaying level pairs for the
 trend window, and each row ending at its first divergence or block-end
 exit; the inf levels of all rows are graded into in one request.  Then a
-pool (_Pool) per range holds its refinement rule, and a round is plan, one
-request, take: each live pool plans its next panels (its cut pieces, then
-quarters of its worst panels), all plans are evaluated in one request, and
-each pool takes its share.
+pool (_Pool) per range (its walked levels and middle panels, cut ones
+replaced by their pieces) holds its refinement rule, and a round is plan,
+one request, take: each live pool plans quarters of its worst panels, all
+plans are evaluated in one request, and each pool takes its share.
 
-The first pass depends only on the ranges' ends and singular points, never
-on breakpoints or on the integrand.  A FirstPass object holds it, laid out
-once: the graded points, the padded layout of every gap and the panel list
-of the first request; first_pass_nodes() reads its nodes.  A caller that
-drives ranges with the same ends and singular points again and again
-keeps the object and hands it back through integrate_ranges(..., first=),
-with f's inputs kept per range at those nodes, read in the first request
-only: such a drive derives no first pass, and a factor of the integrand
-that the drives share (aux^(p-1) in the ambient norms, w in the energies)
-is sampled once.
+A FirstPass object holds the first pass of some ranges, laid out once
+(graded points, the padded layout of every gap, the pieces the breakpoints
+cut, the first request's panels).  A caller that drives the same ranges
+again and again keeps it and hands it back through integrate_ranges(...,
+first=), with f's inputs kept per range at its nodes, read in the first
+request only: such a drive derives no first pass and cuts nothing, and a
+factor of the integrand that the drives share (aux^(p-1) in the ambient
+norms, w in the energies) is sampled once.
 
 classify_endpoint_integrability() answers the one-sided question "is
 w^(-1/(p-1)) integrable next to z" through the Weight interface alone: by
@@ -474,39 +472,16 @@ class _Pool:
     the rule for what the range refines next.  A round is plan(), then one
     request for the planned panels of every live range, then take()."""
 
-    def __init__(self, lows, highs, vals, errs, cuts=None, owner=0):
-        self.lows, self.highs, self.vals, self.errs = lows, highs, vals, errs
-        self.cuts, self.owner = cuts, owner
-
-    def pieces(self):
-        """(panels kept, pieces' lows, highs): panels cut at the breakpoints they
-        strictly hold; None if none does.  A breakpoint within _SNAP ulps of a
-        panel edge is that edge: it cuts no piece off that panel."""
-        cuts, self.cuts = self.cuts, None
-        first = np.searchsorted(cuts, self.lows + _SNAP * np.spacing(np.abs(self.lows)),
-                                side="right")
-        last = np.searchsorted(cuts, self.highs - _SNAP * np.spacing(np.abs(self.highs)),
-                               side="left")
-        keep = last <= first
-        hit = np.nonzero(~keep)[0]
-        if not hit.size:
-            return None
-        count = last[hit] - first[hit] + 1
-        at = np.repeat(hit, count)
-        k = np.arange(at.size) - np.repeat(np.cumsum(count) - count, count)
-        c = first[at] + k  # the breakpoint that ends each piece, but the last
-        return (keep, np.where(k == 0, self.lows[at], cuts[np.maximum(c - 1, 0)]),
-                np.where(c == last[at], self.highs[at], cuts[np.minimum(c, cuts.size - 1)]))
+    def __init__(self, lows, highs, vals, errs, owner=0):
+        self.lows, self.highs, self.vals, self.errs, self.owner = lows, highs, vals, errs, owner
 
     def plan(self, cfg: QuadratureConfig):
-        """The range's next panels as (what they replace, lows, highs), None once
-        the budget is met or _MAX_PANELS leaves no room: first the cut pieces,
-        then quarters of the worst panels whose summed error covers the excess
-        over the budget, at most (_MAX_PANELS - size) // 3.  A pick whose quarter
+        """The range's next panels as (the panels they replace, lows, highs),
+        None once the budget is met or _MAX_PANELS leaves no room: quarters of
+        the worst panels whose summed error covers the excess over the
+        budget, at most (_MAX_PANELS - size) // 3.  A pick whose quarter
         points do not separate at float resolution is accepted (error 0), and
         the worst panels are picked again."""
-        if self.cuts is not None and (cut := self.pieces()) is not None:
-            return cut
         room = (_MAX_PANELS - self.lows.size) // 3
         vals, errs = self.vals, self.errs
         while room > 0:
@@ -536,10 +511,9 @@ class _Pool:
     def take(self, plan, sums, cfg: QuadratureConfig, evaluate):
         """Put a plan's panels in from their sums (see _evaluator), settling
         non-finite nodes (see _settle): None to go on, total() once a panel is
-        not locally integrable, or the exception met.  A cut keeps the panels
-        its mask holds; a quartered panel becomes its first quarter; the other
-        new panels append."""
-        drop, lows, highs = plan
+        not locally integrable, or the exception met.  A quartered panel
+        becomes its first quarter; the other new panels append."""
+        pick, lows, highs = plan
         k15, perr, bad_at, _ = sums
         diverges = False
         if bad_at is not None and not np.isnan(bad_at).all():
@@ -547,13 +521,8 @@ class _Pool:
             if error:
                 return error
             diverges = np.isinf(perr).any()
-        n = 0
-        if drop.dtype == bool:
-            self.lows, self.highs = self.lows[drop], self.highs[drop]
-            self.vals, self.errs = self.vals[drop], self.errs[drop]
-        else:
-            n = drop.size
-            self.highs[drop], self.vals[drop], self.errs[drop] = highs[:n], k15[:n], perr[:n]
+        n = pick.size
+        self.highs[pick], self.vals[pick], self.errs[pick] = highs[:n], k15[:n], perr[:n]
         self.lows = np.concatenate((self.lows, lows[n:]))
         self.highs = np.concatenate((self.highs, highs[n:]))
         self.vals = np.concatenate((self.vals, k15[n:]))
@@ -634,63 +603,95 @@ def _graded(ranges) -> tuple:
 def _cuts(ranges, n: int) -> list:
     """The breakpoints strictly inside each of the first n ranges, sorted."""
     cuts = []
-    for (a, b, _, breakpoints), _ in zip(ranges, range(n)):
+    for (a, b, _, *breakpoints), _ in zip(ranges, range(n)):
         tol = 1e-14 * (b - a)
-        c = np.asarray(breakpoints, dtype=float)
+        c = np.asarray(breakpoints[0] if breakpoints else (), dtype=float)
         c = c[(c > a + tol) & (c < b - tol)]
         cuts.append(sorted_unique(c) if c.size > 1 else c)
     return cuts
 
 
 class FirstPass:
-    """integrate_ranges' first pass over some ranges, laid out once.
-
-    It depends on the ranges' ends and singular points alone, never on
-    breakpoints or on the integrand, so one object serves every drive over
-    ranges with the same (a, b, singular), handed to integrate_ranges as
-    `first`.  It holds each range's graded points, the padded layout of all
-    gaps (both graded runs, then the two middle panels of each) and the
-    panel list of the first request, but not its nodes: nodes() computes
-    them.  A range that is not a finite a < b ends the layout; `invalid`
-    holds its ValueError (None when every range is valid).
-    """
+    """integrate_ranges' first pass over some ranges, laid out once for every
+    drive over them (integrate_ranges' `first`): each range's graded points
+    and breakpoints, the padded layout of all gaps (both graded runs, then
+    the two middle panels of each; set by the ends and singular points
+    alone), the pieces the breakpoints cut from its panels and the first
+    request's panel list, but not its nodes (nodes()).  A range that is not
+    a finite a < b ends the layout; `invalid` holds its ValueError (None
+    when every range is valid)."""
 
     def __init__(self, ranges: Sequence[tuple]):
         self.pts, self.invalid = _graded(ranges)
-        if not self.pts:
-            return
-        self.gaps, self.owner, self.runs, self.lows, self.highs, self.live = _first_pass(self.pts)
-        per = np.add.reduce(self.live, axis=1)  # first-pass panels per gap
-        self.panels = (self.lows[self.live], self.highs[self.live],
-                       np.repeat(self.owner, per))  # the first request: lows, highs, owner
-        # first-pass nodes per range
-        self.sizes = (np.add.reduceat(per, np.cumsum([0, *self.gaps[:-1]])) * _NODES.size).tolist()
+        self.cuts = _cuts(ranges, len(self.pts))
+        if self.pts:
+            self.gaps, self.owner, self.runs, self.lows, self.highs, self.live = \
+                _first_pass(self.pts)
+            self._cut()
 
-    def nodes(self) -> tuple:
-        """(x, index): the first request's nodes and the range of each, in
-        order; raises `invalid`, if any."""
+    def _cut(self):
+        """Cut each layout panel at its range's breakpoints strictly inside
+        it (one within _SNAP ulps of a panel edge is that edge), and lay out
+        the first request: each range's layout panels, then its pieces."""
+        flat = np.flatnonzero(self.live)  # the layout's panels, in request order
+        lo, hi = self.lows.ravel()[flat], self.highs.ravel()[flat]
+        owner = np.repeat(self.owner, np.add.reduce(self.live, axis=1))
+        self.sizes = (np.bincount(owner, minlength=len(self.pts)) * _NODES.size).tolist()  # layout
+        self.piece_sizes = [0] * len(self.pts)
+        self.at = np.zeros(0, dtype=np.intp)  # the padded position of the panel each piece cuts
+        self.pieces = (np.zeros(0), np.zeros(0), self.at)  # their lows, highs and owner
+        self.panels, self.split = (lo, hi, owner), None  # the first request; True at its pieces
+        cuts = np.concatenate([np.zeros(0), *self.cuts])
+        if not cuts.size:
+            return
+        # breakpoints and panel edges as complex numbers range + i*x, which numpy
+        # orders lexicographically: one search finds each panel's range's cuts
+        key = np.repeat(np.arange(len(self.cuts)), [c.size for c in self.cuts]) + 1j * cuts
+        first = np.searchsorted(key, owner + 1j * (lo + _SNAP * np.spacing(np.abs(lo))), "right")
+        last = np.searchsorted(key, owner + 1j * (hi - _SNAP * np.spacing(np.abs(hi))), "left")
+        hit = np.flatnonzero(last > first)
+        count = last[hit] - first[hit] + 1
+        j = np.repeat(hit, count)
+        k = np.arange(j.size) - np.repeat(np.cumsum(count) - count, count)
+        b = first[j] + k  # the breakpoint that ends each piece, but the last
+        self.at = flat[j]
+        self.pieces = (np.where(k == 0, lo[j], cuts[np.maximum(b - 1, 0)]),
+                       np.where(b == last[j], hi[j], cuts[np.minimum(b, cuts.size - 1)]), owner[j])
+        self.piece_sizes = (np.bincount(owner[j], minlength=len(self.pts)) * _NODES.size).tolist()
+        order = np.argsort(np.concatenate((owner, owner[j])), kind="stable")
+        self.panels = tuple(np.concatenate(pair)[order]
+                            for pair in zip((lo, hi, owner), self.pieces))
+        self.split = order >= flat.size
+
+    def nodes(self, pieces: bool = False) -> tuple:
+        """(x, index): the first request's nodes (with `pieces`, its pieces'
+        alone) and the range of each, in order; raises `invalid`, if any."""
         if self.invalid is not None:
             raise self.invalid
         if not self.pts:
             return np.zeros(0), np.zeros(0, dtype=np.intp)
-        lows, highs, owner = self.panels
+        lows, highs, owner = self.pieces if pieces else self.panels
         return _panel_nodes(lows, highs)[0].ravel(), np.repeat(owner, _NODES.size)
 
 
-def _integrate_all(f, layout: FirstPass, cuts: list, cfg: QuadratureConfig, inputs=None) -> list:
-    """IntegralResult or exception of each range of the layout, given its
-    breakpoints (None after one raised).  The first pass of all ranges is one
-    request (see FirstPass), with f's inputs when given (see
-    integrate_ranges); each range then reads its gaps in order, and a
-    divergent run ends it; the pool cuts at its breakpoints (see _refine)."""
+def _integrate_all(f, layout: FirstPass, cfg: QuadratureConfig, inputs=None) -> list:
+    """IntegralResult or exception of each range of the layout (None after
+    one raised).  The first pass of all ranges, pieces included, is one
+    request, with f's inputs when given (see integrate_ranges); each range
+    reads its gaps in order, a divergent run ends it, and the pieces of its
+    kept panels join its pool (see _refine)."""
     evaluate = _evaluator(f)
     gaps, owner, lows, highs, live = layout.gaps, layout.owner, layout.lows, layout.highs, layout.live
     runs = copy.copy(layout.runs)  # a drive's sums and outcomes go on its own copy
     w = runs.live.size // owner.size
-    if inputs is not None:  # NaN inputs for the ranges given none
-        inputs = np.concatenate([np.full(n, np.nan) if v is None else np.reshape(v, n)
-                                 for v, n in zip(inputs[:len(gaps)], layout.sizes, strict=True)])
-    vals, errs, bad, nan = _spread(evaluate(*layout.panels, inputs), live)
+    if inputs is not None:  # NaN where none is given, and at the pieces of a range given none there
+        inputs = np.concatenate([np.full(n + m, np.nan) if v is None else np.reshape(
+            np.concatenate((np.ravel(v), np.full(m, np.nan))) if np.size(v) == n else v, n + m)
+            for v, n, m in zip(inputs[:len(gaps)], layout.sizes, layout.piece_sizes, strict=True)])
+    sums, split = evaluate(*layout.panels, inputs), layout.split
+    if split is not None:  # the layout's sums, and the pieces'
+        sums, cut = ([None if a is None else a[s] for a in sums] for s in (~split, split))
+    vals, errs, bad, nan = _spread(sums, live)
     runs.vals, runs.errs, runs.bad_at, runs.nan_at = (
         None if a is None else a[:, :w].reshape(runs.lows.shape) for a in (vals, errs, bad, nan))
     _walk(runs, 0, cfg, evaluate)
@@ -731,12 +732,25 @@ def _integrate_all(f, layout: FirstPass, cuts: list, cfg: QuadratureConfig, inpu
     vals[:, :w], errs[:, :w] = runs.vals.reshape(-1, w), runs.errs.reshape(-1, w)  # resolved
     keep = np.concatenate(((np.arange(w // 2) < runs.n[:, None]).reshape(owner.size, w),
                            live[:, w:]), axis=1)
+    if split is not None:  # the pieces of the kept panels, and where each range's start
+        kept = np.flatnonzero(keep.ravel()[layout.at])
+        pieces = [None if a is None else a[kept] for a in (*layout.pieces[:2], *cut)]
+        ends = np.searchsorted(layout.pieces[2][kept], np.arange(len(gaps) + 1)).tolist()
+        keep.flat[layout.at] = False  # the cut panels leave their pool
     arrays = [a[keep] for a in (lows, highs, vals, errs)]
     bounds = np.concatenate(([0], np.add.accumulate(np.add.reduce(keep, axis=1))))[
         np.concatenate(([0], np.add.accumulate(gaps)))].tolist()
-    pools = [_Pool(*(a[bounds[r]:bounds[r + 1]] for a in arrays),
-                   cuts[r] if cuts[r].size else None, r) for r in tails]
-    for r, res in zip(tails, _refine(pools, cfg, evaluate)):
+    pools, done = {}, {}
+    for r in tails:
+        pool = pools[r] = _Pool(*(a[bounds[r]:bounds[r + 1]] for a in arrays), r)
+        if split is not None and ends[r] < ends[r + 1]:  # its pieces append, replacing none
+            lo, hi, *sums = (None if a is None else a[ends[r]:ends[r + 1]] for a in pieces)
+            if (res := pool.take((np.zeros(0, int), lo, hi), sums, cfg, evaluate)) is not None:
+                done[r] = res  # a NaN, or a piece not locally integrable: no refinement
+                del pools[r]
+                if isinstance(res, Exception):
+                    break  # the ranges after it are dropped
+    for r, res in [*zip(pools, _refine(list(pools.values()), cfg, evaluate)), *done.items()]:
         if isinstance(res, tuple):
             value = res[0] + tails[r][0]
             res = (IntegralResult.divergent(value) if math.isinf(res[1])
@@ -748,13 +762,11 @@ def _integrate_all(f, layout: FirstPass, cuts: list, cfg: QuadratureConfig, inpu
 def first_pass_nodes(ranges: Sequence[tuple]) -> tuple:
     """(x, index): the nodes of integrate_ranges' first pass over `ranges`
     and the range of each, in the order of its first request
-    (FirstPass(ranges).nodes()).
-
-    Ranges are (a, b, singular) or (a, b, singular, breakpoints); the first
-    pass depends on a, b and the singular points alone, so breakpoints
-    change nothing here.  A range's nodes are the same alone as among others,
-    so inputs kept at them can be handed to integrate_ranges in `first`.
-    """
+    (FirstPass(ranges).nodes()).  Ranges are (a, b, singular) or (a, b,
+    singular, breakpoints); each range's nodes are its layout's (set by a,
+    b and the singular points), then its pieces'.  They are the same alone
+    as among other ranges, so inputs kept at them can be handed to
+    integrate_ranges in `first`."""
     return FirstPass(ranges).nodes()
 
 
@@ -770,26 +782,27 @@ def integrate_ranges(f: Callable[..., np.ndarray],
     range, are ignored, so every range may be handed one shared list.  The
     ranges share every integrand call: one for all first passes, then one
     per refinement round, each split into calls of at most _MAX_REQUEST
-    panels (1,152).  f(x, index) receives the nodes of all ranges and,
-    for each node, the position of its range in `ranges`, in range order
+    panels (1,152).  f(x, index) receives the nodes of all ranges and, for
+    each node, the position of its range in `ranges`, in range order
     (index never decreases within a call); an integrand that differs per
     range must read that index, never infer the range from x (a deep
-    graded node can round onto an endpoint shared by two ranges).
-    f must be elementwise.  Breakpoints are cut after the shared first pass,
-    so they never enlarge it.  If ranges raise (a NaN only), the error of
+    graded node can round onto an endpoint shared by two ranges).  f must
+    be elementwise.  The first request holds the pieces that breakpoints
+    cut from the first pass.  If ranges raise (a NaN only), the error of
     the first of them propagates.  Refinement never grows a range past
     _MAX_PANELS panels (4,000), so a range whose breakpoints alone cut it
-    into that many is not refined further: its result and error are those
-    of the cut panels.
+    into that many is not refined further.
 
     `first`, when given, is a pair (layout, inputs).  layout is None, or
     the FirstPass of ranges with the same ends and the same singular points
     strictly inside as these (else ValueError): the drive then takes its
-    first pass from it instead of deriving one.  inputs is None, or holds per range None or one input of f
-    at each of that range's first-pass nodes, in FirstPass([range]).nodes()
-    order (else ValueError).  Then the first request calls f(x, index,
-    inputs), inputs NaN on the ranges given None; every later call is
-    f(x, index).
+    first pass from it instead of deriving one (cut again where these
+    ranges' breakpoints are not the layout's).  inputs is None, or holds
+    per range None or one input of f at each of that range's layout nodes,
+    then optionally at its pieces' nodes, in FirstPass([range]).nodes()
+    order (else ValueError; none is read at the pieces of a layout cut
+    again).  Then the first request calls f(x, index, inputs), inputs NaN
+    where none is given; every later call is f(x, index).
     """
     cfg = cfg or DEFAULT_CONFIG
     layout, inputs = first or (None, None)
@@ -800,9 +813,16 @@ def integrate_ranges(f: Callable[..., np.ndarray],
         pts, invalid = _graded(ranges)
         if pts != layout.pts or (invalid is None) != (layout.invalid is None):
             raise ValueError("first holds the first pass of other ranges")
+        cuts = _cuts(ranges, len(pts))
+        if not all(map(np.array_equal, cuts, layout.cuts)):  # breakpoints of their own
+            if inputs is not None:  # none is read at the layout's pieces
+                inputs = [v if v is None or np.size(v) != n + m else np.ravel(v)[:n] for v, n, m
+                          in zip(inputs[:len(pts)], layout.sizes, layout.piece_sizes, strict=True)]
+            layout = copy.copy(layout)
+            layout.cuts = cuts
+            layout._cut()
     # the ranges before an invalid one still run, and may raise first
-    out = _integrate_all(f, layout, _cuts(ranges, len(layout.pts)), cfg, inputs) \
-        if layout.pts else []
+    out = _integrate_all(f, layout, cfg, inputs) if layout.pts else []
     for res in out + [invalid]:
         if isinstance(res, Exception):
             raise res
@@ -818,16 +838,16 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     The endpoints a and b are always graded into; interior `singular` points
     are graded from both sides.  `breakpoints` cut the range (kinks, piece
     boundaries) without grading: every panel of the first pass that holds
-    one is cut there in one step after it, wherever it lies (one within 4
+    one is cut there in the first request, wherever it lies (one within 4
     ulps of a panel edge is that edge); one deeper than the walked graded
-    levels lies in the closed-form tail.  Refinement then
-    quadrisects the panels with the largest errors.  Divergent behavior at
-    any graded point, or an inf node where f is not locally integrable
-    (wherever it is met), classifies the whole integral as divergent,
-    reporting the partial sum accumulated so far; a NaN value raises
-    IntegrandEvaluationError.  f must be elementwise: it is called on flat
-    arrays that batch many panels, and each value may depend only on its
-    own node.
+    levels lies in the closed-form tail, and its pieces are not read.
+    Refinement then quadrisects the panels with the largest errors.
+    Divergent behavior at any graded point, or an inf node where f is not
+    locally integrable (wherever it is met), classifies the whole integral
+    as divergent, reporting the partial sum accumulated so far; a NaN value
+    raises IntegrandEvaluationError.  f must be elementwise: it is called
+    on flat arrays that batch many panels, and each value may depend only
+    on its own node.
     """
     return integrate_ranges(lambda x, _: f(x), [(a, b, singular, breakpoints)], cfg)[0]
 

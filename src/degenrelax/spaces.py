@@ -27,10 +27,10 @@ pointwise and extension checks keep nothing.  Ambient terms read
 aux^(p-1) on their first pass from the samples the auxiliary weight keeps
 (AuxWeight.ambient_samples).  A drive of structure terms over the
 auxiliary weight's own ranges (every _structure_terms drive with aux)
-also takes its first-pass layout and w at its energy ranges' first-pass
-nodes from the auxiliary weight (AuxWeight.first_pass), which keeps them
-per chain: the first u's drive derives them, and every later u's drive of
-the same terms derives no first pass and calls w at no first-pass node.
+also takes from it its first pass, cut at the breakpoints, and aux^(p-1)
+and w at every node of that (AuxWeight.first_pass), kept per chain: every
+later u's drive of the same terms derives no first pass, cuts nothing and
+calls neither aux nor w at any node of its first request.
 A sampled u (tag "Grid") has no seminorm: its energy is divergent(inf) in
 every question.  Every result is that of one plain drive per term, bit
 for bit.
@@ -325,15 +325,15 @@ def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
     The ranges make one drive, in term order, and nothing is kept here.  A
     NaN raises as it would in one drive per term made in that order, and
     every result is that drive's bit for bit.  Each integrand call evaluates
-    w once for all energy nodes and aux once for all ambient nodes, but the
-    first.  There ambient terms read aux^(p-1) from the samples aux keeps.
-    A drive over aux's own ranges alone, every energy term over the
-    structure intervals of aux (see _on_structure) with w = aux.weight,
-    also reads w there from aux, and takes its first-pass layout from aux
-    too: aux.first_pass() keeps both per chain, so a later u's drive of the
-    same terms derives no first pass and calls w at no first-pass node.
+    w once for all energy nodes and aux once for all ambient nodes, except
+    where the first request reads what aux keeps: aux^(p-1) at the ambient
+    ranges' layout nodes, and in a drive over aux's own ranges alone (every
+    energy term over aux's structure intervals, see _on_structure, with w =
+    aux.weight) the layout, and aux^(p-1) and w at every node, pieces
+    included (aux.first_pass(), kept per chain).  There an ambient term of
+    an fn that an earlier one has reads u from it, at the same nodes.
     """
-    answers, todo, ranges, bounds, inputs = [], [], [], [], []
+    answers, todo, ranges, bounds, inputs, first_term = [], [], [], [], [], {}
     on_aux = aux is not None and w is aux.weight  # a drive over aux's own ranges alone
     for kind, fn, arg in terms:
         amb = kind == "ambient"
@@ -342,34 +342,56 @@ def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
             answers.append([IntegralResult.divergent(math.inf)] * len(own))
             continue
         on_aux = on_aux and (amb or _on_structure(own, aux.structure))
-        todo.append((fn, amb, np.asarray(arg, dtype=float) if amb else None))
+        todo.append((fn, amb, np.asarray(arg, dtype=float) if amb else None,
+                     first_term.setdefault(id(fn), len(todo)) if amb else None))
         bounds.append(len(ranges))
         ranges += own
         inputs += aux.ambient_samples() if amb and own else [None] * len(own)  # no ranges, no samples
         answers.append(slice(bounds[-1], len(ranges)))
     bounds.append(len(ranges))  # bounds: each driven term's first range, the end
-    kinds = tuple(amb for _, amb, _ in todo)
+    kinds = tuple(amb for _, amb, *_ in todo)
     first = (aux.first_pass(kinds) if on_aux and ranges else
              (None, inputs) if any(kinds) else None)
 
-    def f(x, index, weight=None):  # weight: the kept inputs at the first-pass nodes
+    # a later ambient term of an fn has the first one's ranges, so in the first
+    # request the same nodes, in the same order: it reads u there from that term
+    kept_u = {src: [] for t, (*_, src) in enumerate(todo) if src not in (None, t)}
+    read = {}  # per later term, its nodes read so far
+
+    def f(x, index, weight=None):  # weight: the kept inputs of the first request, NaN where none
         # the nodes come in range order (integrate_ranges), so each term's are one slice
         cut = np.searchsorted(index, bounds).tolist() if len(todo) > 1 else [0, x.size]
         at, v = ([], []), ([], [])  # per kind (energy, ambient): the terms' slices and values
-        for (fn, amb, c), b, lo, hi in zip(todo, bounds, cut, cut[1:]):
+        for t, ((fn, amb, c, src), b, lo, hi) in enumerate(zip(todo, bounds, cut, cut[1:])):
             if lo < hi:
                 s = slice(lo, hi)
                 at[amb].append(s)
-                v[amb].append(fn(x[s]) - (c if c.ndim == 0 else c[index[s] - b]) if amb
-                              else fn.d(x[s]))
+                if not amb:
+                    v[0].append(fn.d(x[s]))
+                    continue
+                if weight is not None and src != t:  # the first term's u, read in order
+                    r = read[t] = read.get(t, 0) + hi - lo
+                    uv = np.concatenate(kept_u[src])[r - (hi - lo):r]
+                else:
+                    uv = fn(x[s])
+                    if weight is not None and src in kept_u:
+                        kept_u[src].append(uv)
+                v[1].append(uv - (c if c.ndim == 0 else c[index[s] - b]))
         out = np.empty(x.size)
         for amb in (0, 1):
             if at[amb]:
-                kept = weight is not None and (amb or on_aux)
-                # one call of aux or w for all terms of a kind, unless kept inputs replace it
-                for s, vs in (zip(at[amb], v[amb]) if kept or len(at[amb]) == 1 else
-                              [(np.r_[tuple(at[amb])], np.concatenate(v[amb]))]):
-                    ws = weight[s] if kept else aux.ambient_weight(x[s]) if amb else w(x[s])
+                fill = aux.ambient_weight if amb else w
+                kept = weight is not None and (amb or on_aux) and [weight[s] for s in at[amb]]
+                if kept and not any(np.isnan(k).any() for k in kept):
+                    pairs = zip(at[amb], v[amb], kept)  # kept inputs, term by term
+                else:  # one call of aux or w for all terms of a kind, where none is kept
+                    s = at[amb][0] if len(at[amb]) == 1 else np.r_[tuple(at[amb])]
+                    ws = np.concatenate(kept) if kept else fill(x[s])
+                    if kept:  # and aux or w where none is kept
+                        miss = np.isnan(ws)
+                        ws[miss] = fill(x[s][miss])
+                    pairs = [(s, np.concatenate(v[amb]) if len(v[amb]) > 1 else v[amb][0], ws)]
+                for s, vs, ws in pairs:
                     out[s] = mass_values(vs, ws, aux.exponent.p) if amb else \
                         energy_values(vs, ws, pp)
         return out

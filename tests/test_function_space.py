@@ -1158,16 +1158,18 @@ def test_second_ambient_drive_calls_aux_at_no_first_pass_node(figure1_chain, mon
         return call(self, x)
 
     monkeypatch.setattr(AuxWeight, "__call__", recording)
-    first, second = _test_functions(w)
+    second, first = _test_functions(w)  # the spline refines, so aux is called again
     lp_aux_norm(first, aux, CFG)
     x, _ = first_pass_nodes([(part.base.lo, part.base.hi, ()) for part in aux.parts])
-    # the samples are one aux call at the first-pass nodes
-    assert np.array_equal(seen[0], x)
+    # the samples are one aux call at the first-pass nodes, then one at the
+    # pieces that the quarter points and the kinks of w cut from them
+    pieces = np.setdiff1d(first_pass_nodes(spaces.aux_ranges(first, aux))[0], x)
+    assert np.array_equal(seen[0], x) and np.array_equal(np.sort(seen[1]), pieces)
     assert _same_bits(np.concatenate(aux.ambient_samples()), aux.ambient_weight(x))
     seen.clear()
     norm = lp_aux_norm(second, aux, CFG)
     later = np.concatenate(seen)
-    assert later.size and not np.isin(later, x).any()
+    assert later.size and not np.isin(later, x).any() and not np.isin(later, pieces).any()
     assert _bits(norm) == _bits(
         sum(_plain_ambient(second, aux, [0.0] * 3, CFG), IntegralResult.finite(0.0, 0.0)))
 
@@ -1265,10 +1267,86 @@ def test_the_chain_memo_dies_with_its_aux_weight(figure1_chain):
     u = _test_functions(w)[0]
     lp_aux_norm(u, aux, CFG)
     layout, = aux._passes.values()
-    refs = [weakref.ref(obj) for obj in (aux, layout, aux._w_samples[0], aux._samples[0])]
-    del aux, layout, u  # u's memo holds the aux weight its terms were integrated against
+    assert layout.pieces[0].size  # the kept samples hold the pieces' too
+    kept = (aux, layout, aux._w_samples[0], aux._samples[0], aux._aux_samples[0])
+    refs = [weakref.ref(obj) for obj in kept]
+    del aux, layout, u, kept  # u's memo holds the aux weight its terms were integrated against
     gc.collect()
-    assert [ref() for ref in refs] == [None] * 4
+    assert [ref() for ref in refs] == [None] * 5
+
+
+@pytest.mark.parametrize("name", ["grid", "piecewise"])
+def test_second_drive_calls_aux_and_w_at_no_node_of_its_first_request(name, monkeypatch):
+    # a grid (a kink at every node) and a piecewise power weight (a removable
+    # zero at 0.4, kinks there and at 0.75): the first u's drive samples
+    # aux^(p-1) and w at the pieces of the kept first pass, and a second u's
+    # drive cuts nothing and calls neither at any node of its first request
+    p = Exponent(2.0)
+    w = _sampled_weight("grid", p.p) if name == "grid" else PiecewisePowerWeight(
+        Interval(0.0, 1.0), [PowerPiece(0.0, 0.4, 2.0, 0.4, 0.3),
+                             PowerPiece(0.4, 0.75, 0.5, 0.4, 0.3),
+                             PowerPiece(0.75, 1.0, 0.5 * 0.35 ** -0.3, 0.4, 0.6)])
+    st_ = detect_structure(w, p, CFG)
+    aux = build_aux_weight(w, p, st_, CFG)
+    second, first = _test_functions(w)
+    lp_aux_norm(first, aux, CFG)
+    layout = aux._passes[(True, False, True)]
+    x, index = layout.nodes()
+    n = len(aux.parts)
+    energy = (index >= n) & (index < 2 * n)
+    _, pindex = layout.nodes(pieces=True)
+    assert (pindex < n).any() and ((pindex >= n) & (pindex < 2 * n)).any()
+    seen, cuts = {"aux": [], "w": []}, []
+    aux_call, w_call, cut = AuxWeight.__call__, type(w).__call__, quadrature.FirstPass._cut
+
+    def recording(call, kind):
+        def g(self, y):
+            seen[kind].append(np.array(y, dtype=float))
+            return call(self, y)
+        return g
+
+    monkeypatch.setattr(AuxWeight, "__call__", recording(aux_call, "aux"))
+    monkeypatch.setattr(type(w), "__call__", recording(w_call, "w"))
+    monkeypatch.setattr(quadrature.FirstPass, "_cut", lambda self: cuts.append(1) or cut(self))
+    norm = lp_aux_norm(second, aux, CFG)
+    monkeypatch.undo()
+    # aux at no node of the ambient terms' first request, w at none of the energy's
+    assert cuts == [] and seen["aux"]
+    for kind, nodes in (("aux", x[~energy]), ("w", x[energy])):
+        assert not any(np.isin(y, nodes).any() for y in seen[kind])
+    # and every answer is a plain drive's, bit for bit
+    plain = _plain_ambient(second, aux, [0.0] * len(aux.parts), CFG)
+    assert _bits(norm) == _bits(sum(plain, IntegralResult.finite(0.0, 0.0)))
+
+
+def test_the_joint_drive_evaluates_u_once_per_node_of_its_first_request(figure1_chain,
+                                                                       monkeypatch):
+    # the ambient and the shifted term integrate over the same ranges, so
+    # their first requests share every node: u is evaluated there once
+    w, st_, _ = figure1_chain
+    aux = build_aux_weight(w, Exponent(2.0), st_, CFG)
+    points, first = [], []
+
+    def drive(f, ranges, cfg=None, first_pass=None):
+        def g(x, index, *inputs):
+            before = len(points)
+            out = f(x, index, *inputs)
+            if inputs:  # a call of the first request
+                first.append(sum(points[before:]))
+            return out
+        return integrate_ranges(g, ranges, cfg, first_pass)
+
+    monkeypatch.setattr(spaces, "integrate_ranges", drive)
+    for u in _test_functions(w):
+        v = TestFunction(fn=lambda y, fn=u.fn: points.append(np.size(y)) or fn(y),
+                         deriv=u.deriv, tag="C1")
+        lp_aux_norm(v, aux, CFG)
+        layout = aux._passes[(True, False, True)]
+        n = len(aux.parts)
+        assert sum(first) == sum(layout.sizes[:n]) + sum(layout.piece_sizes[:n]) > 0
+        assert sum(points) > sum(first)  # and once per node of the refinement rounds
+        points.clear()
+        first.clear()
 
 
 def test_a_member_drive_keeps_no_first_pass(figure1_chain, p2, monkeypatch):

@@ -218,33 +218,67 @@ def test_refinement_never_grows_past_max_panels(monkeypatch):
     assert 1 + 3 * (sum(points) // 60) == 19
 
 
-def _hand_pool(lows, highs, vals, errs, cuts=None):
-    return quadrature._Pool(*(np.array(a, dtype=float) for a in (lows, highs, vals, errs)),
-                            None if cuts is None else np.array(cuts, dtype=float))
+def _same_bits(a, b):
+    """Whether two float arrays hold the same values bit for bit."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def test_first_plan_is_the_cut_and_only_the_first():
-    def f(x):
-        return np.abs(np.sin(40.0 * math.pi * x))
+def _hand_pool(lows, highs, vals, errs):
+    return quadrature._Pool(*(np.array(a, dtype=float) for a in (lows, highs, vals, errs)))
 
-    evaluate = quadrature._evaluator(lambda x, _: f(x))
-    lows, highs = np.array([0.0, 0.5]), np.array([0.5, 1.0])
+
+def _drive_pools(monkeypatch, f, ranges):
+    """integrate_ranges' results, the pools it hands to refinement (lows,
+    highs, vals, errs, copied before any round) and every plan made, each
+    with a copy of its pool's lows and highs when it was made."""
+    pools, plans, refine, plan = [], [], quadrature._refine, quadrature._Pool.plan
+
+    def recording_refine(live, cfg, evaluate):
+        pools.extend(tuple(a.copy() for a in (p.lows, p.highs, p.vals, p.errs)) for p in live)
+        return refine(live, cfg, evaluate)
+
+    def recording_plan(self, cfg):
+        lows, highs = self.lows.copy(), self.highs.copy()
+        out = plan(self, cfg)
+        plans.append(out and (*out, lows, highs))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_refine", recording_refine)
+        m.setattr(quadrature._Pool, "plan", recording_plan)
+        return integrate_ranges(f, ranges, CFG), pools, plans
+
+
+def test_first_plan_is_the_cut_and_only_the_first(monkeypatch):
+    # the breakpoints cut the first pass: a drive's pool starts cut, and every plan quarters
+    f = lambda x, _: np.abs(np.sin(40.0 * math.pi * x))
+    _, (bare,), _ = _drive_pools(monkeypatch, f, [(0.0, 1.0, (), ())])
     # 0.5 is a panel end, so it cuts nothing; 0.25 and 0.75 cut one panel each
-    pool = quadrature._Pool(lows, highs, *quadrature._eval_panels(f, lows, highs, CFG),
-                            np.array([0.25, 0.5, 0.75]))
-    drop, lo, hi = plan = pool.plan(CFG)
-    assert drop.dtype == bool and not drop.any()
-    assert lo.tolist() == [0.0, 0.25, 0.5, 0.75] and hi.tolist() == [0.25, 0.5, 0.75, 1.0]
-    assert pool.take(plan, evaluate(lo, hi, np.zeros(lo.size, dtype=int)), CFG, evaluate) is None
-    assert pool.lows.tolist() == [0.0, 0.25, 0.5, 0.75]
-    # every later plan quarters picked panels, each replaced by its first quarter
-    drop, lo, hi = pool.plan(CFG)
-    assert drop.dtype != bool and drop.size and lo.size == hi.size == 4 * drop.size
-    assert lo[:drop.size].tolist() == pool.lows[drop].tolist()
-    assert hi[-drop.size:].tolist() == pool.highs[drop].tolist()
-    # breakpoints that cut no panel: the first plan already quarters
-    pool = _hand_pool([0.0, 0.5], [0.5, 1.0], [0.5, 0.5], [0.1, 0.1], cuts=[0.5])
-    assert pool.plan(CFG)[0].dtype != bool
+    _, (pool,), plans = _drive_pools(monkeypatch, f, [(0.0, 1.0, (), [0.25, 0.5, 0.75])])
+    assert 0.5 in bare[0] and 0.5 in bare[1]
+    hit = np.flatnonzero(((bare[0] < 0.25) & (bare[1] > 0.25))
+                         | ((bare[0] < 0.75) & (bare[1] > 0.75)))
+    assert hit.size == 2
+    # the uncut panels in pool order, then the pieces of each cut panel in order
+    lo = [bare[0][hit[0]], 0.25, bare[0][hit[1]], 0.75]
+    hi = [0.25, bare[1][hit[0]], 0.75, bare[1][hit[1]]]
+    uncut = np.delete(np.arange(bare[0].size), hit)
+    assert pool[0].tolist() == bare[0][uncut].tolist() + lo
+    assert pool[1].tolist() == bare[1][uncut].tolist() + hi
+    vals, errs = quadrature._eval_panels(lambda x: f(x, 0), np.array(lo), np.array(hi), CFG)
+    assert _same_bits(pool[2], np.concatenate((bare[2][uncut], vals)))
+    assert _same_bits(pool[3], np.concatenate((bare[3][uncut], errs)))
+    # every plan quarters picked panels, each replaced by its first quarter
+    assert plans[-1] is None and len(plans) > 1
+    for drop, lo, hi, lows, highs in plans[:-1]:
+        assert drop.dtype != bool and drop.size and lo.size == hi.size == 4 * drop.size
+        assert lo[:drop.size].tolist() == lows[drop].tolist()
+        assert hi[-drop.size:].tolist() == highs[drop].tolist()
+    # breakpoints that cut no panel: the pool is the layout's, and the first plan already quarters
+    _, (same,), plans = _drive_pools(monkeypatch, f, [(0.0, 1.0, (), [0.5])])
+    assert all(_same_bits(a, b) for a, b in zip(same, bare))
+    assert plans[0][0].dtype != bool
 
 
 @pytest.mark.parametrize("max_panels", [quadrature._MAX_PANELS, 5], ids=["both-picked", "room-1"])
@@ -407,26 +441,32 @@ def test_breakpoint_is_honored_in_lockstep():
     assert [_bits(r) for r in together] == [_bits(r) for r in alone]
 
 
-def test_first_pass_request_does_not_grow_with_breakpoints():
-    # breakpoints are cut in one step after the first pass, so its request
-    # holds the same panels whether one range carries 8,000 of them or none
+def test_first_request_holds_the_cut_pieces():
+    # breakpoints cut the first pass in its own request: with 8,000 of them
+    # in one range it holds the layout's panels and every piece, in calls of
+    # at most _MAX_REQUEST panels, and the results are each range's alone
     cuts = np.linspace(0.0, 1.0, 8002)[1:-1]
     humps = lambda x: np.abs(np.sin(8001.0 * math.pi * x))  # kinks at the cuts
     smooth = lambda x: np.exp(-x)
     first = []
     for bp in ((), cuts):
-        sizes = []
+        ranges, sizes = [(0.0, 1.0, (), bp), (1.0, 2.0, (), ())], []
 
         def f(x, index):
             sizes.append(x.size)
             return _per_range([humps, smooth])(x, index)
 
-        together = integrate_ranges(f, [(0.0, 1.0, (), bp), (1.0, 2.0, (), ())], CFG)
-        first.append(sizes[0])
+        together = integrate_ranges(f, ranges, CFG)
+        layout = FirstPass(ranges)
+        n = layout.nodes()[0].size
+        assert np.cumsum(sizes).tolist().count(n) == 1
+        assert max(sizes) <= 15 * quadrature._MAX_REQUEST
+        first.append((n, layout.pieces[0].size))
         alone = [integrate(humps, 0.0, 1.0, CFG, breakpoints=bp),
                  integrate(smooth, 1.0, 2.0, CFG)]
         assert [_bits(r) for r in together] == [_bits(r) for r in alone]
-    assert first[0] == first[1] < 15 * quadrature._MAX_REQUEST
+    assert first[0][1] == 0 and first[1][1] > cuts.size
+    assert first[1][0] == first[0][0] + 15 * first[1][1] > 15 * quadrature._MAX_REQUEST
     assert together[0].value == pytest.approx(2.0 / math.pi, rel=1e-12)
 
 
@@ -1024,13 +1064,19 @@ def test_first_pass_nodes_are_the_first_request(ranges):
     assert k == -(-x.size // (15 * quadrature._MAX_REQUEST))
     if len(ranges) > 10:
         assert k > 1
-    # the cut step follows it: breakpoints enter no first-pass node
+    # breakpoints move no layout node: each range's first-pass nodes are
+    # those of the range without breakpoints, then those of its pieces
     bare = [(a, b, s) for a, b, s, _ in ranges]
-    assert all(np.array_equal(a, b) for a, b in zip(FirstPass(bare).nodes(), (x, index)))
+    px, pindex = layout.nodes(pieces=True)
+    assert px.size
+    for k, r in enumerate(bare):
+        own = np.concatenate((FirstPass([r]).nodes()[0], px[pindex == k]))
+        assert np.array_equal(x[index == k], own)
     f, calls = _recording(_smooth)
-    # the layout of the ranges with breakpoints serves the ranges without
+    # the layout of the ranges with breakpoints serves the ranges without: it is cut at none
     integrate_ranges(f, [r + ((),) for r in bare], CFG, first=(layout, None))
-    assert np.array_equal(_first_pass_calls(calls, x.size)[0], x)
+    x0, _ = FirstPass(bare).nodes()
+    assert np.array_equal(_first_pass_calls(calls, x0.size)[0], x0)
 
 
 def _per_range_inputs(ranges, g, given):
@@ -1043,11 +1089,13 @@ def _per_range_inputs(ranges, g, given):
 
 
 def _factored(x, index, factor=None):
-    """_smooth, its factor exp(-x) read from `factor` on the ranges it is given for."""
+    """_smooth with its kink moved to 0.45, inside a first-pass panel that no
+    breakpoint cuts (so the drives refine), its factor exp(-x) read from
+    `factor` where that is given (not NaN)."""
     e = np.exp(-x)
     if factor is not None:
         e = np.where(np.isnan(factor), e, factor)
-    return e * (1.0 + index) + np.abs(x - 0.5)
+    return e * (1.0 + index) + np.abs(x - 0.45)
 
 
 @pytest.mark.parametrize("ranges", [_SINGULAR_RANGES,
@@ -1115,34 +1163,211 @@ def test_a_first_pass_of_other_ranges_raises():
             integrate_ranges(_smooth, other, CFG, first=(layout, None))
 
 
-def test_a_breakpoint_an_ulp_inside_a_panel_edge_cuts_no_sliver(monkeypatch):
+def test_a_breakpoint_an_ulp_inside_a_panel_edge_cuts_no_sliver():
     # the middle third of the gap (0, 0.3) starts at 0.09999999999999999, an
     # ulp below the breakpoint 0.1: the breakpoint is that edge, and cuts no
     # piece an ulp wide off the panel; 0.45 cuts a middle panel of (0.3, 0.7)
     ranges = [(0.0, 1.0, [0.3, 0.7], [0.1, 0.45])]
-    lows, highs, _ = FirstPass(ranges).panels
+    layout = FirstPass(ranges)
+    lows, highs, _ = layout.panels
     assert np.nextafter(0.1, 0.0) in lows and 0.1 not in lows and 0.1 not in highs
-    pieces, plan = [], quadrature._Pool.pieces
-
-    def recording(self):
-        out = plan(self)
-        if out is not None:
-            pieces.append(out[1:])
-        return out
-
-    monkeypatch.setattr(quadrature._Pool, "pieces", recording)
-    r = integrate(lambda x: np.abs(x - 0.1) + np.abs(x - 0.45), 0.0, 1.0, CFG,
-                  singular=[0.3, 0.7], breakpoints=[0.1, 0.45])
-    lo, hi = (np.concatenate(a) for a in zip(*pieces))
+    lo, hi, _ = layout.pieces
     assert lo.size == 2 and 0.45 in lo and 0.45 in hi
     assert (hi - lo > 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))).all()
+    # a drive over these ranges evaluates that layout's pieces
+    f, calls = _recording(lambda x, _: np.abs(x - 0.1) + np.abs(x - 0.45))
+    r, = integrate_ranges(f, ranges, CFG)
+    assert np.array_equal(calls[0][0], layout.nodes()[0])
     # |x - 0.1| + |x - 0.45| over (0, 1)
     assert r.value == pytest.approx(0.41 + 0.2525, rel=1e-13)
 
 
+def _two_step(monkeypatch, f, ranges):
+    """integrate_ranges over `ranges` as the quadrature ran it while the cut
+    was a round of its own: the first pass without breakpoints, then, before
+    refinement, each pooled panel that strictly holds breakpoints (one within
+    4 ulps of a panel edge is that edge) replaced by its pieces after the
+    uncut panels, the pieces of all pools evaluated in one request and
+    settled pool by pool up to the first that raises (the pools after it
+    dropped).  Returns the outcome (see _outcome) and the pools refinement
+    starts from, as _drive_pools records them."""
+    cuts, refine, pools = quadrature._cuts(ranges, len(ranges)), quadrature._refine, []
+
+    def pieces(pool, c):
+        keep, lo, hi = [], [], []
+        for a, b in zip(pool.lows.tolist(), pool.highs.tolist()):
+            inner = [t for t in c.tolist()
+                     if a + 4.0 * np.spacing(abs(a)) < t < b - 4.0 * np.spacing(abs(b))]
+            keep.append(not inner)
+            if inner:
+                lo += [a, *inner]
+                hi += [*inner, b]
+        return np.array(keep, dtype=bool), np.array(lo), np.array(hi)
+
+    def cut_round(live, cfg, evaluate):
+        plans = [(p, pieces(p, cuts[p.owner])) for p in live]
+        plans = [(p, plan) for p, plan in plans if plan[1].size]
+        done = {}
+        if plans:
+            sums = evaluate(*(np.concatenate([plan[i] for _, plan in plans]) for i in (1, 2)),
+                            np.concatenate([np.full(plan[1].size, p.owner) for p, plan in plans]))
+            at = 0
+            for p, (keep, lo, hi) in plans:
+                part = [None if a is None else a[at:at + lo.size] for a in sums]
+                at += lo.size
+                k15, perr, bad, _ = part
+                if bad is not None and not np.isnan(bad).all():
+                    k15, perr, _, error = quadrature._settle(lo, hi, part, p.owner, cfg, evaluate)
+                    if error:
+                        done[p] = error
+                        break
+                p.lows, p.highs, p.vals, p.errs = (np.concatenate((a[keep], b)) for a, b in zip(
+                    (p.lows, p.highs, p.vals, p.errs), (lo, hi, k15, perr)))
+                if np.isinf(perr).any():
+                    done[p] = p.total()
+        stop = next((i for i, p in enumerate(live) if isinstance(done.get(p), Exception)),
+                    len(live))
+        rest = [p for p in live[:stop] if p not in done]
+        pools.extend(tuple(a.copy() for a in (p.lows, p.highs, p.vals, p.errs)) for p in rest)
+        done.update(zip(rest, refine(rest, cfg, evaluate)))
+        return [done.get(p) for p in live]
+
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_refine", cut_round)
+        return _outcome(lambda: integrate_ranges(f, [r[:3] for r in ranges], CFG)), pools
+
+
+def _outcome(run):
+    """The results of run() as bit strings, or the NaN error it raised."""
+    try:
+        return [_bits(r) for r in run()]
+    except IntegrandEvaluationError as error:
+        return str(error), error.location
+
+
+def _same_pools(a, b):
+    return len(a) == len(b) and all(_same_bits(x, y) for p, q in zip(a, b) for x, y in zip(p, q))
+
+
+def _kinks(ranges, edge=None):
+    """f(x, index): on each range, 1 + the distances to its first 50
+    breakpoints (kinks there; cheap for a range with thousands), times
+    (x - edge)^8 on the range whose left end is `edge` (its levels next to
+    that end decay fast, so the walk keeps few of them)."""
+    def f(x, index):
+        out = np.ones(x.size)
+        for k, (a, b, _, bp) in enumerate(ranges):
+            m = index == k
+            out[m] += sum(np.abs(x[m] - c) for c in np.asarray(bp, dtype=float)[:50])
+            if a == edge:
+                out[m] *= (x[m] - a) ** 8
+        return out
+    return f
+
+
+_CUT_RANGES = [
+    # breakpoints in graded levels and in middle panels, 0.1 an ulp above a
+    # middle panel's low edge (the 4-ulp snap), 0.5 on a panel edge
+    (0.0, 1.0, [0.3, 0.7], [0.1, 0.45, 0.05, 0.2, 0.69, 0.999, 0.5]),
+    # 1.001 lies in a graded level that the walk does not keep
+    (1.0, 2.0, (), [1.25, 1.2, 1.9, 1.001]),
+    (-3.0, -2.5, [-2.75], [-2.9, -2.6, -2.51]),
+    (2.0, 3.0, [2.5], ()),
+    (3.0, 4.0, (), np.linspace(3.0, 4.0, 9)[1:-1]),
+]
+
+
+@pytest.mark.parametrize("many", [False, True], ids=["few", "cuts-past-max-panels"])
+def test_folding_the_cut_into_the_first_pass_changes_no_bit(many, monkeypatch):
+    ranges = list(_CUT_RANGES)
+    if many:  # a range that its 4,100 breakpoints alone cut past _MAX_PANELS
+        ranges.append((4.0, 5.0, (), np.linspace(4.0, 5.0, 4102)[1:-1]))
+    f = _kinks(ranges, edge=1.0)
+    got, pools, _ = _drive_pools(monkeypatch, f, ranges)
+    want, replayed = _two_step(monkeypatch, f, ranges)
+    assert [_bits(r) for r in got] == want
+    assert _same_pools(pools, replayed)
+    layout = FirstPass(ranges)
+    kept = np.concatenate([p[0] for p in pools])
+    assert not np.isin(layout.pieces[0][layout.pieces[2] == 1], kept).all()  # one dropped
+    if many:
+        assert pools[-1][0].size > quadrature._MAX_PANELS
+
+
+def test_no_refinement_request_holds_a_cut_piece():
+    kinks = _kinks(_CUT_RANGES, edge=1.0)  # and kinks no range declares, refined
+    f, calls = _recording(lambda x, index: kinks(x, index) + np.abs(np.sin(40.0 * math.pi * x)))
+    integrate_ranges(f, _CUT_RANGES, CFG)
+    layout = FirstPass(_CUT_RANGES)
+    k = _first_pass_calls(calls, layout.nodes()[0].size)[2]
+    later = np.concatenate([x for x, _ in calls[k:]])
+    assert later.size and not np.isin(later, layout.nodes(pieces=True)[0]).any()
+
+
+def _piece_node(layout, at):
+    """A node of the cut piece that starts at or holds `at`, a node of no other panel."""
+    lo, hi, _ = layout.pieces
+    i = int(np.flatnonzero((lo <= at) & (at < hi))[0])
+    return float(quadrature._panel_nodes(lo[i:i + 1], hi[i:i + 1])[0][0, 3])
+
+
+def _with_node(f, node, value):
+    """f with a non-finite node: `value` (NaN or inf) at node, or, for a
+    string s, f + |x - node|^-s, a power blowup that reads inf at node."""
+    def g(x, index):
+        out = f(x, index)
+        with np.errstate(divide="ignore"):
+            if isinstance(value, str):  # a power blowup at node
+                out = out + np.abs(x - node) ** -float(value)
+            else:
+                out = np.where(x == node, value, out)
+        return out
+    return g
+
+
+def test_a_non_finite_node_in_a_cut_piece_is_read_where_the_walk_keeps_it(monkeypatch):
+    ranges = [(1.0, 2.0, (), [1.001, 1.2])]
+    f = _kinks(ranges, edge=1.0)
+    layout = FirstPass(ranges)
+    dropped, kept = _piece_node(layout, 1.001), _piece_node(layout, 1.2)
+    plain, counted = _counted(f)
+    want = _outcome(lambda: integrate_ranges(plain, ranges, CFG))
+    # a piece the walk drops is read by no one: a NaN or an inf node there
+    # neither raises nor is graded into, and the drive makes the same calls
+    for value in (math.nan, math.inf):
+        g, calls = _counted(_with_node(f, dropped, value))
+        assert _outcome(lambda: integrate_ranges(g, ranges, CFG)) == want
+        assert calls[0] == counted[0]
+        assert _two_step(monkeypatch, g, ranges)[0] == want
+    # in a kept piece: the two-step cut's error, and its grading into an
+    # integrable inf node or its divergence at one that is not
+    for value in (math.nan, "0.5", "1.5"):
+        g = _with_node(f, kept, value)
+        got = _outcome(lambda: integrate_ranges(g, ranges, CFG))
+        assert got == _two_step(monkeypatch, g, ranges)[0] != want
+        if value is math.nan:
+            assert got[1] == kept
+        else:
+            assert got[0][0] == ("finite" if value == "0.5" else "divergent")
+
+
+def test_the_first_range_to_raise_wins_over_its_cut_pieces(monkeypatch):
+    # range 0 meets its NaN only in a refinement round, range 1 in a kept piece
+    c = _refined_node()
+    sharp = lambda x: np.where(x == c, np.nan, np.abs(np.sin(40.0 * math.pi * x)))
+    ranges = [(0.0, 1.0, (), ()), (1.0, 2.0, (), [1.2])]
+    bad = _piece_node(FirstPass(ranges), 1.2)
+    at_bad = lambda x: np.where(x == bad, np.nan, np.exp(-x))
+    for order in (slice(None), slice(None, None, -1)):
+        f = _per_range([sharp, at_bad][order])
+        got = _outcome(lambda: integrate_ranges(f, ranges[order], CFG))
+        assert got == _two_step(monkeypatch, f, ranges[order])[0]
+        assert got[1] == (c if order.step is None else bad)
+
+
 def _middle_node(ranges, k):
     """A node of the first pass's left middle panel of range k's last gap."""
-    x, index = first_pass_nodes(ranges)
+    x, index = first_pass_nodes([r[:3] for r in ranges])  # the layout, without pieces
     return float(x[index == k][-23])
 
 
