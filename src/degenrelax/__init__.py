@@ -6,7 +6,7 @@ from .weights import (Exponent, Interval, Weight, ZeroInfo, ClosedFormWeight,
                       builtin_cascade, weight_from_csv,
                       weight_from_spec, parse_weight_arg)
 from .quadrature import (QuadratureConfig, IntegralResult, integrate, integrate_ranges,
-                         FirstPass, first_pass_nodes, classify_endpoint_integrability,
+                         FirstPass, classify_endpoint_integrability,
                          local_exponent_estimate, EndpointClass, IntegrandEvaluationError,
                          IndeterminateIntegrabilityError, DEFAULT_CONFIG)
 from .degeneracy import DegeneracyInterval, DegeneracyStructure, detect_structure

@@ -48,8 +48,8 @@ integral C between the query and the midpoint in one of two ways.
 Either way the build gives every plateau, branch limit and bound.  An
 evaluation is one sorted search, then per zone kind one vectorized pass:
 the masses, a Chebyshev sum, or one batched sigma call per 1,152 panels
-(quadrature._MAX_REQUEST).  The density drives' first pass, aux^(p-1) and w
-there are kept once per AuxWeight (ambient_samples, first_pass).
+(quadrature._MAX_REQUEST).  The density drives' first pass over its own
+ranges, aux^(p-1) and w there are kept once per AuxWeight (first_pass, samples).
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ import numpy as np
 
 from .degeneracy import DegeneracyInterval, DegeneracyStructure
 from .quadrature import (DEFAULT_CONFIG, FirstPass, QuadratureConfig, _NODES, _eval_panels,
-                         first_pass_nodes, integrate_ranges)
+                         integrate_ranges)
 from .weights import Exponent, Weight, sorted_unique
 
 
@@ -527,11 +527,11 @@ class AuxWeight:
     in on the first query that lands in it, so left queries fit no right one.
 
     It also keeps, as long as it lives, what every u of its chain shares in
-    a density drive over its own structure ranges: aux^(p-1) at their
-    layout nodes (ambient_samples), and per structure drive its
-    quadrature.FirstPass, cut at the breakpoints, with aux^(p-1) and w at
-    every node of its first request (first_pass).  A later u's drive of the
-    same terms cuts nothing and calls neither aux nor w at those nodes."""
+    a density drive over its own ranges (own_ranges): per term kinds the
+    drive's quadrature.FirstPass (first_pass), and per term kind one store,
+    aux^(p-1) or w at every node of its first request (samples).  A later
+    u's drive of the same terms derives no first pass and calls neither aux
+    nor w there; any other ambient drive reads the store's layout nodes."""
 
     def __init__(self, weight: Weight, p: Exponent, structure: DegeneracyStructure,
                  parts: list, cfg: QuadratureConfig):
@@ -542,10 +542,8 @@ class AuxWeight:
         self.cfg = cfg
         self.sigma = weight.transform(p)
         self._zones: Optional[_AuxTable] = None  # made on the first query
-        self._samples: Optional[list] = None     # sampled on the first ambient drive
-        self._passes: dict = {}                  # first_pass' layouts, by their terms
-        self._w_samples: Optional[list] = None   # w at the energy ranges' first-pass nodes
-        self._aux_samples: Optional[list] = None  # aux^(p-1) at the ambient ranges' ones
+        self._passes: dict = {}   # first_pass' layouts, by their term kinds
+        self._samples: dict = {}  # samples' stores, by term kind (True: ambient)
 
     def _table(self) -> _AuxTable:
         if self._zones is None:
@@ -556,49 +554,44 @@ class AuxWeight:
         """aux(x)^(p-1), the weight of the ambient L^p norm."""
         return np.asarray(self(x), dtype=float) ** (self.exponent.p - 1.0)
 
-    def ambient_samples(self) -> list:
-        """ambient_weight at the first-pass nodes of each ambient range
-        (part.base.lo, part.base.hi, ()), one array per part: integrate_ranges'
-        `first` for those ranges.  Sampled in one call, on first use, and kept
-        as long as this object; they do not depend on u."""
-        if self._samples is None:
-            x, index = first_pass_nodes([(part.base.lo, part.base.hi, ()) for part in self.parts])
-            ends = np.bincount(index, minlength=len(self.parts)).cumsum()
-            self._samples = np.split(self.ambient_weight(x), ends)[:-1]  # the last is empty
-        return self._samples
-
-    def first_pass(self, ambient: tuple) -> tuple:
-        """integrate_ranges' `first` for a drive over this weight's own ranges,
-        one structure term per entry of `ambient`: an ambient term (True) over
-        the parts (lo, hi, ()), an energy term (False) over the structure
-        intervals graded into the removable zeros, all cut at the kinks of w
-        and the ambient ones at the quarter points.  It is (layout, inputs):
-        the drive's quadrature.FirstPass, derived on the first drive of these
-        terms, and per range aux^(p-1) or w at its first-pass nodes, each kind
-        sampled in one call on its first drive (aux^(p-1) at the pieces)."""
-        layout = self._passes.get(ambient)
-        if layout is None:
-            removables = [info.location for info in self.structure.removable_zeros]
-            kinks = self.weight.breakpoints()
-            layout = self._passes[ambient] = FirstPass([
-                (part.base.lo, part.base.hi, () if amb else removables,
+    def own_ranges(self, kinds: tuple) -> list:
+        """This weight's own ranges, one structure term per entry of `kinds`:
+        an ambient term (True) over the parts (lo, hi, ()), an energy term
+        (False) over the structure intervals graded into the removable zeros,
+        all cut at the kinks of w and the ambient ones at the quarter points."""
+        removables = [info.location for info in self.structure.removable_zeros]
+        kinks = self.weight.breakpoints()
+        return [(part.base.lo, part.base.hi, () if amb else removables,
                  np.concatenate((kinks, (part.q1, part.q3))) if amb else kinks)
-                for amb in ambient for part in self.parts])
+                for amb in kinds for part in self.parts]
+
+    def first_pass(self, kinds: tuple) -> tuple:
+        """integrate_ranges' `first` for a drive over own_ranges(kinds):
+        (layout, inputs), the drive's quadrature.FirstPass, derived on the
+        first drive of these kinds and kept, and per range its kind's store
+        (samples), sampled at this layout's nodes if it is the first."""
+        layout = self._passes.get(kinds)
+        if layout is None:
+            layout = self._passes[kinds] = FirstPass(self.own_ranges(kinds))
         n = len(self.parts)
-        for amb in (False, True):
-            if amb in ambient and (self._aux_samples if amb else self._w_samples) is None:
-                x, index = layout.nodes(pieces=amb)
-                k = ambient.index(amb) * n  # the first term of that kind
-                lo, hi = np.searchsorted(index, [k, k + n])
-                fill = self.ambient_weight if amb else self.weight
-                values = np.asarray(fill(x[lo:hi]), dtype=float)
-                split = np.split(values, np.bincount(index[lo:hi] - k, minlength=n).cumsum())[:-1]
-                if amb:
-                    self._aux_samples = [np.concatenate(s)
-                                         for s in zip(self.ambient_samples(), split)]
-                else:
-                    self._w_samples = split
-        return layout, [s for a in ambient for s in (self._aux_samples if a else self._w_samples)]
+        for t, amb in enumerate(kinds):
+            if amb not in self._samples:  # one call at the nodes of this kind's first term
+                x, index = layout.nodes()
+                lo, hi = np.searchsorted(index, [t * n, t * n + n])
+                values = np.asarray((self.ambient_weight if amb else self.weight)(x[lo:hi]),
+                                    dtype=float)
+                self._samples[amb] = np.split(
+                    values, np.bincount(index[lo:hi] - t * n, minlength=n).cumsum())[:-1]
+        return layout, [s for amb in kinds for s in self._samples[amb]]
+
+    def samples(self, ambient: bool) -> list:
+        """The store of one term kind: aux^(p-1) (ambient) or w at every node
+        of the first request of own_ranges((ambient,)), its layout nodes then
+        its pieces', one array per part, sampled in one call on first use
+        (by first_pass) and kept."""
+        if ambient not in self._samples:
+            self.first_pass((ambient,))
+        return self._samples[ambient]
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -34,7 +34,8 @@ A FirstPass object holds the first pass of some ranges, laid out once
 (graded points, the padded layout of every gap, the pieces the breakpoints
 cut, the first request's panels).  A caller that drives the same ranges
 again and again keeps it and hands it back through integrate_ranges(...,
-first=), with f's inputs kept per range at its nodes, read in the first
+first=(layout, inputs)), the FirstPass of exactly those ranges and, per
+range, inputs of f at every node of its first request, read in that
 request only: such a drive derives no first pass and cuts nothing, and a
 factor of the integrand that the drives share (aux^(p-1) in the ambient
 norms, w in the energies) is sampled once.
@@ -302,9 +303,10 @@ def _walk_levels(vals, size, ends, cfg: QuadratureConfig, lim=None, forced=None)
     big = np.abs(part)
     event = big > _DIVERGENCE_CAP
     # a full window of levels that stopped decaying; a zero level is decay and
-    # breaks the streak (dead levels next to the anchor must not read as growth)
+    # breaks the streak (dead levels next to the anchor must not read as growth),
+    # and so is a subnormal one: quantized to multiples of 5e-324, it shows no trend
     prev = c[:, :-1]
-    grow = (prev > 0.0) & (c[:, 1:] >= prev * (1.0 - 1e-10))
+    grow = (prev >= np.finfo(float).tiny) & (c[:, 1:] >= prev * (1.0 - 1e-10))
     win = _TREND_WINDOW
     if win < m and np.count_nonzero(grow) >= win:
         streak = np.zeros((rows, m), dtype=np.int64)
@@ -384,7 +386,8 @@ def _geometric_tails(vals, n, cfg: QuadratureConfig):
     geometric remainders of rows of level values, n[r] walked.  The decay
     ratio is fitted over the last eight and last four positive magnitudes,
     the two tails' spread is the error; exact for pure powers.  A fitted
-    ratio within 1e-3 of 1 means the levels failed to decay: divergent."""
+    ratio within 1e-3 of 1 means the levels failed to decay: divergent.  A
+    row whose last level is below the noise, or subnormal, gets no tail."""
     rows, m = vals.shape
     mags = np.where(np.arange(m) < n[:, None], np.abs(vals), 0.0)
     pos = mags > 0.0
@@ -396,7 +399,8 @@ def _geometric_tails(vals, n, cfg: QuadratureConfig):
     # the last eight positive magnitudes, right-aligned over ones
     last8 = np.where(_BACK8 <= count[:, None], flat[np.maximum(ends[:, None] - _BACK8, 0)], 1.0)
     top = last8[:, 7]
-    fit = (count >= 3) & (top > 10.0 * cfg.abs_tol * mass)
+    # a subnormal last level is quantized to multiples of 5e-324: no ratio to fit
+    fit = (count >= 3) & (top > np.maximum(10.0 * cfg.abs_tol * mass, np.finfo(float).tiny))
     if not fit.any():  # no row's last level is above the noise: no tail
         return np.zeros(rows), np.zeros(rows), fit
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -587,28 +591,21 @@ def _first_pass(pts: list):
 
 
 def _graded(ranges) -> tuple:
-    """(pts, invalid): per range its graded points (the ends and the singular
-    points strictly inside), up to the first range that is not a finite
-    a < b; invalid is the ValueError for that one, or None."""
-    pts = []
-    for a, b, singular, *_ in ranges:
+    """(pts, cuts, invalid): per range its graded points (the ends and the
+    singular points strictly inside) and its breakpoints strictly inside,
+    sorted, up to the first range that is not a finite a < b; invalid is the
+    ValueError for that one, or None."""
+    pts, cuts = [], []
+    for a, b, singular, *breakpoints in ranges:
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            return pts, ValueError(f"need finite a < b, got ({a}, {b})")
+            return pts, cuts, ValueError(f"need finite a < b, got ({a}, {b})")
         tol = 1e-14 * (b - a)
         pts.append([a] + [s for s in sorted({float(s) for s in singular})
                           if a + tol < s < b - tol] + [b])
-    return pts, None
-
-
-def _cuts(ranges, n: int) -> list:
-    """The breakpoints strictly inside each of the first n ranges, sorted."""
-    cuts = []
-    for (a, b, _, *breakpoints), _ in zip(ranges, range(n)):
-        tol = 1e-14 * (b - a)
         c = np.asarray(breakpoints[0] if breakpoints else (), dtype=float)
         c = c[(c > a + tol) & (c < b - tol)]
         cuts.append(sorted_unique(c) if c.size > 1 else c)
-    return cuts
+    return pts, cuts, None
 
 
 class FirstPass:
@@ -622,17 +619,13 @@ class FirstPass:
     when every range is valid)."""
 
     def __init__(self, ranges: Sequence[tuple]):
-        self.pts, self.invalid = _graded(ranges)
-        self.cuts = _cuts(ranges, len(self.pts))
-        if self.pts:
-            self.gaps, self.owner, self.runs, self.lows, self.highs, self.live = \
-                _first_pass(self.pts)
-            self._cut()
-
-    def _cut(self):
-        """Cut each layout panel at its range's breakpoints strictly inside
-        it (one within _SNAP ulps of a panel edge is that edge), and lay out
-        the first request: each range's layout panels, then its pieces."""
+        self.pts, self.cuts, self.invalid = _graded(ranges)
+        if not self.pts:
+            return
+        self.gaps, self.owner, self.runs, self.lows, self.highs, self.live = _first_pass(self.pts)
+        # cut each layout panel at its range's breakpoints strictly inside it (one
+        # within _SNAP ulps of a panel edge is that edge), and lay out the first
+        # request: each range's layout panels, then its pieces
         flat = np.flatnonzero(self.live)  # the layout's panels, in request order
         lo, hi = self.lows.ravel()[flat], self.highs.ravel()[flat]
         owner = np.repeat(self.owner, np.add.reduce(self.live, axis=1))
@@ -665,9 +658,9 @@ class FirstPass:
 
     def nodes(self, pieces: bool = False) -> tuple:
         """(x, index): the first request's nodes (with `pieces`, its pieces'
-        alone) and the range of each, in order; raises `invalid`, if any."""
-        if self.invalid is not None:
-            raise self.invalid
+        alone) and the range of each, in order.  A range's nodes are its
+        layout's (set by its ends and singular points), then its pieces', the
+        same alone as among other ranges."""
         if not self.pts:
             return np.zeros(0), np.zeros(0, dtype=np.intp)
         lows, highs, owner = self.pieces if pieces else self.panels
@@ -684,10 +677,10 @@ def _integrate_all(f, layout: FirstPass, cfg: QuadratureConfig, inputs=None) -> 
     gaps, owner, lows, highs, live = layout.gaps, layout.owner, layout.lows, layout.highs, layout.live
     runs = copy.copy(layout.runs)  # a drive's sums and outcomes go on its own copy
     w = runs.live.size // owner.size
-    if inputs is not None:  # NaN where none is given, and at the pieces of a range given none there
-        inputs = np.concatenate([np.full(n + m, np.nan) if v is None else np.reshape(
-            np.concatenate((np.ravel(v), np.full(m, np.nan))) if np.size(v) == n else v, n + m)
-            for v, n, m in zip(inputs[:len(gaps)], layout.sizes, layout.piece_sizes, strict=True)])
+    if inputs is not None:  # NaN at the nodes of a range given none
+        inputs = np.concatenate([np.full(n + m, np.nan) if v is None else np.reshape(v, n + m)
+                                 for v, n, m in zip(inputs[:len(gaps)], layout.sizes,
+                                                    layout.piece_sizes, strict=True)])
     sums, split = evaluate(*layout.panels, inputs), layout.split
     if split is not None:  # the layout's sums, and the pieces'
         sums, cut = ([None if a is None else a[s] for a in sums] for s in (~split, split))
@@ -759,17 +752,6 @@ def _integrate_all(f, layout: FirstPass, cfg: QuadratureConfig, inputs=None) -> 
     return out
 
 
-def first_pass_nodes(ranges: Sequence[tuple]) -> tuple:
-    """(x, index): the nodes of integrate_ranges' first pass over `ranges`
-    and the range of each, in the order of its first request
-    (FirstPass(ranges).nodes()).  Ranges are (a, b, singular) or (a, b,
-    singular, breakpoints); each range's nodes are its layout's (set by a,
-    b and the singular points), then its pieces'.  They are the same alone
-    as among other ranges, so inputs kept at them can be handed to
-    integrate_ranges in `first`."""
-    return FirstPass(ranges).nodes()
-
-
 def integrate_ranges(f: Callable[..., np.ndarray],
                      ranges: Sequence[tuple],
                      cfg: Optional[QuadratureConfig] = None,
@@ -793,34 +775,26 @@ def integrate_ranges(f: Callable[..., np.ndarray],
     _MAX_PANELS panels (4,000), so a range whose breakpoints alone cut it
     into that many is not refined further.
 
-    `first`, when given, is a pair (layout, inputs).  layout is None, or
-    the FirstPass of ranges with the same ends and the same singular points
-    strictly inside as these (else ValueError): the drive then takes its
-    first pass from it instead of deriving one (cut again where these
-    ranges' breakpoints are not the layout's).  inputs is None, or holds
-    per range None or one input of f at each of that range's layout nodes,
-    then optionally at its pieces' nodes, in FirstPass([range]).nodes()
-    order (else ValueError; none is read at the pieces of a layout cut
-    again).  Then the first request calls f(x, index, inputs), inputs NaN
-    where none is given; every later call is f(x, index).
+    `first`, when given, is a pair (layout, inputs): layout is
+    FirstPass(ranges), laid out before and kept, and the drive takes its
+    first pass from it.  A FirstPass of other ranges (other ends, singular
+    points or breakpoints strictly inside, or other ranges invalid) raises
+    ValueError.  inputs is None, or holds per range None or one input of f
+    at every node of that range's first request, in FirstPass.nodes()
+    order: its layout nodes, then its pieces' (else ValueError).  Then the
+    first request calls f(x, index, inputs), NaN at the nodes of a range
+    given None; every later call is f(x, index).
     """
     cfg = cfg or DEFAULT_CONFIG
-    layout, inputs = first or (None, None)
-    if layout is None:
-        layout = FirstPass(ranges)
+    if first is None:
+        layout, inputs = FirstPass(ranges), None
         invalid = layout.invalid
     else:
-        pts, invalid = _graded(ranges)
-        if pts != layout.pts or (invalid is None) != (layout.invalid is None):
+        layout, inputs = first
+        pts, cuts, invalid = _graded(ranges)
+        if (pts != layout.pts or (invalid is None) != (layout.invalid is None)
+                or not all(map(np.array_equal, cuts, layout.cuts))):
             raise ValueError("first holds the first pass of other ranges")
-        cuts = _cuts(ranges, len(pts))
-        if not all(map(np.array_equal, cuts, layout.cuts)):  # breakpoints of their own
-            if inputs is not None:  # none is read at the layout's pieces
-                inputs = [v if v is None or np.size(v) != n + m else np.ravel(v)[:n] for v, n, m
-                          in zip(inputs[:len(pts)], layout.sizes, layout.piece_sizes, strict=True)]
-            layout = copy.copy(layout)
-            layout.cuts = cuts
-            layout._cut()
     # the ranges before an invalid one still run, and may raise first
     out = _integrate_all(f, layout, cfg, inputs) if layout.pts else []
     for res in out + [invalid]:
@@ -850,7 +824,6 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     on its own node.
     """
     return integrate_ranges(lambda x, _: f(x), [(a, b, singular, breakpoints)], cfg)[0]
-
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,14 @@ term (should that joint drive raise, the ambient norm drives again,
 alone): asked in a battery's order (ambient norm, seminorm, Poincare
 check, relaxed value), only the ambient norm drives.  Asked first, the
 relaxed value and the Poincare check each drive their two terms.  The
-pointwise and extension checks keep nothing.  Ambient terms read
-aux^(p-1) on their first pass from the samples the auxiliary weight keeps
-(AuxWeight.ambient_samples).  A drive of structure terms over the
-auxiliary weight's own ranges (every _structure_terms drive with aux)
-also takes from it its first pass, cut at the breakpoints, and aux^(p-1)
-and w at every node of that (AuxWeight.first_pass), kept per chain: every
-later u's drive of the same terms derives no first pass, cuts nothing and
-calls neither aux nor w at any node of its first request.
+pointwise and extension checks keep nothing.  A drive over the auxiliary
+weight's own ranges, of functions without breakpoints, takes its first
+pass from it, with aux^(p-1) and w at every node of its first request,
+kept per chain (AuxWeight.first_pass): every later u's drive of the same
+terms derives no first pass and calls neither aux nor w at any node of
+its first request.  Any other drive with ambient terms reads aux^(p-1) at
+its layout nodes from the same store (AuxWeight.samples) and calls aux at
+its pieces once.
 A sampled u (tag "Grid") has no seminorm: its energy is divergent(inf) in
 every question.  Every result is that of one plain drive per term, bit
 for bit.
@@ -46,7 +46,8 @@ import numpy as np
 
 from .auxweight import AuxWeight
 from .degeneracy import DegeneracyStructure
-from .quadrature import DEFAULT_CONFIG, IntegralResult, QuadratureConfig, integrate_ranges
+from .quadrature import (DEFAULT_CONFIG, FirstPass, IntegralResult, QuadratureConfig,
+                         integrate_ranges)
 from .weights import Exponent, Interval, Weight
 
 
@@ -325,40 +326,41 @@ def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
     The ranges make one drive, in term order, and nothing is kept here.  A
     NaN raises as it would in one drive per term made in that order, and
     every result is that drive's bit for bit.  Each integrand call evaluates
-    w once for all energy nodes and aux once for all ambient nodes, except
-    where the first request reads what aux keeps: aux^(p-1) at the ambient
-    ranges' layout nodes, and in a drive over aux's own ranges alone (every
-    energy term over aux's structure intervals, see _on_structure, with w =
-    aux.weight) the layout, and aux^(p-1) and w at every node, pieces
-    included (aux.first_pass(), kept per chain).  There an ambient term of
-    an fn that an earlier one has reads u from it, at the same nodes.
+    w once for all energy nodes and aux once for all ambient nodes, but the
+    first request reads aux^(p-1) from integrate_ranges' inputs: in a drive
+    over aux's own ranges alone (aux.own_ranges, w = aux.weight, no fn with
+    breakpoints) at every node, and w too, with the layout (aux.first_pass(),
+    kept per chain); in any other, from aux.samples at the layout nodes of
+    its own first pass and from one aux call at its pieces.  There an ambient
+    term of an fn that an earlier one has reads u from it, at the same nodes.
     """
-    answers, todo, ranges, bounds, inputs, first_term = [], [], [], [], [], {}
-    on_aux = aux is not None and w is aux.weight  # a drive over aux's own ranges alone
+    answers, todo, ranges, bounds, parts, first_term = [], [], [], [], [], {}
     for kind, fn, arg in terms:
         amb = kind == "ambient"
-        own = aux_ranges(fn, aux) if amb else list(arg)
+        rs = aux_ranges(fn, aux) if amb else list(arg)
         if not amb and fn.tag == "Grid":
-            answers.append([IntegralResult.divergent(math.inf)] * len(own))
+            answers.append([IntegralResult.divergent(math.inf)] * len(rs))
             continue
-        on_aux = on_aux and (amb or _on_structure(own, aux.structure))
         todo.append((fn, amb, np.asarray(arg, dtype=float) if amb else None,
                      first_term.setdefault(id(fn), len(todo)) if amb else None))
         bounds.append(len(ranges))
-        ranges += own
-        inputs += aux.ambient_samples() if amb and own else [None] * len(own)  # no ranges, no samples
+        ranges += rs
+        parts += range(len(rs)) if amb else [None] * len(rs)  # an ambient range's aux part
         answers.append(slice(bounds[-1], len(ranges)))
     bounds.append(len(ranges))  # bounds: each driven term's first range, the end
     kinds = tuple(amb for _, amb, *_ in todo)
-    first = (aux.first_pass(kinds) if on_aux and ranges else
-             (None, inputs) if any(kinds) else None)
+    # a drive over aux's own ranges alone: no fn cuts them at breakpoints of its own
+    own = (aux is not None and w is aux.weight and not any(t[0].breakpoints for t in todo)
+           and [r[:3] for r in ranges] == [r[:3] for r in aux.own_ranges(kinds)])
+    first = (aux.first_pass(kinds) if own and ranges else _ambient_first(ranges, parts, aux)
+             if any(k is not None for k in parts) else None)
 
     # a later ambient term of an fn has the first one's ranges, so in the first
     # request the same nodes, in the same order: it reads u there from that term
     kept_u = {src: [] for t, (*_, src) in enumerate(todo) if src not in (None, t)}
     read = {}  # per later term, its nodes read so far
 
-    def f(x, index, weight=None):  # weight: the kept inputs of the first request, NaN where none
+    def f(x, index, weight=None):  # weight: the first request's inputs
         # the nodes come in range order (integrate_ranges), so each term's are one slice
         cut = np.searchsorted(index, bounds).tolist() if len(todo) > 1 else [0, x.size]
         at, v = ([], []), ([], [])  # per kind (energy, ambient): the terms' slices and values
@@ -380,17 +382,12 @@ def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
         out = np.empty(x.size)
         for amb in (0, 1):
             if at[amb]:
-                fill = aux.ambient_weight if amb else w
-                kept = weight is not None and (amb or on_aux) and [weight[s] for s in at[amb]]
-                if kept and not any(np.isnan(k).any() for k in kept):
-                    pairs = zip(at[amb], v[amb], kept)  # kept inputs, term by term
-                else:  # one call of aux or w for all terms of a kind, where none is kept
+                if weight is not None and (amb or own):  # the inputs, term by term
+                    pairs = [(s, vs, weight[s]) for s, vs in zip(at[amb], v[amb])]
+                else:  # one call of aux or w for all terms of a kind
                     s = at[amb][0] if len(at[amb]) == 1 else np.r_[tuple(at[amb])]
-                    ws = np.concatenate(kept) if kept else fill(x[s])
-                    if kept:  # and aux or w where none is kept
-                        miss = np.isnan(ws)
-                        ws[miss] = fill(x[s][miss])
-                    pairs = [(s, np.concatenate(v[amb]) if len(v[amb]) > 1 else v[amb][0], ws)]
+                    pairs = [(s, np.concatenate(v[amb]) if len(v[amb]) > 1 else v[amb][0],
+                              (aux.ambient_weight if amb else w)(x[s]))]
                 for s, vs, ws in pairs:
                     out[s] = mass_values(vs, ws, aux.exponent.p) if amb else \
                         energy_values(vs, ws, pp)
@@ -400,13 +397,19 @@ def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
     return [res[a] if isinstance(a, slice) else a for a in answers]
 
 
-def _on_structure(ranges: list, structure: DegeneracyStructure) -> bool:
-    """Whether energy ranges are the structure's intervals, graded into its
-    removable zeros: energy_ranges' default spans, whatever the cuts."""
-    removable = [z.location for z in structure.removable_zeros]
-    return len(ranges) == len(structure.intervals) and all(
-        a == iv.lo and b == iv.hi and list(singular) == removable
-        for (a, b, singular, _), iv in zip(ranges, structure.intervals))
+def _ambient_first(ranges: list, parts: list, aux: AuxWeight) -> tuple:
+    """integrate_ranges' `first` for a drive whose ranges are not aux's own:
+    their FirstPass, and per ambient range (parts: its aux part, None for an
+    energy range) aux^(p-1) at its layout nodes, which its ends alone set,
+    from aux's store, then at its pieces, from one aux call for all."""
+    layout = FirstPass(ranges)
+    kept = aux.samples(True)
+    x, index = layout.nodes(pieces=True)
+    on = np.array([k is not None for k in parts[:len(layout.pts)]])[index]
+    split = np.bincount(index[on], minlength=len(layout.pts)).cumsum()
+    pieces = np.split(aux.ambient_weight(x[on]), split)[:-1]
+    return layout, [None if k is None else np.concatenate((kept[k][:n], piece))
+                    for k, n, piece in zip(parts, layout.sizes, pieces)]
 
 
 def _structure_terms(u: TestFunction, asked: Sequence[str], w: Weight,

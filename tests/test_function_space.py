@@ -9,7 +9,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degenrelax import quadrature, spaces
@@ -32,7 +32,6 @@ from degenrelax import (
     check_membership,
     builtin_figure1,
     constant_function,
-    first_pass_nodes,
     integrate_ranges,
     detect_structure,
     endpoint_vanishing_check,
@@ -154,6 +153,7 @@ def test_space_norm_combines_both_parts(unit_chain, p2):
 
 
 @given(st.floats(min_value=-3.0, max_value=3.0))
+@example(c=8.74e-162)  # a subnormal density, ~1e-323
 @settings(max_examples=25, deadline=None)
 def test_space_norm_absolute_homogeneity(unit_chain, p2, c):
     w, st_, aux = unit_chain
@@ -162,6 +162,16 @@ def test_space_norm_absolute_homogeneity(unit_chain, p2, c):
     n1 = space_norm(u, w, aux, st_, p2, CFG)
     n2 = space_norm(cu, w, aux, st_, p2, CFG)
     assert n2 == pytest.approx(abs(c) * n1, rel=1e-8, abs=1e-12)
+
+
+def test_a_subnormal_energy_density_reads_finite(unit_chain, p2):
+    # |u'|^2 w is ~1e-323 for c = 8.74e-162: its graded levels quantize to
+    # multiples of 5e-324 and stop decaying, which is not divergence
+    w, st_, aux = unit_chain
+    for c in (1e-160, 8.74e-162, 1e-170):
+        cu = poly_function([c * 0.2, c * 1.0, c * -0.5])
+        assert seminorm_energy(cu, w, st_, p2, CFG).is_finite
+        assert math.isfinite(space_norm(cu, w, aux, st_, p2, CFG))
 
 
 @pytest.mark.parametrize("pv", [1.5, 2.0, 3.0])
@@ -399,7 +409,7 @@ def test_a_first_request_is_one_integrand_call_per_block(figure1_chain, p2, monk
         inside[0] = True
         out = integrate_ranges(f, ranges, cfg, first)
         inside[0] = False
-        drives.append((first_pass_nodes(ranges)[0].size, list(sizes)))
+        drives.append((quadrature.FirstPass(ranges).nodes()[0].size, list(sizes)))
         sizes.clear()
         return out
 
@@ -429,13 +439,12 @@ def test_a_first_request_is_one_integrand_call_per_block(figure1_chain, p2, monk
 
 
 def test_a_density_drive_lays_out_its_first_pass_once(figure1_chain, p2, monkeypatch):
-    # the quadrature alone lays out a drive's first request: once per drive,
-    # plus once per aux weight for the samples it keeps; the sequence's relaxed
-    # value is space_norm's answer, so its member drive is the only new one;
-    # a fresh aux weight, which keeps no drive's layout yet
+    # the quadrature alone lays out a drive's first request, once per drive:
+    # the aux weight samples its stores at its first drive's nodes; the
+    # sequence's relaxed value is space_norm's answer, so its member drive is
+    # the only new one; a fresh aux weight, which keeps no drive's layout yet
     w, st_, _ = figure1_chain
     aux = build_aux_weight(w, p2, st_, CFG)
-    aux.ambient_samples()
     layouts, lay_out = [], quadrature._first_pass
     monkeypatch.setattr(quadrature, "_first_pass", lambda pts: layouts.append(1) or lay_out(pts))
     drives = count_drives(monkeypatch)
@@ -1075,27 +1084,11 @@ def _plain_ambient(u, aux, shifts, cfg=None):
 
 
 def _plain_drives(monkeypatch):
-    """Make every density drive a plain one: no first pass or first-pass
-    values are passed, so the drive lays out its own first pass and the
-    integrand (aux and w) is evaluated at every node, and an aux weight
-    keeps no samples and no first pass."""
-    samples, passes = AuxWeight.ambient_samples, AuxWeight.first_pass
-
-    def unkept(self):
-        out = samples(self)
-        self._samples = None
-        return out
-
-    def unkept_pass(self, ambient):
-        out = passes(self, ambient)
-        self._passes.clear()
-        self._w_samples = None
-        return out
-
-    monkeypatch.setattr(AuxWeight, "ambient_samples", unkept)
-    monkeypatch.setattr(AuxWeight, "first_pass", unkept_pass)
-    monkeypatch.setattr(spaces, "integrate_ranges",
-                        lambda f, ranges, cfg=None, first=None: integrate_ranges(f, ranges, cfg))
+    """Make every density drive a plain one: `first` is None in each, so the
+    drive lays out its own first pass and the integrand evaluates aux and w
+    at every node, and an aux weight keeps no first pass and no samples."""
+    monkeypatch.setattr(AuxWeight, "first_pass", lambda self, kinds: None)
+    monkeypatch.setattr(spaces, "_ambient_first", lambda ranges, parts, aux: None)
 
 
 def _ambient_bits(u, w, aux, st_, p):
@@ -1110,11 +1103,11 @@ def test_ambient_samples_change_no_bit(sampled_chain, monkeypatch):
     aux = build_aux_weight(w, p, st_, CFG)
     us = _test_functions(w)
     got = [_ambient_bits(u, w, aux, st_, p) for u in us + us]  # first and repeated calls
-    samples = aux.ambient_samples()
-    # one array per part: aux^(p-1) at that part's first-pass nodes
+    samples = aux.samples(True)
+    # one array per part: aux^(p-1) at every first-request node of its own range
     assert len(samples) == len(aux.parts)
-    for part, weight in zip(aux.parts, samples):
-        x, _ = first_pass_nodes([(part.base.lo, part.base.hi, ())])
+    for r, weight in zip(aux.own_ranges((True,)), samples):
+        x, _ = quadrature.FirstPass([r]).nodes()
         assert _same_bits(weight, aux.ambient_weight(x))
     if name == "cascade":  # the first pass is more than one request
         assert sum(weight.size for weight in samples) > 15 * quadrature._MAX_REQUEST
@@ -1122,7 +1115,7 @@ def test_ambient_samples_change_no_bit(sampled_chain, monkeypatch):
     _plain_drives(monkeypatch)
     plain = build_aux_weight(w, p, st_, CFG)
     assert [_ambient_bits(u, w, plain, st_, p) for u in us + us] == got
-    assert plain._samples is None and plain._passes == {} and plain._w_samples is None
+    assert plain._samples == {} and plain._passes == {}
 
 
 def test_no_integrand_call_exceeds_one_request():
@@ -1143,33 +1136,43 @@ def test_no_integrand_call_exceeds_one_request():
     v = TestFunction(fn=recording(u.fn), deriv=recording(u.deriv), tag="C1")
     poincare_global_check(v, w, aux, st_, p, CFG)
     relaxed_functional(v, w, aux, st_, p, CFG)
-    assert sum(weight.size for weight in aux.ambient_samples()) > 15 * quadrature._MAX_REQUEST
+    assert sum(weight.size for weight in aux.samples(True)) > 15 * quadrature._MAX_REQUEST
     assert max(sizes) <= 15 * quadrature._MAX_REQUEST
 
 
 def test_second_ambient_drive_calls_aux_at_no_first_pass_node(figure1_chain, monkeypatch):
     w, st_, _ = figure1_chain
     aux = build_aux_weight(w, Exponent(2.0), st_, CFG)
-    seen = []
-    call = AuxWeight.__call__
+    seen, state = [], {"first": False}
+    call, drive = AuxWeight.__call__, spaces.integrate_ranges
 
-    def recording(self, x):
-        seen.append(np.array(x, dtype=float))
+    def recording(self, x):  # who asked (through ambient_weight), and in which request
+        seen.append((sys._getframe(2).f_code.co_name, state["first"], np.array(x, dtype=float)))
         return call(self, x)
 
+    def driving(f, ranges, cfg=None, first=None):
+        def g(x, index, *inputs):
+            state["first"] = bool(inputs)
+            out = f(x, index, *inputs)
+            state["first"] = False
+            return out
+        return drive(g, ranges, cfg, first)
+
     monkeypatch.setattr(AuxWeight, "__call__", recording)
+    monkeypatch.setattr(spaces, "integrate_ranges", driving)
     second, first = _test_functions(w)  # the spline refines, so aux is called again
     lp_aux_norm(first, aux, CFG)
-    x, _ = first_pass_nodes([(part.base.lo, part.base.hi, ()) for part in aux.parts])
-    # the samples are one aux call at the first-pass nodes, then one at the
-    # pieces that the quarter points and the kinks of w cut from them
-    pieces = np.setdiff1d(first_pass_nodes(spaces.aux_ranges(first, aux))[0], x)
-    assert np.array_equal(seen[0], x) and np.array_equal(np.sort(seen[1]), pieces)
-    assert _same_bits(np.concatenate(aux.ambient_samples()), aux.ambient_weight(x))
+    # the samples are one aux call at every first-request node of aux's own
+    # ranges: their layout nodes, then the pieces that the quarter points
+    # and the kinks of w cut from them
+    x, _ = quadrature.FirstPass(aux.own_ranges((True,))).nodes()
+    assert seen[0][:2] == ("first_pass", False) and np.array_equal(seen[0][2], x)
+    assert all(c == "f" and not in_first for c, in_first, _ in seen[1:])
+    assert _same_bits(np.concatenate(aux.samples(True)), aux.ambient_weight(x))
     seen.clear()
     norm = lp_aux_norm(second, aux, CFG)
-    later = np.concatenate(seen)
-    assert later.size and not np.isin(later, x).any() and not np.isin(later, pieces).any()
+    # the second drive calls aux only in its refinement rounds
+    assert seen and all(c == "f" and not in_first for c, in_first, _ in seen)
     assert _bits(norm) == _bits(
         sum(_plain_ambient(second, aux, [0.0] * 3, CFG), IntegralResult.finite(0.0, 0.0)))
 
@@ -1216,20 +1219,20 @@ def test_a_chain_keeps_its_first_pass_and_changes_no_bit(sampled_chain, monkeypa
     # the structure drives' first passes: the battery's order, then the
     # reverse order's relaxed value and its shifted term alone
     assert set(aux._passes) == {(True, False, True), (True, False), (True,)}
-    assert len(aux._w_samples) == len(aux.parts)
+    assert set(aux._samples) == {True, False}
+    assert len(aux.samples(True)) == len(aux.samples(False)) == len(aux.parts)
     # the same questions with plain drives: every first pass laid out, and
     # aux and w evaluated at every node
     _plain_drives(monkeypatch)
     plain = build_aux_weight(w, p, st_, CFG)
     assert _chain_bits(us, w, st_, plain, p) == got
-    assert plain._passes == {} and plain._w_samples is None and plain._samples is None
+    assert plain._passes == {} and plain._samples == {}
 
 
 def test_second_drive_calls_w_at_no_first_pass_node(figure1_chain, monkeypatch):
     w, st_, _ = figure1_chain
     p = Exponent(2.0)
     aux = build_aux_weight(w, p, st_, CFG)
-    aux.ambient_samples()  # aux's own samples, laid out before
     seen, layouts, call, lay_out = [], [], type(w).__call__, quadrature._first_pass
 
     def recording(self, x):  # w's calls from the integrand and from the kept samples
@@ -1245,10 +1248,10 @@ def test_second_drive_calls_w_at_no_first_pass_node(figure1_chain, monkeypatch):
     # the first drive lays out its first pass, and w is sampled at its energy
     # ranges' first-pass nodes in one call; the integrand reads those samples
     assert len(layouts) == 1
-    x, _ = first_pass_nodes(spaces.energy_ranges(first, w, st_))
+    x, _ = quadrature.FirstPass(spaces.energy_ranges(first, w, st_)).nodes()
     assert [c for c, _ in seen].count("first_pass") == 1 and np.array_equal(seen[0][1], x)
     assert all(not np.isin(y, x).any() for c, y in seen if c == "f")
-    assert _same_bits(np.concatenate(aux._w_samples), np.asarray(call(w, x), dtype=float))
+    assert _same_bits(np.concatenate(aux.samples(False)), np.asarray(call(w, x), dtype=float))
     seen.clear()
     layouts.clear()
     lp_aux_norm(second, aux, CFG)
@@ -1268,19 +1271,20 @@ def test_the_chain_memo_dies_with_its_aux_weight(figure1_chain):
     lp_aux_norm(u, aux, CFG)
     layout, = aux._passes.values()
     assert layout.pieces[0].size  # the kept samples hold the pieces' too
-    kept = (aux, layout, aux._w_samples[0], aux._samples[0], aux._aux_samples[0])
+    kept = (aux, layout, aux.samples(False)[0], aux.samples(True)[0])
     refs = [weakref.ref(obj) for obj in kept]
     del aux, layout, u, kept  # u's memo holds the aux weight its terms were integrated against
     gc.collect()
-    assert [ref() for ref in refs] == [None] * 5
+    assert [ref() for ref in refs] == [None] * 4
 
 
 @pytest.mark.parametrize("name", ["grid", "piecewise"])
 def test_second_drive_calls_aux_and_w_at_no_node_of_its_first_request(name, monkeypatch):
     # a grid (a kink at every node) and a piecewise power weight (a removable
     # zero at 0.4, kinks there and at 0.75): the first u's drive samples
-    # aux^(p-1) and w at the pieces of the kept first pass, and a second u's
-    # drive cuts nothing and calls neither at any node of its first request
+    # aux^(p-1) and w at the pieces of the kept first pass too, and a second
+    # u's drive lays out nothing and calls neither at any node of its first
+    # request
     p = Exponent(2.0)
     w = _sampled_weight("grid", p.p) if name == "grid" else PiecewisePowerWeight(
         Interval(0.0, 1.0), [PowerPiece(0.0, 0.4, 2.0, 0.4, 0.3),
@@ -1296,8 +1300,8 @@ def test_second_drive_calls_aux_and_w_at_no_node_of_its_first_request(name, monk
     energy = (index >= n) & (index < 2 * n)
     _, pindex = layout.nodes(pieces=True)
     assert (pindex < n).any() and ((pindex >= n) & (pindex < 2 * n)).any()
-    seen, cuts = {"aux": [], "w": []}, []
-    aux_call, w_call, cut = AuxWeight.__call__, type(w).__call__, quadrature.FirstPass._cut
+    seen, layouts = {"aux": [], "w": []}, []
+    aux_call, w_call, lay_out = AuxWeight.__call__, type(w).__call__, quadrature._first_pass
 
     def recording(call, kind):
         def g(self, y):
@@ -1307,11 +1311,12 @@ def test_second_drive_calls_aux_and_w_at_no_node_of_its_first_request(name, monk
 
     monkeypatch.setattr(AuxWeight, "__call__", recording(aux_call, "aux"))
     monkeypatch.setattr(type(w), "__call__", recording(w_call, "w"))
-    monkeypatch.setattr(quadrature.FirstPass, "_cut", lambda self: cuts.append(1) or cut(self))
+    monkeypatch.setattr(quadrature, "_first_pass", lambda pts: layouts.append(1) or lay_out(pts))
     norm = lp_aux_norm(second, aux, CFG)
     monkeypatch.undo()
-    # aux at no node of the ambient terms' first request, w at none of the energy's
-    assert cuts == [] and seen["aux"]
+    # no first pass laid out, and so none cut; aux at no node of the ambient
+    # terms' first request, w at none of the energy's
+    assert layouts == [] and seen["aux"]
     for kind, nodes in (("aux", x[~energy]), ("w", x[energy])):
         assert not any(np.isin(y, nodes).any() for y in seen[kind])
     # and every answer is a plain drive's, bit for bit

@@ -1,6 +1,7 @@
 """Energy functional, relaxation, and the AC approximation construction."""
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +25,6 @@ from degenrelax import (
     check_membership,
     constant_function,
     detect_structure,
-    first_pass_nodes,
     integrate_ranges,
     log_edge_function,
     lp_aux_norm,
@@ -38,6 +38,7 @@ from degenrelax import (
     verify_relaxation,
 )
 
+from degenrelax import spaces
 from degenrelax.relaxation import _A, _Member, _MollifiedAntiderivative
 from degenrelax.spaces import energy_ranges
 
@@ -673,26 +674,77 @@ def test_a_sequence_is_two_drives(figure1_chain, p2, monkeypatch):
     assert [r[:2] for r in calls[1][:3]] == [(iv.lo, iv.hi) for iv in st_.intervals]
 
 
-def test_second_sequence_calls_aux_at_no_first_pass_node(two_tent, p2, monkeypatch):
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "FOUND: on the 65-node grid with a zero node at 0.25 and a zero region "
+    "[0.625, 0.75], every member's energy reads divergent (f_limit 0.0530): at "
+    "h = 17 only the two taper spans next to the zero node, (0.191, 0.25) and "
+    "(0.25, 0.309), diverge, where the interpolant is linear; likely the "
+    "log-corrected class of ROADMAP item 3, on item 24's grid model"))
+def test_a_recovery_sequence_on_a_grid_with_a_zero_node_has_finite_energies():
+    xs = np.arange(65) / 64
+    w = GridSampledWeight(xs, np.where(xs < 0.625, (xs - 0.25) ** 2, np.maximum(xs - 0.75, 0.0)))
+    p = Exponent(2.0)
+    st_ = detect_structure(w, p, CFG)
+    aux = build_aux_weight(w, p, st_, CFG)
+    seq = build_approx_sequence(poly_function([0.0, 1.0]), w, aux, st_, p, h_max=64, cfg=CFG)
+    assert seq.f_limit == pytest.approx(0.0530, rel=1e-3)
+    assert all(math.isfinite(m.f_value) for m in seq.members)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_second_sequence_reads_layout_aux_from_the_kept_store(two_tent, p2, monkeypatch):
     # two_tent's intervals meet across a gap: no member is tapered, so every
-    # aux call comes from a drive
+    # aux call comes from a drive.  The second sequence's member drive reads
+    # aux^(p-1) at its ambient ranges' layout nodes from the store the aux
+    # weight keeps, calls aux once, before the drive, at its own pieces, and
+    # then only in refinement rounds: never in its first request, never to
+    # sample the store again
     w = two_tent
     st_ = detect_structure(w, p2, CFG)
     aux = build_aux_weight(w, p2, st_, CFG)
     u = poly_function([0.2, 1.0, -0.5])
     first = build_approx_sequence(u, w, aux, st_, p2, h_max=32, cfg=CFG)
-    seen = []
-    call = AuxWeight.__call__
+    store = aux.samples(True)
+    kept = [a.copy() for a in store]
+    seen, drives, state = [], [], {"first": False}
+    call, drive = AuxWeight.__call__, spaces.integrate_ranges
 
-    def recording(self, x):
-        seen.append(np.array(x, dtype=float))
+    def recording(self, x):  # who asked (through ambient_weight), and in which request
+        seen.append((sys._getframe(2).f_code.co_name, state["first"], np.array(x, dtype=float)))
         return call(self, x)
 
+    def driving(f, ranges, cfg=None, first=None):
+        def g(x, index, *inputs):
+            state["first"] = bool(inputs)
+            out = f(x, index, *inputs)
+            state["first"] = False
+            return out
+        drives.append((ranges, first))
+        return drive(g, ranges, cfg, first)
+
     monkeypatch.setattr(AuxWeight, "__call__", recording)
+    monkeypatch.setattr(spaces, "integrate_ranges", driving)
     second = build_approx_sequence(u, w, aux, st_, p2, h_max=32, cfg=CFG)
-    x, _ = first_pass_nodes([(part.base.lo, part.base.hi, ()) for part in aux.parts])
-    later = np.concatenate(seen)
-    assert later.size and not np.isin(later, x).any()
+    monkeypatch.undo()
+    # u keeps its relaxed value: the member drive is the only one
+    (ranges, (layout, inputs)), = drives
+    ambient = np.array([v is not None for v in inputs])
+    assert ambient.sum() == len(first.members) * len(aux.parts)
+    px, pindex = layout.nodes(pieces=True)
+    for r, v, n in zip(ranges, inputs, layout.sizes):
+        if v is not None:  # the store's prefix at the layout nodes, the same bits
+            k = [(part.base.lo, part.base.hi) for part in aux.parts].index(r[:2])
+            assert _same_bits(v[:n], kept[k][:n]) and v.size > n
+    # one aux call before the drive, at the ambient ranges' pieces; the rest
+    # from the integrand's refinement rounds; the store is as it was
+    (caller, in_first, x), *rest = seen
+    assert caller == "_ambient_first" and not in_first
+    assert np.array_equal(x, px[ambient[pindex]])
+    assert rest and all(c == "f" and not in_first for c, in_first, _ in rest)
+    assert aux.samples(True) is store and all(map(_same_bits, store, kept))
     assert [(m.x_err.hex(), m.f_value.hex()) for m in second.members] == \
         [(m.x_err.hex(), m.f_value.hex()) for m in first.members]
 
