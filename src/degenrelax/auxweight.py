@@ -566,8 +566,8 @@ class AuxWeight:
                 for amb in kinds for part in self.parts]
 
     def first_pass(self, kinds: tuple) -> tuple:
-        """integrate_ranges' `first` for a drive over own_ranges(kinds):
-        (layout, inputs), the drive's quadrature.FirstPass, derived on the
+        """(layout, inputs) for integrate_ranges in a drive over
+        own_ranges(kinds): the drive's quadrature.FirstPass, derived on the
         first drive of these kinds and kept, and per range its kind's store
         (samples), sampled at this layout's nodes if it is the first."""
         layout = self._passes.get(kinds)

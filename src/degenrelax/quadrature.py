@@ -33,12 +33,11 @@ plans are evaluated in one request, and each pool takes its share.
 A FirstPass object holds the first pass of some ranges, laid out once
 (graded points, the padded layout of every gap, the pieces the breakpoints
 cut, the first request's panels).  A caller that drives the same ranges
-again and again keeps it and hands it back through integrate_ranges(...,
-first=(layout, inputs)), the FirstPass of exactly those ranges and, per
-range, inputs of f at every node of its first request, read in that
-request only: such a drive derives no first pass and cuts nothing, and a
-factor of the integrand that the drives share (aux^(p-1) in the ambient
-norms, w in the energies) is sampled once.
+again and again keeps it and hands it to integrate_ranges in their place,
+with, per range, inputs of f at every node of its first request, read in
+that request only: such a drive lays out no first pass and cuts nothing,
+and a factor of the integrand that the drives share (aux^(p-1) in the
+ambient norms, w in the energies) is sampled once.
 
 classify_endpoint_integrability() answers the one-sided question "is
 w^(-1/(p-1)) integrable next to z" through the Weight interface alone: by
@@ -590,36 +589,30 @@ def _first_pass(pts: list):
     return gaps, owner, runs, lows, highs, live
 
 
-def _graded(ranges) -> tuple:
-    """(pts, cuts, invalid): per range its graded points (the ends and the
-    singular points strictly inside) and its breakpoints strictly inside,
-    sorted, up to the first range that is not a finite a < b; invalid is the
-    ValueError for that one, or None."""
-    pts, cuts = [], []
-    for a, b, singular, *breakpoints in ranges:
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            return pts, cuts, ValueError(f"need finite a < b, got ({a}, {b})")
-        tol = 1e-14 * (b - a)
-        pts.append([a] + [s for s in sorted({float(s) for s in singular})
-                          if a + tol < s < b - tol] + [b])
-        c = np.asarray(breakpoints[0] if breakpoints else (), dtype=float)
-        c = c[(c > a + tol) & (c < b - tol)]
-        cuts.append(sorted_unique(c) if c.size > 1 else c)
-    return pts, cuts, None
-
-
 class FirstPass:
-    """integrate_ranges' first pass over some ranges, laid out once for every
-    drive over them (integrate_ranges' `first`): each range's graded points
-    and breakpoints, the padded layout of all gaps (both graded runs, then
-    the two middle panels of each; set by the ends and singular points
+    """integrate_ranges' first pass over some ranges, laid out once; kept,
+    it stands for those ranges in every drive over them (integrate_ranges
+    takes it as its ranges).  It holds each range's graded points (pts: the
+    ends and the singular points strictly inside) and breakpoints strictly
+    inside (cuts, sorted), the padded layout of all gaps (both graded runs,
+    then the two middle panels of each; set by the ends and singular points
     alone), the pieces the breakpoints cut from its panels and the first
     request's panel list, but not its nodes (nodes()).  A range that is not
     a finite a < b ends the layout; `invalid` holds its ValueError (None
     when every range is valid)."""
 
     def __init__(self, ranges: Sequence[tuple]):
-        self.pts, self.cuts, self.invalid = _graded(ranges)
+        self.pts, self.cuts, self.invalid = [], [], None
+        for a, b, singular, *breakpoints in ranges:
+            if not (math.isfinite(a) and math.isfinite(b) and a < b):
+                self.invalid = ValueError(f"need finite a < b, got ({a}, {b})")
+                break
+            tol = 1e-14 * (b - a)
+            self.pts.append([a] + [s for s in sorted({float(s) for s in singular})
+                                   if a + tol < s < b - tol] + [b])
+            c = np.asarray(breakpoints[0] if breakpoints else (), dtype=float)
+            c = c[(c > a + tol) & (c < b - tol)]
+            self.cuts.append(sorted_unique(c) if c.size > 1 else c)
         if not self.pts:
             return
         self.gaps, self.owner, self.runs, self.lows, self.highs, self.live = _first_pass(self.pts)
@@ -753,9 +746,9 @@ def _integrate_all(f, layout: FirstPass, cfg: QuadratureConfig, inputs=None) -> 
 
 
 def integrate_ranges(f: Callable[..., np.ndarray],
-                     ranges: Sequence[tuple],
+                     ranges: Sequence[tuple] | FirstPass,
                      cfg: Optional[QuadratureConfig] = None,
-                     first: Optional[tuple] = None) -> list:
+                     inputs: Optional[list] = None) -> list:
     """Integrate f over several ranges in lockstep; one IntegralResult per range.
 
     Each range is (a, b, singular, breakpoints) with integrate()'s meaning,
@@ -775,29 +768,18 @@ def integrate_ranges(f: Callable[..., np.ndarray],
     _MAX_PANELS panels (4,000), so a range whose breakpoints alone cut it
     into that many is not refined further.
 
-    `first`, when given, is a pair (layout, inputs): layout is
-    FirstPass(ranges), laid out before and kept, and the drive takes its
-    first pass from it.  A FirstPass of other ranges (other ends, singular
-    points or breakpoints strictly inside, or other ranges invalid) raises
-    ValueError.  inputs is None, or holds per range None or one input of f
-    at every node of that range's first request, in FirstPass.nodes()
-    order: its layout nodes, then its pieces' (else ValueError).  Then the
-    first request calls f(x, index, inputs), NaN at the nodes of a range
-    given None; every later call is f(x, index).
+    `ranges` may be a FirstPass of them, laid out before and kept: the
+    drive then takes its first pass from it and lays out nothing.  `inputs`,
+    when given, holds per range None or one input of f at every node of
+    that range's first request, in FirstPass(ranges).nodes() order: its
+    layout nodes, then its pieces' (else ValueError).  Then the first
+    request calls f(x, index, inputs), NaN at the nodes of a range given
+    None; every later call is f(x, index).
     """
-    cfg = cfg or DEFAULT_CONFIG
-    if first is None:
-        layout, inputs = FirstPass(ranges), None
-        invalid = layout.invalid
-    else:
-        layout, inputs = first
-        pts, cuts, invalid = _graded(ranges)
-        if (pts != layout.pts or (invalid is None) != (layout.invalid is None)
-                or not all(map(np.array_equal, cuts, layout.cuts))):
-            raise ValueError("first holds the first pass of other ranges")
+    layout = ranges if isinstance(ranges, FirstPass) else FirstPass(ranges)
     # the ranges before an invalid one still run, and may raise first
-    out = _integrate_all(f, layout, cfg, inputs) if layout.pts else []
-    for res in out + [invalid]:
+    out = _integrate_all(f, layout, cfg or DEFAULT_CONFIG, inputs) if layout.pts else []
+    for res in out + [layout.invalid]:
         if isinstance(res, Exception):
             raise res
     return out

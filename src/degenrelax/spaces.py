@@ -326,13 +326,15 @@ def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
     The ranges make one drive, in term order, and nothing is kept here.  A
     NaN raises as it would in one drive per term made in that order, and
     every result is that drive's bit for bit.  Each integrand call evaluates
-    w once for all energy nodes and aux once for all ambient nodes, but the
-    first request reads aux^(p-1) from integrate_ranges' inputs: in a drive
-    over aux's own ranges alone (aux.own_ranges, w = aux.weight, no fn with
-    breakpoints) at every node, and w too, with the layout (aux.first_pass(),
-    kept per chain); in any other, from aux.samples at the layout nodes of
-    its own first pass and from one aux call at its pieces.  There an ambient
-    term of an fn that an earlier one has reads u from it, at the same nodes.
+    w once for all energy nodes and aux once for all ambient nodes, but some
+    drives hand integrate_ranges a FirstPass in place of their ranges, with
+    inputs that the first request reads: one over aux's own ranges alone
+    (aux.own_ranges, w = aux.weight, no fn with breakpoints) the layout aux
+    keeps per chain (aux.first_pass()), with aux^(p-1) and w at every node;
+    any other with ambient terms its own (_ambient_first), with aux^(p-1)
+    from aux.samples at the layout nodes and from one aux call at the
+    pieces.  There an ambient term of an fn that an earlier one has reads u
+    from it, at the same nodes.
     """
     answers, todo, ranges, bounds, parts, first_term = [], [], [], [], [], {}
     for kind, fn, arg in terms:
@@ -352,8 +354,9 @@ def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
     # a drive over aux's own ranges alone: no fn cuts them at breakpoints of its own
     own = (aux is not None and w is aux.weight and not any(t[0].breakpoints for t in todo)
            and [r[:3] for r in ranges] == [r[:3] for r in aux.own_ranges(kinds)])
-    first = (aux.first_pass(kinds) if own and ranges else _ambient_first(ranges, parts, aux)
-             if any(k is not None for k in parts) else None)
+    layout, inputs = (aux.first_pass(kinds) if own and ranges else
+                      _ambient_first(ranges, parts, aux) if any(k is not None for k in parts)
+                      else (ranges, None))
 
     # a later ambient term of an fn has the first one's ranges, so in the first
     # request the same nodes, in the same order: it reads u there from that term
@@ -393,15 +396,16 @@ def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
                         energy_values(vs, ws, pp)
         return out
 
-    res = integrate_ranges(f, ranges, cfg, first) if ranges else []
+    res = integrate_ranges(f, layout, cfg, inputs) if ranges else []
     return [res[a] if isinstance(a, slice) else a for a in answers]
 
 
 def _ambient_first(ranges: list, parts: list, aux: AuxWeight) -> tuple:
-    """integrate_ranges' `first` for a drive whose ranges are not aux's own:
-    their FirstPass, and per ambient range (parts: its aux part, None for an
-    energy range) aux^(p-1) at its layout nodes, which its ends alone set,
-    from aux's store, then at its pieces, from one aux call for all."""
+    """(layout, inputs) for integrate_ranges in a drive whose ranges are not
+    aux's own: their FirstPass, and per ambient range (parts: its aux part,
+    None for an energy range) aux^(p-1) at its layout nodes, which its ends
+    alone set, from aux's store, then at its pieces, from one aux call for
+    all."""
     layout = FirstPass(ranges)
     kept = aux.samples(True)
     x, index = layout.nodes(pieces=True)

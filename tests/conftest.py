@@ -4,6 +4,7 @@ import pytest
 from degenrelax import quadrature, relaxation, spaces
 from degenrelax import (
     Exponent,
+    FirstPass,
     Interval,
     PiecewisePowerWeight,
     PowerPiece,
@@ -18,11 +19,15 @@ from degenrelax import (
 
 def count_drives(monkeypatch) -> list:
     """The ranges of every integrate_ranges call made from now on, one entry
-    per call, wherever the package looks the name up."""
+    per call, wherever the package looks the name up.  A drive handed a
+    FirstPass records the ranges it lays out: per range its ends, its
+    singular points strictly inside (a list) and its breakpoints strictly
+    inside."""
     calls = []
 
     def counting(f, ranges, *args, **kwargs):
-        calls.append(list(ranges))
+        calls.append([(p[0], p[-1], p[1:-1], c) for p, c in zip(ranges.pts, ranges.cuts)]
+                     if isinstance(ranges, FirstPass) else list(ranges))
         return integrate_ranges(f, ranges, *args, **kwargs)
 
     for module in (quadrature, spaces, relaxation):

@@ -190,6 +190,55 @@ def test_a_zero_side_has_one_exponent():
         assert right.lo_class.local_exponent == zero.right_exponent
 
 
+def _log_weight(power):
+    """x |log x|^power on (0, 1/2) without metadata, 0 at x = 0."""
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(x > 0.0, x * np.abs(np.log(x)) ** power, 0.0)
+    return ClosedFormWeight(fn=fn, domain=Interval(0.0, 0.5))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "w = x |log x| makes sigma = 1/(x |log x|), not integrable at 0, but the "
+    "estimated-exponent rule fits 0.888 and calls the end integrable, which flips "
+    "the endpoint dichotomy (ROADMAP item 3)"))
+def test_a_log_corrected_zero_is_not_integrable():
+    st_ = detect_structure(_log_weight(1.0), Exponent(2.0), CFG)
+    assert not st_.intervals[0].lo_class.integrable
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "w = x log^2 x: the left end's value reads 0.70927 against 1/ln 4 = 0.72135 "
+    "(ROADMAP item 3)"))
+def test_a_log_corrected_zero_has_its_value():
+    st_ = detect_structure(_log_weight(2.0), Exponent(2.0), CFG)
+    assert st_.intervals[0].lo_class.value == pytest.approx(1.0 / math.log(4.0), rel=1e-6)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "FOUND: the golden search stops at 1e-13 * max(|a|, |b|, 1), so on a domain far "
+    "from 0 the zero is placed off by ~1.6e-8 and its exponents drift: 2.0118/1.9891 "
+    "at c = 1e6 and 1.9967/2.0034 at c = -3e5, where c = 0 gives 2 +- 2e-8 "
+    "(ROADMAP item 6)"))
+@pytest.mark.parametrize("c", [1e6, -3e5])
+def test_a_shifted_zero_keeps_its_exponents(c):
+    w = ClosedFormWeight(fn=lambda x: np.abs(x - c - 0.3) ** 2, domain=Interval(c, c + 1.0))
+    zero, = detect_structure(w, Exponent(2.0), CFG).split_zeros
+    assert zero.left_exponent == pytest.approx(2.0, abs=1e-3)
+    assert zero.right_exponent == pytest.approx(2.0, abs=1e-3)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "FOUND: the scan misses isolated zeros of exponent below about 1: |x - 0.3|^0.5 "
+    "is about 3e-7 at the golden search's resolution, above the 1e-14 * peak zero "
+    "threshold, so no removable zero is reported"))
+def test_a_weak_zero_is_reported_removable():
+    w = ClosedFormWeight(fn=lambda x: np.abs(x - 0.3) ** 0.5, domain=Interval(0.0, 1.0))
+    st_ = detect_structure(w, Exponent(2.0), CFG)
+    assert [z.location for z in st_.removable_zeros] == [pytest.approx(0.3, abs=1e-9)]
+
+
 def test_grid_weight_on_threshold_raises(tmp_path):
     path = tmp_path / "absx.csv"
     xs = np.linspace(-1.0, 1.0, 2001)

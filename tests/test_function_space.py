@@ -405,11 +405,11 @@ def test_a_first_request_is_one_integrand_call_per_block(figure1_chain, p2, monk
                   if isinstance(c, types.CodeType) and c.co_name == "f"]
     sizes, drives, outside, inside = [], [], [0], [False]
 
-    def drive(f, ranges, cfg=None, first=None):
+    def drive(f, layout, cfg=None, inputs=None):  # both drives hand a FirstPass
         inside[0] = True
-        out = integrate_ranges(f, ranges, cfg, first)
+        out = integrate_ranges(f, layout, cfg, inputs)
         inside[0] = False
-        drives.append((quadrature.FirstPass(ranges).nodes()[0].size, list(sizes)))
+        drives.append((layout.nodes()[0].size, list(sizes)))
         sizes.clear()
         return out
 
@@ -581,11 +581,12 @@ def _bits(r):
 
 
 def _plain(ranges):
-    """A drive's ranges as comparable tuples: the ends, the singular points
-    (their container tells energy ranges, a list, from ambient ones, a
-    tuple) and the breakpoints."""
-    return [(a, b, type(s).__name__, tuple(s), tuple(np.asarray(c, dtype=float).tolist()))
-            for a, b, s, c in ranges]
+    """A drive's ranges as comparable tuples, as its first pass reads them:
+    the ends, the singular points and the breakpoints strictly inside (an
+    ambient range is cut at its quarter points, an energy range is not)."""
+    layout = quadrature.FirstPass(ranges)
+    return [(p[0], p[-1], tuple(p[1:-1]), tuple(c.tolist()))
+            for p, c in zip(layout.pts, layout.cuts)]
 
 
 def _layouts(u, w, st_, aux):
@@ -1084,11 +1085,13 @@ def _plain_ambient(u, aux, shifts, cfg=None):
 
 
 def _plain_drives(monkeypatch):
-    """Make every density drive a plain one: `first` is None in each, so the
-    drive lays out its own first pass and the integrand evaluates aux and w
-    at every node, and an aux weight keeps no first pass and no samples."""
-    monkeypatch.setattr(AuxWeight, "first_pass", lambda self, kinds: None)
-    monkeypatch.setattr(spaces, "_ambient_first", lambda ranges, parts, aux: None)
+    """Make every density drive a plain one: each hands integrate_ranges
+    its range tuples and no inputs, so the drive lays out its own first pass
+    and the integrand evaluates aux and w at every node, and an aux weight
+    keeps no first pass and no samples."""
+    monkeypatch.setattr(AuxWeight, "first_pass",
+                        lambda self, kinds: (self.own_ranges(kinds), None))
+    monkeypatch.setattr(spaces, "_ambient_first", lambda ranges, parts, aux: (ranges, None))
 
 
 def _ambient_bits(u, w, aux, st_, p):
@@ -1150,13 +1153,13 @@ def test_second_ambient_drive_calls_aux_at_no_first_pass_node(figure1_chain, mon
         seen.append((sys._getframe(2).f_code.co_name, state["first"], np.array(x, dtype=float)))
         return call(self, x)
 
-    def driving(f, ranges, cfg=None, first=None):
-        def g(x, index, *inputs):
-            state["first"] = bool(inputs)
-            out = f(x, index, *inputs)
+    def driving(f, ranges, cfg=None, inputs=None):
+        def g(x, index, *given):
+            state["first"] = bool(given)
+            out = f(x, index, *given)
             state["first"] = False
             return out
-        return drive(g, ranges, cfg, first)
+        return drive(g, ranges, cfg, inputs)
 
     monkeypatch.setattr(AuxWeight, "__call__", recording)
     monkeypatch.setattr(spaces, "integrate_ranges", driving)
@@ -1332,14 +1335,14 @@ def test_the_joint_drive_evaluates_u_once_per_node_of_its_first_request(figure1_
     aux = build_aux_weight(w, Exponent(2.0), st_, CFG)
     points, first = [], []
 
-    def drive(f, ranges, cfg=None, first_pass=None):
-        def g(x, index, *inputs):
+    def drive(f, ranges, cfg=None, inputs=None):
+        def g(x, index, *given):
             before = len(points)
-            out = f(x, index, *inputs)
-            if inputs:  # a call of the first request
+            out = f(x, index, *given)
+            if given:  # a call of the first request
                 first.append(sum(points[before:]))
             return out
-        return integrate_ranges(g, ranges, cfg, first_pass)
+        return integrate_ranges(g, ranges, cfg, inputs)
 
     monkeypatch.setattr(spaces, "integrate_ranges", drive)
     for u in _test_functions(w):

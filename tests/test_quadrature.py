@@ -1029,6 +1029,65 @@ def test_steep_power_from_1e_4_is_finite():
     assert r.value == pytest.approx(9998.0, rel=1e-12)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "1/(x |log x|) diverges at 0 like log log, too slowly for the trend test: it "
+    "reads finite 5.0710, estimate 0.033 (ROADMAP item 3)"))
+def test_a_log_corrected_divergence_reads_divergent():
+    r = integrate(lambda x: 1.0 / (x * np.abs(np.log(x))), 0.0, 0.5, CFG)
+    assert not r.is_finite
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "x^-0.999 converges, but its graded levels decay by 2^-0.001 per level: it reads "
+    "divergent, partial sum 40.66 (ROADMAP item 3)"))
+def test_a_power_just_below_the_threshold_is_finite():
+    r = integrate(lambda x: x ** -0.999, 0.0, 0.5, CFG)
+    assert r.is_finite
+    assert r.value == pytest.approx(2.0 ** -0.001 / 0.001, rel=1e-6)  # 999.307
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "1/(x log^2 x) reads 1.43041 against 1/ln 2 = 1.44270, with an estimate of 3.9e-4 "
+    "below the error of 1.2e-2 (ROADMAP item 3)"))
+def test_a_log_corrected_integral_estimate_bounds_its_error():
+    r = integrate(lambda x: 1.0 / (x * np.log(x) ** 2), 0.0, 0.5, CFG)
+    assert r.is_finite
+    assert r.err_estimate >= abs(r.value - 1.0 / math.log(2.0))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "an undeclared interior singularity: estimate 2.2e-10 against an actual error of "
+    "6.3e-8 (ROADMAP item 3, FOUND in CHANGES.md)"))
+def test_an_undeclared_singularity_estimate_bounds_its_error():
+    c = 5.0 / 12.0
+    with np.errstate(divide="ignore"):  # a refinement node lands on c: inf, graded into
+        r = integrate(lambda x: np.abs(x - c) ** -0.5, 0.0, 1.0, CFG)
+    assert r.is_finite
+    assert r.err_estimate >= abs(r.value - 2.0 * (math.sqrt(c) + math.sqrt(1.0 - c)))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the 15-digit Gauss-Kronrod table integrates x^k off by up to 6.0e-15 (Kronrod) "
+    "and 1.2e-15 (Gauss) (ROADMAP item 26)"))
+@pytest.mark.parametrize("weights, degree", [(quadrature._WK, 22), (quadrature._WG, 13)],
+                         ids=["kronrod", "gauss"])
+def test_the_rule_table_integrates_its_degree_exactly(weights, degree):
+    # the table's floats taken exactly: each error is of the table alone
+    nodes = [Fraction(float(x)) for x in quadrature._NODES]
+    ws = [Fraction(float(v)) for v in weights]
+    for k in range(degree + 1):
+        exact = Fraction(2, k + 1) if k % 2 == 0 else Fraction(0)
+        assert abs(float(sum(v * x ** k for v, x in zip(ws, nodes)) - exact)) <= 2e-16, k
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the truncated table biases every integral by about -3e-15: 1 over (0, 1) is off "
+    "5.3e-15, estimate 3.5e-15 (ROADMAP item 26)"))
+def test_a_smooth_integral_estimate_bounds_its_error():
+    r = integrate(lambda x: np.ones_like(x), 0.0, 1.0, CFG)
+    assert r.err_estimate >= abs(r.value - 1.0)
+
+
 def _recording(f):
     """f(x, index[, inputs]) and the list of (x, index[, inputs]) of every call it gets."""
     calls = []
@@ -1061,9 +1120,9 @@ def _smooth(x, index):
 def test_first_pass_nodes_are_the_first_request(ranges):
     layout = FirstPass(ranges)
     x, index = layout.nodes()
-    for first in (None, (layout, None)):  # derived by the drive, or handed to it
+    for given in (ranges, layout):  # laid out by the drive, or handed to it
         f, calls = _recording(_smooth)
-        integrate_ranges(f, ranges, CFG, first=first)
+        integrate_ranges(f, given, CFG)
         got_x, got_index, k = _first_pass_calls(calls, x.size)
         assert np.array_equal(got_x, x) and np.array_equal(got_index, index)
     # the first request is split at _MAX_REQUEST panels, and only there
@@ -1078,18 +1137,16 @@ def test_first_pass_nodes_are_the_first_request(ranges):
     for k, r in enumerate(bare):
         own = np.concatenate((FirstPass([r]).nodes()[0], px[pindex == k]))
         assert np.array_equal(x[index == k], own)
-    # the layout of the ranges with breakpoints serves only them
-    with pytest.raises(ValueError, match="first pass of other ranges"):
-        integrate_ranges(_smooth, bare, CFG, first=(layout, None))
+    # the ranges without breakpoints are their own FirstPass's first request
     f, calls = _recording(_smooth)
-    integrate_ranges(f, bare, CFG, first=(FirstPass(bare), None))
+    integrate_ranges(f, FirstPass(bare), CFG)
     x0, _ = FirstPass(bare).nodes()
     assert np.array_equal(_first_pass_calls(calls, x0.size)[0], x0)
 
 
 def _per_range_inputs(ranges, g, given):
-    """The inputs of integrate_ranges' `first`: g(x) at each first-pass node
-    of range k for k in `given`, None for the others."""
+    """integrate_ranges' inputs: g(x) at each first-pass node of range k for
+    k in `given`, None for the others."""
     x, index = FirstPass(ranges).nodes()
     for k, r in enumerate(ranges):  # a range's nodes are the same alone as among others
         assert np.array_equal(FirstPass([r]).nodes()[0], x[index == k])
@@ -1115,19 +1172,21 @@ def test_first_values_change_no_bit(ranges):
     x, index = layout.nodes()
     k = _first_pass_calls([c[:2] for c in calls], x.size)[2]
     given = set(range(0, len(ranges), 2))
-    first = _per_range_inputs(ranges, lambda x: np.exp(-x), given)
-    g, rest = _recording(_factored)
-    got = integrate_ranges(g, ranges, CFG, first=(layout, first))
-    assert [_bits(r) for r in got] == [_bits(r) for r in plain]
-    # the calls are the plain drive's, the first request one call per block of
-    # at most _MAX_REQUEST panels, each with its block of inputs (NaN where none)
-    assert len(rest) == len(calls) > k
-    assert k == -(-x.size // (15 * quadrature._MAX_REQUEST))
-    assert all(np.array_equal(a[0], b[0]) for a, b in zip(rest, calls))
-    assert all(len(c) == 3 for c in rest[:k]) and all(len(c) == 2 for c in rest[k:])
-    inputs = np.concatenate([c[2] for c in rest[:k]])
-    on = np.isin(index, list(given))
-    assert np.array_equal(inputs[on], np.exp(-x[on])) and np.isnan(inputs[~on]).all()
+    values = _per_range_inputs(ranges, lambda x: np.exp(-x), given)
+    for ranges_or_layout in (ranges, layout):  # the inputs serve either form
+        g, rest = _recording(_factored)
+        got = integrate_ranges(g, ranges_or_layout, CFG, values)
+        assert [_bits(r) for r in got] == [_bits(r) for r in plain]
+        # the calls are the plain drive's, the first request one call per block
+        # of at most _MAX_REQUEST panels, each with its block of inputs (NaN
+        # where none)
+        assert len(rest) == len(calls) > k
+        assert k == -(-x.size // (15 * quadrature._MAX_REQUEST))
+        assert all(np.array_equal(a[0], b[0]) for a, b in zip(rest, calls))
+        assert all(len(c) == 3 for c in rest[:k]) and all(len(c) == 2 for c in rest[k:])
+        inputs = np.concatenate([c[2] for c in rest[:k]])
+        on = np.isin(index, list(given))
+        assert np.array_equal(inputs[on], np.exp(-x[on])) and np.isnan(inputs[~on]).all()
 
 
 def test_first_values_reach_every_first_call(monkeypatch):
@@ -1137,51 +1196,71 @@ def test_first_values_reach_every_first_call(monkeypatch):
     f, calls = _recording(lambda x, index, x5: x5)
     ranges = [(0.0, 1.0, (), ())]
     layout = FirstPass(ranges)
-    r, = integrate_ranges(f, ranges, CFG,
-                          first=(layout, _per_range_inputs(ranges, lambda x: x ** 5, {0})))
+    r, = integrate_ranges(f, layout, CFG, _per_range_inputs(ranges, lambda x: x ** 5, {0}))
     assert len(calls) == -(-layout.nodes()[0].size // 150) > 1
     assert all(x.size <= 150 and np.array_equal(v, x ** 5) for x, _, v in calls)
     assert r.value == pytest.approx(1.0 / 6.0, rel=1e-15)
     with pytest.raises(ValueError):  # an input short, or a range without an entry
-        integrate_ranges(f, ranges, CFG, first=(layout, [np.zeros(3)]))
+        integrate_ranges(f, layout, CFG, [np.zeros(3)])
     with pytest.raises(ValueError):
-        two = ranges + [(1.0, 2.0, (), ())]
-        integrate_ranges(f, two, CFG, first=(FirstPass(two), [None]))
+        integrate_ranges(f, FirstPass(ranges + [(1.0, 2.0, (), ())]), CFG, [None])
 
 
-def test_a_first_pass_of_other_ranges_raises():
+def _kept_and_direct(ranges):
+    """A drive over a kept FirstPass of ranges, then one over the tuples:
+    per drive the bits of each result (or the ValueError raised) and the
+    nodes of every integrand call."""
+    out = []
+    for given in (FirstPass(ranges), ranges):
+        f, calls = _recording(_smooth)
+        try:
+            res = [_bits(r) for r in integrate_ranges(f, given, CFG)]
+        except ValueError as error:
+            res = str(error)
+        out.append((res, [x.tobytes() for x, _ in calls]))
+    return out
+
+
+def test_a_kept_first_pass_gives_its_ranges_their_bits():
+    # a kept FirstPass, handed as the ranges, gives every range the bits of
+    # the same tuples handed directly; an invalid range still raises after
+    # the ranges before it ran
     ranges = [(0.0, 1.0, [0.3], ()), (1.0, 2.0, (), [1.5])]
-    layout = FirstPass(ranges)
-    plain = integrate_ranges(_smooth, ranges, CFG)
-    # breakpoints and singular points outside a range never enter the first pass
-    same = [(0.0, 1.0, [0.3, 1.7], [1.5]), (1.0, 2.0, [0.3], [0.5, 1.5])]
-    assert [_bits(r) for r in integrate_ranges(_smooth, ranges, CFG, first=(layout, None))] \
-        == [_bits(r) for r in plain]
-    assert [_bits(r) for r in integrate_ranges(_smooth, same, CFG, first=(layout, None))] \
-        == [_bits(r) for r in integrate_ranges(_smooth, same, CFG)]
-    for other in ([(0.0, 1.0, [0.4], ()), (1.0, 2.0, (), ())],   # another singular point
+    for other in (ranges,
+                  [(0.0, 1.0, [0.4], ()), (1.0, 2.0, (), ())],   # another singular point
                   [(0.0, 1.0, (), ()), (1.0, 2.0, (), ())],      # none
                   [(0.0, 1.0, [0.3], ()), (1.0, 2.5, (), ())],   # another end
                   ranges[::-1], ranges[:1], ranges + [(2.0, 3.0, (), ())],
-                  ranges + [(3.0, 3.0, (), ())]):                # one more, invalid
-        with pytest.raises(ValueError, match="first pass of other ranges"):
-            integrate_ranges(_smooth, other, CFG, first=(layout, None))
+                  ranges + [(3.0, 3.0, (), ())],                 # one more, invalid
+                  [(3.0, 3.0, (), ())] + ranges):                # an invalid first
+        kept, direct = _kept_and_direct(other)
+        assert kept == direct
+    assert kept[0] == "need finite a < b, got (3.0, 3.0)" and not kept[1]
+    kept, direct = _kept_and_direct(ranges + [(3.0, 3.0, (), ())])
+    assert kept[0] == direct[0] and kept[1]
+    # singular points and breakpoints outside a range never enter its layout
+    same = [(0.0, 1.0, [0.3, 1.7], [1.5]), (1.0, 2.0, [0.3], [0.5, 1.5])]
+    layout = FirstPass(same)
+    assert layout.pts == FirstPass(ranges).pts
+    assert all(map(np.array_equal, layout.cuts, FirstPass(ranges).cuts))
+    assert _kept_and_direct(same) == _kept_and_direct(ranges)
 
 
-def test_a_first_pass_of_other_breakpoints_raises():
-    # the same ends and singular points, breakpoints that cut other pieces: a
-    # kept layout serves only the ranges it was laid out for, never cut again
+def test_a_kept_first_pass_of_breakpoints_gives_their_bits():
+    # the same ends and singular points, breakpoints that cut other pieces
+    # (one an ulp off another layout's): each kept layout gives its own
+    # ranges the bits of the tuples
+    for left, right in (([0.5], [1.25, 1.5]), ([0.5], [1.25]), ([0.6], [1.25, 1.5]),
+                        ((), [1.25, 1.5]), ([np.nextafter(0.5, 1.0)], [1.25, 1.5]),
+                        ([0.5, 0.7], [1.25, 1.5])):
+        kept, direct = _kept_and_direct([(0.0, 1.0, [0.3], left), (1.0, 2.0, (), right)])
+        assert kept == direct
+    # repeated, unsorted or outside the range, the same breakpoints lay out
+    # the same cuts, and drive the same bits
     ranges = [(0.0, 1.0, [0.3], [0.5]), (1.0, 2.0, (), [1.25, 1.5])]
-    layout = FirstPass(ranges)
-    for left, right in (([0.5], [1.25]), ([0.6], [1.25, 1.5]), ((), [1.25, 1.5]),
-                        ([np.nextafter(0.5, 1.0)], [1.25, 1.5]), ([0.5, 0.7], [1.25, 1.5])):
-        other = [(0.0, 1.0, [0.3], left), (1.0, 2.0, (), right)]
-        with pytest.raises(ValueError, match="first pass of other ranges"):
-            integrate_ranges(_smooth, other, CFG, first=(layout, None))
-    # repeated, unsorted or outside the range, the same breakpoints are these ranges'
     same = [(0.0, 1.0, [0.3], [0.5, 0.5, 1.25]), (1.0, 2.0, (), [1.5, 1.25, 0.5])]
-    assert [_bits(r) for r in integrate_ranges(_smooth, same, CFG, first=(layout, None))] \
-        == [_bits(r) for r in integrate_ranges(_smooth, ranges, CFG)]
+    assert all(map(np.array_equal, FirstPass(same).cuts, FirstPass(ranges).cuts))
+    assert _kept_and_direct(same) == _kept_and_direct(ranges)
 
 
 def test_a_breakpoint_an_ulp_inside_a_panel_edge_cuts_no_sliver():
@@ -1212,7 +1291,7 @@ def _two_step(monkeypatch, f, ranges):
     settled pool by pool up to the first that raises (the pools after it
     dropped).  Returns the outcome (see _outcome) and the pools refinement
     starts from, as _drive_pools records them."""
-    cuts, refine, pools = quadrature._graded(ranges)[1], quadrature._refine, []
+    cuts, refine, pools = FirstPass(ranges).cuts, quadrature._refine, []
 
     def pieces(pool, c):
         keep, lo, hi = [], [], []
@@ -1403,9 +1482,10 @@ def test_first_values_keep_a_nan_node_error():
         return (factor(x) if given is None else given) * (1.0 + index) + np.abs(x - 0.5)
 
     errors = []
-    for first in (None, (FirstPass(ranges), _per_range_inputs(ranges, factor, {0, 1}))):
+    for given, inputs in ((ranges, None),
+                          (FirstPass(ranges), _per_range_inputs(ranges, factor, {0, 1}))):
         with pytest.raises(IntegrandEvaluationError) as info:
-            integrate_ranges(f, ranges, CFG, first=first)
+            integrate_ranges(f, given, CFG, inputs)
         errors.append((str(info.value), info.value.location))
     assert errors[0] == errors[1] and errors[0][1] == bad
 
@@ -1423,7 +1503,7 @@ def test_first_values_grade_into_an_inf_node():
     plain = integrate_ranges(f, ranges, CFG)
     assert plain[0].is_finite
     assert plain[0].value == pytest.approx(2.0 * (math.sqrt(c) + math.sqrt(1.0 - c)), rel=1e-7)
-    given = integrate_ranges(f, ranges, CFG, first=(FirstPass(ranges), first))
+    given = integrate_ranges(f, FirstPass(ranges), CFG, first)
     assert [_bits(r) for r in given] == [_bits(r) for r in plain]
 
 

@@ -716,27 +716,27 @@ def test_second_sequence_reads_layout_aux_from_the_kept_store(two_tent, p2, monk
         seen.append((sys._getframe(2).f_code.co_name, state["first"], np.array(x, dtype=float)))
         return call(self, x)
 
-    def driving(f, ranges, cfg=None, first=None):
-        def g(x, index, *inputs):
-            state["first"] = bool(inputs)
-            out = f(x, index, *inputs)
+    def driving(f, layout, cfg=None, inputs=None):
+        def g(x, index, *given):
+            state["first"] = bool(given)
+            out = f(x, index, *given)
             state["first"] = False
             return out
-        drives.append((ranges, first))
-        return drive(g, ranges, cfg, first)
+        drives.append((layout, inputs))
+        return drive(g, layout, cfg, inputs)
 
     monkeypatch.setattr(AuxWeight, "__call__", recording)
     monkeypatch.setattr(spaces, "integrate_ranges", driving)
     second = build_approx_sequence(u, w, aux, st_, p2, h_max=32, cfg=CFG)
     monkeypatch.undo()
     # u keeps its relaxed value: the member drive is the only one
-    (ranges, (layout, inputs)), = drives
+    (layout, inputs), = drives
     ambient = np.array([v is not None for v in inputs])
     assert ambient.sum() == len(first.members) * len(aux.parts)
     px, pindex = layout.nodes(pieces=True)
-    for r, v, n in zip(ranges, inputs, layout.sizes):
+    for pts, v, n in zip(layout.pts, inputs, layout.sizes):
         if v is not None:  # the store's prefix at the layout nodes, the same bits
-            k = [(part.base.lo, part.base.hi) for part in aux.parts].index(r[:2])
+            k = [(part.base.lo, part.base.hi) for part in aux.parts].index((pts[0], pts[-1]))
             assert _same_bits(v[:n], kept[k][:n]) and v.size > n
     # one aux call before the drive, at the ambient ranges' pieces; the rest
     # from the integrand's refinement rounds; the store is as it was
