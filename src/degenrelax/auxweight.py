@@ -48,8 +48,8 @@ integral C between the query and the midpoint in one of two ways.
 Either way the build gives every plateau, branch limit and bound.  An
 evaluation is one sorted search, then per zone kind one vectorized pass:
 the masses, a Chebyshev sum, or one batched sigma call per 1,152 panels
-(quadrature._MAX_REQUEST).  The density drives' first pass over its own
-ranges, aux^(p-1) and w there are kept once per AuxWeight (first_pass, samples).
+(quadrature._MAX_REQUEST).  An AuxWeight also holds, as long as it lives,
+what the density drives of its chain keep (kept); spaces alone reads it.
 """
 
 from __future__ import annotations
@@ -62,8 +62,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .degeneracy import DegeneracyInterval, DegeneracyStructure
-from .quadrature import (DEFAULT_CONFIG, FirstPass, QuadratureConfig, _NODES, _eval_panels,
-                         integrate_ranges)
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _NODES, _eval_panels, integrate_ranges
 from .weights import Exponent, Weight, sorted_unique
 
 
@@ -525,13 +524,8 @@ class AuxWeight:
     intervals, and the left interval's endpoint value where two touch.  It
     reads one zone table, made on the first query; a branch's zones are laid
     in on the first query that lands in it, so left queries fit no right one.
-
-    It also keeps, as long as it lives, what every u of its chain shares in
-    a density drive over its own ranges (own_ranges): per term kinds the
-    drive's quadrature.FirstPass (first_pass), and per term kind one store,
-    aux^(p-1) or w at every node of its first request (samples).  A later
-    u's drive of the same terms derives no first pass and calls neither aux
-    nor w there; any other ambient drive reads the store's layout nodes."""
+    `kept` is one dict per chain, which the density drives of spaces fill
+    and read (see spaces.density_integrals); this class never looks in it."""
 
     def __init__(self, weight: Weight, p: Exponent, structure: DegeneracyStructure,
                  parts: list, cfg: QuadratureConfig):
@@ -542,8 +536,7 @@ class AuxWeight:
         self.cfg = cfg
         self.sigma = weight.transform(p)
         self._zones: Optional[_AuxTable] = None  # made on the first query
-        self._passes: dict = {}   # first_pass' layouts, by their term kinds
-        self._samples: dict = {}  # samples' stores, by term kind (True: ambient)
+        self.kept: dict = {}  # what its chain's density drives keep (spaces): opaque here
 
     def _table(self) -> _AuxTable:
         if self._zones is None:
@@ -553,45 +546,6 @@ class AuxWeight:
     def ambient_weight(self, x) -> np.ndarray:
         """aux(x)^(p-1), the weight of the ambient L^p norm."""
         return np.asarray(self(x), dtype=float) ** (self.exponent.p - 1.0)
-
-    def own_ranges(self, kinds: tuple) -> list:
-        """This weight's own ranges, one structure term per entry of `kinds`:
-        an ambient term (True) over the parts (lo, hi, ()), an energy term
-        (False) over the structure intervals graded into the removable zeros,
-        all cut at the kinks of w and the ambient ones at the quarter points."""
-        removables = [info.location for info in self.structure.removable_zeros]
-        kinks = self.weight.breakpoints()
-        return [(part.base.lo, part.base.hi, () if amb else removables,
-                 np.concatenate((kinks, (part.q1, part.q3))) if amb else kinks)
-                for amb in kinds for part in self.parts]
-
-    def first_pass(self, kinds: tuple) -> tuple:
-        """(layout, inputs) for integrate_ranges in a drive over
-        own_ranges(kinds): the drive's quadrature.FirstPass, derived on the
-        first drive of these kinds and kept, and per range its kind's store
-        (samples), sampled at this layout's nodes if it is the first."""
-        layout = self._passes.get(kinds)
-        if layout is None:
-            layout = self._passes[kinds] = FirstPass(self.own_ranges(kinds))
-        n = len(self.parts)
-        for t, amb in enumerate(kinds):
-            if amb not in self._samples:  # one call at the nodes of this kind's first term
-                x, index = layout.nodes()
-                lo, hi = np.searchsorted(index, [t * n, t * n + n])
-                values = np.asarray((self.ambient_weight if amb else self.weight)(x[lo:hi]),
-                                    dtype=float)
-                self._samples[amb] = np.split(
-                    values, np.bincount(index[lo:hi] - t * n, minlength=n).cumsum())[:-1]
-        return layout, [s for amb in kinds for s in self._samples[amb]]
-
-    def samples(self, ambient: bool) -> list:
-        """The store of one term kind: aux^(p-1) (ambient) or w at every node
-        of the first request of own_ranges((ambient,)), its layout nodes then
-        its pieces', one array per part, sampled in one call on first use
-        (by first_pass) and kept."""
-        if ambient not in self._samples:
-            self.first_pass((ambient,))
-        return self._samples[ambient]
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

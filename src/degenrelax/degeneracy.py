@@ -87,8 +87,9 @@ class DegeneracyStructure:
 
 
 def _golden_min(f, lo: float, hi: float) -> float:
-    """Golden-section minimum of a unimodal-ish scalar function, in at most
-    90 steps."""
+    """Golden-section minimum of a unimodal-ish scalar function: at most 90
+    steps, stopping once the bracket is 4 ulps wide (a relative stop, free of
+    where the domain lies)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -103,7 +104,7 @@ def _golden_min(f, lo: float, hi: float) -> float:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
-        if b - a <= 1e-13 * max(abs(a), abs(b), 1.0):
+        if b - a <= 4.0 * math.ulp(max(abs(a), abs(b))):
             break
     return 0.5 * (a + b)
 

@@ -33,11 +33,11 @@ plans are evaluated in one request, and each pool takes its share.
 A FirstPass object holds the first pass of some ranges, laid out once
 (graded points, the padded layout of every gap, the pieces the breakpoints
 cut, the first request's panels).  A caller that drives the same ranges
-again and again keeps it and hands it to integrate_ranges in their place,
-with, per range, inputs of f at every node of its first request, read in
-that request only: such a drive lays out no first pass and cuts nothing,
-and a factor of the integrand that the drives share (aux^(p-1) in the
-ambient norms, w in the energies) is sampled once.
+again and again (spaces, for the density drives of one chain) keeps it and
+hands it to integrate_ranges in their place, with, per range, None or
+inputs of f at every node of its first request, read in that request only:
+such a drive lays out no first pass and cuts nothing, and a factor of the
+integrand that the drives share (aux^(p-1), w) is sampled once.
 
 classify_endpoint_integrability() answers the one-sided question "is
 w^(-1/(p-1)) integrable next to z" through the Weight interface alone: by

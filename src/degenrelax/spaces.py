@@ -23,14 +23,13 @@ term (should that joint drive raise, the ambient norm drives again,
 alone): asked in a battery's order (ambient norm, seminorm, Poincare
 check, relaxed value), only the ambient norm drives.  Asked first, the
 relaxed value and the Poincare check each drive their two terms.  The
-pointwise and extension checks keep nothing.  A drive over the auxiliary
-weight's own ranges, of functions without breakpoints, takes its first
-pass from it, with aux^(p-1) and w at every node of its first request,
-kept per chain (AuxWeight.first_pass): every later u's drive of the same
-terms derives no first pass and calls neither aux nor w at any node of
-its first request.  Any other drive with ambient terms reads aux^(p-1) at
-its layout nodes from the same store (AuxWeight.samples) and calls aux at
-its pieces once.
+pointwise and extension checks keep nothing.  This module alone knows the
+chain's ranges (the aux parts, and the structure intervals of aux), so it
+keeps in aux.kept the first pass of the chain's own drives (of functions
+without breakpoints) and aux^(p-1) and w at its nodes: a later u's drive of
+the same terms builds no range, lays out nothing and calls neither aux nor
+w in its first request.  Any other drive reads those stores at the layout
+nodes of its ranges on the chain's layout (_first_request).
 A sampled u (tag "Grid") has no seminorm: its energy is divergent(inf) in
 every question.  Every result is that of one plain drive per term, bit
 for bit.
@@ -39,7 +38,7 @@ for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -317,103 +316,119 @@ def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
     the list of its ranges' IntegralResults.
 
     A term ("energy", fn, ranges) integrates |fn'|^p w over the given
-    ranges (see energy_ranges); a term ("ambient", fn, shifts) integrates
+    ranges, or over energy_ranges(fn, w, ranges) when `ranges` is a
+    DegeneracyStructure; a term ("ambient", fn, shifts) integrates
     |fn - c_k|^p aux^(p-1) over aux_ranges(fn, aux), c_k = shifts[k] on part
     k (a scalar shift holds on every part).  Energy terms use p = pp,
     ambient ones aux's exponent.  The energy of a sampled fn (tag "Grid")
     is divergent(inf) on each range, none of them integrated.
 
-    The ranges make one drive, in term order, and nothing is kept here.  A
-    NaN raises as it would in one drive per term made in that order, and
-    every result is that drive's bit for bit.  Each integrand call evaluates
-    w once for all energy nodes and aux once for all ambient nodes, but some
-    drives hand integrate_ranges a FirstPass in place of their ranges, with
-    inputs that the first request reads: one over aux's own ranges alone
-    (aux.own_ranges, w = aux.weight, no fn with breakpoints) the layout aux
-    keeps per chain (aux.first_pass()), with aux^(p-1) and w at every node;
-    any other with ambient terms its own (_ambient_first), with aux^(p-1)
-    from aux.samples at the layout nodes and from one aux call at the
-    pieces.  There an ambient term of an fn that an earlier one has reads u
-    from it, at the same nodes.
+    The ranges make one drive, in term order.  A NaN raises as it would in
+    one drive per term made in that order, and every result is that
+    drive's bit for bit.  Each integrand call evaluates w once for all
+    energy nodes and aux once for all ambient nodes, save where its first
+    request reads them from the chain's stores (_first_request).
     """
-    answers, todo, ranges, bounds, parts, first_term = [], [], [], [], [], {}
+    answers, todo, bounds = [], [], [0]
     for kind, fn, arg in terms:
         amb = kind == "ambient"
-        rs = aux_ranges(fn, aux) if amb else list(arg)
+        n = (len(aux.parts) if amb else
+             len(arg.intervals) if isinstance(arg, DegeneracyStructure) else len(arg))
         if not amb and fn.tag == "Grid":
-            answers.append([IntegralResult.divergent(math.inf)] * len(rs))
+            answers.append([IntegralResult.divergent(math.inf)] * n)
             continue
-        todo.append((fn, amb, np.asarray(arg, dtype=float) if amb else None,
-                     first_term.setdefault(id(fn), len(todo)) if amb else None))
-        bounds.append(len(ranges))
-        ranges += rs
-        parts += range(len(rs)) if amb else [None] * len(rs)  # an ambient range's aux part
-        answers.append(slice(bounds[-1], len(ranges)))
-    bounds.append(len(ranges))  # bounds: each driven term's first range, the end
-    kinds = tuple(amb for _, amb, *_ in todo)
-    # a drive over aux's own ranges alone: no fn cuts them at breakpoints of its own
-    own = (aux is not None and w is aux.weight and not any(t[0].breakpoints for t in todo)
-           and [r[:3] for r in ranges] == [r[:3] for r in aux.own_ranges(kinds)])
-    layout, inputs = (aux.first_pass(kinds) if own and ranges else
-                      _ambient_first(ranges, parts, aux) if any(k is not None for k in parts)
-                      else (ranges, None))
+        # on the chain's layout: an ambient range, or an energy range over aux's own structure
+        on = amb or (aux is not None and arg is aux.structure and w is aux.weight)
+        todo.append((fn, amb, np.asarray(arg, dtype=float) if amb else arg, on))
+        bounds.append(bounds[-1] + n)  # bounds: each driven term's first range, the end
+        answers.append(slice(bounds[-2], bounds[-1]))
+    if not bounds[-1]:
+        return [[] if isinstance(a, slice) else a for a in answers]
 
-    # a later ambient term of an fn has the first one's ranges, so in the first
-    # request the same nodes, in the same order: it reads u there from that term
-    kept_u = {src: [] for t, (*_, src) in enumerate(todo) if src not in (None, t)}
-    read = {}  # per later term, its nodes read so far
+    def ranges(of=todo):  # the terms' ranges, built only where a drive lays out its first pass
+        return [r for fn, amb, arg, _ in of for r in (
+            aux_ranges(fn, aux) if amb else
+            energy_ranges(fn, w, arg) if isinstance(arg, DegeneracyStructure) else arg)]
+
+    def density(amb, v, weight):
+        return mass_values(v, weight, aux.exponent.p) if amb else energy_values(v, weight, pp)
 
     def f(x, index, weight=None):  # weight: the first request's inputs
         # the nodes come in range order (integrate_ranges), so each term's are one slice
         cut = np.searchsorted(index, bounds).tolist() if len(todo) > 1 else [0, x.size]
-        at, v = ([], []), ([], [])  # per kind (energy, ambient): the terms' slices and values
-        for t, ((fn, amb, c, src), b, lo, hi) in enumerate(zip(todo, bounds, cut, cut[1:])):
+        out, rest = np.empty(x.size), ([], [])  # rest: per kind (energy, ambient), slices, values
+        for (fn, amb, c, on), b, lo, hi in zip(todo, bounds, cut, cut[1:]):
             if lo < hi:
                 s = slice(lo, hi)
-                at[amb].append(s)
-                if not amb:
-                    v[0].append(fn.d(x[s]))
-                    continue
-                if weight is not None and src != t:  # the first term's u, read in order
-                    r = read[t] = read.get(t, 0) + hi - lo
-                    uv = np.concatenate(kept_u[src])[r - (hi - lo):r]
+                v = fn(x[s]) - (c if c.ndim == 0 else c[index[s] - b]) if amb else fn.d(x[s])
+                if weight is not None and on:  # its inputs
+                    out[s] = density(amb, v, weight[s])
                 else:
-                    uv = fn(x[s])
-                    if weight is not None and src in kept_u:
-                        kept_u[src].append(uv)
-                v[1].append(uv - (c if c.ndim == 0 else c[index[s] - b]))
-        out = np.empty(x.size)
-        for amb in (0, 1):
-            if at[amb]:
-                if weight is not None and (amb or own):  # the inputs, term by term
-                    pairs = [(s, vs, weight[s]) for s, vs in zip(at[amb], v[amb])]
-                else:  # one call of aux or w for all terms of a kind
-                    s = at[amb][0] if len(at[amb]) == 1 else np.r_[tuple(at[amb])]
-                    pairs = [(s, np.concatenate(v[amb]) if len(v[amb]) > 1 else v[amb][0],
-                              (aux.ambient_weight if amb else w)(x[s]))]
-                for s, vs, ws in pairs:
-                    out[s] = mass_values(vs, ws, aux.exponent.p) if amb else \
-                        energy_values(vs, ws, pp)
+                    rest[amb].append((s, v))
+        for amb, pairs in enumerate(rest):  # one call of aux or w for all terms of a kind
+            if pairs:
+                s = pairs[0][0] if len(pairs) == 1 else np.r_[tuple(s for s, _ in pairs)]
+                v = pairs[0][1] if len(pairs) == 1 else np.concatenate([v for _, v in pairs])
+                out[s] = density(amb, v, (aux.ambient_weight if amb else w)(x[s]))
         return out
 
-    res = integrate_ranges(f, layout, cfg, inputs) if ranges else []
+    layout, inputs = _first_request(todo, ranges, bounds, aux)
+    res = integrate_ranges(f, layout, cfg, inputs)
     return [res[a] if isinstance(a, slice) else a for a in answers]
 
 
-def _ambient_first(ranges: list, parts: list, aux: AuxWeight) -> tuple:
-    """(layout, inputs) for integrate_ranges in a drive whose ranges are not
-    aux's own: their FirstPass, and per ambient range (parts: its aux part,
-    None for an energy range) aux^(p-1) at its layout nodes, which its ends
-    alone set, from aux's store, then at its pieces, from one aux call for
-    all."""
-    layout = FirstPass(ranges)
-    kept = aux.samples(True)
+def _first_request(todo: list, ranges: Callable[[], list], bounds: list,
+                   aux: Optional[AuxWeight]) -> tuple:
+    """(layout, inputs) for integrate_ranges in a drive of the terms todo,
+    (fn, ambient, arg, on) each, over ranges() (term t's from bounds[t]).
+    A range on the chain's layout (on) reads the nodes of its layout, which
+    its ends and singular points alone set, from its kind's store
+    (_kept_pass).  The chain's own drive (every range on the layout, no fn
+    with breakpoints) reads its pieces' there too, takes the kept FirstPass
+    of its kinds and builds no range; any other drive reads them from one
+    aux call and one w call before it.  Any other range gets None.
+    """
+    on = [t[3] for t in todo]
+    if not any(on):
+        return ranges(), None
+    kinds = tuple(amb for _, amb, *_ in todo)
+    if all(on) and not any(fn.breakpoints for fn, *_ in todo):
+        return _kept_pass(aux, kinds, ranges), [s for amb in kinds for s in aux.kept[amb]]
+    layout = FirstPass(ranges())
+    kind, part = [], []  # per range: its kind when on the layout (else None), its aux part
+    for (fn, amb, arg, on_t), b, e in zip(todo, bounds, bounds[1:]):
+        kind += [amb if on_t else None] * (e - b)
+        part += range(e - b)
+        if on_t and amb not in aux.kept:  # the chain's ranges of this kind: fn's, uncut
+            bare = [(replace(fn, breakpoints=()), amb, arg, on_t)]
+            _kept_pass(aux, (amb,), lambda: ranges(bare))
     x, index = layout.nodes(pieces=True)
-    on = np.array([k is not None for k in parts[:len(layout.pts)]])[index]
-    split = np.bincount(index[on], minlength=len(layout.pts)).cumsum()
-    pieces = np.split(aux.ambient_weight(x[on]), split)[:-1]
-    return layout, [None if k is None else np.concatenate((kept[k][:n], piece))
-                    for k, n, piece in zip(parts, layout.sizes, pieces)]
+    code = np.array([-1 if k is None else k for k in kind[:len(layout.pts)]])[index]
+    fresh = {}  # per kind on the layout, its ranges' inputs at their pieces
+    for amb in {k for k in kind if k is not None}:
+        at = code == amb
+        values = np.asarray((aux.ambient_weight if amb else aux.weight)(x[at]), dtype=float)
+        fresh[amb] = np.split(values, np.bincount(index[at], minlength=len(layout.pts)).cumsum())
+    return layout, [None if k is None else np.concatenate((aux.kept[k][j][:n], fresh[k][r]))
+                    for r, (k, j, n) in enumerate(zip(kind, part, layout.sizes))]
+
+
+def _kept_pass(aux: AuxWeight, kinds: tuple, ranges: Callable[[], list]) -> FirstPass:
+    """The chain's own FirstPass of these term kinds (True: ambient), laid
+    out from ranges() on first use and kept in aux.kept with each kind's
+    store: aux^(p-1) or w at every node of the first request of the kind's
+    ranges, one array per aux part, sampled in one call at the nodes of the
+    kind's first term (the terms of one kind share their nodes)."""
+    layout = aux.kept[kinds] = aux.kept.get(kinds) or FirstPass(ranges())
+    n = len(aux.parts)
+    for t, amb in enumerate(kinds):
+        if amb not in aux.kept:
+            x, index = layout.nodes()
+            lo, hi = np.searchsorted(index, [t * n, t * n + n])
+            values = np.asarray((aux.ambient_weight if amb else aux.weight)(x[lo:hi]), dtype=float)
+            aux.kept[amb] = np.split(
+                values, np.bincount(index[lo:hi] - t * n, minlength=n).cumsum())[:-1]
+    return layout
 
 
 def _structure_terms(u: TestFunction, asked: Sequence[str], w: Weight,
@@ -440,7 +455,7 @@ def _structure_terms(u: TestFunction, asked: Sequence[str], w: Weight,
         return (term, cfg, pp if term == "energy" else None, *map(id, held[term]))
 
     def spec(term):
-        return (("energy", u, energy_ranges(u, w, structure)) if term == "energy" else
+        return (("energy", u, structure) if term == "energy" else
                 ("ambient", u, 0.0 if term == "ambient" else _mid_values(u, aux)))
 
     todo = [term for term in asked if key(term) not in u._memo]
@@ -695,7 +710,7 @@ def ac_extension_check(u: TestFunction, w: Weight, aux: AuxWeight,
     u_mid = float(u(np.array([iv.mid]))[0])
     step = signed.value if signed.is_finite else math.nan  # divergent: u has no limit there
     ext = u_mid - step if side == "left" else u_mid + step
-    ok = (math.isfinite(holder_lhs)
-          and holder_lhs <= holder_rhs * (1.0 + 1e-8) + 1e-10
+    # both sides scale as u: a purely relative slack keeps the verdict free of units
+    ok = (math.isfinite(holder_lhs) and holder_lhs <= holder_rhs * (1.0 + 1e-8)
           and math.isfinite(ext))
     return ExtensionCheck(side, holder_lhs, holder_rhs, float(ext), bool(ok))

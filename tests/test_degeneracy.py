@@ -216,11 +216,6 @@ def test_a_log_corrected_zero_has_its_value():
     assert st_.intervals[0].lo_class.value == pytest.approx(1.0 / math.log(4.0), rel=1e-6)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "FOUND: the golden search stops at 1e-13 * max(|a|, |b|, 1), so on a domain far "
-    "from 0 the zero is placed off by ~1.6e-8 and its exponents drift: 2.0118/1.9891 "
-    "at c = 1e6 and 1.9967/2.0034 at c = -3e5, where c = 0 gives 2 +- 2e-8 "
-    "(ROADMAP item 6)"))
 @pytest.mark.parametrize("c", [1e6, -3e5])
 def test_a_shifted_zero_keeps_its_exponents(c):
     w = ClosedFormWeight(fn=lambda x: np.abs(x - c - 0.3) ** 2, domain=Interval(c, c + 1.0))

@@ -350,6 +350,21 @@ def test_extension_check_equals_three_separate_integrals(figure1_chain):
     assert chk.extension_value.hex() == (u_mid - signed.value).hex()
 
 
+def test_the_extension_verdict_is_free_of_the_units_of_u(figure1_chain, p2):
+    # with the left end's class value halved, holder_lhs / holder_rhs reads
+    # 1.2513 for u = c x whatever c is, so the verdict must not move with c
+    w, st_, _ = figure1_chain
+    iv = st_.intervals[0]
+    halved = replace(iv, lo_class=replace(iv.lo_class, value=0.5 * iv.lo_class.value))
+    st_half = replace(st_, intervals=(halved, *st_.intervals[1:]))
+    aux = build_aux_weight(w, p2, st_half, CFG)
+    checks = [ac_extension_check(poly_function([0.0, c]), w, aux, st_half, 0, "left", CFG)
+              for c in (1e-12, 1.0, 1e12)]
+    assert all(chk.holder_lhs / chk.holder_rhs == pytest.approx(1.2513, rel=1e-4)
+               for chk in checks)
+    assert [chk.ok for chk in checks] == [False] * 3
+
+
 def test_extension_refused_at_divergent_edge(figure1_chain, p2):
     w, st_, aux = figure1_chain
     u = poly_function([0.0, 1.0])
@@ -1089,9 +1104,18 @@ def _plain_drives(monkeypatch):
     its range tuples and no inputs, so the drive lays out its own first pass
     and the integrand evaluates aux and w at every node, and an aux weight
     keeps no first pass and no samples."""
-    monkeypatch.setattr(AuxWeight, "first_pass",
-                        lambda self, kinds: (self.own_ranges(kinds), None))
-    monkeypatch.setattr(spaces, "_ambient_first", lambda ranges, parts, aux: (ranges, None))
+    monkeypatch.setattr(spaces, "_first_request",
+                        lambda todo, ranges, bounds, aux: (ranges(), None))
+
+
+def _kept_layouts(aux):
+    """The kept first passes of aux's chain, by their term kinds (True: ambient)."""
+    return {key: val for key, val in aux.kept.items() if isinstance(key, tuple)}
+
+
+def _kept_stores(aux):
+    """The kept sample stores of aux's chain, by term kind (True: ambient)."""
+    return {key: val for key, val in aux.kept.items() if not isinstance(key, tuple)}
 
 
 def _ambient_bits(u, w, aux, st_, p):
@@ -1106,10 +1130,10 @@ def test_ambient_samples_change_no_bit(sampled_chain, monkeypatch):
     aux = build_aux_weight(w, p, st_, CFG)
     us = _test_functions(w)
     got = [_ambient_bits(u, w, aux, st_, p) for u in us + us]  # first and repeated calls
-    samples = aux.samples(True)
+    samples = aux.kept[True]
     # one array per part: aux^(p-1) at every first-request node of its own range
     assert len(samples) == len(aux.parts)
-    for r, weight in zip(aux.own_ranges((True,)), samples):
+    for r, weight in zip(spaces.aux_ranges(us[0], aux), samples):
         x, _ = quadrature.FirstPass([r]).nodes()
         assert _same_bits(weight, aux.ambient_weight(x))
     if name == "cascade":  # the first pass is more than one request
@@ -1118,7 +1142,7 @@ def test_ambient_samples_change_no_bit(sampled_chain, monkeypatch):
     _plain_drives(monkeypatch)
     plain = build_aux_weight(w, p, st_, CFG)
     assert [_ambient_bits(u, w, plain, st_, p) for u in us + us] == got
-    assert plain._samples == {} and plain._passes == {}
+    assert _kept_stores(plain) == {} and _kept_layouts(plain) == {}
 
 
 def test_no_integrand_call_exceeds_one_request():
@@ -1139,7 +1163,7 @@ def test_no_integrand_call_exceeds_one_request():
     v = TestFunction(fn=recording(u.fn), deriv=recording(u.deriv), tag="C1")
     poincare_global_check(v, w, aux, st_, p, CFG)
     relaxed_functional(v, w, aux, st_, p, CFG)
-    assert sum(weight.size for weight in aux.samples(True)) > 15 * quadrature._MAX_REQUEST
+    assert sum(weight.size for weight in aux.kept[True]) > 15 * quadrature._MAX_REQUEST
     assert max(sizes) <= 15 * quadrature._MAX_REQUEST
 
 
@@ -1168,10 +1192,10 @@ def test_second_ambient_drive_calls_aux_at_no_first_pass_node(figure1_chain, mon
     # the samples are one aux call at every first-request node of aux's own
     # ranges: their layout nodes, then the pieces that the quarter points
     # and the kinks of w cut from them
-    x, _ = quadrature.FirstPass(aux.own_ranges((True,))).nodes()
-    assert seen[0][:2] == ("first_pass", False) and np.array_equal(seen[0][2], x)
+    x, _ = quadrature.FirstPass(spaces.aux_ranges(first, aux)).nodes()
+    assert seen[0][:2] == ("_kept_pass", False) and np.array_equal(seen[0][2], x)
     assert all(c == "f" and not in_first for c, in_first, _ in seen[1:])
-    assert _same_bits(np.concatenate(aux.samples(True)), aux.ambient_weight(x))
+    assert _same_bits(np.concatenate(aux.kept[True]), aux.ambient_weight(x))
     seen.clear()
     norm = lp_aux_norm(second, aux, CFG)
     # the second drive calls aux only in its refinement rounds
@@ -1221,15 +1245,15 @@ def test_a_chain_keeps_its_first_pass_and_changes_no_bit(sampled_chain, monkeypa
     got = _chain_bits(us, w, st_, aux, p)
     # the structure drives' first passes: the battery's order, then the
     # reverse order's relaxed value and its shifted term alone
-    assert set(aux._passes) == {(True, False, True), (True, False), (True,)}
-    assert set(aux._samples) == {True, False}
-    assert len(aux.samples(True)) == len(aux.samples(False)) == len(aux.parts)
+    assert set(_kept_layouts(aux)) == {(True, False, True), (True, False), (True,)}
+    assert set(_kept_stores(aux)) == {True, False}
+    assert len(aux.kept[True]) == len(aux.kept[False]) == len(aux.parts)
     # the same questions with plain drives: every first pass laid out, and
     # aux and w evaluated at every node
     _plain_drives(monkeypatch)
     plain = build_aux_weight(w, p, st_, CFG)
     assert _chain_bits(us, w, st_, plain, p) == got
-    assert plain._passes == {} and plain._samples == {}
+    assert _kept_layouts(plain) == {} and _kept_stores(plain) == {}
 
 
 def test_second_drive_calls_w_at_no_first_pass_node(figure1_chain, monkeypatch):
@@ -1240,7 +1264,7 @@ def test_second_drive_calls_w_at_no_first_pass_node(figure1_chain, monkeypatch):
 
     def recording(self, x):  # w's calls from the integrand and from the kept samples
         caller = sys._getframe(1).f_code.co_name
-        if caller in ("f", "first_pass"):
+        if caller in ("f", "_kept_pass"):
             seen.append((caller, np.array(x, dtype=float)))
         return call(self, x)
 
@@ -1252,14 +1276,14 @@ def test_second_drive_calls_w_at_no_first_pass_node(figure1_chain, monkeypatch):
     # ranges' first-pass nodes in one call; the integrand reads those samples
     assert len(layouts) == 1
     x, _ = quadrature.FirstPass(spaces.energy_ranges(first, w, st_)).nodes()
-    assert [c for c, _ in seen].count("first_pass") == 1 and np.array_equal(seen[0][1], x)
+    assert [c for c, _ in seen].count("_kept_pass") == 1 and np.array_equal(seen[0][1], x)
     assert all(not np.isin(y, x).any() for c, y in seen if c == "f")
-    assert _same_bits(np.concatenate(aux.samples(False)), np.asarray(call(w, x), dtype=float))
+    assert _same_bits(np.concatenate(aux.kept[False]), np.asarray(call(w, x), dtype=float))
     seen.clear()
     layouts.clear()
     lp_aux_norm(second, aux, CFG)
     later = np.concatenate([y for _, y in seen])
-    assert layouts == [] and [c for c, _ in seen].count("first_pass") == 0
+    assert layouts == [] and [c for c, _ in seen].count("_kept_pass") == 0
     assert later.size and not np.isin(later, x).any()
     # the energy read from that drive is a plain drive's, bit for bit
     plain = seminorm_energy(replace(second), w, st_, p, CFG)  # no aux: a drive of its own
@@ -1272,9 +1296,9 @@ def test_the_chain_memo_dies_with_its_aux_weight(figure1_chain):
     aux = build_aux_weight(w, Exponent(2.0), st_, CFG)
     u = _test_functions(w)[0]
     lp_aux_norm(u, aux, CFG)
-    layout, = aux._passes.values()
+    layout, = _kept_layouts(aux).values()
     assert layout.pieces[0].size  # the kept samples hold the pieces' too
-    kept = (aux, layout, aux.samples(False)[0], aux.samples(True)[0])
+    kept = (aux, layout, aux.kept[False][0], aux.kept[True][0])
     refs = [weakref.ref(obj) for obj in kept]
     del aux, layout, u, kept  # u's memo holds the aux weight its terms were integrated against
     gc.collect()
@@ -1297,7 +1321,7 @@ def test_second_drive_calls_aux_and_w_at_no_node_of_its_first_request(name, monk
     aux = build_aux_weight(w, p, st_, CFG)
     second, first = _test_functions(w)
     lp_aux_norm(first, aux, CFG)
-    layout = aux._passes[(True, False, True)]
+    layout = aux.kept[(True, False, True)]
     x, index = layout.nodes()
     n = len(aux.parts)
     energy = (index >= n) & (index < 2 * n)
@@ -1327,50 +1351,98 @@ def test_second_drive_calls_aux_and_w_at_no_node_of_its_first_request(name, monk
     assert _bits(norm) == _bits(sum(plain, IntegralResult.finite(0.0, 0.0)))
 
 
-def test_the_joint_drive_evaluates_u_once_per_node_of_its_first_request(figure1_chain,
-                                                                       monkeypatch):
-    # the ambient and the shifted term integrate over the same ranges, so
-    # their first requests share every node: u is evaluated there once
-    w, st_, _ = figure1_chain
-    aux = build_aux_weight(w, Exponent(2.0), st_, CFG)
-    points, first = [], []
-
-    def drive(f, ranges, cfg=None, inputs=None):
-        def g(x, index, *given):
-            before = len(points)
-            out = f(x, index, *given)
-            if given:  # a call of the first request
-                first.append(sum(points[before:]))
-            return out
-        return integrate_ranges(g, ranges, cfg, inputs)
-
-    monkeypatch.setattr(spaces, "integrate_ranges", drive)
-    for u in _test_functions(w):
-        v = TestFunction(fn=lambda y, fn=u.fn: points.append(np.size(y)) or fn(y),
-                         deriv=u.deriv, tag="C1")
-        lp_aux_norm(v, aux, CFG)
-        layout = aux._passes[(True, False, True)]
-        n = len(aux.parts)
-        assert sum(first) == sum(layout.sizes[:n]) + sum(layout.piece_sizes[:n]) > 0
-        assert sum(points) > sum(first)  # and once per node of the refinement rounds
-        points.clear()
-        first.clear()
-
-
 def test_a_member_drive_keeps_no_first_pass(figure1_chain, p2, monkeypatch):
     w, st_, _ = figure1_chain
     aux = build_aux_weight(w, p2, st_, CFG)
     u = poly_function([0.2, 1.0, -0.5])
     relaxed_functional(u, w, aux, st_, p2, CFG)
     lp_aux_norm(u, aux, CFG)
-    kept = dict(aux._passes)
+    kept = _kept_layouts(aux)
     assert set(kept) == {(True, False)}  # the relaxed value's drive; lp_aux_norm reads it
     drives = count_drives(monkeypatch)
     build_approx_sequence(u, w, aux, st_, p2, h_max=32, cfg=CFG)
     # the member drive is the only one, and the aux weight keeps nothing of it
     assert len(drives) == 1 and len(drives[0]) > 2 * len(aux.parts)
-    assert aux._passes.keys() == kept.keys()
-    assert all(aux._passes[k] is kept[k] for k in kept)
+    assert _kept_layouts(aux).keys() == kept.keys()
+    assert all(aux.kept[k] is kept[k] for k in kept)
+
+
+def test_a_second_structure_drive_builds_no_range(figure1_chain, monkeypatch):
+    # the chain's own drive knows itself by identity: only its first drive
+    # builds range tuples (for the first pass it lays out), a later u's
+    # drive reads the kept one and cuts nothing
+    w, st_, _ = figure1_chain
+    aux = build_aux_weight(w, Exponent(2.0), st_, CFG)
+    calls = {}
+    for name in ("density_cuts", "aux_ranges", "energy_ranges"):
+        def counting(*args, orig=getattr(spaces, name), name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return orig(*args)
+        monkeypatch.setattr(spaces, name, counting)
+    second, first = _test_functions(w)
+    lp_aux_norm(first, aux, CFG)
+    # the ambient and shifted terms' ranges, and the energy's; each cut per part
+    n = len(aux.parts)
+    assert calls == {"aux_ranges": 2, "energy_ranges": 1, "density_cuts": 3 * n}
+    calls.clear()
+    lp_aux_norm(second, aux, CFG)
+    seminorm_energy(second, w, st_, Exponent(2.0), CFG)  # read from the drive above
+    assert calls == {}
+
+
+def test_an_energy_over_the_chain_structure_reads_w_from_its_store(monkeypatch):
+    # u with breakpoints of its own: its energy over aux.structure is on the
+    # chain's layout but not the chain's own drive.  On a fresh chain the
+    # drive first samples the store (w at every first-request node of the
+    # chain's energy ranges, uncut by u); then its layout nodes read w from
+    # the store, and w is called, before the drive, exactly at the pieces
+    # that u's breakpoints and the kinks of w cut
+    p = Exponent(2.0)
+    w = _sampled_weight("removable", p.p)
+    st_ = detect_structure(w, p, CFG)
+    aux = build_aux_weight(w, p, st_, CFG)
+    spline = _test_functions(w)[0]
+    u = replace(spline, breakpoints=(0.2, 0.55, 0.7))
+    seen, drives, state = [], [], {"first": False}
+    call, drive = type(w).__call__, spaces.integrate_ranges
+
+    def recording(self, x):
+        seen.append((sys._getframe(1).f_code.co_name, state["first"], np.array(x, dtype=float)))
+        return call(self, x)
+
+    def driving(f, layout, cfg=None, inputs=None):
+        def g(x, index, *given):
+            state["first"] = bool(given)
+            out = f(x, index, *given)
+            state["first"] = False
+            return out
+        drives.append((layout, inputs))
+        return drive(g, layout, cfg, inputs)
+
+    monkeypatch.setattr(type(w), "__call__", recording)
+    monkeypatch.setattr(spaces, "integrate_ranges", driving)
+    for v in (u, replace(u, breakpoints=(0.3, 0.45))):  # a fresh chain, then a kept store
+        seen.clear()
+        drives.clear()
+        got, = spaces.density_integrals([("energy", v, st_)], w, p.p, aux, CFG)
+        (layout, inputs), = drives
+        if v is u:  # the store: w at the first-request nodes of the chain's own ranges
+            (caller, in_first, x), *seen = seen
+            own, _ = quadrature.FirstPass(spaces.energy_ranges(spline, w, st_)).nodes()
+            assert caller == "_kept_pass" and not in_first and np.array_equal(x, own)
+            assert _same_bits(np.concatenate(aux.kept[False]), np.asarray(call(w, x), dtype=float))
+        assert len(inputs) == len(aux.parts) and layout.pieces[0].size
+        for given, kept, n in zip(inputs, aux.kept[False], layout.sizes):
+            assert _same_bits(given[:n], kept[:n])  # the store's layout nodes, their bits
+        (caller, in_first, x), *rest = seen
+        assert caller == "_first_request" and not in_first
+        assert np.array_equal(x, layout.nodes(pieces=True)[0])
+        assert all(c == "f" and not in_first for c, in_first, _ in rest)
+        # a plain drive's results, bit for bit
+        with monkeypatch.context() as plain_only:
+            _plain_drives(plain_only)
+            plain, = spaces.density_integrals([("energy", replace(v), st_)], w, p.p, aux, CFG)
+        assert [_bits(r) for r in got] == [_bits(r) for r in plain]
 
 
 def test_poly_function_matches_numpy_polyval():

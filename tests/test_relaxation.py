@@ -707,7 +707,7 @@ def test_second_sequence_reads_layout_aux_from_the_kept_store(two_tent, p2, monk
     aux = build_aux_weight(w, p2, st_, CFG)
     u = poly_function([0.2, 1.0, -0.5])
     first = build_approx_sequence(u, w, aux, st_, p2, h_max=32, cfg=CFG)
-    store = aux.samples(True)
+    store = aux.kept[True]
     kept = [a.copy() for a in store]
     seen, drives, state = [], [], {"first": False}
     call, drive = AuxWeight.__call__, spaces.integrate_ranges
@@ -741,10 +741,10 @@ def test_second_sequence_reads_layout_aux_from_the_kept_store(two_tent, p2, monk
     # one aux call before the drive, at the ambient ranges' pieces; the rest
     # from the integrand's refinement rounds; the store is as it was
     (caller, in_first, x), *rest = seen
-    assert caller == "_ambient_first" and not in_first
+    assert caller == "_first_request" and not in_first
     assert np.array_equal(x, px[ambient[pindex]])
     assert rest and all(c == "f" and not in_first for c, in_first, _ in rest)
-    assert aux.samples(True) is store and all(map(_same_bits, store, kept))
+    assert aux.kept[True] is store and all(map(_same_bits, store, kept))
     assert [(m.x_err.hex(), m.f_value.hex()) for m in second.members] == \
         [(m.x_err.hex(), m.f_value.hex()) for m in first.members]
 
