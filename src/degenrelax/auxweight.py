@@ -18,10 +18,10 @@ derivative identity  d/dx aux = +- aux^2 * sigma  (+ on the left branch,
 - on the right: the left branch grows, the right one decays).
 
 An AuxWeight evaluates one flat table over the whole line, a sorted list
-of zones (_AuxTable).  Endpoints, plateaus and the gaps between intervals
-are constant zones; each outer branch is a slot until the first query that
-lands in it splices in the branch's own zones, which hold the running
-integral C between the query and the midpoint in one of two ways.
+of zones (_AuxTable), built whole on its first query and never changed.
+Endpoints, plateaus and the gaps between intervals are constant zones; each
+outer branch has its own zones, which hold the running integral C between
+the query and the midpoint in one of two ways.
 
 * ExactBranch, for a weight with closed-form sigma masses
   (Weight.sigma_masses: piecewise power and grid weights).  build_aux_weight
@@ -30,8 +30,8 @@ integral C between the query and the midpoint in one of two ways.
   those knots outward from the midpoint.  Each segment of a branch is an
   exact zone: C at its knot nearer the midpoint plus the mass back to x.
 * BranchTable, for any other weight.  One lockstep drive (integrate_ranges)
-  integrates sigma over the quarter spans.  A branch's first query
-  tabulates C at the nodes of a graded mesh, one batch of Kronrod panels:
+  integrates sigma over the quarter spans.  The table's build tabulates
+  each branch's C at the nodes of a graded mesh, one batch of Kronrod panels:
   eleven nodes per halving of d (the distance from the endpoint) down to
   float resolution, nodes closing in on each removable zero (the segments
   touching one are one ulp wide, see _sliver_nodes) and a node on each other
@@ -106,7 +106,7 @@ def _series_matrices() -> tuple[np.ndarray, np.ndarray]:
 _ANTIDERIVATIVE, _SLOPE = _series_matrices()  # (16, 15), (15, 15)
 _N_TERMS = _ANTIDERIVATIVE.shape[0]
 
-_CONST, _CHEB, _BELOW, _PANEL, _EXACT, _SLOT = range(6)  # zone kinds; _SLOT: a branch not yet built
+_CONST, _CHEB, _BELOW, _PANEL, _EXACT = range(5)  # zone kinds
 
 
 class _Branch:
@@ -127,10 +127,10 @@ class _Branch:
 class BranchTable(_Branch):
     """C(d) for one outer branch of a weight without sigma masses, d the
     distance from the endpoint: the graded mesh (d_mesh, up to d_max, the
-    quarter point) and C at its nodes (c_nodes), tabulated on first access as
-    one batch of Kronrod panels summed onto c_at_dmax.  A segment sigma is not
-    integrable on, or an anchor that is not positive, raises ArithmeticError
-    on every access."""
+    quarter point) and C at its nodes (c_nodes), tabulated on first access
+    (the aux table's build) as one batch of Kronrod panels summed onto
+    c_at_dmax.  A segment sigma is not integrable on, or an anchor that is not
+    positive, raises ArithmeticError on every access."""
 
     sigma: object                 # transform callable
     endpoint: float
@@ -320,58 +320,40 @@ class _AuxTable:
     _BELOW     log d at a node     log-log slope        log C at that node
     _PANEL     outer node          -                    C at the outer node
     _EXACT     its anchor knot, x  -                    C at that knot
-    _SLOT      -                   -                    its index in the layout
     =========  ==================  ===================  ==========================
 
-    A branch is one _SLOT zone until the first query that lands in it
-    (`zone`) splices in its rows: once every branch was queried, the table
-    equals one built whole."""
+    Built whole, every branch's rows at once, and never changed after."""
 
     def __init__(self, layout):
         """`layout`: in ascending x, constant zones as (start, value) and outer
         branches as (branch, x_lo, x_hi), all of one weight: panel zones read
-        their sigma and cfg, exact zones their masses."""
-        self._layout = list(layout)
-        br = next((item[0] for item in self._layout if isinstance(item[0], _Branch)), None)
+        their sigma and cfg, exact zones their masses.  ArithmeticError if
+        their zones overlap; a branch that cannot be built raises its error."""
+        layout = list(layout)
+        br = next((head for head, *_ in layout if isinstance(head, _Branch)), None)
         self.sigma, self.cfg, self.masses = (getattr(br, key, None)
                                              for key in ("sigma", "cfg", "masses"))
-        # one zone per layout item to start with: a constant, or a branch's slot
-        zones = np.array([(item[1], _SLOT, 0, 0, 0, 0, k) if isinstance(item[0], _Branch)
-                          else (item[0], _CONST, 0, 0, 0, 0, item[1])
-                          for k, item in enumerate(self._layout)], dtype=float).T
-        self._join([(zones[:, k:k + 1], _NO_SERIES) for k in range(zones.shape[1])])
-
-    def _join(self, pieces: list) -> None:
-        """Lay out the (columns, series) of each layout item as the table;
-        ArithmeticError, with nothing changed, if their zones overlap."""
+        pieces = [head.rows(*rest) if isinstance(head, _Branch)
+                  else (np.array([[head, _CONST, 0, 0, 0, 0, *rest]], dtype=float).T, _NO_SERIES)
+                  for head, *rest in layout]
         cols = np.concatenate([piece[0] for piece in pieces], axis=1)
         if np.any(np.diff(cols[0]) < 0.0):
             raise ArithmeticError("auxiliary weight zones overlap")
         self.start, kind, self.ep, self.sgn, self.d_ref, self.scale, self.c_ref = cols
         self.kind = kind.astype(np.int8)
-        self._unbuilt = bool(np.any(self.kind == _SLOT))
-        self._pieces = pieces if self._unbuilt else None  # kept only while a slot is left
         # Chebyshev zone i keeps its series in column row[i], one row per term
         self.row = (np.cumsum(self.kind == _CHEB) - 1).astype(np.int32)
         self.series = np.ascontiguousarray(np.concatenate([piece[1] for piece in pieces]).T)
 
     def zone(self, x: np.ndarray) -> np.ndarray:
-        """The zone of each x, once every branch that one lands in is built."""
-        z = np.searchsorted(self.start, x, side="right") - 1
-        hit = sorted_unique(self.c_ref[z[self.kind[z] == _SLOT]]) if self._unbuilt else ()
-        if len(hit):
-            pieces = list(self._pieces)
-            for k in hit.astype(int):
-                pieces[k] = self._layout[k][0].rows(*self._layout[k][1:])
-            self._join(pieces)
-            z = np.searchsorted(self.start, x, side="right") - 1
-        return z
+        """The zone of each x."""
+        return np.searchsorted(self.start, x, side="right") - 1
 
     def values(self, z: np.ndarray, x: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Auxiliary weight at x, at distance d from the endpoint of its zone z."""
         kind = self.kind[z]
         out = self.c_ref[z]
-        present = np.bincount(kind, minlength=_SLOT + 1)  # the kinds to read
+        present = np.bincount(kind, minlength=_EXACT + 1)  # the kinds to read
         if present[_CHEB]:
             sel = np.nonzero(kind == _CHEB)[0]
             zs = z[sel]
@@ -522,8 +504,8 @@ class AuxWeight:
 
     Callable on scalars or arrays; zero off the closure of the structure
     intervals, and the left interval's endpoint value where two touch.  It
-    reads one zone table, made on the first query; a branch's zones are laid
-    in on the first query that lands in it, so left queries fit no right one.
+    reads one zone table, built whole on the first query: a branch that
+    cannot be built fails that query, wherever it lands, and every later one.
     `kept` is one dict per chain, which the density drives of spaces fill
     and read (see spaces.density_integrals); this class never looks in it."""
 
@@ -577,7 +559,7 @@ def build_aux_weight(w: Weight, p: Exponent, structure: DegeneracyStructure,
                      cfg: Optional[QuadratureConfig] = None) -> AuxWeight:
     """Construct the auxiliary weight for a previously detected structure:
     ExactBranches for a weight with sigma_masses, else BranchTables, whose
-    meshes (and their errors) wait for the first query that lands in each.
+    meshes (and their errors) wait for the aux weight's first query.
     A quarter span that diverges raises ArithmeticError."""
     cfg = cfg or DEFAULT_CONFIG
     if structure.p != p.p:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -57,7 +58,7 @@ class Exponent:
     p: float
 
     def __post_init__(self):
-        if not (isinstance(self.p, (int, float)) and math.isfinite(self.p) and self.p > 1.0):
+        if not (isinstance(self.p, numbers.Real) and math.isfinite(self.p) and self.p > 1.0):
             raise WeightSpecError(f"exponent p must satisfy 1 < p < inf, got {self.p!r}")
         object.__setattr__(self, "p", float(self.p))
 
@@ -307,11 +308,12 @@ class PiecewisePowerWeight(Weight):
                  truncated: bool = False):
         self.domain = domain
         ps = sorted(pieces, key=lambda q: q.lo)
+        tol = 1e-12 * domain.width  # how far a piece may pass its domain or its neighbour
         for q in ps:
-            if q.lo < domain.lo - 1e-12 or q.hi > domain.hi + 1e-12:
+            if q.lo < domain.lo - tol or q.hi > domain.hi + tol:
                 raise WeightSpecError(f"piece ({q.lo}, {q.hi}) outside domain {domain}")
         for qa, qb in zip(ps, ps[1:]):
-            if qb.lo < qa.hi - 1e-12 * domain.width:
+            if qb.lo < qa.hi - tol:
                 raise WeightSpecError(f"pieces overlap near x={qb.lo}")
         self.pieces: tuple[PowerPiece, ...] = tuple(ps)
         self.family = family
@@ -529,8 +531,7 @@ class GridSampledWeight(Weight):
             raise WeightSpecError("grid weight needs a strictly increasing 1-d grid with >= 2 nodes")
         if v.shape != x.shape or np.any(~np.isfinite(v)):
             raise WeightSpecError("grid weight values must be finite and match the grid")
-        vmax = float(np.max(v)) if v.size else 0.0
-        if np.any(v < -1e-12 * max(vmax, 1.0)):
+        if np.any(v < -1e-12 * np.max(v)):
             raise WeightSpecError("grid weight has significantly negative samples")
         self.x = x
         self.values = np.maximum(v, 0.0)
@@ -619,7 +620,16 @@ def weight_from_csv(path: str) -> GridSampledWeight:
 # the parameters each spec family takes, and those of a piecewise_power piece
 _SPEC_KEYS = {"figure1": (), "power": ("alpha",), "cascade": ("alpha", "bumps"),
               "grid": ("csv", "x", "w"), "piecewise_power": ("domain", "pieces")}
-_PIECE_KEYS = ("lo", "hi", "scale", "pivot", "exponent")
+# (a piece's keys are PowerPiece's arguments, in order, with their defaults)
+_PIECE_KEYS = {"lo": None, "hi": None, "scale": 1.0, "pivot": None, "exponent": 0.0}
+
+
+def _spec_float(value, what: str) -> float:
+    """float(value), or WeightSpecError naming the family and key (`what`)."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise WeightSpecError(f"{what} must be a number, got {value!r}") from None
 
 
 def _check_keys(spec: dict, allowed: tuple, what: str) -> None:
@@ -635,8 +645,8 @@ def _check_keys(spec: dict, allowed: tuple, what: str) -> None:
 def weight_from_spec(spec: dict, p: Optional[Exponent] = None) -> Weight:
     """Build a weight from its JSON-style dict specification.
 
-    A key that the family (or a piecewise_power piece) does not take raises
-    WeightSpecError, as does a cascade `bumps` that is not an integer."""
+    WeightSpecError for a key the family (or a piecewise_power piece) does not
+    take, a value that is no number where one belongs, or a non-integer bumps."""
     if not isinstance(spec, dict) or "family" not in spec:
         raise WeightSpecError(f"weight spec must be a dict with a 'family' key, got {spec!r}")
     family = spec["family"]
@@ -646,14 +656,14 @@ def weight_from_spec(spec: dict, p: Optional[Exponent] = None) -> Weight:
     if family == "figure1":
         return builtin_figure1()
     if family == "power":
-        return builtin_power(spec.get("alpha", 0.0))
+        return builtin_power(_spec_float(spec.get("alpha", 0.0), "power alpha"))
     if family == "cascade":
         if p is None:
             raise WeightSpecError("cascade weight needs the run exponent p for validation")
-        bumps = float(spec.get("bumps", 8))
+        bumps = _spec_float(spec.get("bumps", 8), "cascade bumps")
         if not bumps.is_integer():
             raise WeightSpecError(f"cascade bumps must be an integer, got {spec['bumps']!r}")
-        return builtin_cascade(spec.get("alpha", 2.0), p, int(bumps))
+        return builtin_cascade(_spec_float(spec.get("alpha", 2.0), "cascade alpha"), p, int(bumps))
     if family == "grid":
         if "csv" in spec:
             return weight_from_csv(spec["csv"])
@@ -667,10 +677,11 @@ def weight_from_spec(spec: dict, p: Optional[Exponent] = None) -> Weight:
     if not isinstance(pieces, list):
         raise WeightSpecError(f"piecewise_power 'pieces' must be a list, got {pieces!r}")
     for q in pieces:
-        _check_keys(q, _PIECE_KEYS, "a piecewise_power piece")
-    pieces = [PowerPiece(float(q["lo"]), float(q["hi"]), float(q.get("scale", 1.0)),
-                         float(q["pivot"]), float(q.get("exponent", 0.0))) for q in pieces]
-    return PiecewisePowerWeight(Interval(float(dom[0]), float(dom[1])), pieces)
+        _check_keys(q, tuple(_PIECE_KEYS), "a piecewise_power piece")
+    pieces = [PowerPiece(*(_spec_float(q.get(key, default), f"piecewise_power piece {key}")
+                           for key, default in _PIECE_KEYS.items())) for q in pieces]
+    lo, hi = (_spec_float(v, "piecewise_power domain") for v in dom)
+    return PiecewisePowerWeight(Interval(lo, hi), pieces)
 
 
 def parse_weight_arg(text: str, p: Optional[Exponent] = None) -> Weight:

@@ -389,7 +389,7 @@ def test_kinked_grid_segments_match_the_cell_closed_form(pv):
                 x = br.endpoint + br.sgn * d
                 ref = [1.0 / _cell_mass(xs, ws, q, min(t, mid), max(t, mid)) for t in x]
                 np.testing.assert_allclose(aux(x), ref, rtol=1e-13)
-        # every branch has been queried, so the table is whole
+        # the whole table holds no panel (or exact) zone
         assert not np.any(aux._table().kind >= auxweight._PANEL)
 
 
@@ -444,12 +444,12 @@ def test_tabulated_power_weight_needs_no_sigma(pv):
         vals = aux(np.random.default_rng(0).uniform(0.0, 1.0, 10_000))
         assert exact.sigma_calls == 0
         assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
-        # the table path: once a query in each branch built both, its
+        # the table path: once the first query built the table, its
         # Chebyshev and below-mesh zones evaluate no sigma either
         w = _counting(_NoPrimitive)(fn=exact, domain=exact.domain, family=exact.family, of=exact)
         aux = build_aux_weight(w, p, detect_structure(w, p, CFG), CFG)
         assert aux._zones is None and isinstance(aux.parts[0].left, auxweight.BranchTable)
-        aux([0.1, 0.9])
+        aux(0.1)
         built = w.sigma_calls
         tab = aux(np.random.default_rng(0).uniform(0.0, 1.0, 10_000))
         assert w.sigma_calls == built
@@ -467,7 +467,6 @@ def test_jump_at_a_piece_end_inside_a_branch_is_a_mesh_node():
     x = np.linspace(0.001, 0.249, 500)
     mass = np.where(x < 0.13, 0.13 - x + 0.37 / 3.0, (0.5 - x) / 3.0)
     np.testing.assert_allclose(aux(x), 1.0 / mass, rtol=1e-13)
-    aux(0.9)  # the right branch too: the table is whole
     assert not np.any(aux._table().kind >= auxweight._PANEL)
 
 
@@ -513,10 +512,10 @@ def test_branch_values_outlive_their_aux(figure1, p2):
     np.testing.assert_array_equal(part.left.values(d), first)
 
 
-def test_left_queries_fit_no_right_branch(monkeypatch):
+def test_cascade_sums_mesh_no_branch(monkeypatch):
     # cascade_partial_sums integrates aux over each bump's first quarter
-    # only: each left branch lays out its exact zones once, no right branch
-    # ever, and no branch is meshed
+    # only; its branches are exact: the first query lays out each branch's
+    # zones once, left and right, and no branch is meshed
     fitted, meshed = [], []
     fit, mesh = auxweight.ExactBranch.rows, auxweight._branch_mesh
 
@@ -531,7 +530,7 @@ def test_left_queries_fit_no_right_branch(monkeypatch):
     monkeypatch.setattr(auxweight.ExactBranch, "rows", counting)
     monkeypatch.setattr(auxweight, "_branch_mesh", counting_mesh)
     rep = cascade_partial_sums(3.0, Exponent(2.0), 6, CFG)
-    assert len(rep.terms) == 6 and fitted == [1.0] * 6 and meshed == []
+    assert len(rep.terms) == 6 and fitted == [1.0, -1.0] * 6 and meshed == []
 
 
 def _lazy_cases():
@@ -559,8 +558,7 @@ def test_build_and_bounds_mesh_no_branch(monkeypatch, w, p):
 
 
 def _eager_tables(w, p, parts):
-    """Every branch's (d_mesh, c_nodes, plain, d_max) as build_aux_weight made
-    them before each branch waited for its first query: the segments of all
+    """Every branch's (d_mesh, c_nodes, plain, d_max), the segments of all
     branches one batch of panels.  The bit-for-bit reference."""
     branches = [br for part in parts for br in (part.left, part.right)]
     meshes = [auxweight._branch_mesh(br.endpoint, br.mid, br.removables, br.kinks)
@@ -589,10 +587,11 @@ def _with_tables(parts, tables):
 
 @pytest.mark.parametrize("w, p", _lazy_cases())
 def test_branches_built_in_any_order_give_one_table(w, p):
-    # aux at seeded points, the branch tabulations and the finished table do
-    # not depend on which branches the first queries land in: left first,
-    # right first, or all at once, each from a fresh build; the reference is
-    # the table built whole from the eager batch of all branches' panels
+    # the first query builds every branch, wherever it lands (in the first
+    # left branch or the last right one, each on a fresh build): the branch
+    # tabulations and the table equal the reference, the table built whole
+    # from the eager batch of all branches' panels, and so does aux at
+    # seeded points
     st_ = detect_structure(w, p, CFG)
     rng = np.random.default_rng(11)
     parts = build_aux_weight(w, p, st_, CFG).parts
@@ -602,43 +601,39 @@ def test_branches_built_in_any_order_give_one_table(w, p):
     eager = _eager_tables(w, p, parts)
     eager_parts = _with_tables(parts, eager)
     whole = auxweight._AuxTable(auxweight._whole_line(eager_parts, st_.touching))
-    whole.zone(whole.start)
     want = AuxWeight(w, p, st_, eager_parts, CFG)(x)
-    left = np.zeros(x.shape, dtype=bool)
-    right = np.zeros(x.shape, dtype=bool)
-    for part in parts:
-        left |= (x > part.base.lo) & (x < part.q1)
-        right |= (x > part.q3) & (x < part.base.hi)
-    for first in (left, right, np.ones(x.shape, dtype=bool)):
+    in_first_left = 0.5 * (parts[0].base.lo + parts[0].q1)
+    in_last_right = 0.5 * (parts[-1].q3 + parts[-1].base.hi)
+    for first in (in_first_left, in_last_right):
         aux = build_aux_weight(w, p, st_, CFG)
-        aux(x[first])
-        got = aux(x)
-        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        aux(first)
+        assert all("_tabulated" in br.__dict__ for part in aux.parts for br in (part.left, part.right))
         branches = [br for part in aux.parts for br in (part.left, part.right)]
         for br, tab in zip(branches, eager):
             for got_k, want_k in zip((br.d_mesh, br.c_nodes, br.plain, br.d_max), tab):
                 assert np.asarray(got_k).tobytes() == np.asarray(want_k).tobytes()
         table = aux._table()
-        assert not np.any(table.kind == auxweight._SLOT)
         for key in ("start", "kind", "ep", "sgn", "d_ref", "scale", "c_ref", "row", "series"):
             np.testing.assert_array_equal(getattr(table, key), getattr(whole, key))
+        np.testing.assert_array_equal(aux(x).view(np.int64), want.view(np.int64))
 
 
-def test_overlapping_branch_zones_raise_on_their_first_query(figure1, p2):
-    # a branch whose zones come out of order in x cannot be spliced in: its
-    # first query raises, leaves the table as it was, and so does the next;
-    # the other branches are unaffected
+def test_overlapping_branch_zones_raise_on_every_query(figure1, p2):
+    # a branch whose zones come out of order in x leaves no table to build:
+    # every query raises, wherever it lands, keeps no table, and so does the
+    # next; once the branch is mended the same aux reads a fresh build's values
     st_ = detect_structure(figure1, p2, CFG)
     aux = build_aux_weight(figure1, p2, st_, CFG)
     part = aux.parts[0]
     zones = part.left.zones_by_distance()
     part.left.zones_by_distance = lambda: {**zones, "d_start": zones["d_start"][::-1].copy()}
     inside = part.base.lo + 0.5 * (part.q1 - part.base.lo)
-    for _ in range(2):
-        with pytest.raises(ArithmeticError, match="zones overlap"):
-            aux(inside)
-        assert np.count_nonzero(aux._table().kind == auxweight._SLOT) == 2 * len(aux.parts)
     right = part.base.hi - 0.5 * (part.base.hi - part.q3)
+    for x in (inside, right, aux.parts[-1].base.hi, inside):
+        with pytest.raises(ArithmeticError, match="zones overlap"):
+            aux(x)
+        assert aux._zones is None
+    del part.left.zones_by_distance
     assert aux(right) == build_aux_weight(figure1, p2, st_, CFG)(right)
 
 
@@ -749,7 +744,8 @@ def test_grid_zero_at_the_origin_fails_fast():
     # every node of the deepest branch segments; grading into such a panel
     # once shows that its bad node is no isolated spike.  The quarter spans
     # are finite, so the build and its bounds succeed; the branch left of 0
-    # fails on its first query, and on every later one
+    # cannot be built, so the first query fails, wherever it lands, and so
+    # does every later one
     xs = np.linspace(-1.0, 1.0, 33)
     w = tabled(GridSampledWeight(xs, np.abs(xs) ** 2 * (1.0 + 0.2 * np.cos(5.0 * xs))))
     p = Exponent(1.5)
@@ -765,9 +761,9 @@ def test_grid_zero_at_the_origin_fails_fast():
         bounds = aux_global_bounds(aux)
         assert math.isfinite(bounds.sup) and math.isfinite(bounds.inf)
         assert all(math.isfinite(v) for b in bounds.per_interval for v in b)
-        for _ in range(2):
+        for x in (-1e-3, 0.5, -1e-3):
             with pytest.raises(ArithmeticError, match=r"non-finite at x=.*across a whole panel"):
-                aux(-1e-3)
+                aux(x)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

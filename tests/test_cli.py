@@ -225,6 +225,22 @@ def test_input_errors_exit_two_with_their_message(tmp_path, args, message):
     assert out.stderr.startswith("error: ") and message in out.stderr
 
 
+@pytest.mark.parametrize("spec", [
+    {"family": "power", "alpha": None},
+    {"family": "cascade", "alpha": 2, "bumps": [8]},
+    {"family": "piecewise_power", "domain": [0, 1], "pieces": [{"lo": 0, "hi": 1, "pivot": None}]},
+    {"family": "piecewise_power", "domain": [None, 1], "pieces": []},
+], ids=["power-alpha-null", "cascade-bumps-list", "piece-pivot-null", "domain-null"])
+def test_a_json_spec_value_that_is_no_number_exits_two(tmp_path, spec):
+    # bad input, not a failed check: one error line and no traceback
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(spec))
+    out = run_cli("analyze", "--weight", str(path), check=False)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and len(out.stderr.splitlines()) == 1
+    assert "must be a number" in out.stderr and "Traceback" not in out.stderr
+
+
 def test_u_outside_the_relaxed_domain_exits_two():
     # logdist is outside the relaxed domain: approx refuses it as bad input
     out = run_cli("approx", "--weight", "figure1", "--u", "logdist", check=False)

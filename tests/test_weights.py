@@ -28,9 +28,16 @@ from degenrelax import quadrature
 
 
 def test_exponent_rejects_bad_values():
-    for bad in (1.0, 0.5, 0.0, -2.0, math.inf, math.nan):
+    for bad in (1.0, 0.5, 0.0, -2.0, math.inf, math.nan, np.float32(0.5), np.int64(1),
+                np.float64(math.inf), "2", None, True):
         with pytest.raises(WeightSpecError):
             Exponent(bad)
+
+
+def test_exponent_accepts_numpy_real_scalars():
+    for good in (np.int64(2), np.float32(2.0), np.float64(2.0), np.int8(3), 2, 2.0):
+        p = Exponent(good)
+        assert type(p.p) is float and p.p == float(good)
 
 
 @pytest.mark.parametrize("make, message", [
@@ -440,6 +447,57 @@ def test_weight_arg_rejects_what_it_would_ignore(text):
     # and a fractional bump count was truncated
     with pytest.raises(WeightSpecError):
         parse_weight_arg(text, Exponent(2.0))
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-12, 1e-3, 1.0, 1e12, 1e13])
+def test_grid_negative_sample_check_is_free_of_units(scale):
+    # a dip of 1e-10 of the peak below 0 is significant at every scale; one
+    # of 1e-13 of the peak is rounding, clipped to 0
+    xs = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(WeightSpecError, match="significantly negative"):
+        GridSampledWeight(xs, scale * np.array([1.0, 0.5, -1e-10, 0.5, 1.0]))
+    w = GridSampledWeight(xs, scale * np.array([1.0, 0.5, -1e-13, 0.5, 1.0]))
+    assert w.values[2] == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+def test_piece_domain_check_is_free_of_units(scale):
+    # a piece 1.5 times as wide as its domain is outside it at every scale;
+    # one past the domain by 1e-13 of its width is not
+    dom = Interval(0.0, scale)
+    with pytest.raises(WeightSpecError, match="outside domain"):
+        PiecewisePowerWeight(dom, [PowerPiece(0.0, 1.5 * scale, 1.0, 0.0, 1.0)])
+    w = PiecewisePowerWeight(dom, [PowerPiece(0.0, scale * (1.0 + 1e-13), 1.0, 0.0, 1.0)])
+    assert len(w.pieces) == 1
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"family": "power", "alpha": None}, "power alpha must be a number, got None"),
+    ({"family": "cascade", "alpha": 2, "bumps": [8]}, "cascade bumps must be a number, got [8]"),
+    ({"family": "cascade", "alpha": {}, "bumps": 8}, "cascade alpha must be a number, got {}"),
+    ({"family": "piecewise_power", "domain": [0, 1], "pieces": [{"lo": 0, "hi": 1, "pivot": None}]},
+     "piecewise_power piece pivot must be a number, got None"),
+    ({"family": "piecewise_power", "domain": [0, 1], "pieces": [{"hi": 1, "pivot": 0}]},
+     "piecewise_power piece lo must be a number, got None"),
+    ({"family": "piecewise_power", "domain": [None, 1], "pieces": []},
+     "piecewise_power domain must be a number, got None"),
+    ({"family": "power", "alpha": "two"}, "power alpha must be a number, got 'two'"),
+], ids=["power-alpha-null", "cascade-bumps-list", "cascade-alpha-object", "piece-pivot-null",
+        "piece-lo-missing", "domain-null", "power-alpha-word"])
+def test_weight_spec_value_that_is_no_number_names_its_key(spec, message):
+    with pytest.raises(WeightSpecError, match=re.escape(message)):
+        weight_from_spec(spec, Exponent(2.0))
+
+
+def test_weight_spec_takes_what_float_takes():
+    # numeric strings and booleans stay accepted, as float() reads them
+    p = Exponent(2.0)
+    assert weight_from_spec({"family": "power", "alpha": "1.5"}).spec_dict() == \
+        builtin_power(1.5).spec_dict()
+    assert weight_from_spec({"family": "power", "alpha": True}).spec_dict() == \
+        builtin_power(1.0).spec_dict()
+    assert weight_from_spec({"family": "cascade", "alpha": "3", "bumps": "4"}, p).pieces == \
+        builtin_cascade(3.0, p, 4).pieces
 
 
 def test_weight_spec_rejects_unknown_keys(tmp_path):
