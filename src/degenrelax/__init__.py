@@ -6,10 +6,10 @@ from .weights import (Exponent, Interval, Weight, ZeroInfo, ClosedFormWeight,
                       builtin_cascade, weight_from_csv,
                       weight_from_spec, parse_weight_arg)
 from .quadrature import (QuadratureConfig, IntegralResult, integrate, integrate_ranges,
-                         FirstPass, classify_endpoint_integrability,
-                         local_exponent_estimate, EndpointClass, IntegrandEvaluationError,
-                         IndeterminateIntegrabilityError, DEFAULT_CONFIG)
-from .degeneracy import DegeneracyInterval, DegeneracyStructure, detect_structure
+                         FirstPass, classify_endpoint_integrability, EndpointClass,
+                         IntegrandEvaluationError, DEFAULT_CONFIG)
+from .degeneracy import (DegeneracyInterval, DegeneracyStructure, detect_structure,
+                         local_exponent_estimate, IndeterminateIntegrabilityError)
 from .auxweight import (AuxWeight, AuxBounds, build_aux_weight,
                         derivative_identity_residual, aux_global_bounds)
 from .spaces import (TestFunction, MembershipReport, PointwiseCheck, PoincareReport,

@@ -31,8 +31,8 @@ import numpy as np
 
 from .auxweight import aux_global_bounds, build_aux_weight
 from .cascade import cascade_partial_sums
-from .degeneracy import detect_structure
-from .quadrature import DEFAULT_CONFIG, IndeterminateIntegrabilityError, IntegrandEvaluationError
+from .degeneracy import IndeterminateIntegrabilityError, detect_structure
+from .quadrature import DEFAULT_CONFIG, IntegrandEvaluationError
 from .relaxation import (UnsupportedStructureError, build_approx_sequence, original_functional,
                          relaxed_functional, verify_relaxation)
 from .spaces import (check_membership, constant_function, log_edge_function, lp_aux_norm,

@@ -14,6 +14,12 @@ ordered disjoint open intervals.  Interval boundaries arise three ways:
 Isolated zeros that are integrable from both sides are removable: they stay
 strictly inside an interval and are reported as diagnostics only.
 
+Each side of a zero, and each interval end, gets its exponent and the rule
+that found it once per detect_structure (side_exponent_rule); an estimate
+probes out to half the gap to the nearest feature at an interior zero, and
+to the half interval at a domain end or region edge.  The classifier in
+quadrature is handed that pair and only integrates.
+
 A weight without a zero set is scanned at 8,193 even points.  Runs of
 samples at or below 1e-14 times the peak are zero regions; small isolated
 sample minima are refined by golden search.  Only interior minima, and end
@@ -29,9 +35,12 @@ from typing import Optional
 
 import numpy as np
 
-from .quadrature import (DEFAULT_CONFIG, EndpointClass, QuadratureConfig,
-                         classify_endpoint_integrability, local_exponent_estimate)
+from .quadrature import EndpointClass, QuadratureConfig, classify_endpoint_integrability
 from .weights import Exponent, Weight, ZeroInfo, checked_samples, finite_peak, zero_runs
+
+
+class IndeterminateIntegrabilityError(RuntimeError):
+    """Numeric evidence sits too close to the integrable/non-integrable split to call."""
 
 
 @dataclass(frozen=True)
@@ -84,6 +93,52 @@ class DegeneracyStructure:
         wider than its 1e-12 * width tolerance, so equality decides."""
         ivs = self.intervals
         return tuple(a.hi == b.lo for a, b in zip(ivs, ivs[1:]))
+
+
+def local_exponent_estimate(w: Weight, z: float, side: int, h0: float) -> float:
+    """Least-squares slope of log w against log distance on one side of z.
+
+    Samples at distances h0 * 2^-k for k = 4 ... 20, none closer than twice
+    w.resolution_near(z) (inside one grid cell a linear interpolant always
+    looks like exponent 1).  Returns math.inf when fewer than 3 probes lie
+    inside the domain past that floor, or when fewer than 3 of them sample a
+    positive weight, i.e. vanishing faster than any power (or identically)
+    on that side.
+    """
+    d = h0 * 2.0 ** (-np.arange(4, 21).astype(float))
+    d = d[d >= 2.0 * w.resolution_near(z)]
+    x = z + side * d
+    x = x[(x > w.domain.lo) & (x < w.domain.hi)]
+    if x.size < 3:
+        return math.inf
+    vals = np.asarray(w(x), dtype=float)
+    keep = vals > 0.0
+    if np.count_nonzero(keep) < 3:
+        return math.inf
+    ld = np.log(np.abs(x[keep] - z))
+    lv = np.log(vals[keep])
+    ld, lv = ld - ld.mean(), lv - lv.mean()
+    return float(ld @ lv / (ld @ ld))
+
+
+def side_exponent_rule(w: Weight, p: Exponent, z: float, side: int,
+                       reach: float) -> tuple[float, str]:
+    """(alpha, rule): w.side_exponent ("exact-exponent"), 0 where w(z) exceeds
+    1e-10 times the weight's peak ("positive-weight"), else the estimate with
+    probes out to `reach` ("estimated-exponent"), which on a sampled weight
+    (positive w.resolution_near) raises IndeterminateIntegrabilityError
+    within 0.02 of the threshold alpha/(p-1) = 1."""
+    alpha = w.side_exponent(z, side)
+    if alpha is not None:
+        return alpha, "exact-exponent"
+    if 1e-10 * w._peak < float(np.asarray(w(np.array([z])), dtype=float)[0]) < math.inf:
+        return 0.0, "positive-weight"
+    alpha = local_exponent_estimate(w, z, side, reach)
+    if w.resolution_near(z) > 0.0 and abs((ap := p.alpha_p(alpha)) - 1.0) < 0.02:
+        raise IndeterminateIntegrabilityError(
+            f"estimated transform exponent {ap:.4f} at x={z} sits within 0.02 "
+            f"of the integrability threshold 1; refine the grid near x={z}")
+    return alpha, "estimated-exponent"
 
 
 def _golden_min(f, lo: float, hi: float) -> float:
@@ -191,9 +246,8 @@ def detect_structure(w: Weight, p: Exponent,
 
     Deterministic; calling it twice on the same weight yields identical
     structures.  Raises IndeterminateIntegrabilityError when a sampled
-    weight sits numerically on the integrability threshold at some zero.
+    weight's estimate sits on the threshold at a zero side or an interval end.
     """
-    cfg = cfg or DEFAULT_CONFIG
     dom = w.domain
     width = dom.width
     tol = 1e-12 * width
@@ -214,21 +268,14 @@ def detect_structure(w: Weight, p: Exponent,
 
     neighbors = ([dom.lo, dom.hi] + interior
                  + [r[0] for r in regions] + [r[1] for r in regions])
-    removable, splitting = [], []
+    removable, splitting, sides = [], [], {}  # sides: (zero, side) -> (alpha, rule)
     for z in interior:
-        # without a known exponent, probe out to half the gap to the nearest feature
-        h0 = 0.5 * min(abs(nb - z) for nb in neighbors if abs(nb - z) > tol)
-        e_l, e_r = w.side_exponent(z, -1), w.side_exponent(z, +1)
-        if e_l is None:
-            e_l = local_exponent_estimate(w, z, -1, h0)
-        if e_r is None:
-            e_r = local_exponent_estimate(w, z, +1, h0)
-        ap_l, ap_r = p.alpha_p(e_l), p.alpha_p(e_r)
-        info = ZeroInfo(z, e_l, e_r)
-        if ap_l >= 1.0 or ap_r >= 1.0:
-            splitting.append(info)
-        else:
-            removable.append(info)
+        reach = 0.5 * min(abs(nb - z) for nb in neighbors if abs(nb - z) > tol)
+        for side in (-1, 1):
+            sides[z, side] = side_exponent_rule(w, p, z, side, reach)
+        info = ZeroInfo(z, sides[z, -1][0], sides[z, 1][0])
+        splits = max(p.alpha_p(info.left_exponent), p.alpha_p(info.right_exponent)) >= 1.0
+        (splitting if splits else removable).append(info)
 
     # carve the domain at one sorted set of ends, keeping each span wider than
     # tol that no region covers; a splitting zero within tol of the last one
@@ -245,11 +292,12 @@ def detect_structure(w: Weight, p: Exponent,
     intervals = []
     for s_lo, s_hi in segments:
         mid = 0.5 * (s_lo + s_hi)
-        lo_cls = classify_endpoint_integrability(w, p, s_lo, mid, cfg,
-                                                 interior_singular=removable_pts)
-        hi_cls = classify_endpoint_integrability(w, p, s_hi, mid, cfg,
-                                                 interior_singular=removable_pts)
-        intervals.append(DegeneracyInterval(s_lo, s_hi, lo_cls, hi_cls))
+        classes = []
+        for z, side in ((s_lo, 1), (s_hi, -1)):  # a splitting zero's side is known
+            alpha, rule = sides.get((z, side)) or side_exponent_rule(w, p, z, side, abs(mid - z))
+            classes.append(classify_endpoint_integrability(w, p, z, mid, alpha, rule, cfg,
+                                                           interior_singular=removable_pts))
+        intervals.append(DegeneracyInterval(s_lo, s_hi, *classes))
 
     if not intervals:
         kind = "zero"

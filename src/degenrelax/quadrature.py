@@ -40,11 +40,11 @@ such a drive lays out no first pass and cuts nothing, and a factor of the
 integrand that the drives share (aux^(p-1), w) is sampled once.
 
 classify_endpoint_integrability() answers the one-sided question "is
-w^(-1/(p-1)) integrable next to z" through the Weight interface alone: by
-exact exponent arithmetic whenever w.side_exponent() knows the exponent,
-with the value from w.exact_transform_integral() when w has a closed form,
-and otherwise from an exponent estimated on samples kept outside
-w.resolution_near(), cross-checked by the graded-tail trend.
+w^(-1/(p-1)) integrable next to z" from the exponent of w there and the rule
+that found it (degeneracy finds both, once per side): the exact rule
+alpha/(p-1) >= 1, with the value from w.exact_transform_integral() when w
+has a closed form and otherwise from integrate(), whose graded-tail trend
+overrules an estimated exponent.
 """
 
 from __future__ import annotations
@@ -66,10 +66,6 @@ class IntegrandEvaluationError(RuntimeError):
     def __init__(self, message: str, location: Optional[float] = None):
         super().__init__(message)
         self.location = location
-
-
-class IndeterminateIntegrabilityError(RuntimeError):
-    """Numeric evidence sits too close to the integrable/non-integrable split to call."""
 
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].
@@ -829,74 +825,27 @@ class EndpointClass:
     local_exponent: Optional[float] = None
 
 
-def local_exponent_estimate(w: Weight, z: float, side: int, h0: float) -> float:
-    """Least-squares slope of log w against log distance on one side of z.
-
-    Samples at distances h0 * 2^-k for k = 4 ... 20, none closer than twice
-    w.resolution_near(z) (inside one grid cell a linear interpolant always
-    looks like exponent 1).  Returns math.inf when fewer than 3 probes lie
-    inside the domain past that floor, or when fewer than 3 of them sample a
-    positive weight, i.e. vanishing faster than any power (or identically)
-    on that side.
-    """
-    d = h0 * 2.0 ** (-np.arange(4, 21).astype(float))
-    d = d[d >= 2.0 * w.resolution_near(z)]
-    x = z + side * d
-    x = x[(x > w.domain.lo) & (x < w.domain.hi)]
-    if x.size < 3:
-        return math.inf
-    vals = np.asarray(w(x), dtype=float)
-    keep = vals > 0.0
-    if np.count_nonzero(keep) < 3:
-        return math.inf
-    ld = np.log(np.abs(x[keep] - z))
-    lv = np.log(vals[keep])
-    ld, lv = ld - ld.mean(), lv - lv.mean()
-    return float(ld @ lv / (ld @ ld))
-
-
 def classify_endpoint_integrability(w: Weight, p: Exponent, z: float, far: float,
-                                    cfg: Optional[QuadratureConfig] = None,
+                                    alpha: float, rule: str, cfg: Optional[QuadratureConfig] = None,
                                     interior_singular: Sequence[float] = ()) -> EndpointClass:
     """Decide whether sigma = w^(-1/(p-1)) is integrable on the span from z to far.
 
-    A known exponent (w.side_exponent) decides by the exact rule:
-    non-integrable iff the local exponent alpha satisfies alpha/(p-1) >= 1.
-    Without one the exponent is estimated from samples, and on a sampled
-    weight (positive w.resolution_near) an estimate within 0.02 of the
-    threshold is indeterminate; the decision is cross-checked by (and the
-    value taken from) the graded-tail behavior of the numeric integral.
-    The value is exact wherever w.exact_transform_integral has one.
+    alpha is the power exponent of w at z on this side, and `rule` how the
+    degeneracy module found it.  Not integrable iff alpha/(p-1) >= 1;
+    otherwise the value is w.exact_transform_integral's closed form where it
+    has one, else the numeric integral, whose graded-tail trend overrules an
+    estimated exponent ("numeric-trend") when it diverges.
 
     interior_singular lists removable zeros for the value integral to grade
     into; those not strictly between z and far are ignored (integrate_ranges).
     """
-    cfg = cfg or DEFAULT_CONFIG
     if z == far:
         raise ValueError("need z != far")
-    side = 1 if far > z else -1
-    lo, hi = (z, far) if side > 0 else (far, z)
-
-    alpha = w.side_exponent(z, side)
-    rule = "exact-exponent"
-    if alpha is None:
-        val_at = float(np.asarray(w(np.array([z])), dtype=float)[0])
-        if math.isfinite(val_at) and val_at > 1e-10 * w._peak:
-            alpha, rule = 0.0, "positive-weight"
-        else:
-            alpha = local_exponent_estimate(w, z, side, abs(far - z))
-            rule = "estimated-exponent"
-            ap_est = p.alpha_p(alpha)
-            if w.resolution_near(z) > 0.0 and abs(ap_est - 1.0) < 0.02:
-                raise IndeterminateIntegrabilityError(
-                    f"estimated transform exponent {ap_est:.4f} at x={z} sits within 0.02 "
-                    f"of the integrability threshold 1; refine the grid near x={z}")
-
-    ap = p.alpha_p(alpha)
-    if ap >= 1.0:
+    if p.alpha_p(alpha) >= 1.0:
         return EndpointClass(False, math.inf, rule, alpha)
 
     # a zero or zero region deeper in the span can still make the value diverge
+    lo, hi = min(z, far), max(z, far)
     value = w.exact_transform_integral(p, lo, hi)
     if value is None:
         if alpha == 0.0 and rule == "exact-exponent":

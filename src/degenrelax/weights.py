@@ -272,6 +272,8 @@ class PowerPiece:
             raise WeightSpecError(f"piece log2scale must be finite, got {self.log2scale}")
         if not (self.exponent > -1.0 and math.isfinite(self.exponent)):
             raise WeightSpecError(f"piece exponent must be > -1, got {self.exponent}")
+        if not math.isfinite(self.pivot):
+            raise WeightSpecError(f"piece pivot must be finite, got {self.pivot}")
         # interior zeros are not representable by one piece; split at the pivot
         if self.exponent != 0.0 and self.lo < self.pivot < self.hi:
             raise WeightSpecError(
@@ -527,8 +529,8 @@ class GridSampledWeight(Weight):
     def __init__(self, x: Sequence[float], values: Sequence[float], source: str = ""):
         x = np.asarray(x, dtype=float)
         v = np.asarray(values, dtype=float)
-        if x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0):
-            raise WeightSpecError("grid weight needs a strictly increasing 1-d grid with >= 2 nodes")
+        if x.ndim != 1 or x.size < 2 or not (np.isfinite(x).all() and np.all(np.diff(x) > 0)):
+            raise WeightSpecError("grid weight needs >= 2 finite, strictly increasing 1-d nodes")
         if v.shape != x.shape or np.any(~np.isfinite(v)):
             raise WeightSpecError("grid weight values must be finite and match the grid")
         if np.any(v < -1e-12 * np.max(v)):
@@ -632,6 +634,14 @@ def _spec_float(value, what: str) -> float:
         raise WeightSpecError(f"{what} must be a number, got {value!r}") from None
 
 
+def _spec_floats(values, what: str) -> np.ndarray:
+    """np.asarray(values, dtype=float), or WeightSpecError naming the key (`what`)."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise WeightSpecError(f"{what} must be a list of numbers, got {values!r}") from None
+
+
 def _check_keys(spec: dict, allowed: tuple, what: str) -> None:
     """WeightSpecError unless spec is a dict whose keys are all allowed."""
     if not isinstance(spec, dict):
@@ -666,9 +676,11 @@ def weight_from_spec(spec: dict, p: Optional[Exponent] = None) -> Weight:
         return builtin_cascade(_spec_float(spec.get("alpha", 2.0), "cascade alpha"), p, int(bumps))
     if family == "grid":
         if "csv" in spec:
+            if not isinstance(spec["csv"], str):  # open() would read an int as a descriptor
+                raise WeightSpecError(f"grid csv must be a path string, got {spec['csv']!r}")
             return weight_from_csv(spec["csv"])
         if "x" in spec and "w" in spec:
-            return GridSampledWeight(spec["x"], spec["w"])
+            return GridSampledWeight(*(_spec_floats(spec[k], f"grid {k}") for k in ("x", "w")))
         raise WeightSpecError("grid weight spec needs 'csv' or 'x'+'w'")
     dom = spec.get("domain")
     if not (isinstance(dom, (list, tuple)) and len(dom) == 2):

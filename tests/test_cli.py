@@ -225,20 +225,24 @@ def test_input_errors_exit_two_with_their_message(tmp_path, args, message):
     assert out.stderr.startswith("error: ") and message in out.stderr
 
 
-@pytest.mark.parametrize("spec", [
-    {"family": "power", "alpha": None},
-    {"family": "cascade", "alpha": 2, "bumps": [8]},
-    {"family": "piecewise_power", "domain": [0, 1], "pieces": [{"lo": 0, "hi": 1, "pivot": None}]},
-    {"family": "piecewise_power", "domain": [None, 1], "pieces": []},
-], ids=["power-alpha-null", "cascade-bumps-list", "piece-pivot-null", "domain-null"])
-def test_a_json_spec_value_that_is_no_number_exits_two(tmp_path, spec):
+@pytest.mark.parametrize("spec, message", [
+    ({"family": "power", "alpha": None}, "must be a number"),
+    ({"family": "cascade", "alpha": 2, "bumps": [8]}, "must be a number"),
+    ({"family": "piecewise_power", "domain": [0, 1], "pieces": [{"lo": 0, "hi": 1, "pivot": None}]},
+     "must be a number"),
+    ({"family": "piecewise_power", "domain": [None, 1], "pieces": []}, "must be a number"),
+    ({"family": "grid", "x": [0, {}], "w": [1, 1]}, "grid x must be a list of numbers"),
+    ({"family": "grid", "csv": 5}, "grid csv must be a path string"),  # not a descriptor
+], ids=["power-alpha-null", "cascade-bumps-list", "piece-pivot-null", "domain-null",
+        "grid-x-object", "grid-csv-int"])
+def test_a_json_spec_value_that_is_no_number_exits_two(tmp_path, spec, message):
     # bad input, not a failed check: one error line and no traceback
     path = tmp_path / "w.json"
     path.write_text(json.dumps(spec))
     out = run_cli("analyze", "--weight", str(path), check=False)
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr.startswith("error: ") and len(out.stderr.splitlines()) == 1
-    assert "must be a number" in out.stderr and "Traceback" not in out.stderr
+    assert message in out.stderr and "Traceback" not in out.stderr
 
 
 def test_u_outside_the_relaxed_domain_exits_two():

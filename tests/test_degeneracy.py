@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,9 +24,10 @@ from degenrelax import (
     builtin_figure1,
     builtin_power,
     detect_structure,
+    local_exponent_estimate,
     weight_from_csv,
 )
-from degenrelax import degeneracy
+from degenrelax import degeneracy, quadrature
 
 CFG = QuadratureConfig()
 
@@ -174,11 +176,6 @@ def test_one_sided_zero_splits_when_either_side_degenerates():
     assert st_.intervals[1].lo_class.integrable
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "FOUND: without metadata one side's exponent at a zero is estimated twice, with "
-    "different probes: detect_structure probes out to half the gap to the nearest "
-    "feature, classify_endpoint_integrability to the half interval, so analyze reports "
-    "1.50024 and 1.49375 for the right side of one zero (ROADMAP item 3)"))
 def test_a_zero_side_has_one_exponent():
     x = np.linspace(0.0, 1.0, 1025)
     for alpha in (1.5, 2.5):
@@ -188,6 +185,107 @@ def test_a_zero_side_has_one_exponent():
         left, right = st_.intervals
         assert left.hi_class.local_exponent == zero.left_exponent
         assert right.lo_class.local_exponent == zero.right_exponent
+
+
+def test_each_zero_side_is_estimated_once(monkeypatch):
+    # one detect_structure estimates each side of the zero once: the interval
+    # ends at the zero read its exponents, and quadrature keeps no estimator
+    assert not hasattr(quadrature, "local_exponent_estimate")
+    calls = []
+    estimate = degeneracy.local_exponent_estimate
+    monkeypatch.setattr(degeneracy, "local_exponent_estimate",
+                        lambda w, z, side, h0: calls.append((z, side)) or estimate(w, z, side, h0))
+    x = np.linspace(0.0, 1.0, 1025)
+    for alpha in (1.5, 2.5):
+        calls.clear()
+        w = GridSampledWeight(x, np.abs(x - 0.375) ** alpha * (1.0 + 0.3 * np.sin(4.0 * x)))
+        zero, = detect_structure(w, Exponent(2.0), CFG).split_zeros
+        assert calls == [(zero.location, -1), (zero.location, 1)]
+
+
+def test_local_exponent_estimate_recovers_power():
+    w = builtin_power(1.7)
+    est = local_exponent_estimate(w, 0.0, +1, 0.5)
+    assert est == pytest.approx(1.7, abs=1e-3)
+
+
+class _Probed:
+    """A weight that keeps the points it is sampled at and its values there."""
+
+    def __init__(self, w):
+        self.w, self.domain, self.seen = w, w.domain, []
+
+    def resolution_near(self, z):
+        return self.w.resolution_near(z)
+
+    def __call__(self, x):
+        vals = self.w(x)
+        self.seen.append((np.array(x), np.array(vals)))
+        return vals
+
+
+def _exponent_probe_sets(rng):
+    """(weight, zero, side, h0): a zero with exponents 0.3-3 on both sides, on
+    grids of 1k-16k cells and as closures."""
+    for k in range(40):
+        z = float(rng.uniform(-0.5, 0.5))
+        a_l, a_r = rng.uniform(0.3, 3.0, 2)
+        scale = 10.0 ** rng.uniform(-6, 6)
+
+        def fn(x, z=z, a_l=a_l, a_r=a_r, scale=scale):
+            d = x - z
+            return scale * np.abs(d) ** np.where(d < 0, a_l, a_r) * (1.0 + 0.3 * np.sin(3.0 * x))
+        if k % 2:
+            n = int(rng.choice([1024, 2048, 4096, 8192, 16384]))
+            x = np.linspace(-1.0, 1.0, n + 1)
+            z = float(x[int(np.argmin(np.abs(x - z)))])  # a zero node
+            w = GridSampledWeight(x, fn(x, z=z))
+        else:
+            w = ClosedFormWeight(fn=fn, domain=Interval(-1.0, 1.0))
+        h0 = float(rng.uniform(0.3, 0.5))
+        for side in (-1, 1):
+            yield w, z, side, h0
+
+
+def test_the_exponent_fit_is_the_least_squares_slope():
+    # the closed-form slope against np.polyfit's and against the exact
+    # least-squares slope of the same float samples
+    count = 0
+    for w, z, side, h0 in _exponent_probe_sets(np.random.default_rng(20261020)):
+        probed = _Probed(w)
+        est = local_exponent_estimate(probed, z, side, h0)
+        (x, vals), = probed.seen
+        keep = vals > 0.0
+        ld, lv = np.log(np.abs(x[keep] - z)), np.log(vals[keep])
+        assert ld.size >= 3
+        ulp = np.spacing(abs(est))
+        assert abs(est - np.polyfit(ld, lv, 1)[0]) <= 16 * ulp
+        fd, fv = [Fraction(float(t)) for t in ld], [Fraction(float(t)) for t in lv]
+        md, mv = sum(fd) / len(fd), sum(fv) / len(fv)
+        exact = (sum((a - md) * (b - mv) for a, b in zip(fd, fv))
+                 / sum((a - md) ** 2 for a in fd))
+        assert abs(est - float(exact)) <= 4 * ulp
+        count += 1
+    assert count == 80
+
+
+def test_too_few_probes_read_as_infinite():
+    # the documented contract (ROADMAP item 3 asks to answer "indeterminate"):
+    # math.inf when fewer than 3 probes lie past twice resolution_near ...
+    x = np.linspace(0.0, 1.0, 65)
+    w = GridSampledWeight(x, np.abs(x - 0.5) ** 0.5)
+    assert local_exponent_estimate(w, 0.5, +1, 0.5) == math.inf
+    probed = _Probed(w)
+    assert local_exponent_estimate(probed, 0.5, -1, 0.5) == math.inf
+    assert probed.seen == []  # decided before sampling
+    # ... and when fewer than 3 probes sample a positive weight
+    flat = ClosedFormWeight(fn=lambda x: np.where(x < 0.5, np.exp(-1.0 / (x - 0.5) ** 2), 1.0),
+                            domain=Interval(0.0, 1.0))
+    probed = _Probed(flat)
+    assert local_exponent_estimate(probed, 0.5, -1, 0.5) == math.inf
+    (x, vals), = probed.seen
+    assert x.size == 17 and np.count_nonzero(vals > 0.0) < 3
+    assert local_exponent_estimate(flat, 0.5, +1, 0.5) == 0.0
 
 
 def _log_weight(power):
@@ -232,6 +330,20 @@ def test_a_weak_zero_is_reported_removable():
     w = ClosedFormWeight(fn=lambda x: np.abs(x - 0.3) ** 0.5, domain=Interval(0.0, 1.0))
     st_ = detect_structure(w, Exponent(2.0), CFG)
     assert [z.location for z in st_.removable_zeros] == [pytest.approx(0.3, abs=1e-9)]
+
+
+def test_grid_weight_near_threshold_is_indeterminate(tmp_path):
+    # sampled |x| at p = 2 estimates alpha_p within the guard band around 1
+    # and must refuse rather than guess
+    path = tmp_path / "absx.csv"
+    xs = np.linspace(-1.0, 1.0, 2001)
+    with open(path, "w") as fh:
+        fh.write("x,w\n")
+        for x in xs:
+            fh.write(f"{x:.17g},{abs(x):.17g}\n")
+    w = weight_from_csv(str(path))
+    with pytest.raises(IndeterminateIntegrabilityError):
+        degeneracy.side_exponent_rule(w, Exponent(2.0), 0.0, +1, 1.0)
 
 
 def test_grid_weight_on_threshold_raises(tmp_path):

@@ -12,22 +12,18 @@ from hypothesis import strategies as st
 from degenrelax import (
     ClosedFormWeight,
     Exponent,
-    GridSampledWeight,
-    IndeterminateIntegrabilityError,
     IntegrandEvaluationError,
     Interval,
     QuadratureConfig,
     builtin_figure1,
-    builtin_power,
     classify_endpoint_integrability,
     detect_structure,
     FirstPass,
     integrate,
     integrate_ranges,
-    local_exponent_estimate,
     weight_from_csv,
 )
-from degenrelax import quadrature
+from degenrelax import degeneracy, quadrature
 
 CFG = QuadratureConfig()
 
@@ -534,98 +530,20 @@ def test_first_range_to_raise_wins():
         integrate_ranges(lambda x, _: np.ones_like(x), [(0.0, 1.0, (), ()), (2.0, 2.0, (), ())], CFG)
 
 
-def test_local_exponent_estimate_recovers_power():
-    w = builtin_power(1.7)
-    est = local_exponent_estimate(w, 0.0, +1, 0.5)
-    assert est == pytest.approx(1.7, abs=1e-3)
-
-
-class _Probed:
-    """A weight that keeps the points it is sampled at and its values there."""
-
-    def __init__(self, w):
-        self.w, self.domain, self.seen = w, w.domain, []
-
-    def resolution_near(self, z):
-        return self.w.resolution_near(z)
-
-    def __call__(self, x):
-        vals = self.w(x)
-        self.seen.append((np.array(x), np.array(vals)))
-        return vals
-
-
-def _exponent_probe_sets(rng):
-    """(weight, zero, side, h0): a zero with exponents 0.3-3 on both sides, on
-    grids of 1k-16k cells and as closures."""
-    for k in range(40):
-        z = float(rng.uniform(-0.5, 0.5))
-        a_l, a_r = rng.uniform(0.3, 3.0, 2)
-        scale = 10.0 ** rng.uniform(-6, 6)
-
-        def fn(x, z=z, a_l=a_l, a_r=a_r, scale=scale):
-            d = x - z
-            return scale * np.abs(d) ** np.where(d < 0, a_l, a_r) * (1.0 + 0.3 * np.sin(3.0 * x))
-        if k % 2:
-            n = int(rng.choice([1024, 2048, 4096, 8192, 16384]))
-            x = np.linspace(-1.0, 1.0, n + 1)
-            z = float(x[int(np.argmin(np.abs(x - z)))])  # a zero node
-            w = GridSampledWeight(x, fn(x, z=z))
-        else:
-            w = ClosedFormWeight(fn=fn, domain=Interval(-1.0, 1.0))
-        h0 = float(rng.uniform(0.3, 0.5))
-        for side in (-1, 1):
-            yield w, z, side, h0
-
-
-def test_the_exponent_fit_is_the_least_squares_slope():
-    # the closed-form slope against np.polyfit's and against the exact
-    # least-squares slope of the same float samples
-    count = 0
-    for w, z, side, h0 in _exponent_probe_sets(np.random.default_rng(20261020)):
-        probed = _Probed(w)
-        est = local_exponent_estimate(probed, z, side, h0)
-        (x, vals), = probed.seen
-        keep = vals > 0.0
-        ld, lv = np.log(np.abs(x[keep] - z)), np.log(vals[keep])
-        assert ld.size >= 3
-        ulp = np.spacing(abs(est))
-        assert abs(est - np.polyfit(ld, lv, 1)[0]) <= 16 * ulp
-        fd, fv = [Fraction(float(t)) for t in ld], [Fraction(float(t)) for t in lv]
-        md, mv = sum(fd) / len(fd), sum(fv) / len(fv)
-        exact = (sum((a - md) * (b - mv) for a, b in zip(fd, fv))
-                 / sum((a - md) ** 2 for a in fd))
-        assert abs(est - float(exact)) <= 4 * ulp
-        count += 1
-    assert count == 80
-
-
-def test_too_few_probes_read_as_infinite():
-    # the documented contract (ROADMAP item 3 asks to answer "indeterminate"):
-    # math.inf when fewer than 3 probes lie past twice resolution_near ...
-    x = np.linspace(0.0, 1.0, 65)
-    w = GridSampledWeight(x, np.abs(x - 0.5) ** 0.5)
-    assert local_exponent_estimate(w, 0.5, +1, 0.5) == math.inf
-    probed = _Probed(w)
-    assert local_exponent_estimate(probed, 0.5, -1, 0.5) == math.inf
-    assert probed.seen == []  # decided before sampling
-    # ... and when fewer than 3 probes sample a positive weight
-    flat = ClosedFormWeight(fn=lambda x: np.where(x < 0.5, np.exp(-1.0 / (x - 0.5) ** 2), 1.0),
-                            domain=Interval(0.0, 1.0))
-    probed = _Probed(flat)
-    assert local_exponent_estimate(probed, 0.5, -1, 0.5) == math.inf
-    (x, vals), = probed.seen
-    assert x.size == 17 and np.count_nonzero(vals > 0.0) < 3
-    assert local_exponent_estimate(flat, 0.5, +1, 0.5) == 0.0
+def _classify(w, p, z, far):
+    """The classifier on the exponent and rule that degeneracy finds for that side."""
+    side = 1 if far > z else -1
+    alpha, rule = degeneracy.side_exponent_rule(w, p, z, side, abs(far - z))
+    return classify_endpoint_integrability(w, p, z, far, alpha, rule, CFG)
 
 
 def test_classifier_exact_rule_on_figure1():
     w = builtin_figure1()
     p = Exponent(2.0)
-    cls = classify_endpoint_integrability(w, p, 1.0, 0.0, CFG)
+    cls = _classify(w, p, 1.0, 0.0)
     assert not cls.integrable and cls.rule == "exact-exponent"
     assert cls.local_exponent == 2.0
-    cls = classify_endpoint_integrability(w, p, 2.0, 1.5, CFG)
+    cls = _classify(w, p, 2.0, 1.5)
     assert cls.integrable and cls.value > 0.0
 
 
@@ -633,9 +551,9 @@ def test_classifier_threshold_sides():
     # alpha_p = alpha/(p-1): 2/(3-1) = 1 sits exactly on the threshold, and
     # the exact rule calls it divergent (log case); p = 4 drops below
     w = builtin_figure1()
-    c3 = classify_endpoint_integrability(w, Exponent(3.0), 1.0, 0.0, CFG)
+    c3 = _classify(w, Exponent(3.0), 1.0, 0.0)
     assert not c3.integrable
-    c4 = classify_endpoint_integrability(w, Exponent(4.0), 1.0, 0.0, CFG)
+    c4 = _classify(w, Exponent(4.0), 1.0, 0.0)
     assert c4.integrable and math.isfinite(c4.value)
 
 
@@ -648,7 +566,7 @@ def test_the_graded_trend_overrules_a_fit_that_says_integrable():
 
     w = ClosedFormWeight(fn=fn, domain=Interval(0.0, 1.0))  # no metadata: the exponent is fit
     p = Exponent(2.0)
-    for cls in (classify_endpoint_integrability(w, p, 0.0, 1.0, CFG),
+    for cls in (_classify(w, p, 0.0, 1.0),
                 detect_structure(w, p, CFG).intervals[0].lo_class):
         assert (cls.integrable, cls.value, cls.rule) == (False, math.inf, "numeric-trend")
         assert 0.5 < cls.local_exponent < 0.6 and p.alpha_p(cls.local_exponent) < 1.0
@@ -662,9 +580,9 @@ def test_a_tolerance_must_be_finite_and_nonnegative(field, value):
     assert getattr(QuadratureConfig(**{field: 0.0}), field) == 0.0
 
 
-def test_grid_weight_near_threshold_is_indeterminate(tmp_path):
-    # sampled |x| at p = 2 estimates alpha_p within the guard band around 1
-    # and must refuse rather than guess
+def test_grid_weight_off_threshold_classifies_cleanly(tmp_path):
+    # sampled |x| at p = 3 estimates alpha_p near 1/2, far from the guard band
+    # (at p = 2 it raises: test_degeneracy's test_grid_weight_near_threshold_is_indeterminate)
     path = tmp_path / "absx.csv"
     xs = np.linspace(-1.0, 1.0, 2001)
     with open(path, "w") as fh:
@@ -672,10 +590,7 @@ def test_grid_weight_near_threshold_is_indeterminate(tmp_path):
         for x in xs:
             fh.write(f"{x:.17g},{abs(x):.17g}\n")
     w = weight_from_csv(str(path))
-    with pytest.raises(IndeterminateIntegrabilityError):
-        classify_endpoint_integrability(w, Exponent(2.0), 0.0, 1.0, CFG)
-    # far from the threshold the same grid classifies cleanly
-    cls = classify_endpoint_integrability(w, Exponent(3.0), 0.0, 1.0, CFG)
+    cls = _classify(w, Exponent(3.0), 0.0, 1.0)
     assert cls.integrable
     assert cls.value == pytest.approx(2.0, rel=5e-3)  # int_0^1 x^(-1/2)
 

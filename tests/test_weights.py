@@ -24,7 +24,7 @@ from degenrelax import (
     weight_from_csv,
     weight_from_spec,
 )
-from degenrelax import quadrature
+from degenrelax import degeneracy, quadrature
 
 
 def test_exponent_rejects_bad_values():
@@ -49,12 +49,18 @@ def test_exponent_accepts_numpy_real_scalars():
      "piece log2scale must be finite"),
     (lambda: PowerPiece(0.0, 1.0, 1.0, 0.0, -1.0), "piece exponent must be > -1"),
     (lambda: PowerPiece(0.0, 1.0, 1.0, 0.5, 1.0), "lies strictly inside"),
+    # lo < pivot < hi is False for NaN and for +-inf alike
+    (lambda: PowerPiece(0.0, 1.0, 1.0, math.nan, 2.0), "piece pivot must be finite"),
+    (lambda: PowerPiece(0.0, 1.0, 1.0, -math.inf, 2.0), "piece pivot must be finite"),
     (lambda: PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, 0.6, 1.0, 0.0, 1.0),
                                                        PowerPiece(0.4, 1.0, 1.0, 1.0, 1.0)]),
      "pieces overlap"),
     (lambda: PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, 2.0, 1.0, 0.0, 1.0)]),
      "outside domain"),
     (lambda: GridSampledWeight([0.0, 0.0, 1.0], [1.0, 1.0, 1.0]), "strictly increasing"),
+    # np.diff(x) <= 0 is False next to a NaN node
+    (lambda: GridSampledWeight([0.0, math.nan, 1.0], [1.0, 1.0, 1.0]), "finite, strictly increasing"),
+    (lambda: GridSampledWeight([0.0, 1.0, math.inf], [1.0, 1.0, 1.0]), "finite, strictly increasing"),
     (lambda: GridSampledWeight([0.0, 1.0], [1.0, math.nan]), "must be finite"),
     (lambda: GridSampledWeight([0.0, 1.0], [1.0, -1.0]), "significantly negative"),
     (lambda: weight_from_spec({}), "with a 'family' key"),
@@ -64,7 +70,8 @@ def test_exponent_accepts_numpy_real_scalars():
     (lambda: parse_weight_arg("power:alpha"), "bad weight argument fragment 'alpha'"),
 ], ids=["interval-reversed", "power-alpha-minus-1", "piece-empty-span", "piece-scale-0",
         "piece-log2scale-inf", "piece-exponent-minus-1", "piece-pivot-inside",
-        "pieces-overlap", "piece-outside-domain", "grid-not-increasing", "grid-nan",
+        "piece-pivot-nan", "piece-pivot-minus-inf", "pieces-overlap", "piece-outside-domain",
+        "grid-not-increasing", "grid-nan-node", "grid-inf-node", "grid-nan",
         "grid-negative", "spec-empty", "spec-cascade-without-p", "spec-grid-without-data",
         "spec-piecewise-without-domain", "arg-fragment-without-value"])
 def test_spec_checks_raise_with_their_message(make, message):
@@ -211,7 +218,8 @@ def test_a_pivot_outside_its_piece_is_measured_from_the_piece():
                                                   PowerPiece(0.3, 1.0, 1.0, 0.0, 2.0)])
     want = 2.0 * math.sqrt(0.3) + 1.0 / 0.3 - 2.0
     assert w.exact_transform_integral(p, 0.0, 0.5) == pytest.approx(want, rel=1e-14)
-    cls = quadrature.classify_endpoint_integrability(w, p, 0.0, 0.5)
+    alpha, rule = degeneracy.side_exponent_rule(w, p, 0.0, +1, 0.5)
+    cls = quadrature.classify_endpoint_integrability(w, p, 0.0, 0.5, alpha, rule)
     assert cls.integrable and cls.rule == "exact-exponent"
     assert cls.value == pytest.approx(want, rel=1e-14)
 
