@@ -21,14 +21,15 @@ An AuxWeight evaluates one flat table over the whole line, a sorted list
 of zones (_AuxTable), built whole on its first query and never changed.
 Endpoints, plateaus and the gaps between intervals are constant zones; each
 outer branch has its own zones, which hold the running integral C between
-the query and the midpoint in one of two ways.
+the query and the midpoint; a mass zone holds it as C at an anchor x plus
+the branch's masses (sigma's mass over a span) back to the query.
 
 * ExactBranch, for a weight with closed-form sigma masses
   (Weight.sigma_masses: piecewise power and grid weights).  build_aux_weight
   makes one call of the masses over the segments between each interval's
   ends, quarter points, midpoint and the breakpoints of w, and sums C at
-  those knots outward from the midpoint.  Each segment of a branch is an
-  exact zone: C at its knot nearer the midpoint plus the mass back to x.
+  those knots outward from the midpoint.  Each segment of a branch is a
+  mass zone anchored at its knot nearer the midpoint.
 * BranchTable, for any other weight.  One lockstep drive (integrate_ranges)
   integrates sigma over the quarter spans.  The table's build tabulates
   each branch's C at the nodes of a graded mesh, one batch of Kronrod panels:
@@ -37,19 +38,20 @@ the query and the midpoint in one of two ways.
   touching one are one ulp wide, see _sliver_nodes) and a node on each other
   breakpoint of w.  Chebyshev zones hold the series of C in s = log d, fitted
   to sigma at the 15 Kronrod nodes of a halving of d (ten mesh segments), or
-  of one segment where that series does not decay.  Panel zones, the
-  segments touching a removable zero and those no series fits (a kink of w
-  that w.breakpoints() does not declare), add one Kronrod panel between x
-  and the outer node, with integrate()'s rule for a non-finite node.  Below
-  the deepest node, and over the innermost segments too few ulps wide for
-  their samples to be more than rounding noise, C follows the log-log secant
-  across the halving of d above.
+  of one segment where that series does not decay.  The segments touching a
+  removable zero and those no series fits (a kink of w that w.breakpoints()
+  does not declare) are mass zones anchored at their outer node; the
+  branch's masses are one Kronrod panel per span, with integrate()'s rule
+  for a non-finite node.  Below the deepest node, and over the innermost
+  segments too few ulps wide for their samples to be more than rounding
+  noise, C follows the log-log secant across the halving of d above.
 
 Either way the build gives every plateau, branch limit and bound.  An
-evaluation is one sorted search, then per zone kind one vectorized pass:
-the masses, a Chebyshev sum, or one batched sigma call per 1,152 panels
-(quadrature._MAX_REQUEST).  An AuxWeight also holds, as long as it lives,
-what the density drives of its chain keep (kept); spaces alone reads it.
+evaluation is one sorted search, then per zone kind one vectorized pass: a
+Chebyshev sum, the secant, or the masses (a table's: one batched sigma call
+per 1,152 panels, quadrature._MAX_REQUEST).  An AuxWeight also holds, as
+long as it lives, what its chain's density drives keep (kept); spaces alone
+reads it.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def _series_matrices() -> tuple[np.ndarray, np.ndarray]:
 _ANTIDERIVATIVE, _SLOPE = _series_matrices()  # (16, 15), (15, 15)
 _N_TERMS = _ANTIDERIVATIVE.shape[0]
 
-_CONST, _CHEB, _BELOW, _PANEL, _EXACT = range(5)  # zone kinds
+_CONST, _CHEB, _BELOW, _MASS = range(4)  # zone kinds
 
 
 class _Branch:
@@ -128,7 +130,7 @@ class BranchTable(_Branch):
     """C(d) for one outer branch of a weight without sigma masses, d the
     distance from the endpoint: the graded mesh (d_mesh, up to d_max, the
     quarter point) and C at its nodes (c_nodes), tabulated on first access
-    (the aux table's build) as one batch of Kronrod panels summed onto
+    (the aux table's build) as one call of its masses summed onto
     c_at_dmax.  A segment sigma is not integrable on, or an anchor that is not
     positive, raises ArithmeticError on every access."""
 
@@ -149,7 +151,7 @@ class BranchTable(_Branch):
     @cached_property
     def _tabulated(self) -> tuple:
         d_mesh, lo, hi, plain = _branch_mesh(self.endpoint, self.mid, self.removables, self.kinks)
-        vals = _eval_panels(self.sigma, lo, hi, self.cfg)[0] if lo.size else lo
+        vals = self.masses(lo, hi)
         if np.isinf(vals).any():
             j = int(np.argmax(np.isinf(vals)))
             lo, hi = float(lo[j]), float(hi[j])
@@ -165,13 +167,22 @@ class BranchTable(_Branch):
             raise ArithmeticError("cumulative transform integral lost positivity")
         return d_mesh, c_nodes, plain, float(d_mesh[-1])
 
+    def masses(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """sigma's mass over each span [lo, hi], 0 on an empty one: one Kronrod
+        panel per span, with integrate()'s rule for a non-finite node."""
+        out = np.zeros(lo.shape)
+        wide = hi > lo
+        if wide.any():
+            out[wide] = _eval_panels(self.sigma, lo[wide], hi[wide], self.cfg)[0]
+        return out
+
     def zones_by_distance(self) -> dict:
         """This branch's table rows in ascending distance, keyed by column.
 
         The innermost segments, too few ulps wide for rounding to leave their
         Kronrod nodes in place (to _MAX_NOISE of the half-width), join the
         power law below.  Chebyshev candidates are runs of _GROUP segments,
-        then the single segments of rejected runs; the rest are panel zones.
+        then the single segments of rejected runs; the rest are mass zones.
         `series` holds the Chebyshev zones' coefficients only, in row order."""
         d, c = self.d_mesh, self.c_nodes
         # the series run in s = log d, where sigma's power-law behaviour
@@ -198,7 +209,7 @@ class BranchTable(_Branch):
         outer = np.concatenate([np.minimum(runs + _GROUP, nseg), rest[ok] + 1])
         series = np.concatenate([run_series, seg_series[ok]])
         series[:, 0] += c[outer]
-        # panel zones: segments no series covers
+        # mass zones: segments no series covers, anchored at their outer node's x
         seg = sorted_unique(np.concatenate((rest[~ok], np.flatnonzero(~plain))))
         n_c, n_s = first.size, seg.size
         # the power law below: the log-log secant across the first halving
@@ -207,10 +218,10 @@ class BranchTable(_Branch):
         slope = math.log(c[g] / c[0]) / math.log(d[g] / d[0])
         cols = {
             "d_start": np.concatenate([[0.0], d[first], d[seg], [self.d_max]]),
-            "kind": np.concatenate([[_BELOW], np.full(n_c, _CHEB), np.full(n_s, _PANEL),
+            "kind": np.concatenate([[_BELOW], np.full(n_c, _CHEB), np.full(n_s, _MASS),
                                     [_CONST]]),
             "d_ref": np.concatenate([[math.log(d[0])], 0.5 * (ls[first] + ls[outer]),
-                                     d[seg + 1], [0.0]]),
+                                     xs[base:][seg + 1], [0.0]]),
             "scale": np.concatenate([[slope], 0.5 * (ls[outer] - ls[first]),
                                      np.zeros(n_s), [0.0]]),
             "c_ref": np.concatenate([[math.log(c[0])], np.zeros(n_c), c[seg + 1],
@@ -270,7 +281,7 @@ class BranchTable(_Branch):
 @dataclass
 class ExactBranch(_Branch):
     """C for one outer branch of a weight with sigma_masses at its knots (in
-    ascending x), and one exact zone per segment between them: C at its knot
+    ascending x), and one mass zone per segment between them: C at its knot
     nearer the midpoint plus the closed-form mass back to the query."""
 
     masses: object                # the weight's sigma_masses
@@ -283,7 +294,7 @@ class ExactBranch(_Branch):
 
     def rows(self, x_lo: float, x_hi: float) -> tuple:
         at = slice(1, None) if self.sgn > 0 else slice(None, -1)  # the knots nearer the midpoint
-        cols = np.broadcast_arrays(np.clip(self.knots[:-1], x_lo, x_hi), _EXACT, self.endpoint,
+        cols = np.broadcast_arrays(np.clip(self.knots[:-1], x_lo, x_hi), _MASS, self.endpoint,
                                    self.sgn, self.knots[at], 0.0, self.c_knots[at])
         return np.array(cols, dtype=float), _NO_SERIES
 
@@ -318,21 +329,18 @@ class _AuxTable:
     _CONST     -                   -                    the aux value itself
     _CHEB      centre of log d     half-width in log d  - (C is the series)
     _BELOW     log d at a node     log-log slope        log C at that node
-    _PANEL     outer node          -                    C at the outer node
-    _EXACT     its anchor knot, x  -                    C at that knot
+    _MASS      its anchor, x       -                    C at the anchor
     =========  ==================  ===================  ==========================
 
     Built whole, every branch's rows at once, and never changed after."""
 
     def __init__(self, layout):
         """`layout`: in ascending x, constant zones as (start, value) and outer
-        branches as (branch, x_lo, x_hi), all of one weight: panel zones read
-        their sigma and cfg, exact zones their masses.  ArithmeticError if
-        their zones overlap; a branch that cannot be built raises its error."""
+        branches as (branch, x_lo, x_hi), all of one weight: mass zones read
+        the masses of the first.  ArithmeticError if their zones overlap; a
+        branch that cannot be built raises its error."""
         layout = list(layout)
-        br = next((head for head, *_ in layout if isinstance(head, _Branch)), None)
-        self.sigma, self.cfg, self.masses = (getattr(br, key, None)
-                                             for key in ("sigma", "cfg", "masses"))
+        self.masses = next((head.masses for head, *_ in layout if isinstance(head, _Branch)), None)
         pieces = [head.rows(*rest) if isinstance(head, _Branch)
                   else (np.array([[head, _CONST, 0, 0, 0, 0, *rest]], dtype=float).T, _NO_SERIES)
                   for head, *rest in layout]
@@ -353,7 +361,7 @@ class _AuxTable:
         """Auxiliary weight at x, at distance d from the endpoint of its zone z."""
         kind = self.kind[z]
         out = self.c_ref[z]
-        present = np.bincount(kind, minlength=_EXACT + 1)  # the kinds to read
+        present = np.bincount(kind, minlength=_MASS + 1)  # the kinds to read
         if present[_CHEB]:
             sel = np.nonzero(kind == _CHEB)[0]
             zs = z[sel]
@@ -365,26 +373,11 @@ class _AuxTable:
             ld = np.log(np.clip(d[sel], 1e-300, None))
             with np.errstate(over="ignore"):  # C past the float range: aux reads its limit 0
                 out[sel] = 1.0 / np.exp(self.c_ref[zs] + self.scale[zs] * (ld - self.d_ref[zs]))
-        if present[_PANEL]:
-            sel = np.nonzero(kind == _PANEL)[0]
-            out[sel] = 1.0 / self._partial_panels(z[sel], d[sel])
-        if present[_EXACT]:  # C at the anchor plus the closed-form mass back to x
-            sel = np.nonzero(kind == _EXACT)[0]
-            xs, knot, c = x[sel], self.d_ref[z[sel]], self.c_ref[z[sel]]
-            out[sel] = 1.0 / (c + self.masses(np.minimum(xs, knot), np.maximum(xs, knot)))
+        if present[_MASS]:  # C at the anchor plus the mass back to x
+            sel = np.nonzero(kind == _MASS)[0]
+            xs, anchor, c = x[sel], self.d_ref[z[sel]], self.c_ref[z[sel]]
+            out[sel] = 1.0 / (c + self.masses(np.minimum(xs, anchor), np.maximum(xs, anchor)))
         return out
-
-    def _partial_panels(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """C on panel zones: the outer anchor plus sigma's mass back to the query."""
-        x_pt = self.ep[z] + self.sgn[z] * d
-        x_far = self.ep[z] + self.sgn[z] * self.d_ref[z]
-        plo = np.minimum(x_pt, x_far)
-        phi = np.maximum(x_pt, x_far)
-        part = np.zeros(d.shape)
-        wide = phi > plo
-        if np.any(wide):
-            part[wide] = _eval_panels(self.sigma, plo[wide], phi[wide], self.cfg)[0]
-        return self.c_ref[z] + part
 
 
 def _graded_mesh(h_max: float, anchor: float, sgn: float) -> np.ndarray:
@@ -466,13 +459,14 @@ def _branch_mesh(endpoint: float, mid: float, removables: Sequence[float],
 @dataclass
 class AuxInterval:
     base: DegeneracyInterval
-    plateau: float
     left: _Branch
     right: _Branch
-    lo_value: float      # endpoint limit at base.lo (0 when the half integral diverges)
-    hi_value: float
-    left_limit: float    # one-sided branch limit at q1 (max of the left branch)
-    right_limit: float   # one-sided branch limit at q3
+
+    plateau = property(lambda self: 1.0 / (self.left.c_at_dmax + self.right.c_at_dmax))
+    left_limit = property(lambda self: 1.0 / self.left.c_at_dmax)    # at q1: the branch's max
+    right_limit = property(lambda self: 1.0 / self.right.c_at_dmax)  # at q3
+    lo_value = property(lambda self: _end_value(self.base.lo_class))  # the limit at base.lo
+    hi_value = property(lambda self: _end_value(self.base.hi_class))
 
     @property
     def q1(self) -> float:
@@ -481,6 +475,10 @@ class AuxInterval:
     @property
     def q3(self) -> float:
         return self.base.lo + 0.75 * self.base.width
+
+
+def _end_value(cls) -> float:  # 0 when the half integral diverges
+    return 1.0 / cls.value if cls.integrable else 0.0
 
 
 def _whole_line(parts, touching):
@@ -509,13 +507,11 @@ class AuxWeight:
     `kept` is one dict per chain, which the density drives of spaces fill
     and read (see spaces.density_integrals); this class never looks in it."""
 
-    def __init__(self, weight: Weight, p: Exponent, structure: DegeneracyStructure,
-                 parts: list, cfg: QuadratureConfig):
+    def __init__(self, weight: Weight, p: Exponent, structure: DegeneracyStructure, parts: list):
         self.weight = weight
         self.exponent = p
         self.structure = structure
         self.parts: list[AuxInterval] = parts
-        self.cfg = cfg
         self.sigma = weight.transform(p)
         self._zones: Optional[_AuxTable] = None  # made on the first query
         self.kept: dict = {}  # what its chain's density drives keep (spaces): opaque here
@@ -585,15 +581,9 @@ def build_aux_weight(w: Weight, p: Exponent, structure: DegeneracyStructure,
         raise ArithmeticError(
             "transform not integrable between quarter point and midpoint; "
             "the degeneracy structure should have split here")
-    parts = []
-    for iv, left, right in zip(structure.intervals, branches[::2], branches[1::2]):
-        parts.append(AuxInterval(
-            base=iv, plateau=1.0 / (left.c_at_dmax + right.c_at_dmax), left=left, right=right,
-            lo_value=1.0 / iv.lo_class.value if iv.lo_class.integrable else 0.0,
-            hi_value=1.0 / iv.hi_class.value if iv.hi_class.integrable else 0.0,
-            left_limit=1.0 / left.c_at_dmax, right_limit=1.0 / right.c_at_dmax,
-        ))
-    return AuxWeight(w, p, structure, parts, cfg)
+    parts = [AuxInterval(iv, left, right)
+             for iv, left, right in zip(structure.intervals, branches[::2], branches[1::2])]
+    return AuxWeight(w, p, structure, parts)
 
 
 def _exact_branches(masses, intervals, kinks: np.ndarray) -> list:

@@ -24,7 +24,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -32,7 +32,7 @@ import numpy as np
 from .auxweight import aux_global_bounds, build_aux_weight
 from .cascade import cascade_partial_sums
 from .degeneracy import IndeterminateIntegrabilityError, detect_structure
-from .quadrature import DEFAULT_CONFIG, IntegrandEvaluationError
+from .quadrature import DEFAULT_CONFIG, IntegrandEvaluationError, QuadratureConfig
 from .relaxation import (UnsupportedStructureError, build_approx_sequence, original_functional,
                          relaxed_functional, verify_relaxation)
 from .spaces import (check_membership, constant_function, log_edge_function, lp_aux_norm,
@@ -83,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=float, default=2.0,
                         help="integrability exponent, 1 < p < inf (default 2)")
-    common.add_argument("--rel-tol", type=float, default=None,
+    common.add_argument("--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol,
                         help="relative quadrature tolerance")
-    common.add_argument("--abs-tol", type=float, default=None,
+    common.add_argument("--abs-tol", type=float, default=DEFAULT_CONFIG.abs_tol,
                         help="quadrature tolerance floor relative to the summed "
                              "magnitude of the panel values (default 1e-13)")
     common.add_argument("--out", default=None, help="write JSON here instead of stdout")
@@ -142,15 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _quad_config(args):
-    kw = {}
-    if args.rel_tol is not None:
-        kw["rel_tol"] = args.rel_tol
-    if args.abs_tol is not None:
-        kw["abs_tol"] = args.abs_tol
-    return replace(DEFAULT_CONFIG, **kw) if kw else DEFAULT_CONFIG
-
-
 def parse_function_arg(text: str, domain):
     """Build a test function from a CLI spec string."""
     text = text.strip()
@@ -194,7 +185,7 @@ def _structure_dict(structure) -> dict:
 
 def _setup(args):
     p = Exponent(args.p)
-    cfg = _quad_config(args)
+    cfg = QuadratureConfig(args.rel_tol, args.abs_tol)
     w = parse_weight_arg(args.weight, p)
     structure = detect_structure(w, p, cfg)
     return w, p, cfg, structure
@@ -337,7 +328,7 @@ def cmd_approx(args) -> int:
 
 def cmd_cascade(args) -> int:
     p = Exponent(args.p)
-    cfg = _quad_config(args)
+    cfg = QuadratureConfig(args.rel_tol, args.abs_tol)
     rep = cascade_partial_sums(args.alpha, p, args.bumps, cfg)
     if args.csv:
         rows = [

@@ -64,8 +64,8 @@ class FunctionalValue:
 
 def original_functional(u: TestFunction, w: Weight, p: Exponent,
                         cfg: Optional[QuadratureConfig] = None) -> FunctionalValue:
-    """p-energy of u against w over the whole domain; +inf off AC/C1 functions."""
-    if u.tag not in ("AC", "C1"):
+    """p-energy of u against w over the whole domain; +inf for a u with no derivative."""
+    if u.deriv is None:
         return FunctionalValue.infinite("not absolutely continuous")
     dom = w.domain
     zeros, regions = w.zero_set() or ((), ())
@@ -92,7 +92,7 @@ def relaxed_functional(u: TestFunction, w: Weight, aux: AuxWeight,
     seminorm = IntegralResult.total(energies)
     if structure.kind == "zero":
         return FunctionalValue.finite(0.0)
-    if u.tag == "Grid":
+    if u.deriv is None:
         return FunctionalValue.infinite(
             "sampled function carries no derivative; structure seminorm unavailable")
     if not IntegralResult.total(amb).is_finite:
@@ -375,9 +375,9 @@ def build_approx_sequence(u: TestFunction, w: Weight, aux: AuxWeight,
     ubars, terms = [], []
     for h, pw in zip(hs, pws):
         bps = sorted({b_ for span in pw.spans for b_ in span} | set(u.breakpoints))
-        ubars.append(TestFunction(fn=pw, deriv=pw.deriv, tag="AC", label=f"{u.label or 'u'}~h{h}",
+        ubars.append(TestFunction(fn=pw, deriv=pw.deriv, label=f"{u.label or 'u'}~h{h}",
                                   breakpoints=tuple(b_ for b_ in bps if dom.lo < b_ < dom.hi)))
-        diff = TestFunction(fn=lambda x, pw=pw: pw(x) - u(x), deriv=None, tag="AC",
+        diff = TestFunction(fn=lambda x, pw=pw: pw(x) - u(x), deriv=None,
                             breakpoints=ubars[-1].breakpoints)
         terms += [("ambient", diff, 0.0),
                   ("energy", ubars[-1], energy_ranges(u, w, structure, pw.spans))]

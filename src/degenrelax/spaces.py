@@ -30,9 +30,9 @@ without breakpoints) and aux^(p-1) and w at its nodes: a later u's drive of
 the same terms builds no range, lays out nothing and calls neither aux nor
 w in its first request.  Any other drive reads those stores at the layout
 nodes of its ranges on the chain's layout (_first_request).
-A sampled u (tag "Grid") has no seminorm: its energy is divergent(inf) in
-every question.  Every result is that of one plain drive per term, bit
-for bit.
+A sampled u, one with no derivative, has no seminorm: its energy is
+divergent(inf) in every question.  Every result is that of one plain drive
+per term, bit for bit.
 """
 
 from __future__ import annotations
@@ -52,13 +52,12 @@ from .weights import Exponent, Interval, Weight
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A function with an explicit derivative and a regularity tag.
+    """A function and its derivative.
 
-    tag is one of "AC" (absolutely continuous), "C1", or "Grid" (merely
-    sampled; such functions carry no meaningful derivative and never have
-    finite original energy).  breakpoints list derivative kinks so
-    quadrature can cut panels there.  The function keeps its structure
-    terms' results (see _structure_terms), so no question asked of it
+    A u with no derivative (deriv None) is merely sampled: it is not
+    absolutely continuous and never has finite energy.  breakpoints list
+    derivative kinks so quadrature can cut panels there.  The function keeps
+    its structure terms' results (see _structure_terms), so no question asked of it
     integrates one twice; that memo is not a field.
     """
 
@@ -66,13 +65,10 @@ class TestFunction:
 
     fn: Callable[[np.ndarray], np.ndarray]
     deriv: Optional[Callable[[np.ndarray], np.ndarray]]
-    tag: str
     label: str = ""
     breakpoints: tuple = ()
 
     def __post_init__(self):
-        if self.tag not in ("AC", "C1", "Grid"):
-            raise ValueError(f"unknown regularity tag {self.tag!r}")
         # _structure_terms' finished terms; not a field, so ==, hash, repr,
         # asdict never see it and dataclasses.replace starts an empty one
         object.__setattr__(self, "_memo", {})
@@ -102,7 +98,6 @@ def poly_function(coeffs: Sequence[float], label: str = "") -> TestFunction:
     return TestFunction(
         fn=lambda x: _polyval(x, c),
         deriv=lambda x: _polyval(x, dc),
-        tag="C1",
         label=label or f"poly{list(c)}",
     )
 
@@ -112,7 +107,6 @@ def constant_function(value: float, label: str = "") -> TestFunction:
     return TestFunction(
         fn=lambda x: np.full(np.shape(x), v),
         deriv=lambda x: np.zeros(np.shape(x)),
-        tag="C1",
         label=label or f"const{v}",
     )
 
@@ -159,7 +153,7 @@ def spline_function(knot_x: Sequence[float], knot_y: Sequence[float],
     c = (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])
     return TestFunction(fn=_piecewise_polynomial(x, c),
                         deriv=_piecewise_polynomial(x, (3 * c[0], 2 * c[1], c[2])),
-                        tag="C1", label=label or "spline")
+                        label=label or "spline")
 
 
 def _gtsv(dl: list, d: list, du: list, b: list) -> list:
@@ -230,7 +224,6 @@ def sqrt_edge_function(domain: Interval, label: str = "") -> TestFunction:
     return TestFunction(
         fn=lambda x: np.sqrt(np.maximum(x - lo, 0.0)),
         deriv=lambda x: 0.5 / np.sqrt(np.maximum(x - lo, 1e-300)),
-        tag="AC",
         label=label or "sqrt-edge",
     )
 
@@ -241,7 +234,6 @@ def log_edge_function(domain: Interval, label: str = "") -> TestFunction:
     return TestFunction(
         fn=lambda x: np.log(np.maximum(x - lo, 1e-300)),
         deriv=lambda x: 1.0 / np.maximum(x - lo, 1e-300),
-        tag="AC",
         label=label or "log-edge",
     )
 
@@ -320,8 +312,8 @@ def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
     DegeneracyStructure; a term ("ambient", fn, shifts) integrates
     |fn - c_k|^p aux^(p-1) over aux_ranges(fn, aux), c_k = shifts[k] on part
     k (a scalar shift holds on every part).  Energy terms use p = pp,
-    ambient ones aux's exponent.  The energy of a sampled fn (tag "Grid")
-    is divergent(inf) on each range, none of them integrated.
+    ambient ones aux's exponent.  The energy of a sampled fn (one with no
+    derivative) is divergent(inf) on each range, none of them integrated.
 
     The ranges make one drive, in term order.  A NaN raises as it would in
     one drive per term made in that order, and every result is that
@@ -334,7 +326,7 @@ def density_integrals(terms: Sequence[tuple], w: Weight, pp: float,
         amb = kind == "ambient"
         n = (len(aux.parts) if amb else
              len(arg.intervals) if isinstance(arg, DegeneracyStructure) else len(arg))
-        if not amb and fn.tag == "Grid":
+        if not amb and fn.deriv is None:
             answers.append([IntegralResult.divergent(math.inf)] * n)
             continue
         # on the chain's layout: an ambient range, or an energy range over aux's own structure
@@ -487,13 +479,12 @@ def lp_aux_norm(u: TestFunction, aux: AuxWeight,
     The auxiliary weight vanishes off the interval closures, so this is the
     norm integral over the whole domain.  An empty structure gives 0.
 
-    When u lacks it and has a derivative and is not sampled, its drive also
-    integrates the energy over aux.structure and the ambient term shifted by
-    u(mid) on each part (_structure_terms' added terms): the seminorm,
-    membership, relaxed value and averaged Poincare check of u then read
-    them and make no drive.
+    When u lacks it and has a derivative, its drive also integrates the
+    energy over aux.structure and the ambient term shifted by u(mid) on each
+    part (_structure_terms' added terms): the seminorm, membership, relaxed
+    value and averaged Poincare check of u then read them and make no drive.
     """
-    added = ("energy", "shifted") if u.deriv is not None and u.tag != "Grid" else ()
+    added = ("energy", "shifted") if u.deriv is not None else ()
     parts, = _structure_terms(u, ("ambient",), aux.weight, aux.structure, aux.exponent.p, aux,
                               cfg, added)
     return IntegralResult.total(parts)

@@ -212,6 +212,25 @@ def test_branch_dispatch_agrees_with_value(figure1_chain, x):
         assert v >= 0.0
 
 
+def test_branch_of_names_endpoints_and_outside(figure1_chain):
+    # figure1's intervals (-2, -1), (-1, 1), (1, 2): a shared end is the
+    # endpoint of the first interval that holds it
+    _, _, aux = figure1_chain
+    assert [aux.branch_of(x) for x in (-2.0, -1.0, 1.0, 2.0)] == \
+        [(0, "endpoint"), (0, "endpoint"), (1, "endpoint"), (2, "endpoint")]
+    assert aux.branch_of(-2.5) == aux.branch_of(3.0) == aux.branch_of(math.nan) == (-1, "outside")
+
+
+def test_identity_residual_needs_a_step_inside_the_branch():
+    # at the least positive float the room to the endpoint 0 leaves no step
+    p = Exponent(2.0)
+    w = PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, 1.0, 1.0, 0.0, 0.5)])
+    aux = build_aux_weight(w, p, detect_structure(w, p, CFG), CFG)
+    assert aux.branch_of(5e-324) == (0, "left")
+    with pytest.raises(ValueError, match="does not fit inside the branch"):
+        derivative_identity_residual(aux, 5e-324)
+
+
 def test_sigma_callable_exposed(figure1_chain, p2, figure1):
     w, st_, aux = figure1_chain
     xs = np.array([-1.5, 0.3, 1.7])
@@ -389,14 +408,14 @@ def test_kinked_grid_segments_match_the_cell_closed_form(pv):
                 x = br.endpoint + br.sgn * d
                 ref = [1.0 / _cell_mass(xs, ws, q, min(t, mid), max(t, mid)) for t in x]
                 np.testing.assert_allclose(aux(x), ref, rtol=1e-13)
-        # the whole table holds no panel (or exact) zone
-        assert not np.any(aux._table().kind >= auxweight._PANEL)
+        # the whole table holds no mass zone
+        assert not np.any(aux._table().kind == auxweight._MASS)
 
 
 def test_undeclared_kink_segment_is_a_panel_zone():
     # w = x^2 (1 + 3|x - 0.11|) with no metadata: the kink at 0.11 lies inside
     # a mesh segment of the left branch, which no series fits; that segment
-    # is a panel zone, and every Chebyshev zone starts at a mesh node
+    # is a mass zone, and every Chebyshev zone starts at a mesh node
     w = ClosedFormWeight(fn=lambda x: x * x * (1.0 + 3.0 * np.abs(x - 0.11)),
                          domain=Interval(0.0, 1.0))
     p = Exponent(2.0)
@@ -407,7 +426,7 @@ def test_undeclared_kink_segment_is_a_panel_zone():
         zones = br.zones_by_distance()
         starts = zones["d_start"][zones["kind"] == auxweight._CHEB]
         assert np.isin(starts, br.d_mesh).all()
-        panels += np.count_nonzero(zones["kind"] == auxweight._PANEL)
+        panels += np.count_nonzero(zones["kind"] == auxweight._MASS)
     assert panels >= 1
 
 
@@ -467,7 +486,7 @@ def test_jump_at_a_piece_end_inside_a_branch_is_a_mesh_node():
     x = np.linspace(0.001, 0.249, 500)
     mass = np.where(x < 0.13, 0.13 - x + 0.37 / 3.0, (0.5 - x) / 3.0)
     np.testing.assert_allclose(aux(x), 1.0 / mass, rtol=1e-13)
-    assert not np.any(aux._table().kind >= auxweight._PANEL)
+    assert not np.any(aux._table().kind == auxweight._MASS)
 
 
 def test_grid_evaluation_makes_no_sigma_call():
@@ -479,8 +498,8 @@ def test_grid_evaluation_makes_no_sigma_call():
     aux = build_aux_weight(w, p, st_, CFG)
     aux(0.1)
     table = aux._table()
-    inner = table.sigma
-    table.sigma = lambda x: calls.append(np.size(x)) or inner(x)
+    inner = table.masses
+    table.masses = lambda lo, hi: calls.append(np.size(lo)) or inner(lo, hi)
     aux(np.random.default_rng(1).uniform(0.0, 1.0, 10_000))
     assert calls == []
 
@@ -508,7 +527,7 @@ def test_branch_values_outlive_their_aux(figure1, p2):
     first = part.left.values(d)
     assert np.all(np.isfinite(first)) and np.all(first > 0.0)
     # another AuxWeight over the same parts leaves the branch's values alone
-    _Doubled(figure1, p2, st_, [part], CFG)(part.q1)
+    _Doubled(figure1, p2, st_, [part])(part.q1)
     np.testing.assert_array_equal(part.left.values(d), first)
 
 
@@ -601,7 +620,7 @@ def test_branches_built_in_any_order_give_one_table(w, p):
     eager = _eager_tables(w, p, parts)
     eager_parts = _with_tables(parts, eager)
     whole = auxweight._AuxTable(auxweight._whole_line(eager_parts, st_.touching))
-    want = AuxWeight(w, p, st_, eager_parts, CFG)(x)
+    want = AuxWeight(w, p, st_, eager_parts)(x)
     in_first_left = 0.5 * (parts[0].base.lo + parts[0].q1)
     in_last_right = 0.5 * (parts[-1].q3 + parts[-1].base.hi)
     for first in (in_first_left, in_last_right):
@@ -660,7 +679,7 @@ def test_identity_residual_is_free_of_units(scale):
     w = PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, 1.0, scale, 0.0, 0.5)])
     st_ = detect_structure(w, p, CFG)
     aux = build_aux_weight(w, p, st_, CFG)
-    doubled = _Doubled(w, p, st_, aux.parts, CFG)
+    doubled = _Doubled(w, p, st_, aux.parts)
     for x in (0.05, 0.2, 0.8, 0.95):
         assert derivative_identity_residual(aux, x) <= 1e-4
         assert derivative_identity_residual(doubled, x) >= 0.4

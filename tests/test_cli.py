@@ -298,6 +298,33 @@ def test_weight_json_spec_file(tmp_path):
     assert d["structure"]["count"] == 2
 
 
+def test_a_grid_csv_reads_alike_through_every_spec(tmp_path):
+    # a CSV path, grid:PATH and a JSON spec naming the CSV load one grid
+    # weight: one structure, and each output names the CSV it read
+    path = tmp_path / "w.csv"
+    xs = np.linspace(0.0, 1.0, 33)
+    path.write_text("x,w\n" + "".join(f"{float(x)!r},{float((x - 0.5) ** 2)!r}\n" for x in xs))
+    spec = tmp_path / "w.json"
+    spec.write_text(json.dumps({"family": "grid", "csv": str(path)}))
+    outs = [json.loads(run_cli("analyze", "--weight", arg, "--no-timestamp").stdout)
+            for arg in (str(path), f"grid:{path}", str(spec))]
+    assert all(d["weight"] == {"family": "grid", "csv": str(path)} for d in outs)
+    assert outs[0]["structure"] == outs[1]["structure"] == outs[2]["structure"]
+    spans = [(iv["lo"], iv["hi"]) for iv in outs[0]["structure"]["intervals"]]
+    assert spans == [(0.0, 0.5), (0.5, 1.0)]
+
+
+def test_poincare_checks_each_function_given():
+    out = run_cli("poincare", "--weight", "figure1", "--u", "poly:0,1", "--u", "const:1",
+                  "--no-timestamp")
+    d = json.loads(out.stdout)
+    assert d["ok"] and [c["label"] for c in d["checks"]] == ["poly:0,1", "const:1"]
+    poly, const = d["checks"]
+    assert poly["rhs"] == pytest.approx(92.0 / 15.0, rel=1e-9) and poly["ratio"] <= 1.0
+    # u = 1 has no energy and equals its value at every midpoint: 0 on both sides
+    assert (const["lhs"], const["rhs"], const["ratio"]) == (0.0, 0.0, 0.0)
+
+
 def test_import_leaves_scipy_unloaded(tmp_path):
     code = "import sys, degenrelax, degenrelax.cli; assert 'scipy' not in sys.modules"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

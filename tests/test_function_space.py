@@ -233,7 +233,7 @@ def test_poincare_verdict_is_free_of_units(request, weight, pv):
     p = Exponent(pv)
     st_ = detect_structure(w, p, CFG)
     aux = build_aux_weight(w, p, st_, CFG)
-    inflated = _Inflated(w, p, st_, aux.parts, CFG)
+    inflated = _Inflated(w, p, st_, aux.parts)
     coeffs = [0.2, 1.0, -0.5]
     for a, ok in ((aux, True), (inflated, False)):
         ratio = poincare_global_check(poly_function(coeffs), w, a, st_, p, CFG).ratio
@@ -389,8 +389,7 @@ def test_grid_tagged_function_never_in_space(figure1_chain, p2):
     # a sampled u has no seminorm, in every question, and none raises
     w, st_, aux = figure1_chain
     xs = np.linspace(-2, 2, 101)
-    u = TestFunction(fn=lambda x: np.interp(x, xs, np.sin(xs)), deriv=None,
-                     tag="Grid", label="sampled")
+    u = TestFunction(fn=lambda x: np.interp(x, xs, np.sin(xs)), deriv=None, label="sampled")
     divergent = [("divergent", math.inf)] * len(st_.intervals)
     rep = check_membership(u, w, st_, p2, CFG)
     assert not rep.in_space and [(r.kind, r.value) for r in rep.per_interval] == divergent
@@ -410,6 +409,40 @@ def test_grid_tagged_function_never_in_space(figure1_chain, p2):
     st0 = detect_structure(null, p2, CFG)
     val = relaxed_functional(u, null, build_aux_weight(null, p2, st0, CFG), st0, p2, CFG)
     assert (val.kind, val.value) == ("finite", 0.0)
+
+
+def test_a_function_without_derivative_is_sampled(figure1_chain, p2):
+    # u = x handed over without u': whether u has a derivative is the one
+    # fact that makes it sampled, so every question answers as for a
+    # sampled u instead of asking for u'
+    w, st_, aux = figure1_chain
+    u = TestFunction(fn=poly_function([0.0, 1.0]).fn, deriv=None, label="x")
+    orig = original_functional(u, w, p2, CFG)
+    assert orig.kind == "infinite" and orig.reason == "not absolutely continuous"
+    rel = relaxed_functional(u, w, aux, st_, p2, CFG)
+    assert rel.kind == "infinite" and rel.reason.startswith("sampled function")
+    rep = check_membership(u, w, st_, p2, CFG)
+    assert not rep.in_space and all(r.kind == "divergent" for r in rep.per_interval)
+    assert seminorm_energy(u, w, st_, p2, CFG).kind == "divergent"
+    assert space_norm(u, w, aux, st_, p2, CFG) == math.inf
+    poinc = poincare_global_check(u, w, aux, st_, p2, CFG)
+    assert math.isfinite(poinc.lhs) and poinc.rhs == math.inf
+    iv = st_.intervals[1]
+    check = pointwise_poincare_check(u, w, aux, 1, iv.lo + 0.25 * iv.width, iv.mid, CFG)
+    assert check.gap_rhs == math.inf and check.ok
+    with pytest.raises(ValueError, match="outside the relaxed domain: sampled function"):
+        build_approx_sequence(u, w, aux, st_, p2, h_max=16, cfg=CFG)
+    # the extension check integrates u' itself
+    with pytest.raises(ValueError, match="carries no derivative"):
+        ac_extension_check(u, w, aux, st_, 0, "left", CFG)
+
+
+@pytest.mark.parametrize("eta, x", [(0.7, 0.93), (0.3, 0.2), (0.0, 0.2), (1.0, 0.7)])
+def test_pointwise_check_rejects_an_unordered_pair(unit_chain, eta, x):
+    # (eta, x) must lie lo < eta <= x <= mid or mid <= x <= eta < hi
+    w, st_, aux = unit_chain
+    with pytest.raises(ValueError, match=r"violates the ordering for interval \(0.0, 1.0\)"):
+        pointwise_poincare_check(poly_function([0.0, 1.0]), w, aux, 0, eta, x, CFG)
 
 
 def test_a_first_request_is_one_integrand_call_per_block(figure1_chain, p2, monkeypatch):
@@ -619,7 +652,7 @@ def _kept(u):
 
 def _kink(b):
     return TestFunction(fn=lambda x: np.abs(x - b), deriv=lambda x: np.sign(x - b),
-                        tag="AC", label="kink", breakpoints=(b,))
+                        label="kink", breakpoints=(b,))
 
 
 @pytest.fixture(scope="module", params=[(name, pv) for name in ("figure1", "two_tent")
@@ -695,7 +728,7 @@ def test_each_question_is_one_drive(any_chain, monkeypatch):
     assert norm.hex() == fresh[2].hex()
     # a sampled u has no energy: its relaxed value is the ambient drive alone,
     # and its ambient norm and membership read that drive
-    grid = TestFunction(fn=u.fn, deriv=None, tag="Grid")
+    grid = TestFunction(fn=u.fn, deriv=None)
     calls.clear()
     rel = relaxed_functional(grid, w, aux, st_, p, CFG)
     amb, mem = lp_aux_norm(grid, aux, CFG), check_membership(grid, w, st_, p, CFG)
@@ -707,7 +740,7 @@ def test_a_drive_raises_the_nan_of_its_first_question(figure1_chain, p2):
     w, st_, aux = figure1_chain
     # u is NaN on the right of 1.5, u' on the left of -1.5
     u = TestFunction(fn=lambda x: np.where(x > 1.5, np.nan, x),
-                     deriv=lambda x: np.where(x < -1.5, np.nan, 1.0), tag="AC")
+                     deriv=lambda x: np.where(x < -1.5, np.nan, 1.0))
     with pytest.raises(IntegrandEvaluationError) as energy:
         seminorm_energy(u, w, st_, p2, CFG)
     with pytest.raises(IntegrandEvaluationError) as ambient:
@@ -816,7 +849,7 @@ def test_a_question_that_raised_raises_again(figure1_chain, p2, monkeypatch):
     w, st_, aux = figure1_chain
     # u is NaN on the right of 1.5, u' on the left of -1.5
     u = TestFunction(fn=lambda x: np.where(x > 1.5, np.nan, x),
-                     deriv=lambda x: np.where(x < -1.5, np.nan, 1.0), tag="AC")
+                     deriv=lambda x: np.where(x < -1.5, np.nan, 1.0))
     calls = count_drives(monkeypatch)
     for question in (lambda: seminorm_energy(u, w, st_, p2, CFG),
                      lambda: lp_aux_norm(u, aux, CFG),
@@ -835,7 +868,7 @@ def test_a_question_that_raised_raises_again(figure1_chain, p2, monkeypatch):
     assert _kept(u) == []
 
 
-@pytest.mark.parametrize("case", ["no derivative", "sampled", "empty structure"])
+@pytest.mark.parametrize("case", ["no derivative", "empty structure"])
 def test_the_ambient_norm_adds_no_term_it_cannot_integrate(case, figure1_chain, p2, monkeypatch):
     w, st_, aux = figure1_chain
     s = spline_function([-2.0, -1.2, 0.0, 0.7, 2.0], [0.0, 0.5, -1.0, 0.3, 0.0])
@@ -843,8 +876,7 @@ def test_the_ambient_norm_adds_no_term_it_cannot_integrate(case, figure1_chain, 
         w = PiecewisePowerWeight(Interval(-2.0, 2.0), [], family="null")
         st_ = detect_structure(w, p2, CFG)
         aux = build_aux_weight(w, p2, st_, CFG)
-    u = TestFunction(fn=s.fn, deriv=None if case == "no derivative" else s.deriv,
-                     tag="Grid" if case == "sampled" else "AC")
+    u = TestFunction(fn=s.fn, deriv=None if case == "no derivative" else s.deriv)
     calls = count_drives(monkeypatch)
     got = lp_aux_norm(u, aux, CFG)
     # its own ranges alone (an empty structure has none), each with the bits
@@ -858,8 +890,7 @@ def test_the_ambient_norm_adds_no_term_it_cannot_integrate(case, figure1_chain, 
 def test_a_nan_derivative_leaves_the_ambient_norm_as_it_was(figure1_chain, p2, monkeypatch):
     w, st_, aux = figure1_chain
     # u is finite, u' NaN on the left of -1.5
-    u = TestFunction(fn=lambda x: 0.5 * x, deriv=lambda x: np.where(x < -1.5, np.nan, 0.5),
-                     tag="AC")
+    u = TestFunction(fn=lambda x: 0.5 * x, deriv=lambda x: np.where(x < -1.5, np.nan, 0.5))
     ambient, energy = _layouts(u, w, st_, aux)
     calls = count_drives(monkeypatch)
     lp = lp_aux_norm(u, aux, CFG)
@@ -964,7 +995,7 @@ def test_after_the_ambient_norm_no_question_calls_u(any_chain):
     s = spline_function(np.linspace(dom.lo, dom.hi, 7), np.random.default_rng(4).uniform(-1, 1, 7))
     seen = []
     u = TestFunction(fn=lambda x: seen.append("u") or s(x),
-                     deriv=lambda x: seen.append("du") or s.d(x), tag="C1")
+                     deriv=lambda x: seen.append("du") or s.d(x))
     lp_aux_norm(u, aux, CFG)
     assert set(seen) == {"u", "du"}
     seen.clear()
@@ -1023,7 +1054,7 @@ def _recording(u, seen):
     def deriv(x):
         seen.append(np.array(x))
         return u.d(x)
-    return TestFunction(fn=u.fn, deriv=deriv, tag="C1")
+    return TestFunction(fn=u.fn, deriv=deriv)
 
 
 def test_seminorm_first_pass_is_one_call(figure1_chain, p2):
@@ -1160,7 +1191,7 @@ def test_no_integrand_call_exceeds_one_request():
             return g(x)
         return h
 
-    v = TestFunction(fn=recording(u.fn), deriv=recording(u.deriv), tag="C1")
+    v = TestFunction(fn=recording(u.fn), deriv=recording(u.deriv))
     poincare_global_check(v, w, aux, st_, p, CFG)
     relaxed_functional(v, w, aux, st_, p, CFG)
     assert sum(weight.size for weight in aux.kept[True]) > 15 * quadrature._MAX_REQUEST

@@ -537,6 +537,12 @@ def _classify(w, p, z, far):
     return classify_endpoint_integrability(w, p, z, far, alpha, rule, CFG)
 
 
+def test_classifier_rejects_an_empty_span():
+    with pytest.raises(ValueError, match="need z != far"):
+        classify_endpoint_integrability(builtin_figure1(), Exponent(2.0), 1.0, 1.0, 2.0,
+                                        "exact-exponent", CFG)
+
+
 def test_classifier_exact_rule_on_figure1():
     w = builtin_figure1()
     p = Exponent(2.0)

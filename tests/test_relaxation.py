@@ -87,8 +87,7 @@ def test_original_matches_closed_form_on_weights_with_zero_sets(kind):
 def test_original_rejects_non_ac(figure1_chain, p2):
     w, st_, aux = figure1_chain
     xs = np.linspace(-2, 2, 64)
-    u = TestFunction(fn=lambda x: np.interp(x, xs, np.tanh(xs)), deriv=None,
-                     tag="Grid", label="table")
+    u = TestFunction(fn=lambda x: np.interp(x, xs, np.tanh(xs)), deriv=None, label="table")
     val = original_functional(u, w, p2, CFG)
     assert val.kind == "infinite"
     assert "absolutely continuous" in val.reason
@@ -115,7 +114,7 @@ def test_relaxed_value_answers_both_parts(unit_chain, p2, monkeypatch):
     w, st_, aux = unit_chain
     xs = np.linspace(0.0, 1.0, 33)
     sampled = TestFunction(fn=lambda x: np.interp(x, xs, np.sin(3.0 * xs)), deriv=None,
-                           tag="Grid", label="table")
+                           label="table")
     calls = count_drives(monkeypatch)
 
     def parts(u):
@@ -131,7 +130,7 @@ def test_relaxed_value_answers_both_parts(unit_chain, p2, monkeypatch):
     # |u|^2 ~ x^-1.5 at the left end: outside the ambient space, and u' is
     # not square-integrable there either
     blowup = TestFunction(fn=lambda x: np.maximum(x, 1e-300) ** -0.75,
-                          deriv=lambda x: -0.75 * np.maximum(x, 1e-300) ** -1.75, tag="AC")
+                          deriv=lambda x: -0.75 * np.maximum(x, 1e-300) ** -1.75)
     value, amb, member = parts(blowup)
     assert value.reason == "u lies outside the ambient weighted space"
     assert not amb.is_finite
@@ -165,6 +164,13 @@ def test_min_mesh_parameter(figure1_chain, two_tent_chain):
     assert min_mesh_parameter(figure1_chain[1]) == 5
     # two tents of width 0.35 -> floor(4/0.35) + 1 = 12
     assert min_mesh_parameter(two_tent_chain[1]) == 12
+
+
+def test_min_mesh_parameter_of_an_empty_structure(p2):
+    # w vanishing a.e. leaves no interval for a mesh to fit in
+    w = PiecewisePowerWeight(Interval(0.0, 1.0), [], family="null")
+    with pytest.raises(ValueError, match="empty structure has no admissible mesh parameter"):
+        min_mesh_parameter(detect_structure(w, p2, CFG))
 
 
 def test_rejects_sub_minimal_h(unit_chain, p2):
@@ -240,7 +246,7 @@ def test_touching_seams_on_figure1(figure1_chain, p2):
     assert v.ok
     # members are AC test functions usable everywhere in the domain
     m = seq.members[-1]
-    assert m.fn.tag == "AC"
+    assert m.fn.deriv is not None
     vals = m.fn(np.linspace(-2, 2, 501))
     assert np.all(np.isfinite(vals))
 
@@ -650,7 +656,7 @@ def test_one_drive_matches_member_by_member(member_case):
     assert len(seq.members) >= 2
     for m in seq.members:
         pw = m.fn.fn
-        diff = TestFunction(fn=lambda x, pw=pw: pw(x) - u(x), deriv=None, tag="AC",
+        diff = TestFunction(fn=lambda x, pw=pw: pw(x) - u(x), deriv=None,
                             breakpoints=m.fn.breakpoints)
         x_err = lp_aux_norm(diff, aux, cfg)
 
