@@ -89,8 +89,8 @@ class DegeneracyStructure:
         """Per pair of neighbouring intervals: do they share an end (a seam
         the recovery tapers across, where aux takes the left value) rather
         than leave a gap (which it bridges)?  detect_structure gives
-        touching intervals one float and parts the others by a zero region
-        wider than its 1e-12 * width tolerance, so equality decides."""
+        touching intervals one float and parts the others by a zero region,
+        any region the weight reports however narrow, so equality decides."""
         ivs = self.intervals
         return tuple(a.hi == b.lo for a, b in zip(ivs, ivs[1:]))
 
@@ -229,10 +229,12 @@ def _scan_weight(w: Weight):
 
 
 def _merge_regions(regions, width):
+    """The zero regions ascending, each run of regions that overlap or lie
+    within 1e-12 * width of each other merged into one; none is dropped, so a
+    gap of the structure is exactly a region the weight reports."""
     tol = 1e-12 * width
-    regions = sorted((lo, hi) for lo, hi in regions if hi - lo > tol)
     out = []
-    for lo, hi in regions:
+    for lo, hi in sorted(regions):
         if out and lo <= out[-1][1] + tol:
             out[-1] = (out[-1][0], max(out[-1][1], hi))
         else:

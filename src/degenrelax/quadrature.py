@@ -831,7 +831,7 @@ def classify_endpoint_integrability(w: Weight, p: Exponent, z: float, far: float
     """Decide whether sigma = w^(-1/(p-1)) is integrable on the span from z to far.
 
     alpha is the power exponent of w at z on this side, and `rule` how the
-    degeneracy module found it.  Not integrable iff alpha/(p-1) >= 1;
+    degeneracy module found it.  Not integrable iff p.alpha_p(alpha) >= 1;
     otherwise the value is w.exact_transform_integral's closed form where it
     has one, else the numeric integral, whose graded-tail trend overrules an
     estimated exponent ("numeric-trend") when it diverges.

@@ -92,8 +92,11 @@ def _polyval(x, c: np.ndarray):
 
 
 def poly_function(coeffs: Sequence[float], label: str = "") -> TestFunction:
-    """Polynomial sum(c_k x^k) from low to high degree."""
+    """Polynomial sum(c_k x^k) from low to high degree; ValueError on a
+    non-finite coefficient."""
     c = np.asarray(list(coeffs), dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"polynomial coefficients must be finite, got {c.tolist()}")
     dc = np.array([k * c[k] for k in range(1, c.size)]) if c.size > 1 else np.zeros(1)
     return TestFunction(
         fn=lambda x: _polyval(x, c),
@@ -103,7 +106,10 @@ def poly_function(coeffs: Sequence[float], label: str = "") -> TestFunction:
 
 
 def constant_function(value: float, label: str = "") -> TestFunction:
+    """u == value; ValueError on a non-finite value."""
     v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"constant value must be finite, got {v}")
     return TestFunction(
         fn=lambda x: np.full(np.shape(x), v),
         deriv=lambda x: np.zeros(np.shape(x)),
@@ -654,7 +660,7 @@ def endpoint_vanishing_check(u: TestFunction, aux: AuxWeight, interval_index: in
     vals = mass_values(u(xs), aux.ambient_weight(xs), aux.exponent.p)
     peak = float(np.max(vals)) if vals.size else 0.0
     tail = float(np.max(vals[-3:])) if vals.size >= 3 else peak
-    ok = vals.size >= 3 and tail <= 1e-6 * max(peak, 1e-300)
+    ok = vals.size >= 3 and tail <= 1e-6 * peak
     return VanishingCheck(side, tuple(map(float, offs)), tuple(map(float, vals)),
                           peak, tail, bool(ok))
 

@@ -67,9 +67,20 @@ class Exponent:
         """Conjugate exponent p/(p-1); satisfies 1/p + 1/conj == 1."""
         return self.p / (self.p - 1.0)
 
-    def alpha_p(self, alpha: float) -> float:
-        """Rescaled power alpha/(p-1); the transform of |x|^alpha behaves like |x|^-alpha_p."""
-        return alpha / (self.p - 1.0)
+    def alpha_p(self, alpha):
+        """Rescaled power alpha/(p-1), elementwise on an array: the transform of
+        |x|^alpha behaves like |x|^-alpha_p, and alpha_p >= 1 is the threshold
+        where it stops being locally integrable.  A ratio less than 1e-15 below
+        1 reads as exactly 1, so |x|^0.3 at p = 1.3 (0.3/0.3 rounds to
+        0.9999999999999998) sits on the threshold; a ratio above 1 is kept, as
+        it is already past the threshold (and a cascade's alpha > p - 1 stays
+        supercritical).  Every threshold test and every sigma mass power reads
+        it: the degeneracy split and exponent guard, the endpoint classifier,
+        the weights' sigma masses and pivot rule, and the cascade's check."""
+        r = alpha / (self.p - 1.0)
+        if isinstance(r, np.ndarray):
+            return np.where((1.0 - 1e-15 < r) & (r < 1.0), 1.0, r)
+        return 1.0 if 1.0 - 1e-15 < r < 1.0 else r
 
 
 @dataclass(frozen=True)
@@ -209,12 +220,23 @@ class ClosedFormWeight(Weight):
             checked_samples(self)
 
     def zero_set(self):
-        return None if self.zeros is None else (tuple(z.location for z in self.zeros), ())
+        """The declared zeros, and as zero regions the spans between neighbouring
+        declared zeros (or a zero and the domain end) that a side exponent of
+        math.inf declares w to vanish on; None without metadata."""
+        if self.zeros is None:
+            return None
+        ends = [ZeroInfo(self.domain.lo, None, None), *sorted(self.zeros, key=lambda z: z.location),
+                ZeroInfo(self.domain.hi, None, None)]
+        return tuple(z.location for z in self.zeros), tuple(
+            (a.location, b.location) for a, b in zip(ends, ends[1:])
+            if math.inf in (a.right_exponent, b.left_exponent))
 
     def side_exponent(self, z: float, side: int) -> Optional[float]:
-        for info in self.zeros or ():
-            if abs(info.location - z) <= 1e-12 * self.domain.width:
-                return info.right_exponent if side > 0 else info.left_exponent
+        """The side's exponent of the declared zero nearest z, if one lies within
+        1e-12 * width; else None without metadata and 0.0 (w positive) with it."""
+        info = min(self.zeros or (), key=lambda i: abs(i.location - z), default=None)
+        if info is not None and abs(info.location - z) <= 1e-12 * self.domain.width:
+            return info.right_exponent if side > 0 else info.left_exponent
         return None if self.zeros is None else 0.0  # no recorded zero at z: w positive there
 
     def spec_dict(self) -> dict:
@@ -416,8 +438,7 @@ class PiecewisePowerWeight(Weight):
         level = np.where(self._exponents == 0.0, self._los, self._pivots)  # w flat: pivot at lo
         ex, lg, pivots = (np.append(a, 0.0)[k]  # per segment; k = -1 (uncovered) reads the 0
                           for a in (self._exponents, self._log2s / (1.0 - p.p), level))
-        g = 1.0 - ex / (p.p - 1.0)  # per segment between ends: sigma ~ d^(g-1); 0: log
-        g[np.abs(g) < 1e-15] = 0.0
+        g = 1.0 - p.alpha_p(ex)  # per segment between ends: sigma ~ d^(g-1); 0: log
 
         def masses(lo, hi):
             s = np.searchsorted(ends, 0.5 * (lo + hi), side="right")  # the segment
@@ -434,7 +455,7 @@ class PiecewisePowerWeight(Weight):
         """The base class's sum; infinite when [lo, hi], clipped to a piece, ends
         within 4 ulps of its pivot where sigma is not integrable, as if it met it."""
         total = super().exact_transform_integral(p, lo, hi)
-        sel = (self._exponents * (1.0 / (p.p - 1.0)) >= 1.0) & (self._los < hi) & (lo < self._his)
+        sel = (p.alpha_p(self._exponents) >= 1.0) & (self._los < hi) & (lo < self._his)
         piv, a, b = self._pivots[sel], np.maximum(lo, self._los[sel]), np.minimum(hi, self._his[sel])
         at = np.where(np.abs(piv - a) <= np.abs(piv - b), a, b)  # the clipped end nearer the pivot
         met = np.abs(piv - at) <= 4.0 * np.spacing(np.maximum(np.abs(piv), np.abs(at)))
@@ -467,9 +488,9 @@ def builtin_cascade(alpha: float, p: Exponent, bumps: int) -> PiecewisePowerWeig
     records that the family continues past any finite cut.
     """
     alpha = float(alpha)
-    if not alpha / (p.p - 1.0) > 1.0:
+    if not p.alpha_p(alpha) > 1.0:
         raise WeightSpecError(
-            f"cascade needs alpha/(p-1) > 1; alpha={alpha}, p={p.p} gives {alpha / (p.p - 1.0):.6g}"
+            f"cascade needs alpha/(p-1) > 1; alpha={alpha}, p={p.p} gives {p.alpha_p(alpha):.6g}"
         )
     if not (1 <= bumps <= MAX_BUMPS):
         raise WeightSpecError(f"bump count must be in 1..{MAX_BUMPS}, got {bumps}")
@@ -554,7 +575,7 @@ class GridSampledWeight(Weight):
     def sigma_masses(self, p: Exponent):
         """Per span, the closed form in its cell, where w is linear, w built up from
         the cell's lower node: infinite on a zero cell and next to a zero node if p <= 2."""
-        s = 1.0 / (p.p - 1.0)
+        s = p.alpha_p(1.0)  # w is linear in each cell
         low, v_low, rate = self._cells
 
         def masses(lo, hi):

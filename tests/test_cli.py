@@ -216,13 +216,21 @@ def test_empty_structure(tmp_path):
     (("relax", "--weight", "figure1", "--u", "foo"), "unknown test function spec 'foo'"),
     (("poincare", "--weight", "NULL"), "weight vanishes a.e."),
     (("cascade", "--alpha", "2", "--bumps", "41"), "bump count must be in 1..40, got 41"),
-], ids=["poly-empty", "spline-one-knot", "unknown-u", "poincare-null-weight", "bumps-41"])
+    (("relax", "--weight", "figure1", "--u", "const:inf"), "constant value must be finite"),
+    (("relax", "--weight", "figure1", "--u", "const:nan"), "constant value must be finite"),
+    (("relax", "--weight", "figure1", "--u", "poly:0,inf"), "coefficients must be finite"),
+    (("relax", "--weight", "figure1", "--u", "poly:nan,1"), "coefficients must be finite"),
+    (("poincare", "--weight", "figure1", "--u", "const:inf"), "constant value must be finite"),
+], ids=["poly-empty", "spline-one-knot", "unknown-u", "poincare-null-weight", "bumps-41",
+        "const-inf", "const-nan", "poly-inf", "poly-nan", "poincare-const-inf"])
 def test_input_errors_exit_two_with_their_message(tmp_path, args, message):
     path = tmp_path / "null.json"
     path.write_text('{"family": "piecewise_power", "domain": [0, 1], "pieces": []}')
     out = run_cli(*(str(path) if a == "NULL" else a for a in args), check=False)
     assert out.returncode == 2 and out.stdout == ""
-    assert out.stderr.startswith("error: ") and message in out.stderr
+    # one error line: no warning printed before it
+    assert out.stderr.startswith("error: ") and len(out.stderr.splitlines()) == 1
+    assert message in out.stderr
 
 
 @pytest.mark.parametrize("spec, message", [

@@ -318,6 +318,18 @@ def test_vanishing_at_divergent_boundary(figure1_chain):
     assert chk.ok
 
 
+@pytest.mark.parametrize("c", [1e-150, 1e-155, 1e-160])
+def test_the_vanishing_verdict_does_not_depend_on_the_units_of_u(figure1_chain, c):
+    # u == c scales every sample by c^p, down into the subnormals: the
+    # verdict compares the tail with the peak and has no absolute floor
+    w, st_, aux = figure1_chain
+    sides = [(i, side) for i in range(st_.count) for side in ("left", "right")]
+    unit = [endpoint_vanishing_check(constant_function(1.0), aux, i, s).ok for i, s in sides]
+    assert unit == [False, True, True, True, True, False]
+    assert [endpoint_vanishing_check(constant_function(c), aux, i, s).ok
+            for i, s in sides] == unit
+
+
 def test_extension_at_integrable_edge(figure1_chain, p2):
     # w(+-2) = 9 > 0: u extends continuously, and the extension equals the
     # actual limit for a function that is already continuous there
