@@ -128,16 +128,16 @@ class _Branch:
 @dataclass
 class BranchTable(_Branch):
     """C(d) for one outer branch of a weight without sigma masses, d the
-    distance from the endpoint: the graded mesh (d_mesh, up to d_max, the
-    quarter point) and C at its nodes (c_nodes), tabulated on first access
-    (the aux table's build) as one call of its masses summed onto
+    distance from the endpoint: the graded mesh (d_mesh, up to d_max, whose
+    node is the float `quarter`) and C at its nodes (c_nodes), tabulated on
+    first access (the aux table's build) as one call of its masses summed onto
     c_at_dmax.  A segment sigma is not integrable on, or an anchor that is not
     positive, raises ArithmeticError on every access."""
 
     sigma: object                 # transform callable
     endpoint: float
     sgn: float                    # x = endpoint + sgn * d
-    mid: float                    # the interval midpoint
+    quarter: float                # where the branch ends: the interval's q1 or q3
     removables: Sequence[float]   # removable zeros of w: sliver nodes close in on them
     kinks: np.ndarray             # the other breakpoints of w: mesh nodes
     cfg: QuadratureConfig
@@ -150,7 +150,8 @@ class BranchTable(_Branch):
 
     @cached_property
     def _tabulated(self) -> tuple:
-        d_mesh, lo, hi, plain = _branch_mesh(self.endpoint, self.mid, self.removables, self.kinks)
+        d_mesh, lo, hi, plain = _branch_mesh(self.endpoint, self.quarter, self.removables,
+                                             self.kinks)
         vals = self.masses(lo, hi)
         if np.isinf(vals).any():
             j = int(np.argmax(np.isinf(vals)))
@@ -188,7 +189,7 @@ class BranchTable(_Branch):
         # the series run in s = log d, where sigma's power-law behaviour
         # toward the endpoint is smooth, between the mesh points as placed in
         # x (the points the anchors integrate between)
-        xs = self.endpoint + self.sgn * d
+        xs = _mesh_x(self.endpoint, self.sgn, d, self.quarter)
         ls = np.log(self.sgn * (xs - self.endpoint))
         with np.errstate(divide="ignore"):  # sliver nodes can be closer than log resolves
             noise = _EPS * np.abs(xs[:-1]) / d[:-1] / (0.5 * np.diff(ls))
@@ -430,22 +431,26 @@ def _kink_nodes(d_mesh: np.ndarray, endpoint: float, sgn: float,
     return sorted_unique(np.concatenate((d_mesh[~near], d_k)))
 
 
-def _branch_mesh(endpoint: float, mid: float, removables: Sequence[float],
+def _mesh_x(endpoint: float, sgn: float, d_mesh: np.ndarray, quarter: float) -> np.ndarray:
+    """A branch mesh's nodes in x: endpoint + sgn * d, the last the quarter point."""
+    return np.append(endpoint + sgn * d_mesh[:-1], quarter)
+
+
+def _branch_mesh(endpoint: float, quarter: float, removables: Sequence[float],
                  kinks: np.ndarray) -> tuple:
-    """The graded mesh of the half from endpoint to mid, up to its quarter
-    point, cut at the kinks of w (not removable zeros) inside it: its
-    ascending distances, its segments as x ranges (lo, hi), inner to outer,
-    and which of them are free of removable zeros."""
-    sgn = 1.0 if mid > endpoint else -1.0
-    d_mesh = _graded_mesh(0.5 * abs(mid - endpoint), endpoint, sgn)  # up to the quarter point
-    d_mesh = _kink_nodes(d_mesh, endpoint, sgn, kinks)
+    """The graded mesh of the branch from endpoint to its quarter point (its
+    last node, that float), cut at the kinks of w (not removable zeros) inside
+    it: its ascending distances, its segments as x ranges (lo, hi), inner to
+    outer, and which of them are free of removable zeros."""
+    sgn = 1.0 if quarter > endpoint else -1.0
+    d_mesh = _kink_nodes(_graded_mesh(abs(quarter - endpoint), endpoint, sgn), endpoint, sgn, kinks)
     extra = [_sliver_nodes((r - endpoint) * sgn, d_mesh[-1]) for r in removables
              if 0.0 < (r - endpoint) * sgn <= d_mesh[-1]]
     if extra:
         d_mesh = sorted_unique(np.concatenate([d_mesh, *extra]))
-    xs = endpoint + sgn * d_mesh
-    # distinct distances can collide in x at float resolution; keep the outer one
-    keep = np.append(np.diff(xs) != 0.0, True)
+    xs = _mesh_x(endpoint, sgn, d_mesh, quarter)
+    # nodes can collide in x at float resolution (keep the outer) or round onto the endpoint
+    keep = np.append(sgn * np.diff(xs) > 0.0, True) & (xs != endpoint)
     d_mesh, xs = d_mesh[keep], xs[keep]
     seg_lo, seg_hi = np.minimum(xs[:-1], xs[1:]), np.maximum(xs[:-1], xs[1:])
     plain = np.ones(seg_lo.size, dtype=bool)
@@ -467,14 +472,13 @@ class AuxInterval:
     right_limit = property(lambda self: 1.0 / self.right.c_at_dmax)  # at q3
     lo_value = property(lambda self: _end_value(self.base.lo_class))  # the limit at base.lo
     hi_value = property(lambda self: _end_value(self.base.hi_class))
+    q1 = property(lambda self: _quarters(self.base)[0])
+    q3 = property(lambda self: _quarters(self.base)[1])
 
-    @property
-    def q1(self) -> float:
-        return self.base.lo + 0.25 * self.base.width
 
-    @property
-    def q3(self) -> float:
-        return self.base.lo + 0.75 * self.base.width
+def _quarters(iv: DegeneracyInterval) -> tuple[float, float]:
+    """q1 and q3 of a structure interval: where its left and right branches end."""
+    return iv.lo + 0.25 * iv.width, iv.lo + 0.75 * iv.width
 
 
 def _end_value(cls) -> float:  # 0 when the half integral diverges
@@ -569,14 +573,13 @@ def build_aux_weight(w: Weight, p: Exponent, structure: DegeneracyStructure,
         removables = [info.location for info in structure.removable_zeros]
         # removable zeros get sliver nodes instead
         kinks = kinks[~np.isin(kinks, sorted_unique(removables), assume_unique=True)]
-        ends = [(end, iv.mid, 1.0 if iv.mid > end else -1.0)
-                for iv in structure.intervals for end in (iv.lo, iv.hi)]
+        ends = [(end, sgn, q, iv.mid) for iv in structure.intervals
+                for end, sgn, q in zip((iv.lo, iv.hi), (1.0, -1.0), _quarters(iv))]
         # one drive: the quarter span of each branch, from its quarter point to the midpoint
-        spans = [sorted((end + sgn * 0.5 * abs(mid - end), mid)) for end, mid, sgn in ends]
-        res = integrate_ranges(lambda x, _: sigma(x),
-                               [(a, b, removables, kinks) for a, b in spans], cfg)
-        branches = [BranchTable(sigma, end, sgn, mid, removables, kinks, cfg, quarter.value_or_inf)
-                    for (end, mid, sgn), quarter in zip(ends, res)]
+        res = integrate_ranges(lambda x, _: sigma(x), [(*sorted((q, mid)), removables, kinks)
+                                                       for _, _, q, mid in ends], cfg)
+        branches = [BranchTable(sigma, end, sgn, q, removables, kinks, cfg, span.value_or_inf)
+                    for (end, sgn, q, _), span in zip(ends, res)]
     if not all(math.isfinite(br.c_at_dmax) for br in branches):
         raise ArithmeticError(
             "transform not integrable between quarter point and midpoint; "
@@ -589,8 +592,7 @@ def build_aux_weight(w: Weight, p: Exponent, structure: DegeneracyStructure,
 def _exact_branches(masses, intervals, kinks: np.ndarray) -> list:
     """Two ExactBranches per interval: C at its ends, quarter points, midpoint
     and kinks, summed outward from the midpoint over one call of `masses`."""
-    knots = [sorted_unique(np.concatenate(([iv.lo, iv.lo + 0.25 * iv.width, iv.mid,
-                                            iv.lo + 0.75 * iv.width, iv.hi],
+    knots = [sorted_unique(np.concatenate(([iv.lo, iv.mid, iv.hi, *_quarters(iv)],
                                            kinks[(kinks > iv.lo) & (kinks < iv.hi)])))
              for iv in intervals]
     ends = np.cumsum([t.size - 1 for t in knots])[:-1]
@@ -598,7 +600,7 @@ def _exact_branches(masses, intervals, kinks: np.ndarray) -> list:
                              for s in (slice(None, -1), slice(1, None)))), ends)
     out = []
     for iv, t, m in zip(intervals, knots, segs):
-        k, q1, q3 = np.searchsorted(t, [iv.mid, iv.lo + 0.25 * iv.width, iv.lo + 0.75 * iv.width])
+        k, q1, q3 = np.searchsorted(t, [iv.mid, *_quarters(iv)])
         c = np.concatenate((np.cumsum(m[:k][::-1])[::-1], [0.0], np.cumsum(m[k:])))
         out += [ExactBranch(masses, iv.lo, 1.0, t[:q1 + 1], c[:q1 + 1]),
                 ExactBranch(masses, iv.hi, -1.0, t[q3:], c[q3:])]
@@ -642,9 +644,10 @@ class AuxBounds:
     """Supremum and infimum of the auxiliary weight, per interval and overall.
 
     Branch monotonicity puts each interval's supremum at a quarter-point
-    branch limit and its infimum at an endpoint limit or the plateau; the
-    infimum over the whole domain is 0 whenever the structure intervals do
-    not cover it (the auxiliary weight vanishes off their closures).
+    branch limit and its infimum at an endpoint limit or the plateau.  The
+    intervals cover the domain iff they tile it: the first starts at its lo,
+    the last ends at its hi and every neighbouring pair touches.  Else aux
+    vanishes off their closures, and the infimum over the domain is 0.
     """
 
     per_interval: tuple[tuple[float, float], ...]  # (sup_i, inf_i)
@@ -654,15 +657,12 @@ class AuxBounds:
 
 
 def aux_global_bounds(aux: AuxWeight) -> AuxBounds:
-    per = []
-    for part in aux.parts:
-        sup_i = max(part.left_limit, part.right_limit, part.plateau)
-        # endpoint values are the one-sided lower limits (0 on divergent sides)
-        inf_i = min(part.plateau, part.lo_value, part.hi_value)
-        per.append((float(sup_i), float(inf_i)))
-    dom = aux.weight.domain
-    covered = sum(p_.base.width for p_ in aux.parts)
-    covers = math.isclose(covered, dom.width, rel_tol=1e-12, abs_tol=1e-12 * dom.width)
+    """AuxBounds of aux; whether the intervals cover the domain, from its structure alone."""
+    # endpoint values are the one-sided lower limits (0 on divergent sides)
+    per = tuple((float(max(pt.left_limit, pt.right_limit, pt.plateau)),
+                 float(min(pt.plateau, pt.lo_value, pt.hi_value))) for pt in aux.parts)
+    ivs, dom, seams = aux.structure.intervals, aux.weight.domain, aux.structure.touching
+    covers = bool(ivs) and (ivs[0].lo, ivs[-1].hi) == (dom.lo, dom.hi) and all(seams)
     sup = max((s for s, _ in per), default=0.0)
     inf = min((i_ for _, i_ in per), default=0.0) if covers else 0.0
-    return AuxBounds(tuple(per), float(sup), float(inf), covers)
+    return AuxBounds(per, float(sup), float(inf), covers)

@@ -149,10 +149,13 @@ def parse_function_arg(text: str, domain):
     if kind in ("sqrt", "logdist") and sep:
         raise ValueError(f"test function {kind!r} takes no argument, got {text!r}")
     if kind == "poly":
-        coeffs = [float(t) for t in rest.split(",") if t.strip()]
-        if not coeffs:
+        tokens = rest.split(",")
+        if not rest.strip():
             raise ValueError(f"empty polynomial spec {text!r}")
-        return poly_function(coeffs, label=text)
+        empty = [k for k, t in enumerate(tokens) if not t.strip()]
+        if empty:
+            raise ValueError(f"polynomial spec {text!r}: the coefficient of x^{empty[0]} is empty")
+        return poly_function([float(t) for t in tokens], label=text)
     if kind == "const":
         return constant_function(float(rest), label=text)
     if kind == "spline":

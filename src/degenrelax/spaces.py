@@ -101,7 +101,7 @@ def poly_function(coeffs: Sequence[float], label: str = "") -> TestFunction:
     return TestFunction(
         fn=lambda x: _polyval(x, c),
         deriv=lambda x: _polyval(x, dc),
-        label=label or f"poly{list(c)}",
+        label=label or f"poly{c.tolist()}",
     )
 
 

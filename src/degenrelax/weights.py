@@ -351,7 +351,7 @@ class PiecewisePowerWeight(Weight):
         # the uncovered spans (w == 0), from the furthest piece end so far to the next piece
         reach = accumulate([domain.lo] + [q.hi for q in self.pieces], max)
         starts = [q.lo for q in self.pieces] + [domain.hi]
-        self._regions = tuple((a, b) for a, b in zip(reach, starts) if b > a + 1e-14 * domain.width)
+        self._regions = tuple((a, b) for a, b in zip(reach, starts) if b > a)
 
     def _piece_index(self, x: np.ndarray) -> np.ndarray:
         # index of the piece containing each x ([lo, hi) half open, last piece closed), -1 if none
@@ -407,21 +407,20 @@ class PiecewisePowerWeight(Weight):
         return sigma
 
     def side_exponent(self, z: float, side: int) -> Optional[float]:
-        """Exact power exponent of w at z on one side; None off the domain."""
-        dom = self.domain
-        if (side < 0 and z <= dom.lo) or (side > 0 and z >= dom.hi):
+        """Exact power exponent of w at z on one side; None off the domain.  A piece
+        end counts only if it is z itself: an uncovered side, however narrow, is inf."""
+        if (side < 0 and z <= self.domain.lo) or (side > 0 and z >= self.domain.hi):
             return None
-        tol = 1e-14 * dom.width
         for q in self.pieces:
             end = q.lo if side > 0 else q.hi  # the piece end facing z
-            if abs(end - z) <= tol:
+            if end == z:
                 return q.exponent if q.pivot == end else 0.0
         if any(q.lo < z < q.hi for q in self.pieces):
             return 0.0  # inside a piece w is positive (an inner pivot has exponent 0)
         return math.inf  # no piece on that side: uncovered, w == 0 there
 
     def zero_set(self) -> tuple[tuple[float, ...], tuple[tuple[float, float], ...]]:
-        """The pivots of the decaying pieces, and the uncovered spans."""
+        """The pivots of the decaying pieces, and every uncovered span (w == 0)."""
         zeros = sorted({q.pivot for q in self.pieces
                         if q.exponent > 0.0 and q.pivot in (q.lo, q.hi)})
         return tuple(zeros), self._regions
@@ -432,21 +431,22 @@ class PiecewisePowerWeight(Weight):
 
     def sigma_masses(self, p: Exponent):
         """Per span, its piece's power or log antiderivative in d = |x - pivot|, formed
-        from x - pivot; infinite on an uncovered span wider than 1e-14 of the domain."""
+        from x - pivot; infinite on every non-empty uncovered span."""
         ends, dom = np.asarray(self._ends, dtype=float), self.domain
-        k = self._piece_index(0.5 * (np.append(dom.lo, ends) + np.append(ends, dom.hi)))
+        # per segment, by its left end: the last piece starting at or before it, unless it ends by then
+        k = np.searchsorted(self._los, (starts := np.append(dom.lo, ends)), side="right") - 1
+        k[starts >= np.append(self._his, -math.inf)[k]] = -1
         level = np.where(self._exponents == 0.0, self._los, self._pivots)  # w flat: pivot at lo
         ex, lg, pivots = (np.append(a, 0.0)[k]  # per segment; k = -1 (uncovered) reads the 0
                           for a in (self._exponents, self._log2s / (1.0 - p.p), level))
         g = 1.0 - p.alpha_p(ex)  # per segment between ends: sigma ~ d^(g-1); 0: log
 
         def masses(lo, hi):
-            s = np.searchsorted(ends, 0.5 * (lo + hi), side="right")  # the segment
+            s = np.searchsorted(ends, lo, side="right")  # by lo: a 1-ulp span's mid may round up
             d0, d1 = np.abs(lo - (piv := pivots[s])), np.abs(hi - piv)
             near, far = np.minimum(d0, d1), np.maximum(d0, d1)
             m = _power_mass(near, far, far - near, g[s], lg[s])
-            if not (cov := k[s] >= 0).all():
-                m = np.where(cov, m, np.where(hi - lo > 1e-14 * dom.width, np.inf, 0.0))
+            m = m if (cov := k[s] >= 0).all() else np.where(cov, m, np.inf)
             return np.where(hi > lo, m, 0.0)
 
         return masses

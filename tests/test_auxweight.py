@@ -170,6 +170,116 @@ def test_bounds_report_noncovering_structure(two_tent_chain):
     assert b.inf == 0.0
 
 
+def _two_flat(a, b):
+    """w == 1 on (0, 1) but for the uncovered span [a, b)."""
+    return PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, a, 1.0, 0.0, 0.0),
+                                                     PowerPiece(b, 1.0, 1.0, 0.0, 0.0)])
+
+
+# (weight, p, do its intervals tile the domain?)
+COVERAGE_CASES = {
+    "gap-ulp": lambda: (_two_flat(0.5, float(np.nextafter(0.5, 1.0))), Exponent(2.0), False),
+    **{f"gap-{g:g}": lambda g=g: (_two_flat(0.5, 0.5 + g), Exponent(2.0), False)
+       for g in (5e-15, 5e-14, 5e-13)},
+    "short-of-hi": lambda: (PiecewisePowerWeight(
+        Interval(0.0, 1.0), [PowerPiece(0.0, 0.7, 1.0, 0.0, 0.0)]), Exponent(2.0), False),
+    "short-of-hi-by-5e-15": lambda: (PiecewisePowerWeight(
+        Interval(0.0, 1.0), [PowerPiece(0.0, 1.0 - 5e-15, 1.0, 0.0, 0.0)]), Exponent(2.0), False),
+    "short-of-lo-by-an-ulp": lambda: (PiecewisePowerWeight(
+        Interval(1.0, 2.0), [PowerPiece(float(np.nextafter(1.0, 2.0)), 2.0, 1.0, 1.0, 0.0)]),
+        Exponent(2.0), False),
+    "one-interval": lambda: (builtin_power(0.0), Exponent(2.0), True),
+    # a splitting zero at 0.5, non-integrable from the left only
+    "touching": lambda: (PiecewisePowerWeight(Interval(0.0, 1.0), [
+        PowerPiece(0.0, 0.5, 1.0, 0.5, 2.0), PowerPiece(0.5, 1.0, 1.0, 0.5, 0.5)]),
+        Exponent(2.0), True),
+    "figure1": lambda: (builtin_figure1(), Exponent(2.0), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COVERAGE_CASES))
+def test_covers_domain_iff_the_intervals_tile_it(case):
+    w, p, tiles = COVERAGE_CASES[case]()
+    st_ = detect_structure(w, p, CFG)
+    b = aux_global_bounds(build_aux_weight(w, p, st_, CFG))
+    assert b.covers_domain is tiles
+    assert b.inf == (min(i for _, i in b.per_interval) if tiles else 0.0)
+    if case == "one-interval":  # w == 1 on (0, 1): aux is 2 at the ends and on the plateau
+        assert b.inf == pytest.approx(2.0, rel=1e-12)
+
+
+def test_aux_samples_lie_within_the_global_bounds():
+    # seeded piecewise weights on (0, 1), half of their joins opened by an
+    # uncovered gap of one ulp to 1e-11: no sample of aux lies below the
+    # bounds' inf or above their sup (aux is 0 inside a gap), but for
+    # rounding: one ulp inside an end aux is 1/C from the branch's own sum,
+    # while the end value is 1/(the end class's integral)
+    rng = np.random.default_rng(48)
+    for _ in range(200):
+        p = Exponent(float(rng.choice([1.5, 2.0, 3.0])))
+        cuts = np.sort(rng.uniform(0.05, 0.95, int(rng.integers(1, 4)))).tolist()
+        pieces = []
+        for lo, hi in zip([0.0, *cuts], [*cuts, 1.0]):
+            if lo > 0.0 and rng.random() < 0.5:
+                lo = (float(np.nextafter(lo, 1.0)) if rng.random() < 0.25
+                      else lo + 10.0 ** rng.uniform(-15.0, -11.0))
+            alpha = float(rng.choice([0.0, 0.3, 0.5, 2.0])) * (p.p - 1.0)
+            pieces.append(PowerPiece(lo, hi, 10.0 ** rng.uniform(-1.0, 1.0),
+                                     lo if rng.random() < 0.5 else hi, alpha))
+        w = PiecewisePowerWeight(Interval(0.0, 1.0), pieces)
+        st_ = detect_structure(w, p, CFG)
+        aux = build_aux_weight(w, p, st_, CFG)
+        b = aux_global_bounds(aux)
+        ends = np.array([e for r in st_.zero_regions for e in (*r, 0.5 * (r[0] + r[1]))]
+                        + [e for iv in st_.intervals for e in (iv.lo, iv.hi)])
+        x = np.concatenate((np.linspace(0.0, 1.0, 1001), ends, np.nextafter(ends, -1.0),
+                            np.nextafter(ends, 2.0)))
+        v = aux(x[(x >= 0.0) & (x <= 1.0)])
+        assert b.inf * (1.0 - 1e-13) <= v.min() and v.max() <= b.sup, (w.spec_dict(), p.p, b)
+
+
+def _quarter_cases():
+    """figure1, a metadata-free closure, and seeded two-piece weights on
+    random domains, each as itself (exact branches) and as a closure with its
+    zeros declared (tabulated branches)."""
+    rng = np.random.default_rng(31)
+    cases = [pytest.param(builtin_figure1(), Exponent(2.0), id="figure1"),
+             pytest.param(ClosedFormWeight(fn=lambda x: 1.0 + x * x, domain=Interval(-0.3, 1.7)),
+                          Exponent(2.0), id="scan")]
+    for k in range(8):
+        lo, width = rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-2.0, 1.0)
+        p = Exponent(float(rng.choice([1.5, 2.0, 3.0])))
+        cut = lo + rng.uniform(0.2, 0.8) * width
+        e1, e2 = (float(e) * (p.p - 1.0) for e in rng.choice([0.0, 0.5, 2.0], 2))
+        w = PiecewisePowerWeight(Interval(lo, lo + width), [PowerPiece(lo, cut, 1.0, cut, e1),
+                                                            PowerPiece(cut, lo + width, 1.0, cut, e2)])
+        cases += [pytest.param(w, p, id=f"random{k}"),
+                  pytest.param(tabled(w), p, id=f"random{k}-declared")]
+    return cases
+
+
+@pytest.mark.parametrize("w, p", _quarter_cases())
+def test_every_branch_ends_on_its_quarter_point(w, p):
+    # the outermost knot or mesh node of each branch is part.q1 or part.q3
+    # itself, and its quarter span is integrated from that float
+    st_ = detect_structure(w, p, CFG)
+    aux = build_aux_weight(w, p, st_, CFG)
+    sigma = w.transform(p)
+    for part in aux.parts:
+        for br, q in ((part.left, part.q1), (part.right, part.q3)):
+            lo, hi = sorted((q, part.base.mid))
+            if isinstance(br, auxweight.ExactBranch):
+                assert br.knots[-1 if br.sgn > 0 else 0] == q
+                assert br.c_at_dmax == pytest.approx(w.exact_transform_integral(p, lo, hi), rel=1e-13)
+                continue
+            assert br.quarter == q
+            _, seg_lo, seg_hi, _ = auxweight._branch_mesh(br.endpoint, q, br.removables, br.kinks)
+            assert (seg_hi if br.sgn > 0 else seg_lo)[-1] == q
+            quarter = integrate(sigma, lo, hi, CFG, breakpoints=br.kinks,
+                                singular=[r for r in br.removables if lo < r < hi])
+            assert quarter.value == br.c_at_dmax
+
+
 def test_removable_zero_keeps_interval_whole_and_fast():
     # figure1 at p = 4: zeros at +-1 are removable and happen to land on the
     # quarter points; the branch tables must stay usable at float resolution
@@ -580,7 +690,7 @@ def _eager_tables(w, p, parts):
     """Every branch's (d_mesh, c_nodes, plain, d_max), the segments of all
     branches one batch of panels.  The bit-for-bit reference."""
     branches = [br for part in parts for br in (part.left, part.right)]
-    meshes = [auxweight._branch_mesh(br.endpoint, br.mid, br.removables, br.kinks)
+    meshes = [auxweight._branch_mesh(br.endpoint, br.quarter, br.removables, br.kinks)
               for br in branches]
     lo, hi = (np.concatenate([np.zeros(0)] + [m[k] for m in meshes]) for k in (1, 2))
     vals = quadrature._eval_panels(w.transform(p), lo, hi, CFG)[0]
@@ -788,13 +898,13 @@ def test_grid_zero_at_the_origin_fails_fast():
         signal.signal(signal.SIGALRM, previous)
 
 
-def _branch_alone(sigma, endpoint, mid, removables, kinks, cfg):
+def _branch_alone(sigma, endpoint, quarter, mid, removables, kinks, cfg):
     """One branch with its own integrals, as build_aux_weight made them before
     it built every branch in one drive: the bit-for-bit reference.  The mesh
-    has a node on each kink of w that is not a removable zero."""
+    has a node on each kink of w that is not a removable zero, and ends on the
+    quarter point."""
     sgn = 1.0 if mid > endpoint else -1.0
-    half = abs(mid - endpoint)
-    d_mesh = auxweight._graded_mesh(0.5 * half, endpoint, sgn)
+    d_mesh = auxweight._graded_mesh(abs(quarter - endpoint), endpoint, sgn)
     # a graded node too close to a kink for a Chebyshev fit gives way to it
     kinks = np.setdiff1d(kinks, removables)
     d_k = sgn * (kinks - endpoint)
@@ -808,11 +918,11 @@ def _branch_alone(sigma, endpoint, mid, removables, kinks, cfg):
     if extra:
         d_mesh = np.unique(np.concatenate([d_mesh, *extra]))
     xs = endpoint + sgn * d_mesh
+    xs[-1] = quarter
     keep = np.ones(d_mesh.size, dtype=bool)
     keep[:-1] = np.abs(np.diff(xs)) > 0.0
     d_mesh, xs = d_mesh[keep], xs[keep]
-    qpt = endpoint + sgn * 0.5 * half
-    lo_q, hi_q = (qpt, mid) if sgn > 0 else (mid, qpt)
+    lo_q, hi_q = (quarter, mid) if sgn > 0 else (mid, quarter)
     res = integrate(sigma, lo_q, hi_q, cfg, singular=[r for r in removables if lo_q < r < hi_q],
                     breakpoints=kinks)
     assert res.is_finite
@@ -891,9 +1001,9 @@ def test_one_drive_build_matches_branch_by_branch(case):
     for part in aux.parts:
         iv = part.base
         quarters = []
-        for br, end, limit in ((part.left, iv.lo, part.left_limit),
-                               (part.right, iv.hi, part.right_limit)):
-            d_mesh, c_all, plain = _branch_alone(sigma, end, iv.mid, removables,
+        for br, end, q, limit in ((part.left, iv.lo, part.q1, part.left_limit),
+                                  (part.right, iv.hi, part.q3, part.right_limit)):
+            d_mesh, c_all, plain = _branch_alone(sigma, end, q, iv.mid, removables,
                                                  w.breakpoints(), CFG)
             assert br.d_mesh.tobytes() == d_mesh.tobytes()
             assert br.c_nodes.tobytes() == c_all.tobytes()

@@ -212,6 +212,8 @@ def test_empty_structure(tmp_path):
 
 @pytest.mark.parametrize("args, message", [
     (("relax", "--weight", "figure1", "--u", "poly:"), "empty polynomial spec 'poly:'"),
+    (("relax", "--weight", "figure1", "--u", "poly:1,,2"),
+     "polynomial spec 'poly:1,,2': the coefficient of x^1 is empty"),
     (("relax", "--weight", "figure1", "--u", "spline:0=1"), "needs at least two x=y knots"),
     (("relax", "--weight", "figure1", "--u", "foo"), "unknown test function spec 'foo'"),
     (("poincare", "--weight", "NULL"), "weight vanishes a.e."),
@@ -221,7 +223,7 @@ def test_empty_structure(tmp_path):
     (("relax", "--weight", "figure1", "--u", "poly:0,inf"), "coefficients must be finite"),
     (("relax", "--weight", "figure1", "--u", "poly:nan,1"), "coefficients must be finite"),
     (("poincare", "--weight", "figure1", "--u", "const:inf"), "constant value must be finite"),
-], ids=["poly-empty", "spline-one-knot", "unknown-u", "poincare-null-weight", "bumps-41",
+], ids=["poly-empty", "poly-empty-coefficient", "spline-one-knot", "unknown-u", "poincare-null-weight", "bumps-41",
         "const-inf", "const-nan", "poly-inf", "poly-nan", "poincare-const-inf"])
 def test_input_errors_exit_two_with_their_message(tmp_path, args, message):
     path = tmp_path / "null.json"

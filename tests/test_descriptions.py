@@ -73,6 +73,19 @@ def test_a_narrow_gap_parts_the_structure_on_both_descriptions(gap):
                                               (0.5 + gap, 1.0, True, True)]
 
 
+@pytest.mark.parametrize("a, gap", [(0.3, "ulp"), (0.5, "ulp"), (0.6, 5e-15)])
+def test_a_gap_narrower_than_1e_14_parts_the_structure_on_both_descriptions(a, gap):
+    # the closure declares the gap's edges as zeros, with math.inf toward it
+    b = float(np.nextafter(a, 1.0)) if gap == "ulp" else a + gap
+    w = PiecewisePowerWeight(UNIT, [PowerPiece(0.0, a, 1.0, a, 0.5),
+                                    PowerPiece(b, 1.0, 1.0, 0.0, 0.0)])
+    d = declared(w)
+    assert w.zero_set() == ((a,), ((a, b),)) and d.zero_set() == ((a, b), ((a, b),))
+    for desc in (w, d):
+        assert detect_structure(desc, Exponent(2.0)).touching == (False,)
+        assert chain(desc, Exponent(2.0)) == [(0.0, a, True, True), (b, 1.0, True, True)]
+
+
 @pytest.mark.parametrize("alpha, p", [(0.95, 1.95), (1.0, 2.0)])
 def test_a_span_from_a_pivot_on_the_threshold_is_infinite(alpha, p):
     # the span starts 4 ulps off the pivot at 0: it meets the pivot
@@ -83,9 +96,7 @@ def _draw(rng):
     """A PiecewisePowerWeight on (0, 1) of 1-4 pieces, each decaying to one of
     its ends with exponent k (p - 1) (the float product, or rounded to 10
     digits), half of the joins opened by an uncovered gap of 1e-15 to 1e-11;
-    and the same weight declared, every gap too narrow for w to report as a
-    zero region (1e-14 of the width) closed, as w reads its two ends as one
-    point."""
+    and the same weight declared."""
     p = int(rng.integers(11, 41)) / 10.0
     ends = np.concatenate(([0.0], np.sort(rng.uniform(0.05, 0.95, int(rng.integers(0, 4)))),
                            [1.0]))
@@ -97,13 +108,7 @@ def _draw(rng):
         alpha = round(alpha, 10) if rng.random() < 0.5 else alpha
         pieces.append(PowerPiece(lo, hi, 1.0, lo if rng.random() < 0.5 else hi, alpha))
     w = PiecewisePowerWeight(UNIT, pieces)
-    closed = pieces[:1]
-    for q in pieces[1:]:
-        a = closed[-1].hi
-        if a < q.lo and (a, q.lo) not in w.zero_set()[1]:
-            q = PowerPiece(a, q.hi, q.scale, a if q.pivot == q.lo else q.pivot, q.exponent)
-        closed.append(q)
-    return w, declared(PiecewisePowerWeight(UNIT, closed)), Exponent(p)
+    return w, declared(w), Exponent(p)
 
 
 def test_one_weight_two_descriptions_one_structure():
@@ -115,6 +120,5 @@ def test_one_weight_two_descriptions_one_structure():
         exact, closure = chain(w, p), chain(d, p, query=k % 10 == 0)
         assert len(exact) == len(closure), (w.spec_dict(), p)
         for a, b in zip(exact, closure):
-            # a closed gap moves an end by less than 1e-14
             assert a[2:] == b[2:] and np.allclose(a[:2], b[:2], rtol=0, atol=1e-12), \
                 (w.spec_dict(), p, exact, closure)

@@ -193,6 +193,38 @@ def test_interface_on_cascade():
     assert w.resolution_near(0.5) == 0.0
 
 
+@pytest.mark.parametrize("gap", ["ulp", 5e-15, 5e-14, 5e-13])
+@pytest.mark.parametrize("a", [0.3, 0.5, 0.6])
+def test_every_uncovered_span_is_a_gap(a, gap):
+    # the pieces decide, however narrow the span: w reads 0 there, zero_set
+    # reports it, sigma's mass across it is infinite, both edges read
+    # math.inf toward it, and the structure parts there (at 0.3 and 0.6 the
+    # midpoint of a one-ulp span rounds onto its right end)
+    b = float(np.nextafter(a, 1.0)) if gap == "ulp" else a + gap
+    w = PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, a, 1.0, 0.0, 0.0),
+                                                  PowerPiece(b, 1.0, 2.0, b, 0.5)])
+    p = Exponent(2.0)
+    assert w(a) == 0.0 < w(np.nextafter(b, 1.0)) and w.zero_set() == ((b,), ((a, b),))
+    m = w.sigma_masses(p)(np.array([a, 0.25, b]), np.array([b, a, 0.75]))
+    assert m[0] == math.inf and np.isfinite(m[1:]).all()
+    assert w.exact_transform_integral(p, 0.25, 0.75) == math.inf
+    assert w.side_exponent(a, +1) == w.side_exponent(b, -1) == math.inf
+    assert (w.side_exponent(a, -1), w.side_exponent(b, +1)) == (0.0, 0.5)
+    st_ = degeneracy.detect_structure(w, p)
+    assert [(iv.lo, iv.hi) for iv in st_.intervals] == [(0.0, a), (b, 1.0)]
+    assert st_.touching == (False,) and st_.zero_regions == ((a, b),)
+
+
+def test_a_span_is_read_in_the_segment_of_its_left_end():
+    # [0.3, 0.3 + ulp] lies in the first piece, though its midpoint rounds onto
+    # the second one's pivot: sigma = 1 there, mass one ulp
+    a, b = 0.3, float(np.nextafter(0.3, 1.0))
+    w = PiecewisePowerWeight(Interval(0.0, 1.0), [PowerPiece(0.0, b, 1.0, 0.0, 0.0),
+                                                  PowerPiece(b, 1.0, 1.0, b, 0.5)])
+    assert 0.5 * (a + b) == b
+    assert w.sigma_masses(Exponent(2.0))(np.array([a]), np.array([b]))[0] == b - a
+
+
 @pytest.mark.parametrize("width", [1.0, 1e-6])
 def test_exact_transform_integral_near_a_nonintegrable_pivot(width):
     # x^0.75 at p = 1.5: sigma = x^-1.5, whose integral from a to b is 2 (a^-1/2 - b^-1/2)
